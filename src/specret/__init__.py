@@ -12,10 +12,7 @@ together on disjoint annular regions.
 from .ambiguity import (
     AmbiguityGrid,
     FrftGaussAmbiguity,
-    GaussAmbiguity,
     HermiteAmbiguity,
-    NumericAmbiguity,
-    SummedAmbiguity,
     eval_frft_gauss_ambiguity,
     eval_gauss_ambiguity,
     eval_hermite_ambiguity,
@@ -29,7 +26,7 @@ from .exceptions import (
     OverflowGuardError,
     RetrievalError,
 )
-from .grid import Grid, GridContractError, Signal, make_grid
+from .grid import Grid, Signal, make_grid
 from .metrics import BoundReport, misfit, mixed_norm, verify_noise_bounds
 from .retrieval import (
     Reconstruction,

@@ -1,5 +1,5 @@
-"""Ambiguity functions: closed-form evaluators, numerically computed
-lattices, and the FFT map from spectrograms to products Af * conj(Ag).
+"""Ambiguity functions: closed-form evaluators, the numerically computed
+lattice, and the FFT map from spectrograms to products Af * conj(Ag).
 
 The ambiguity function of f is A f(x, y) = exp(i*pi*x*y) * V_f f(x, y).
 For the window families used here it has a closed form:
@@ -8,8 +8,9 @@ For the window families used here it has a closed form:
     frft_gauss(a, alpha): gauss(a) evaluated at the rotation R_alpha(x, y)
     hermite(n):           exp(-pi (x^2+y^2) / 2) * L_n(pi (x^2+y^2))
 
-All closed-form kinds are real-valued; gauss kinds are positive, the
-hermite kind changes sign across its n root circles.
+The two evaluator classes cover these kinds (gauss(a) is frft_gauss(a, 0)).
+All are real-valued; gauss kinds are positive, the hermite kind changes
+sign across its n root circles.
 """
 from __future__ import annotations
 
@@ -27,12 +28,12 @@ class AmbiguityGrid:
     """Complex lattice over (x_k, y_m) with an optional validity mask."""
 
     grid: Grid
-    values: np.ndarray  # complex, shape (M, K)
+    values: np.ndarray  # complex, shape (L, L)
     mask: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
-        shape = (self.grid.M, self.grid.K)
+        shape = (self.grid.L, self.grid.L)
         if v.shape != shape:
             raise ValueError(f"expected shape {shape}, got {v.shape}")
         object.__setattr__(self, "values", v)
@@ -69,31 +70,8 @@ def eval_hermite_ambiguity(n: int, x, y):
     return laguerre_function(n, np.pi * (x * x + y * y))
 
 
-class GaussAmbiguity:
-    kind = "gauss"
-
-    def __init__(self, a: float):
-        if a <= 0:
-            raise ValueError(f"dilation must be positive, got {a}")
-        self.a = float(a)
-
-    def __call__(self, x, y):
-        return eval_gauss_ambiguity(self.a, x, y)
-
-    def on_lattice(self, grid: Grid) -> np.ndarray:
-        X, Y = np.meshgrid(grid.x, grid.y)
-        return self(X, Y)
-
-    def __repr__(self):
-        return f"GaussAmbiguity(a={self.a})"
-
-
 class FrftGaussAmbiguity:
-    kind = "frft_gauss"
-
     def __init__(self, a: float, alpha: float):
-        if a <= 0:
-            raise ValueError(f"dilation must be positive, got {a}")
         self.a = float(a)
         self.alpha = float(alpha)
 
@@ -109,11 +87,7 @@ class FrftGaussAmbiguity:
 
 
 class HermiteAmbiguity:
-    kind = "hermite"
-
     def __init__(self, n: int):
-        if n < 0:
-            raise ValueError(f"degree must be nonnegative, got {n}")
         self.n = int(n)
 
     def __call__(self, x, y):
@@ -130,66 +104,11 @@ class HermiteAmbiguity:
         return f"HermiteAmbiguity(n={self.n})"
 
 
-class NumericAmbiguity:
-    """Tabulated ambiguity values; defined only on its own lattice."""
-
-    kind = "numeric"
-
-    def __init__(self, table: AmbiguityGrid):
-        self.table = table
-
-    def __call__(self, x, y):
-        raise ValueError("numeric ambiguity evaluators are lattice-only; use on_lattice")
-
-    def on_lattice(self, grid: Grid) -> np.ndarray:
-        if grid != self.table.grid:
-            raise ValueError("numeric ambiguity tabulated on a different grid")
-        return self.table.values
-
-    def __repr__(self):
-        return f"NumericAmbiguity(grid=L{self.table.grid.L})"
-
-
-class SummedAmbiguity:
-    """Pointwise sum of member evaluators (the joint denominator of the
-    summed reconstruction formula)."""
-
-    kind = "summed"
-
-    def __init__(self, parts):
-        self.parts = list(parts)
-        if not self.parts:
-            raise ValueError("summed evaluator needs at least one part")
-
-    def __call__(self, x, y):
-        out = self.parts[0](x, y)
-        for p in self.parts[1:]:
-            out = out + p(x, y)
-        return out
-
-    def on_lattice(self, grid: Grid) -> np.ndarray:
-        out = self.parts[0].on_lattice(grid)
-        for p in self.parts[1:]:
-            out = out + p.on_lattice(grid)
-        return out
-
-    def __repr__(self):
-        return f"SummedAmbiguity({len(self.parts)} parts)"
-
-
-def numeric_ambiguity(g: np.ndarray, grid: Grid, *, window_id: str = "window",
-                      include_phase: bool = True) -> AmbiguityGrid:
-    """Compute A g on the lattice via V_g g = forward_stft(g, g).
-
-    With include_phase=False the plain V_g g table is returned instead,
-    for pipelines that work in the V-convention throughout.
-    """
-    grid.require_square()
+def numeric_ambiguity(g: np.ndarray, grid: Grid, *, window_id: str = "window") -> AmbiguityGrid:
+    """Compute A g on the lattice via V_g g = forward_stft(g, g)."""
     sig = Signal(grid=grid, values=np.asarray(g, dtype=np.complex128))
     c = forward_stft(sig, g, grid, window_id=window_id)
-    values = c.values
-    if include_phase:
-        values = values * np.exp(1j * np.pi * grid.x[None, :] * grid.y[:, None])
+    values = c.values * np.exp(1j * np.pi * grid.x[None, :] * grid.y[:, None])
     return AmbiguityGrid(grid=grid, values=values, mask=None)
 
 
@@ -197,19 +116,18 @@ def spectrogram_to_product(mea: Measurement) -> AmbiguityGrid:
     """Map a spectrogram to the lattice function approximating
     A f(x, y) * conj(A g(x, y)) = F(|V_g f|^2)(y, -x).
 
-    The 2D Fourier quadrature carries weights dx*dy = (hop*dt)/(M*dt);
+    The 2D Fourier quadrature carries weights dx*dy = dt/(L*dt);
     centered lattice registration is done with explicit (-1)^(m+k)
     pre/post modulation, and the (u, v) -> (v, -u) axis swap is an exact
     index permutation (forward DFT over shifts, inverse DFT over bins,
     then transpose).
     """
     grid = mea.grid
-    grid.require_square()
     L = grid.L
     sgn_m = (-1.0) ** np.arange(L)
     Q = mea.power * sgn_m[:, None] * sgn_m[None, :]
     U = L * np.fft.ifft(Q, axis=0)  # frequency index m -> output shift index k'
     S = np.fft.fft(U, axis=1)       # shift index k -> output frequency index m'
     G = S.T * sgn_m[:, None] * sgn_m[None, :]
-    G = G * (grid.dt * grid.dy * grid.hop)
+    G = G * (grid.dt * grid.dy)
     return AmbiguityGrid(grid=grid, values=np.ascontiguousarray(G), mask=None)

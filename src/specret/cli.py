@@ -2,8 +2,8 @@
 single-window baseline, the randomized Hermite-window study, and
 noise-bound verification, with JSON/CSV/PGM/WAV artifact emission.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure (degenerate
-anchor or empty reconstruction region), 4 I/O error.
+Exit codes: 0 success, 2 config error or invalid input value, 3 numeric
+failure (degenerate anchor or empty reconstruction region), 4 I/O error.
 """
 from __future__ import annotations
 
@@ -241,7 +241,7 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
     emit = cfg["emit"]
     payload: dict = {"epsilon": eps, "scheme": cfg["scheme"]["kind"]}
     if family.scheme == "frft_gauss":
-        summed = family.summed_evaluator().on_lattice(grid)
+        summed = family.summed_on_lattice(grid)
         if emit.get("pgm", True):
             container.write_pgm_heatmap(summed, writer.path("summed_ambiguity.pgm"))
             writer.record("summed_ambiguity.pgm")
@@ -260,7 +260,7 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
             payload["coverage_radii"] = None
     else:
         masks = [stability_mask(m.evaluator, eps, grid) for m in family.members]
-        bits = np.zeros((grid.M, grid.K), dtype=bool)
+        bits = np.zeros((grid.L, grid.L), dtype=bool)
         for member, mask in zip(family.members, masks):
             bits |= mask.bits
             if emit.get("pgm", True):
@@ -287,8 +287,6 @@ def cmd_random_study(cfg: dict, out_dir: Path) -> int:
     study = cfg["study"]
     lo, hi, count, trials = (int(study["degree_min"]), int(study["degree_max"]),
                              int(study["count"]), int(study["trials"]))
-    if hi - lo + 1 < count:
-        raise ConfigError(f"cannot draw {count} distinct degrees from [{lo}, {hi}]")
     f, _ = _build_signal(cfg)
     rcfg_base = _retrieval_config(cfg)
     rng = np.random.default_rng(int(cfg["seed"]))
@@ -367,6 +365,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except RetrievalError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

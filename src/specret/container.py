@@ -5,9 +5,9 @@ Container layout (little-endian):
     magic     8 bytes  b"TFGRID01"
     version   u16      currently 1
     kind      u16      1 real matrix | 2 complex matrix (+mask) | 3 signal | 4 mask RLE
-    M, K      u64 x2   matrix shape (signals use M=1, K=L)
+    M, K      u64 x2   matrix shape: M = K = L (signals use M=1, K=L)
     dt, T     f64 x2   lattice parameters
-    hop       u64
+    hop       u64      always 1
     desc_len  u32      UTF-8 descriptor length
     desc      bytes    window/source descriptor
 
@@ -15,6 +15,9 @@ followed by a row-major payload: float64 for kind 1, complex128 plus a
 mask flag byte and a packed row-major bitmap for kind 2, complex128 for
 kind 3, and u64 run count plus u32 run lengths (alternating, starting
 with the False run) for kind 4.
+
+Every lattice is the square L x L grid; M, K and hop stay in the header
+for format compatibility, and readers reject any other values.
 """
 from __future__ import annotations
 
@@ -37,12 +40,13 @@ KIND_MASK = 4
 _HEAD = struct.Struct("<8sHHQQddQI")
 
 
-def _pack_header(kind: int, M: int, K: int, dt: float, T: float, hop: int, desc: str) -> bytes:
+def _pack_header(kind: int, grid: Grid, desc: str) -> bytes:
+    rows = 1 if kind == KIND_SIGNAL else grid.L
     d = desc.encode("utf-8")
-    return _HEAD.pack(MAGIC, VERSION, kind, M, K, dt, T, hop, len(d)) + d
+    return _HEAD.pack(MAGIC, VERSION, kind, rows, grid.L, grid.dt, grid.T, 1, len(d)) + d
 
 
-def _read_header(fh):
+def _read_header(fh, expected_kind: int, what: str) -> tuple[Grid, str]:
     raw = fh.read(_HEAD.size)
     if len(raw) < _HEAD.size:
         raise OSError("truncated container header")
@@ -51,8 +55,14 @@ def _read_header(fh):
         raise ValueError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ValueError(f"unsupported container version {version}")
+    if kind != expected_kind:
+        raise ValueError(f"expected {what} container, got kind {kind}")
+    L = K if kind == KIND_SIGNAL else int(round(2 * T / dt))
+    rows = 1 if kind == KIND_SIGNAL else L
+    if hop != 1 or (M, K) != (rows, L):
+        raise ValueError(f"lattice is not square: hop={hop}, M={M}, K={K}, L={L}")
     desc = fh.read(dlen).decode("utf-8")
-    return kind, M, K, dt, T, hop, desc
+    return Grid(T=T, L=L), desc
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -63,26 +73,22 @@ def _read_exact(fh, n: int) -> bytes:
 
 
 def write_measurement(mea: Measurement, path):
-    g = mea.grid
     with open(path, "wb") as fh:
-        fh.write(_pack_header(KIND_REAL, g.M, g.K, g.dt, g.T, g.hop, mea.window_id))
+        fh.write(_pack_header(KIND_REAL, mea.grid, mea.window_id))
         fh.write(np.ascontiguousarray(mea.power, dtype="<f8").tobytes())
 
 
 def read_measurement(path) -> Measurement:
     with open(path, "rb") as fh:
-        kind, M, K, dt, T, hop, desc = _read_header(fh)
-        if kind != KIND_REAL:
-            raise ValueError(f"expected measurement container, got kind {kind}")
-        grid = Grid(T=T, L=int(round(2 * T / dt)), hop=hop, M=M)
-        power = np.frombuffer(_read_exact(fh, 8 * M * K), dtype="<f8").reshape(M, K)
+        grid, desc = _read_header(fh, KIND_REAL, "measurement")
+        L = grid.L
+        power = np.frombuffer(_read_exact(fh, 8 * L * L), dtype="<f8").reshape(L, L)
         return Measurement(grid=grid, window_id=desc, power=power.copy())
 
 
 def write_ambiguity(amb: AmbiguityGrid, path, desc: str = "ambiguity"):
-    g = amb.grid
     with open(path, "wb") as fh:
-        fh.write(_pack_header(KIND_COMPLEX, g.M, g.K, g.dt, g.T, g.hop, desc))
+        fh.write(_pack_header(KIND_COMPLEX, amb.grid, desc))
         fh.write(np.ascontiguousarray(amb.values, dtype="<c16").tobytes())
         if amb.mask is None:
             fh.write(b"\x00")
@@ -93,34 +99,28 @@ def write_ambiguity(amb: AmbiguityGrid, path, desc: str = "ambiguity"):
 
 def read_ambiguity(path) -> AmbiguityGrid:
     with open(path, "rb") as fh:
-        kind, M, K, dt, T, hop, _ = _read_header(fh)
-        if kind != KIND_COMPLEX:
-            raise ValueError(f"expected ambiguity container, got kind {kind}")
-        grid = Grid(T=T, L=int(round(2 * T / dt)), hop=hop, M=M)
-        values = np.frombuffer(_read_exact(fh, 16 * M * K), dtype="<c16").reshape(M, K)
+        grid, _ = _read_header(fh, KIND_COMPLEX, "ambiguity")
+        L = grid.L
+        values = np.frombuffer(_read_exact(fh, 16 * L * L), dtype="<c16").reshape(L, L)
         flag = _read_exact(fh, 1)
         mask = None
         if flag == b"\x01":
-            nbytes = (M * K + 7) // 8
+            nbytes = (L * L + 7) // 8
             bits = np.unpackbits(np.frombuffer(_read_exact(fh, nbytes), dtype=np.uint8))
-            mask = bits[: M * K].astype(bool).reshape(M, K)
+            mask = bits[: L * L].astype(bool).reshape(L, L)
         return AmbiguityGrid(grid=grid, values=values.copy(), mask=mask)
 
 
 def write_signal(sig: Signal, path, desc: str = "signal"):
-    g = sig.grid
     with open(path, "wb") as fh:
-        fh.write(_pack_header(KIND_SIGNAL, 1, g.L, g.dt, g.T, g.hop, desc))
+        fh.write(_pack_header(KIND_SIGNAL, sig.grid, desc))
         fh.write(np.ascontiguousarray(sig.values, dtype="<c16").tobytes())
 
 
 def read_signal(path) -> Signal:
     with open(path, "rb") as fh:
-        kind, M, K, dt, T, hop, _ = _read_header(fh)
-        if kind != KIND_SIGNAL:
-            raise ValueError(f"expected signal container, got kind {kind}")
-        grid = Grid(T=T, L=K, hop=hop)
-        values = np.frombuffer(_read_exact(fh, 16 * K), dtype="<c16")
+        grid, _ = _read_header(fh, KIND_SIGNAL, "signal")
+        values = np.frombuffer(_read_exact(fh, 16 * grid.L), dtype="<c16")
         return Signal(grid=grid, values=values.copy())
 
 
@@ -136,27 +136,24 @@ def _rle_encode(bits: np.ndarray) -> np.ndarray:
 
 
 def write_mask(mask: RegionMask, path, desc: str = "mask"):
-    g = mask.grid
     runs = _rle_encode(mask.bits)
     with open(path, "wb") as fh:
-        fh.write(_pack_header(KIND_MASK, g.M, g.K, g.dt, g.T, g.hop, desc))
+        fh.write(_pack_header(KIND_MASK, mask.grid, desc))
         fh.write(struct.pack("<Q", len(runs)))
         fh.write(runs.astype("<u4").tobytes())
 
 
 def read_mask(path, epsilon: float = float("nan")) -> RegionMask:
     with open(path, "rb") as fh:
-        kind, M, K, dt, T, hop, _ = _read_header(fh)
-        if kind != KIND_MASK:
-            raise ValueError(f"expected mask container, got kind {kind}")
-        grid = Grid(T=T, L=int(round(2 * T / dt)), hop=hop, M=M)
+        grid, _ = _read_header(fh, KIND_MASK, "mask")
+        L = grid.L
         (nruns,) = struct.unpack("<Q", _read_exact(fh, 8))
         runs = np.frombuffer(_read_exact(fh, 4 * nruns), dtype="<u4").astype(np.int64)
         vals = (np.arange(nruns) % 2).astype(bool)  # False run first
         flat = np.repeat(vals, runs)
-        if flat.size != M * K:
-            raise ValueError(f"mask runs cover {flat.size} cells, lattice has {M * K}")
-        return RegionMask(grid=grid, bits=flat.reshape(M, K), epsilon=epsilon)
+        if flat.size != L * L:
+            raise ValueError(f"mask runs cover {flat.size} cells, lattice has {L * L}")
+        return RegionMask(grid=grid, bits=flat.reshape(L, L), epsilon=epsilon)
 
 
 # ---------------------------------------------------------------- CSV

@@ -1,9 +1,11 @@
-"""Uniform time/frequency lattice and sampled signals.
+"""Uniform square time/frequency lattice and sampled signals.
 
 Time samples are t_l = -T + l*dt for l = 0..L-1 with dt = 2T/L.  The
-frequency lattice covers [-1/(2dt), 1/(2dt)) with M equispaced bins,
-y_m = (1/dt) * (-1/2 + m/M).  Window shifts advance by `hop` samples,
-giving K = L/hop shift positions x_k = -T + k*hop*dt.
+frequency lattice covers [-1/(2dt), 1/(2dt)) with L equispaced bins,
+y_m = (1/dt) * (-1/2 + m/L).  Windows shift by one sample, so the shift
+lattice x_k equals the time lattice and every lattice is the square
+L x L grid on which the ambiguity-plane axis swap is an exact index
+permutation.
 """
 from __future__ import annotations
 
@@ -17,20 +19,12 @@ import numpy as np
 class Grid:
     T: float
     L: int
-    hop: int = 1
-    M: int = 0  # 0 means "use L"
 
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError(f"T must be positive, got {self.T}")
         if self.L <= 0 or self.L % 2 != 0:
             raise ValueError(f"L must be an even positive integer, got {self.L}")
-        if self.hop <= 0 or self.L % self.hop != 0:
-            raise ValueError(f"hop must divide L (hop={self.hop}, L={self.L})")
-        if self.M == 0:
-            object.__setattr__(self, "M", self.L)
-        if self.M <= 0:
-            raise ValueError(f"M must be positive, got {self.M}")
 
     @property
     def dt(self) -> float:
@@ -38,11 +32,7 @@ class Grid:
 
     @property
     def dy(self) -> float:
-        return 1.0 / (self.M * self.dt)
-
-    @property
-    def K(self) -> int:
-        return self.L // self.hop
+        return 1.0 / (self.L * self.dt)
 
     @property
     def nyquist(self) -> float:
@@ -53,35 +43,20 @@ class Grid:
         """Time lattice, length L."""
         return -self.T + self.dt * np.arange(self.L)
 
-    @cached_property
+    @property
     def x(self) -> np.ndarray:
-        """Shift lattice, length K."""
-        return -self.T + self.hop * self.dt * np.arange(self.K)
+        """Shift lattice, length L; the same array as the time lattice."""
+        return self.t
 
     @cached_property
     def y(self) -> np.ndarray:
-        """Frequency lattice, length M."""
-        return (1.0 / self.dt) * (-0.5 + np.arange(self.M) / self.M)
-
-    @property
-    def is_square(self) -> bool:
-        """True when the lattice supports exact ambiguity-plane registration."""
-        return self.hop == 1 and self.M == self.L
-
-    def require_square(self):
-        if not self.is_square:
-            raise GridContractError(
-                f"operation requires hop=1 and M=L, got hop={self.hop}, M={self.M}, L={self.L}"
-            )
+        """Frequency lattice, length L."""
+        return (1.0 / self.dt) * (-0.5 + np.arange(self.L) / self.L)
 
 
-class GridContractError(ValueError):
-    """The grid does not satisfy an operation's lattice contract."""
-
-
-def make_grid(T: float, L: int, hop: int = 1, M: int | None = None) -> Grid:
-    """Build a validated grid; M defaults to L."""
-    return Grid(T=float(T), L=int(L), hop=int(hop), M=int(M) if M else 0)
+def make_grid(T: float, L: int) -> Grid:
+    """Build a validated grid."""
+    return Grid(T=float(T), L=int(L))
 
 
 @dataclass(frozen=True)

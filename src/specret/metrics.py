@@ -41,7 +41,7 @@ def mixed_norm(G: AmbiguityGrid, p: float) -> float:
     """Discrete mixed norm: outer L1 sum over y of the inner L^p norm in x."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _mixed_norm(G.values, G.grid.dt * G.grid.hop, G.grid.dy, p)
+    return _mixed_norm(G.values, G.grid.dt, G.grid.dy, p)
 
 
 def _mixed_norm(values: np.ndarray, dx: float, dy: float, p: float) -> float:
@@ -112,7 +112,7 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
     A = assemble(clean, family, cfg)
     A_eta = assemble(noisy, family, cfg)
     grid = A.grid
-    dx, dy = grid.dt * grid.hop, grid.dy
+    dx, dy = grid.dt, grid.dy
     eps = raw_threshold(cfg, grid)
 
     etas = [n.power - c.power for c, n in zip(clean, noisy)]
@@ -123,13 +123,13 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
 
     omega = A.mask
     C_p = _mixed_norm(omega.astype(float), dx, dy, p)
-    m0 = grid.M // 2  # y = 0 row
+    m0 = grid.L // 2  # y = 0 row
     C_R = dx * float(np.sum(omega[m0, :]))
 
     diff = A.values - A_eta.values
     lhs = _mixed_norm(diff, dx, dy, p)
     rhs = C_p / eps * noise_norm
-    k0 = grid.K // 2  # x = 0 column
+    k0 = grid.L // 2  # x = 0 column
     lhs_slice = dy * float(np.sum(np.abs(diff[:, k0])))
     rhs_slice = C_R / eps * noise_norm
 

@@ -32,15 +32,12 @@ class RetrievalConfig:
     epsilon: float
     anchor: int | None = None       # None: auto-select; int: fixed time index
     algorithm: str = "alg1"          # alg1 (summed gauss) | alg2 (peeled hermite)
-    oversample_final: int = 1        # refinement factor for the anchor profile
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.algorithm not in ("alg1", "alg2"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.oversample_final < 1:
-            raise ValueError(f"oversample_final must be >= 1, got {self.oversample_final}")
 
 
 @dataclass(frozen=True)
@@ -65,27 +62,16 @@ def measure_family(f: Signal, family: WindowFamily) -> list[Measurement]:
     ]
 
 
-def _check_inputs(measurements, family, grid=None):
+def _check_inputs(measurements, family):
     if len(measurements) != len(family.members):
         raise ValueError(
             f"{len(measurements)} measurements for {len(family.members)} windows"
         )
-    grid = grid or measurements[0].grid
+    grid = measurements[0].grid
     for mea in measurements:
         if mea.grid != grid:
             raise GridMismatchError("measurements live on different grids")
-    grid.require_square()
     return grid
-
-
-def _clamped(den: np.ndarray, floor: float) -> np.ndarray:
-    """Clamp |den| from below at floor, preserving sign/phase."""
-    mag = np.abs(den)
-    out = np.array(den, copy=True)
-    weak = (mag < floor) & (mag > 0)
-    out[weak] = (den[weak] / mag[weak]) * floor  # unit phase times floor
-    out[mag == 0] = floor
-    return out
 
 
 def assemble_alg1(measurements, family: WindowFamily,
@@ -94,16 +80,15 @@ def assemble_alg1(measurements, family: WindowFamily,
     superlevel set of the sum, zero outside."""
     grid = _check_inputs(measurements, family)
     eps = raw_threshold(cfg, grid)
-    den = family.summed_evaluator().on_lattice(grid)
+    den = family.summed_on_lattice(grid)  # real, so conj(den) = den
     omega = den > eps
     if not omega.any():
         raise EmptyMaskError("summed ambiguity nowhere exceeds the tolerance")
-    num = np.zeros((grid.M, grid.K), dtype=np.complex128)
+    num = np.zeros((grid.L, grid.L), dtype=np.complex128)
     for mea in measurements:
         num += spectrogram_to_product(mea).values
     J = np.zeros_like(num)
-    den_safe = _clamped(np.conj(den), eps)
-    J[omega] = num[omega] / den_safe[omega]
+    J[omega] = num[omega] / den[omega]
     return AmbiguityGrid(grid=grid, values=J, mask=omega)
 
 
@@ -114,15 +99,14 @@ def assemble_alg2(measurements, family: WindowFamily,
     grid = _check_inputs(measurements, family)
     eps = raw_threshold(cfg, grid)
     masks = peel_masks(family, eps, grid)
-    J = np.zeros((grid.M, grid.K), dtype=np.complex128)
-    omega = np.zeros((grid.M, grid.K), dtype=bool)
+    J = np.zeros((grid.L, grid.L), dtype=np.complex128)
+    omega = np.zeros((grid.L, grid.L), dtype=bool)
     for mea, member, mask in zip(measurements, family.members, masks):
-        bits = mask.bits
+        bits = mask.bits  # |A g| > eps on bits, and A g is real
         if not bits.any():
             continue
         G = spectrogram_to_product(mea).values
-        den = _clamped(np.conj(member.evaluator.on_lattice(grid)), eps)
-        J[bits] = G[bits] / den[bits]
+        J[bits] = G[bits] / member.evaluator.on_lattice(grid)[bits]
         omega |= bits
     if not omega.any():
         raise EmptyMaskError("no stability set exceeds the tolerance")
@@ -135,13 +119,12 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
     The lattice is first converted to the V_f f convention by the exact
     phase factor exp(-i*pi*x*y); the inverse transform along y then lands on
     integer lattice offsets, f(x + c) for lattice anchors c, so no
-    interpolation is needed.  The anchor maximizes the profile
+    interpolation is needed.  The anchor maximizes |w(c)| for the profile
     w(c) = (inverse transform of A(0, .))(c), an estimate of |f(c)|^2,
     and the output is normalized by sqrt(|u_c(0)|), which fixes the
     phase factor at the anchor instead of requiring knowledge of f(c).
     """
     grid = A.grid
-    grid.require_square()
     L = grid.L
     dy = grid.dy
     sgn = (-1.0) ** np.arange(L)
@@ -154,20 +137,14 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
     # anchor profile from the x=0 column
     k0 = L // 2
     col = Vff[:, k0] * sgn
-    q = cfg.oversample_final
-    padded = np.zeros(q * L, dtype=np.complex128)
-    padded[:L] = col
-    wfine = dy * constL * (q * L) * np.fft.ifft(padded)
-    # w at lattice points carries the (-1)^l factor; off-lattice points are
-    # only used to localize the maximum before snapping back
-    wprof = sgn * wfine[::q].copy()
+    wprof = sgn * (dy * constL * L * np.fft.ifft(col))  # w carries a (-1)^l factor
     slice_l1 = dy * float(np.sum(np.abs(col)))
     if cfg.anchor is not None:
         anchor = int(cfg.anchor) % L
     else:
-        if slice_l1 <= 0 or np.max(np.abs(wfine)) < 1e-10 * slice_l1:
+        if slice_l1 <= 0 or np.max(np.abs(wprof)) < 1e-10 * slice_l1:
             raise DegenerateAnchorError("anchor profile is numerically zero")
-        anchor = int(round(int(np.argmax(np.abs(wfine))) / q)) % L
+        anchor = int(np.argmax(np.abs(wprof)))
     u0 = wprof[anchor]
     if slice_l1 <= 0 or abs(u0) < 1e-10 * slice_l1:
         raise DegenerateAnchorError(f"anchor {anchor} has |u_c(0)| ~ 0")

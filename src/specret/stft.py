@@ -3,7 +3,7 @@ and measurement noise models.
 
 The coefficient convention is
 
-    c[m, k] = dt * sum_l f_l * conj(g[(l - k*hop + L/2) mod L])
+    c[m, k] = dt * sum_l f_l * conj(g[(l - k + L/2) mod L])
                  * exp(-2i*pi * t_l * y_m)
 
 so c[m, k] approximates V_g f(x_k, y_m) with a periodized window.  The
@@ -28,12 +28,12 @@ _BLOCK_ELEMENTS = 1 << 22
 class StftCoeffs:
     grid: Grid
     window_id: str
-    values: np.ndarray  # complex, shape (M, K)
+    values: np.ndarray  # complex, shape (L, L)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.grid.M, self.grid.K):
-            raise ValueError(f"expected shape {(self.grid.M, self.grid.K)}, got {v.shape}")
+        if v.shape != (self.grid.L, self.grid.L):
+            raise ValueError(f"expected shape {(self.grid.L, self.grid.L)}, got {v.shape}")
         object.__setattr__(self, "values", v)
 
 
@@ -41,13 +41,13 @@ class StftCoeffs:
 class Measurement:
     grid: Grid
     window_id: str
-    power: np.ndarray  # real, shape (M, K), |V_g f|^2 (possibly noisy)
+    power: np.ndarray  # real, shape (L, L), |V_g f|^2 (possibly noisy)
     noise_meta: dict | None = None
 
     def __post_init__(self):
         p = np.asarray(self.power, dtype=np.float64)
-        if p.shape != (self.grid.M, self.grid.K):
-            raise ValueError(f"expected shape {(self.grid.M, self.grid.K)}, got {p.shape}")
+        if p.shape != (self.grid.L, self.grid.L):
+            raise ValueError(f"expected shape {(self.grid.L, self.grid.L)}, got {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError("measurement contains non-finite entries")
         object.__setattr__(self, "power", p)
@@ -57,10 +57,9 @@ def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None,
                  window_id: str = "window") -> StftCoeffs:
     """STFT coefficients of f against the periodized window g.
 
-    Factors the defining sum through length-L FFTs: with M == L the
-    exponential splits into (-1)^l * exp(-2i*pi*l*m/L) times constant
-    per-m phases; for general M the sequence is folded modulo M first
-    (exact, since the kernel depends on l mod M only).
+    Factors the defining sum through length-L FFTs: the exponential
+    splits into (-1)^l * exp(-2i*pi*l*m/L) times the constant per-m
+    phases (-1)^m.
     """
     grid = grid or f.grid
     if grid != f.grid:
@@ -69,31 +68,21 @@ def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None,
     if g.shape != (grid.L,):
         raise GridMismatchError(f"window has {g.shape} samples, grid needs {grid.L}")
 
-    L, M, K, hop = grid.L, grid.M, grid.K, grid.hop
+    L = grid.L
     l = np.arange(L)
-    base = f.values * ((-1.0) ** l)  # exp(i*pi*l) factor folded into the signal
+    sgn = (-1.0) ** l  # exp(i*pi*l) on the signal, exp(i*pi*m) on the output; exact
+    base = f.values * sgn
     gc = np.conj(g.astype(np.complex128))
     const = (-1j) ** (L % 4)  # exp(-i*pi*L/2), exact for integer L
-    if M == L:
-        phase_m = (-1.0) ** np.arange(M)  # exp(i*pi*L*m/M), exact in this case
-    else:
-        phase_m = np.exp(1j * np.pi * L * np.arange(M) / M)
 
-    out = np.empty((M, K), dtype=np.complex128)
+    out = np.empty((L, L), dtype=np.complex128)
     block = max(1, _BLOCK_ELEMENTS // L)
-    for k0 in range(0, K, block):
-        ks = np.arange(k0, min(k0 + block, K))
-        idx = (l[:, None] - hop * ks[None, :] + L // 2) % L
-        h = base[:, None] * gc[idx]
-        if M == L:
-            spec = np.fft.fft(h, axis=0)
-        else:
-            folded = np.zeros((M, len(ks)), dtype=np.complex128)
-            np.add.at(folded, l % M, h)
-            spec = np.fft.fft(folded, axis=0)
-        out[:, ks] = spec
+    for k0 in range(0, L, block):
+        ks = np.arange(k0, min(k0 + block, L))
+        idx = (l[:, None] - ks[None, :] + L // 2) % L
+        out[:, ks] = np.fft.fft(base[:, None] * gc[idx], axis=0)
     out *= grid.dt * const
-    out *= phase_m[:, None]
+    out *= sgn[:, None]
     return StftCoeffs(grid=grid, window_id=window_id, values=out)
 
 
@@ -104,13 +93,13 @@ def to_measurement(c: StftCoeffs) -> Measurement:
 
 
 def stft_energy(c: StftCoeffs) -> float:
-    """Quadrature-weighted energy (hop/M) * sum |c|^2.
+    """Quadrature-weighted energy (1/L) * sum |c|^2.
 
     Approximates ||V_g f||^2 over the time-frequency plane, which equals
-    ||f||^2 * ||g||^2 in discrete norms; the identity is exact for
-    hop=1, M=L.
+    ||f||^2 * ||g||^2 in discrete norms; on the square lattice the
+    discrete identity is exact.
     """
-    return float(c.grid.hop / c.grid.M * np.sum(np.abs(c.values) ** 2))
+    return float(1 / c.grid.L * np.sum(np.abs(c.values) ** 2))
 
 
 def add_noise(mea: Measurement, model: str, level: float, seed: int) -> Measurement:

@@ -11,16 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import (
-    FrftGaussAmbiguity,
-    GaussAmbiguity,
-    HermiteAmbiguity,
-    SummedAmbiguity,
-)
+from .ambiguity import FrftGaussAmbiguity, HermiteAmbiguity
 from .grid import Grid
 from .special import dilated_gauss_samples, frft_gauss_samples, hermite_samples
-
-_CLOSED_FORM_UNIT_PEAK = ("gauss", "frft_gauss", "hermite")
 
 
 @dataclass(frozen=True)
@@ -43,25 +36,29 @@ class WindowFamily:
     def __len__(self):
         return len(self.members)
 
-    def summed_evaluator(self) -> SummedAmbiguity:
-        return SummedAmbiguity([m.evaluator for m in self.members])
+    def summed_on_lattice(self, grid: Grid) -> np.ndarray:
+        """Sum of the member ambiguities on the lattice, added in member order."""
+        out = self.members[0].evaluator.on_lattice(grid)
+        for m in self.members[1:]:
+            out = out + m.evaluator.on_lattice(grid)
+        return out
 
 
 @dataclass(frozen=True)
 class RegionMask:
     grid: Grid
-    bits: np.ndarray  # bool, shape (M, K)
+    bits: np.ndarray  # bool, shape (L, L)
     epsilon: float
 
     def __post_init__(self):
         b = np.asarray(self.bits, dtype=bool)
-        if b.shape != (self.grid.M, self.grid.K):
+        if b.shape != (self.grid.L, self.grid.L):
             raise ValueError(f"mask shape {b.shape} does not match grid")
         object.__setattr__(self, "bits", b)
 
     def area(self) -> float:
         """Lattice-cell area of the region, dx*dy per cell."""
-        return float(self.bits.sum() * self.grid.dt * self.grid.hop * self.grid.dy)
+        return float(self.bits.sum() * self.grid.dt * self.grid.dy)
 
 
 @dataclass(frozen=True)
@@ -121,40 +118,37 @@ def gauss_window_member(a: float, grid: Grid) -> WindowMember:
     return WindowMember(
         window_id=f"gauss(a={a:g})",
         samples=dilated_gauss_samples(a, grid).astype(np.complex128),
-        evaluator=GaussAmbiguity(a),
+        evaluator=FrftGaussAmbiguity(a, 0.0),
     )
 
 
 def stability_mask(evaluator, epsilon: float, grid: Grid) -> RegionMask:
     """Lattice mask of {(x, y): |evaluator(x, y)| > epsilon}.
 
-    For the unit-peak closed-form kinds epsilon must lie in (0, 1); note
-    the gauss kinds peak at 1/sqrt(2), so epsilon >= 1/sqrt(2) yields an
-    empty mask there.
+    epsilon must lie in (0, 1), below the unit peak of the closed forms;
+    note the gauss kinds peak at 1/sqrt(2), so epsilon >= 1/sqrt(2) yields
+    an empty mask there.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    kind = getattr(evaluator, "kind", None)
-    if kind in _CLOSED_FORM_UNIT_PEAK and epsilon >= 1:
-        raise ValueError(f"epsilon must be below the unit peak, got {epsilon}")
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     bits = np.abs(evaluator.on_lattice(grid)) > epsilon
     return RegionMask(grid=grid, bits=bits, epsilon=float(epsilon))
 
 
 def summed_mask(family: WindowFamily, epsilon: float, grid: Grid) -> RegionMask:
-    """Single mask from thresholding the summed evaluator (the construction
+    """Single mask from thresholding the summed ambiguity (the construction
     used by the summed-denominator algorithm; no peeling needed because the
     sum of gauss-kind ambiguities is strictly positive)."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    bits = family.summed_evaluator().on_lattice(grid) > epsilon
+    bits = family.summed_on_lattice(grid) > epsilon
     return RegionMask(grid=grid, bits=bits, epsilon=float(epsilon))
 
 
 def peel_masks(family: WindowFamily, epsilon: float, grid: Grid) -> list[RegionMask]:
     """Pairwise-disjoint masks: each member claims the part of its stability
     set not already claimed by earlier members (onion peeling)."""
-    claimed = np.zeros((grid.M, grid.K), dtype=bool)
+    claimed = np.zeros((grid.L, grid.L), dtype=bool)
     out = []
     for member in family.members:
         bits = stability_mask(member.evaluator, epsilon, grid).bits & ~claimed

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from specret import (
-    GaussAmbiguity,
     HermiteAmbiguity,
     RetrievalConfig,
     Signal,

@@ -3,11 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from specret import (
-    GaussAmbiguity,
+    FrftGaussAmbiguity,
     HermiteAmbiguity,
-    NumericAmbiguity,
+    Measurement,
     Signal,
-    SummedAmbiguity,
+    WindowFamily,
+    WindowMember,
     dilated_gauss_samples,
     eval_frft_gauss_ambiguity,
     eval_gauss_ambiguity,
@@ -21,7 +22,6 @@ from specret import (
     spectrogram_to_product,
     to_measurement,
 )
-from specret.grid import GridContractError
 
 
 class TestClosedForms:
@@ -72,14 +72,15 @@ class TestNumericAmbiguity:
             assert (m, k) == (grid256.L // 2, grid256.L // 2)
 
     def test_requires_square_lattice(self):
-        grid = make_grid(8.0, 256, hop=2)
-        with pytest.raises(GridContractError):
-            numeric_ambiguity(dilated_gauss_samples(1.0, grid), grid)
+        # a window sampled on every other time point would give an L/2 x L table
+        grid = make_grid(8.0, 256)
+        with pytest.raises(ValueError):
+            numeric_ambiguity(dilated_gauss_samples(1.0, grid)[::2], grid)
 
     def test_matches_gauss_closed_form(self):
         grid = make_grid(8.0, 512)
         amb = numeric_ambiguity(dilated_gauss_samples(10.0, grid), grid)
-        closed = GaussAmbiguity(10.0).on_lattice(grid)
+        closed = FrftGaussAmbiguity(10.0, 0.0).on_lattice(grid)
         assert np.max(np.abs(amb.values - closed)) < 1e-6
 
     def test_matches_frft_closed_form(self):
@@ -110,13 +111,6 @@ class TestNumericAmbiguity:
         assert len(crossings) >= 3
         for want in expected:
             assert np.min(np.abs(crossings - want)) < grid.dt
-
-    def test_skip_phase_gives_vgg(self, grid256):
-        g = dilated_gauss_samples(1.0, grid256)
-        with_phase = numeric_ambiguity(g, grid256, include_phase=True)
-        without = numeric_ambiguity(g, grid256, include_phase=False)
-        phase = np.exp(1j * np.pi * grid256.x[None, :] * grid256.y[:, None])
-        assert_allclose(with_phase.values, without.values * phase, rtol=0, atol=1e-14)
 
 
 class TestSpectrogramToProduct:
@@ -155,39 +149,35 @@ class TestSpectrogramToProduct:
         f_samples = dilated_gauss_samples(2.0, grid)
         f = Signal(grid=grid, values=f_samples.astype(complex))
         G = spectrogram_to_product(to_measurement(forward_stft(f, g)))
-        Ag = GaussAmbiguity(1.0).on_lattice(grid)
-        Af = GaussAmbiguity(2.0).on_lattice(grid)
+        Ag = FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid)
+        Af = FrftGaussAmbiguity(2.0, 0.0).on_lattice(grid)
         region = np.abs(Ag) > 0.1
         ratio = G.values[region] / np.conj(Ag[region])
         rel = np.abs(ratio - Af[region]) / np.abs(Af[region])
         assert np.max(rel) < 1e-4
 
+
     def test_requires_square_lattice(self, rng):
+        # keeping every other shift row gives the L/2 x L spectrogram of hop 2
         from conftest import random_signal
-        grid = make_grid(8.0, 256, hop=2)
+        grid = make_grid(8.0, 256)
         f = random_signal(grid, rng)
-        mea = to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid)))
-        with pytest.raises(GridContractError):
-            spectrogram_to_product(mea)
+        power = to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid))).power
+        with pytest.raises(ValueError):
+            spectrogram_to_product(Measurement(grid=grid, window_id="g", power=power[::2]))
 
 
 class TestEvaluatorObjects:
     def test_summed_matches_parts(self, grid256):
-        parts = [GaussAmbiguity(2.0), HermiteAmbiguity(3)]
-        summed = SummedAmbiguity(parts)
-        lattice = summed.on_lattice(grid256)
+        parts = [FrftGaussAmbiguity(2.0, 0.0), HermiteAmbiguity(3)]
+        family = WindowFamily(
+            members=[WindowMember(window_id=repr(p), samples=np.zeros(grid256.L), evaluator=p)
+                     for p in parts],
+            scheme="mixed",
+        )
+        lattice = family.summed_on_lattice(grid256)
         assert_allclose(lattice, parts[0].on_lattice(grid256) + parts[1].on_lattice(grid256),
                         rtol=0, atol=0)
-        assert_allclose(summed(0.3, -0.7), parts[0](0.3, -0.7) + parts[1](0.3, -0.7), rtol=1e-15)
-
-    def test_numeric_kind_is_lattice_only(self, grid256, grid512):
-        table = numeric_ambiguity(dilated_gauss_samples(1.0, grid256), grid256)
-        ev = NumericAmbiguity(table)
-        assert_allclose(ev.on_lattice(grid256), table.values, rtol=0, atol=0)
-        with pytest.raises(ValueError):
-            ev(0.0, 0.0)
-        with pytest.raises(ValueError):
-            ev.on_lattice(grid512)
 
     def test_hermite_lattice_fast_path_matches_meshgrid(self, grid256):
         ev = HermiteAmbiguity(12)

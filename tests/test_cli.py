@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from specret import Signal, load_wav, make_grid, save_wav
 from specret.cli import main
@@ -190,6 +191,22 @@ class TestAudioPreparation:
         assert abs(out.values[mid] - 1.0) < 1e-12
 
 
+# documents that pass the schema but hold an impossible value, and the
+# commands that reach that value
+INVALID_VALUE_DOCS = {
+    "chirp-above-nyquist": ({"grid": {"T": 8, "L": 128}}, ("retrieve", "baseline")),
+    "mixture-shift-outside-grid": ({"signal": {"kind": "mixture"}, "grid": {"T": 1, "L": 64}},
+                                   ("retrieve", "baseline")),
+    "epsilon-above-unit-peak": ({"signal": {"kind": "mixture"},
+                                 "scheme": {"kind": "hermite", "degrees": [0, 3]},
+                                 "epsilon": 1000, "grid": {"T": 8, "L": 64}},
+                                ("retrieve", "baseline", "coverage")),
+    "angle-list-too-short": ({"scheme": {"kind": "frft_gauss", "a": 15.0, "n_windows": 3,
+                                         "angles": [0.1]}},
+                             ("retrieve", "coverage")),
+}
+
+
 class TestConfigErrors:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -209,3 +226,15 @@ class TestConfigErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mystery": 1}))
         assert main(["retrieve", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("name, command", [
+        (name, command) for name, (_, commands) in INVALID_VALUE_DOCS.items()
+        for command in commands
+    ])
+    def test_invalid_values_exit_2_without_traceback(self, tmp_path, capsys, name, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(INVALID_VALUE_DOCS[name][0]))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1

@@ -99,6 +99,17 @@ class TestBinaryContainer:
         with pytest.raises(OSError):
             read_measurement(p)
 
+    def test_non_square_header_rejected(self, measurement, tmp_path):
+        p = tmp_path / "mea.bin"
+        write_measurement(measurement, p)
+        raw = bytearray(p.read_bytes())
+        hop_offset = 8 + 2 + 2 + 8 + 8 + 8 + 8  # magic, version, kind, M, K, dt, T
+        assert int.from_bytes(raw[hop_offset:hop_offset + 8], "little") == 1
+        raw[hop_offset:hop_offset + 8] = (2).to_bytes(8, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            read_measurement(p)
+
     def test_bad_magic_rejected(self, measurement, tmp_path):
         p = tmp_path / "mea.bin"
         write_measurement(measurement, p)
@@ -114,7 +125,7 @@ class TestCsv:
         p = tmp_path / "mea.csv"
         measurement_to_csv(measurement, p)
         lines = p.read_bytes().split(b"\r\n")
-        assert len(lines) == measurement.grid.M + 1  # trailing newline
+        assert len(lines) == measurement.grid.L + 1  # trailing newline
         first = np.array([float(v) for v in lines[0].split(b",")])
         assert_allclose(first, measurement.power[0], rtol=0, atol=0)
 

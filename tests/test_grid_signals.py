@@ -22,30 +22,26 @@ class TestGrid:
     def test_reference_lattice(self):
         grid = make_grid(8.0, 1024)
         assert grid.dt == 1 / 64
-        assert grid.K == 1024
-        assert grid.M == 1024
+        assert grid.x.shape == grid.y.shape == (1024,)
         assert_allclose(grid.t[0], -8.0)
         assert_allclose(grid.y[0], -32.0)
 
     def test_small_frequency_lattice(self):
-        # dt = 2T/L = 1/2, so y_m = (1/dt)(-1/2 + m/M) = (-1, -1/2, 0, 1/2)
-        grid = make_grid(1.0, 4, hop=2, M=4)
+        # dt = 2T/L = 1/2, so y_m = (1/dt)(-1/2 + m/L) = (-1, -1/2, 0, 1/2)
+        grid = make_grid(1.0, 4)
         assert grid.dt == 0.5
         assert_allclose(grid.y, [-1.0, -0.5, 0.0, 0.5])
-        assert grid.K == 2
-
-    def test_hop_must_divide(self):
-        with pytest.raises(ValueError):
-            make_grid(8.0, 1000, hop=3)
 
     def test_length_must_be_even(self):
         with pytest.raises(ValueError):
             make_grid(8.0, 1001)
 
     def test_square_contract(self):
-        assert make_grid(8.0, 64).is_square
-        assert not make_grid(8.0, 64, hop=2).is_square
-        assert not make_grid(8.0, 64, M=128).is_square
+        # shifts advance one sample and there are L frequency bins
+        grid = make_grid(8.0, 64)
+        assert grid.x is grid.t
+        assert grid.y.shape == (64,)
+        assert_allclose(grid.dy * grid.dt * grid.L, 1.0, rtol=1e-15)
 
     def test_signal_validation(self):
         grid = make_grid(8.0, 64)

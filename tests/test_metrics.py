@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from specret import (
     AmbiguityGrid,
-    GaussAmbiguity,
+    FrftGaussAmbiguity,
     RetrievalConfig,
     Signal,
     add_noise,
@@ -99,10 +99,11 @@ class TestMixedNorm:
         # closed form: the L^{2,1} norm of A phi_1 is exactly 1; the fine
         # quadrature oracle cross-checks the lattice value
         grid = make_grid(8.0, 512)
-        G = AmbiguityGrid(grid=grid, values=GaussAmbiguity(1.0).on_lattice(grid).astype(complex))
+        G = AmbiguityGrid(grid=grid,
+                          values=FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid).astype(complex))
         val = mixed_norm(G, 2.0)
         fine = make_grid(8.0, 4096)
-        Gf = GaussAmbiguity(1.0).on_lattice(fine)
+        Gf = FrftGaussAmbiguity(1.0, 0.0).on_lattice(fine)
         oracle = _mixed_norm(Gf, fine.dt, fine.dy, 2.0)
         assert_allclose(val, oracle, rtol=1e-6)
         assert_allclose(val, 1.0, rtol=1e-6)
@@ -176,7 +177,7 @@ class TestNoiseBounds:
         report = verify_noise_bounds(clean, noisy, family, cfg)
         from specret.retrieval import assemble_alg2
         omega = assemble_alg2(clean, family, cfg).mask
-        expected = grid.dt * omega[grid.M // 2, :].sum()
+        expected = grid.dt * omega[grid.L // 2, :].sum()
         assert_allclose(report.C_R_Omega, expected, rtol=0, atol=0)
 
     def test_noise_norm_convention_differs_by_algorithm(self):

@@ -6,7 +6,8 @@ from specret import (
     AmbiguityGrid,
     DegenerateAnchorError,
     EmptyMaskError,
-    GaussAmbiguity,
+    FrftGaussAmbiguity,
+    Measurement,
     RetrievalConfig,
     Signal,
     build_frft_family,
@@ -28,7 +29,6 @@ from specret import (
     single_window_retrieve,
     to_measurement,
 )
-from specret.grid import GridContractError
 
 
 def gauss_signal(grid, a=1.0):
@@ -38,7 +38,8 @@ def gauss_signal(grid, a=1.0):
 class TestReconstructFromAmbiguity:
     def test_exact_closed_form_round_trip(self):
         grid = make_grid(8.0, 256)
-        A = AmbiguityGrid(grid=grid, values=GaussAmbiguity(1.0).on_lattice(grid).astype(complex))
+        A = AmbiguityGrid(grid=grid,
+                          values=FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid).astype(complex))
         rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-6))
         d, _ = misfit(gauss_signal(grid), rec.signal)
         assert d < 1e-6
@@ -71,19 +72,10 @@ class TestReconstructFromAmbiguity:
         d, _ = misfit(f, rec.signal)
         assert d < 1e-6
 
-    def test_oversampled_anchor_profile(self):
-        grid = make_grid(8.0, 256)
-        f = gauss_signal(grid)
-        A = numeric_ambiguity(f.values, grid)
-        rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-6, oversample_final=4))
-        assert rec.anchor_c == grid.L // 2
-        d, _ = misfit(f, rec.signal)
-        assert d < 1e-6
-
     def test_empty_mask_is_degenerate(self):
         grid = make_grid(8.0, 256)
         A = AmbiguityGrid(grid=grid,
-                          values=GaussAmbiguity(1.0).on_lattice(grid).astype(complex),
+                          values=FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid).astype(complex),
                           mask=np.zeros((grid.L, grid.L), dtype=bool))
         with pytest.raises(DegenerateAnchorError):
             reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-6))
@@ -122,11 +114,13 @@ class TestAlg1:
             run_alg1(meas[:-1], fam, RetrievalConfig(epsilon=1e-3))
 
     def test_non_square_lattice_rejected(self):
-        grid = make_grid(8.0, 256, hop=2)
+        # keeping every other shift row gives the L/2 x L spectrograms of hop 2
+        grid = make_grid(8.0, 256)
         f = gauss_signal(grid)
         fam = build_frft_family(2.0, 4, grid)
-        meas = measure_family(f, fam)
-        with pytest.raises(GridContractError):
+        with pytest.raises(ValueError):
+            meas = [Measurement(grid=grid, window_id=m.window_id, power=m.power[::2])
+                    for m in measure_family(f, fam)]
             run_alg1(meas, fam, RetrievalConfig(epsilon=1e-3))
 
     def test_unreachable_tolerance_gives_empty_mask(self):
@@ -284,7 +278,3 @@ class TestConfigValidation:
     def test_rejects_bad_algorithm(self):
         with pytest.raises(ValueError):
             RetrievalConfig(epsilon=1e-3, algorithm="alg3")
-
-    def test_rejects_bad_oversample(self):
-        with pytest.raises(ValueError):
-            RetrievalConfig(epsilon=1e-3, oversample_final=0)
