@@ -31,8 +31,10 @@ from .metrics import BoundReport, misfit, mixed_norm, verify_noise_bounds
 from .retrieval import (
     Reconstruction,
     RetrievalConfig,
+    RetrievalPlan,
     assemble_alg1,
     assemble_alg2,
+    make_plan,
     measure_family,
     raw_threshold,
     reconstruct_from_ambiguity,

@@ -94,11 +94,15 @@ class HermiteAmbiguity:
         return eval_hermite_ambiguity(self.n, x, y)
 
     def on_lattice(self, grid: Grid) -> np.ndarray:
-        # radial dependence: evaluate the Laguerre recurrence once on the
-        # full lattice of z = pi r^2 values
-        x2 = grid.x ** 2
-        y2 = grid.y ** 2
-        return laguerre_function(self.n, np.pi * (y2[:, None] + x2[None, :]))
+        # radial dependence: run the Laguerre recurrence once on the quadrant
+        # of z = pi r^2 values with x, y <= 0 and mirror it; index L/2 + j
+        # mirrors L/2 - j, and index 0 (x = -T, y = -Nyquist) has no partner
+        h = grid.L // 2
+        x2 = grid.x[:h + 1] ** 2
+        y2 = grid.y[:h + 1] ** 2
+        quadrant = laguerre_function(self.n, np.pi * (y2[:, None] + x2[None, :]))
+        idx = np.concatenate([np.arange(h + 1), np.arange(h - 1, 0, -1)])
+        return quadrant[np.ix_(idx, idx)]
 
     def __repr__(self):
         return f"HermiteAmbiguity(n={self.n})"
@@ -124,10 +128,17 @@ def spectrogram_to_product(mea: Measurement) -> AmbiguityGrid:
     """
     grid = mea.grid
     L = grid.L
-    sgn_m = (-1.0) ** np.arange(L)
-    Q = mea.power * sgn_m[:, None] * sgn_m[None, :]
-    U = L * np.fft.ifft(Q, axis=0)  # frequency index m -> output shift index k'
-    S = np.fft.fft(U, axis=1)       # shift index k -> output frequency index m'
-    G = S.T * sgn_m[:, None] * sgn_m[None, :]
-    G = G * (grid.dt * grid.dy)
-    return AmbiguityGrid(grid=grid, values=np.ascontiguousarray(G), mask=None)
+    sgn = (-1.0) ** np.arange(L)
+    # modulate and scale in place; each intermediate is freed once the next exists
+    Q = mea.power * sgn[:, None]
+    Q *= sgn[None, :]
+    U = np.fft.ifft(Q, axis=0)  # frequency index m -> output shift index k'
+    del Q
+    U *= L
+    S = np.fft.fft(U, axis=1)   # shift index k -> output frequency index m'
+    del U
+    G = np.multiply(S.T, sgn[:, None], order="C")
+    del S
+    G *= sgn[None, :]
+    G *= grid.dt * grid.dy
+    return AmbiguityGrid(grid=grid, values=G, mask=None)

@@ -3,7 +3,8 @@ single-window baseline, the randomized Hermite-window study, and
 noise-bound verification, with JSON/CSV/PGM/WAV artifact emission.
 
 Exit codes: 0 success, 2 config error or invalid input value, 3 numeric
-failure (degenerate anchor or empty reconstruction region), 4 I/O error.
+failure (degenerate anchor, empty reconstruction region, or a special-
+function recurrence leaving the float range), 4 I/O error.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from .windows import (
     build_hermite_family,
     coverage_radii,
     gauss_window_member,
-    peel_masks,
     stability_mask,
     summed_mask,
 )
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except RetrievalError as exc:
+    except (RetrievalError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

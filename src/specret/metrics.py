@@ -10,13 +10,20 @@ is also the missing global phase angle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ambiguity import AmbiguityGrid, numeric_ambiguity
 from .grid import Signal
-from .retrieval import RetrievalConfig, assemble_alg1, assemble_alg2, raw_threshold
+from .retrieval import (
+    RetrievalConfig,
+    assemble_alg1,
+    assemble_alg2,
+    make_plan,
+    measurement_grid,
+    raw_threshold,
+)
 from .windows import WindowFamily
 
 
@@ -96,11 +103,12 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
                         f_true: Signal | None = None) -> BoundReport:
     """Evaluate the noise-propagation inequalities on a clean/noisy pair.
 
-    Assembles the masked reconstructions A and A^eta through the selected
-    algorithm and compares ||A - A^eta|| in the mixed L^{p,1} norm (and
-    the x=0 slice in L1) against the constants-times-noise bounds.  With
-    the true signal supplied, also reports the approximation-error terms
-    (the ambiguity mass left outside the reconstruction region).
+    Assembles the masked reconstructions A and A^eta from one retrieval
+    plan of the selected algorithm and compares ||A - A^eta|| in the mixed
+    L^{p,1} norm (and the x=0 slice in L1) against the constants-times-noise
+    bounds.  With the true signal supplied, also reports the
+    approximation-error terms (the ambiguity mass left outside the
+    reconstruction region).
     """
     if len(clean) != len(noisy):
         raise ValueError("clean and noisy measurement sets differ in length")
@@ -109,9 +117,10 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
             raise ValueError("mismatched measurement shapes")
     algorithm = algorithm or cfg.algorithm
     assemble = {"alg1": assemble_alg1, "alg2": assemble_alg2}[algorithm]
-    A = assemble(clean, family, cfg)
-    A_eta = assemble(noisy, family, cfg)
-    grid = A.grid
+    grid = measurement_grid(clean, len(family))
+    plan = make_plan(family, grid, replace(cfg, algorithm=algorithm))
+    A = assemble(clean, plan)
+    A_eta = assemble(noisy, plan)
     dx, dy = grid.dt, grid.dy
     eps = raw_threshold(cfg, grid)
 

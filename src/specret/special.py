@@ -17,6 +17,7 @@ from .exceptions import OverflowGuardError
 from .grid import Grid
 
 _SIN_EPS = 1e-8  # below this |sin(alpha)| the FrFT falls back to alpha in pi*Z
+_EXP_ARG_MIN = 708.3964185322641  # -log(smallest normal float64)
 
 
 def laguerre_eval(n: int, z):
@@ -65,8 +66,16 @@ def hermite_values(n: int, t) -> np.ndarray:
         raise ValueError(f"degree must be nonnegative, got {n}")
     t = np.asarray(t, dtype=float)
     u = np.sqrt(2.0 * np.pi) * t
+    # exp(-u^2/2) leaves the normal range past u^2/2 = _EXP_ARG_MIN; inside the
+    # oscillatory region |u| <= sqrt(2n+1) the recurrence then starts from
+    # (sub)zero and the window comes out silently too small
+    u2 = u * u
+    if np.any((u2 / 2.0 > _EXP_ARG_MIN) & (u2 <= 2 * n + 1)):
+        raise OverflowGuardError(
+            f"Hermite recurrence underflows for n={n}; grid extent too large for this degree"
+        )
     scale = (2.0 * np.pi) ** 0.25
-    prev = np.pi ** -0.25 * np.exp(-u * u / 2.0)
+    prev = np.pi ** -0.25 * np.exp(-u2 / 2.0)
     if n == 0:
         out = scale * prev
     else:

@@ -129,10 +129,14 @@ def stability_mask(evaluator, epsilon: float, grid: Grid) -> RegionMask:
     note the gauss kinds peak at 1/sqrt(2), so epsilon >= 1/sqrt(2) yields
     an empty mask there.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_unit_epsilon(epsilon)
     bits = np.abs(evaluator.on_lattice(grid)) > epsilon
     return RegionMask(grid=grid, bits=bits, epsilon=float(epsilon))
+
+
+def _check_unit_epsilon(epsilon: float):
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 def summed_mask(family: WindowFamily, epsilon: float, grid: Grid) -> RegionMask:
@@ -145,16 +149,26 @@ def summed_mask(family: WindowFamily, epsilon: float, grid: Grid) -> RegionMask:
     return RegionMask(grid=grid, bits=bits, epsilon=float(epsilon))
 
 
-def peel_masks(family: WindowFamily, epsilon: float, grid: Grid) -> list[RegionMask]:
-    """Pairwise-disjoint masks: each member claims the part of its stability
-    set not already claimed by earlier members (onion peeling)."""
+def peel(family: WindowFamily, epsilon: float, grid: Grid):
+    """Onion peeling: each member claims the part of its stability set not
+    already claimed by earlier members.
+
+    Yields (A g on the lattice, claimed bits), one pair per member in member
+    order; each ambiguity is evaluated once, and only one is alive at a time.
+    """
+    _check_unit_epsilon(epsilon)
     claimed = np.zeros((grid.L, grid.L), dtype=bool)
-    out = []
     for member in family.members:
-        bits = stability_mask(member.evaluator, epsilon, grid).bits & ~claimed
+        values = member.evaluator.on_lattice(grid)
+        bits = (np.abs(values) > epsilon) & ~claimed
         claimed |= bits
-        out.append(RegionMask(grid=grid, bits=bits, epsilon=float(epsilon)))
-    return out
+        yield values, bits
+
+
+def peel_masks(family: WindowFamily, epsilon: float, grid: Grid) -> list[RegionMask]:
+    """Pairwise-disjoint masks from `peel`."""
+    return [RegionMask(grid=grid, bits=bits, epsilon=float(epsilon))
+            for _, bits in peel(family, epsilon, grid)]
 
 
 def _ellipse_level(a: float, epsilon: float) -> float:

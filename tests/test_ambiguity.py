@@ -17,6 +17,7 @@ from specret import (
     frft_gauss_samples,
     hermite_samples,
     laguerre_eval,
+    laguerre_function,
     make_grid,
     numeric_ambiguity,
     spectrogram_to_product,
@@ -183,3 +184,33 @@ class TestEvaluatorObjects:
         ev = HermiteAmbiguity(12)
         X, Y = np.meshgrid(grid256.x, grid256.y)
         assert_allclose(ev.on_lattice(grid256), ev(X, Y), rtol=1e-12, atol=1e-300)
+
+
+class TestHermiteQuadrant:
+    """The quadrant-and-mirror `on_lattice` against the recurrence run on
+    every lattice cell."""
+
+    @staticmethod
+    def full_lattice(n, grid):
+        return laguerre_function(n, np.pi * (grid.y[:, None] ** 2 + grid.x[None, :] ** 2))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 50])
+    def test_exact_on_dyadic_grid(self, n):
+        grid = make_grid(8.0, 256)  # x and y are exact multiples of powers of two
+        assert np.array_equal(HermiteAmbiguity(n).on_lattice(grid), self.full_lattice(n, grid))
+
+    @pytest.mark.parametrize("n", [0, 3, 40])
+    def test_close_on_non_dyadic_grid(self, n):
+        grid = make_grid(1.3, 250)  # grid.t is not exactly antisymmetric here
+        assert not np.array_equal(grid.t[1:], -grid.t[:0:-1])
+        full = self.full_lattice(n, grid)
+        quad = HermiteAmbiguity(n).on_lattice(grid)
+        assert np.max(np.abs(quad - full)) <= 1e-12 * np.max(np.abs(full))
+
+    def test_unpaired_edge_row_and_column(self):
+        # x = -T and y = -Nyquist have no mirror partner on the lattice
+        grid = make_grid(8.0, 64)
+        quad = HermiteAmbiguity(5).on_lattice(grid)
+        full = self.full_lattice(5, grid)
+        assert np.array_equal(quad[0], full[0]) and np.array_equal(quad[:, 0], full[:, 0])
+        assert quad[0, 0] != quad[0, -1]

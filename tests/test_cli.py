@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specret
 from specret import Signal, load_wav, make_grid, save_wav
 from specret.cli import main
 
@@ -238,3 +243,30 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestNumericErrors:
+    def test_numeric_overflow_exits_3_without_traceback(self, tmp_path, capsys):
+        # a degree-900 Hermite window underflows on a T=40 grid
+        path = write_config(tmp_path, scheme={"kind": "hermite", "degrees": [900]},
+                            grid={"T": 40.0, "L": 1024})
+        assert main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "underflows" in err
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m specret` from an uninstalled checkout runs the same driver
+    src = str(Path(specret.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cfg = write_config(tmp_path, grid={"T": 8.0, "L": 64})
+    proc = subprocess.run(
+        [sys.executable, "-m", "specret", "coverage", "--config", str(cfg),
+         "--out", str(tmp_path / "cov")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cov" / "manifest.json").exists()

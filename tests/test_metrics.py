@@ -175,8 +175,8 @@ class TestNoiseBounds:
         cfg = RetrievalConfig(epsilon=1e-2, algorithm="alg2")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         report = verify_noise_bounds(clean, noisy, family, cfg)
-        from specret.retrieval import assemble_alg2
-        omega = assemble_alg2(clean, family, cfg).mask
+        from specret.retrieval import assemble_alg2, make_plan
+        omega = assemble_alg2(clean, make_plan(family, grid, cfg)).mask
         expected = grid.dt * omega[grid.L // 2, :].sum()
         assert_allclose(report.C_R_Omega, expected, rtol=0, atol=0)
 

@@ -10,6 +10,11 @@ from specret import (
     Measurement,
     RetrievalConfig,
     Signal,
+    WindowFamily,
+    WindowMember,
+    add_noise,
+    assemble_alg1,
+    assemble_alg2,
     build_frft_family,
     build_hermite_family,
     chirp_preset,
@@ -19,15 +24,20 @@ from specret import (
     gen_chirp,
     gen_mixture,
     make_grid,
+    make_plan,
     mixture_preset,
     measure_family,
     misfit,
     numeric_ambiguity,
+    peel_masks,
+    raw_threshold,
     run_alg1,
     run_alg2,
     reconstruct_from_ambiguity,
     single_window_retrieve,
+    spectrogram_to_product,
     to_measurement,
+    verify_noise_bounds,
 )
 
 
@@ -174,6 +184,105 @@ class TestAlg2:
         via_family = run_alg2(meas, fam, cfg)
         via_single = single_window_retrieve(meas[0], fam.members[0].evaluator, cfg)
         assert np.array_equal(via_family.signal.values, via_single.signal.values)
+
+
+class CountingEvaluator:
+    """Delegates to an evaluator and counts its lattice evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def on_lattice(self, grid):
+        self.calls += 1
+        return self.inner.on_lattice(grid)
+
+
+def counted(family):
+    return WindowFamily(
+        members=[WindowMember(window_id=m.window_id, samples=m.samples,
+                              evaluator=CountingEvaluator(m.evaluator))
+                 for m in family.members],
+        scheme=family.scheme,
+    )
+
+
+class TestRetrievalPlan:
+    """The plan-based assembly against the per-window loops it replaces."""
+
+    def test_alg2_plan_matches_peel_masks_and_lattices(self):
+        grid = make_grid(8.0, 256)
+        fam = build_hermite_family([0, 5, 20], grid)
+        cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
+        plan = make_plan(fam, grid, cfg)
+        masks = peel_masks(fam, raw_threshold(cfg, grid), grid)
+        union = np.zeros((grid.L, grid.L), dtype=bool)
+        for region, mask, member in zip(plan.regions, masks, fam.members, strict=True):
+            assert np.array_equal(region, mask.bits)
+            assert np.array_equal(plan.den[region], member.evaluator.on_lattice(grid)[region])
+            union |= region
+        assert np.array_equal(plan.omega, union)
+        assert not plan.den[~union].any()
+
+    def test_alg2_assembly_matches_per_window_division(self):
+        grid = make_grid(8.0, 256)
+        f = gen_mixture(mixture_preset(), grid)
+        fam = build_hermite_family([10, 50, 100], grid)
+        cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        meas = measure_family(f, fam)
+        J = assemble_alg2(meas, make_plan(fam, grid, cfg))
+        # oracle: each measurement divided by its own window on its peeled region
+        expected = np.zeros((grid.L, grid.L), dtype=complex)
+        for mea, member, mask in zip(meas, fam.members,
+                                     peel_masks(fam, raw_threshold(cfg, grid), grid)):
+            G = spectrogram_to_product(mea).values
+            expected[mask.bits] = G[mask.bits] / member.evaluator.on_lattice(grid)[mask.bits]
+        assert np.array_equal(J.values, expected)
+
+    def test_alg1_one_fft_matches_per_window_sum(self):
+        grid = make_grid(8.0, 512)
+        f = gen_chirp(chirp_preset(), grid)
+        fam = build_frft_family(15.0, 12, grid)
+        cfg = RetrievalConfig(epsilon=1e-3)
+        meas = measure_family(f, fam)
+        J = assemble_alg1(meas, make_plan(fam, grid, cfg))
+        # oracle: one spectrogram -> product transform per window, summed
+        num = sum(spectrogram_to_product(mea).values for mea in meas)
+        den = fam.summed_on_lattice(grid)
+        omega = den > raw_threshold(cfg, grid)
+        expected = np.where(omega, num / np.where(omega, den, 1.0), 0.0)
+        assert np.array_equal(J.mask, omega)
+        assert np.max(np.abs(J.values - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("algorithm, degrees", [("alg1", None), ("alg2", [0, 4, 9])])
+    def test_each_ambiguity_evaluated_once(self, algorithm, degrees):
+        grid = make_grid(8.0, 256)
+        f = gauss_signal(grid)
+        if degrees is None:
+            fam = build_frft_family(2.0, 4, grid)
+        else:
+            fam = build_hermite_family(degrees, grid)
+        clean = measure_family(f, fam)
+        noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
+        cfg = RetrievalConfig(epsilon=1e-3, algorithm=algorithm)
+        fam = counted(fam)
+        verify_noise_bounds(clean, noisy, fam, cfg)  # two assemblies, one plan
+        assert [m.evaluator.calls for m in fam.members] == [1] * len(fam)
+
+    def test_plan_for_other_algorithm_rejected(self):
+        grid = make_grid(8.0, 256)
+        fam = build_hermite_family([0, 3], grid)
+        meas = measure_family(gauss_signal(grid), fam)
+        plan = make_plan(fam, grid, RetrievalConfig(epsilon=1e-3, algorithm="alg2"))
+        with pytest.raises(ValueError):
+            assemble_alg1(meas, plan)
+
+    def test_alg2_tolerance_must_stay_below_unit_peak(self):
+        grid = make_grid(8.0, 256)
+        fam = build_hermite_family([0, 3], grid)
+        cfg = RetrievalConfig(epsilon=2.0 / grid.dt, algorithm="alg2")  # analytic 2
+        with pytest.raises(ValueError):
+            make_plan(fam, grid, cfg)
 
 
 class TestSingleWindowBaseline:

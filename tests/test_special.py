@@ -4,6 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from specret import (
+    OverflowGuardError,
     dilated_gauss_samples,
     frft_gauss_samples,
     hermite_samples,
@@ -107,6 +108,19 @@ class TestHermite:
         h = hermite_samples(200, grid)
         assert np.all(np.isfinite(h))
         assert_allclose(grid.dt * np.sum(h * h), 1.0, atol=1e-8)
+
+    def test_underflowing_start_raises(self):
+        # exp(-u^2/2) is subnormal inside the oscillatory region |u| <= sqrt(2n+1):
+        # the recurrence would return a window with sampled norm^2 0.73 at n=900
+        grid = make_grid(40.0, 4096)
+        with pytest.raises(OverflowGuardError):
+            hermite_samples(900, grid)
+
+    @pytest.mark.parametrize("L", [256, 512, 1024])
+    def test_benchmark_grids_do_not_raise_to_degree_200(self, L):
+        grid = make_grid(8.0, L)
+        for n in range(201):
+            hermite_samples(n, grid)
 
     def test_rejects_negative_degree(self, grid256):
         with pytest.raises(ValueError):
