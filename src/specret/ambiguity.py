@@ -79,8 +79,18 @@ class FrftGaussAmbiguity:
         return eval_frft_gauss_ambiguity(self.a, self.alpha, x, y)
 
     def on_lattice(self, grid: Grid) -> np.ndarray:
-        X, Y = np.meshgrid(grid.x, grid.y)
-        return self(X, Y)
+        # a*xr^2 + yr^2/a = A x^2 + 2B xy + C y^2 for the rotated (xr, yr):
+        # one scaled outer product, two broadcast adds and one exp; the
+        # 1/sqrt(2) prefactor rides in the exponent as -ln(2)/2
+        if self.a <= 0:
+            raise ValueError(f"dilation must be positive, got {self.a}")
+        a, c, s = self.a, np.cos(self.alpha), np.sin(self.alpha)
+        k = -np.pi / 2.0
+        x, y = grid.x, grid.y
+        out = np.multiply.outer(y * (2.0 * k * c * s * (1.0 / a - a)), x)
+        out += (k * (a * s * s + c * c / a) * y * y - 0.5 * np.log(2.0))[:, None]
+        out += k * (a * c * c + s * s / a) * x * x
+        return np.exp(out, out=out)
 
     def __repr__(self):
         return f"FrftGaussAmbiguity(a={self.a}, alpha={self.alpha})"
@@ -108,12 +118,26 @@ class HermiteAmbiguity:
         return f"HermiteAmbiguity(n={self.n})"
 
 
+def xy_phase(grid: Grid, sign: int) -> np.ndarray:
+    """exp(sign * i*pi * x_k * y_m) on the (m, k) lattice.
+
+    On the square lattice x_k * y_m = (k - L/2)(m - L/2)/L, so the factor
+    is a 2L-th root of unity picked from a 2L-entry table by an integer
+    index modulo 2L.
+    """
+    L = grid.L
+    table = np.exp(sign * 1j * np.pi / L * np.arange(2 * L))
+    c = np.arange(L) - L // 2
+    idx = np.multiply.outer(c, c)
+    idx %= 2 * L
+    return table[idx]
+
+
 def numeric_ambiguity(g: np.ndarray, grid: Grid, *, window_id: str = "window") -> AmbiguityGrid:
     """Compute A g on the lattice via V_g g = forward_stft(g, g)."""
     sig = Signal(grid=grid, values=np.asarray(g, dtype=np.complex128))
     c = forward_stft(sig, g, grid, window_id=window_id)
-    values = c.values * np.exp(1j * np.pi * grid.x[None, :] * grid.y[:, None])
-    return AmbiguityGrid(grid=grid, values=values, mask=None)
+    return AmbiguityGrid(grid=grid, values=c.values * xy_phase(grid, 1), mask=None)
 
 
 def spectrogram_to_product(mea: Measurement) -> AmbiguityGrid:

@@ -13,6 +13,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +46,10 @@ from .windows import (
 
 AUDIO_MAX_SAMPLES = 8192
 AUDIO_TAPER_FRACTION = 0.05
+# L x L complex workspaces alive next to the held measurements: the STFT
+# product and its FFT, the spectrogram-to-product FFTs, the denominator,
+# masks, phase table and the inversion's FFT (16 bytes a cell each)
+WORKSPACE_COMPLEX_ARRAYS = 8
 
 
 def audio_grid(L: int) -> Grid:
@@ -116,6 +121,39 @@ def _retrieval_config(cfg: dict) -> RetrievalConfig:
         anchor=cfg.get("anchor"),
         algorithm=algorithm,
     )
+
+
+def estimate_bytes(command: str, cfg: dict) -> int:
+    """Upper estimate of the peak bytes a command needs, from L, the number
+    of windows and the noise model alone: every measurement is an L x L
+    float64 array, held twice (clean and noisy) when noise is added."""
+    L = int(cfg["grid"]["L"])
+    if cfg["signal"]["kind"] == "wav":
+        L = min(L, AUDIO_MAX_SAMPLES)
+    scheme = cfg["scheme"]
+    if command == "coverage":
+        held = 0
+    elif command == "baseline":
+        held = 1
+    elif command == "random-study":
+        held = int(cfg["study"]["count"])
+    elif scheme["kind"] == "frft_gauss":
+        held = int(scheme["n_windows"]) if "n_windows" in scheme else len(scheme["angles"])
+    else:
+        held = len(scheme["degrees"])
+    if cfg["noise"]["model"] != "none":
+        held *= 2
+    return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS)
+
+
+def check_size(command: str, cfg: dict):
+    """Reject, before anything is allocated, a run whose estimate exceeds
+    the machine's physical memory."""
+    need = estimate_bytes(command, cfg)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"{command} at L={cfg['grid']['L']} needs about {need / 2**30:.1f} GiB, "
+                          f"more than the {have / 2**30:.1f} GiB of physical memory")
 
 
 class ArtifactWriter:
@@ -207,7 +245,7 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     writer = ArtifactWriter(out_dir, "retrieve", cfg)
     extra = {}
     if cfg["noise"]["model"] != "none":
-        report = verify_noise_bounds(clean, measurements, family, rcfg)
+        report = verify_noise_bounds(clean, measurements, family, rcfg, recon=recon)
         extra["noise_bounds"] = report.as_dict()
     _emit_reconstruction(writer, cfg, recon, f, rate, extra)
     writer.finish()
@@ -361,6 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, {"out": args.out, "seed": args.seed})
+        check_size(args.command, cfg)
         out_dir = Path(cfg["out"])
         return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:

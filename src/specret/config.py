@@ -108,7 +108,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     if path is not None:
         try:
             with open(path) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         _validate(doc)
@@ -118,6 +118,19 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     _validate({k: v for k, v in cfg.items() if v is not None})
     _check_semantics(cfg)
     return cfg
+
+
+def _reject_constant(token: str):
+    # Python's json accepts NaN and Infinity, which JSON itself does not, and
+    # NaN compares false against every schema bound
+    raise ConfigError(f"config holds the non-finite number {token}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)  # a JSON number literal is never NaN, but may overflow
+    if abs(value) == float("inf"):
+        raise ConfigError(f"config number {text} is out of the float range")
+    return value
 
 
 _UNION_KEYS = ("signal", "scheme", "noise")  # replaced whole, never merged

@@ -17,6 +17,7 @@ import numpy as np
 from .ambiguity import AmbiguityGrid, numeric_ambiguity
 from .grid import Signal
 from .retrieval import (
+    Reconstruction,
     RetrievalConfig,
     assemble_alg1,
     assemble_alg2,
@@ -100,15 +101,17 @@ class BoundReport:
 
 def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig,
                         algorithm: str | None = None, p: float = 2.0,
-                        f_true: Signal | None = None) -> BoundReport:
+                        f_true: Signal | None = None,
+                        recon: Reconstruction | None = None) -> BoundReport:
     """Evaluate the noise-propagation inequalities on a clean/noisy pair.
 
     Assembles the masked reconstructions A and A^eta from one retrieval
     plan of the selected algorithm and compares ||A - A^eta|| in the mixed
     L^{p,1} norm (and the x=0 slice in L1) against the constants-times-noise
-    bounds.  With the true signal supplied, also reports the
-    approximation-error terms (the ambiguity mass left outside the
-    reconstruction region).
+    bounds.  Given `recon`, the retrieval of `noisy` with this family, its
+    plan and its assembly are reused as the plan and A^eta.  With the true
+    signal supplied, also reports the approximation-error terms (the
+    ambiguity mass left outside the reconstruction region).
     """
     if len(clean) != len(noisy):
         raise ValueError("clean and noisy measurement sets differ in length")
@@ -118,9 +121,14 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
     algorithm = algorithm or cfg.algorithm
     assemble = {"alg1": assemble_alg1, "alg2": assemble_alg2}[algorithm]
     grid = measurement_grid(clean, len(family))
-    plan = make_plan(family, grid, replace(cfg, algorithm=algorithm))
+    if recon is None:
+        plan = make_plan(family, grid, replace(cfg, algorithm=algorithm))
+        A_eta = assemble(noisy, plan)
+    else:
+        plan, A_eta = recon.plan, recon.ambiguity
+        if plan is None or plan.algorithm != algorithm:
+            raise ValueError(f"recon was not assembled with an {algorithm} plan")
     A = assemble(clean, plan)
-    A_eta = assemble(noisy, plan)
     dx, dy = grid.dt, grid.dy
     eps = raw_threshold(cfg, grid)
 

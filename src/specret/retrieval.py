@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import AmbiguityGrid, spectrogram_to_product
+from .ambiguity import AmbiguityGrid, spectrogram_to_product, xy_phase
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
 from .stft import Measurement, forward_stft, to_measurement
@@ -62,6 +62,7 @@ class Reconstruction:
     omega_area_fraction: float
     anchor_c: int
     diagnostics: dict | None = None
+    plan: RetrievalPlan | None = None  # the plan `ambiguity` was assembled with
 
 
 def raw_threshold(cfg: RetrievalConfig, grid: Grid) -> float:
@@ -148,7 +149,7 @@ def assemble_alg1(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
     spectrogram to its product is linear, so one 2D FFT of the summed
     spectrogram replaces one per window."""
     grid = _check_plan(measurements, plan, "alg1")
-    power = measurements[0].power.copy()
+    power = measurements[0].power.copy(order="K")  # keep the powers' own layout
     for mea in measurements[1:]:
         power += mea.power
     J = spectrogram_to_product(Measurement(grid=grid, window_id="sum", power=power)).values
@@ -174,28 +175,32 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
     """Invert a (masked) ambiguity lattice to a signal, up to global phase.
 
     The lattice is first converted to the V_f f convention by the exact
-    phase factor exp(-i*pi*x*y); the inverse transform along y then lands on
-    integer lattice offsets, f(x + c) for lattice anchors c, so no
-    interpolation is needed.  The anchor maximizes |w(c)| for the profile
-    w(c) = (inverse transform of A(0, .))(c), an estimate of |f(c)|^2,
-    and the output is normalized by sqrt(|u_c(0)|), which fixes the
-    phase factor at the anchor instead of requiring knowledge of f(c).
+    phase factor exp(-i*pi*x*y), read from a table of 2L-th roots of unity
+    (`xy_phase`); the inverse transform along y then lands on integer
+    lattice offsets, f(x + c) for lattice anchors c, so no interpolation
+    is needed.  One inverse FFT along y serves every column, and the
+    signal is read off its (k + c, k) diagonal.  The anchor maximizes
+    |w(c)| for the profile w(c) = (inverse transform of A(0, .))(c), an
+    estimate of |f(c)|^2, and the output is normalized by sqrt(|u_c(0)|),
+    which fixes the phase factor at the anchor instead of requiring
+    knowledge of f(c).
     """
     grid = A.grid
     L = grid.L
-    dy = grid.dy
     sgn = (-1.0) ** np.arange(L)
-    constL = 1j ** (L % 4)  # exp(+i*pi*L/2)
+    scale = grid.dy * 1j ** (L % 4) * L  # dy * exp(+i*pi*L/2) * L undoes ifft's 1/L
 
-    Vff = A.values * np.exp(-1j * np.pi * grid.x[None, :] * grid.y[:, None])
-    if A.mask is not None:
-        Vff = np.where(A.mask, Vff, 0.0)
+    Vff = np.zeros((L, L), dtype=np.complex128)
+    np.multiply(A.values, xy_phase(grid, -1), out=Vff,
+                where=True if A.mask is None else A.mask)
+    Vff *= sgn[:, None]
+    k0 = L // 2  # the x = 0 column, where the phase factor is 1
+    slice_l1 = grid.dy * float(np.sum(np.abs(Vff[:, k0])))
+    U = np.fft.ifft(Vff, axis=0)  # U[j, k] = (1/L) sum_m Vff[m, k] sgn[m] exp(2i*pi*m*j/L)
+    del Vff
 
     # anchor profile from the x=0 column
-    k0 = L // 2
-    col = Vff[:, k0] * sgn
-    wprof = sgn * (dy * constL * L * np.fft.ifft(col))  # w carries a (-1)^l factor
-    slice_l1 = dy * float(np.sum(np.abs(col)))
+    wprof = sgn * (scale * U[:, k0])  # w carries a (-1)^l factor
     if cfg.anchor is not None:
         anchor = int(cfg.anchor) % L
     else:
@@ -208,10 +213,8 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
 
     # diagonal of the inverse transform: u_c(x_k) = uhat(x_k, x_k + c)
     s = anchor - L // 2
-    m = np.arange(L)
     k = np.arange(L)
-    E = np.exp(2j * np.pi * np.outer(m, k + s) / L)
-    u_diag = dy * constL * ((-1.0) ** (k + s)) * np.einsum("mk,m,mk->k", Vff, sgn, E)
+    u_diag = scale * ((-1.0) ** (k + s)) * U[(k + s) % L, k]
     vals = u_diag / np.sqrt(abs(u0))
     out = np.zeros(L, dtype=np.complex128)
     out[(k + s) % L] = vals
@@ -228,7 +231,7 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
 
 def _run(assemble, measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
     plan = make_plan(family, measurement_grid(measurements, len(family)), cfg)
-    return reconstruct_from_ambiguity(assemble(measurements, plan), cfg)
+    return replace(reconstruct_from_ambiguity(assemble(measurements, plan), cfg), plan=plan)
 
 
 def run_alg1(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:

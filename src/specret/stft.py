@@ -8,6 +8,17 @@ The coefficient convention is
 
 so c[m, k] approximates V_g f(x_k, y_m) with a periodized window.  The
 modular window index realizes periodization by cyclic indexing.
+
+Column k's window, conj(g) at (l - k + L/2) mod L over l, is a contiguous
+slice of the doubled conjugate window concat(gc, gc), starting at
+(L/2 - k) mod L.  `forward_stft` therefore builds the (k, l) products from
+reversed rows of a sliding-window view of the doubled window, with no
+index array and no gathered copy, runs the FFT along the contiguous l
+axis and returns the (m, k) transpose as a view.  Coefficients, and the
+powers `to_measurement` takes from them, are therefore Fortran-ordered.
+Elementwise consumers see the same values in either layout; a running
+sum of powers should keep their layout (``copy(order="K")``), since a
+C-ordered accumulator makes every add a strided transpose.
 """
 from __future__ import annotations
 
@@ -19,9 +30,6 @@ from .exceptions import GridMismatchError
 from .grid import Grid, Signal
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
-
-# column block size keeps the shift-product workspace near ~64 MB at L=8192
-_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,11 @@ def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None,
 
     Factors the defining sum through length-L FFTs: the exponential
     splits into (-1)^l * exp(-2i*pi*l*m/L) times the constant per-m
-    phases (-1)^m.
+    phases (-1)^m.  Row k of the (k, l) product is the signal times the
+    slice of concat(gc, gc) starting at (L/2 - k) mod L: rows
+    L/2, L/2 - 1, ..., 0 and then L - 1, ..., L/2 + 1 of its sliding-window
+    view.  The FFT runs along l and the result is returned as the (m, k)
+    transpose view, Fortran-ordered.
     """
     grid = grid or f.grid
     if grid != f.grid:
@@ -69,21 +81,21 @@ def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None,
         raise GridMismatchError(f"window has {g.shape} samples, grid needs {grid.L}")
 
     L = grid.L
-    l = np.arange(L)
-    sgn = (-1.0) ** l  # exp(i*pi*l) on the signal, exp(i*pi*m) on the output; exact
+    h = L // 2
+    sgn = (-1.0) ** np.arange(L)  # exp(i*pi*l) on the signal, exp(i*pi*m) on the output; exact
     base = f.values * sgn
     gc = np.conj(g.astype(np.complex128))
     const = (-1j) ** (L % 4)  # exp(-i*pi*L/2), exact for integer L
 
-    out = np.empty((L, L), dtype=np.complex128)
-    block = max(1, _BLOCK_ELEMENTS // L)
-    for k0 in range(0, L, block):
-        ks = np.arange(k0, min(k0 + block, L))
-        idx = (l[:, None] - ks[None, :] + L // 2) % L
-        out[:, ks] = np.fft.fft(base[:, None] * gc[idx], axis=0)
-    out *= grid.dt * const
-    out *= sgn[:, None]
-    return StftCoeffs(grid=grid, window_id=window_id, values=out)
+    # row s is concat(gc, gc)[s:s + L], a view: no index array, no gathered copy
+    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([gc, gc]), L)
+    prod = np.empty((L, L), dtype=np.complex128)
+    np.multiply(rows[h::-1], base, out=prod[:h + 1])
+    np.multiply(rows[L - 1:h:-1], base, out=prod[h + 1:])
+    out = np.fft.fft(prod, axis=1)
+    del prod
+    out *= (grid.dt * const) * sgn  # sign flips are exact, so one pass for both factors
+    return StftCoeffs(grid=grid, window_id=window_id, values=out.T)
 
 
 def to_measurement(c: StftCoeffs) -> Measurement:
@@ -115,10 +127,13 @@ def add_noise(mea: Measurement, model: str, level: float, seed: int) -> Measurem
     if model not in ("additive", "multiplicative"):
         raise ValueError(f"unknown noise model {model!r}")
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal(mea.power.shape)
+    power = rng.standard_normal(mea.power.shape)  # the draws, turned into power in place
+    power *= level
     if model == "additive":
-        power = mea.power + level * draws
+        power += mea.power
     else:
-        power = mea.power * (1.0 + level * draws) ** 2
+        power += 1.0
+        np.square(power, out=power)
+        power *= mea.power
     meta = {"model": model, "level": float(level), "seed": int(seed), "rng": RNG_ALGORITHM}
     return Measurement(grid=mea.grid, window_id=mea.window_id, power=power, noise_meta=meta)

@@ -40,7 +40,7 @@ class WindowFamily:
         """Sum of the member ambiguities on the lattice, added in member order."""
         out = self.members[0].evaluator.on_lattice(grid)
         for m in self.members[1:]:
-            out = out + m.evaluator.on_lattice(grid)
+            out += m.evaluator.on_lattice(grid)
         return out
 
 

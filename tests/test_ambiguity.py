@@ -23,6 +23,7 @@ from specret import (
     spectrogram_to_product,
     to_measurement,
 )
+from specret.ambiguity import xy_phase
 
 
 class TestClosedForms:
@@ -184,6 +185,34 @@ class TestEvaluatorObjects:
         ev = HermiteAmbiguity(12)
         X, Y = np.meshgrid(grid256.x, grid256.y)
         assert_allclose(ev.on_lattice(grid256), ev(X, Y), rtol=1e-12, atol=1e-300)
+
+
+class TestGaussLattice:
+    """The expanded-quadratic-form `FrftGaussAmbiguity.on_lattice` against
+    the closed form evaluated on a meshgrid."""
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 15.0])
+    @pytest.mark.parametrize("alpha", [0.0, np.pi / 7, np.pi / 2, 3 * np.pi / 4])
+    @pytest.mark.parametrize("T, L", [(1.3, 250), (8.0, 256)])
+    def test_matches_meshgrid(self, a, alpha, T, L):
+        grid = make_grid(T, L)
+        X, Y = np.meshgrid(grid.x, grid.y)
+        want = eval_frft_gauss_ambiguity(a, alpha, X, Y)
+        got = FrftGaussAmbiguity(a, alpha).on_lattice(grid)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_rejects_nonpositive_dilation(self, grid256):
+        with pytest.raises(ValueError):
+            FrftGaussAmbiguity(0.0, 0.3).on_lattice(grid256)
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("T, L", [(1.3, 250), (8.0, 256)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_direct_exp(self, T, L, sign):
+        grid = make_grid(T, L)
+        want = np.exp(sign * 1j * np.pi * grid.x[None, :] * grid.y[:, None])
+        assert_allclose(xy_phase(grid, sign), want, rtol=0, atol=1e-12)
 
 
 class TestHermiteQuadrant:

@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specret
 from specret import Signal, load_wav, make_grid, save_wav
-from specret.cli import main
+from specret.cli import COMMANDS, check_size, estimate_bytes, main
+from specret.config import load_config
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -60,6 +67,27 @@ class TestRetrieve:
         assert main(["retrieve", "--config", str(cfg), "--out", str(out)]) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["noise_bounds"]["satisfied"] == [True, True]
+
+    def test_noise_run_plans_once(self, tmp_path, monkeypatch):
+        # the noise-bound check reuses the retrieval's plan and noisy assembly
+        from specret import cli
+        from specret.ambiguity import HermiteAmbiguity
+        path = write_config(tmp_path, noise={"model": "additive", "level": 0.01, "seed": 1})
+        cfg = load_config(str(path))
+        f, _ = cli._build_signal(cfg)
+        family = cli._build_family(cfg, f.grid)
+        clean = cli.measure_family(f, family)
+        noisy = cli._apply_noise(clean, cfg)
+        fresh = cli.verify_noise_bounds(clean, noisy, family, cli._retrieval_config(cfg))
+        degrees = []
+        original = HermiteAmbiguity.on_lattice
+        monkeypatch.setattr(HermiteAmbiguity, "on_lattice",
+                            lambda self, grid: degrees.append(self.n) or original(self, grid))
+        out = tmp_path / "run"
+        assert main(["retrieve", "--config", str(path), "--out", str(out)]) == 0
+        assert degrees == [0, 5]
+        result = json.loads((out / "result.json").read_text())
+        assert result["noise_bounds"] == json.loads(json.dumps(fresh.as_dict()))
 
     def test_frft_scheme(self, tmp_path):
         cfg = write_config(tmp_path, scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": 8})
@@ -232,6 +260,17 @@ class TestConfigErrors:
         path.write_text(json.dumps({"mystery": 1}))
         assert main(["retrieve", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("text", ['{"grid": {"T": NaN, "L": 64}}',
+                                      '{"epsilon": Infinity}', '{"epsilon": 1e400}'])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, text):
+        # NaN passes every schema bound, so it must be refused while parsing
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["coverage", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("name, command", [
         (name, command) for name, (_, commands) in INVALID_VALUE_DOCS.items()
         for command in commands
@@ -270,3 +309,108 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cov" / "manifest.json").exists()
+
+
+class TestSizeGuard:
+    def test_huge_fan_exits_2_before_allocating(self, tmp_path, capsys):
+        path = write_config(tmp_path, signal={"kind": "chirp"},
+                            scheme={"kind": "frft_gauss", "a": 15.0, "n_windows": 40},
+                            grid={"T": 8.0, "L": 65536})
+        tracemalloc.start()
+        try:
+            rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "physical memory" in err
+        assert peak < 10 * 2**20  # one 65536^2 array alone would be 32 GiB
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("retrieve", {}),  # W1: the default 40-window fan at L=1024
+        ("retrieve", {"signal": {"kind": "mixture"},
+                      "scheme": {"kind": "hermite", "degrees": [50, 100]}, "epsilon": 0.5,
+                      "noise": {"model": "multiplicative", "level": 0.05}}),  # W2
+        ("random-study", {"scheme": {"kind": "hermite", "degrees": [0]},
+                          "grid": {"T": 8.0, "L": 512},
+                          "study": {"count": 6, "degree_min": 0, "degree_max": 50,
+                                    "trials": 20}}),  # W3
+        ("retrieve", {"grid": {"T": 8.0, "L": 2048}}),  # W4
+    ])
+    def test_fixed_workloads_pass(self, tmp_path, command, doc):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_config(str(path))
+        check_size(command, cfg)
+        assert estimate_bytes(command, cfg) < 2**31
+
+    def test_estimate_counts_windows_and_noise(self):
+        cfg = load_config(None)
+        L = cfg["grid"]["L"]
+        clean = estimate_bytes("retrieve", cfg)
+        cfg["noise"] = {"model": "additive", "level": 0.1}
+        assert estimate_bytes("retrieve", cfg) - clean == 40 * L * L * 8
+        assert estimate_bytes("coverage", cfg) < estimate_bytes("baseline", cfg) < clean
+
+
+def mostly(valid, *odd):
+    """Draw `valid` about seven times in eight, else one of the odd values."""
+    return st.one_of(*[valid] * 7, st.sampled_from(odd))
+
+
+ODD_NUMBERS = (0.0, -1.0, 1e-300, 1e300, float("nan"), float("inf"))
+CONFIG_DOCS = st.fixed_dictionaries(
+    {
+        # always present and small, so no example falls back to the L=1024 default
+        "grid": st.fixed_dictionaries({
+            "T": mostly(st.floats(0.5, 8), *ODD_NUMBERS),
+            "L": mostly(st.integers(8, 32).map(lambda n: 2 * n), -2, 0, 2, 63)}),
+        "study": st.fixed_dictionaries({"trials": st.integers(1, 3)}, optional={
+            "count": mostly(st.integers(1, 4), 0, 30), "degree_min": mostly(st.integers(0, 10), -1),
+            "degree_max": st.integers(10, 20)}),
+    },
+    optional={
+        "signal": mostly(st.sampled_from([{"kind": "mixture"}, {"kind": "mixture"},
+                                          {"kind": "chirp"}]),
+                         {"kind": "wav"}, {"kind": "wav", "path": "no-such.wav"},
+                         {"kind": "sine"}),
+        "scheme": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("frft_gauss")}, optional={
+                "a": mostly(st.floats(0.2, 40), *ODD_NUMBERS),
+                "n_windows": mostly(st.integers(1, 6), -1, 0),
+                "angles": st.lists(mostly(st.floats(-10, 10), *ODD_NUMBERS), max_size=6)}),
+            st.fixed_dictionaries({"kind": st.just("hermite")}, optional={
+                "degrees": mostly(st.lists(st.integers(0, 40), min_size=1, max_size=4,
+                                           unique=True).map(sorted), [], [-1], [5, 3])})),
+        "epsilon": mostly(st.floats(1e-6, 0.9), *ODD_NUMBERS),
+        "noise": mostly(st.sampled_from([{"model": "none"}]), {"model": "poisson"},
+                        {"model": "additive"}) | st.fixed_dictionaries({
+            "model": st.sampled_from(["additive", "multiplicative"]),
+            "level": mostly(st.floats(0, 0.5), *ODD_NUMBERS)},
+            optional={"seed": mostly(st.integers(0, 5), -1)}),
+        "anchor": st.one_of(st.none(), st.integers(-100, 100)),
+        "algorithm": mostly(st.sampled_from(["alg1", "alg2"]), "alg3"),
+        "emit": st.fixed_dictionaries({}, optional={
+            key: st.booleans() for key in ("csv", "pgm", "json", "wav")}),
+        "seed": mostly(st.integers(0, 10), -1),
+    },
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(doc=CONFIG_DOCS, command=st.sampled_from(sorted(COMMANDS)))
+    def test_documented_exit_codes_only(self, doc, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().strip().splitlines()) <= 1

@@ -19,6 +19,7 @@ from specret import (
     build_hermite_family,
     chirp_preset,
     dilated_gauss_samples,
+    eval_frft_gauss_ambiguity,
     forward_stft,
     gauss_window_member,
     gen_chirp,
@@ -283,6 +284,104 @@ class TestRetrievalPlan:
         cfg = RetrievalConfig(epsilon=2.0 / grid.dt, algorithm="alg2")  # analytic 2
         with pytest.raises(ValueError):
             make_plan(fam, grid, cfg)
+
+
+    @pytest.mark.parametrize("algorithm, degrees", [("alg1", None), ("alg2", [0, 4, 9])])
+    def test_retrieval_plan_reused_for_noise_bounds(self, algorithm, degrees):
+        grid = make_grid(8.0, 256)
+        f = gauss_signal(grid)
+        if degrees is None:
+            fam = build_frft_family(2.0, 4, grid)
+        else:
+            fam = build_hermite_family(degrees, grid)
+        clean = measure_family(f, fam)
+        noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
+        cfg = RetrievalConfig(epsilon=1e-3, algorithm=algorithm)
+        fresh = verify_noise_bounds(clean, noisy, fam, cfg)
+        fam = counted(fam)
+        recon = (run_alg1 if algorithm == "alg1" else run_alg2)(noisy, fam, cfg)
+        assert recon.plan.algorithm == algorithm
+        reused = verify_noise_bounds(clean, noisy, fam, cfg, recon=recon)
+        assert [m.evaluator.calls for m in fam.members] == [1] * len(fam)
+        assert reused == fresh
+
+    def test_reused_plan_must_match_algorithm(self):
+        grid = make_grid(8.0, 256)
+        fam = build_hermite_family([0, 3], grid)
+        meas = measure_family(gauss_signal(grid), fam)
+        cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
+        recon = run_alg2(meas, fam, cfg)
+        with pytest.raises(ValueError):
+            verify_noise_bounds(meas, meas, fam, cfg, algorithm="alg1", recon=recon)
+
+    def test_w1_omega_unchanged(self):
+        # W1: the 40-angle a = 15 fan at T = 8, L = 1024, eps = 1e-3
+        grid = make_grid(8.0, 1024)
+        fam = build_frft_family(15.0, 40, grid)
+        cfg = RetrievalConfig(epsilon=1e-3)
+        plan = make_plan(fam, grid, cfg)
+        X, Y = np.meshgrid(grid.x, grid.y)
+        den = eval_frft_gauss_ambiguity(15.0, fam.members[0].evaluator.alpha, X, Y)
+        for m in fam.members[1:]:
+            den += eval_frft_gauss_ambiguity(15.0, m.evaluator.alpha, X, Y)
+        assert np.array_equal(plan.omega, den > raw_threshold(cfg, grid))
+        assert np.max(np.abs(plan.den - den)) <= 1e-12 * np.max(den)
+
+
+def e_matrix_reconstruct(A, anchor=None):
+    """Oracle: the inversion `reconstruct_from_ambiguity` replaced, with the
+    phase factor from a direct exp and the diagonal read through an L x L
+    table E = exp(2i*pi*m*(k + s)/L).  Returns (signal values, anchor)."""
+    grid = A.grid
+    L, dy = grid.L, grid.dy
+    sgn = (-1.0) ** np.arange(L)
+    constL = 1j ** (L % 4)
+    Vff = A.values * np.exp(-1j * np.pi * grid.x[None, :] * grid.y[:, None])
+    if A.mask is not None:
+        Vff = np.where(A.mask, Vff, 0.0)
+    col = Vff[:, L // 2] * sgn
+    wprof = sgn * (dy * constL * L * np.fft.ifft(col))
+    anchor = int(np.argmax(np.abs(wprof))) if anchor is None else anchor % L
+    u0 = wprof[anchor]
+    s = anchor - L // 2
+    m = k = np.arange(L)
+    E = np.exp(2j * np.pi * np.outer(m, k + s) / L)
+    u_diag = dy * constL * ((-1.0) ** (k + s)) * np.einsum("mk,m,mk->k", Vff, sgn, E)
+    out = np.zeros(L, dtype=complex)
+    out[(k + s) % L] = u_diag / np.sqrt(abs(u0))
+    return out, anchor
+
+
+class TestInversionOracle:
+    """The FFT-diagonal inversion against the E-matrix formula."""
+
+    def check(self, A, anchor=None):
+        want, want_anchor = e_matrix_reconstruct(A, anchor)
+        rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-3, anchor=anchor))
+        assert rec.anchor_c == want_anchor
+        assert np.max(np.abs(rec.signal.values - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_alg1_assembly(self):
+        grid = make_grid(8.0, 512)
+        f = gen_chirp(chirp_preset(), grid)
+        fam = build_frft_family(15.0, 8, grid)
+        cfg = RetrievalConfig(epsilon=1e-3)
+        self.check(assemble_alg1(measure_family(f, fam), make_plan(fam, grid, cfg)))
+
+    def test_alg2_assembly_non_dyadic(self):
+        grid = make_grid(6.5, 250)
+        f = gen_mixture(mixture_preset(), grid)
+        fam = build_hermite_family([0, 10, 30], grid)
+        cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        self.check(assemble_alg2(measure_family(f, fam), make_plan(fam, grid, cfg)))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("anchor", [None, 3, -40])
+    def test_random_lattice(self, rng, masked, anchor):
+        grid = make_grid(1.3, 250)
+        values = rng.standard_normal((250, 250)) + 1j * rng.standard_normal((250, 250))
+        mask = rng.random((250, 250)) < 0.4 if masked else None
+        self.check(AmbiguityGrid(grid=grid, values=values, mask=mask), anchor)
 
 
 class TestSingleWindowBaseline:

@@ -81,6 +81,49 @@ class TestForwardStft:
             forward_stft(f, dilated_gauss_samples(1.0, grid512))
 
 
+def gather_stft(f, g, grid):
+    """Oracle: the index-gather construction the slice-built `forward_stft`
+    replaced; an L x L index array picks conj(g) at (l - k + L/2) mod L and
+    the FFT runs along the strided l axis."""
+    L = grid.L
+    l = np.arange(L)
+    sgn = (-1.0) ** l
+    idx = (l[:, None] - l[None, :] + L // 2) % L
+    out = np.fft.fft((f.values * sgn)[:, None] * np.conj(g.astype(complex))[idx], axis=0)
+    out *= grid.dt * (-1j) ** (L % 4)
+    out *= sgn[:, None]
+    return out
+
+
+class TestSliceConstruction:
+    """The sliding-window-view `forward_stft` against the index gather."""
+
+    @pytest.mark.parametrize("T, L", [(2.0, 32), (1.3, 250), (8.0, 256)])
+    def test_matches_index_gather(self, rng, T, L):
+        grid = make_grid(T, L)
+        f = random_signal(grid, rng, localized=False)
+        g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        want = gather_stft(f, g, grid)
+        got = forward_stft(f, g).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_every_column_uses_its_own_shift(self, rng):
+        # a window with a single nonzero sample makes each column one
+        # shifted copy of the signal, so a row off by one lands elsewhere
+        grid = make_grid(2.0, 32)
+        f = random_signal(grid, rng, localized=False)
+        for j in (0, 1, 15, 16, 17, 31):
+            g = np.zeros(grid.L, dtype=complex)
+            g[j] = 1.0
+            assert_allclose(forward_stft(f, g).values, gather_stft(f, g, grid),
+                            rtol=0, atol=1e-13 * np.max(np.abs(f.values)))
+
+    def test_power_is_fortran_ordered(self, grid256, rng):
+        c = forward_stft(random_signal(grid256, rng), dilated_gauss_samples(1.0, grid256))
+        assert c.values.flags.f_contiguous
+        assert to_measurement(c).power.flags.f_contiguous
+
+
 class TestIsometry:
     @pytest.mark.parametrize("window", ["gauss", "hermite5"])
     def test_energy_identity(self, window):
