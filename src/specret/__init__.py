@@ -32,8 +32,7 @@ from .retrieval import (
     Reconstruction,
     RetrievalConfig,
     RetrievalPlan,
-    assemble_alg1,
-    assemble_alg2,
+    assemble,
     make_plan,
     measure_family,
     raw_threshold,
@@ -71,7 +70,6 @@ from .windows import (
     gauss_window_member,
     peel_masks,
     stability_mask,
-    summed_mask,
 )
 
 __version__ = "0.1.0"

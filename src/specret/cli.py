@@ -3,8 +3,8 @@ single-window baseline, the randomized Hermite-window study, and
 noise-bound verification, with JSON/CSV/PGM/WAV artifact emission.
 
 Exit codes: 0 success, 2 config error or invalid input value, 3 numeric
-failure (degenerate anchor, empty reconstruction region, or a special-
-function recurrence leaving the float range), 4 I/O error.
+failure (degenerate anchor, empty reconstruction region, or any float
+overflow, division by zero or NaN in a run), 4 I/O error.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ from .windows import (
     coverage_radii,
     gauss_window_member,
     stability_mask,
-    summed_mask,
 )
 
 AUDIO_MAX_SAMPLES = 8192
@@ -283,7 +282,7 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
         if emit.get("pgm", True):
             container.write_pgm_heatmap(summed, writer.path("summed_ambiguity.pgm"))
             writer.record("summed_ambiguity.pgm")
-        union = summed_mask(family, eps, grid)
+        union = RegionMask(grid=grid, bits=summed > eps, epsilon=eps)
         a = float(cfg["scheme"]["a"])
         N = len(family.members)
         if a > 1 and N >= 3 and eps < 2 ** -0.5:
@@ -326,15 +325,13 @@ def cmd_random_study(cfg: dict, out_dir: Path) -> int:
     lo, hi, count, trials = (int(study["degree_min"]), int(study["degree_max"]),
                              int(study["count"]), int(study["trials"]))
     f, _ = _build_signal(cfg)
-    rcfg_base = _retrieval_config(cfg)
+    rcfg = _retrieval_config(cfg)
     rng = np.random.default_rng(int(cfg["seed"]))
     rows = []
     for trial in range(trials):
         degrees = np.sort(rng.choice(np.arange(lo, hi + 1), size=count, replace=False))
         family = build_hermite_family(degrees.tolist(), f.grid)
         measurements = _apply_noise(measure_family(f, family), cfg)
-        rcfg = RetrievalConfig(epsilon=rcfg_base.epsilon, anchor=rcfg_base.anchor,
-                               algorithm="alg2")
         recon = run_alg2(measurements, family, rcfg)
         d, theta = misfit(f, recon.signal)
         rows.append((trial, degrees.tolist(), d, theta))
@@ -401,7 +398,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, {"out": args.out, "seed": args.seed})
         check_size(args.command, cfg)
         out_dir = Path(cfg["out"])
-        return COMMANDS[args.command](cfg, out_dir)
+        # a float overflow, zero division or NaN fails the run, not just warns
+        with np.errstate(all="raise", under="ignore"):
+            return COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ is also the missing global phase angle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .grid import Signal
 from .retrieval import (
     Reconstruction,
     RetrievalConfig,
-    assemble_alg1,
-    assemble_alg2,
+    assemble,
     make_plan,
     measurement_grid,
     raw_threshold,
@@ -64,9 +63,9 @@ class BoundReport:
 
     epsilon is the raw analytic threshold that lower-bounds the
     denominators on the reconstruction region (cfg.epsilon * dt).
-    noise_norm is the L1 norm of the summed noise for the summed
-    algorithm, and the maximum single-window noise L1 norm for the
-    peeled algorithm.  satisfied = (full bound holds, slice bound holds).
+    noise_norm is the largest L1 norm of a window group's summed noise: the
+    summed noise for alg1, the largest single-window noise for alg2.
+    satisfied = (full bound holds, slice bound holds).
     """
 
     epsilon: float
@@ -100,14 +99,13 @@ class BoundReport:
 
 
 def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig,
-                        algorithm: str | None = None, p: float = 2.0,
-                        f_true: Signal | None = None,
+                        p: float = 2.0, f_true: Signal | None = None,
                         recon: Reconstruction | None = None) -> BoundReport:
     """Evaluate the noise-propagation inequalities on a clean/noisy pair.
 
     Assembles the masked reconstructions A and A^eta from one retrieval
-    plan of the selected algorithm and compares ||A - A^eta|| in the mixed
-    L^{p,1} norm (and the x=0 slice in L1) against the constants-times-noise
+    plan of cfg.algorithm and compares ||A - A^eta|| in the mixed L^{p,1}
+    norm (and the x=0 slice in L1) against the constants-times-noise
     bounds.  Given `recon`, the retrieval of `noisy` with this family, its
     plan and its assembly are reused as the plan and A^eta.  With the true
     signal supplied, also reports the approximation-error terms (the
@@ -118,25 +116,23 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
     for c, n in zip(clean, noisy):
         if c.power.shape != n.power.shape:
             raise ValueError("mismatched measurement shapes")
-    algorithm = algorithm or cfg.algorithm
-    assemble = {"alg1": assemble_alg1, "alg2": assemble_alg2}[algorithm]
     grid = measurement_grid(clean, len(family))
     if recon is None:
-        plan = make_plan(family, grid, replace(cfg, algorithm=algorithm))
+        plan = make_plan(family, grid, cfg)
         A_eta = assemble(noisy, plan)
     else:
         plan, A_eta = recon.plan, recon.ambiguity
-        if plan is None or plan.algorithm != algorithm:
-            raise ValueError(f"recon was not assembled with an {algorithm} plan")
+        if plan is None or plan.algorithm != cfg.algorithm:
+            raise ValueError(f"recon was not assembled with an {cfg.algorithm} plan")
     A = assemble(clean, plan)
     dx, dy = grid.dt, grid.dy
     eps = raw_threshold(cfg, grid)
-
-    etas = [n.power - c.power for c, n in zip(clean, noisy)]
-    if algorithm == "alg1":
-        noise_norm = dx * dy * float(np.sum(np.abs(sum(etas))))
-    else:
-        noise_norm = max(dx * dy * float(np.sum(np.abs(e))) for e in etas)
+    noise_norm = 0.0
+    for group in plan.groups:  # one summed noise array alive at a time
+        eta = noisy[group[0]].power - clean[group[0]].power
+        for j in group[1:]:
+            eta += noisy[j].power - clean[j].power
+        noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
 
     omega = A.mask
     C_p = _mixed_norm(omega.astype(float), dx, dy, p)

@@ -4,17 +4,15 @@ and the final one-dimensional inversion back to the signal.
 
 Retrieval plan
 --------------
-The denominators and regions of the division depend only on the window
-family, the grid and the tolerance, so `make_plan` builds them once, in
-the spirit of an FFTW plan, and every assembly with that family reuses
-them (`verify_noise_bounds` assembles clean and noisy data from one
-plan).  A `RetrievalPlan` holds a real L x L denominator and boolean
-region masks: for alg1 the summed ambiguity and its superlevel set
-Omega; for alg2, on each peeled cell, the ambiguity of the member that
-claims it, and one disjoint region per member.  Each member's ambiguity
-is evaluated exactly once per plan.  Because the spectrogram -> product
-map is linear, alg1 sums the spectrograms in member order and
-transforms the sum with one 2D FFT, instead of one per window.
+Both algorithms divide spectrogram products by window ambiguities where
+those exceed the tolerance; they differ only in how the windows are
+grouped.  A `RetrievalPlan` partitions the family into groups (alg1: one
+group of every member; alg2: one group per member), and each group claims
+the cells where |sum of its ambiguities| > eps that no earlier group
+claimed (`windows.peel`).  `make_plan` builds it once per family, grid
+and tolerance, like an FFTW plan, evaluating each member's ambiguity
+once.  Since the spectrogram -> product map is linear, `assemble` sums a
+group's spectrograms and transforms the sum with one 2D FFT.
 
 Tolerance convention
 --------------------
@@ -31,6 +29,7 @@ always thresholds raw analytic values.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -92,10 +91,10 @@ def measurement_grid(measurements, n_windows: int) -> Grid:
 class RetrievalPlan(NamedTuple):
     """The measurement-independent part of an assembly, built once by `make_plan`.
 
-    den is real, shape (L, L): the summed ambiguity for alg1; for alg2, on
-    each peeled cell the ambiguity of the member that claims it, 0 elsewhere.
-    regions are boolean (L, L) masks: (omega,) for alg1, one disjoint region
-    per member for alg2; omega is their union.
+    groups partitions the member indices in order (alg1: one group of all,
+    alg2: one per member).  regions are disjoint boolean (L, L) masks, one
+    per group, and omega is their union.  den is real, shape (L, L): on each
+    region the sum of its group's ambiguities, 0 off omega.
 
     A NamedTuple rather than a frozen dataclass: the class is built on every
     fresh import, where a frozen dataclass costs about 1.5 ms.
@@ -103,7 +102,7 @@ class RetrievalPlan(NamedTuple):
 
     grid: Grid
     algorithm: str
-    n_windows: int
+    groups: tuple
     den: np.ndarray
     regions: tuple
     omega: np.ndarray
@@ -114,59 +113,48 @@ def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> Retriev
     member's ambiguity is evaluated once."""
     eps = raw_threshold(cfg, grid)
     if cfg.algorithm == "alg1":
-        den = family.summed_on_lattice(grid)  # real, so conj(den) = den
-        omega = den > eps
-        if not omega.any():
-            raise EmptyMaskError("summed ambiguity nowhere exceeds the tolerance")
-        regions = (omega,)
+        groups = (tuple(range(len(family))),)
     else:
-        den = np.zeros((grid.L, grid.L))
-        omega = np.zeros((grid.L, grid.L), dtype=bool)
-        regions = []
-        for values, bits in peel(family, eps, grid):
-            den[bits] = values[bits]  # |A g| > eps on bits, and A g is real
-            omega |= bits
-            regions.append(bits)
-        if not omega.any():
-            raise EmptyMaskError("no stability set exceeds the tolerance")
-        regions = tuple(regions)
-    return RetrievalPlan(grid=grid, algorithm=cfg.algorithm, n_windows=len(family),
-                         den=den, regions=regions, omega=omega)
+        if eps >= 1:  # a single window's ambiguity peaks at 1
+            raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+        groups = tuple((j,) for j in range(len(family)))
+    regions = []
+    for values, bits in peel(family, groups, eps, grid):
+        if not regions:  # reuse the first sum as den: no extra L x L buffer
+            den = values
+            den[~bits] = 0
+        else:
+            den[bits] = values[bits]  # |sum A g| > eps on bits, and A g is real
+        regions.append(bits)
+    omega = reduce(np.logical_or, regions)
+    if not omega.any():
+        raise EmptyMaskError("no window group's ambiguity exceeds the tolerance")
+    return RetrievalPlan(grid=grid, algorithm=cfg.algorithm, groups=groups,
+                         den=den, regions=tuple(regions), omega=omega)
 
 
-def _check_plan(measurements, plan: RetrievalPlan, algorithm: str) -> Grid:
-    if plan.algorithm != algorithm:
-        raise ValueError(f"{algorithm} assembly needs an {algorithm} plan, got {plan.algorithm}")
-    grid = measurement_grid(measurements, plan.n_windows)
+def assemble(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
+    """J = F(sum_{j in group} |V_{g_j} f|^2) / sum_{j in group} A g_j on each
+    group's region, zero off omega.  The map from a spectrogram to its
+    product is linear, so one 2D FFT of a group's summed spectrogram
+    replaces one per window."""
+    grid = measurement_grid(measurements, sum(map(len, plan.groups)))
     if grid != plan.grid:
         raise GridMismatchError("measurements and plan live on different grids")
-    return grid
-
-
-def assemble_alg1(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
-    """Summed-denominator assembly: J = F(sum_j |V_{g_j} f|^2) / sum_j A g_j
-    on the superlevel set of the sum, zero outside.  The map from a
-    spectrogram to its product is linear, so one 2D FFT of the summed
-    spectrogram replaces one per window."""
-    grid = _check_plan(measurements, plan, "alg1")
-    power = measurements[0].power.copy(order="K")  # keep the powers' own layout
-    for mea in measurements[1:]:
-        power += mea.power
-    J = spectrogram_to_product(Measurement(grid=grid, window_id="sum", power=power)).values
-    np.divide(J, plan.den, out=J, where=plan.omega)
-    J[~plan.omega] = 0
-    return AmbiguityGrid(grid=grid, values=J, mask=plan.omega)
-
-
-def assemble_alg2(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
-    """Peeled assembly: on each disjoint region the corresponding
-    measurement alone is divided by its window's ambiguity."""
-    grid = _check_plan(measurements, plan, "alg2")
-    J = np.zeros((grid.L, grid.L), dtype=np.complex128)
-    for mea, bits in zip(measurements, plan.regions):
+    J = None
+    for group, bits in zip(plan.groups, plan.regions):
         if not bits.any():
             continue
+        mea = measurements[group[0]]
+        if len(group) > 1:
+            power = mea.power.copy(order="K")  # keep the powers' own layout
+            for j in group[1:]:
+                power += measurements[j].power
+            mea = Measurement(grid=grid, window_id="sum", power=power)
         G = spectrogram_to_product(mea).values
+        if J is None:  # reuse the first product as J: no zeroed L x L buffer
+            J = G
+            J[~bits] = 0
         np.divide(G, plan.den, out=J, where=bits)
     return AmbiguityGrid(grid=grid, values=J, mask=plan.omega)
 
@@ -229,7 +217,7 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
     )
 
 
-def _run(assemble, measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
+def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
     plan = make_plan(family, measurement_grid(measurements, len(family)), cfg)
     return replace(reconstruct_from_ambiguity(assemble(measurements, plan), cfg), plan=plan)
 
@@ -237,13 +225,13 @@ def _run(assemble, measurements, family: WindowFamily, cfg: RetrievalConfig) -> 
 def run_alg1(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
     """Multi-window retrieval with the summed positive denominator
     (fractional-Gauss window families)."""
-    return _run(assemble_alg1, measurements, family, replace(cfg, algorithm="alg1"))
+    return _run(measurements, family, replace(cfg, algorithm="alg1"))
 
 
 def run_alg2(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
     """Multi-window retrieval on peeled disjoint regions (Hermite window
     families with ascending degrees)."""
-    return _run(assemble_alg2, measurements, family, replace(cfg, algorithm="alg2"))
+    return _run(measurements, family, replace(cfg, algorithm="alg2"))
 
 
 def single_window_retrieve(measurement: Measurement, evaluator,

@@ -139,36 +139,31 @@ def _check_unit_epsilon(epsilon: float):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
-def summed_mask(family: WindowFamily, epsilon: float, grid: Grid) -> RegionMask:
-    """Single mask from thresholding the summed ambiguity (the construction
-    used by the summed-denominator algorithm; no peeling needed because the
-    sum of gauss-kind ambiguities is strictly positive)."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    bits = family.summed_on_lattice(grid) > epsilon
-    return RegionMask(grid=grid, bits=bits, epsilon=float(epsilon))
+def peel(family: WindowFamily, groups, epsilon: float, grid: Grid):
+    """Onion peeling over a partition of the family into groups of member
+    indices: each group's ambiguities are summed in member order, and the
+    group claims the cells where |sum| > epsilon that no earlier group
+    claimed.
 
-
-def peel(family: WindowFamily, epsilon: float, grid: Grid):
-    """Onion peeling: each member claims the part of its stability set not
-    already claimed by earlier members.
-
-    Yields (A g on the lattice, claimed bits), one pair per member in member
-    order; each ambiguity is evaluated once, and only one is alive at a time.
+    Yields (summed A g on the lattice, claimed bits), one pair per group in
+    group order; each ambiguity is evaluated once, and only one group's sum
+    is alive at a time.
     """
-    _check_unit_epsilon(epsilon)
     claimed = np.zeros((grid.L, grid.L), dtype=bool)
-    for member in family.members:
-        values = member.evaluator.on_lattice(grid)
+    for group in groups:
+        values = family.members[group[0]].evaluator.on_lattice(grid)
+        for j in group[1:]:
+            values += family.members[j].evaluator.on_lattice(grid)
         bits = (np.abs(values) > epsilon) & ~claimed
         claimed |= bits
         yield values, bits
 
 
 def peel_masks(family: WindowFamily, epsilon: float, grid: Grid) -> list[RegionMask]:
-    """Pairwise-disjoint masks from `peel`."""
+    """Pairwise-disjoint masks from `peel`, one group per member."""
+    _check_unit_epsilon(epsilon)
     return [RegionMask(grid=grid, bits=bits, epsilon=float(epsilon))
-            for _, bits in peel(family, epsilon, grid)]
+            for _, bits in peel(family, [(j,) for j in range(len(family))], epsilon, grid)]
 
 
 def _ellipse_level(a: float, epsilon: float) -> float:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,29 @@ class TestNumericErrors:
         assert len(err.strip().splitlines()) == 1
         assert "underflows" in err
 
+    @pytest.mark.parametrize("command", ["coverage", "retrieve"])
+    @pytest.mark.parametrize("scheme, field, value", [
+        (scheme, "T", value) for scheme in ("frft_gauss", "hermite")
+        for value in (1e300, 1e-300)
+    ] + [("frft_gauss", "a", value) for value in (1e300, 1e-300)])
+    def test_absurd_grid_exits_with_one_line(self, tmp_path, capsys, command,
+                                             scheme, field, value):
+        # lattices of such grids leave the float range; no run may end in 0
+        # with a one-cell map or a garbage reconstruction
+        doc = {"grid": {"T": 8.0, "L": 64},
+               "scheme": {"kind": "frft_gauss", "a": 15.0, "n_windows": 4}
+               if scheme == "frft_gauss" else {"kind": "hermite", "degrees": [0, 5]}}
+        (doc["grid"] if field == "T" else doc["scheme"])[field] = value
+        path = write_config(tmp_path, **doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc in (2, 3)
+        assert not caught
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
 
 def test_module_entry_point(tmp_path):
     # `python -m specret` from an uninstalled checkout runs the same driver
@@ -409,8 +433,12 @@ class TestConfigFuzz:
             path = Path(tmp) / "cfg.json"
             path.write_text(json.dumps(doc))
             err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 rc = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
         assert rc in (0, 2, 3, 4)
+        if rc == 0:  # a successful run passed through no overflow or NaN
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "Traceback" not in err.getvalue()
         assert len(err.getvalue().strip().splitlines()) <= 1

@@ -152,7 +152,7 @@ class TestNoiseBounds:
     def test_zero_noise_trivially_satisfied(self):
         grid, f, family, clean = self._setup("alg1")
         cfg = RetrievalConfig(epsilon=1e-3)
-        report = verify_noise_bounds(clean, clean, family, cfg, algorithm="alg1")
+        report = verify_noise_bounds(clean, clean, family, cfg)
         assert report.lhs_A_norm == 0.0
         assert report.rhs_bound == 0.0
         assert report.satisfied == (True, True)
@@ -175,8 +175,8 @@ class TestNoiseBounds:
         cfg = RetrievalConfig(epsilon=1e-2, algorithm="alg2")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         report = verify_noise_bounds(clean, noisy, family, cfg)
-        from specret.retrieval import assemble_alg2, make_plan
-        omega = assemble_alg2(clean, make_plan(family, grid, cfg)).mask
+        from specret.retrieval import assemble, make_plan
+        omega = assemble(clean, make_plan(family, grid, cfg)).mask
         expected = grid.dt * omega[grid.L // 2, :].sum()
         assert_allclose(report.C_R_Omega, expected, rtol=0, atol=0)
 
@@ -184,7 +184,7 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup("alg1")
         noisy = [add_noise(m, "additive", 0.02, seed=j) for j, m in enumerate(clean)]
         cfg = RetrievalConfig(epsilon=1e-2)
-        r1 = verify_noise_bounds(clean, noisy, family, cfg, algorithm="alg1")
+        r1 = verify_noise_bounds(clean, noisy, family, cfg)
         etas = [n.power - c.power for c, n in zip(clean, noisy)]
         dxdy = grid.dt * grid.dy
         assert_allclose(r1.noise_norm, dxdy * np.abs(sum(etas)).sum(), rtol=1e-12)

@@ -13,8 +13,7 @@ from specret import (
     WindowFamily,
     WindowMember,
     add_noise,
-    assemble_alg1,
-    assemble_alg2,
+    assemble,
     build_frft_family,
     build_hermite_family,
     chirp_preset,
@@ -231,7 +230,7 @@ class TestRetrievalPlan:
         fam = build_hermite_family([10, 50, 100], grid)
         cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
         meas = measure_family(f, fam)
-        J = assemble_alg2(meas, make_plan(fam, grid, cfg))
+        J = assemble(meas, make_plan(fam, grid, cfg))
         # oracle: each measurement divided by its own window on its peeled region
         expected = np.zeros((grid.L, grid.L), dtype=complex)
         for mea, member, mask in zip(meas, fam.members,
@@ -246,7 +245,7 @@ class TestRetrievalPlan:
         fam = build_frft_family(15.0, 12, grid)
         cfg = RetrievalConfig(epsilon=1e-3)
         meas = measure_family(f, fam)
-        J = assemble_alg1(meas, make_plan(fam, grid, cfg))
+        J = assemble(meas, make_plan(fam, grid, cfg))
         # oracle: one spectrogram -> product transform per window, summed
         num = sum(spectrogram_to_product(mea).values for mea in meas)
         den = fam.summed_on_lattice(grid)
@@ -270,13 +269,34 @@ class TestRetrievalPlan:
         verify_noise_bounds(clean, noisy, fam, cfg)  # two assemblies, one plan
         assert [m.evaluator.calls for m in fam.members] == [1] * len(fam)
 
-    def test_plan_for_other_algorithm_rejected(self):
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_plan_groups(self, algorithm):
         grid = make_grid(8.0, 256)
-        fam = build_hermite_family([0, 3], grid)
-        meas = measure_family(gauss_signal(grid), fam)
-        plan = make_plan(fam, grid, RetrievalConfig(epsilon=1e-3, algorithm="alg2"))
-        with pytest.raises(ValueError):
-            assemble_alg1(meas, plan)
+        fam = build_hermite_family([0, 4, 9], grid)
+        plan = make_plan(fam, grid, RetrievalConfig(epsilon=1e-3, algorithm=algorithm))
+        if algorithm == "alg1":
+            assert plan.groups == ((0, 1, 2),)
+        else:
+            assert plan.groups == ((0,), (1,), (2,))
+        assert len(plan.regions) == len(plan.groups)
+
+    def test_alg1_hermite_divides_where_sum_magnitude_exceeds_tolerance(self):
+        # the summed Hermite ambiguity changes sign; alg1 divides wherever
+        # |sum A h_n| > eps, on its negative lobes too
+        grid = make_grid(8.0, 256)
+        fam = build_hermite_family([0, 4, 9], grid)
+        cfg = RetrievalConfig(epsilon=1e-3)
+        plan = make_plan(fam, grid, cfg)
+        summed = fam.summed_on_lattice(grid)
+        eps = raw_threshold(cfg, grid)
+        assert np.array_equal(plan.omega, np.abs(summed) > eps)
+        assert (plan.omega & (summed < -eps)).any()
+        assert np.array_equal(plan.den[plan.omega], summed[plan.omega])
+        meas = measure_family(gen_mixture(mixture_preset(), grid), fam)
+        J = assemble(meas, plan)
+        num = sum(spectrogram_to_product(mea).values for mea in meas)
+        expected = np.where(plan.omega, num / np.where(plan.omega, summed, 1.0), 0.0)
+        assert np.max(np.abs(J.values - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_alg2_tolerance_must_stay_below_unit_peak(self):
         grid = make_grid(8.0, 256)
@@ -309,10 +329,9 @@ class TestRetrievalPlan:
         grid = make_grid(8.0, 256)
         fam = build_hermite_family([0, 3], grid)
         meas = measure_family(gauss_signal(grid), fam)
-        cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
-        recon = run_alg2(meas, fam, cfg)
+        recon = run_alg2(meas, fam, RetrievalConfig(epsilon=1e-3, algorithm="alg2"))
         with pytest.raises(ValueError):
-            verify_noise_bounds(meas, meas, fam, cfg, algorithm="alg1", recon=recon)
+            verify_noise_bounds(meas, meas, fam, RetrievalConfig(epsilon=1e-3), recon=recon)
 
     def test_w1_omega_unchanged(self):
         # W1: the 40-angle a = 15 fan at T = 8, L = 1024, eps = 1e-3
@@ -325,7 +344,9 @@ class TestRetrievalPlan:
         for m in fam.members[1:]:
             den += eval_frft_gauss_ambiguity(15.0, m.evaluator.alpha, X, Y)
         assert np.array_equal(plan.omega, den > raw_threshold(cfg, grid))
-        assert np.max(np.abs(plan.den - den)) <= 1e-12 * np.max(den)
+        summed = fam.summed_on_lattice(grid)
+        assert np.max(np.abs(summed - den)) <= 1e-12 * np.max(den)
+        assert np.array_equal(plan.den[plan.omega], summed[plan.omega])
 
 
 def e_matrix_reconstruct(A, anchor=None):
@@ -366,14 +387,14 @@ class TestInversionOracle:
         f = gen_chirp(chirp_preset(), grid)
         fam = build_frft_family(15.0, 8, grid)
         cfg = RetrievalConfig(epsilon=1e-3)
-        self.check(assemble_alg1(measure_family(f, fam), make_plan(fam, grid, cfg)))
+        self.check(assemble(measure_family(f, fam), make_plan(fam, grid, cfg)))
 
     def test_alg2_assembly_non_dyadic(self):
         grid = make_grid(6.5, 250)
         f = gen_mixture(mixture_preset(), grid)
         fam = build_hermite_family([0, 10, 30], grid)
         cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
-        self.check(assemble_alg2(measure_family(f, fam), make_plan(fam, grid, cfg)))
+        self.check(assemble(measure_family(f, fam), make_plan(fam, grid, cfg)))
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("anchor", [None, 3, -40])

@@ -12,7 +12,6 @@ from specret import (
     make_grid,
     peel_masks,
     stability_mask,
-    summed_mask,
 )
 
 
@@ -188,10 +187,10 @@ class TestSummedMask:
         grid = make_grid(8.0, 512)
         fam = build_frft_family(10.0, 40, grid)
         rep = coverage_radii(10.0, 40, 0.1)
-        mask = summed_mask(fam, 0.1, grid)
+        bits = fam.summed_on_lattice(grid) > 0.1
         X, Y = np.meshgrid(grid.x, grid.y)
         inside = np.hypot(X, Y) <= rep.R1
-        assert np.all(mask.bits[inside])
+        assert np.all(bits[inside])
 
 
 class TestCoverageRadii:
