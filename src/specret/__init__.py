@@ -48,7 +48,6 @@ from .signals import (
     gen_chirp,
     gen_mixture,
     mixture_preset,
-    preset_grid,
 )
 from .special import (
     dilated_gauss_samples,

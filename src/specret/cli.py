@@ -91,12 +91,17 @@ def _build_signal(cfg: dict) -> tuple[Signal, int | None]:
     return gen_mixture(mixture_preset(), grid), None
 
 
+def _window_count(scheme: dict) -> int:
+    if scheme["kind"] == "frft_gauss":
+        return int(scheme["n_windows"]) if "n_windows" in scheme else len(scheme["angles"])
+    return len(scheme["degrees"])
+
+
 def _build_family(cfg: dict, grid: Grid):
     scheme = cfg["scheme"]
     if scheme["kind"] == "frft_gauss":
-        angles = scheme.get("angles")
-        n = int(scheme["n_windows"]) if "n_windows" in scheme else len(angles)
-        return build_frft_family(float(scheme["a"]), n, grid, angles=angles)
+        return build_frft_family(float(scheme["a"]), _window_count(scheme), grid,
+                                 angles=scheme.get("angles"))
     return build_hermite_family(scheme["degrees"], grid)
 
 
@@ -129,17 +134,14 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     L = int(cfg["grid"]["L"])
     if cfg["signal"]["kind"] == "wav":
         L = min(L, AUDIO_MAX_SAMPLES)
-    scheme = cfg["scheme"]
     if command == "coverage":
         held = 0
     elif command == "baseline":
         held = 1
     elif command == "random-study":
         held = int(cfg["study"]["count"])
-    elif scheme["kind"] == "frft_gauss":
-        held = int(scheme["n_windows"]) if "n_windows" in scheme else len(scheme["angles"])
     else:
-        held = len(scheme["degrees"])
+        held = _window_count(cfg["scheme"])
     if cfg["noise"]["model"] != "none":
         held *= 2
     return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS)

@@ -1,10 +1,23 @@
-"""Experiment configuration: a single JSON document, schema-validated,
-with CLI flags overriding fields one-to-one."""
+"""Experiment configuration: a single JSON document, validated against
+CONFIG_SCHEMA, with CLI flags overriding fields one-to-one.
+
+CONFIG_SCHEMA is a JSON Schema (Draft 2020-12) table that uses nine
+keywords: type, enum, properties, additionalProperties (false only),
+required, minimum, exclusiveMinimum, items and minItems.  `_validate`
+walks it directly, with JSON Schema's typing: a bool is neither a number
+nor an integer, a float with no fractional part such as 1.0 is an
+integer, and an enum never matches a bool (the table's enums hold only
+strings, so Python equality already ensures that).
+
+`load_config` validates the document once and the given CLI overrides
+once, then merges them over the defaults.  The defaults are valid
+constants and the merge only replaces or adds validated parts, so the
+merged config is not validated again.  The tests check the walker
+against the jsonschema package on generated documents.
+"""
 from __future__ import annotations
 
 import json
-
-import jsonschema
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -104,7 +117,6 @@ class ConfigError(ValueError):
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Merge defaults, an optional JSON document, and CLI overrides."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
-    cfg["algorithm"] = None
     if path is not None:
         try:
             with open(path) as fh:
@@ -113,9 +125,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         _validate(doc)
         _merge(cfg, doc)
-    if overrides:
-        _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
-    _validate({k: v for k, v in cfg.items() if v is not None})
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    _validate(overrides)
+    _merge(cfg, overrides)
     _check_semantics(cfg)
     return cfg
 
@@ -144,11 +156,49 @@ def _merge(base: dict, extra: dict):
             base[key] = value
 
 
-def _validate(doc: dict):
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+
+
+def _is(value, name: str) -> bool:
+    if name in _TYPES:
+        return isinstance(value, _TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return name == "number" or isinstance(value, int) or value.is_integer()
+
+
+def _validate(value, schema: dict = CONFIG_SCHEMA, where: str = "document"):
+    """Raise a one-line ConfigError naming the first field of `value` that
+    breaks `schema`."""
+    def fail(why: str):
+        raise ConfigError(f"invalid config: {where}: {why}")
+
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is(value, t) for t in types):
+        fail(f"{value!r} is not of type {' or '.join(types)}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']}")
+    if _is(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            fail(f"{value!r} is less than the minimum of {schema['minimum']}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            fail(f"{value!r} is not greater than {schema['exclusiveMinimum']}")
+    if _is(value, "array"):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"has {len(value)} items, fewer than the minimum of {schema['minItems']}")
+        for i, item in enumerate(value):
+            _validate(item, schema.get("items", {}), f"{where}[{i}]")
+    if _is(value, "object"):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", []):
+            if key not in value:
+                fail(f"missing the required field {key!r}")
+        for key, item in value.items():
+            if key in properties:
+                _validate(item, properties[key], key if where == "document" else f"{where}.{key}")
+            elif schema.get("additionalProperties") is False:
+                fail(f"unknown field {key!r}")
 
 
 def _check_semantics(cfg: dict):

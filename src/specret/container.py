@@ -4,17 +4,18 @@ Container layout (little-endian):
 
     magic     8 bytes  b"TFGRID01"
     version   u16      currently 1
-    kind      u16      1 real matrix | 2 complex matrix (+mask) | 3 signal | 4 mask RLE
+    kind      u16      3 signal | 4 mask RLE
     M, K      u64 x2   matrix shape: M = K = L (signals use M=1, K=L)
     dt, T     f64 x2   lattice parameters
     hop       u64      always 1
     desc_len  u32      UTF-8 descriptor length
     desc      bytes    window/source descriptor
 
-followed by a row-major payload: float64 for kind 1, complex128 plus a
-mask flag byte and a packed row-major bitmap for kind 2, complex128 for
-kind 3, and u64 run count plus u32 run lengths (alternating, starting
-with the False run) for kind 4.
+followed by the payload: complex128 samples for kind 3, and a u64 run
+count plus u32 run lengths of the row-major bitmap (alternating,
+starting with the False run) for kind 4.  Kinds 1 (real matrix) and 2
+(complex matrix with mask) are retired: no reader accepts them, so such
+files are refused as a kind mismatch.
 
 Every lattice is the square L x L grid; M, K and hop stay in the header
 for format compatibility, and readers reject any other values.
@@ -25,15 +26,11 @@ import struct
 
 import numpy as np
 
-from .ambiguity import AmbiguityGrid
 from .grid import Grid, Signal
-from .stft import Measurement
 from .windows import RegionMask
 
 MAGIC = b"TFGRID01"
 VERSION = 1
-KIND_REAL = 1
-KIND_COMPLEX = 2
 KIND_SIGNAL = 3
 KIND_MASK = 4
 
@@ -70,45 +67,6 @@ def _read_exact(fh, n: int) -> bytes:
     if len(raw) < n:
         raise OSError("truncated container payload")
     return raw
-
-
-def write_measurement(mea: Measurement, path):
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(KIND_REAL, mea.grid, mea.window_id))
-        fh.write(np.ascontiguousarray(mea.power, dtype="<f8").tobytes())
-
-
-def read_measurement(path) -> Measurement:
-    with open(path, "rb") as fh:
-        grid, desc = _read_header(fh, KIND_REAL, "measurement")
-        L = grid.L
-        power = np.frombuffer(_read_exact(fh, 8 * L * L), dtype="<f8").reshape(L, L)
-        return Measurement(grid=grid, window_id=desc, power=power.copy())
-
-
-def write_ambiguity(amb: AmbiguityGrid, path, desc: str = "ambiguity"):
-    with open(path, "wb") as fh:
-        fh.write(_pack_header(KIND_COMPLEX, amb.grid, desc))
-        fh.write(np.ascontiguousarray(amb.values, dtype="<c16").tobytes())
-        if amb.mask is None:
-            fh.write(b"\x00")
-        else:
-            fh.write(b"\x01")
-            fh.write(np.packbits(amb.mask.reshape(-1)).tobytes())
-
-
-def read_ambiguity(path) -> AmbiguityGrid:
-    with open(path, "rb") as fh:
-        grid, _ = _read_header(fh, KIND_COMPLEX, "ambiguity")
-        L = grid.L
-        values = np.frombuffer(_read_exact(fh, 16 * L * L), dtype="<c16").reshape(L, L)
-        flag = _read_exact(fh, 1)
-        mask = None
-        if flag == b"\x01":
-            nbytes = (L * L + 7) // 8
-            bits = np.unpackbits(np.frombuffer(_read_exact(fh, nbytes), dtype=np.uint8))
-            mask = bits[: L * L].astype(bool).reshape(L, L)
-        return AmbiguityGrid(grid=grid, values=values.copy(), mask=mask)
 
 
 def write_signal(sig: Signal, path, desc: str = "signal"):
@@ -157,14 +115,6 @@ def read_mask(path, epsilon: float = float("nan")) -> RegionMask:
 
 
 # ---------------------------------------------------------------- CSV
-
-def measurement_to_csv(mea: Measurement, path):
-    """RFC-4180 rows of the power matrix, one lattice row per line."""
-    with open(path, "w", newline="") as fh:
-        for row in mea.power:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\r\n")
-
 
 def signal_to_csv(sig: Signal, path):
     with open(path, "w", newline="") as fh:

@@ -10,7 +10,7 @@ is also the missing global phase angle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,20 +82,7 @@ class BoundReport:
     approx_slice_term: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "p": self.p,
-            "C_p": self.C_p,
-            "C_R_Omega": self.C_R_Omega,
-            "lhs_A_norm": self.lhs_A_norm,
-            "rhs_bound": self.rhs_bound,
-            "lhs_slice": self.lhs_slice,
-            "rhs_slice_bound": self.rhs_slice_bound,
-            "noise_norm": self.noise_norm,
-            "satisfied": list(self.satisfied),
-            "approx_term": self.approx_term,
-            "approx_slice_term": self.approx_slice_term,
-        }
+        return asdict(self)
 
 
 def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig,

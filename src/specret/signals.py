@@ -88,7 +88,3 @@ def mixture_preset() -> MixtureSpec:
         (1.0, 0.95),
         (2.0, 1.05),
     ))
-
-
-def preset_grid(L: int = 1024, T: float = 8.0) -> Grid:
-    return Grid(T=T, L=L)

@@ -272,6 +272,12 @@ class TestConfigErrors:
         assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x").exists()
 
+    def test_invalid_override_exit_2(self, tmp_path, capsys):
+        assert main(["retrieve", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("name, command", [
         (name, command) for name, (_, commands) in INVALID_VALUE_DOCS.items()
         for command in commands
@@ -320,19 +326,33 @@ class TestNumericErrors:
         assert len(err.strip().splitlines()) == 1
 
 
-def test_module_entry_point(tmp_path):
-    # `python -m specret` from an uninstalled checkout runs the same driver
+def checkout_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout."""
     src = str(Path(specret.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m specret` from an uninstalled checkout runs the same CLI
     cfg = write_config(tmp_path, grid={"T": 8.0, "L": 64})
     proc = subprocess.run(
         [sys.executable, "-m", "specret", "coverage", "--config", str(cfg),
          "--out", str(tmp_path / "cov")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=checkout_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cov" / "manifest.json").exists()
+
+
+def test_cli_import_leaves_out_jsonschema():
+    # jsonschema is a test-only dependency
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, specret.cli; print('jsonschema' in sys.modules)"],
+        env=checkout_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSizeGuard:

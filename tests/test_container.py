@@ -1,66 +1,30 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from specret import (
-    RegionMask,
-    Signal,
-    dilated_gauss_samples,
-    forward_stft,
-    make_grid,
-    numeric_ambiguity,
-    to_measurement,
-)
+from specret import RegionMask, dilated_gauss_samples, make_grid, numeric_ambiguity
 from specret.container import (
-    measurement_to_csv,
-    read_ambiguity,
     read_mask,
-    read_measurement,
     read_signal,
     signal_to_csv,
-    write_ambiguity,
     write_mask,
-    write_measurement,
     write_pgm_heatmap,
     write_pgm_mask,
     write_signal,
 )
 from conftest import random_signal
 
+KIND_OFFSET = 8 + 2  # magic, version
+HOP_OFFSET = 8 + 2 + 2 + 8 + 8 + 8 + 8  # magic, version, kind, M, K, dt, T
+
 
 @pytest.fixture()
-def measurement(grid256, rng):
-    f = random_signal(grid256, rng)
-    return to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid256),
-                                       window_id="gauss(a=1)"))
+def signal_file(grid256, rng, tmp_path):
+    p = tmp_path / "sig.bin"
+    write_signal(random_signal(grid256, rng), p)
+    return p
 
 
 class TestBinaryContainer:
-    def test_measurement_round_trip(self, measurement, tmp_path):
-        p = tmp_path / "mea.bin"
-        write_measurement(measurement, p)
-        back = read_measurement(p)
-        assert back.grid == measurement.grid
-        assert back.window_id == "gauss(a=1)"
-        assert np.array_equal(back.power, measurement.power)
-
-    def test_ambiguity_round_trip_with_mask(self, grid256, tmp_path):
-        amb = numeric_ambiguity(dilated_gauss_samples(2.0, grid256), grid256)
-        from specret import AmbiguityGrid
-        masked = AmbiguityGrid(grid=grid256, values=amb.values,
-                               mask=np.abs(amb.values) > 0.1)
-        p = tmp_path / "amb.bin"
-        write_ambiguity(masked, p)
-        back = read_ambiguity(p)
-        assert np.array_equal(back.values, masked.values)
-        assert np.array_equal(back.mask, masked.mask)
-
-    def test_ambiguity_round_trip_without_mask(self, grid256, tmp_path):
-        amb = numeric_ambiguity(dilated_gauss_samples(2.0, grid256), grid256)
-        p = tmp_path / "amb.bin"
-        write_ambiguity(amb, p)
-        assert read_ambiguity(p).mask is None
-
     def test_signal_round_trip(self, grid256, rng, tmp_path):
         f = random_signal(grid256, rng)
         p = tmp_path / "sig.bin"
@@ -85,50 +49,39 @@ class TestBinaryContainer:
             write_mask(RegionMask(grid=grid, bits=bits, epsilon=0.5), p)
             assert np.array_equal(read_mask(p).bits, bits)
 
-    def test_kind_mismatch_rejected(self, measurement, tmp_path):
-        p = tmp_path / "mea.bin"
-        write_measurement(measurement, p)
+    def test_kind_mismatch_rejected(self, signal_file):
         with pytest.raises(ValueError):
-            read_signal(p)
+            read_mask(signal_file)
+        raw = bytearray(signal_file.read_bytes())
+        for retired in (1, 2):  # the real and complex matrix kinds
+            raw[KIND_OFFSET:KIND_OFFSET + 2] = retired.to_bytes(2, "little")
+            signal_file.write_bytes(bytes(raw))
+            with pytest.raises(ValueError, match=f"got kind {retired}"):
+                read_signal(signal_file)
 
-    def test_truncation_detected(self, measurement, tmp_path):
-        p = tmp_path / "mea.bin"
-        write_measurement(measurement, p)
-        raw = p.read_bytes()
-        p.write_bytes(raw[: len(raw) // 2])
+    def test_truncation_detected(self, signal_file):
+        raw = signal_file.read_bytes()
+        signal_file.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(OSError):
-            read_measurement(p)
+            read_signal(signal_file)
 
-    def test_non_square_header_rejected(self, measurement, tmp_path):
-        p = tmp_path / "mea.bin"
-        write_measurement(measurement, p)
-        raw = bytearray(p.read_bytes())
-        hop_offset = 8 + 2 + 2 + 8 + 8 + 8 + 8  # magic, version, kind, M, K, dt, T
-        assert int.from_bytes(raw[hop_offset:hop_offset + 8], "little") == 1
-        raw[hop_offset:hop_offset + 8] = (2).to_bytes(8, "little")
-        p.write_bytes(bytes(raw))
+    def test_non_square_header_rejected(self, signal_file):
+        raw = bytearray(signal_file.read_bytes())
+        assert int.from_bytes(raw[HOP_OFFSET:HOP_OFFSET + 8], "little") == 1
+        raw[HOP_OFFSET:HOP_OFFSET + 8] = (2).to_bytes(8, "little")
+        signal_file.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
-            read_measurement(p)
+            read_signal(signal_file)
 
-    def test_bad_magic_rejected(self, measurement, tmp_path):
-        p = tmp_path / "mea.bin"
-        write_measurement(measurement, p)
-        raw = bytearray(p.read_bytes())
+    def test_bad_magic_rejected(self, signal_file):
+        raw = bytearray(signal_file.read_bytes())
         raw[:8] = b"NOTMAGIC"
-        p.write_bytes(bytes(raw))
+        signal_file.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
-            read_measurement(p)
+            read_signal(signal_file)
 
 
 class TestCsv:
-    def test_measurement_rows(self, measurement, tmp_path):
-        p = tmp_path / "mea.csv"
-        measurement_to_csv(measurement, p)
-        lines = p.read_bytes().split(b"\r\n")
-        assert len(lines) == measurement.grid.L + 1  # trailing newline
-        first = np.array([float(v) for v in lines[0].split(b",")])
-        assert_allclose(first, measurement.power[0], rtol=0, atol=0)
-
     def test_signal_columns(self, grid256, rng, tmp_path):
         f = random_signal(grid256, rng)
         p = tmp_path / "sig.csv"
