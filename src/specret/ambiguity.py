@@ -11,6 +11,13 @@ For the window families used here it has a closed form:
 The two evaluator classes cover these kinds (gauss(a) is frft_gauss(a, 0)).
 All are real-valued; gauss kinds are positive, the hermite kind changes
 sign across its n root circles.
+
+`FrftGaussAmbiguity.on_lattice` evaluates the rotated form a xr^2 + yr^2/a,
+which does not cancel at large a.  Given a floor it evaluates only the
+ellipse where the value exceeds the floor: on each row that is one x
+interval in closed form (`row_spans`), and bands of rows are evaluated on
+the box around their intervals.  A retrieval plan adds a whole fan into
+one buffer this way; see retrieval.py for the floor it uses.
 """
 from __future__ import annotations
 
@@ -70,6 +77,10 @@ def eval_hermite_ambiguity(n: int, x, y):
     return laguerre_function(n, np.pi * (x * x + y * y))
 
 
+# lattice rows evaluated together by a floored `FrftGaussAmbiguity.on_lattice`
+BAND_ROWS = 16
+
+
 class FrftGaussAmbiguity:
     def __init__(self, a: float, alpha: float):
         self.a = float(a)
@@ -78,19 +89,81 @@ class FrftGaussAmbiguity:
     def __call__(self, x, y):
         return eval_frft_gauss_ambiguity(self.a, self.alpha, x, y)
 
-    def on_lattice(self, grid: Grid) -> np.ndarray:
-        # a*xr^2 + yr^2/a = A x^2 + 2B xy + C y^2 for the rotated (xr, yr):
-        # one scaled outer product, two broadcast adds and one exp; the
-        # 1/sqrt(2) prefactor rides in the exponent as -ln(2)/2
+    def on_lattice(self, grid: Grid, floor: float = 0.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """The ambiguity on the (y, x) lattice, or added into `out`.
+
+        With floor > 0 the rows are taken BAND_ROWS at a time, and each
+        band evaluates only the box of columns spanned by its rows'
+        `row_spans` intervals; cells outside every box hold values <= floor
+        and stay 0 (or untouched in `out`).  Every cell is computed by
+        `_rotated` in the same order of operations, so an evaluated cell
+        has the same bits with or without a floor.
+        """
         if self.a <= 0:
             raise ValueError(f"dilation must be positive, got {self.a}")
-        a, c, s = self.a, np.cos(self.alpha), np.sin(self.alpha)
-        k = -np.pi / 2.0
+        c, s = np.cos(self.alpha), np.sin(self.alpha)
         x, y = grid.x, grid.y
-        out = np.multiply.outer(y * (2.0 * k * c * s * (1.0 / a - a)), x)
-        out += (k * (a * s * s + c * c / a) * y * y - 0.5 * np.log(2.0))[:, None]
-        out += k * (a * c * c + s * s / a) * x * x
-        return np.exp(out, out=out)
+        xc, xs, ys, yc = x * c, x * s, (y * s)[:, None], (y * c)[:, None]
+        if floor <= 0:
+            values = self._rotated(xc, xs, ys, yc)
+            if out is None:
+                return values
+            out += values
+            return out
+        L = grid.L
+        if out is None:
+            out = np.zeros((L, L))
+        lo, hi = self.row_spans(grid, floor)
+        starts = np.arange(0, L, BAND_ROWS)
+        first = np.minimum.reduceat(lo, starts)
+        last = np.maximum.reduceat(hi, starts)
+        for r0, c0, c1 in zip(starts.tolist(), first.tolist(), last.tolist()):
+            if c0 < c1:
+                r1 = r0 + BAND_ROWS
+                out[r0:r1, c0:c1] += self._rotated(xc[c0:c1], xs[c0:c1], ys[r0:r1], yc[r0:r1])
+        return out
+
+    def row_spans(self, grid: Grid, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        """Half-open column ranges [lo, hi), one per lattice row, holding
+        every cell of the row whose value exceeds floor, widened by one
+        cell on each side; rows with no such cell get lo = L, hi = 0.
+
+        The value exceeds floor where Q = A x^2 + 2B xy + C y^2 < K, with
+        K = (2/pi)(-ln floor - ln 2 / 2).  As AC - B^2 = 1, on row y that
+        is |x + By/A| < sqrt(AK - y^2) / A.
+        """
+        a, c, s = self.a, np.cos(self.alpha), np.sin(self.alpha)
+        A = a * c * c + s * s / a
+        B = c * s * (1.0 / a - a)
+        K = (2.0 / np.pi) * (-np.log(floor) - 0.5 * np.log(2.0))
+        y = grid.y
+        room = A * K - y * y
+        live = room > 0
+        half = np.sqrt(np.where(live, room, 0.0)) / A
+        centre = -B * y / A
+        x0, dt, L = grid.x[0], grid.dt, grid.L
+        lo = np.clip(np.ceil((centre - half - x0) / dt) - 1, 0, L)
+        hi = np.clip(np.floor((centre + half - x0) / dt) + 2, 0, L)
+        empty = ~live | (hi <= lo)
+        lo[empty] = L
+        hi[empty] = 0
+        return lo.astype(np.intp), hi.astype(np.intp)
+
+    def _rotated(self, xc, xs, ys, yc):
+        # (1/sqrt(2)) exp(-(pi/2)(a xr^2 + yr^2 / a)) at xr = x cos - y sin,
+        # yr = x sin + y cos, from the four products; the rotated form has
+        # no cancellation at large a, and 1/sqrt(2) rides in the exponent
+        q = xc - ys
+        q *= q
+        q *= self.a
+        yr = xs + yc
+        yr *= yr
+        yr /= self.a
+        q += yr
+        q *= -np.pi / 2.0
+        q -= 0.5 * np.log(2.0)
+        return np.exp(q, out=q)
 
     def __repr__(self):
         return f"FrftGaussAmbiguity(a={self.a}, alpha={self.alpha})"
@@ -103,7 +176,10 @@ class HermiteAmbiguity:
     def __call__(self, x, y):
         return eval_hermite_ambiguity(self.n, x, y)
 
-    def on_lattice(self, grid: Grid) -> np.ndarray:
+    def on_lattice(self, grid: Grid, floor: float = 0.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """The ambiguity on the (y, x) lattice, or added into `out`; every
+        cell is evaluated whatever the floor."""
         # radial dependence: run the Laguerre recurrence once on the quadrant
         # of z = pi r^2 values with x, y <= 0 and mirror it; index L/2 + j
         # mirrors L/2 - j, and index 0 (x = -T, y = -Nyquist) has no partner
@@ -112,7 +188,11 @@ class HermiteAmbiguity:
         y2 = grid.y[:h + 1] ** 2
         quadrant = laguerre_function(self.n, np.pi * (y2[:, None] + x2[None, :]))
         idx = np.concatenate([np.arange(h + 1), np.arange(h - 1, 0, -1)])
-        return quadrant[np.ix_(idx, idx)]
+        values = quadrant[np.ix_(idx, idx)]
+        if out is None:
+            return values
+        out += values
+        return out
 
     def __repr__(self):
         return f"HermiteAmbiguity(n={self.n})"

@@ -14,6 +14,17 @@ and tolerance, like an FFTW plan, evaluating each member's ambiguity
 once.  Since the spectrogram -> product map is linear, `assemble` sums a
 group's spectrograms and transforms the sum with one 2D FFT.
 
+A fractional-Gauss window's ambiguity is an ellipse that covers a few
+percent of the lattice, so `peel` evaluates each one only where it
+exceeds floor = windows.LATTICE_FLOOR * eps = 1e-20 * eps.  The
+cells left out hold positive values <= floor, so a group of N windows
+loses at most N * floor, about 1e-18 of eps for a 40-window fan: a cell's
+sum can cross eps only if it lies that close to eps, so omega is the
+full lattices' omega.  Every evaluated cell has the bits of the full
+lattice, and on omega the dropped terms lie below the rounding of the
+much larger sum, so den has matched the full-lattice sum there bit for
+bit on W1 and on every family the property test draws.
+
 Tolerance convention
 --------------------
 ``RetrievalConfig.epsilon`` is expressed on the discrete scale of an

@@ -16,6 +16,14 @@ from .grid import Grid
 from .special import dilated_gauss_samples, frft_gauss_samples, hermite_samples
 
 
+# window-ambiguity cells at or below this fraction of the threshold are
+# not evaluated when `peel` sums a group (see "Retrieval plan" in retrieval.py)
+LATTICE_FLOOR = 1e-20
+# largest relative deviation of a fan window's grid energy dt * sum |g|^2
+# from its closed-form norm^2; resolved windows deviate by under 1e-3
+ENERGY_TOLERANCE = 0.5
+
+
 @dataclass(frozen=True)
 class WindowMember:
     window_id: str
@@ -75,6 +83,8 @@ def build_frft_family(a: float, N: int, grid: Grid,
 
     Default angles are alpha_j = (j-1)*pi/N for j = 1..N; pass an explicit
     angle list to reproduce other conventions (e.g. 80 angles spaced pi/40).
+    Raises ValueError for a window whose grid energy is more than
+    ENERGY_TOLERANCE (relative) away from its closed-form norm^2.
     """
     if a <= 0:
         raise ValueError(f"dilation must be positive, got {a}")
@@ -86,11 +96,20 @@ def build_frft_family(a: float, N: int, grid: Grid,
         raise ValueError(f"angle list has {len(angles)} entries, expected N={N}")
     members = []
     for alpha in angles:
-        members.append(WindowMember(
-            window_id=f"frft_gauss(a={a:g}, alpha={alpha:.6f})",
-            samples=frft_gauss_samples(a, alpha, grid),
-            evaluator=FrftGaussAmbiguity(a, alpha),
-        ))
+        window_id = f"frft_gauss(a={a:g}, alpha={alpha:.6f})"
+        samples = frft_gauss_samples(a, alpha, grid)
+        # the closed-form norm^2 is A g(0, 0) = 1/sqrt(2); a window far
+        # narrower than dt or wider than the grid samples to a spike or a
+        # truncated plateau that no denominator can divide out
+        energy = grid.dt * np.vdot(samples, samples).real
+        deviation = abs(energy * np.sqrt(2.0) - 1.0)
+        if not deviation <= ENERGY_TOLERANCE:
+            raise ValueError(
+                f"{window_id} is not resolved by the grid (T={grid.T:g}, L={grid.L}): "
+                f"its grid energy {energy:.4g} is {deviation:.3g} away from 1/sqrt(2) "
+                f"in relative terms, above the {ENERGY_TOLERANCE:g} tolerance")
+        members.append(WindowMember(window_id=window_id, samples=samples,
+                                    evaluator=FrftGaussAmbiguity(a, alpha)))
     return WindowFamily(members=tuple(members), scheme="frft_gauss")
 
 
@@ -147,14 +166,22 @@ def peel(family: WindowFamily, groups, epsilon: float, grid: Grid):
 
     Yields (summed A g on the lattice, claimed bits), one pair per group in
     group order; each ambiguity is evaluated once, and only one group's sum
-    is alive at a time.
+    is alive at a time.  The first member of a group returns the group's
+    buffer and every later member adds into it, so a one-member group holds
+    no second L x L array.  The members are evaluated with the floor
+    LATTICE_FLOOR * epsilon, so a Gauss member leaves out its cells at or
+    below it; those add at most N * floor to a sum of N members, and the
+    claimed bits are those of the full lattices (see retrieval.py).
     """
+    floor = LATTICE_FLOOR * epsilon
     claimed = np.zeros((grid.L, grid.L), dtype=bool)
     for group in groups:
-        values = family.members[group[0]].evaluator.on_lattice(grid)
+        values = family.members[group[0]].evaluator.on_lattice(grid, floor)
         for j in group[1:]:
-            values += family.members[j].evaluator.on_lattice(grid)
-        bits = (np.abs(values) > epsilon) & ~claimed
+            family.members[j].evaluator.on_lattice(grid, floor, out=values)
+        bits = values > epsilon  # |values| > epsilon without an L x L float temporary
+        bits |= values < -epsilon
+        bits &= ~claimed
         claimed |= bits
         yield values, bits
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from specret import Signal, make_grid
 
@@ -25,3 +26,12 @@ def random_signal(grid, rng, localized=True):
     if localized:
         values = values * np.exp(-0.5 * (grid.t / (grid.T / 3)) ** 2)
     return Signal(grid=grid, values=values)
+
+
+# fan-window parameters for the floored-lattice properties: dilations from far
+# below to far above a grid's resolution, the angles 0 and pi/2 exactly (where
+# sin or cos is 0 or 6e-17), tolerances, and a non-dyadic and a dyadic grid
+DILATIONS = st.floats(-3.0, 16.0).map(lambda e: 10.0 ** e)
+ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi))
+EPSILONS = st.sampled_from([1e-6, 1e-3, 0.1, 0.5])
+GRIDS = st.sampled_from([(1.3, 250), (8.0, 256)])

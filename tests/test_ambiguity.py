@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from specret import (
@@ -24,6 +25,8 @@ from specret import (
     to_measurement,
 )
 from specret.ambiguity import xy_phase
+from specret.windows import LATTICE_FLOOR
+from conftest import ANGLES, DILATIONS, EPSILONS, GRIDS
 
 
 class TestClosedForms:
@@ -188,8 +191,8 @@ class TestEvaluatorObjects:
 
 
 class TestGaussLattice:
-    """The expanded-quadratic-form `FrftGaussAmbiguity.on_lattice` against
-    the closed form evaluated on a meshgrid."""
+    """The rotated-form `FrftGaussAmbiguity.on_lattice` against the closed
+    form evaluated on a meshgrid."""
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 15.0])
     @pytest.mark.parametrize("alpha", [0.0, np.pi / 7, np.pi / 2, 3 * np.pi / 4])
@@ -201,9 +204,49 @@ class TestGaussLattice:
         got = FrftGaussAmbiguity(a, alpha).on_lattice(grid)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("a", [1e8, 1e12, 1e16])
+    def test_large_dilation_has_no_cancellation(self, a):
+        # an expanded quadratic form A x^2 + 2B xy + C y^2 cancels terms of
+        # size a here; the rotated form does not
+        grid = make_grid(8.0, 64)
+        X, Y = np.meshgrid(grid.x, grid.y)
+        for alpha in np.pi * np.arange(8) / 8:
+            want = eval_frft_gauss_ambiguity(a, alpha, X, Y)
+            got = FrftGaussAmbiguity(a, alpha).on_lattice(grid)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_rejects_nonpositive_dilation(self, grid256):
         with pytest.raises(ValueError):
             FrftGaussAmbiguity(0.0, 0.3).on_lattice(grid256)
+
+
+class TestFlooredGaussLattice:
+    """`on_lattice` with a floor against the full lattice it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=DILATIONS, alpha=ANGLES, epsilon=EPSILONS, shape=GRIDS)
+    def test_spans_hold_every_cell_above_floor(self, a, alpha, epsilon, shape):
+        grid = make_grid(*shape)
+        floor = LATTICE_FLOOR * epsilon * grid.dt  # a plan's floor at this tolerance
+        ev = FrftGaussAmbiguity(a, alpha)
+        full = ev.on_lattice(grid)
+        lo, hi = ev.row_spans(grid, floor)
+        cols = np.arange(grid.L)
+        inside = (cols >= lo[:, None]) & (cols < hi[:, None])
+        assert not (full > floor)[~inside].any()
+        # evaluated cells carry the full lattice's bits, the rest stay 0
+        part = ev.on_lattice(grid, floor)
+        assert np.array_equal(part[inside], full[inside])
+        assert ((part == full) | (part == 0)).all()
+        into = np.ones((grid.L, grid.L))
+        assert ev.on_lattice(grid, floor, out=into) is into
+        assert np.array_equal(into, 1.0 + part)
+
+    def test_floor_above_peak_evaluates_nothing(self, grid256):
+        ev = FrftGaussAmbiguity(15.0, 0.3)
+        lo, hi = ev.row_spans(grid256, 1.0)
+        assert (lo >= hi).all()
+        assert not ev.on_lattice(grid256, 1.0).any()
 
 
 class TestPhaseTable:

@@ -83,7 +83,8 @@ class TestRetrieve:
         degrees = []
         original = HermiteAmbiguity.on_lattice
         monkeypatch.setattr(HermiteAmbiguity, "on_lattice",
-                            lambda self, grid: degrees.append(self.n) or original(self, grid))
+                            lambda self, grid, *args, **kwargs:
+                            degrees.append(self.n) or original(self, grid, *args, **kwargs))
         out = tmp_path / "run"
         assert main(["retrieve", "--config", str(path), "--out", str(out)]) == 0
         assert degrees == [0, 5]
@@ -289,6 +290,17 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["retrieve", "coverage"])
+    def test_unresolved_fan_window_exit_2(self, tmp_path, capsys, command):
+        # at a = 1e12 every window samples to one spike at t = 0, which no
+        # denominator can divide out
+        path = write_config(tmp_path, scheme={"kind": "frft_gauss", "a": 1e12, "n_windows": 40})
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: frft_gauss(a=1e+12, alpha=0.000000)")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x").exists()
 
 
 class TestNumericErrors:

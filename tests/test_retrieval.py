@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from specret import (
@@ -39,6 +41,7 @@ from specret import (
     to_measurement,
     verify_noise_bounds,
 )
+from conftest import ANGLES, DILATIONS, EPSILONS, GRIDS
 
 
 def gauss_signal(grid, a=1.0):
@@ -193,9 +196,9 @@ class CountingEvaluator:
         self.inner = inner
         self.calls = 0
 
-    def on_lattice(self, grid):
+    def on_lattice(self, grid, *args, **kwargs):
         self.calls += 1
-        return self.inner.on_lattice(grid)
+        return self.inner.on_lattice(grid, *args, **kwargs)
 
 
 def counted(family):
@@ -347,6 +350,33 @@ class TestRetrievalPlan:
         summed = fam.summed_on_lattice(grid)
         assert np.max(np.abs(summed - den)) <= 1e-12 * np.max(den)
         assert np.array_equal(plan.den[plan.omega], summed[plan.omega])
+
+
+class TestFlooredPlan:
+    """`make_plan`, which evaluates each Gauss window only above a floor,
+    against the full-lattice sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=DILATIONS, angles=st.lists(ANGLES, min_size=1, max_size=5),
+           epsilon=EPSILONS, shape=GRIDS)
+    def test_omega_and_den_match_full_lattice_sum(self, a, angles, epsilon, shape):
+        grid = make_grid(*shape)
+        # built from evaluators: most of these dilations fail the energy
+        # check of build_frft_family on these grids
+        fam = WindowFamily(members=[
+            WindowMember(window_id=str(j), samples=np.zeros(grid.L),
+                         evaluator=FrftGaussAmbiguity(a, alpha))
+            for j, alpha in enumerate(angles)], scheme="frft_gauss")
+        cfg = RetrievalConfig(epsilon=epsilon)
+        summed = fam.summed_on_lattice(grid)
+        omega = summed > raw_threshold(cfg, grid)
+        if not omega.any():
+            with pytest.raises(EmptyMaskError):
+                make_plan(fam, grid, cfg)
+            return
+        plan = make_plan(fam, grid, cfg)
+        assert np.array_equal(plan.omega, omega)
+        assert np.array_equal(plan.den[omega], summed[omega])
 
 
 def e_matrix_reconstruct(A, anchor=None):

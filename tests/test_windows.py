@@ -69,6 +69,20 @@ class TestFamilies:
         with pytest.raises(ValueError):
             build_frft_family(2.0, 0, grid256)
 
+    @pytest.mark.parametrize("a", [1e8, 1e12, 1e16])
+    def test_frft_rejects_windows_the_grid_cannot_resolve(self, grid256, a):
+        # at T=8, L=256 such a window samples to one spike at t=0
+        with pytest.raises(ValueError, match=r"frft_gauss\(a=1e\+\d+, alpha=0\.000000\)"):
+            build_frft_family(a, 4, grid256)
+
+    def test_frft_resolved_energy(self, grid256):
+        # resolved windows keep their closed-form norm^2 1/sqrt(2) on the grid
+        for a in (1.0, 15.0, 50.0):
+            fam = build_frft_family(a, 40, grid256)
+            for m in fam.members:
+                energy = grid256.dt * np.sum(np.abs(m.samples) ** 2)
+                assert abs(energy * np.sqrt(2.0) - 1.0) <= 1e-3
+
     def test_summed_rotation_invariance(self, grid256, rng):
         # rotating by the angular step maps the family onto itself
         N = 8
