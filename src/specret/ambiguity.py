@@ -13,11 +13,13 @@ All are real-valued; gauss kinds are positive, the hermite kind changes
 sign across its n root circles.
 
 `FrftGaussAmbiguity.on_lattice` evaluates the rotated form a xr^2 + yr^2/a,
-which does not cancel at large a.  Given a floor it evaluates only the
-ellipse where the value exceeds the floor: on each row that is one x
-interval in closed form (`row_spans`), and bands of rows are evaluated on
-the box around their intervals.  A retrieval plan adds a whole fan into
-one buffer this way; see retrieval.py for the floor it uses.
+which does not cancel at large a, in one loop over bands of rows.  Given
+a floor > 0 it evaluates only the ellipse where the value exceeds the
+floor: on each row that is one x interval in closed form (`row_spans`),
+and each band is evaluated on the box around its rows' intervals; with
+no floor every row spans the whole lattice.  A window family adds its
+members into one buffer this way; see retrieval.py for the floor a
+retrieval plan uses.
 """
 from __future__ import annotations
 
@@ -77,7 +79,7 @@ def eval_hermite_ambiguity(n: int, x, y):
     return laguerre_function(n, np.pi * (x * x + y * y))
 
 
-# lattice rows evaluated together by a floored `FrftGaussAmbiguity.on_lattice`
+# lattice rows evaluated together by `FrftGaussAmbiguity.on_lattice`
 BAND_ROWS = 16
 
 
@@ -91,33 +93,28 @@ class FrftGaussAmbiguity:
 
     def on_lattice(self, grid: Grid, floor: float = 0.0,
                    out: np.ndarray | None = None) -> np.ndarray:
-        """The ambiguity on the (y, x) lattice, or added into `out`.
+        """The ambiguity on the (y, x) lattice, added into `out` (zeros if None).
 
-        With floor > 0 the rows are taken BAND_ROWS at a time, and each
-        band evaluates only the box of columns spanned by its rows'
-        `row_spans` intervals; cells outside every box hold values <= floor
-        and stay 0 (or untouched in `out`).  Every cell is computed by
-        `_rotated` in the same order of operations, so an evaluated cell
-        has the same bits with or without a floor.
+        The rows are taken BAND_ROWS at a time, and each band evaluates
+        only the box of columns spanned by its rows' `row_spans` intervals;
+        with floor <= 0 every row spans [0, L).  Cells outside every box
+        hold values <= floor and are left untouched.  Every cell is
+        computed by `_rotated` in the same order of operations, so an
+        evaluated cell has the same bits whatever the floor.
         """
         if self.a <= 0:
             raise ValueError(f"dilation must be positive, got {self.a}")
         c, s = np.cos(self.alpha), np.sin(self.alpha)
-        x, y = grid.x, grid.y
+        x, y, L = grid.x, grid.y, grid.L
         xc, xs, ys, yc = x * c, x * s, (y * s)[:, None], (y * c)[:, None]
-        if floor <= 0:
-            values = self._rotated(xc, xs, ys, yc)
-            if out is None:
-                return values
-            out += values
-            return out
-        L = grid.L
         if out is None:
             out = np.zeros((L, L))
-        lo, hi = self.row_spans(grid, floor)
         starts = np.arange(0, L, BAND_ROWS)
-        first = np.minimum.reduceat(lo, starts)
-        last = np.maximum.reduceat(hi, starts)
+        if floor > 0:
+            lo, hi = self.row_spans(grid, floor)
+            first, last = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+        else:
+            first, last = np.zeros_like(starts), np.full_like(starts, L)
         for r0, c0, c1 in zip(starts.tolist(), first.tolist(), last.tolist()):
             if c0 < c1:
                 r1 = r0 + BAND_ROWS
@@ -213,10 +210,10 @@ def xy_phase(grid: Grid, sign: int) -> np.ndarray:
     return table[idx]
 
 
-def numeric_ambiguity(g: np.ndarray, grid: Grid, *, window_id: str = "window") -> AmbiguityGrid:
+def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:
     """Compute A g on the lattice via V_g g = forward_stft(g, g)."""
     sig = Signal(grid=grid, values=np.asarray(g, dtype=np.complex128))
-    c = forward_stft(sig, g, grid, window_id=window_id)
+    c = forward_stft(sig, g, grid)
     return AmbiguityGrid(grid=grid, values=c.values * xy_phase(grid, 1), mask=None)
 
 

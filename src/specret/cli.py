@@ -9,6 +9,7 @@ overflow, division by zero or NaN in a run), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -200,8 +201,6 @@ class ArtifactWriter:
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -247,7 +246,7 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     extra = {}
     if cfg["noise"]["model"] != "none":
         report = verify_noise_bounds(clean, measurements, family, rcfg, recon=recon)
-        extra["noise_bounds"] = report.as_dict()
+        extra["noise_bounds"] = dataclasses.asdict(report)
     _emit_reconstruction(writer, cfg, recon, f, rate, extra)
     writer.finish()
     return 0
@@ -257,7 +256,7 @@ def cmd_baseline(cfg: dict, out_dir: Path) -> int:
     """Single standard-Gauss window baseline at the configured tolerance."""
     f, rate = _build_signal(cfg)
     member = gauss_window_member(1.0, f.grid)
-    mea = to_measurement(forward_stft(f, member.samples, f.grid, window_id=member.window_id))
+    mea = to_measurement(forward_stft(f, member.samples, f.grid))
     mea = _apply_noise([mea], cfg)[0]
     rcfg = _retrieval_config(cfg)
     recon = single_window_retrieve(mea, member.evaluator, rcfg)
@@ -284,7 +283,7 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
         if emit.get("pgm", True):
             container.write_pgm_heatmap(summed, writer.path("summed_ambiguity.pgm"))
             writer.record("summed_ambiguity.pgm")
-        union = RegionMask(grid=grid, bits=summed > eps, epsilon=eps)
+        union = RegionMask(grid=grid, bits=summed > eps)
         a = float(cfg["scheme"]["a"])
         N = len(family.members)
         if a > 1 and N >= 3 and eps < 2 ** -0.5:
@@ -306,7 +305,7 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
                 name = f"mask_{member.window_id.replace('(', '_').replace(')', '').replace('=', '')}.pgm"
                 container.write_pgm_mask(mask.bits, writer.path(name))
                 writer.record(name)
-        union = RegionMask(grid=grid, bits=bits, epsilon=eps)
+        union = RegionMask(grid=grid, bits=bits)
         payload["member_areas"] = [m.area() for m in masks]
     if emit.get("pgm", True):
         container.write_pgm_mask(union.bits, writer.path("union_mask.pgm"))
@@ -370,7 +369,7 @@ def cmd_verify_bounds(cfg: dict, out_dir: Path) -> int:
     noisy = _apply_noise(clean, cfg)
     report = verify_noise_bounds(clean, noisy, family, rcfg, f_true=f)
     writer = ArtifactWriter(out_dir, "verify-bounds", cfg)
-    writer.write_json("bounds.json", report.as_dict())
+    writer.write_json("bounds.json", dataclasses.asdict(report))
     ok = all(report.satisfied)
     print(f"noise bounds satisfied: {ok}")
     writer.finish()

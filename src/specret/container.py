@@ -101,7 +101,7 @@ def write_mask(mask: RegionMask, path, desc: str = "mask"):
         fh.write(runs.astype("<u4").tobytes())
 
 
-def read_mask(path, epsilon: float = float("nan")) -> RegionMask:
+def read_mask(path) -> RegionMask:
     with open(path, "rb") as fh:
         grid, _ = _read_header(fh, KIND_MASK, "mask")
         L = grid.L
@@ -111,7 +111,7 @@ def read_mask(path, epsilon: float = float("nan")) -> RegionMask:
         flat = np.repeat(vals, runs)
         if flat.size != L * L:
             raise ValueError(f"mask runs cover {flat.size} cells, lattice has {L * L}")
-        return RegionMask(grid=grid, bits=flat.reshape(L, L), epsilon=epsilon)
+        return RegionMask(grid=grid, bits=flat.reshape(L, L))
 
 
 # ---------------------------------------------------------------- CSV

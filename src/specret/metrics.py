@@ -10,11 +10,12 @@ is also the missing global phase angle.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguity import AmbiguityGrid, numeric_ambiguity
+from .exceptions import GridMismatchError
 from .grid import Signal
 from .retrieval import (
     Reconstruction,
@@ -81,9 +82,6 @@ class BoundReport:
     approx_term: float | None = None
     approx_slice_term: float | None = None
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig,
                         p: float = 2.0, f_true: Signal | None = None,
@@ -94,26 +92,25 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
     plan of cfg.algorithm and compares ||A - A^eta|| in the mixed L^{p,1}
     norm (and the x=0 slice in L1) against the constants-times-noise
     bounds.  Given `recon`, the retrieval of `noisy` with this family, its
-    plan and its assembly are reused as the plan and A^eta.  With the true
+    plan and its assembly are reused as the plan and A^eta; the plan must
+    have cfg's algorithm and threshold, or ValueError is raised.  With the true
     signal supplied, also reports the approximation-error terms (the
     ambiguity mass left outside the reconstruction region).
     """
-    if len(clean) != len(noisy):
-        raise ValueError("clean and noisy measurement sets differ in length")
-    for c, n in zip(clean, noisy):
-        if c.power.shape != n.power.shape:
-            raise ValueError("mismatched measurement shapes")
     grid = measurement_grid(clean, len(family))
+    if measurement_grid(noisy, len(family)) != grid:
+        raise GridMismatchError("clean and noisy measurements live on different grids")
+    eps = raw_threshold(cfg, grid)
     if recon is None:
         plan = make_plan(family, grid, cfg)
         A_eta = assemble(noisy, plan)
     else:
         plan, A_eta = recon.plan, recon.ambiguity
-        if plan is None or plan.algorithm != cfg.algorithm:
-            raise ValueError(f"recon was not assembled with an {cfg.algorithm} plan")
+        if plan is None or (plan.algorithm, plan.epsilon) != (cfg.algorithm, eps):
+            raise ValueError(f"recon was not assembled with an {cfg.algorithm} plan "
+                             f"at threshold {eps:g}")
     A = assemble(clean, plan)
     dx, dy = grid.dt, grid.dy
-    eps = raw_threshold(cfg, grid)
     noise_norm = 0.0
     for group in plan.groups:  # one summed noise array alive at a time
         eta = noisy[group[0]].power - clean[group[0]].power
@@ -135,7 +132,7 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
 
     approx = approx_slice = None
     if f_true is not None:
-        Af = numeric_ambiguity(f_true.values, grid, window_id="true signal")
+        Af = numeric_ambiguity(f_true.values, grid)
         outside = np.where(omega, 0.0, Af.values)
         approx = _mixed_norm(outside, dx, dy, p)
         approx_slice = dy * float(np.sum(np.abs(outside[:, k0])))

@@ -82,10 +82,7 @@ def raw_threshold(cfg: RetrievalConfig, grid: Grid) -> float:
 
 def measure_family(f: Signal, family: WindowFamily) -> list[Measurement]:
     """Noiseless squared-magnitude measurements, one per family member."""
-    return [
-        to_measurement(forward_stft(f, m.samples, f.grid, window_id=m.window_id))
-        for m in family.members
-    ]
+    return [to_measurement(forward_stft(f, m.samples, f.grid)) for m in family.members]
 
 
 def measurement_grid(measurements, n_windows: int) -> Grid:
@@ -102,6 +99,7 @@ def measurement_grid(measurements, n_windows: int) -> Grid:
 class RetrievalPlan(NamedTuple):
     """The measurement-independent part of an assembly, built once by `make_plan`.
 
+    epsilon is the raw threshold the regions were cut at (`raw_threshold`).
     groups partitions the member indices in order (alg1: one group of all,
     alg2: one per member).  regions are disjoint boolean (L, L) masks, one
     per group, and omega is their union.  den is real, shape (L, L): on each
@@ -113,6 +111,7 @@ class RetrievalPlan(NamedTuple):
 
     grid: Grid
     algorithm: str
+    epsilon: float
     groups: tuple
     den: np.ndarray
     regions: tuple
@@ -140,7 +139,7 @@ def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> Retriev
     omega = reduce(np.logical_or, regions)
     if not omega.any():
         raise EmptyMaskError("no window group's ambiguity exceeds the tolerance")
-    return RetrievalPlan(grid=grid, algorithm=cfg.algorithm, groups=groups,
+    return RetrievalPlan(grid=grid, algorithm=cfg.algorithm, epsilon=eps, groups=groups,
                          den=den, regions=tuple(regions), omega=omega)
 
 
@@ -161,7 +160,7 @@ def assemble(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
             power = mea.power.copy(order="K")  # keep the powers' own layout
             for j in group[1:]:
                 power += measurements[j].power
-            mea = Measurement(grid=grid, window_id="sum", power=power)
+            mea = Measurement(grid=grid, power=power)
         G = spectrogram_to_product(mea).values
         if J is None:  # reuse the first product as J: no zeroed L x L buffer
             J = G
@@ -200,13 +199,8 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
 
     # anchor profile from the x=0 column
     wprof = sgn * (scale * U[:, k0])  # w carries a (-1)^l factor
-    if cfg.anchor is not None:
-        anchor = int(cfg.anchor) % L
-    else:
-        if slice_l1 <= 0 or np.max(np.abs(wprof)) < 1e-10 * slice_l1:
-            raise DegenerateAnchorError("anchor profile is numerically zero")
-        anchor = int(np.argmax(np.abs(wprof)))
-    u0 = wprof[anchor]
+    anchor = int(np.argmax(np.abs(wprof))) if cfg.anchor is None else int(cfg.anchor) % L
+    u0 = wprof[anchor]  # at the auto anchor |u0| = max |w|, so one check covers both
     if slice_l1 <= 0 or abs(u0) < 1e-10 * slice_l1:
         raise DegenerateAnchorError(f"anchor {anchor} has |u_c(0)| ~ 0")
 
@@ -249,7 +243,7 @@ def single_window_retrieve(measurement: Measurement, evaluator,
                            cfg: RetrievalConfig) -> Reconstruction:
     """Single-window pointwise inversion (the instability baseline)."""
     family = WindowFamily(
-        members=(WindowMember(window_id=measurement.window_id,
+        members=(WindowMember(window_id=repr(evaluator),
                               samples=np.zeros(measurement.grid.L),
                               evaluator=evaluator),),
         scheme="single",

@@ -130,13 +130,8 @@ def frft_gauss_coeffs(a: float, alpha: float) -> tuple[complex, complex]:
     return complex(C), complex(w)
 
 
-def frft_gauss_values(a: float, alpha: float, u) -> np.ndarray:
-    """F_alpha phi_a evaluated at arbitrary points (a chirped Gaussian)."""
-    C, w = frft_gauss_coeffs(a, alpha)
-    u = np.asarray(u, dtype=float)
-    return C * np.exp(-np.pi * w * u * u)
-
-
 def frft_gauss_samples(a: float, alpha: float, grid: Grid) -> np.ndarray:
-    """Samples of the fractional Fourier transform of phi_a on the time lattice."""
-    return frft_gauss_values(a, alpha, grid.t).astype(np.complex128)
+    """Samples of the fractional Fourier transform of phi_a (a chirped
+    Gaussian) on the time lattice."""
+    C, w = frft_gauss_coeffs(a, alpha)
+    return C * np.exp(-np.pi * w * grid.t * grid.t)

@@ -19,6 +19,10 @@ powers `to_measurement` takes from them, are therefore Fortran-ordered.
 Elementwise consumers see the same values in either layout; a running
 sum of powers should keep their layout (``copy(order="K")``), since a
 C-ordered accumulator makes every add a strided transpose.
+
+The records hold a grid and values only: which window a measurement came
+from is its position in the family, and the noise model, level and seed
+are part of the run's config.
 """
 from __future__ import annotations
 
@@ -29,13 +33,10 @@ import numpy as np
 from .exceptions import GridMismatchError
 from .grid import Grid, Signal
 
-RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
-
 
 @dataclass(frozen=True)
 class StftCoeffs:
     grid: Grid
-    window_id: str
     values: np.ndarray  # complex, shape (L, L)
 
     def __post_init__(self):
@@ -48,9 +49,7 @@ class StftCoeffs:
 @dataclass(frozen=True)
 class Measurement:
     grid: Grid
-    window_id: str
     power: np.ndarray  # real, shape (L, L), |V_g f|^2 (possibly noisy)
-    noise_meta: dict | None = None
 
     def __post_init__(self):
         p = np.asarray(self.power, dtype=np.float64)
@@ -61,8 +60,7 @@ class Measurement:
         object.__setattr__(self, "power", p)
 
 
-def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None,
-                 window_id: str = "window") -> StftCoeffs:
+def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None) -> StftCoeffs:
     """STFT coefficients of f against the periodized window g.
 
     Factors the defining sum through length-L FFTs: the exponential
@@ -95,13 +93,12 @@ def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None,
     out = np.fft.fft(prod, axis=1)
     del prod
     out *= (grid.dt * const) * sgn  # sign flips are exact, so one pass for both factors
-    return StftCoeffs(grid=grid, window_id=window_id, values=out.T)
+    return StftCoeffs(grid=grid, values=out.T)
 
 
 def to_measurement(c: StftCoeffs) -> Measurement:
     """Squared-magnitude measurement |V_g f|^2 of a coefficient matrix."""
-    return Measurement(grid=c.grid, window_id=c.window_id,
-                       power=np.abs(c.values) ** 2, noise_meta=None)
+    return Measurement(grid=c.grid, power=np.abs(c.values) ** 2)
 
 
 def stft_energy(c: StftCoeffs) -> float:
@@ -135,5 +132,4 @@ def add_noise(mea: Measurement, model: str, level: float, seed: int) -> Measurem
         power += 1.0
         np.square(power, out=power)
         power *= mea.power
-    meta = {"model": model, "level": float(level), "seed": int(seed), "rng": RNG_ALGORITHM}
-    return Measurement(grid=mea.grid, window_id=mea.window_id, power=power, noise_meta=meta)
+    return Measurement(grid=mea.grid, power=power)

@@ -45,10 +45,11 @@ class WindowFamily:
         return len(self.members)
 
     def summed_on_lattice(self, grid: Grid) -> np.ndarray:
-        """Sum of the member ambiguities on the lattice, added in member order."""
+        """Sum of the member ambiguities on the lattice, added in member
+        order into the first member's buffer."""
         out = self.members[0].evaluator.on_lattice(grid)
         for m in self.members[1:]:
-            out += m.evaluator.on_lattice(grid)
+            m.evaluator.on_lattice(grid, out=out)
         return out
 
 
@@ -56,7 +57,6 @@ class WindowFamily:
 class RegionMask:
     grid: Grid
     bits: np.ndarray  # bool, shape (L, L)
-    epsilon: float
 
     def __post_init__(self):
         b = np.asarray(self.bits, dtype=bool)
@@ -150,7 +150,7 @@ def stability_mask(evaluator, epsilon: float, grid: Grid) -> RegionMask:
     """
     _check_unit_epsilon(epsilon)
     bits = np.abs(evaluator.on_lattice(grid)) > epsilon
-    return RegionMask(grid=grid, bits=bits, epsilon=float(epsilon))
+    return RegionMask(grid=grid, bits=bits)
 
 
 def _check_unit_epsilon(epsilon: float):
@@ -189,7 +189,7 @@ def peel(family: WindowFamily, groups, epsilon: float, grid: Grid):
 def peel_masks(family: WindowFamily, epsilon: float, grid: Grid) -> list[RegionMask]:
     """Pairwise-disjoint masks from `peel`, one group per member."""
     _check_unit_epsilon(epsilon)
-    return [RegionMask(grid=grid, bits=bits, epsilon=float(epsilon))
+    return [RegionMask(grid=grid, bits=bits)
             for _, bits in peel(family, [(j,) for j in range(len(family))], epsilon, grid)]
 
 

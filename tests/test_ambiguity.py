@@ -169,7 +169,7 @@ class TestSpectrogramToProduct:
         f = random_signal(grid, rng)
         power = to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid))).power
         with pytest.raises(ValueError):
-            spectrogram_to_product(Measurement(grid=grid, window_id="g", power=power[::2]))
+            spectrogram_to_product(Measurement(grid=grid, power=power[::2]))
 
 
 class TestEvaluatorObjects:
@@ -183,6 +183,20 @@ class TestEvaluatorObjects:
         lattice = family.summed_on_lattice(grid256)
         assert_allclose(lattice, parts[0].on_lattice(grid256) + parts[1].on_lattice(grid256),
                         rtol=0, atol=0)
+
+    @pytest.mark.parametrize("T, L", [(1.3, 250), (8.0, 256)])
+    def test_summed_fan_is_the_member_order_sum(self, T, L):
+        grid = make_grid(T, L)
+        parts = [FrftGaussAmbiguity(15.0, alpha) for alpha in np.pi * np.arange(8) / 8]
+        family = WindowFamily(
+            members=[WindowMember(window_id=repr(p), samples=np.zeros(L), evaluator=p)
+                     for p in parts],
+            scheme="frft_gauss",
+        )
+        want = parts[0].on_lattice(grid)
+        for p in parts[1:]:
+            want = want + p.on_lattice(grid)
+        assert np.array_equal(family.summed_on_lattice(grid), want)
 
     def test_hermite_lattice_fast_path_matches_meshgrid(self, grid256):
         ev = HermiteAmbiguity(12)
@@ -218,6 +232,16 @@ class TestGaussLattice:
     def test_rejects_nonpositive_dilation(self, grid256):
         with pytest.raises(ValueError):
             FrftGaussAmbiguity(0.0, 0.3).on_lattice(grid256)
+
+    @pytest.mark.parametrize("T, L", [(1.3, 250), (8.0, 256)])
+    def test_full_lattice_adds_into_out(self, T, L, rng):
+        # floor 0: every row spans [0, L), and the values are added into out
+        grid = make_grid(T, L)
+        ev = FrftGaussAmbiguity(15.0, np.pi / 7)
+        buf = rng.standard_normal((L, L))
+        want = buf + ev.on_lattice(grid)
+        assert ev.on_lattice(grid, out=buf) is buf
+        assert np.array_equal(buf, want)
 
 
 class TestFlooredGaussLattice:

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,7 @@ class TestRetrieve:
         assert main(["retrieve", "--config", str(path), "--out", str(out)]) == 0
         assert degrees == [0, 5]
         result = json.loads((out / "result.json").read_text())
-        assert result["noise_bounds"] == json.loads(json.dumps(fresh.as_dict()))
+        assert result["noise_bounds"] == json.loads(json.dumps(asdict(fresh)))
 
     def test_frft_scheme(self, tmp_path):
         cfg = write_config(tmp_path, scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": 8})

@@ -35,18 +35,17 @@ class TestBinaryContainer:
 
     def test_mask_rle_round_trip(self, grid256, rng, tmp_path):
         bits = rng.random((grid256.L, grid256.L)) < 0.3
-        mask = RegionMask(grid=grid256, bits=bits, epsilon=0.25)
+        mask = RegionMask(grid=grid256, bits=bits)
         p = tmp_path / "mask.bin"
         write_mask(mask, p)
-        back = read_mask(p, epsilon=0.25)
+        back = read_mask(p)
         assert np.array_equal(back.bits, bits)
-        assert back.epsilon == 0.25
 
     def test_mask_edge_cases(self, tmp_path):
         grid = make_grid(1.0, 4)
         for bits in (np.zeros((4, 4), bool), np.ones((4, 4), bool)):
             p = tmp_path / "m.bin"
-            write_mask(RegionMask(grid=grid, bits=bits, epsilon=0.5), p)
+            write_mask(RegionMask(grid=grid, bits=bits), p)
             assert np.array_equal(read_mask(p).bits, bits)
 
     def test_kind_mismatch_rejected(self, signal_file):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,5 +204,5 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup("alg1")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         report = verify_noise_bounds(clean, noisy, family, RetrievalConfig(epsilon=1e-2))
-        blob = json.dumps(report.as_dict())
+        blob = json.dumps(asdict(report))
         assert json.loads(blob)["satisfied"] == [True, True]

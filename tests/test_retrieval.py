@@ -9,6 +9,7 @@ from specret import (
     DegenerateAnchorError,
     EmptyMaskError,
     FrftGaussAmbiguity,
+    GridMismatchError,
     Measurement,
     RetrievalConfig,
     Signal,
@@ -132,7 +133,7 @@ class TestAlg1:
         f = gauss_signal(grid)
         fam = build_frft_family(2.0, 4, grid)
         with pytest.raises(ValueError):
-            meas = [Measurement(grid=grid, window_id=m.window_id, power=m.power[::2])
+            meas = [Measurement(grid=grid, power=m.power[::2])
                     for m in measure_family(f, fam)]
             run_alg1(meas, fam, RetrievalConfig(epsilon=1e-3))
 
@@ -335,6 +336,22 @@ class TestRetrievalPlan:
         recon = run_alg2(meas, fam, RetrievalConfig(epsilon=1e-3, algorithm="alg2"))
         with pytest.raises(ValueError):
             verify_noise_bounds(meas, meas, fam, RetrievalConfig(epsilon=1e-3), recon=recon)
+        # the same algorithm at another tolerance: the plan's omega belongs to 1e-3
+        with pytest.raises(ValueError, match="threshold"):
+            verify_noise_bounds(meas, meas, fam, RetrievalConfig(epsilon=10.0, algorithm="alg2"),
+                                recon=recon)
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_noisy_measurements_must_share_the_grid(self, reuse):
+        grid = make_grid(8.0, 256)
+        fam = build_hermite_family([0, 3], grid)
+        cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
+        clean = measure_family(gauss_signal(grid), fam)
+        recon = run_alg2(clean, fam, cfg) if reuse else None
+        other = make_grid(4.0, 256)  # the same L on another extent
+        noisy = [Measurement(grid=other, power=m.power) for m in clean]
+        with pytest.raises(GridMismatchError):
+            verify_noise_bounds(clean, noisy, fam, cfg, recon=recon)
 
     def test_w1_omega_unchanged(self):
         # W1: the 40-angle a = 15 fan at T = 8, L = 1024, eps = 1e-3

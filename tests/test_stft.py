@@ -142,7 +142,6 @@ class TestMeasurement:
         c = forward_stft(f, dilated_gauss_samples(1.0, grid256))
         mea = to_measurement(c)
         assert_allclose(mea.power, np.abs(c.values) ** 2, rtol=0, atol=0)
-        assert mea.noise_meta is None
 
     def test_global_phase_invariance_exact(self, grid256, rng):
         # multiplication by i is an exact re/im permutation, so the
@@ -189,14 +188,6 @@ class TestNoise:
         assert keep.sum() >= 100_000
         ratio = float(np.mean(noisy.power[keep] / mea.power[keep]))
         assert 1.0 <= ratio <= 1.006
-
-    def test_noise_meta_recorded(self, grid256, rng):
-        mea = self._measurement(grid256, rng)
-        noisy = add_noise(mea, "multiplicative", 0.05, seed=9)
-        assert noisy.noise_meta["model"] == "multiplicative"
-        assert noisy.noise_meta["level"] == 0.05
-        assert noisy.noise_meta["seed"] == 9
-        assert "PCG64" in noisy.noise_meta["rng"]
 
     def test_rejects_bad_arguments(self, grid256, rng):
         mea = self._measurement(grid256, rng)
