@@ -20,6 +20,14 @@ and each band is evaluated on the box around its rows' intervals; with
 no floor every row spans the whole lattice.  A window family adds its
 members into one buffer this way; see retrieval.py for the floor a
 retrieval plan uses.
+
+`hermite_lattices` evaluates a Hermite family with one Laguerre
+recurrence up to its largest degree, run on the quadrant x, y <= 0 and
+mirrored by slices, handing out each degree's lattice on the way.  Given
+a floor > 0 it skips the outer rows whose cells are all at most the
+floor, found from the monotone tail of the Laguerre functions; with no
+floor it evaluates every cell.  `HermiteAmbiguity.on_lattice` is its
+one-degree case.
 """
 from __future__ import annotations
 
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, Signal
-from .special import laguerre_function
+from .special import laguerre_function, laguerre_ladder
 from .stft import Measurement, forward_stft
 
 
@@ -175,17 +183,10 @@ class HermiteAmbiguity:
 
     def on_lattice(self, grid: Grid, floor: float = 0.0,
                    out: np.ndarray | None = None) -> np.ndarray:
-        """The ambiguity on the (y, x) lattice, or added into `out`; every
-        cell is evaluated whatever the floor."""
-        # radial dependence: run the Laguerre recurrence once on the quadrant
-        # of z = pi r^2 values with x, y <= 0 and mirror it; index L/2 + j
-        # mirrors L/2 - j, and index 0 (x = -T, y = -Nyquist) has no partner
-        h = grid.L // 2
-        x2 = grid.x[:h + 1] ** 2
-        y2 = grid.y[:h + 1] ** 2
-        quadrant = laguerre_function(self.n, np.pi * (y2[:, None] + x2[None, :]))
-        idx = np.concatenate([np.arange(h + 1), np.arange(h - 1, 0, -1)])
-        values = quadrant[np.ix_(idx, idx)]
+        """The ambiguity on the (y, x) lattice, or added into `out`: the
+        one-degree `hermite_lattices`, so rows whose every cell is at most
+        floor stay 0; with floor <= 0 every cell is evaluated."""
+        values = next(hermite_lattices([self.n], grid, floor))
         if out is None:
             return values
         out += values
@@ -193,6 +194,40 @@ class HermiteAmbiguity:
 
     def __repr__(self):
         return f"HermiteAmbiguity(n={self.n})"
+
+
+def hermite_lattices(degrees, grid: Grid, floor: float):
+    """Yield A h_n on the (y, x) lattice for each n in degrees, in order,
+    from one `laguerre_ladder` run on the quadrant x, y <= 0, mirrored.
+
+    Every lattice is fresh.  With floor > 0 the quadrant's leading rows
+    (the largest |y|) whose x = 0 cell is dead are skipped and stay 0: a
+    cell is dead where z = pi y^2 >= 6 n_max + 2 and its value is at most
+    floor for every degree.  All zeros of L_n lie below 4n + 2, so past
+    z = 6n + 2 each term of d/dz ln|L_n| = sum 1/(z - z_i) is below 1/(2n)
+    and |exp(-z/2) L_n(z)| decreases; every cell of a dead row, and of
+    every row beyond it, is then at most floor.
+    """
+    # radial dependence: index L/2 + j mirrors L/2 - j, and index 0
+    # (x = -T, y = -Nyquist) has no partner; rows before r0 stay 0
+    degrees = list(degrees)
+    h = grid.L // 2
+    x2 = grid.x[:h + 1] ** 2
+    y2 = grid.y[:h + 1] ** 2
+    r0 = 0
+    if floor > 0:
+        z0 = np.pi * (y2 + x2[h])  # the x = 0 column, as the quadrant computes it
+        dead = z0 >= 6 * max(degrees) + 2
+        for v in laguerre_ladder(degrees, z0):
+            dead &= np.abs(v) <= floor
+        r0 = int(np.argmin(dead))  # the x = 0 cell of row h is never dead
+    m = max(r0, 1)
+    for q in laguerre_ladder(degrees, np.pi * (y2[r0:, None] + x2[None, :])):
+        out = np.zeros((grid.L, grid.L))
+        out[r0:h + 1, :h + 1] = q
+        out[r0:h + 1, h + 1:] = q[:, h - 1:0:-1]
+        out[h + 1:2 * h + 1 - m] = out[h - 1:m - 1:-1]
+        yield out
 
 
 def xy_phase(grid: Grid, sign: int) -> np.ndarray:
@@ -230,16 +265,14 @@ def spectrogram_to_product(mea: Measurement) -> AmbiguityGrid:
     grid = mea.grid
     L = grid.L
     sgn = (-1.0) ** np.arange(L)
-    # modulate and scale in place; each intermediate is freed once the next exists
-    Q = mea.power * sgn[:, None]
+    # modulate, scale and transform in one complex buffer
+    Q = np.multiply(mea.power, sgn[:, None], dtype=np.complex128)
     Q *= sgn[None, :]
-    U = np.fft.ifft(Q, axis=0)  # frequency index m -> output shift index k'
+    np.fft.ifft(Q, axis=0, out=Q)  # frequency index m -> output shift index k'
+    Q *= L
+    np.fft.fft(Q, axis=1, out=Q)   # shift index k -> output frequency index m'
+    G = np.multiply(Q.T, sgn[:, None], order="C")
     del Q
-    U *= L
-    S = np.fft.fft(U, axis=1)   # shift index k -> output frequency index m'
-    del U
-    G = np.multiply(S.T, sgn[:, None], order="C")
-    del S
     G *= sgn[None, :]
     G *= grid.dt * grid.dy
     return AmbiguityGrid(grid=grid, values=G, mask=None)

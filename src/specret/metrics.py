@@ -93,9 +93,10 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
     norm (and the x=0 slice in L1) against the constants-times-noise
     bounds.  Given `recon`, the retrieval of `noisy` with this family, its
     plan and its assembly are reused as the plan and A^eta; the plan must
-    have cfg's algorithm and threshold, or ValueError is raised.  With the true
-    signal supplied, also reports the approximation-error terms (the
-    ambiguity mass left outside the reconstruction region).
+    have cfg's algorithm and threshold and this family's window ids, or
+    ValueError is raised.  With the true signal supplied, also reports the
+    approximation-error terms (the ambiguity mass left outside the
+    reconstruction region).
     """
     grid = measurement_grid(clean, len(family))
     if measurement_grid(noisy, len(family)) != grid:
@@ -106,9 +107,10 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
         A_eta = assemble(noisy, plan)
     else:
         plan, A_eta = recon.plan, recon.ambiguity
-        if plan is None or (plan.algorithm, plan.epsilon) != (cfg.algorithm, eps):
+        if plan is None or ((plan.algorithm, plan.epsilon, plan.window_ids)
+                            != (cfg.algorithm, eps, tuple(m.window_id for m in family.members))):
             raise ValueError(f"recon was not assembled with an {cfg.algorithm} plan "
-                             f"at threshold {eps:g}")
+                             f"of this family at threshold {eps:g}")
     A = assemble(clean, plan)
     dx, dy = grid.dt, grid.dy
     noise_norm = 0.0

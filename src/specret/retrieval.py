@@ -16,14 +16,21 @@ group's spectrograms and transforms the sum with one 2D FFT.
 
 A fractional-Gauss window's ambiguity is an ellipse that covers a few
 percent of the lattice, so `peel` evaluates each one only where it
-exceeds floor = windows.LATTICE_FLOOR * eps = 1e-20 * eps.  The
-cells left out hold positive values <= floor, so a group of N windows
-loses at most N * floor, about 1e-18 of eps for a 40-window fan: a cell's
-sum can cross eps only if it lies that close to eps, so omega is the
-full lattices' omega.  Every evaluated cell has the bits of the full
-lattice, and on omega the dropped terms lie below the rounding of the
-much larger sum, so den has matched the full-lattice sum there bit for
-bit on W1 and on every family the property test draws.
+exceeds floor = windows.LATTICE_FLOOR * eps = 1e-20 * eps.  A Hermite
+window's ambiguity exp(-z/2) L_n(z), z = pi (x^2 + y^2), decreases in
+|.| once z >= 6n + 2: every zero of L_n lies below 4n + 2, so there each
+term of d/dz ln|L_n| = sum 1/(z - z_i) is below 1/(2n) and the sum below
+1/2.  `peel` runs the Laguerre recurrence once for all Hermite members
+(`ambiguity.hermite_lattices`) and skips the outer lattice rows whose
+x = 0 cell lies in that tail at or below floor for every degree; every
+cell of those rows is at most floor too.  The cells left out hold
+values of magnitude <= floor, so a group of N windows loses at most
+N * floor, about 1e-18 of eps for a 40-window fan: a cell's sum can
+cross eps only if it lies that close to eps, so omega is the full
+lattices' omega.  Every evaluated cell has the bits of the full lattice,
+and on omega the dropped terms lie below the rounding of the much larger
+sum, so den has matched the full-lattice sum there bit for bit on W1, W2
+and on every family the property tests draw.
 
 Tolerance convention
 --------------------
@@ -99,7 +106,8 @@ def measurement_grid(measurements, n_windows: int) -> Grid:
 class RetrievalPlan(NamedTuple):
     """The measurement-independent part of an assembly, built once by `make_plan`.
 
-    epsilon is the raw threshold the regions were cut at (`raw_threshold`).
+    epsilon is the raw threshold the regions were cut at (`raw_threshold`),
+    and window_ids names the family's members in order.
     groups partitions the member indices in order (alg1: one group of all,
     alg2: one per member).  regions are disjoint boolean (L, L) masks, one
     per group, and omega is their union.  den is real, shape (L, L): on each
@@ -112,6 +120,7 @@ class RetrievalPlan(NamedTuple):
     grid: Grid
     algorithm: str
     epsilon: float
+    window_ids: tuple
     groups: tuple
     den: np.ndarray
     regions: tuple
@@ -139,8 +148,9 @@ def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> Retriev
     omega = reduce(np.logical_or, regions)
     if not omega.any():
         raise EmptyMaskError("no window group's ambiguity exceeds the tolerance")
-    return RetrievalPlan(grid=grid, algorithm=cfg.algorithm, epsilon=eps, groups=groups,
-                         den=den, regions=tuple(regions), omega=omega)
+    return RetrievalPlan(grid=grid, algorithm=cfg.algorithm, epsilon=eps,
+                         window_ids=tuple(m.window_id for m in family.members),
+                         groups=groups, den=den, regions=tuple(regions), omega=omega)
 
 
 def assemble(measurements, plan: RetrievalPlan) -> AmbiguityGrid:

@@ -25,35 +25,50 @@ def laguerre_eval(n: int, z):
 
     Stable for n <= 200, |z| <= 1e3.  Accepts scalars or arrays.
     """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
     z = np.asarray(z, dtype=float)
-    prev = np.ones_like(z)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 - z
-    for k in range(1, n):
-        cur, prev = ((2 * k + 1 - z) * cur - k * prev) / (k + 1), cur
-    return cur if cur.ndim else float(cur)
+    out = next(_laguerre_run([n], z, np.ones_like(z)))
+    return out if out.ndim else float(out)
 
 
 def laguerre_function(n: int, z):
-    """Laguerre function exp(-z/2) * L_n(z).
+    """Laguerre function exp(-z/2) * L_n(z): the one-degree `laguerre_ladder`."""
+    out = next(laguerre_ladder([n], z))
+    return out if out.ndim else float(out)
 
-    Runs the recurrence on the pre-damped values so intermediates stay
+
+def laguerre_ladder(degrees, z):
+    """Yield the Laguerre function exp(-z/2) * L_n(z) for each n in degrees,
+    in order, from one run of the recurrence up to the largest degree.
+
+    The recurrence runs on the pre-damped values, so intermediates stay
     bounded by 1 for z >= 0; safe for the large lattice arguments that
-    would overflow the bare polynomial.
+    would overflow the bare polynomial.  A degree below the previous one
+    restarts the run.  Each yielded array is fresh, and a degree gets the
+    same bits whichever degrees come before it.
     """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
     z = np.asarray(z, dtype=float)
-    prev = np.exp(-z / 2.0)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = (1.0 - z) * prev
-    for k in range(1, n):
-        cur, prev = ((2 * k + 1 - z) * cur - k * prev) / (k + 1), cur
-    return cur if cur.ndim else float(cur)
+    return _laguerre_run(degrees, z, np.exp(-z / 2.0))
+
+
+def _laguerre_run(degrees, z, start):
+    # ((2k+1 - z) * cur - k * prev) / (k+1) in three rotating buffers, with
+    # the operations in that order; from degree 0 (start) to 1 the prev
+    # term is 0 * zeros, so this one body also gives (1 - z) * start
+    k = None
+    for n in degrees:
+        if n < 0:
+            raise ValueError(f"degree must be nonnegative, got {n}")
+        if k is None or n < k:
+            cur, prev, t, k = np.array(start), np.zeros_like(start), np.empty_like(start), 0
+        while k < n:
+            np.subtract(2 * k + 1, z, out=t)
+            t *= cur
+            prev *= k
+            t -= prev
+            t /= k + 1
+            prev, cur, t = cur, t, prev
+            k += 1
+        yield cur.copy()
 
 
 def hermite_values(n: int, t) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import FrftGaussAmbiguity, HermiteAmbiguity
+from .ambiguity import FrftGaussAmbiguity, HermiteAmbiguity, hermite_lattices
 from .grid import Grid
 from .special import dilated_gauss_samples, frft_gauss_samples, hermite_samples
 
@@ -166,19 +166,30 @@ def peel(family: WindowFamily, groups, epsilon: float, grid: Grid):
 
     Yields (summed A g on the lattice, claimed bits), one pair per group in
     group order; each ambiguity is evaluated once, and only one group's sum
-    is alive at a time.  The first member of a group returns the group's
+    is alive at a time.  The first member of a group gives the group's
     buffer and every later member adds into it, so a one-member group holds
-    no second L x L array.  The members are evaluated with the floor
-    LATTICE_FLOOR * epsilon, so a Gauss member leaves out its cells at or
-    below it; those add at most N * floor to a sum of N members, and the
-    claimed bits are those of the full lattices (see retrieval.py).
+    no second L x L array.  The Hermite members' lattices come from one
+    `hermite_lattices` run over their degrees in the order the groups take
+    them.  Every member is evaluated with the floor LATTICE_FLOOR * epsilon:
+    a Gauss member leaves out its cells at or below the floor, and the
+    Hermite run the outer rows whose cells all are.  Those add at most
+    N * floor to a sum of N members, and the claimed bits are those of the
+    full lattices (see retrieval.py).
     """
     floor = LATTICE_FLOOR * epsilon
+    evaluators = [[family.members[j].evaluator for j in group] for group in groups]
+    hermite = hermite_lattices([ev.n for group in evaluators for ev in group
+                                if isinstance(ev, HermiteAmbiguity)], grid, floor)
     claimed = np.zeros((grid.L, grid.L), dtype=bool)
-    for group in groups:
-        values = family.members[group[0]].evaluator.on_lattice(grid, floor)
-        for j in group[1:]:
-            family.members[j].evaluator.on_lattice(grid, floor, out=values)
+    for group in evaluators:
+        values = None
+        for ev in group:
+            if not isinstance(ev, HermiteAmbiguity):
+                values = ev.on_lattice(grid, floor, out=values)
+            elif values is None:
+                values = next(hermite)
+            else:
+                values += next(hermite)
         bits = values > epsilon  # |values| > epsilon without an L x L float temporary
         bits |= values < -epsilon
         bits &= ~claimed

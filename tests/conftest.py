@@ -35,3 +35,10 @@ DILATIONS = st.floats(-3.0, 16.0).map(lambda e: 10.0 ** e)
 ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi))
 EPSILONS = st.sampled_from([1e-6, 1e-3, 0.1, 0.5])
 GRIDS = st.sampled_from([(1.3, 250), (8.0, 256)])
+
+# Hermite families for the Laguerre-ladder and cropped-lattice properties:
+# ascending degrees in [0, 200] that include 0, and floors from a plan's
+# (1e-20 of a tolerance) up to the scale of the window ambiguities
+DEGREE_SETS = st.lists(st.integers(1, 200), max_size=5, unique=True).map(
+    lambda ns: [0] + sorted(ns))
+FLOORS = st.floats(-28.0, -0.3).map(lambda e: 10.0 ** e)

@@ -24,9 +24,10 @@ from specret import (
     spectrogram_to_product,
     to_measurement,
 )
-from specret.ambiguity import xy_phase
+from specret import ambiguity
+from specret.ambiguity import hermite_lattices, xy_phase
 from specret.windows import LATTICE_FLOOR
-from conftest import ANGLES, DILATIONS, EPSILONS, GRIDS
+from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, FLOORS, GRIDS
 
 
 class TestClosedForms:
@@ -310,3 +311,31 @@ class TestHermiteQuadrant:
         full = self.full_lattice(5, grid)
         assert np.array_equal(quad[0], full[0]) and np.array_equal(quad[:, 0], full[:, 0])
         assert quad[0, 0] != quad[0, -1]
+
+
+class TestCroppedHermiteLattices:
+    """`hermite_lattices` with a floor against the full lattices of
+    `HermiteAmbiguity.on_lattice`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(degrees=DEGREE_SETS, floor=FLOORS, shape=GRIDS)
+    def test_skipped_rows_hold_nothing_above_floor(self, degrees, floor, shape):
+        grid = make_grid(*shape)
+        for n, part in zip(degrees, hermite_lattices(degrees, grid, floor), strict=True):
+            full = HermiteAmbiguity(n).on_lattice(grid)
+            same = (part == full).all(axis=1)
+            assert not part[~same].any()
+            assert (np.abs(full[~same]) <= floor).all()
+
+    def test_w2_cell_steps(self, monkeypatch):
+        # W2's plan: degrees [50, 100] at T = 8, L = 1024, floor at eps = 0.5;
+        # two full-quadrant runs took (50 + 100) * 513^2 = 39.5M cell steps
+        steps = []
+        original = ambiguity.laguerre_ladder
+        monkeypatch.setattr(ambiguity, "laguerre_ladder", lambda degrees, z:
+                            steps.append(max(degrees) * np.size(z)) or original(degrees, z))
+        grid = make_grid(8.0, 1024)
+        lattices = list(hermite_lattices([50, 100], grid, LATTICE_FLOOR * 0.5 * grid.dt))
+        assert sum(steps) <= 12e6
+        # 225 of the 513 quadrant rows, mirrored
+        assert [lat.any(axis=1).sum() for lat in lattices] == [2 * 225 - 1] * 2

@@ -72,8 +72,7 @@ class TestRetrieve:
 
     def test_noise_run_plans_once(self, tmp_path, monkeypatch):
         # the noise-bound check reuses the retrieval's plan and noisy assembly
-        from specret import cli
-        from specret.ambiguity import HermiteAmbiguity
+        from specret import cli, windows
         path = write_config(tmp_path, noise={"model": "additive", "level": 0.01, "seed": 1})
         cfg = load_config(str(path))
         f, _ = cli._build_signal(cfg)
@@ -82,10 +81,10 @@ class TestRetrieve:
         noisy = cli._apply_noise(clean, cfg)
         fresh = cli.verify_noise_bounds(clean, noisy, family, cli._retrieval_config(cfg))
         degrees = []
-        original = HermiteAmbiguity.on_lattice
-        monkeypatch.setattr(HermiteAmbiguity, "on_lattice",
-                            lambda self, grid, *args, **kwargs:
-                            degrees.append(self.n) or original(self, grid, *args, **kwargs))
+        original = windows.hermite_lattices
+        monkeypatch.setattr(windows, "hermite_lattices",
+                            lambda ns, grid, *args, **kwargs:
+                            degrees.extend(ns) or original(ns, grid, *args, **kwargs))
         out = tmp_path / "run"
         assert main(["retrieve", "--config", str(path), "--out", str(out)]) == 0
         assert degrees == [0, 5]

@@ -10,6 +10,7 @@ from specret import (
     EmptyMaskError,
     FrftGaussAmbiguity,
     GridMismatchError,
+    HermiteAmbiguity,
     Measurement,
     RetrievalConfig,
     Signal,
@@ -42,7 +43,7 @@ from specret import (
     to_measurement,
     verify_noise_bounds,
 )
-from conftest import ANGLES, DILATIONS, EPSILONS, GRIDS
+from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, GRIDS
 
 
 def gauss_signal(grid, a=1.0):
@@ -341,6 +342,17 @@ class TestRetrievalPlan:
             verify_noise_bounds(meas, meas, fam, RetrievalConfig(epsilon=10.0, algorithm="alg2"),
                                 recon=recon)
 
+    def test_reused_plan_must_come_from_the_family(self):
+        # the same count, algorithm, tolerance and grid: only the window ids differ
+        grid = make_grid(8.0, 256)
+        fam = build_hermite_family([0, 3], grid)
+        cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
+        meas = measure_family(gauss_signal(grid), fam)
+        recon = run_alg2(meas, fam, cfg)
+        other = build_hermite_family([0, 20], grid)
+        with pytest.raises(ValueError, match="family"):
+            verify_noise_bounds(meas, meas, other, cfg, recon=recon)
+
     @pytest.mark.parametrize("reuse", [False, True])
     def test_noisy_measurements_must_share_the_grid(self, reuse):
         grid = make_grid(8.0, 256)
@@ -394,6 +406,28 @@ class TestFlooredPlan:
         plan = make_plan(fam, grid, cfg)
         assert np.array_equal(plan.omega, omega)
         assert np.array_equal(plan.den[omega], summed[omega])
+
+    @settings(max_examples=40, deadline=None)
+    @given(degrees=DEGREE_SETS, epsilon=EPSILONS, shape=GRIDS,
+           algorithm=st.sampled_from(["alg1", "alg2"]))
+    def test_cropped_hermite_plan_matches_full_lattices(self, degrees, epsilon, shape,
+                                                        algorithm):
+        grid = make_grid(*shape)
+        fam = WindowFamily(members=[
+            WindowMember(window_id=str(n), samples=np.zeros(grid.L),
+                         evaluator=HermiteAmbiguity(n)) for n in degrees], scheme="hermite")
+        cfg = RetrievalConfig(epsilon=epsilon, algorithm=algorithm)
+        eps = raw_threshold(cfg, grid)
+        full = [m.evaluator.on_lattice(grid) for m in fam.members]
+        sums = [sum(full[1:], full[0])] if algorithm == "alg1" else full
+        plan = make_plan(fam, grid, cfg)
+        claimed = np.zeros((grid.L, grid.L), dtype=bool)
+        for values, region in zip(sums, plan.regions, strict=True):
+            bits = (np.abs(values) > eps) & ~claimed
+            assert np.array_equal(region, bits)
+            assert np.array_equal(plan.den[region], values[region])
+            claimed |= bits
+        assert np.array_equal(plan.omega, claimed)
 
 
 def e_matrix_reconstruct(A, anchor=None):

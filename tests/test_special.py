@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from specret import (
@@ -12,7 +13,8 @@ from specret import (
     laguerre_function,
     make_grid,
 )
-from specret.special import frft_gauss_coeffs, hermite_values
+from specret.special import frft_gauss_coeffs, hermite_values, laguerre_ladder
+from conftest import DEGREE_SETS
 
 
 def laguerre_reference(n, z, dps=None):
@@ -77,6 +79,33 @@ class TestLaguerreFunction:
         # the bare polynomial would overflow here
         val = laguerre_function(200, 4000.0)
         assert np.isfinite(val)
+
+    @pytest.mark.parametrize("n,z", [(0, 3.0), (25, 13.7), (50, 80.0), (100, 3.0),
+                                     (100, 602.0), (200, 250.0)])
+    def test_matches_damped_extended_precision_sum(self, n, z):
+        with mpmath.workdps(60):
+            damping = float(mpmath.exp(-mpmath.mpf(z) / 2))
+        assert_allclose(laguerre_function(n, z), damping * laguerre_reference(n, z), rtol=1e-9)
+
+
+class TestLaguerreLadder:
+    Z = np.concatenate([np.linspace(0.0, 1500.0, 3001), [1e-300, 0.5, 4.0 * 200 + 2]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(degrees=DEGREE_SETS)
+    def test_matches_one_degree_runs(self, degrees):
+        for n, values in zip(degrees, laguerre_ladder(degrees, self.Z), strict=True):
+            assert np.array_equal(values, laguerre_function(n, self.Z))
+
+    def test_descending_degree_restarts(self):
+        degrees = [7, 3, 3, 12, 0]
+        for n, values in zip(degrees, laguerre_ladder(degrees, self.Z), strict=True):
+            assert np.array_equal(values, laguerre_function(n, self.Z))
+
+    def test_yields_fresh_arrays(self):
+        a, b = laguerre_ladder([4, 4], self.Z)
+        a[:] = 0
+        assert np.array_equal(b, laguerre_function(4, self.Z))
 
 
 class TestHermite:
