@@ -28,6 +28,12 @@ a floor > 0 it skips the outer rows whose cells are all at most the
 floor, found from the monotone tail of the Laguerre functions; with no
 floor it evaluates every cell.  `HermiteAmbiguity.on_lattice` is its
 one-degree case.
+
+`spectrogram_to_product` takes the 2D DFT of a real power, which is
+Hermitian, so it transforms half the plane: one real-input FFT along the
+frequency bins and one complex FFT over the L/2 + 1 lines that gives.
+It reads out only the rows asked for, and fills the other half of each
+row from the exact symmetry.
 """
 from __future__ import annotations
 
@@ -230,17 +236,19 @@ def hermite_lattices(degrees, grid: Grid, floor: float):
         yield out
 
 
-def xy_phase(grid: Grid, sign: int) -> np.ndarray:
-    """exp(sign * i*pi * x_k * y_m) on the (m, k) lattice.
+def xy_phase(grid: Grid, sign: int, rows: tuple[int, int] | None = None) -> np.ndarray:
+    """exp(sign * i*pi * x_k * y_m) on the (m, k) lattice, or on its rows
+    m in [first, stop) given rows = (first, stop).
 
     On the square lattice x_k * y_m = (k - L/2)(m - L/2)/L, so the factor
     is a 2L-th root of unity picked from a 2L-entry table by an integer
     index modulo 2L.
     """
     L = grid.L
+    r0, r1 = (0, L) if rows is None else rows
     table = np.exp(sign * 1j * np.pi / L * np.arange(2 * L))
     c = np.arange(L) - L // 2
-    idx = np.multiply.outer(c, c)
+    idx = np.multiply.outer(c[r0:r1], c)
     idx %= 2 * L
     return table[idx]
 
@@ -252,27 +260,49 @@ def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:
     return AmbiguityGrid(grid=grid, values=c.values * xy_phase(grid, 1), mask=None)
 
 
-def spectrogram_to_product(mea: Measurement) -> AmbiguityGrid:
+def spectrogram_to_product(mea: Measurement,
+                           rows: tuple[int, int] | None = None) -> AmbiguityGrid | np.ndarray:
     """Map a spectrogram to the lattice function approximating
     A f(x, y) * conj(A g(x, y)) = F(|V_g f|^2)(y, -x).
 
-    The 2D Fourier quadrature carries weights dx*dy = dt/(L*dt);
-    centered lattice registration is done with explicit (-1)^(m+k)
-    pre/post modulation, and the (u, v) -> (v, -u) axis swap is an exact
-    index permutation (forward DFT over shifts, inverse DFT over bins,
-    then transpose).
+    Returns the full lattice as an AmbiguityGrid, or, given rows =
+    (first, stop), the array of rows [first, stop) only, with the bits
+    those rows have in the full lattice.
+
+    On the centred lattice the map is
+
+        G[i, j] = dt dy s(i + j) sum_{m, k} P[m, k] s(m + k)
+                  exp(2i pi (m j - k i) / L),   s(n) = (-1)^n,
+
+    a 2D DFT of the real power P: forward over shifts k, inverse over
+    frequency bins m, with the (u, v) -> (v, -u) axis swap an index
+    permutation.  For even L the input signs are exact index shifts, so
+    one real-input FFT along m gives the half plane of columns j <= L/2
+    with its lines in reverse order (the inverse sign and s(m) together
+    turn bin j into L/2 - j), and one complex FFT along k over those
+    L/2 + 1 lines gives every row i, shifted by L/2.  Only the requested
+    rows are read out, scaled and modulated.  Columns j > L/2 follow from
+    the Hermitian symmetry of a real input's transform,
+    G[i, j] = conj(G[(L - i) mod L, L - j]), which the output satisfies
+    exactly: the two self-paired lines j = 0 and j = L/2 are made
+    Hermitian before any row is read.
     """
     grid = mea.grid
     L = grid.L
+    h = L // 2
+    r0, r1 = (0, L) if rows is None else rows
+    # H[b, n] = sum_{m, k} P[m, k] exp(-2i pi (m b + k n) / L), b <= L/2
+    H = np.fft.rfft(mea.power, axis=0)  # along m, contiguous in a clean power
+    np.fft.fft(H, axis=1, out=H)
+    for line in (H[0], H[h]):  # transforms of real lines: make them exactly Hermitian
+        line[h + 1:] = line[h - 1:0:-1].conj()
+        line.imag[[0, h]] = 0.0
+    # G[i, j] = c s(i + j) H[L/2 - j, (i + L/2) mod L] for j <= L/2
+    i = np.arange(r0, r1)
+    G = np.empty((r1 - r0, L), dtype=np.complex128)
+    G[:, :h + 1] = H[h::-1, (i + h) % L].T
+    np.conjugate(H[1:h, (h - i) % L].T, out=G[:, h + 1:])
     sgn = (-1.0) ** np.arange(L)
-    # modulate, scale and transform in one complex buffer
-    Q = np.multiply(mea.power, sgn[:, None], dtype=np.complex128)
-    Q *= sgn[None, :]
-    np.fft.ifft(Q, axis=0, out=Q)  # frequency index m -> output shift index k'
-    Q *= L
-    np.fft.fft(Q, axis=1, out=Q)   # shift index k -> output frequency index m'
-    G = np.multiply(Q.T, sgn[:, None], order="C")
-    del Q
-    G *= sgn[None, :]
-    G *= grid.dt * grid.dy
-    return AmbiguityGrid(grid=grid, values=G, mask=None)
+    G *= ((grid.dt * grid.dy) * sgn[r0:r1])[:, None]
+    G *= sgn
+    return AmbiguityGrid(grid=grid, values=G, mask=None) if rows is None else G

@@ -46,9 +46,12 @@ from .windows import (
 
 AUDIO_MAX_SAMPLES = 8192
 AUDIO_TAPER_FRACTION = 0.05
-# L x L complex workspaces alive next to the held measurements: the STFT
-# product and its FFT, the spectrogram-to-product FFTs, the denominator,
-# masks, phase table and the inversion's FFT (16 bytes a cell each)
+# L x L complex workspaces alive next to the held measurements, 16 bytes a
+# cell each.  A noisy retrieve peaks in the noise-bound check: J and J^eta,
+# their difference and its |.|^p, beside the plan's den and masks, measured
+# at 5.2-5.3 arrays at L=512.  The STFT product and its FFT (2), the
+# spectrogram-to-product half plane and row band (at most 1.5) and the
+# inversion's lattice, phase rows and FFT (3) each stay below that.
 WORKSPACE_COMPLEX_ARRAYS = 8
 
 

@@ -12,7 +12,12 @@ the cells where |sum of its ambiguities| > eps that no earlier group
 claimed (`windows.peel`).  `make_plan` builds it once per family, grid
 and tolerance, like an FFTW plan, evaluating each member's ambiguity
 once.  Since the spectrogram -> product map is linear, `assemble` sums a
-group's spectrograms and transforms the sum with one 2D FFT.
+group's spectrograms and transforms the sum once.  The power is real,
+so that transform is one real-input FFT over half the plane and one
+complex FFT over its L/2 + 1 lines (`ambiguity.spectrogram_to_product`),
+and only the rows from the first to the last row of the group's region
+are read out and divided; J starts at zero, so it is zero off omega.
+The inversion likewise builds its phase table on omega's rows only.
 
 A fractional-Gauss window's ambiguity is an ellipse that covers a few
 percent of the lattice, so `peel` evaluates each one only where it
@@ -153,17 +158,25 @@ def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> Retriev
                          groups=groups, den=den, regions=tuple(regions), omega=omega)
 
 
+def row_span(bits: np.ndarray) -> tuple[int, int] | None:
+    """(first, stop) of the rows holding a True cell of bits; None if none."""
+    live = np.flatnonzero(bits.any(axis=1))
+    return (int(live[0]), int(live[-1]) + 1) if live.size else None
+
+
 def assemble(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
     """J = F(sum_{j in group} |V_{g_j} f|^2) / sum_{j in group} A g_j on each
     group's region, zero off omega.  The map from a spectrogram to its
     product is linear, so one 2D FFT of a group's summed spectrogram
-    replaces one per window."""
+    replaces one per window, and only the rows the region touches are
+    read out of it."""
     grid = measurement_grid(measurements, sum(map(len, plan.groups)))
     if grid != plan.grid:
         raise GridMismatchError("measurements and plan live on different grids")
-    J = None
+    J = np.zeros((grid.L, grid.L), dtype=np.complex128)
     for group, bits in zip(plan.groups, plan.regions):
-        if not bits.any():
+        rows = row_span(bits)
+        if rows is None:
             continue
         mea = measurements[group[0]]
         if len(group) > 1:
@@ -171,11 +184,9 @@ def assemble(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
             for j in group[1:]:
                 power += measurements[j].power
             mea = Measurement(grid=grid, power=power)
-        G = spectrogram_to_product(mea).values
-        if J is None:  # reuse the first product as J: no zeroed L x L buffer
-            J = G
-            J[~bits] = 0
-        np.divide(G, plan.den, out=J, where=bits)
+        band = slice(*rows)
+        np.divide(spectrogram_to_product(mea, rows), plan.den[band], out=J[band],
+                  where=bits[band])
     return AmbiguityGrid(grid=grid, values=J, mask=plan.omega)
 
 
@@ -199,8 +210,11 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
     scale = grid.dy * 1j ** (L % 4) * L  # dy * exp(+i*pi*L/2) * L undoes ifft's 1/L
 
     Vff = np.zeros((L, L), dtype=np.complex128)
-    np.multiply(A.values, xy_phase(grid, -1), out=Vff,
-                where=True if A.mask is None else A.mask)
+    rows = (0, L) if A.mask is None else row_span(A.mask)
+    if rows is not None:  # the phase table on the mask's rows only
+        band = slice(*rows)
+        np.multiply(A.values[band], xy_phase(grid, -1, rows), out=Vff[band],
+                    where=True if A.mask is None else A.mask[band])
     Vff *= sgn[:, None]
     k0 = L // 2  # the x = 0 column, where the phase factor is 1
     slice_l1 = grid.dy * float(np.sum(np.abs(Vff[:, k0])))

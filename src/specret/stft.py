@@ -18,7 +18,8 @@ axis and returns the (m, k) transpose as a view.  Coefficients, and the
 powers `to_measurement` takes from them, are therefore Fortran-ordered.
 Elementwise consumers see the same values in either layout; a running
 sum of powers should keep their layout (``copy(order="K")``), since a
-C-ordered accumulator makes every add a strided transpose.
+C-ordered accumulator makes every add a strided transpose, and
+`add_noise` writes its noisy power in the clean power's layout.
 
 The records hold a grid and values only: which window a measurement came
 from is its position in the family, and the noise model, level and seed
@@ -117,15 +118,17 @@ def add_noise(mea: Measurement, model: str, level: float, seed: int) -> Measurem
     additive:        power' = power + eta, eta ~ N(0, level^2) i.i.d.
     multiplicative:  |V| is scaled by i.i.d. N(1, level^2) factors and
                      then squared, i.e. power' = power * (1 + g)^2.
-    Deterministic for a fixed seed (PCG64).
+    Deterministic for a fixed seed (PCG64).  The noisy power has the
+    clean power's memory layout.
     """
     if level < 0:
         raise ValueError(f"noise level must be nonnegative, got {level}")
     if model not in ("additive", "multiplicative"):
         raise ValueError(f"unknown noise model {model!r}")
-    rng = np.random.default_rng(seed)
-    power = rng.standard_normal(mea.power.shape)  # the draws, turned into power in place
-    power *= level
+    draws = np.random.default_rng(seed).standard_normal(mea.power.shape)
+    power = np.empty_like(mea.power)  # the clean layout: passes over both run contiguously
+    np.multiply(draws, level, out=power)  # cell [m, k] keeps C-order draw m*L + k
+    del draws
     if model == "additive":
         power += mea.power
     else:

@@ -173,6 +173,65 @@ class TestSpectrogramToProduct:
             spectrogram_to_product(Measurement(grid=grid, power=power[::2]))
 
 
+def two_pass_product(mea):
+    """The spectrogram -> product map as two full complex passes: modulate
+    by (-1)^(m+k), inverse FFT along m, forward FFT along k, transpose,
+    modulate and scale; the half-plane kernel's oracle."""
+    grid = mea.grid
+    L = grid.L
+    sgn = (-1.0) ** np.arange(L)
+    Q = np.multiply(mea.power, sgn[:, None], dtype=np.complex128)
+    Q *= sgn[None, :]
+    np.fft.ifft(Q, axis=0, out=Q)
+    Q *= L
+    np.fft.fft(Q, axis=1, out=Q)
+    G = np.multiply(Q.T, sgn[:, None], order="C")
+    G *= sgn[None, :]
+    G *= grid.dt * grid.dy
+    return G
+
+
+class TestHalfPlaneProduct:
+    @pytest.fixture(params=[(8.0, 8), (1.3, 10), (8.0, 64)], ids=lambda p: f"L{p[1]}")
+    def powers(self, request, rng):
+        from conftest import random_signal
+        grid = make_grid(*request.param)
+        f = random_signal(grid, rng)
+        power = to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid))).power
+        assert power.flags.f_contiguous
+        return [Measurement(grid=grid, power=p) for p in (power, np.ascontiguousarray(power))]
+
+    def test_matches_two_pass_transform(self, powers):
+        for mea in powers:
+            want = two_pass_product(mea)
+            got = spectrogram_to_product(mea).values
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_every_band_has_the_full_rows(self, powers):
+        for mea in powers:
+            L = mea.grid.L
+            full = spectrogram_to_product(mea).values
+            for r0 in range(L):
+                for r1 in range(r0 + 1, L + 1):
+                    band = spectrogram_to_product(mea, (r0, r1))
+                    assert band.shape == (r1 - r0, L)
+                    assert np.array_equal(band, full[r0:r1])
+
+    def test_exact_hermitian_symmetry(self, powers):
+        for mea in powers:
+            G = spectrogram_to_product(mea).values
+            flip = (-np.arange(mea.grid.L)) % mea.grid.L
+            assert np.array_equal(G, np.conj(G[flip][:, flip]))
+
+    def test_phase_rows_are_the_full_rows(self):
+        grid = make_grid(1.3, 10)
+        for sign in (1, -1):
+            full = xy_phase(grid, sign)
+            for r0 in range(grid.L):
+                for r1 in range(r0 + 1, grid.L + 1):
+                    assert np.array_equal(xy_phase(grid, sign, (r0, r1)), full[r0:r1])
+
+
 class TestEvaluatorObjects:
     def test_summed_matches_parts(self, grid256):
         parts = [FrftGaussAmbiguity(2.0, 0.0), HermiteAmbiguity(3)]

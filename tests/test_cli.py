@@ -412,6 +412,24 @@ class TestSizeGuard:
         assert estimate_bytes("retrieve", cfg) - clean == 40 * L * L * 8
         assert estimate_bytes("coverage", cfg) < estimate_bytes("baseline", cfg) < clean
 
+    @pytest.mark.parametrize("doc", [
+        {"signal": {"kind": "chirp"}, "scheme": {"kind": "frft_gauss", "a": 15.0, "n_windows": 12}},
+        {"signal": {"kind": "mixture"}, "scheme": {"kind": "hermite", "degrees": [5, 10]}},
+    ], ids=["fan12", "hermite"])
+    def test_estimate_covers_noisy_retrieve_peak(self, tmp_path, doc):
+        # below L=512 the fixed overheads outgrow the per-cell estimate
+        path = write_config(tmp_path, grid={"T": 8.0, "L": 512},
+                            noise={"model": "multiplicative", "level": 0.05}, **doc)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert estimate_bytes("retrieve", load_config(str(path))) >= peak
+
 
 def mostly(valid, *odd):
     """Draw `valid` about seven times in eight, else one of the odd values."""

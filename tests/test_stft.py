@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from specret import (
     GridMismatchError,
+    Measurement,
     Signal,
     add_noise,
     chirp_preset,
@@ -188,6 +189,18 @@ class TestNoise:
         assert keep.sum() >= 100_000
         ratio = float(np.mean(noisy.power[keep] / mea.power[keep]))
         assert 1.0 <= ratio <= 1.006
+
+    @pytest.mark.parametrize("model", ["additive", "multiplicative"])
+    def test_noisy_power_keeps_clean_layout_and_draws(self, grid256, rng, model):
+        # cell [m, k] gets the C-ordered draw m*L + k, whatever the layout
+        mea = self._measurement(grid256, rng)
+        noisy = add_noise(mea, model, 0.1, seed=3)
+        assert noisy.power.flags.f_contiguous
+        eta = np.random.default_rng(3).standard_normal(mea.power.shape) * 0.1
+        want = eta + mea.power if model == "additive" else np.square(eta + 1.0) * mea.power
+        assert np.array_equal(noisy.power, want)
+        c_ordered = Measurement(grid=grid256, power=np.ascontiguousarray(mea.power))
+        assert np.array_equal(add_noise(c_ordered, model, 0.1, seed=3).power, want)
 
     def test_rejects_bad_arguments(self, grid256, rng):
         mea = self._measurement(grid256, rng)
