@@ -27,6 +27,7 @@ from .grid import Grid, Signal
 from .metrics import misfit, verify_noise_bounds
 from .retrieval import (
     RetrievalConfig,
+    _two_at_a_time,
     measure_family,
     run_alg1,
     run_alg2,
@@ -113,11 +114,11 @@ def _apply_noise(measurements, cfg: dict):
     noise = cfg["noise"]
     if noise["model"] == "none":
         return measurements
+    model, level = noise["model"], float(noise["level"])
     seed = int(noise.get("seed", cfg["seed"]))
-    return [
-        add_noise(m, noise["model"], float(noise["level"]), seed + j)
-        for j, m in enumerate(measurements)
-    ]
+    # each window draws from its own generator, so two can be drawn at once
+    return _two_at_a_time(lambda j: add_noise(measurements[j], model, level, seed + j),
+                          len(measurements))
 
 
 def _retrieval_config(cfg: dict) -> RetrievalConfig:

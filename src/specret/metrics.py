@@ -27,6 +27,8 @@ from .retrieval import (
 )
 from .windows import WindowFamily
 
+NORM_ROWS = 64  # rows of A - A^eta held at a time in the noise-bound norm
+
 
 def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
     """Relative error modulo global phase and the aligning angle.
@@ -52,9 +54,13 @@ def mixed_norm(G: AmbiguityGrid, p: float) -> float:
     return _mixed_norm(G.values, G.grid.dt, G.grid.dy, p)
 
 
+def _row_norms(values: np.ndarray, dx: float, p: float) -> np.ndarray:
+    """Inner L^p norm in x of each row."""
+    return (dx * np.sum(np.abs(values) ** p, axis=1)) ** (1.0 / p)
+
+
 def _mixed_norm(values: np.ndarray, dx: float, dy: float, p: float) -> float:
-    inner = (dx * np.sum(np.abs(values) ** p, axis=1)) ** (1.0 / p)
-    return float(dy * np.sum(inner))
+    return float(dy * np.sum(_row_norms(values, dx, p)))
 
 
 @dataclass(frozen=True)
@@ -121,15 +127,19 @@ def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig
         noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
 
     omega = A.mask
-    C_p = _mixed_norm(omega.astype(float), dx, dy, p)
+    # the mixed norm of omega's indicator: each row's sum of |1|^p is its cell count
+    C_p = float(dy * np.sum((dx * omega.sum(axis=1)) ** (1.0 / p)))
     m0 = grid.L // 2  # y = 0 row
     C_R = dx * float(np.sum(omega[m0, :]))
 
-    diff = A.values - A_eta.values
-    lhs = _mixed_norm(diff, dx, dy, p)
+    # ||A - A^eta|| row block by row block: no L x L difference or |.|^p is held
+    inner = np.concatenate([
+        _row_norms(A.values[r:r + NORM_ROWS] - A_eta.values[r:r + NORM_ROWS], dx, p)
+        for r in range(0, grid.L, NORM_ROWS)])
+    lhs = float(dy * np.sum(inner))
     rhs = C_p / eps * noise_norm
     k0 = grid.L // 2  # x = 0 column
-    lhs_slice = dy * float(np.sum(np.abs(diff[:, k0])))
+    lhs_slice = dy * float(np.sum(np.abs(A.values[:, k0] - A_eta.values[:, k0])))
     rhs_slice = C_R / eps * noise_norm
 
     approx = approx_slice = None

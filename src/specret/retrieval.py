@@ -51,6 +51,9 @@ always thresholds raw analytic values.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import NamedTuple
@@ -92,9 +95,62 @@ def raw_threshold(cfg: RetrievalConfig, grid: Grid) -> float:
     return cfg.epsilon * grid.dt
 
 
+def _two_at_a_time(fn, n: int) -> list:
+    """[fn(j) for j in range(n)], with the odd j on a second thread when the
+    process may run on two cores.
+
+    numpy's FFTs and random draws release the GIL, so two independent calls
+    overlap.  Each result is stored at its own index, so the list has the
+    serial loop's bits.  The worker runs in a copy of the caller's context,
+    which carries np.errstate (a bare thread starts from numpy's defaults);
+    an exception it raises is raised here after the join, and a failure on
+    either side stops the other at its next index.
+    """
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    if n < 2 or cores < 2:
+        return [fn(j) for j in range(n)]
+    out = [None] * n
+    failed = []
+
+    def run(first):
+        for j in range(first, n, 2):
+            if failed:
+                return
+            out[j] = fn(j)
+
+    def odd():
+        try:
+            run(1)
+        except BaseException as exc:  # handed to the caller, which raises it
+            failed.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(odd,))
+    worker.start()
+    try:
+        run(0)
+    except BaseException:
+        failed.append(None)  # stops the worker at its next index
+        raise
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return out
+
+
 def measure_family(f: Signal, family: WindowFamily) -> list[Measurement]:
-    """Noiseless squared-magnitude measurements, one per family member."""
-    return [to_measurement(forward_stft(f, m.samples, f.grid)) for m in family.members]
+    """Noiseless squared-magnitude measurements, one per family member.
+
+    Two windows are in flight at a time (`_two_at_a_time`), and each power
+    is stored at its member's index, in member order, with the bits of the
+    serial loop.
+    """
+    members = family.members
+    return _two_at_a_time(
+        lambda j: to_measurement(forward_stft(f, members[j].samples, f.grid)), len(members))
 
 
 def measurement_grid(measurements, n_windows: int) -> Grid:
@@ -218,8 +274,8 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
     Vff *= sgn[:, None]
     k0 = L // 2  # the x = 0 column, where the phase factor is 1
     slice_l1 = grid.dy * float(np.sum(np.abs(Vff[:, k0])))
-    U = np.fft.ifft(Vff, axis=0)  # U[j, k] = (1/L) sum_m Vff[m, k] sgn[m] exp(2i*pi*m*j/L)
-    del Vff
+    # U[j, k] = (1/L) sum_m Vff[m, k] sgn[m] exp(2i*pi*m*j/L), in Vff's buffer
+    U = np.fft.ifft(Vff, axis=0, out=Vff)
 
     # anchor profile from the x=0 column
     wprof = sgn * (scale * U[:, k0])  # w carries a (-1)^l factor

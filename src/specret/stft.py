@@ -9,17 +9,23 @@ The coefficient convention is
 so c[m, k] approximates V_g f(x_k, y_m) with a periodized window.  The
 modular window index realizes periodization by cyclic indexing.
 
-Column k's window, conj(g) at (l - k + L/2) mod L over l, is a contiguous
-slice of the doubled conjugate window concat(gc, gc), starting at
-(L/2 - k) mod L.  `forward_stft` therefore builds the (k, l) products from
-reversed rows of a sliding-window view of the doubled window, with no
-index array and no gathered copy, runs the FFT along the contiguous l
-axis and returns the (m, k) transpose as a view.  Coefficients, and the
-powers `to_measurement` takes from them, are therefore Fortran-ordered.
-Elementwise consumers see the same values in either layout; a running
-sum of powers should keep their layout (``copy(order="K")``), since a
-C-ordered accumulator makes every add a strided transpose, and
-`add_noise` writes its noisy power in the clean power's layout.
+The factor exp(-2i*pi*t_l*y_m) splits into (-1)^l * exp(-2i*pi*l*m/L) *
+(-1)^m * exp(-i*pi*L/2).  The output sign (-1)^m of a length-L FFT is the
+FFT of its input rolled by L/2, so `forward_stft` takes it as a shift of
+the window slices and rolls the signal vector by L/2; the unit constant
+exp(-i*pi*L/2) and the step dt ride on that L-vector.  Column k's
+window, conj(g) at (l - k) mod L over the rolled l, is then the
+contiguous slice of the doubled conjugate window concat(gc, gc) that
+starts at L - k.  The (k, l) products come from reversed rows of a
+sliding-window view of the doubled window, with no index array, no
+gathered copy and no pass over the output; the FFT runs in place along
+the contiguous l axis, and the (m, k) transpose is returned as a view.
+Coefficients, and the powers `to_measurement` takes from them, are
+therefore Fortran-ordered.  Elementwise consumers see the same values in
+either layout; a running sum of powers should keep their layout
+(``copy(order="K")``), since a C-ordered accumulator makes every add a
+strided transpose, and `add_noise` writes its noisy power in the clean
+power's layout.
 
 The records hold a grid and values only: which window a measurement came
 from is its position in the family, and the noise model, level and seed
@@ -33,6 +39,8 @@ import numpy as np
 
 from .exceptions import GridMismatchError
 from .grid import Grid, Signal
+
+DRAW_ROWS = 64  # rows of noise drawn at a time: 512 KB at L = 1024
 
 
 @dataclass(frozen=True)
@@ -64,13 +72,14 @@ class Measurement:
 def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None) -> StftCoeffs:
     """STFT coefficients of f against the periodized window g.
 
-    Factors the defining sum through length-L FFTs: the exponential
-    splits into (-1)^l * exp(-2i*pi*l*m/L) times the constant per-m
-    phases (-1)^m.  Row k of the (k, l) product is the signal times the
-    slice of concat(gc, gc) starting at (L/2 - k) mod L: rows
-    L/2, L/2 - 1, ..., 0 and then L - 1, ..., L/2 + 1 of its sliding-window
-    view.  The FFT runs along l and the result is returned as the (m, k)
-    transpose view, Fortran-ordered.
+    Row k of the (k, l) product is the signal vector (-1)^l f, rolled by
+    L/2 and scaled by dt * exp(-i*pi*L/2), times the slice of
+    concat(gc, gc) starting at L - k: rows L, L - 1, ..., 1 of its
+    sliding-window view (see the module docstring).  The FFT runs in place
+    along l and the (m, k) transpose view is returned, Fortran-ordered.
+    When dt is a power of two, as on the T = 8 grids, the scale is exact
+    wherever it is applied, so the powers have the bits of scaling the
+    FFT's output instead.
     """
     grid = grid or f.grid
     if grid != f.grid:
@@ -80,20 +89,15 @@ def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None) -> StftCoef
         raise GridMismatchError(f"window has {g.shape} samples, grid needs {grid.L}")
 
     L = grid.L
-    h = L // 2
-    sgn = (-1.0) ** np.arange(L)  # exp(i*pi*l) on the signal, exp(i*pi*m) on the output; exact
-    base = f.values * sgn
+    sgn = (-1.0) ** np.arange(L)  # exp(i*pi*l); exact
+    # exp(-i*pi*L/2) = (-i)^L is a unit, exact for integer L
+    sig = np.roll(f.values * sgn, L // 2) * (grid.dt * (-1j) ** (L % 4))
     gc = np.conj(g.astype(np.complex128))
-    const = (-1j) ** (L % 4)  # exp(-i*pi*L/2), exact for integer L
 
     # row s is concat(gc, gc)[s:s + L], a view: no index array, no gathered copy
     rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([gc, gc]), L)
-    prod = np.empty((L, L), dtype=np.complex128)
-    np.multiply(rows[h::-1], base, out=prod[:h + 1])
-    np.multiply(rows[L - 1:h:-1], base, out=prod[h + 1:])
-    out = np.fft.fft(prod, axis=1)
-    del prod
-    out *= (grid.dt * const) * sgn  # sign flips are exact, so one pass for both factors
+    prod = np.multiply(rows[L:0:-1], sig)
+    out = np.fft.fft(prod, axis=1, out=prod)
     return StftCoeffs(grid=grid, values=out.T)
 
 
@@ -125,10 +129,14 @@ def add_noise(mea: Measurement, model: str, level: float, seed: int) -> Measurem
         raise ValueError(f"noise level must be nonnegative, got {level}")
     if model not in ("additive", "multiplicative"):
         raise ValueError(f"unknown noise model {model!r}")
-    draws = np.random.default_rng(seed).standard_normal(mea.power.shape)
+    rng = np.random.default_rng(seed)
     power = np.empty_like(mea.power)  # the clean layout: passes over both run contiguously
-    np.multiply(draws, level, out=power)  # cell [m, k] keeps C-order draw m*L + k
-    del draws
+    # cell [m, k] keeps C-order draw m*L + k: successive calls continue one
+    # stream, and a block of draws is still in cache when it lands in a
+    # Fortran-ordered power
+    for first in range(0, power.shape[0], DRAW_ROWS):
+        rows = power[first:first + DRAW_ROWS]
+        np.multiply(rng.standard_normal(rows.shape), level, out=rows)
     if model == "additive":
         power += mea.power
     else:

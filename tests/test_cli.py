@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -314,6 +315,32 @@ class TestNumericErrors:
         assert len(err.strip().splitlines()) == 1
         assert "underflows" in err
 
+    def test_overflow_in_a_worker_window_exits_3(self, tmp_path, capsys, monkeypatch):
+        # window 1 is measured on the second thread, which must run under the
+        # CLI's errstate: with numpy's default it would only warn, and the
+        # run would end in exit 2 on the non-finite measurement
+        from specret import cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        build = cli._build_family
+
+        def huge_second_window(cfg, grid):
+            family = build(cfg, grid)
+            members = list(family.members)
+            members[1] = dataclasses.replace(members[1], samples=members[1].samples * 1e200)
+            return dataclasses.replace(family, members=tuple(members))
+
+        monkeypatch.setattr(cli, "_build_family", huge_second_window)
+        path = write_config(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert not caught
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "overflow" in err
+
     @pytest.mark.parametrize("command", ["coverage", "retrieve"])
     @pytest.mark.parametrize("scheme, field, value", [
         (scheme, "T", value) for scheme in ("frft_gauss", "hermite")
@@ -361,6 +388,18 @@ def test_cli_import_leaves_out_jsonschema():
     # jsonschema is a test-only dependency
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, specret.cli; print('jsonschema' in sys.modules)"],
+        env=checkout_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_out_concurrent_futures():
+    # the measurement threads need only threading and contextvars, which
+    # every import loads anyway; concurrent.futures adds about 6 ms to it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, specret, specret.cli; print('concurrent.futures' in sys.modules)"],
         env=checkout_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -12,6 +12,7 @@ from specret import (
     RetrievalConfig,
     Signal,
     add_noise,
+    assemble,
     build_frft_family,
     build_hermite_family,
     gen_mixture,
@@ -20,6 +21,8 @@ from specret import (
     misfit,
     mixed_norm,
     mixture_preset,
+    run_alg1,
+    run_alg2,
     verify_noise_bounds,
 )
 from specret.metrics import _mixed_norm
@@ -198,6 +201,22 @@ class TestNoiseBounds:
         report = verify_noise_bounds(clean, noisy, family, cfg, f_true=f)
         assert report.approx_term is not None and report.approx_term >= 0
         assert report.approx_slice_term is not None and report.approx_slice_term >= 0
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    @pytest.mark.parametrize("L, p", [(256, 2.0), (200, 1.5)])
+    def test_row_blocks_match_whole_plane(self, algorithm, L, p):
+        # lhs over blocks of 64 rows and C_p from omega's row counts, against
+        # the mixed norms of the whole difference plane and of omega as floats
+        grid, f, family, clean = self._setup(algorithm, L)
+        cfg = RetrievalConfig(epsilon=1e-2, algorithm=algorithm)
+        noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
+        recon = (run_alg1 if algorithm == "alg1" else run_alg2)(noisy, family, cfg)
+        report = verify_noise_bounds(clean, noisy, family, cfg, p=p, recon=recon)
+        A = assemble(clean, recon.plan)
+        dx, dy = grid.dt, grid.dy
+        assert report.lhs_A_norm == _mixed_norm(A.values - recon.ambiguity.values, dx, dy, p)
+        assert report.C_p == _mixed_norm(A.mask.astype(float), dx, dy, p)
+        assert report.lhs_A_norm > 0
 
     def test_json_round_trip(self):
         import json

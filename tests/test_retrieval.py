@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +47,7 @@ from specret import (
     to_measurement,
     verify_noise_bounds,
 )
+from specret.retrieval import _two_at_a_time
 from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, GRIDS
 
 
@@ -588,3 +593,86 @@ class TestConfigValidation:
     def test_rejects_bad_algorithm(self):
         with pytest.raises(ValueError):
             RetrievalConfig(epsilon=1e-3, algorithm="alg3")
+
+
+class TestTwoWindowsInFlight:
+    """`measure_family` measures two windows at a time and stores each power
+    at its member's index: the list is the serial loop's, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        # the odd indices go to a second thread even on a one-core host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_odd_indices_run_on_a_second_thread(self):
+        here = threading.get_ident()
+        ids = _two_at_a_time(lambda j: (j, threading.get_ident()), 5)
+        assert [j for j, _ in ids] == list(range(5))
+        assert {t for j, t in ids if j % 2 == 0} == {here}
+        assert len({t for j, t in ids if j % 2 == 1} - {here}) == 1
+
+    def test_order_holds_under_fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert _two_at_a_time(lambda j: j * j, 1001) == [j * j for j in range(1001)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_core_runs_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _two_at_a_time(lambda j: threading.get_ident(), 3) == [threading.get_ident()] * 3
+
+    @pytest.mark.parametrize("build", [
+        lambda grid: build_hermite_family([5], grid),
+        lambda grid: build_hermite_family([0, 5, 10], grid),
+        lambda grid: build_frft_family(15.0, 40, grid),
+    ], ids=["N1", "N3", "fan40"])
+    def test_matches_serial_loop(self, build):
+        grid = make_grid(8.0, 256)
+        f = gen_mixture(mixture_preset(), grid)
+        family = build(grid)
+        serial = [to_measurement(forward_stft(f, m.samples, grid)) for m in family.members]
+        threaded = measure_family(f, family)
+        assert len(threaded) == len(serial)
+        for a, b in zip(threaded, serial):
+            assert a.grid == b.grid
+            assert a.power.flags.f_contiguous
+            assert np.array_equal(a.power, b.power)
+
+    def test_worker_sees_the_callers_errstate(self):
+        # window 1 overflows |V|^2; it is measured on the worker thread, which
+        # would only warn (and the measurement reject its inf) under numpy's
+        # default errstate
+        grid = make_grid(8.0, 64)
+        f = gauss_signal(grid)
+        family = build_hermite_family([0, 5, 10], grid)
+        with np.errstate(all="raise", under="ignore"):  # the CLI's setting
+            measure_family(f, family)  # the other windows measure cleanly
+        members = list(family.members)
+        members[1] = WindowMember(window_id="huge", samples=members[1].samples * 1e200,
+                                  evaluator=members[1].evaluator)
+        huge = WindowFamily(members=tuple(members), scheme="hermite")
+        with np.errstate(all="raise", under="ignore"), \
+                pytest.raises(FloatingPointError, match="overflow"):
+            measure_family(f, huge)
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["caller", "worker"])
+    def test_failure_is_raised_and_stops_the_other_side(self, bad):
+        # every other call waits until the bad one has failed, so a side that
+        # does not stop runs through all of its indices
+        calls = []
+        failing = threading.Event()
+
+        def fn(j):
+            calls.append(j)
+            if j == bad:
+                failing.set()
+                raise KeyError(j)
+            assert failing.wait(timeout=10)
+            return j
+
+        with pytest.raises(KeyError):
+            _two_at_a_time(fn, 200)
+        assert len(calls) < 20

@@ -125,6 +125,51 @@ class TestSliceConstruction:
         assert to_measurement(c).power.flags.f_contiguous
 
 
+def output_scaled_stft(f, g, grid):
+    """Oracle: the slice construction with dt * exp(-i*pi*L/2) and the sign
+    (-1)^m applied in one pass over the FFT's output, as before they were
+    folded into the signal vector and the slice offsets."""
+    L = grid.L
+    h = L // 2
+    sgn = (-1.0) ** np.arange(L)
+    base = f.values * sgn
+    gc = np.conj(g.astype(complex))
+    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([gc, gc]), L)
+    prod = np.empty((L, L), dtype=complex)
+    np.multiply(rows[h::-1], base, out=prod[:h + 1])
+    np.multiply(rows[L - 1:h:-1], base, out=prod[h + 1:])
+    out = np.fft.fft(prod, axis=1)
+    out *= (grid.dt * (-1j) ** (L % 4)) * sgn
+    return out.T
+
+
+class TestFoldedSign:
+    """The output sign as a roll of the FFT input, and the scale on the signal."""
+
+    def windows(self, grid, rng):
+        return (dilated_gauss_samples(1.0, grid), hermite_samples(5, grid),
+                rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L))
+
+    @pytest.mark.parametrize("L", [32, 250, 1024])
+    def test_power_bits_on_dyadic_step(self, rng, L):
+        # T = L / 128 gives dt = 2^-6, where the scale is exact anywhere
+        grid = make_grid(L / 128, L)
+        f = random_signal(grid, rng, localized=False)
+        for g in self.windows(grid, rng):
+            want = np.abs(output_scaled_stft(f, g, grid)) ** 2
+            assert np.array_equal(to_measurement(forward_stft(f, g)).power, want)
+
+    @pytest.mark.parametrize("T, L", [(1.3, 250), (6.0, 512)])
+    def test_within_rounding_on_other_steps(self, rng, T, L):
+        grid = make_grid(T, L)
+        f = random_signal(grid, rng, localized=False)
+        for g in self.windows(grid, rng):
+            want = output_scaled_stft(f, g, grid)
+            got = forward_stft(f, g).values
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 16 * np.finfo(float).eps
+
+
 class TestIsometry:
     @pytest.mark.parametrize("window", ["gauss", "hermite5"])
     def test_energy_identity(self, window):
