@@ -27,7 +27,7 @@ from .exceptions import (
     RetrievalError,
 )
 from .grid import Grid, Signal, make_grid
-from .metrics import BoundReport, misfit, mixed_norm, verify_noise_bounds
+from .metrics import BoundReport, misfit, verify_noise_bounds
 from .retrieval import (
     Reconstruction,
     RetrievalConfig,
@@ -53,10 +53,9 @@ from .special import (
     dilated_gauss_samples,
     frft_gauss_samples,
     hermite_samples,
-    laguerre_eval,
     laguerre_function,
 )
-from .stft import Measurement, StftCoeffs, add_noise, forward_stft, stft_energy, to_measurement
+from .stft import Measurement, StftCoeffs, add_noise, forward_stft, to_measurement
 from .wavio import load_wav, save_wav
 from .windows import (
     CoverageReport,
@@ -67,7 +66,6 @@ from .windows import (
     build_hermite_family,
     coverage_radii,
     gauss_window_member,
-    peel_masks,
     stability_mask,
 )
 

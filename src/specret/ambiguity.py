@@ -246,11 +246,15 @@ def xy_phase(grid: Grid, sign: int, rows: tuple[int, int] | None = None) -> np.n
     """
     L = grid.L
     r0, r1 = (0, L) if rows is None else rows
-    table = np.exp(sign * 1j * np.pi / L * np.arange(2 * L))
     c = np.arange(L) - L // 2
     idx = np.multiply.outer(c[r0:r1], c)
     idx %= 2 * L
-    return table[idx]
+    return unit_roots(L, sign)[idx]
+
+
+def unit_roots(L: int, sign: int = 1) -> np.ndarray:
+    """The 2L-entry table exp(sign * i*pi * e / L), e = 0, ..., 2L - 1."""
+    return np.exp(sign * 1j * np.pi / L * np.arange(2 * L))
 
 
 def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:

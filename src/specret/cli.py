@@ -50,9 +50,10 @@ AUDIO_TAPER_FRACTION = 0.05
 # L x L complex workspaces alive next to the held measurements, 16 bytes a
 # cell each.  A noisy retrieve peaks in the noise-bound check: J and J^eta,
 # their difference and its |.|^p, beside the plan's den and masks, measured
-# at 5.2-5.3 arrays at L=512.  The STFT product and its FFT (2), the
-# spectrogram-to-product half plane and row band (at most 1.5) and the
-# inversion's lattice, phase rows and FFT (3) each stay below that.
+# at 5.2-5.3 arrays at L=512.  The STFT product and its FFT (2) and the
+# spectrogram-to-product half plane and row band (at most 1.5) stay below
+# that; the inversion holds two blocks of 64 rows (0.25 arrays at L=512,
+# less on larger grids) and no full lattice.
 WORKSPACE_COMPLEX_ARRAYS = 8
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguityGrid, numeric_ambiguity
+from .ambiguity import numeric_ambiguity
 from .exceptions import GridMismatchError
 from .grid import Signal
 from .retrieval import (
@@ -45,13 +45,6 @@ def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
     theta = float(np.angle(inner)) if inner != 0 else 0.0
     d = float(np.linalg.norm(f1.values - np.exp(1j * theta) * f2.values) / n1)
     return d, theta % (2 * np.pi)
-
-
-def mixed_norm(G: AmbiguityGrid, p: float) -> float:
-    """Discrete mixed norm: outer L1 sum over y of the inner L^p norm in x."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return _mixed_norm(G.values, G.grid.dt, G.grid.dy, p)
 
 
 def _row_norms(values: np.ndarray, dx: float, p: float) -> np.ndarray:

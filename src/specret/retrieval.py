@@ -17,7 +17,11 @@ so that transform is one real-input FFT over half the plane and one
 complex FFT over its L/2 + 1 lines (`ambiguity.spectrogram_to_product`),
 and only the rows from the first to the last row of the group's region
 are read out and divided; J starts at zero, so it is zero off omega.
-The inversion likewise builds its phase table on omega's rows only.
+The plan depends only on the family, the grid and eps, and a group's
+sum only on the measurements, so `run_alg1` and `run_alg2` build the
+plan on a second thread while the caller sums the powers of any group
+of two or more members (`_two_at_a_time`), then divide as `assemble`
+does; the plan, den and J have the serial bits.
 
 A fractional-Gauss window's ambiguity is an ellipse that covers a few
 percent of the lattice, so `peel` evaluates each one only where it
@@ -60,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import AmbiguityGrid, spectrogram_to_product, xy_phase
+from .ambiguity import AmbiguityGrid, spectrogram_to_product, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
 from .stft import Measurement, forward_stft, to_measurement
@@ -188,16 +192,18 @@ class RetrievalPlan(NamedTuple):
     omega: np.ndarray
 
 
+def _plan_groups(algorithm: str, n: int) -> tuple:
+    """The member indices of each group: alg1 one group of all n, alg2 one per member."""
+    return (tuple(range(n)),) if algorithm == "alg1" else tuple((j,) for j in range(n))
+
+
 def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> RetrievalPlan:
     """Denominator and regions of `family` on `grid` for cfg.algorithm; each
     member's ambiguity is evaluated once."""
     eps = raw_threshold(cfg, grid)
-    if cfg.algorithm == "alg1":
-        groups = (tuple(range(len(family))),)
-    else:
-        if eps >= 1:  # a single window's ambiguity peaks at 1
-            raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-        groups = tuple((j,) for j in range(len(family)))
+    if cfg.algorithm == "alg2" and eps >= 1:  # a single window's ambiguity peaks at 1
+        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+    groups = _plan_groups(cfg.algorithm, len(family))
     regions = []
     for values, bits in peel(family, groups, eps, grid):
         if not regions:  # reuse the first sum as den: no extra L x L buffer
@@ -220,6 +226,36 @@ def row_span(bits: np.ndarray) -> tuple[int, int] | None:
     return (int(live[0]), int(live[-1]) + 1) if live.size else None
 
 
+def _group_sums(measurements, groups) -> list[Measurement]:
+    """Each group's summed power, added in member order; a group of one is
+    its member's own measurement."""
+    sums = []
+    for group in groups:
+        mea = measurements[group[0]]
+        if len(group) > 1:
+            power = mea.power.copy(order="K")  # keep the powers' own layout
+            for j in group[1:]:
+                power += measurements[j].power
+            mea = Measurement(grid=mea.grid, power=power)
+        sums.append(mea)
+    return sums
+
+
+def _divide(sums, plan: RetrievalPlan) -> AmbiguityGrid:
+    """J = F(group sum) / den on each group's region, read out only on the
+    region's rows, zero off omega."""
+    L = plan.grid.L
+    J = np.zeros((L, L), dtype=np.complex128)
+    for mea, bits in zip(sums, plan.regions):
+        rows = row_span(bits)
+        if rows is None:
+            continue
+        band = slice(*rows)
+        np.divide(spectrogram_to_product(mea, rows), plan.den[band], out=J[band],
+                  where=bits[band])
+    return AmbiguityGrid(grid=plan.grid, values=J, mask=plan.omega)
+
+
 def assemble(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
     """J = F(sum_{j in group} |V_{g_j} f|^2) / sum_{j in group} A g_j on each
     group's region, zero off omega.  The map from a spectrogram to its
@@ -229,70 +265,74 @@ def assemble(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
     grid = measurement_grid(measurements, sum(map(len, plan.groups)))
     if grid != plan.grid:
         raise GridMismatchError("measurements and plan live on different grids")
-    J = np.zeros((grid.L, grid.L), dtype=np.complex128)
-    for group, bits in zip(plan.groups, plan.regions):
-        rows = row_span(bits)
-        if rows is None:
-            continue
-        mea = measurements[group[0]]
-        if len(group) > 1:
-            power = mea.power.copy(order="K")  # keep the powers' own layout
-            for j in group[1:]:
-                power += measurements[j].power
-            mea = Measurement(grid=grid, power=power)
-        band = slice(*rows)
-        np.divide(spectrogram_to_product(mea, rows), plan.den[band], out=J[band],
-                  where=bits[band])
-    return AmbiguityGrid(grid=grid, values=J, mask=plan.omega)
+    return _divide(_group_sums(measurements, plan.groups), plan)
+
+
+# lattice rows `reconstruct_from_ambiguity` sums at a time
+INVERT_ROWS = 64
 
 
 def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Reconstruction:
     """Invert a (masked) ambiguity lattice to a signal, up to global phase.
 
-    The lattice is first converted to the V_f f convention by the exact
-    phase factor exp(-i*pi*x*y), read from a table of 2L-th roots of unity
-    (`xy_phase`); the inverse transform along y then lands on integer
-    lattice offsets, f(x + c) for lattice anchors c, so no interpolation
-    is needed.  One inverse FFT along y serves every column, and the
-    signal is read off its (k + c, k) diagonal.  The anchor maximizes
-    |w(c)| for the profile w(c) = (inverse transform of A(0, .))(c), an
-    estimate of |f(c)|^2, and the output is normalized by sqrt(|u_c(0)|),
-    which fixes the phase factor at the anchor instead of requiring
-    knowledge of f(c).
+    The lattice is converted to the V_f f convention by the exact phase
+    factor exp(-i*pi*x*y); the inverse transform along y then lands on
+    integer lattice offsets, f(x + c) for lattice anchors c, so no
+    interpolation is needed.  Only the cells the signal is read from are
+    computed: with s = c - L/2 and j_k = (k + s) mod L,
+
+        u_c(x_k) = dy i^L (-1)^(k+s) sum_m A[m, k] zeta^e,
+        e = -(k - L/2)(m - L/2) + L m + 2 m j_k  (mod 2L),
+
+    summed over the mask's rows, with zeta = exp(i*pi/L) read from the
+    2L-entry table of `unit_roots`.  As e = m a_k + b_k, the rows are
+    taken INVERT_ROWS at a time: a block starting at row m0 multiplies its
+    cells by one block of powers zeta^((m - m0) a_k), sums each column,
+    and scales the column sums by zeta^(m0 a_k + b_k).  That is O(L R)
+    work for R rows and two blocks of memory, with no L x L buffer.
+
+    The anchor maximizes |w(c)| for the profile w(c), one length-L inverse
+    FFT of the x = 0 column, where the phase factor is 1: an estimate of
+    |f(c)|^2.  The output is normalized by sqrt(|u_c(0)|), which fixes the
+    phase factor at the anchor instead of requiring knowledge of f(c).
     """
     grid = A.grid
     L = grid.L
-    sgn = (-1.0) ** np.arange(L)
-    scale = grid.dy * 1j ** (L % 4) * L  # dy * exp(+i*pi*L/2) * L undoes ifft's 1/L
+    h = L // 2
+    k = np.arange(L)
+    sgn = (-1.0) ** k
+    mask = A.mask
 
-    Vff = np.zeros((L, L), dtype=np.complex128)
-    rows = (0, L) if A.mask is None else row_span(A.mask)
-    if rows is not None:  # the phase table on the mask's rows only
-        band = slice(*rows)
-        np.multiply(A.values[band], xy_phase(grid, -1, rows), out=Vff[band],
-                    where=True if A.mask is None else A.mask[band])
-    Vff *= sgn[:, None]
-    k0 = L // 2  # the x = 0 column, where the phase factor is 1
-    slice_l1 = grid.dy * float(np.sum(np.abs(Vff[:, k0])))
-    # U[j, k] = (1/L) sum_m Vff[m, k] sgn[m] exp(2i*pi*m*j/L), in Vff's buffer
-    U = np.fft.ifft(Vff, axis=0, out=Vff)
-
-    # anchor profile from the x=0 column
-    wprof = sgn * (scale * U[:, k0])  # w carries a (-1)^l factor
+    col = A.values[:, h] if mask is None else np.where(mask[:, h], A.values[:, h], 0)
+    col = col * sgn
+    slice_l1 = grid.dy * float(np.sum(np.abs(col)))
+    wprof = sgn * ((grid.dy * 1j ** (L % 4) * L) * np.fft.ifft(col))  # w carries (-1)^l
     anchor = int(np.argmax(np.abs(wprof))) if cfg.anchor is None else int(cfg.anchor) % L
     u0 = wprof[anchor]  # at the auto anchor |u0| = max |w|, so one check covers both
-    if slice_l1 <= 0 or abs(u0) < 1e-10 * slice_l1:
+    if slice_l1 <= 0 or abs(u0) < 1e-10 * slice_l1:  # also an empty mask
         raise DegenerateAnchorError(f"anchor {anchor} has |u_c(0)| ~ 0")
 
-    # diagonal of the inverse transform: u_c(x_k) = uhat(x_k, x_k + c)
-    s = anchor - L // 2
-    k = np.arange(L)
-    u_diag = scale * ((-1.0) ** (k + s)) * U[(k + s) % L, k]
-    vals = u_diag / np.sqrt(abs(u0))
+    # the diagonal u_c(x_k) = uhat(x_k, x_k + c), at time index j_k
+    s = anchor - h
+    j = (k + s) % L
+    roots = unit_roots(L)
+    a = (L - (k - h) + 2 * j) % (2 * L)
+    b = (h * (k - h)) % (2 * L)
+    r0, r1 = (0, L) if mask is None else row_span(mask)
+    powers = roots[np.multiply.outer(np.arange(min(INVERT_ROWS, r1 - r0)), a) % (2 * L)]
+    terms = np.empty_like(powers)
+    diag = np.zeros(L, dtype=np.complex128)
+    for m0 in range(r0, r1, INVERT_ROWS):
+        m1 = min(m0 + INVERT_ROWS, r1)
+        block = terms[:m1 - m0]
+        block.fill(0)
+        np.multiply(A.values[m0:m1], powers[:m1 - m0], out=block,
+                    where=True if mask is None else mask[m0:m1])
+        diag += roots[(m0 * a + b) % (2 * L)] * block.sum(axis=0)
     out = np.zeros(L, dtype=np.complex128)
-    out[(k + s) % L] = vals
+    out[j] = (grid.dy * 1j ** (L % 4)) * ((-1.0) ** (k + s)) * diag / np.sqrt(abs(u0))
 
-    omega_frac = float(A.mask.mean()) if A.mask is not None else 1.0
+    omega_frac = float(mask.mean()) if mask is not None else 1.0
     return Reconstruction(
         signal=Signal(grid=grid, values=out),
         ambiguity=A,
@@ -303,8 +343,16 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
 
 
 def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
-    plan = make_plan(family, measurement_grid(measurements, len(family)), cfg)
-    return replace(reconstruct_from_ambiguity(assemble(measurements, plan), cfg), plan=plan)
+    grid = measurement_grid(measurements, len(family))
+    groups = _plan_groups(cfg.algorithm, len(family))
+    steps = (lambda: _group_sums(measurements, groups), lambda: make_plan(family, grid, cfg))
+    if max(map(len, groups)) > 1:  # a sum to add: build the plan beside it
+        sums, plan = _two_at_a_time(lambda i: steps[i](), 2)
+    else:
+        sums, plan = [step() for step in steps]
+    J = _divide(sums, plan)
+    del sums  # an alg1 sum is an L x L array the inversion does not read
+    return replace(reconstruct_from_ambiguity(J, cfg), plan=plan)
 
 
 def run_alg1(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:

@@ -20,16 +20,6 @@ _SIN_EPS = 1e-8  # below this |sin(alpha)| the FrFT falls back to alpha in pi*Z
 _EXP_ARG_MIN = 708.3964185322641  # -log(smallest normal float64)
 
 
-def laguerre_eval(n: int, z):
-    """Laguerre polynomial L_n(z) by the three-term recurrence.
-
-    Stable for n <= 200, |z| <= 1e3.  Accepts scalars or arrays.
-    """
-    z = np.asarray(z, dtype=float)
-    out = next(_laguerre_run([n], z, np.ones_like(z)))
-    return out if out.ndim else float(out)
-
-
 def laguerre_function(n: int, z):
     """Laguerre function exp(-z/2) * L_n(z): the one-degree `laguerre_ladder`."""
     out = next(laguerre_ladder([n], z))

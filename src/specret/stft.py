@@ -106,16 +106,6 @@ def to_measurement(c: StftCoeffs) -> Measurement:
     return Measurement(grid=c.grid, power=np.abs(c.values) ** 2)
 
 
-def stft_energy(c: StftCoeffs) -> float:
-    """Quadrature-weighted energy (1/L) * sum |c|^2.
-
-    Approximates ||V_g f||^2 over the time-frequency plane, which equals
-    ||f||^2 * ||g||^2 in discrete norms; on the square lattice the
-    discrete identity is exact.
-    """
-    return float(1 / c.grid.L * np.sum(np.abs(c.values) ** 2))
-
-
 def add_noise(mea: Measurement, model: str, level: float, seed: int) -> Measurement:
     """Contaminate a measurement.
 

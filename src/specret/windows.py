@@ -197,13 +197,6 @@ def peel(family: WindowFamily, groups, epsilon: float, grid: Grid):
         yield values, bits
 
 
-def peel_masks(family: WindowFamily, epsilon: float, grid: Grid) -> list[RegionMask]:
-    """Pairwise-disjoint masks from `peel`, one group per member."""
-    _check_unit_epsilon(epsilon)
-    return [RegionMask(grid=grid, bits=bits)
-            for _, bits in peel(family, [(j,) for j in range(len(family))], epsilon, grid)]
-
-
 def _ellipse_level(a: float, epsilon: float) -> float:
     """Constant C with {A phi_a > eps} = {a x^2 + y^2/a < C}."""
     return (2.0 / np.pi) * abs(np.log(np.sqrt(2.0) * epsilon))

@@ -33,15 +33,14 @@ from specret import (
     misfit,
     mixture_preset,
     numeric_ambiguity,
-    peel_masks,
     run_alg1,
     run_alg2,
     single_window_retrieve,
     stability_mask,
-    stft_energy,
     to_measurement,
     verify_noise_bounds,
 )
+from oracles import peel_masks, stft_energy
 
 
 def announce(criterion, detail):

@@ -17,7 +17,6 @@ from specret import (
     forward_stft,
     frft_gauss_samples,
     hermite_samples,
-    laguerre_eval,
     laguerre_function,
     make_grid,
     numeric_ambiguity,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -336,6 +337,57 @@ class TestNumericErrors:
             rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
         assert rc == 3
         assert not caught
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "overflow" in err
+
+    @pytest.fixture
+    def plan_thread(self, monkeypatch):
+        # two cores, and the threads make_plan ran on; an alg1 retrieve builds
+        # its plan on the second thread while the caller sums the powers
+        from specret import retrieval
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen = []
+        build = retrieval.make_plan
+
+        def make_plan_here(*args):
+            seen.append(threading.get_ident())
+            return build(*args)
+
+        monkeypatch.setattr(retrieval, "make_plan", make_plan_here)
+        return seen
+
+    def test_empty_mask_in_the_plan_thread_exits_3(self, tmp_path, capsys, plan_thread):
+        path = write_config(tmp_path, scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": 8},
+                            epsilon=1e6, grid={"T": 8.0, "L": 64})
+        assert main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+        assert plan_thread and plan_thread[-1] != threading.get_ident()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "tolerance" in err
+
+    def test_overflow_in_the_plan_thread_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                 plan_thread):
+        # under numpy's default errstate the overflow would only warn
+        from specret import retrieval
+        build = retrieval.make_plan
+
+        def overflowing_plan(*args):
+            plan = build(*args)
+            plan.den[0, 0] = np.float64(1e300) * np.float64(1e300)
+            return plan
+
+        monkeypatch.setattr(retrieval, "make_plan", overflowing_plan)
+        path = write_config(tmp_path, scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": 8},
+                            grid={"T": 8.0, "L": 64})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert not caught
+        assert plan_thread and plan_thread[-1] != threading.get_ident()
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1

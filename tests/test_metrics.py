@@ -19,13 +19,13 @@ from specret import (
     make_grid,
     measure_family,
     misfit,
-    mixed_norm,
     mixture_preset,
     run_alg1,
     run_alg2,
     verify_noise_bounds,
 )
 from specret.metrics import _mixed_norm
+from oracles import mixed_norm
 from conftest import random_signal
 
 SMALL = make_grid(2.0, 16)

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from specret import (
     measure_family,
     misfit,
     numeric_ambiguity,
-    peel_masks,
     raw_threshold,
     run_alg1,
     run_alg2,
@@ -47,7 +47,10 @@ from specret import (
     to_measurement,
     verify_noise_bounds,
 )
-from specret.retrieval import _two_at_a_time
+from specret import retrieval
+from specret.ambiguity import xy_phase
+from specret.retrieval import _two_at_a_time, row_span
+from oracles import peel_masks
 from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, GRIDS
 
 
@@ -489,6 +492,184 @@ class TestInversionOracle:
         values = rng.standard_normal((250, 250)) + 1j * rng.standard_normal((250, 250))
         mask = rng.random((250, 250)) < 0.4 if masked else None
         self.check(AmbiguityGrid(grid=grid, values=values, mask=mask), anchor)
+
+
+
+def fft_diagonal_reconstruct(A, anchor=None):
+    """Oracle: the inversion `reconstruct_from_ambiguity` replaced.  The
+    phase-corrected lattice on the mask's rows goes through one L x L
+    inverse FFT along y, and the signal is read off its (k + c, k)
+    diagonal.  Returns (signal values, anchor, diagnostics)."""
+    grid = A.grid
+    L = grid.L
+    sgn = (-1.0) ** np.arange(L)
+    scale = grid.dy * 1j ** (L % 4) * L
+    Vff = np.zeros((L, L), dtype=np.complex128)
+    rows = (0, L) if A.mask is None else row_span(A.mask)
+    if rows is not None:
+        band = slice(*rows)
+        np.multiply(A.values[band], xy_phase(grid, -1, rows), out=Vff[band],
+                    where=True if A.mask is None else A.mask[band])
+    Vff *= sgn[:, None]
+    k0 = L // 2
+    slice_l1 = grid.dy * float(np.sum(np.abs(Vff[:, k0])))
+    U = np.fft.ifft(Vff, axis=0, out=Vff)
+    wprof = sgn * (scale * U[:, k0])
+    anchor = int(np.argmax(np.abs(wprof))) if anchor is None else int(anchor) % L
+    u0 = wprof[anchor]
+    if slice_l1 <= 0 or abs(u0) < 1e-10 * slice_l1:
+        raise DegenerateAnchorError(f"anchor {anchor} has |u_c(0)| ~ 0")
+    s = anchor - L // 2
+    k = np.arange(L)
+    u_diag = scale * ((-1.0) ** (k + s)) * U[(k + s) % L, k]
+    out = np.zeros(L, dtype=np.complex128)
+    out[(k + s) % L] = u_diag / np.sqrt(abs(u0))
+    return out, anchor, {"u0": complex(u0), "anchor_profile_max": float(np.max(np.abs(wprof)))}
+
+
+def assembly(algorithm, T, L):
+    grid = make_grid(T, L)
+    f = gen_mixture(mixture_preset(), grid)
+    if algorithm == "alg1":
+        fam = build_frft_family(15.0, 8, grid)
+        cfg = RetrievalConfig(epsilon=1e-3)
+    else:
+        fam = build_hermite_family([0, 10, 30], grid)
+        cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+    return assemble(measure_family(f, fam), make_plan(fam, grid, cfg))
+
+
+class TestDiagonalInversion:
+    """The inversion that sums only the diagonal it reads, against the
+    L x L inverse FFT it replaced."""
+
+    def check(self, A, anchor=None):
+        want, want_anchor, want_diagnostics = fft_diagonal_reconstruct(A, anchor)
+        rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-3, anchor=anchor))
+        assert rec.anchor_c == want_anchor
+        assert np.max(np.abs(rec.signal.values - want)) <= 1e-13 * np.max(np.abs(want))
+        assert rec.diagnostics.keys() == want_diagnostics.keys()
+        for key, value in want_diagnostics.items():
+            assert abs(rec.diagnostics[key] - value) <= 1e-13 * abs(value)
+
+    @pytest.mark.parametrize("T, L", [(8.0, 512), (6.5, 250)])
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    @pytest.mark.parametrize("anchor", [None, "positive", "negative"])
+    def test_assemblies(self, algorithm, T, L, anchor):
+        # fixed anchors near t = 0, where the signal is not small
+        fixed = {None: None, "positive": L // 2 + 8, "negative": L // 2 - 5 - L}
+        self.check(assembly(algorithm, T, L), fixed[anchor])
+
+    @pytest.mark.parametrize("T, L", [(1.3, 250), (6.5, 250), (8.0, 256)])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("anchor", [None, 3, -40, 1000])
+    def test_random_lattice(self, rng, T, L, masked, anchor):
+        values = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
+        mask = rng.random((L, L)) < 0.4 if masked else None
+        self.check(AmbiguityGrid(grid=make_grid(T, L), values=values, mask=mask), anchor)
+
+    @pytest.mark.parametrize("first, stop", [(120, 123), (60, 190), (0, 250)])
+    def test_row_bands_of_any_length(self, rng, first, stop):
+        # a mask on a few rows, on a span that is no multiple of the block,
+        # and on every row
+        L = 250
+        values = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
+        mask = np.zeros((L, L), dtype=bool)
+        mask[first:stop] = rng.random((stop - first, L)) < 0.7
+        mask[first:stop, L // 2] = True
+        self.check(AmbiguityGrid(grid=make_grid(6.5, L), values=values, mask=mask))
+
+    @pytest.mark.parametrize("mask", ["empty", "off-axis"])
+    def test_degenerate_masks(self, mask):
+        # no cell at all (row_span is None), or none on the x = 0 column
+        grid = make_grid(6.5, 250)
+        bits = np.zeros((250, 250), dtype=bool)
+        if mask == "off-axis":
+            bits[100:150, :100] = True
+        A = AmbiguityGrid(grid=grid, values=np.ones((250, 250), dtype=complex), mask=bits)
+        with pytest.raises(DegenerateAnchorError):
+            fft_diagonal_reconstruct(A)
+        with pytest.raises(DegenerateAnchorError):
+            reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-3))
+
+    def test_holds_less_than_one_complex_lattice(self):
+        # the replaced inversion held an L x L complex buffer: 16 L^2 bytes
+        A = assembly("alg1", 8.0, 512)
+        cfg = RetrievalConfig(epsilon=1e-3)
+        reconstruct_from_ambiguity(A, cfg)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            reconstruct_from_ambiguity(A, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 512 * 512
+
+
+class TestPlanBesideSums:
+    """`run_alg1` builds the plan on a second thread while the caller sums
+    the group's powers; the plan and J are the serial ones, bit for bit."""
+
+    @pytest.fixture
+    def plan_threads(self, monkeypatch):
+        # the thread each make_plan call ran on
+        seen = []
+        build = retrieval.make_plan
+
+        def make_plan_here(*args):
+            seen.append(threading.get_ident())
+            return build(*args)
+
+        monkeypatch.setattr(retrieval, "make_plan", make_plan_here)
+        return seen
+
+    @pytest.mark.parametrize("cores", [{0, 1}, {0}], ids=["two-cores", "one-core"])
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_matches_serial_plan_and_assembly(self, monkeypatch, plan_threads, cores,
+                                              algorithm):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        grid = make_grid(8.0, 256)
+        f = gen_mixture(mixture_preset(), grid)
+        if algorithm == "alg1":
+            fam = build_frft_family(15.0, 40, grid)
+            cfg = RetrievalConfig(epsilon=1e-3)
+        else:
+            fam = build_hermite_family([0, 5, 10, 20], grid)
+            cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        meas = measure_family(f, fam)
+        plan = make_plan(fam, grid, cfg)
+        J = assemble(meas, plan)
+        rec = (run_alg1 if algorithm == "alg1" else run_alg2)(meas, fam, cfg)
+        assert np.array_equal(rec.plan.den, plan.den)
+        assert len(rec.plan.regions) == len(plan.regions)
+        for got, want in zip(rec.plan.regions, plan.regions):
+            assert np.array_equal(got, want)
+        assert np.array_equal(rec.ambiguity.values, J.values)
+        assert np.array_equal(rec.ambiguity.mask, J.mask)
+        assert np.array_equal(rec.signal.values,
+                              reconstruct_from_ambiguity(J, cfg).signal.values)
+        if algorithm == "alg1":  # the powers are added in member order
+            power = meas[0].power.copy(order="K")
+            for mea in meas[1:]:
+                power += mea.power
+            G = spectrogram_to_product(Measurement(grid=grid, power=power)).values
+            omega = plan.omega
+            assert np.array_equal(rec.ambiguity.values[omega], G[omega] / plan.den[omega])
+        # a second thread only for a sum, and only with two cores
+        here = threading.get_ident()
+        overlapped = algorithm == "alg1" and len(cores) > 1
+        assert (plan_threads[-1] != here) == overlapped
+
+    def test_empty_mask_in_the_plan_thread_reaches_the_caller(self, monkeypatch,
+                                                              plan_threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = make_grid(8.0, 64)
+        fam = build_frft_family(2.0, 8, grid)
+        meas = measure_family(gauss_signal(grid), fam)
+        with pytest.raises(EmptyMaskError):
+            run_alg1(meas, fam, RetrievalConfig(epsilon=1e6))
+        assert plan_threads[-1] != threading.get_ident()
 
 
 class TestSingleWindowBaseline:

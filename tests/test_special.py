@@ -9,11 +9,11 @@ from specret import (
     dilated_gauss_samples,
     frft_gauss_samples,
     hermite_samples,
-    laguerre_eval,
     laguerre_function,
     make_grid,
 )
 from specret.special import frft_gauss_coeffs, hermite_values, laguerre_ladder
+from oracles import laguerre_eval
 from conftest import DEGREE_SETS
 
 

@@ -13,9 +13,9 @@ from specret import (
     gen_chirp,
     hermite_samples,
     make_grid,
-    stft_energy,
     to_measurement,
 )
+from oracles import stft_energy
 from conftest import random_signal
 
 

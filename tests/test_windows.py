@@ -10,9 +10,9 @@ from specret import (
     coverage_radii,
     dilated_gauss_samples,
     make_grid,
-    peel_masks,
     stability_mask,
 )
+from oracles import peel_masks
 
 
 def member_sum(family, x, y):
