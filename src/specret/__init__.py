@@ -32,7 +32,6 @@ from .retrieval import (
     Reconstruction,
     RetrievalConfig,
     RetrievalPlan,
-    assemble,
     make_plan,
     measure_family,
     raw_threshold,

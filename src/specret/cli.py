@@ -28,6 +28,7 @@ from .metrics import misfit, verify_noise_bounds
 from .retrieval import (
     RetrievalConfig,
     _two_at_a_time,
+    make_plan,
     measure_family,
     run_alg1,
     run_alg2,
@@ -48,12 +49,12 @@ from .windows import (
 AUDIO_MAX_SAMPLES = 8192
 AUDIO_TAPER_FRACTION = 0.05
 # L x L complex workspaces alive next to the held measurements, 16 bytes a
-# cell each.  A noisy retrieve peaks in the noise-bound check: J and J^eta,
-# their difference and its |.|^p, beside the plan's den and masks, measured
-# at 5.2-5.3 arrays at L=512.  The STFT product and its FFT (2) and the
-# spectrogram-to-product half plane and row band (at most 1.5) stay below
-# that; the inversion holds two blocks of 64 rows (0.25 arrays at L=512,
-# less on larger grids) and no full lattice.
+# cell each.  A noisy retrieve and `verify-bounds` peak in the noise-bound
+# check: a group's noise sum, its half-plane transform and row band, beside
+# the plan (and J in retrieve), measured at 3.4-4.3 arrays at L=512.  The
+# STFT products of the two windows in flight (2) stay below that, and the
+# inversion holds no full lattice.  The margin covers the fixed overheads,
+# which outgrow the per-cell figures below L=512.
 WORKSPACE_COMPLEX_ARRAYS = 8
 
 
@@ -250,7 +251,7 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     writer = ArtifactWriter(out_dir, "retrieve", cfg)
     extra = {}
     if cfg["noise"]["model"] != "none":
-        report = verify_noise_bounds(clean, measurements, family, rcfg, recon=recon)
+        report = verify_noise_bounds(clean, measurements, recon.plan)
         extra["noise_bounds"] = dataclasses.asdict(report)
     _emit_reconstruction(writer, cfg, recon, f, rate, extra)
     writer.finish()
@@ -372,7 +373,7 @@ def cmd_verify_bounds(cfg: dict, out_dir: Path) -> int:
     rcfg = _retrieval_config(cfg)
     clean = measure_family(f, family)
     noisy = _apply_noise(clean, cfg)
-    report = verify_noise_bounds(clean, noisy, family, rcfg, f_true=f)
+    report = verify_noise_bounds(clean, noisy, make_plan(family, f.grid, rcfg), f_true=f)
     writer = ArtifactWriter(out_dir, "verify-bounds", cfg)
     writer.write_json("bounds.json", dataclasses.asdict(report))
     ok = all(report.satisfied)

@@ -7,6 +7,10 @@ The misfit between two signals is
 
 with the minimizer theta* = arg <f1, f2> available in closed form; it
 is also the missing global phase angle.
+
+The noise-bound check transforms each window group's noise sum once
+(the spectrogram -> product map is linear) instead of assembling the
+clean and the noisy ambiguities.
 """
 from __future__ import annotations
 
@@ -14,20 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import numeric_ambiguity
+from .ambiguity import numeric_ambiguity, spectrogram_to_product
 from .exceptions import GridMismatchError
 from .grid import Signal
-from .retrieval import (
-    Reconstruction,
-    RetrievalConfig,
-    assemble,
-    make_plan,
-    measurement_grid,
-    raw_threshold,
-)
-from .windows import WindowFamily
-
-NORM_ROWS = 64  # rows of A - A^eta held at a time in the noise-bound norm
+from .retrieval import RetrievalPlan, measurement_grid, row_span
+from .stft import Measurement
 
 
 def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
@@ -47,13 +42,14 @@ def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
     return d, theta % (2 * np.pi)
 
 
-def _row_norms(values: np.ndarray, dx: float, p: float) -> np.ndarray:
-    """Inner L^p norm in x of each row."""
-    return (dx * np.sum(np.abs(values) ** p, axis=1)) ** (1.0 / p)
+def _outer_l1(row_sums: np.ndarray, dx: float, dy: float, p: float) -> float:
+    """dy * sum over rows of (dx * row_sum)^(1/p), where row_sum holds each
+    row's sum of |.|^p: the outer L1 norm of the inner L^p norms in x."""
+    return float(dy * np.sum((dx * row_sums) ** (1.0 / p)))
 
 
 def _mixed_norm(values: np.ndarray, dx: float, dy: float, p: float) -> float:
-    return float(dy * np.sum(_row_norms(values, dx, p)))
+    return _outer_l1(np.sum(np.abs(values) ** p, axis=1), dx, dy, p)
 
 
 @dataclass(frozen=True)
@@ -61,10 +57,11 @@ class BoundReport:
     """Both sides of the data-noise propagation inequalities, evaluated
     with discrete Riemann-weighted norms.
 
-    epsilon is the raw analytic threshold that lower-bounds the
-    denominators on the reconstruction region (cfg.epsilon * dt).
-    noise_norm is the largest L1 norm of a window group's summed noise: the
-    summed noise for alg1, the largest single-window noise for alg2.
+    epsilon is the plan's raw threshold (cfg.epsilon * dt), which bounds
+    |den| below on omega; C_p and C_R_Omega are the mixed norm of omega's
+    indicator and the length of its y = 0 row.  noise_norm is the largest
+    L1 norm of a window group's summed noise: the summed noise for alg1,
+    the largest single-window noise for alg2.
     satisfied = (full bound holds, slice bound holds).
     """
 
@@ -82,63 +79,57 @@ class BoundReport:
     approx_slice_term: float | None = None
 
 
-def verify_noise_bounds(clean, noisy, family: WindowFamily, cfg: RetrievalConfig,
-                        p: float = 2.0, f_true: Signal | None = None,
-                        recon: Reconstruction | None = None) -> BoundReport:
+def verify_noise_bounds(clean, noisy, plan: RetrievalPlan, p: float = 2.0,
+                        f_true: Signal | None = None) -> BoundReport:
     """Evaluate the noise-propagation inequalities on a clean/noisy pair.
 
-    Assembles the masked reconstructions A and A^eta from one retrieval
-    plan of cfg.algorithm and compares ||A - A^eta|| in the mixed L^{p,1}
-    norm (and the x=0 slice in L1) against the constants-times-noise
-    bounds.  Given `recon`, the retrieval of `noisy` with this family, its
-    plan and its assembly are reused as the plan and A^eta; the plan must
-    have cfg's algorithm and threshold and this family's window ids, or
-    ValueError is raised.  With the true signal supplied, also reports the
-    approximation-error terms (the ambiguity mass left outside the
-    reconstruction region).
+    `plan` is the retrieval plan of the noisy measurements (`make_plan` or
+    `Reconstruction.plan`); epsilon, C_p and C_R_Omega come from it.  On a
+    group's region A - A^eta = -F(eta) / den for the group's summed noise
+    eta = noisy - clean, so each sum is transformed once, on its region's
+    rows, and the mixed L^{p,1} norm of A - A^eta and the L1 norm of its
+    x = 0 slice are taken from those bands.  With the true signal supplied,
+    also reports the approximation-error terms (the ambiguity mass left
+    outside omega).
     """
-    grid = measurement_grid(clean, len(family))
-    if measurement_grid(noisy, len(family)) != grid:
-        raise GridMismatchError("clean and noisy measurements live on different grids")
-    eps = raw_threshold(cfg, grid)
-    if recon is None:
-        plan = make_plan(family, grid, cfg)
-        A_eta = assemble(noisy, plan)
-    else:
-        plan, A_eta = recon.plan, recon.ambiguity
-        if plan is None or ((plan.algorithm, plan.epsilon, plan.window_ids)
-                            != (cfg.algorithm, eps, tuple(m.window_id for m in family.members))):
-            raise ValueError(f"recon was not assembled with an {cfg.algorithm} plan "
-                             f"of this family at threshold {eps:g}")
-    A = assemble(clean, plan)
+    grid, eps, omega = plan.grid, plan.epsilon, plan.omega
+    n = sum(map(len, plan.groups))
+    if measurement_grid(clean, n) != grid or measurement_grid(noisy, n) != grid:
+        raise GridMismatchError("measurements and plan live on different grids")
     dx, dy = grid.dt, grid.dy
+    k0 = grid.L // 2  # x = 0 column
     noise_norm = 0.0
-    for group in plan.groups:  # one summed noise array alive at a time
+    row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
+    slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
+    for group, bits in zip(plan.groups, plan.regions):  # one noise sum alive at a time
         eta = noisy[group[0]].power - clean[group[0]].power
         for j in group[1:]:
             eta += noisy[j].power - clean[j].power
         noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
+        rows = row_span(bits)
+        if rows is None:
+            continue
+        band = slice(*rows)
+        diff = spectrogram_to_product(Measurement(grid=grid, power=eta), rows)
+        del eta  # freed before the band's |.| is allocated
+        np.divide(diff, plan.den[band], out=diff, where=bits[band])
+        diff = np.abs(diff)
+        diff *= bits[band]  # zero off the region
+        slice_abs[band] += diff[:, k0]
+        row_sums[band] += np.sum(np.power(diff, p, out=diff), axis=1)
 
-    omega = A.mask
     # the mixed norm of omega's indicator: each row's sum of |1|^p is its cell count
-    C_p = float(dy * np.sum((dx * omega.sum(axis=1)) ** (1.0 / p)))
-    m0 = grid.L // 2  # y = 0 row
-    C_R = dx * float(np.sum(omega[m0, :]))
-
-    # ||A - A^eta|| row block by row block: no L x L difference or |.|^p is held
-    inner = np.concatenate([
-        _row_norms(A.values[r:r + NORM_ROWS] - A_eta.values[r:r + NORM_ROWS], dx, p)
-        for r in range(0, grid.L, NORM_ROWS)])
-    lhs = float(dy * np.sum(inner))
+    C_p = _outer_l1(omega.sum(axis=1), dx, dy, p)
+    C_R = dx * float(np.sum(omega[k0, :]))  # the y = 0 row
+    lhs = _outer_l1(row_sums, dx, dy, p)
     rhs = C_p / eps * noise_norm
-    k0 = grid.L // 2  # x = 0 column
-    lhs_slice = dy * float(np.sum(np.abs(A.values[:, k0] - A_eta.values[:, k0])))
+    lhs_slice = dy * float(np.sum(slice_abs))
     rhs_slice = C_R / eps * noise_norm
 
     approx = approx_slice = None
     if f_true is not None:
-        Af = numeric_ambiguity(f_true.values, grid)
-        outside = np.where(omega, 0.0, Af.values)
+        outside = numeric_ambiguity(f_true.values, grid).values
+        outside[omega] = 0
         approx = _mixed_norm(outside, dx, dy, p)
         approx_slice = dy * float(np.sum(np.abs(outside[:, k0])))
 

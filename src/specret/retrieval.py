@@ -11,17 +11,17 @@ group of every member; alg2: one group per member), and each group claims
 the cells where |sum of its ambiguities| > eps that no earlier group
 claimed (`windows.peel`).  `make_plan` builds it once per family, grid
 and tolerance, like an FFTW plan, evaluating each member's ambiguity
-once.  Since the spectrogram -> product map is linear, `assemble` sums a
-group's spectrograms and transforms the sum once.  The power is real,
-so that transform is one real-input FFT over half the plane and one
-complex FFT over its L/2 + 1 lines (`ambiguity.spectrogram_to_product`),
+once.  Since the spectrogram -> product map is linear, a group's
+spectrograms are summed and the sum is transformed once.  The power is
+real, so that transform is one real-input FFT over half the plane and
+one complex FFT over its L/2 + 1 lines (`ambiguity.spectrogram_to_product`),
 and only the rows from the first to the last row of the group's region
 are read out and divided; J starts at zero, so it is zero off omega.
 The plan depends only on the family, the grid and eps, and a group's
 sum only on the measurements, so `run_alg1` and `run_alg2` build the
 plan on a second thread while the caller sums the powers of any group
-of two or more members (`_two_at_a_time`), then divide as `assemble`
-does; the plan, den and J have the serial bits.
+of two or more members (`_two_at_a_time`); the plan, den and J have the
+serial bits.
 
 A fractional-Gauss window's ambiguity is an ellipse that covers a few
 percent of the lattice, so `peel` evaluates each one only where it
@@ -171,8 +171,7 @@ def measurement_grid(measurements, n_windows: int) -> Grid:
 class RetrievalPlan(NamedTuple):
     """The measurement-independent part of an assembly, built once by `make_plan`.
 
-    epsilon is the raw threshold the regions were cut at (`raw_threshold`),
-    and window_ids names the family's members in order.
+    epsilon is the raw threshold the regions were cut at (`raw_threshold`).
     groups partitions the member indices in order (alg1: one group of all,
     alg2: one per member).  regions are disjoint boolean (L, L) masks, one
     per group, and omega is their union.  den is real, shape (L, L): on each
@@ -183,9 +182,7 @@ class RetrievalPlan(NamedTuple):
     """
 
     grid: Grid
-    algorithm: str
     epsilon: float
-    window_ids: tuple
     groups: tuple
     den: np.ndarray
     regions: tuple
@@ -215,9 +212,8 @@ def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> Retriev
     omega = reduce(np.logical_or, regions)
     if not omega.any():
         raise EmptyMaskError("no window group's ambiguity exceeds the tolerance")
-    return RetrievalPlan(grid=grid, algorithm=cfg.algorithm, epsilon=eps,
-                         window_ids=tuple(m.window_id for m in family.members),
-                         groups=groups, den=den, regions=tuple(regions), omega=omega)
+    return RetrievalPlan(grid=grid, epsilon=eps, groups=groups, den=den,
+                         regions=tuple(regions), omega=omega)
 
 
 def row_span(bits: np.ndarray) -> tuple[int, int] | None:
@@ -254,18 +250,6 @@ def _divide(sums, plan: RetrievalPlan) -> AmbiguityGrid:
         np.divide(spectrogram_to_product(mea, rows), plan.den[band], out=J[band],
                   where=bits[band])
     return AmbiguityGrid(grid=plan.grid, values=J, mask=plan.omega)
-
-
-def assemble(measurements, plan: RetrievalPlan) -> AmbiguityGrid:
-    """J = F(sum_{j in group} |V_{g_j} f|^2) / sum_{j in group} A g_j on each
-    group's region, zero off omega.  The map from a spectrogram to its
-    product is linear, so one 2D FFT of a group's summed spectrogram
-    replaces one per window, and only the rows the region touches are
-    read out of it."""
-    grid = measurement_grid(measurements, sum(map(len, plan.groups)))
-    if grid != plan.grid:
-        raise GridMismatchError("measurements and plan live on different grids")
-    return _divide(_group_sums(measurements, plan.groups), plan)
 
 
 # lattice rows `reconstruct_from_ambiguity` sums at a time

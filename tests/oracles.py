@@ -1,10 +1,12 @@
 """Helpers that only the tests call, kept out of the library: whole-family
-peeled masks, the bare Laguerre polynomial, the STFT energy and the mixed
-norm of an ambiguity grid."""
+peeled masks, the bare Laguerre polynomial, the STFT energy, the mixed
+norm of an ambiguity grid, the assembly of J from a list of measurements
+and the noise-bound check that assembles both J and J^eta."""
 import numpy as np
 
-from specret import RegionMask
+from specret import BoundReport, GridMismatchError, RegionMask, numeric_ambiguity
 from specret.metrics import _mixed_norm
+from specret.retrieval import _divide, _group_sums, measurement_grid
 from specret.special import _laguerre_run
 from specret.windows import _check_unit_epsilon, peel
 
@@ -41,3 +43,44 @@ def mixed_norm(G, p):
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return _mixed_norm(G.values, G.grid.dt, G.grid.dy, p)
+
+
+def assemble(measurements, plan):
+    """J = F(sum_{j in group} |V_{g_j} f|^2) / sum_{j in group} A g_j on each
+    group's region, zero off omega: what `run_alg1` and `run_alg2` invert."""
+    grid = measurement_grid(measurements, sum(map(len, plan.groups)))
+    if grid != plan.grid:
+        raise GridMismatchError("measurements and plan live on different grids")
+    return _divide(_group_sums(measurements, plan.groups), plan)
+
+
+def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
+    """Oracle for `verify_noise_bounds`: the check as it stood before it
+    transformed the noise sums.  A and A^eta are assembled from the clean
+    and the noisy measurements, and the norms are taken of their
+    difference over the whole plane."""
+    A, A_eta = assemble(clean, plan), assemble(noisy, plan)
+    grid, eps, omega = plan.grid, plan.epsilon, plan.omega
+    dx, dy = grid.dt, grid.dy
+    k0 = grid.L // 2
+    noise_norm = 0.0
+    for group in plan.groups:
+        eta = noisy[group[0]].power - clean[group[0]].power
+        for j in group[1:]:
+            eta += noisy[j].power - clean[j].power
+        noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
+    C_p = _mixed_norm(omega.astype(float), dx, dy, p)
+    C_R = dx * float(np.sum(omega[k0, :]))
+    lhs = _mixed_norm(A.values - A_eta.values, dx, dy, p)
+    lhs_slice = dy * float(np.sum(np.abs(A.values[:, k0] - A_eta.values[:, k0])))
+    rhs, rhs_slice = C_p / eps * noise_norm, C_R / eps * noise_norm
+    approx = approx_slice = None
+    if f_true is not None:
+        outside = np.where(omega, 0.0, numeric_ambiguity(f_true.values, grid).values)
+        approx = _mixed_norm(outside, dx, dy, p)
+        approx_slice = dy * float(np.sum(np.abs(outside[:, k0])))
+    return BoundReport(
+        epsilon=eps, p=p, C_p=C_p, C_R_Omega=C_R, lhs_A_norm=lhs, rhs_bound=rhs,
+        lhs_slice=lhs_slice, rhs_slice_bound=rhs_slice, noise_norm=noise_norm,
+        satisfied=(bool(lhs <= rhs), bool(lhs_slice <= rhs_slice)),
+        approx_term=approx, approx_slice_term=approx_slice)

@@ -29,6 +29,7 @@ from specret import (
     gen_mixture,
     hermite_samples,
     make_grid,
+    make_plan,
     measure_family,
     misfit,
     mixture_preset,
@@ -219,6 +220,8 @@ class TestCriterion7StabilityBounds:
         clean = {"alg1": measure_family(mix, fam_alg1),
                  "alg2": measure_family(mix, fam_alg2)}
         families = {"alg1": fam_alg1, "alg2": fam_alg2}
+        plans = {alg: make_plan(fam, grid, RetrievalConfig(epsilon=1e-2, algorithm=alg))
+                 for alg, fam in families.items()}
         master = np.random.default_rng(777)
         levels = [1e-3, 1e-2, 1e-1]
         checked = 0
@@ -229,9 +232,7 @@ class TestCriterion7StabilityBounds:
             seed = int(master.integers(0, 2 ** 31))
             noisy = [add_noise(m, model, level, seed + j)
                      for j, m in enumerate(clean[algorithm])]
-            cfg = RetrievalConfig(epsilon=1e-2, algorithm=algorithm)
-            report = verify_noise_bounds(clean[algorithm], noisy,
-                                         families[algorithm], cfg)
+            report = verify_noise_bounds(clean[algorithm], noisy, plans[algorithm])
             assert report.satisfied == (True, True), (trial, algorithm, model, level)
             checked += 1
         elapsed = time.time() - start

@@ -81,7 +81,8 @@ class TestRetrieve:
         family = cli._build_family(cfg, f.grid)
         clean = cli.measure_family(f, family)
         noisy = cli._apply_noise(clean, cfg)
-        fresh = cli.verify_noise_bounds(clean, noisy, family, cli._retrieval_config(cfg))
+        fresh = cli.verify_noise_bounds(clean, noisy,
+                                        cli.make_plan(family, f.grid, cli._retrieval_config(cfg)))
         degrees = []
         original = windows.hermite_lattices
         monkeypatch.setattr(windows, "hermite_lattices",
@@ -520,6 +521,24 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert rc == 0
         assert estimate_bytes("retrieve", load_config(str(path))) >= peak
+
+    @pytest.mark.parametrize("doc", [
+        {"scheme": {"kind": "frft_gauss", "a": 2.0, "n_windows": 8}},
+        {"scheme": {"kind": "hermite", "degrees": [0, 5, 10]}},
+    ], ids=["fan8", "hermite"])
+    def test_estimate_covers_verify_bounds_peak(self, tmp_path, doc):
+        # below L=512 the fixed overheads outgrow the per-cell estimate
+        path = write_config(tmp_path, grid={"T": 8.0, "L": 512}, epsilon=1e-2,
+                            noise={"model": "additive", "level": 0.01}, **doc)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert estimate_bytes("verify-bounds", load_config(str(path))) >= peak
 
 
 def mostly(valid, *odd):

@@ -22,7 +22,6 @@ from specret import (
     WindowFamily,
     WindowMember,
     add_noise,
-    assemble,
     build_frft_family,
     build_hermite_family,
     chirp_preset,
@@ -50,7 +49,7 @@ from specret import (
 from specret import retrieval
 from specret.ambiguity import xy_phase
 from specret.retrieval import _two_at_a_time, row_span
-from oracles import peel_masks
+from oracles import assemble, peel_masks
 from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, GRIDS
 
 
@@ -279,7 +278,7 @@ class TestRetrievalPlan:
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         cfg = RetrievalConfig(epsilon=1e-3, algorithm=algorithm)
         fam = counted(fam)
-        verify_noise_bounds(clean, noisy, fam, cfg)  # two assemblies, one plan
+        verify_noise_bounds(clean, noisy, make_plan(fam, grid, cfg))
         assert [m.evaluator.calls for m in fam.members] == [1] * len(fam)
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
@@ -330,36 +329,14 @@ class TestRetrievalPlan:
         clean = measure_family(f, fam)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         cfg = RetrievalConfig(epsilon=1e-3, algorithm=algorithm)
-        fresh = verify_noise_bounds(clean, noisy, fam, cfg)
+        plan = make_plan(fam, grid, cfg)
+        fresh = verify_noise_bounds(clean, noisy, plan)
         fam = counted(fam)
         recon = (run_alg1 if algorithm == "alg1" else run_alg2)(noisy, fam, cfg)
-        assert recon.plan.algorithm == algorithm
-        reused = verify_noise_bounds(clean, noisy, fam, cfg, recon=recon)
+        assert recon.plan.groups == plan.groups
+        reused = verify_noise_bounds(clean, noisy, recon.plan)
         assert [m.evaluator.calls for m in fam.members] == [1] * len(fam)
         assert reused == fresh
-
-    def test_reused_plan_must_match_algorithm(self):
-        grid = make_grid(8.0, 256)
-        fam = build_hermite_family([0, 3], grid)
-        meas = measure_family(gauss_signal(grid), fam)
-        recon = run_alg2(meas, fam, RetrievalConfig(epsilon=1e-3, algorithm="alg2"))
-        with pytest.raises(ValueError):
-            verify_noise_bounds(meas, meas, fam, RetrievalConfig(epsilon=1e-3), recon=recon)
-        # the same algorithm at another tolerance: the plan's omega belongs to 1e-3
-        with pytest.raises(ValueError, match="threshold"):
-            verify_noise_bounds(meas, meas, fam, RetrievalConfig(epsilon=10.0, algorithm="alg2"),
-                                recon=recon)
-
-    def test_reused_plan_must_come_from_the_family(self):
-        # the same count, algorithm, tolerance and grid: only the window ids differ
-        grid = make_grid(8.0, 256)
-        fam = build_hermite_family([0, 3], grid)
-        cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
-        meas = measure_family(gauss_signal(grid), fam)
-        recon = run_alg2(meas, fam, cfg)
-        other = build_hermite_family([0, 20], grid)
-        with pytest.raises(ValueError, match="family"):
-            verify_noise_bounds(meas, meas, other, cfg, recon=recon)
 
     @pytest.mark.parametrize("reuse", [False, True])
     def test_noisy_measurements_must_share_the_grid(self, reuse):
@@ -367,11 +344,11 @@ class TestRetrievalPlan:
         fam = build_hermite_family([0, 3], grid)
         cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
         clean = measure_family(gauss_signal(grid), fam)
-        recon = run_alg2(clean, fam, cfg) if reuse else None
+        plan = run_alg2(clean, fam, cfg).plan if reuse else make_plan(fam, grid, cfg)
         other = make_grid(4.0, 256)  # the same L on another extent
         noisy = [Measurement(grid=other, power=m.power) for m in clean]
         with pytest.raises(GridMismatchError):
-            verify_noise_bounds(clean, noisy, fam, cfg, recon=recon)
+            verify_noise_bounds(clean, noisy, plan)
 
     def test_w1_omega_unchanged(self):
         # W1: the 40-angle a = 15 fan at T = 8, L = 1024, eps = 1e-3
