@@ -220,8 +220,8 @@ def _emit_reconstruction(writer: ArtifactWriter, cfg: dict, recon, f: Signal,
         writer.record("reconstruction.csv")
     container.write_signal(recon.signal, writer.path("reconstruction.bin"), desc="reconstruction")
     writer.record("reconstruction.bin")
-    if emit.get("pgm", True) and recon.ambiguity.mask is not None:
-        container.write_pgm_mask(recon.ambiguity.mask, writer.path("omega.pgm"))
+    if emit.get("pgm", True):
+        container.write_pgm_mask(recon.plan.omega, writer.path("omega.pgm"))
         writer.record("omega.pgm")
     if emit.get("wav", False) and rate is not None:
         save_wav(recon.signal, writer.path("reconstruction.wav"), sample_rate=rate)
@@ -247,7 +247,8 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     clean = measure_family(f, family)
     measurements = _apply_noise(clean, cfg)
     runner = run_alg1 if rcfg.algorithm == "alg1" else run_alg2
-    recon = runner(measurements, family, rcfg)
+    # the rest reads only the signal and the plan: free the assembled J
+    recon = dataclasses.replace(runner(measurements, family, rcfg), ambiguity=None)
     writer = ArtifactWriter(out_dir, "retrieve", cfg)
     extra = {}
     if cfg["noise"]["model"] != "none":

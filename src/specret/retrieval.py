@@ -9,18 +9,23 @@ those exceed the tolerance; they differ only in how the windows are
 grouped.  A `RetrievalPlan` partitions the family into groups (alg1: one
 group of every member; alg2: one group per member), and each group claims
 the cells where |sum of its ambiguities| > eps that no earlier group
-claimed (`windows.peel`).  `make_plan` builds it once per family, grid
-and tolerance, like an FFTW plan, evaluating each member's ambiguity
-once.  Since the spectrogram -> product map is linear, a group's
+claimed (`windows.peel`).  `make_plan` builds it, evaluating each
+member's ambiguity once, and the family keeps the last plan it was run
+with (`WindowFamily.plans`), like an FFTW plan: a setup that retrieves
+many signals builds it once per grid, tolerance and algorithm.  The plan's
+arrays are read-only, since every run after the first shares them.
+Since the spectrogram -> product map is linear, a group's
 spectrograms are summed and the sum is transformed once.  The power is
 real, so that transform is one real-input FFT over half the plane and
 one complex FFT over its L/2 + 1 lines (`ambiguity.spectrogram_to_product`),
 and only the rows from the first to the last row of the group's region
 are read out and divided; J starts at zero, so it is zero off omega.
 The plan depends only on the family, the grid and eps, and a group's
-sum only on the measurements, so `run_alg1` and `run_alg2` build the
-plan on a second thread while the caller sums the powers of any group
-of two or more members (`_two_at_a_time`); the plan, den and J have the
+sum only on the measurements, so when `run_alg1` or `run_alg2` has to
+build the plan it does so on a second thread while the caller sums the
+powers of any group of two or more members (`_two_at_a_time`).  When the
+family already holds the plan, the two cores add each such sum instead,
+one contiguous half each.  Either way the plan, den and J have the
 serial bits.
 
 A fractional-Gauss window's ambiguity is an ellipse that covers a few
@@ -196,7 +201,9 @@ def _plan_groups(algorithm: str, n: int) -> tuple:
 
 def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> RetrievalPlan:
     """Denominator and regions of `family` on `grid` for cfg.algorithm; each
-    member's ambiguity is evaluated once."""
+    member's ambiguity is evaluated once.  den, omega and the regions are
+    read-only: the retrieval stores the plan in the family and hands the
+    same arrays to every later run."""
     eps = raw_threshold(cfg, grid)
     if cfg.algorithm == "alg2" and eps >= 1:  # a single window's ambiguity peaks at 1
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
@@ -212,6 +219,8 @@ def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> Retriev
     omega = reduce(np.logical_or, regions)
     if not omega.any():
         raise EmptyMaskError("no window group's ambiguity exceeds the tolerance")
+    for array in (den, omega, *regions):  # a stored plan is shared by every run
+        array.flags.writeable = False
     return RetrievalPlan(grid=grid, epsilon=eps, groups=groups, den=den,
                          regions=tuple(regions), omega=omega)
 
@@ -222,16 +231,34 @@ def row_span(bits: np.ndarray) -> tuple[int, int] | None:
     return (int(live[0]), int(live[-1]) + 1) if live.size else None
 
 
-def _group_sums(measurements, groups) -> list[Measurement]:
+def _group_sums(measurements, groups, parts: int = 1) -> list[Measurement]:
     """Each group's summed power, added in member order; a group of one is
-    its member's own measurement."""
+    its member's own measurement.
+
+    A sum of two or more powers is added in `parts` blocks, cut along the
+    powers' axis of largest stride so that each block is one contiguous
+    run of memory; the blocks go through `_two_at_a_time`, so with
+    parts=2 the second half is added on a second thread when there are
+    two cores.  Every cell is still added in member order, so the sums
+    have the bits of parts=1.
+    """
     sums = []
     for group in groups:
         mea = measurements[group[0]]
         if len(group) > 1:
-            power = mea.power.copy(order="K")  # keep the powers' own layout
-            for j in group[1:]:
-                power += measurements[j].power
+            powers = [measurements[j].power for j in group]
+            power = np.empty_like(powers[0])  # keep the powers' own layout
+            axis = int(np.argmax(power.strides))
+            n = power.shape[axis]
+
+            def add(i):
+                block = (slice(None),) * axis + (slice(n * i // parts, n * (i + 1) // parts),)
+                out = power[block]
+                np.copyto(out, powers[0][block])
+                for p in powers[1:]:
+                    out += p[block]
+
+            _two_at_a_time(add, parts)
             mea = Measurement(grid=mea.grid, power=power)
         sums.append(mea)
     return sums
@@ -327,13 +354,28 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
 
 
 def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
+    """Retrieve with the family's stored plan for this grid, tolerance and
+    algorithm, or build it and store it in place of the last one.
+
+    On a build, the plan is made on a second thread while the caller sums
+    the powers of any group of two or more members.  On a reuse nothing is
+    built, so both cores add each such sum, one half each (`_group_sums`).
+    Either way the plan, den and J have the serial bits.
+    """
     grid = measurement_grid(measurements, len(family))
-    groups = _plan_groups(cfg.algorithm, len(family))
-    steps = (lambda: _group_sums(measurements, groups), lambda: make_plan(family, grid, cfg))
-    if max(map(len, groups)) > 1:  # a sum to add: build the plan beside it
-        sums, plan = _two_at_a_time(lambda i: steps[i](), 2)
+    key = (grid, raw_threshold(cfg, grid), cfg.algorithm)
+    plan = family.plans.get(key)
+    if plan is not None:
+        sums = _group_sums(measurements, plan.groups, parts=2)
     else:
-        sums, plan = [step() for step in steps]
+        groups = _plan_groups(cfg.algorithm, len(family))
+        steps = (lambda: _group_sums(measurements, groups), lambda: make_plan(family, grid, cfg))
+        if max(map(len, groups)) > 1:  # a sum to add: build the plan beside it
+            sums, plan = _two_at_a_time(lambda i: steps[i](), 2)
+        else:
+            sums, plan = [step() for step in steps]
+        family.plans.clear()  # one plan per family bounds what it keeps
+        family.plans[key] = plan
     J = _divide(sums, plan)
     del sums  # an alg1 sum is an L x L array the inversion does not read
     return replace(reconstruct_from_ambiguity(J, cfg), plan=plan)

@@ -38,3 +38,24 @@ def test_one_op_passes_its_check(name, tmp_path, monkeypatch):
     assert math.isfinite(result.misfit)
     assert result.retrieve_s is not None
     assert workload.run_problems([result]) == []
+
+
+@pytest.mark.parametrize("name, plans", [("fan-chirp-1024", 1), ("hermite-study-512", 2)])
+def test_plan_reuse_across_ops(name, plans, tmp_path, monkeypatch):
+    # the fan measures one fixed family every op, so its second op reuses the
+    # plan; the study draws a fresh family every op, so each op builds one
+    from specret import retrieval
+    builds = []
+    build = retrieval.make_plan
+    monkeypatch.setattr(retrieval, "make_plan", lambda *args: builds.append(1) or build(*args))
+    workload = load_workloads()[name]()
+    mods = {mod: importlib.import_module(mod) for mod in workload.imports}
+    workload.setup(mods, 1, SMALL_L[name], tmp_path)
+    results = []
+    for i in range(2):
+        workload.prepare(i)
+        results.append(workload.op(i))
+    assert [r.problem for r in results] == [None, None]
+    assert len(builds) == plans
+    if plans == 1:
+        assert results[1].recon == results[0].recon

@@ -94,6 +94,35 @@ class TestRetrieve:
         result = json.loads((out / "result.json").read_text())
         assert result["noise_bounds"] == json.loads(json.dumps(asdict(fresh)))
 
+    def test_noisy_j_is_freed_before_the_bound_check(self, tmp_path, monkeypatch):
+        # the check and the artifacts read the measurements, the plan and the
+        # signal; the noisy J, one complex L x L array, is freed before them
+        from specret import cli
+        L = 256
+        path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=0.5,
+                            scheme={"kind": "hermite", "degrees": [5, 10]},
+                            noise={"model": "multiplicative", "level": 0.05})
+        held = []
+        check = cli.verify_noise_bounds
+
+        def traced_check(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_noise_bounds", traced_check)
+        argv = ["retrieve", "--config", str(path), "--out", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # the lazy imports, which stay loaded
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+            finally:
+                tracemalloc.stop()
+        # clean and noisy powers of two windows, den, two regions and omega
+        alive = 4 * 8 * L * L + 8 * L * L + 3 * L * L
+        assert held[-1] - start < alive + 8 * L * L  # J would add 16 L^2
+
     def test_frft_scheme(self, tmp_path):
         cfg = write_config(tmp_path, scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": 8})
         out = tmp_path / "run"

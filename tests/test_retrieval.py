@@ -649,6 +649,119 @@ class TestPlanBesideSums:
         assert plan_threads[-1] != threading.get_ident()
 
 
+class TestPlanReuse:
+    """A family keeps the last plan it retrieved with: a second run on the
+    same grid, tolerance and algorithm builds nothing, adds its sums in two
+    halves on both cores, and has a fresh family's bits."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # one entry per make_plan call
+        calls = []
+        build = retrieval.make_plan
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(retrieval, "make_plan", counted)
+        return calls
+
+    @staticmethod
+    def family(algorithm, grid):
+        if algorithm == "alg1":
+            return build_frft_family(15.0, 40, grid), RetrievalConfig(epsilon=1e-3), run_alg1
+        return (build_hermite_family([0, 5, 10, 20], grid),
+                RetrievalConfig(epsilon=0.5, algorithm="alg2"), run_alg2)
+
+    @pytest.mark.parametrize("cores", [{0, 1}, {0}], ids=["two-cores", "one-core"])
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_reuse_matches_a_fresh_family(self, monkeypatch, builds, cores, algorithm):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        grid = make_grid(8.0, 256)
+        fam, cfg, run = self.family(algorithm, grid)
+        first = run(measure_family(gen_mixture(mixture_preset(), grid), fam), fam, cfg)
+        assert len(builds) == 1
+        # other data through the stored plan
+        meas = [add_noise(m, "additive", 1e-3, seed=j)
+                for j, m in enumerate(measure_family(gauss_signal(grid), fam))]
+        second = run(meas, fam, cfg)
+        assert len(builds) == 1
+        assert second.plan is first.plan
+        fresh_fam = self.family(algorithm, grid)[0]
+        fresh = run(meas, fresh_fam, cfg)
+        assert len(builds) == 2
+        assert np.array_equal(second.ambiguity.values, fresh.ambiguity.values)
+        assert np.array_equal(second.ambiguity.mask, fresh.ambiguity.mask)
+        assert np.array_equal(second.signal.values, fresh.signal.values)
+        assert second.anchor_c == fresh.anchor_c
+
+    def test_another_key_rebuilds_and_replaces_the_plan(self, builds):
+        grid, other_grid = make_grid(8.0, 128), make_grid(4.0, 128)
+        fam = build_frft_family(4.0, 8, grid)
+        meas = measure_family(gauss_signal(grid), fam)
+        other_meas = measure_family(gauss_signal(other_grid), fam)
+        cfg = RetrievalConfig(epsilon=1e-3)
+        runs = [
+            (meas, cfg, run_alg1),
+            (meas, RetrievalConfig(epsilon=2e-3), run_alg1),  # tolerance
+            (other_meas, cfg, run_alg1),                       # grid
+            (meas, cfg, run_alg2),                             # algorithm
+            (meas, cfg, run_alg1),  # only the last plan is kept
+        ]
+        plans = []
+        for k, (m, c, run) in enumerate(runs, start=1):
+            plans.append(run(m, fam, c).plan)
+            assert len(builds) == k
+            assert list(fam.plans.values()) == [plans[-1]]
+        assert len({id(plan) for plan in plans}) == len(plans)
+        assert run_alg1(meas, fam, cfg).plan is plans[-1]
+        assert len(builds) == len(runs)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_plan_is_read_only(self, algorithm):
+        grid = make_grid(8.0, 128)
+        fam, cfg, run = self.family(algorithm, grid)
+        plan = run(measure_family(gen_mixture(mixture_preset(), grid), fam), fam, cfg).plan
+        for array in (plan.den, plan.omega, *plan.regions):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+
+    def test_overflow_in_the_second_half_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = make_grid(8.0, 64)
+        fam = build_frft_family(2.0, 8, grid)
+        meas = measure_family(gauss_signal(grid), fam)
+        cfg = RetrievalConfig(epsilon=1e-3)
+        run_alg1(meas, fam, cfg)  # stores the plan
+        # the powers are Fortran-ordered, so the second half is the last
+        # columns, which the second thread adds
+        assert meas[0].power.flags.f_contiguous
+        huge = []
+        for mea in meas:
+            power = mea.power.copy(order="K")
+            power[:, -1] = 1e308
+            huge.append(Measurement(grid=grid, power=power))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            run_alg1(huge, fam, cfg)
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sums_in_halves_match_the_serial_sum(self, monkeypatch, parts, order):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = make_grid(8.0, 64)
+        rng = np.random.default_rng(3)
+        meas = [Measurement(grid=grid, power=np.asarray(rng.random((64, 64)), order=order))
+                for _ in range(5)]
+        sums = retrieval._group_sums(meas, ((0, 1, 2, 3, 4), (2,)), parts=parts)
+        serial = meas[0].power.copy()
+        for mea in meas[1:]:
+            serial += mea.power
+        assert np.array_equal(sums[0].power, serial)
+        assert sums[0].power.flags[f"{order}_CONTIGUOUS"]
+        assert sums[1] is meas[2]
+
+
 class TestSingleWindowBaseline:
     def test_matched_support_self_test(self):
         grid = make_grid(8.0, 256)
