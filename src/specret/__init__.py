@@ -38,7 +38,6 @@ from .retrieval import (
     reconstruct_from_ambiguity,
     run_alg1,
     run_alg2,
-    single_window_retrieve,
 )
 from .signals import (
     ChirpSpec,

@@ -236,18 +236,16 @@ def hermite_lattices(degrees, grid: Grid, floor: float):
         yield out
 
 
-def xy_phase(grid: Grid, sign: int, rows: tuple[int, int] | None = None) -> np.ndarray:
-    """exp(sign * i*pi * x_k * y_m) on the (m, k) lattice, or on its rows
-    m in [first, stop) given rows = (first, stop).
+def xy_phase(grid: Grid, sign: int) -> np.ndarray:
+    """exp(sign * i*pi * x_k * y_m) on the (m, k) lattice.
 
     On the square lattice x_k * y_m = (k - L/2)(m - L/2)/L, so the factor
     is a 2L-th root of unity picked from a 2L-entry table by an integer
     index modulo 2L.
     """
     L = grid.L
-    r0, r1 = (0, L) if rows is None else rows
     c = np.arange(L) - L // 2
-    idx = np.multiply.outer(c[r0:r1], c)
+    idx = np.multiply.outer(c, c)
     idx %= 2 * L
     return unit_roots(L, sign)[idx]
 
@@ -264,14 +262,12 @@ def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:
     return AmbiguityGrid(grid=grid, values=c.values * xy_phase(grid, 1), mask=None)
 
 
-def spectrogram_to_product(mea: Measurement,
-                           rows: tuple[int, int] | None = None) -> AmbiguityGrid | np.ndarray:
+def spectrogram_to_product(mea: Measurement, rows: tuple[int, int]) -> np.ndarray:
     """Map a spectrogram to the lattice function approximating
     A f(x, y) * conj(A g(x, y)) = F(|V_g f|^2)(y, -x).
 
-    Returns the full lattice as an AmbiguityGrid, or, given rows =
-    (first, stop), the array of rows [first, stop) only, with the bits
-    those rows have in the full lattice.
+    Returns the lattice rows [first, stop) for rows = (first, stop), with
+    the bits those rows have in the full lattice, which is rows = (0, L).
 
     On the centred lattice the map is
 
@@ -294,7 +290,7 @@ def spectrogram_to_product(mea: Measurement,
     grid = mea.grid
     L = grid.L
     h = L // 2
-    r0, r1 = (0, L) if rows is None else rows
+    r0, r1 = rows
     # H[b, n] = sum_{m, k} P[m, k] exp(-2i pi (m b + k n) / L), b <= L/2
     H = np.fft.rfft(mea.power, axis=0)  # along m, contiguous in a clean power
     np.fft.fft(H, axis=1, out=H)
@@ -309,4 +305,4 @@ def spectrogram_to_product(mea: Measurement,
     sgn = (-1.0) ** np.arange(L)
     G *= ((grid.dt * grid.dy) * sgn[r0:r1])[:, None]
     G *= sgn
-    return AmbiguityGrid(grid=grid, values=G, mask=None) if rows is None else G
+    return G

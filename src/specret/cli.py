@@ -32,13 +32,13 @@ from .retrieval import (
     measure_family,
     run_alg1,
     run_alg2,
-    single_window_retrieve,
 )
 from .signals import chirp_preset, gen_chirp, gen_mixture, mixture_preset
-from .stft import add_noise, forward_stft, to_measurement
+from .stft import add_noise
 from .wavio import load_wav, save_wav
 from .windows import (
     RegionMask,
+    WindowFamily,
     build_frft_family,
     build_hermite_family,
     coverage_radii,
@@ -260,13 +260,12 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_baseline(cfg: dict, out_dir: Path) -> int:
-    """Single standard-Gauss window baseline at the configured tolerance."""
+    """Single standard-Gauss window baseline at the configured tolerance:
+    `retrieve`'s alg2 path on a one-window family."""
     f, rate = _build_signal(cfg)
-    member = gauss_window_member(1.0, f.grid)
-    mea = to_measurement(forward_stft(f, member.samples, f.grid))
-    mea = _apply_noise([mea], cfg)[0]
-    rcfg = _retrieval_config(cfg)
-    recon = single_window_retrieve(mea, member.evaluator, rcfg)
+    family = WindowFamily(members=(gauss_window_member(1.0, f.grid),), scheme="frft_gauss")
+    measurements = _apply_noise(measure_family(f, family), cfg)
+    recon = run_alg2(measurements, family, _retrieval_config(cfg))
     writer = ArtifactWriter(out_dir, "baseline", cfg)
     _emit_reconstruction(writer, cfg, recon, f, rate)
     writer.finish()

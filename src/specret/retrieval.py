@@ -6,7 +6,8 @@ Retrieval plan
 --------------
 Both algorithms divide spectrogram products by window ambiguities where
 those exceed the tolerance; they differ only in how the windows are
-grouped.  A `RetrievalPlan` partitions the family into groups (alg1: one
+grouped, and the single-window baseline is alg2 on a one-window family.
+A `RetrievalPlan` partitions the family into groups (alg1: one
 group of every member; alg2: one group per member), and each group claims
 the cells where |sum of its ambiguities| > eps that no earlier group
 claimed (`windows.peel`).  `make_plan` builds it, evaluating each
@@ -20,13 +21,10 @@ real, so that transform is one real-input FFT over half the plane and
 one complex FFT over its L/2 + 1 lines (`ambiguity.spectrogram_to_product`),
 and only the rows from the first to the last row of the group's region
 are read out and divided; J starts at zero, so it is zero off omega.
-The plan depends only on the family, the grid and eps, and a group's
-sum only on the measurements, so when `run_alg1` or `run_alg2` has to
-build the plan it does so on a second thread while the caller sums the
-powers of any group of two or more members (`_two_at_a_time`).  When the
-family already holds the plan, the two cores add each such sum instead,
-one contiguous half each.  Either way the plan, den and J have the
-serial bits.
+`run_alg1` and `run_alg2` take the family's stored plan, or build it in
+the calling thread and store it; then the powers of each group of two or
+more members are added in two contiguous halves, one on each core
+(`_two_at_a_time`), so the sums, den and J have the serial bits.
 
 A fractional-Gauss window's ambiguity is an ellipse that covers a few
 percent of the lattice, so `peel` evaluates each one only where it
@@ -73,7 +71,7 @@ from .ambiguity import AmbiguityGrid, spectrogram_to_product, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
 from .stft import Measurement, forward_stft, to_measurement
-from .windows import WindowFamily, WindowMember, peel
+from .windows import WindowFamily, peel
 
 
 @dataclass(frozen=True)
@@ -194,11 +192,6 @@ class RetrievalPlan(NamedTuple):
     omega: np.ndarray
 
 
-def _plan_groups(algorithm: str, n: int) -> tuple:
-    """The member indices of each group: alg1 one group of all n, alg2 one per member."""
-    return (tuple(range(n)),) if algorithm == "alg1" else tuple((j,) for j in range(n))
-
-
 def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> RetrievalPlan:
     """Denominator and regions of `family` on `grid` for cfg.algorithm; each
     member's ambiguity is evaluated once.  den, omega and the regions are
@@ -207,7 +200,8 @@ def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> Retriev
     eps = raw_threshold(cfg, grid)
     if cfg.algorithm == "alg2" and eps >= 1:  # a single window's ambiguity peaks at 1
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-    groups = _plan_groups(cfg.algorithm, len(family))
+    n = len(family)  # alg1: one group of all n members, alg2: one group per member
+    groups = (tuple(range(n)),) if cfg.algorithm == "alg1" else tuple((j,) for j in range(n))
     regions = []
     for values, bits in peel(family, groups, eps, grid):
         if not regions:  # reuse the first sum as den: no extra L x L buffer
@@ -231,16 +225,15 @@ def row_span(bits: np.ndarray) -> tuple[int, int] | None:
     return (int(live[0]), int(live[-1]) + 1) if live.size else None
 
 
-def _group_sums(measurements, groups, parts: int = 1) -> list[Measurement]:
+def _group_sums(measurements, groups) -> list[Measurement]:
     """Each group's summed power, added in member order; a group of one is
     its member's own measurement.
 
-    A sum of two or more powers is added in `parts` blocks, cut along the
-    powers' axis of largest stride so that each block is one contiguous
-    run of memory; the blocks go through `_two_at_a_time`, so with
-    parts=2 the second half is added on a second thread when there are
-    two cores.  Every cell is still added in member order, so the sums
-    have the bits of parts=1.
+    A sum of two or more powers is added in two halves, cut along the
+    powers' axis of largest stride so that each half is one contiguous run
+    of memory.  The halves go through `_two_at_a_time`, so the second one
+    is added on a second thread when there are two cores.  Every cell is
+    still added in member order, so the sums have the serial loop's bits.
     """
     sums = []
     for group in groups:
@@ -252,13 +245,13 @@ def _group_sums(measurements, groups, parts: int = 1) -> list[Measurement]:
             n = power.shape[axis]
 
             def add(i):
-                block = (slice(None),) * axis + (slice(n * i // parts, n * (i + 1) // parts),)
+                block = (slice(None),) * axis + (slice(n * i // 2, n * (i + 1) // 2),)
                 out = power[block]
                 np.copyto(out, powers[0][block])
                 for p in powers[1:]:
                     out += p[block]
 
-            _two_at_a_time(add, parts)
+            _two_at_a_time(add, 2)
             mea = Measurement(grid=mea.grid, power=power)
         sums.append(mea)
     return sums
@@ -355,29 +348,20 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
 
 def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
     """Retrieve with the family's stored plan for this grid, tolerance and
-    algorithm, or build it and store it in place of the last one.
-
-    On a build, the plan is made on a second thread while the caller sums
-    the powers of any group of two or more members.  On a reuse nothing is
-    built, so both cores add each such sum, one half each (`_group_sums`).
-    Either way the plan, den and J have the serial bits.
+    algorithm, or build it in the calling thread and store it in place of
+    the last one.  Each group sum of two or more powers is then added on
+    both cores, one half each (`_group_sums`), divided out and inverted.
     """
     grid = measurement_grid(measurements, len(family))
     key = (grid, raw_threshold(cfg, grid), cfg.algorithm)
     plan = family.plans.get(key)
-    if plan is not None:
-        sums = _group_sums(measurements, plan.groups, parts=2)
-    else:
-        groups = _plan_groups(cfg.algorithm, len(family))
-        steps = (lambda: _group_sums(measurements, groups), lambda: make_plan(family, grid, cfg))
-        if max(map(len, groups)) > 1:  # a sum to add: build the plan beside it
-            sums, plan = _two_at_a_time(lambda i: steps[i](), 2)
-        else:
-            sums, plan = [step() for step in steps]
+    if plan is None:
+        plan = make_plan(family, grid, cfg)
         family.plans.clear()  # one plan per family bounds what it keeps
         family.plans[key] = plan
-    J = _divide(sums, plan)
-    del sums  # an alg1 sum is an L x L array the inversion does not read
+    # the group sums die with the call: an alg1 sum is an L x L array the
+    # inversion does not read
+    J = _divide(_group_sums(measurements, plan.groups), plan)
     return replace(reconstruct_from_ambiguity(J, cfg), plan=plan)
 
 
@@ -389,17 +373,6 @@ def run_alg1(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Recons
 
 def run_alg2(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
     """Multi-window retrieval on peeled disjoint regions (Hermite window
-    families with ascending degrees)."""
+    families with ascending degrees); on a one-window family it is the
+    single-window baseline."""
     return _run(measurements, family, replace(cfg, algorithm="alg2"))
-
-
-def single_window_retrieve(measurement: Measurement, evaluator,
-                           cfg: RetrievalConfig) -> Reconstruction:
-    """Single-window pointwise inversion (the instability baseline)."""
-    family = WindowFamily(
-        members=(WindowMember(window_id=repr(evaluator),
-                              samples=np.zeros(measurement.grid.L),
-                              evaluator=evaluator),),
-        scheme="single",
-    )
-    return run_alg2([measurement], family, cfg)

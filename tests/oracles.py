@@ -1,10 +1,18 @@
 """Helpers that only the tests call, kept out of the library: whole-family
 peeled masks, the bare Laguerre polynomial, the STFT energy, the mixed
-norm of an ambiguity grid, the assembly of J from a list of measurements
-and the noise-bound check that assembles both J and J^eta."""
+norm of an ambiguity grid, the assembly of J from a list of measurements,
+the noise-bound check that assembles both J and J^eta, and the one-window
+family of the single-window baseline."""
 import numpy as np
 
-from specret import BoundReport, GridMismatchError, RegionMask, numeric_ambiguity
+from specret import (
+    BoundReport,
+    GridMismatchError,
+    RegionMask,
+    WindowFamily,
+    gauss_window_member,
+    numeric_ambiguity,
+)
 from specret.metrics import _mixed_norm
 from specret.retrieval import _divide, _group_sums, measurement_grid
 from specret.special import _laguerre_run
@@ -84,3 +92,8 @@ def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
         lhs_slice=lhs_slice, rhs_slice_bound=rhs_slice, noise_norm=noise_norm,
         satisfied=(bool(lhs <= rhs), bool(lhs_slice <= rhs_slice)),
         approx_term=approx, approx_slice_term=approx_slice)
+
+
+def gauss_baseline_family(grid):
+    """The one standard-Gauss window `specret baseline` retrieves with."""
+    return WindowFamily(members=(gauss_window_member(1.0, grid),), scheme="frft_gauss")

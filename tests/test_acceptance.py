@@ -24,7 +24,6 @@ from specret import (
     eval_hermite_ambiguity,
     forward_stft,
     frft_gauss_samples,
-    gauss_window_member,
     gen_chirp,
     gen_mixture,
     hermite_samples,
@@ -36,12 +35,11 @@ from specret import (
     numeric_ambiguity,
     run_alg1,
     run_alg2,
-    single_window_retrieve,
     stability_mask,
     to_measurement,
     verify_noise_bounds,
 )
-from oracles import peel_masks, stft_energy
+from oracles import gauss_baseline_family, peel_masks, stft_energy
 
 
 def announce(criterion, detail):
@@ -127,10 +125,9 @@ class TestCriterion4NoiselessExactness:
         grid = make_grid(8.0, 512)
         phi1 = Signal(grid=grid, values=dilated_gauss_samples(1.0, grid).astype(complex))
 
-        member = gauss_window_member(1.0, grid)
-        mea = to_measurement(forward_stft(phi1, member.samples, grid))
-        d_gauss, _ = misfit(phi1, single_window_retrieve(
-            mea, member.evaluator, RetrievalConfig(epsilon=1e-6)).signal)
+        fam_g = gauss_baseline_family(grid)
+        d_gauss, _ = misfit(phi1, run_alg2(
+            measure_family(phi1, fam_g), fam_g, RetrievalConfig(epsilon=1e-6)).signal)
         assert d_gauss < 1e-4
 
         fam0 = build_hermite_family([0], grid)
@@ -163,10 +160,9 @@ class TestCriterion5MultiVsSingleWindow:
             measure_family(f, fam1), fam1, RetrievalConfig(epsilon=1e-3)).signal)
         assert d_alg1 < 0.02
 
-        member = gauss_window_member(1.0, grid)
-        mea = to_measurement(forward_stft(f, member.samples, grid))
-        d_single, _ = misfit(f, single_window_retrieve(
-            mea, member.evaluator, RetrievalConfig(epsilon=1e-3)).signal)
+        fam_g = gauss_baseline_family(grid)
+        d_single, _ = misfit(f, run_alg2(
+            measure_family(f, fam_g), fam_g, RetrievalConfig(epsilon=1e-3)).signal)
         assert d_single > 0.5
 
         fam2 = build_hermite_family([0, 10, 20, 30, 40, 50], grid)

@@ -28,7 +28,6 @@ from specret import (
     dilated_gauss_samples,
     eval_frft_gauss_ambiguity,
     forward_stft,
-    gauss_window_member,
     gen_chirp,
     gen_mixture,
     make_grid,
@@ -41,7 +40,6 @@ from specret import (
     run_alg1,
     run_alg2,
     reconstruct_from_ambiguity,
-    single_window_retrieve,
     spectrogram_to_product,
     to_measurement,
     verify_noise_bounds,
@@ -49,7 +47,7 @@ from specret import (
 from specret import retrieval
 from specret.ambiguity import xy_phase
 from specret.retrieval import _two_at_a_time, row_span
-from oracles import assemble, peel_masks
+from oracles import assemble, gauss_baseline_family, peel_masks
 from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, GRIDS
 
 
@@ -187,16 +185,6 @@ class TestAlg2:
         assert d_pair <= 0.15
         assert d_single >= 2.0 * d_pair
 
-    def test_single_member_matches_single_window_path(self):
-        grid = make_grid(8.0, 256)
-        f = gauss_signal(grid)
-        fam = build_hermite_family([0], grid)
-        meas = measure_family(f, fam)
-        cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
-        via_family = run_alg2(meas, fam, cfg)
-        via_single = single_window_retrieve(meas[0], fam.members[0].evaluator, cfg)
-        assert np.array_equal(via_family.signal.values, via_single.signal.values)
-
 
 class CountingEvaluator:
     """Delegates to an evaluator and counts its lattice evaluations."""
@@ -247,7 +235,7 @@ class TestRetrievalPlan:
         expected = np.zeros((grid.L, grid.L), dtype=complex)
         for mea, member, mask in zip(meas, fam.members,
                                      peel_masks(fam, raw_threshold(cfg, grid), grid)):
-            G = spectrogram_to_product(mea).values
+            G = spectrogram_to_product(mea, (0, grid.L))
             expected[mask.bits] = G[mask.bits] / member.evaluator.on_lattice(grid)[mask.bits]
         assert np.array_equal(J.values, expected)
 
@@ -259,7 +247,7 @@ class TestRetrievalPlan:
         meas = measure_family(f, fam)
         J = assemble(meas, make_plan(fam, grid, cfg))
         # oracle: one spectrogram -> product transform per window, summed
-        num = sum(spectrogram_to_product(mea).values for mea in meas)
+        num = sum(spectrogram_to_product(mea, (0, grid.L)) for mea in meas)
         den = fam.summed_on_lattice(grid)
         omega = den > raw_threshold(cfg, grid)
         expected = np.where(omega, num / np.where(omega, den, 1.0), 0.0)
@@ -306,7 +294,7 @@ class TestRetrievalPlan:
         assert np.array_equal(plan.den[plan.omega], summed[plan.omega])
         meas = measure_family(gen_mixture(mixture_preset(), grid), fam)
         J = assemble(meas, plan)
-        num = sum(spectrogram_to_product(mea).values for mea in meas)
+        num = sum(spectrogram_to_product(mea, (0, grid.L)) for mea in meas)
         expected = np.where(plan.omega, num / np.where(plan.omega, summed, 1.0), 0.0)
         assert np.max(np.abs(J.values - expected)) <= 1e-9 * np.max(np.abs(expected))
 
@@ -485,7 +473,7 @@ def fft_diagonal_reconstruct(A, anchor=None):
     rows = (0, L) if A.mask is None else row_span(A.mask)
     if rows is not None:
         band = slice(*rows)
-        np.multiply(A.values[band], xy_phase(grid, -1, rows), out=Vff[band],
+        np.multiply(A.values[band], xy_phase(grid, -1)[band], out=Vff[band],
                     where=True if A.mask is None else A.mask[band])
     Vff *= sgn[:, None]
     k0 = L // 2
@@ -585,8 +573,9 @@ class TestDiagonalInversion:
 
 
 class TestPlanBesideSums:
-    """`run_alg1` builds the plan on a second thread while the caller sums
-    the group's powers; the plan and J are the serial ones, bit for bit."""
+    """A first run builds the plan in the calling thread, then adds the
+    group's powers on both cores; the plan and J are the serial ones, bit
+    for bit."""
 
     @pytest.fixture
     def plan_threads(self, monkeypatch):
@@ -630,13 +619,10 @@ class TestPlanBesideSums:
             power = meas[0].power.copy(order="K")
             for mea in meas[1:]:
                 power += mea.power
-            G = spectrogram_to_product(Measurement(grid=grid, power=power)).values
+            G = spectrogram_to_product(Measurement(grid=grid, power=power), (0, grid.L))
             omega = plan.omega
             assert np.array_equal(rec.ambiguity.values[omega], G[omega] / plan.den[omega])
-        # a second thread only for a sum, and only with two cores
-        here = threading.get_ident()
-        overlapped = algorithm == "alg1" and len(cores) > 1
-        assert (plan_threads[-1] != here) == overlapped
+        assert plan_threads == [threading.get_ident()]  # one build, in the caller
 
     def test_empty_mask_in_the_plan_thread_reaches_the_caller(self, monkeypatch,
                                                               plan_threads):
@@ -646,7 +632,7 @@ class TestPlanBesideSums:
         meas = measure_family(gauss_signal(grid), fam)
         with pytest.raises(EmptyMaskError):
             run_alg1(meas, fam, RetrievalConfig(epsilon=1e6))
-        assert plan_threads[-1] != threading.get_ident()
+        assert plan_threads == [threading.get_ident()]
 
 
 class TestPlanReuse:
@@ -745,15 +731,16 @@ class TestPlanReuse:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             run_alg1(huge, fam, cfg)
 
-    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_sums_in_halves_match_the_serial_sum(self, monkeypatch, parts, order):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    def test_sums_in_halves_match_the_serial_sum(self, monkeypatch, cores, order):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
         grid = make_grid(8.0, 64)
         rng = np.random.default_rng(3)
         meas = [Measurement(grid=grid, power=np.asarray(rng.random((64, 64)), order=order))
                 for _ in range(5)]
-        sums = retrieval._group_sums(meas, ((0, 1, 2, 3, 4), (2,)), parts=parts)
+        sums = retrieval._group_sums(meas, ((0, 1, 2, 3, 4), (2,)))
         serial = meas[0].power.copy()
         for mea in meas[1:]:
             serial += mea.power
@@ -766,19 +753,18 @@ class TestSingleWindowBaseline:
     def test_matched_support_self_test(self):
         grid = make_grid(8.0, 256)
         f = gauss_signal(grid)
-        member = gauss_window_member(1.0, grid)
-        mea = to_measurement(forward_stft(f, member.samples, grid))
-        rec = single_window_retrieve(mea, member.evaluator, RetrievalConfig(epsilon=1e-6))
+        fam = gauss_baseline_family(grid)
+        rec = run_alg2(measure_family(f, fam), fam, RetrievalConfig(epsilon=1e-6))
         d, _ = misfit(f, rec.signal)
         assert d < 1e-4
 
     def test_chirp_baseline_fails_and_improves_with_epsilon(self):
         grid = make_grid(8.0, 512)
         f = gen_chirp(chirp_preset(), grid)
-        member = gauss_window_member(1.0, grid)
-        mea = to_measurement(forward_stft(f, member.samples, grid))
-        rec3 = single_window_retrieve(mea, member.evaluator, RetrievalConfig(epsilon=1e-3))
-        rec9 = single_window_retrieve(mea, member.evaluator, RetrievalConfig(epsilon=1e-9))
+        fam = gauss_baseline_family(grid)
+        meas = measure_family(f, fam)
+        rec3 = run_alg2(meas, fam, RetrievalConfig(epsilon=1e-3))
+        rec9 = run_alg2(meas, fam, RetrievalConfig(epsilon=1e-9))
         d3, _ = misfit(f, rec3.signal)
         d9, _ = misfit(f, rec9.signal)
         assert d3 > 0.5
