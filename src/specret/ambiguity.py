@@ -29,11 +29,11 @@ floor, found from the monotone tail of the Laguerre functions; with no
 floor it evaluates every cell.  `HermiteAmbiguity.on_lattice` is its
 one-degree case.
 
-`spectrogram_to_product` takes the 2D DFT of a real power, which is
-Hermitian, so it transforms half the plane: one real-input FFT along the
-frequency bins and one complex FFT over the L/2 + 1 lines that gives.
-It reads out only the rows asked for, and fills the other half of each
-row from the exact symmetry.
+`product_blocks` takes the 2D DFT of a real power, which is Hermitian,
+so it transforms half the plane: one real-input FFT along the frequency
+bins and one complex FFT over the L/2 + 1 lines that gives.  It reads out
+only the rows asked for, PRODUCT_ROWS at a time through one buffer, and
+fills the other half of each row from the exact symmetry.
 """
 from __future__ import annotations
 
@@ -95,6 +95,7 @@ def eval_hermite_ambiguity(n: int, x, y):
 
 # lattice rows evaluated together by `FrftGaussAmbiguity.on_lattice`
 BAND_ROWS = 16
+PRODUCT_ROWS = 64  # lattice rows `product_blocks` reads out at a time: 1 MB at L = 1024
 
 
 class FrftGaussAmbiguity:
@@ -264,10 +265,20 @@ def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:
 
 def spectrogram_to_product(mea: Measurement, rows: tuple[int, int]) -> np.ndarray:
     """Map a spectrogram to the lattice function approximating
-    A f(x, y) * conj(A g(x, y)) = F(|V_g f|^2)(y, -x).
+    A f(x, y) * conj(A g(x, y)) = F(|V_g f|^2)(y, -x): the blocks of
+    `product_blocks` for rows = (first, stop), gathered into one band."""
+    r0, r1 = rows
+    G = np.empty((r1 - r0, mea.grid.L), dtype=np.complex128)
+    for m0, block in product_blocks(mea, rows):
+        G[m0 - r0:m0 - r0 + len(block)] = block
+    return G
 
-    Returns the lattice rows [first, stop) for rows = (first, stop), with
-    the bits those rows have in the full lattice, which is rows = (0, L).
+
+def product_blocks(mea: Measurement, rows: tuple[int, int] | None):
+    """Yield (m0, G), G[r] being lattice row m0 + r, for consecutive blocks
+    of rows = (first, stop), or nothing for rows = None.  Each G is a view
+    of one PRODUCT_ROWS-row buffer, overwritten by the next block, and mea
+    is dropped once transformed: a sum made for the call dies first.
 
     On the centred lattice the map is
 
@@ -280,29 +291,38 @@ def spectrogram_to_product(mea: Measurement, rows: tuple[int, int]) -> np.ndarra
     one real-input FFT along m gives the half plane of columns j <= L/2
     with its lines in reverse order (the inverse sign and s(m) together
     turn bin j into L/2 - j), and one complex FFT along k over those
-    L/2 + 1 lines gives every row i, shifted by L/2.  Only the requested
-    rows are read out, scaled and modulated.  Columns j > L/2 follow from
-    the Hermitian symmetry of a real input's transform,
+    L/2 + 1 lines gives every row i, shifted by L/2.  Each block is sliced
+    out of that half plane, then scaled and modulated.  Columns j > L/2
+    follow from the Hermitian symmetry of a real input's transform,
     G[i, j] = conj(G[(L - i) mod L, L - j]), which the output satisfies
     exactly: the two self-paired lines j = 0 and j = L/2 are made
     Hermitian before any row is read.
     """
+    if rows is None:
+        return
     grid = mea.grid
     L = grid.L
     h = L // 2
     r0, r1 = rows
     # H[b, n] = sum_{m, k} P[m, k] exp(-2i pi (m b + k n) / L), b <= L/2
     H = np.fft.rfft(mea.power, axis=0)  # along m, contiguous in a clean power
+    del mea
     np.fft.fft(H, axis=1, out=H)
     for line in (H[0], H[h]):  # transforms of real lines: make them exactly Hermitian
         line[h + 1:] = line[h - 1:0:-1].conj()
         line.imag[[0, h]] = 0.0
-    # G[i, j] = c s(i + j) H[L/2 - j, (i + L/2) mod L] for j <= L/2
-    i = np.arange(r0, r1)
-    G = np.empty((r1 - r0, L), dtype=np.complex128)
-    G[:, :h + 1] = H[h::-1, (i + h) % L].T
-    np.conjugate(H[1:h, (h - i) % L].T, out=G[:, h + 1:])
     sgn = (-1.0) ** np.arange(L)
-    G *= ((grid.dt * grid.dy) * sgn[r0:r1])[:, None]
-    G *= sgn
-    return G
+    buf = np.empty((min(PRODUCT_ROWS, r1 - r0), L), dtype=np.complex128)
+    # G[i, j] = c s(i + j) H[L/2 - j, (i + L/2) mod L] for j <= L/2; no block
+    # straddles row L/2 or L/2 + 1, where the columns read wrap around
+    cuts = sorted({*range(r0, r1, PRODUCT_ROWS), *(c for c in (h, h + 1) if r0 < c < r1), r1})
+    for m0, m1 in zip(cuts, cuts[1:]):
+        n = m1 - m0
+        G = buf[:n]
+        c = (m0 + h) % L
+        np.copyto(G[:, :h + 1], H[h::-1, c:c + n].T)
+        c = (h - m0) % L  # the column falls by one a row
+        np.conjugate(H[1:h, c - n + 1:c + 1][:, ::-1].T, out=G[:, h + 1:])
+        G *= ((grid.dt * grid.dy) * sgn[m0:m1])[:, None]
+        G *= sgn
+        yield m0, G

@@ -49,12 +49,12 @@ from .windows import (
 AUDIO_MAX_SAMPLES = 8192
 AUDIO_TAPER_FRACTION = 0.05
 # L x L complex workspaces alive next to the held measurements, 16 bytes a
-# cell each.  A noisy retrieve and `verify-bounds` peak in the noise-bound
-# check: a group's noise sum, its half-plane transform and row band, beside
-# the plan (and J in retrieve), measured at 3.4-4.3 arrays at L=512.  The
-# STFT products of the two windows in flight (2) stay below that, and the
-# inversion holds no full lattice.  The margin covers the fixed overheads,
-# which outgrow the per-cell figures below L=512.
+# cell each.  Measured at L=512: a noisy retrieve peaks at 2.3-2.5 arrays in
+# the division (the plan, J and one half-plane transform), `verify-bounds` at
+# 3.1-3.3 in the true signal's numeric ambiguity beside the plan.  The STFTs
+# and the product read-out hold blocks, and the inversion no full lattice.
+# The margin covers the fixed overheads, which outgrow the per-cell figures
+# below L=512.
 WORKSPACE_COMPLEX_ARRAYS = 8
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import numeric_ambiguity, spectrogram_to_product
+from .ambiguity import numeric_ambiguity, product_blocks
 from .exceptions import GridMismatchError
 from .grid import Signal
 from .retrieval import RetrievalPlan, measurement_grid, row_span
@@ -86,9 +86,10 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan, p: float = 2.0,
     `plan` is the retrieval plan of the noisy measurements (`make_plan` or
     `Reconstruction.plan`); epsilon, C_p and C_R_Omega come from it.  On a
     group's region A - A^eta = -F(eta) / den for the group's summed noise
-    eta = noisy - clean, so each sum is transformed once, on its region's
-    rows, and the mixed L^{p,1} norm of A - A^eta and the L1 norm of its
-    x = 0 slice are taken from those bands.  With the true signal supplied,
+    eta = noisy - clean, so each sum is transformed once and read out on
+    its region's rows a block at a time (`product_blocks`), and the mixed
+    L^{p,1} norm of A - A^eta and the L1 norm of its x = 0 slice are taken
+    from those blocks.  With the true signal supplied,
     also reports the approximation-error terms (the ambiguity mass left
     outside omega).
     """
@@ -98,6 +99,13 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan, p: float = 2.0,
         raise GridMismatchError("measurements and plan live on different grids")
     dx, dy = grid.dt, grid.dy
     k0 = grid.L // 2  # x = 0 column
+    approx = approx_slice = None
+    if f_true is not None:
+        outside = numeric_ambiguity(f_true.values, grid).values
+        outside[omega] = 0
+        approx = _mixed_norm(outside, dx, dy, p)
+        approx_slice = dy * float(np.sum(np.abs(outside[:, k0])))
+        del outside  # freed before the noise sums
     noise_norm = 0.0
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
@@ -106,17 +114,15 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan, p: float = 2.0,
         for j in group[1:]:
             eta += noisy[j].power - clean[j].power
         noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
-        rows = row_span(bits)
-        if rows is None:
-            continue
-        band = slice(*rows)
-        diff = spectrogram_to_product(Measurement(grid=grid, power=eta), rows)
-        del eta  # freed before the band's |.| is allocated
-        np.divide(diff, plan.den[band], out=diff, where=bits[band])
-        diff = np.abs(diff)
-        diff *= bits[band]  # zero off the region
-        slice_abs[band] += diff[:, k0]
-        row_sums[band] += np.sum(np.power(diff, p, out=diff), axis=1)
+        blocks = product_blocks(Measurement(grid=grid, power=eta), row_span(bits))
+        del eta  # freed once its transform is taken
+        for m0, diff in blocks:
+            m1 = m0 + len(diff)
+            np.divide(diff, plan.den[m0:m1], out=diff, where=bits[m0:m1])
+            a = np.abs(diff)
+            a *= bits[m0:m1]  # zero off the region
+            slice_abs[m0:m1] += a[:, k0]
+            row_sums[m0:m1] += np.sum(np.power(a, p, out=a), axis=1)
 
     # the mixed norm of omega's indicator: each row's sum of |1|^p is its cell count
     C_p = _outer_l1(omega.sum(axis=1), dx, dy, p)
@@ -125,13 +131,6 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan, p: float = 2.0,
     rhs = C_p / eps * noise_norm
     lhs_slice = dy * float(np.sum(slice_abs))
     rhs_slice = C_R / eps * noise_norm
-
-    approx = approx_slice = None
-    if f_true is not None:
-        outside = numeric_ambiguity(f_true.values, grid).values
-        outside[omega] = 0
-        approx = _mixed_norm(outside, dx, dy, p)
-        approx_slice = dy * float(np.sum(np.abs(outside[:, k0])))
 
     return BoundReport(
         epsilon=eps, p=p, C_p=C_p, C_R_Omega=C_R,

@@ -16,11 +16,10 @@ with (`WindowFamily.plans`), like an FFTW plan: a setup that retrieves
 many signals builds it once per grid, tolerance and algorithm.  The plan's
 arrays are read-only, since every run after the first shares them.
 Since the spectrogram -> product map is linear, a group's
-spectrograms are summed and the sum is transformed once.  The power is
-real, so that transform is one real-input FFT over half the plane and
-one complex FFT over its L/2 + 1 lines (`ambiguity.spectrogram_to_product`),
-and only the rows from the first to the last row of the group's region
-are read out and divided; J starts at zero, so it is zero off omega.
+spectrograms are summed and the sum is transformed once, over half the
+plane (`ambiguity.product_blocks`), and freed.  Only the rows from the
+first to the last row of the group's region are read out, a block at a
+time, and divided straight into J, which is zero off omega.
 `run_alg1` and `run_alg2` take the family's stored plan, or build it in
 the calling thread and store it; then the powers of each group of two or
 more members are added in two contiguous halves, one on each core
@@ -67,17 +66,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import AmbiguityGrid, spectrogram_to_product, unit_roots
+from .ambiguity import AmbiguityGrid, product_blocks, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
-from .stft import Measurement, forward_stft, to_measurement
+from .stft import Measurement, stft_power
 from .windows import WindowFamily, peel
 
 
 @dataclass(frozen=True)
 class RetrievalConfig:
     epsilon: float
-    anchor: int | None = None       # None: auto-select; int: fixed time index
+    anchor: int | None = None       # None: auto-select; int: fixed time index in (-L, L)
     algorithm: str = "alg1"          # alg1 (summed gauss) | alg2 (peeled hermite)
 
     def __post_init__(self):
@@ -151,13 +150,12 @@ def _two_at_a_time(fn, n: int) -> list:
 def measure_family(f: Signal, family: WindowFamily) -> list[Measurement]:
     """Noiseless squared-magnitude measurements, one per family member.
 
-    Two windows are in flight at a time (`_two_at_a_time`), and each power
-    is stored at its member's index, in member order, with the bits of the
-    serial loop.
+    Two windows are in flight at a time (`_two_at_a_time`), each in
+    `stft_power`, and each power is stored at its member's index, in member
+    order, with the bits of the serial loop.
     """
     members = family.members
-    return _two_at_a_time(
-        lambda j: to_measurement(forward_stft(f, members[j].samples, f.grid)), len(members))
+    return _two_at_a_time(lambda j: stft_power(f, members[j].samples, f.grid), len(members))
 
 
 def measurement_grid(measurements, n_windows: int) -> Grid:
@@ -225,9 +223,14 @@ def row_span(bits: np.ndarray) -> tuple[int, int] | None:
     return (int(live[0]), int(live[-1]) + 1) if live.size else None
 
 
-def _group_sums(measurements, groups) -> list[Measurement]:
-    """Each group's summed power, added in member order; a group of one is
-    its member's own measurement.
+def _group_sums(measurements, groups):
+    """Each group's `_group_sum`, made as the iterator reaches it and not kept."""
+    return (_group_sum(measurements, group) for group in groups)
+
+
+def _group_sum(measurements, group) -> Measurement:
+    """The group's powers added in member order; a group of one is its
+    member's own measurement.
 
     A sum of two or more powers is added in two halves, cut along the
     powers' axis of largest stride so that each half is one contiguous run
@@ -235,40 +238,35 @@ def _group_sums(measurements, groups) -> list[Measurement]:
     is added on a second thread when there are two cores.  Every cell is
     still added in member order, so the sums have the serial loop's bits.
     """
-    sums = []
-    for group in groups:
-        mea = measurements[group[0]]
-        if len(group) > 1:
-            powers = [measurements[j].power for j in group]
-            power = np.empty_like(powers[0])  # keep the powers' own layout
-            axis = int(np.argmax(power.strides))
-            n = power.shape[axis]
+    if len(group) == 1:
+        return measurements[group[0]]
+    powers = [measurements[j].power for j in group]
+    power = np.empty_like(powers[0])  # keep the powers' own layout
+    axis = int(np.argmax(power.strides))
+    n = power.shape[axis]
 
-            def add(i):
-                block = (slice(None),) * axis + (slice(n * i // 2, n * (i + 1) // 2),)
-                out = power[block]
-                np.copyto(out, powers[0][block])
-                for p in powers[1:]:
-                    out += p[block]
+    def add(i):
+        block = (slice(None),) * axis + (slice(n * i // 2, n * (i + 1) // 2),)
+        out = power[block]
+        np.copyto(out, powers[0][block])
+        for p in powers[1:]:
+            out += p[block]
 
-            _two_at_a_time(add, 2)
-            mea = Measurement(grid=mea.grid, power=power)
-        sums.append(mea)
-    return sums
+    _two_at_a_time(add, 2)
+    return Measurement(grid=measurements[group[0]].grid, power=power)
 
 
 def _divide(sums, plan: RetrievalPlan) -> AmbiguityGrid:
-    """J = F(group sum) / den on each group's region, read out only on the
-    region's rows, zero off omega."""
-    L = plan.grid.L
-    J = np.zeros((L, L), dtype=np.complex128)
-    for mea, bits in zip(sums, plan.regions):
-        rows = row_span(bits)
-        if rows is None:
-            continue
-        band = slice(*rows)
-        np.divide(spectrogram_to_product(mea, rows), plan.den[band], out=J[band],
-                  where=bits[band])
+    """J = F(group sum) / den on each group's region, zero off omega, block
+    by block (`product_blocks`); J is allocated once a sum is transformed."""
+    J = None
+    sums = iter(sums)  # no loop variable or zip tuple keeps a sum alive
+    for bits in plan.regions:
+        for m0, block in product_blocks(next(sums), row_span(bits)):
+            if J is None:
+                J = np.zeros(plan.den.shape, dtype=np.complex128)
+            m1 = m0 + len(block)
+            np.divide(block, plan.den[m0:m1], out=J[m0:m1], where=bits[m0:m1])
     return AmbiguityGrid(grid=plan.grid, values=J, mask=plan.omega)
 
 
@@ -353,14 +351,15 @@ def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruc
     both cores, one half each (`_group_sums`), divided out and inverted.
     """
     grid = measurement_grid(measurements, len(family))
+    if cfg.anchor is not None and not -grid.L < cfg.anchor < grid.L:
+        raise ValueError(f"anchor {cfg.anchor} lies outside (-{grid.L}, {grid.L})")
     key = (grid, raw_threshold(cfg, grid), cfg.algorithm)
     plan = family.plans.get(key)
     if plan is None:
         plan = make_plan(family, grid, cfg)
         family.plans.clear()  # one plan per family bounds what it keeps
         family.plans[key] = plan
-    # the group sums die with the call: an alg1 sum is an L x L array the
-    # inversion does not read
+    # each group sum is made as _divide reaches it and dies once transformed
     J = _divide(_group_sums(measurements, plan.groups), plan)
     return replace(reconstruct_from_ambiguity(J, cfg), plan=plan)
 

@@ -20,12 +20,13 @@ starts at L - k.  The (k, l) products come from reversed rows of a
 sliding-window view of the doubled window, with no index array, no
 gathered copy and no pass over the output; the FFT runs in place along
 the contiguous l axis, and the (m, k) transpose is returned as a view.
-Coefficients, and the powers `to_measurement` takes from them, are
-therefore Fortran-ordered.  Elementwise consumers see the same values in
-either layout; a running sum of powers should keep their layout
-(``copy(order="K")``), since a C-ordered accumulator makes every add a
-strided transpose, and `add_noise` writes its noisy power in the clean
-power's layout.
+`stft_power` takes the same rows a block at a time and squares each
+block's |.| into its columns of the power, with no L x L complex array.
+Coefficients and powers are therefore Fortran-ordered.  Elementwise
+consumers see the same values in either layout; a running sum of powers
+should keep their layout (``copy(order="K")``), since a C-ordered
+accumulator makes every add a strided transpose, and `add_noise` writes
+its noisy power in the clean power's layout.
 
 The records hold a grid and values only: which window a measurement came
 from is its position in the family, and the noise model, level and seed
@@ -41,6 +42,7 @@ from .exceptions import GridMismatchError
 from .grid import Grid, Signal
 
 DRAW_ROWS = 64  # rows of noise drawn at a time: 512 KB at L = 1024
+POWER_BLOCK_BYTES = 2 ** 19  # product rows `stft_power` takes at a time: 32 at L = 1024
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,28 @@ class Measurement:
         object.__setattr__(self, "power", p)
 
 
+def _product_blocks(f: Signal, g: np.ndarray, grid: Grid, n: int):
+    """Yield (k0, block), rows k0, k0 + 1, ... of the (k, l) product, n at a
+    time in one buffer and transformed in place along l (see `forward_stft`)."""
+    if grid != f.grid:
+        raise GridMismatchError("signal grid differs from requested grid")
+    g = np.asarray(g)
+    if g.shape != (grid.L,):
+        raise GridMismatchError(f"window has {g.shape} samples, grid needs {grid.L}")
+    L = grid.L
+    sgn = (-1.0) ** np.arange(L)  # exp(i*pi*l); exact
+    # exp(-i*pi*L/2) = (-i)^L is a unit, exact for integer L
+    sig = np.roll(f.values * sgn, L // 2) * (grid.dt * (-1j) ** (L % 4))
+    gc = np.conj(g.astype(np.complex128))
+    # row s is concat(gc, gc)[s:s + L], a view: no index array, no gathered copy
+    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([gc, gc]), L)
+    prod = np.empty((n, L), dtype=np.complex128)
+    for k0 in range(0, L, n):
+        k1 = min(k0 + n, L)
+        block = np.multiply(rows[L - k0:L - k1:-1], sig, out=prod[:k1 - k0])
+        yield k0, np.fft.fft(block, axis=1, out=block)
+
+
 def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None) -> StftCoeffs:
     """STFT coefficients of f against the periodized window g.
 
@@ -82,23 +106,20 @@ def forward_stft(f: Signal, g: np.ndarray, grid: Grid | None = None) -> StftCoef
     FFT's output instead.
     """
     grid = grid or f.grid
-    if grid != f.grid:
-        raise GridMismatchError("signal grid differs from requested grid")
-    g = np.asarray(g)
-    if g.shape != (grid.L,):
-        raise GridMismatchError(f"window has {g.shape} samples, grid needs {grid.L}")
-
-    L = grid.L
-    sgn = (-1.0) ** np.arange(L)  # exp(i*pi*l); exact
-    # exp(-i*pi*L/2) = (-i)^L is a unit, exact for integer L
-    sig = np.roll(f.values * sgn, L // 2) * (grid.dt * (-1j) ** (L % 4))
-    gc = np.conj(g.astype(np.complex128))
-
-    # row s is concat(gc, gc)[s:s + L], a view: no index array, no gathered copy
-    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([gc, gc]), L)
-    prod = np.multiply(rows[L:0:-1], sig)
-    out = np.fft.fft(prod, axis=1, out=prod)
+    (_, out), = _product_blocks(f, g, grid, grid.L)
     return StftCoeffs(grid=grid, values=out.T)
+
+
+def stft_power(f: Signal, g: np.ndarray, grid: Grid | None = None) -> Measurement:
+    """`to_measurement(forward_stft(f, g, grid))` with its bits, from blocks of
+    POWER_BLOCK_BYTES of the product's k rows, whose |.|^2 fill columns k."""
+    grid = grid or f.grid
+    L = grid.L
+    n = min(max(POWER_BLOCK_BYTES // (16 * L), 1), L)
+    mag, power = np.empty((n, L)), np.empty((L, L), order="F")
+    for k0, block in _product_blocks(f, g, grid, n):
+        np.square(np.abs(block, out=mag[:len(block)]), out=power.T[k0:k0 + len(block)])
+    return Measurement(grid=grid, power=power)
 
 
 def to_measurement(c: StftCoeffs) -> Measurement:

@@ -20,6 +20,15 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+@pytest.fixture()
+def l1024_blocks(monkeypatch):
+    """Block sizes that hold the share of an L = 256 lattice that the
+    defaults hold at L = 1024: 8 STFT rows and 16 product rows."""
+    from specret import ambiguity, stft
+    monkeypatch.setattr(stft, "POWER_BLOCK_BYTES", stft.POWER_BLOCK_BYTES // 16)
+    monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", ambiguity.PRODUCT_ROWS // 4)
+
+
 def random_signal(grid, rng, localized=True):
     """Complex test signal; localized variants decay at the interval ends."""
     values = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)

@@ -1,8 +1,9 @@
 """Helpers that only the tests call, kept out of the library: whole-family
 peeled masks, the bare Laguerre polynomial, the STFT energy, the mixed
 norm of an ambiguity grid, the assembly of J from a list of measurements,
-the noise-bound check that assembles both J and J^eta, and the one-window
-family of the single-window baseline."""
+the noise-bound check that assembles both J and J^eta, the whole-band
+product read-out, and the one-window family of the single-window
+baseline."""
 import numpy as np
 
 from specret import (
@@ -97,3 +98,26 @@ def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
 def gauss_baseline_family(grid):
     """The one standard-Gauss window `specret baseline` retrieves with."""
     return WindowFamily(members=(gauss_window_member(1.0, grid),), scheme="frft_gauss")
+
+
+def gathered_product(mea, rows):
+    """Oracle for `product_blocks`: the read-out of `spectrogram_to_product`
+    before it went by blocks.  The band's rows are gathered from the half
+    plane in one fancy index per half, then scaled and modulated whole."""
+    grid = mea.grid
+    L = grid.L
+    h = L // 2
+    r0, r1 = rows
+    H = np.fft.rfft(mea.power, axis=0)
+    np.fft.fft(H, axis=1, out=H)
+    for line in (H[0], H[h]):
+        line[h + 1:] = line[h - 1:0:-1].conj()
+        line.imag[[0, h]] = 0.0
+    i = np.arange(r0, r1)
+    G = np.empty((r1 - r0, L), dtype=np.complex128)
+    G[:, :h + 1] = H[h::-1, (i + h) % L].T
+    np.conjugate(H[1:h, (h - i) % L].T, out=G[:, h + 1:])
+    sgn = (-1.0) ** np.arange(L)
+    G *= ((grid.dt * grid.dy) * sgn[r0:r1])[:, None]
+    G *= sgn
+    return G

@@ -24,7 +24,8 @@ from specret import (
     to_measurement,
 )
 from specret import ambiguity
-from specret.ambiguity import hermite_lattices, xy_phase
+from specret.ambiguity import PRODUCT_ROWS, hermite_lattices, product_blocks, xy_phase
+from oracles import gathered_product
 from specret.windows import LATTICE_FLOOR
 from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, FLOORS, GRIDS
 
@@ -221,6 +222,40 @@ class TestHalfPlaneProduct:
             G = spectrogram_to_product(mea, (0, mea.grid.L))
             flip = (-np.arange(mea.grid.L)) % mea.grid.L
             assert np.array_equal(G, np.conj(G[flip][:, flip]))
+
+
+class TestProductBlocks:
+    """The block read-out against the whole-band gather it replaced."""
+
+    @pytest.fixture(params=[(8.0, 256), (1.3, 250)], ids=["L256", "L250"])
+    def mea(self, request, rng):
+        from conftest import random_signal
+        grid = make_grid(*request.param)
+        f = random_signal(grid, rng)
+        return to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid)))
+
+    # a stop of 0 or below counts from L; L/2 is 125 or 128
+    @pytest.mark.parametrize("rows", [(0, 0), (60, 70), (63, 65), (100, 200), (120, 131),
+                                      (124, 126), (125, 127), (128, 130), (1, -1), (190, 0)])
+    def test_bands_across_block_edges(self, mea, rows):
+        L = mea.grid.L
+        r0, r1 = rows[0], rows[1] if rows[1] > 0 else L + rows[1]
+        full = spectrogram_to_product(mea, (0, L))
+        want = gathered_product(mea, (r0, r1))
+        got = np.empty_like(want)
+        nxt = r0
+        for m0, block in product_blocks(mea, (r0, r1)):
+            assert m0 == nxt and 0 < len(block) <= PRODUCT_ROWS
+            got[m0 - r0:m0 - r0 + len(block)] = block
+            nxt = m0 + len(block)
+        assert nxt == r1
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, full[r0:r1])
+        assert np.array_equal(spectrogram_to_product(mea, (r0, r1)), want)
+
+    def test_no_rows_transform_nothing(self, mea, monkeypatch):
+        monkeypatch.setattr(np.fft, "rfft", None)  # a transform would fail
+        assert list(product_blocks(mea, None)) == []
 
 
 class TestEvaluatorObjects:

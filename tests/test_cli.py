@@ -349,6 +349,25 @@ class TestConfigErrors:
         assert not (tmp_path / "x").exists()
 
 
+class TestFixedAnchor:
+    @pytest.mark.parametrize("anchor", [64, -64, 10**30])
+    def test_anchor_off_the_grid_exits_2(self, tmp_path, capsys, anchor):
+        path = write_config(tmp_path, grid={"T": 8.0, "L": 64}, anchor=anchor)
+        assert main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "anchor" in err
+
+    @pytest.mark.parametrize("anchor", [-1, 63])
+    def test_edge_anchors_run(self, tmp_path, anchor):
+        path = write_config(tmp_path, grid={"T": 8.0, "L": 64}, anchor=anchor)
+        out = tmp_path / "x"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["retrieve", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["anchor_index"] == 63
+
+
 class TestNumericErrors:
     def test_numeric_overflow_exits_3_without_traceback(self, tmp_path, capsys):
         # a degree-900 Hermite window underflows on a T=40 grid

@@ -25,6 +25,7 @@ from specret import (
     run_alg2,
     verify_noise_bounds,
 )
+from specret import ambiguity
 from specret.metrics import _mixed_norm
 from oracles import assemble, mixed_norm, two_assembly_bounds
 from conftest import random_signal
@@ -240,6 +241,38 @@ class TestNoiseBounds:
         finally:
             tracemalloc.stop()
         assert peak < 30 * L * L
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_block_size_keeps_the_bits(self, monkeypatch, algorithm):
+        # each row's |.|^p sum covers the whole row in every block size, so
+        # the report is the same to the bit; row spans exceed 64 rows here
+        grid, f, family, clean = self._setup(algorithm)
+        noisy = [add_noise(m, "multiplicative", 0.05, seed=j) for j, m in enumerate(clean)]
+        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        reports = []
+        for rows in (1, 7, 64, 1000):
+            monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", rows)
+            reports.append(verify_noise_bounds(clean, noisy, plan, f_true=f))
+        assert all(r == reports[0] for r in reports[1:])
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_peak_memory_in_blocks(self, l1024_blocks, algorithm):
+        # a noise sum and its half-plane transform, 8 L^2 bytes each, and
+        # blocks of the read-out; the whole-band check also held the band,
+        # its two gathers and its |.| (40 L^2 on the Hermite family)
+        L = 256
+        grid, f, family, clean = self._setup(algorithm, L)
+        noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
+        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        verify_noise_bounds(clean, noisy, plan)  # FFT plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verify_noise_bounds(clean, noisy, plan)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * L * L + 4 * L * L
 
     def test_json_round_trip(self):
         import json

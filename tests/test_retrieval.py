@@ -44,10 +44,10 @@ from specret import (
     to_measurement,
     verify_noise_bounds,
 )
-from specret import retrieval
+from specret import ambiguity, retrieval
 from specret.ambiguity import xy_phase
 from specret.retrieval import _two_at_a_time, row_span
-from oracles import assemble, gauss_baseline_family, peel_masks
+from oracles import assemble, gathered_product, gauss_baseline_family, peel_masks
 from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, GRIDS
 
 
@@ -740,7 +740,7 @@ class TestPlanReuse:
         rng = np.random.default_rng(3)
         meas = [Measurement(grid=grid, power=np.asarray(rng.random((64, 64)), order=order))
                 for _ in range(5)]
-        sums = retrieval._group_sums(meas, ((0, 1, 2, 3, 4), (2,)))
+        sums = list(retrieval._group_sums(meas, ((0, 1, 2, 3, 4), (2,))))
         serial = meas[0].power.copy()
         for mea in meas[1:]:
             serial += mea.power
@@ -851,6 +851,105 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RetrievalConfig(epsilon=1e-3, algorithm="alg3")
 
+    @pytest.mark.parametrize("anchor", [64, -64, 10**30])
+    def test_run_refuses_anchor_off_the_grid(self, anchor):
+        # taken mod L it would silently read another time index
+        grid = make_grid(2.0, 64)
+        fam = build_hermite_family([0, 5], grid)
+        meas = measure_family(gauss_signal(grid), fam)
+        with pytest.raises(ValueError, match="anchor"):
+            run_alg2(meas, fam, RetrievalConfig(epsilon=0.5, anchor=anchor))
+
+    @pytest.mark.parametrize("anchor", [-1, 63])
+    def test_run_takes_the_edge_anchors(self, anchor):
+        grid = make_grid(2.0, 64)
+        fam = build_hermite_family([0, 5], grid)
+        meas = measure_family(gauss_signal(grid), fam)
+        rec = run_alg2(meas, fam, RetrievalConfig(epsilon=0.5, anchor=anchor))
+        assert rec.anchor_c == 63
+
+
+class TestBlockedDivision:
+    """J divided block by block against the whole-band read-out it replaced."""
+
+    @staticmethod
+    def whole_band_j(meas, plan):
+        L = plan.grid.L
+        J = np.zeros((L, L), dtype=complex)
+        for group, bits in zip(plan.groups, plan.regions):
+            rows = row_span(bits)
+            if rows is None:
+                continue
+            power = meas[group[0]].power.copy(order="K")
+            for j in group[1:]:
+                power += meas[j].power
+            band = slice(*rows)
+            np.divide(gathered_product(Measurement(grid=plan.grid, power=power), rows),
+                      plan.den[band], out=J[band], where=bits[band])
+        return J
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_matches_whole_band_division(self, monkeypatch, algorithm, rows):
+        monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", rows)
+        grid = make_grid(8.0, 256)
+        f = gen_mixture(mixture_preset(), grid)
+        build = ((lambda: build_frft_family(2.0, 8, grid)) if algorithm == "alg1"
+                 else (lambda: build_hermite_family([0, 5, 10, 20], grid)))
+        cfg = RetrievalConfig(epsilon=1e-3 if algorithm == "alg1" else 0.5, algorithm=algorithm)
+        family = build()
+        meas = measure_family(f, family)
+        plan = make_plan(family, grid, cfg)
+        want = self.whole_band_j(meas, plan)
+        assert max(row_span(bits)[1] - row_span(bits)[0] for bits in plan.regions) > 64
+        got = assemble(meas, plan)
+        assert np.array_equal(got.values, want)
+        assert got.mask is plan.omega
+        run = run_alg1 if algorithm == "alg1" else run_alg2
+        assert np.array_equal(run(meas, build(), cfg).ambiguity.values, want)
+
+    def test_group_sum_is_freed_once_transformed(self, l1024_blocks):
+        # the fan's summed power dies once transformed, and J is allocated
+        # after that: the peak holds H and J, not the sum beside them
+        grid = make_grid(8.0, 256)
+        L = grid.L
+        family = build_frft_family(2.0, 8, grid)
+        meas = measure_family(gen_mixture(mixture_preset(), grid), family)
+        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-3))
+        retrieval._divide(retrieval._group_sums(meas, plan.groups), plan)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            J = retrieval._divide(retrieval._group_sums(meas, plan.groups), plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # J 16 L^2, H 8 L^2, and a 16-row block (L^2) with numpy's copy of it
+        assert peak < 16 * L * L + 8 * L * L + 4 * L * L
+        assert J.values.shape == (L, L)
+
+    def test_run_holds_the_plan_j_and_one_half_plane(self, l1024_blocks):
+        # the whole-band read-out held the band and its two gathers beside
+        # J and H; blocks leave a block, numpy's copy of it in an in-place
+        # broadcast multiply, and the plan's own build buffers
+        L = 256
+        grid = make_grid(8.0, L)
+        meas = measure_family(gen_mixture(mixture_preset(), grid),
+                              build_hermite_family([0, 5, 10, 20], grid))
+        cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        run_alg2(meas, build_hermite_family([0, 5, 10, 20], grid), cfg)  # FFT plans
+        family = build_hermite_family([0, 5, 10, 20], grid)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            plan = run_alg2(meas, family, cfg).plan
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plan_bytes = plan.den.nbytes + plan.omega.nbytes + sum(r.nbytes for r in plan.regions)
+        J, H = 16 * L * L, 16 * (L // 2 + 1) * L
+        assert peak < plan_bytes + J + H + 8 * L * L
+
 
 class TestTwoWindowsInFlight:
     """`measure_family` measures two windows at a time and stores each power
@@ -914,6 +1013,23 @@ class TestTwoWindowsInFlight:
         with np.errstate(all="raise", under="ignore"), \
                 pytest.raises(FloatingPointError, match="overflow"):
             measure_family(f, huge)
+
+    def test_holds_no_product_per_window_in_flight(self, l1024_blocks):
+        # each window in flight held its 16 L^2-byte complex product and its
+        # |.| beside the powers; blocks of them are all that is left
+        L = 256
+        grid = make_grid(8.0, L)
+        f = gen_mixture(mixture_preset(), grid)
+        family = build_hermite_family([0, 5, 10, 20], grid)
+        measure_family(f, family)  # FFT plans
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            measure_family(f, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - len(family) * 8 * L * L < 8 * L * L
 
     @pytest.mark.parametrize("bad", [0, 1], ids=["caller", "worker"])
     def test_failure_is_raised_and_stops_the_other_side(self, bad):

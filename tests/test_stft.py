@@ -15,6 +15,8 @@ from specret import (
     make_grid,
     to_measurement,
 )
+from specret import stft
+from specret.stft import stft_power
 from oracles import stft_energy
 from conftest import random_signal
 
@@ -168,6 +170,32 @@ class TestFoldedSign:
             got = forward_stft(f, g).values
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert err <= 16 * np.finfo(float).eps
+
+
+class TestBlockedPower:
+    """`stft_power` against the power of the whole coefficient matrix."""
+
+    @pytest.mark.parametrize("rows", [None, 7], ids=["default-blocks", "7-row-blocks"])
+    @pytest.mark.parametrize("T", [8.0, 5.0])
+    @pytest.mark.parametrize("L", [2, 6, 96, 160, 256])
+    def test_matches_whole_transform(self, monkeypatch, rng, L, T, rows):
+        if rows is not None:  # blocks that do not divide L
+            monkeypatch.setattr(stft, "POWER_BLOCK_BYTES", rows * 16 * L)
+        grid = make_grid(T, L)
+        f = random_signal(grid, rng, localized=False)
+        for g in (dilated_gauss_samples(1.0, grid),
+                  rng.standard_normal(L) + 1j * rng.standard_normal(L)):
+            want = to_measurement(forward_stft(f, g)).power
+            got = stft_power(f, g).power
+            assert got.flags.f_contiguous
+            assert np.array_equal(got, want)
+
+    def test_grid_mismatch_rejected(self, grid256, grid512, rng):
+        f = random_signal(grid256, rng)
+        with pytest.raises(GridMismatchError):
+            stft_power(f, dilated_gauss_samples(1.0, grid512), grid512)
+        with pytest.raises(GridMismatchError):
+            stft_power(f, dilated_gauss_samples(1.0, grid512))
 
 
 class TestIsometry:
