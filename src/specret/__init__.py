@@ -17,7 +17,6 @@ from .ambiguity import (
     eval_gauss_ambiguity,
     eval_hermite_ambiguity,
     numeric_ambiguity,
-    spectrogram_to_product,
 )
 from .exceptions import (
     DegenerateAnchorError,
@@ -53,7 +52,7 @@ from .special import (
     hermite_samples,
     laguerre_function,
 )
-from .stft import Measurement, StftCoeffs, add_noise, forward_stft, to_measurement
+from .stft import Measurement, add_noise
 from .wavio import load_wav, save_wav
 from .windows import (
     CoverageReport,

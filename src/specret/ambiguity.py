@@ -29,6 +29,12 @@ floor, found from the monotone tail of the Laguerre functions; with no
 floor it evaluates every cell.  `HermiteAmbiguity.on_lattice` is its
 one-degree case.
 
+`numeric_ambiguity` is exp(i*pi*x*y) V_g g.  On the square lattice
+x_k * y_m = (k - L/2)(m - L/2)/L, so each phase is a 2L-th root of unity
+from the `unit_roots` table: each block of `stft.stft_blocks` rows is
+multiplied by its phases in place and copied into its output columns,
+with no L x L phase or coefficient table beside the output.
+
 `product_blocks` takes the 2D DFT of a real power, which is Hermitian,
 so it transforms half the plane: one real-input FFT along the frequency
 bins and one complex FFT over the L/2 + 1 lines that gives.  It reads out
@@ -43,7 +49,7 @@ import numpy as np
 
 from .grid import Grid, Signal
 from .special import laguerre_function, laguerre_ladder
-from .stft import Measurement, forward_stft
+from .stft import Measurement, stft_blocks
 
 
 @dataclass(frozen=True)
@@ -237,41 +243,23 @@ def hermite_lattices(degrees, grid: Grid, floor: float):
         yield out
 
 
-def xy_phase(grid: Grid, sign: int) -> np.ndarray:
-    """exp(sign * i*pi * x_k * y_m) on the (m, k) lattice.
-
-    On the square lattice x_k * y_m = (k - L/2)(m - L/2)/L, so the factor
-    is a 2L-th root of unity picked from a 2L-entry table by an integer
-    index modulo 2L.
-    """
-    L = grid.L
-    c = np.arange(L) - L // 2
-    idx = np.multiply.outer(c, c)
-    idx %= 2 * L
-    return unit_roots(L, sign)[idx]
-
-
-def unit_roots(L: int, sign: int = 1) -> np.ndarray:
-    """The 2L-entry table exp(sign * i*pi * e / L), e = 0, ..., 2L - 1."""
-    return np.exp(sign * 1j * np.pi / L * np.arange(2 * L))
+def unit_roots(L: int) -> np.ndarray:
+    """The 2L-entry table exp(i*pi * e / L), e = 0, ..., 2L - 1."""
+    return np.exp(1j * np.pi / L * np.arange(2 * L))
 
 
 def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:
-    """Compute A g on the lattice via V_g g = forward_stft(g, g)."""
+    """A g on the (m, k) lattice, C-ordered, from blocks of shift rows."""
     sig = Signal(grid=grid, values=np.asarray(g, dtype=np.complex128))
-    c = forward_stft(sig, g, grid)
-    return AmbiguityGrid(grid=grid, values=c.values * xy_phase(grid, 1), mask=None)
-
-
-def spectrogram_to_product(mea: Measurement, rows: tuple[int, int]) -> np.ndarray:
-    """Map a spectrogram to the lattice function approximating
-    A f(x, y) * conj(A g(x, y)) = F(|V_g f|^2)(y, -x): the blocks of
-    `product_blocks` for rows = (first, stop), gathered into one band."""
-    r0, r1 = rows
-    G = np.empty((r1 - r0, mea.grid.L), dtype=np.complex128)
-    for m0, block in product_blocks(mea, rows):
-        G[m0 - r0:m0 - r0 + len(block)] = block
-    return G
+    L = grid.L
+    roots, c = unit_roots(L), np.arange(L) - L // 2
+    out = np.empty((L, L), dtype=np.complex128)
+    for k0, block in stft_blocks(sig, g, grid):
+        k = slice(k0, k0 + len(block))
+        # phase first: a complex product's last bits depend on the operand order
+        np.multiply(roots[np.multiply.outer(c[k], c) % (2 * L)], block, out=block)
+        out[:, k] = block.T
+    return AmbiguityGrid(grid=grid, values=out, mask=None)
 
 
 def product_blocks(mea: Measurement, rows: tuple[int, int] | None):

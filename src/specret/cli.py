@@ -49,12 +49,12 @@ from .windows import (
 AUDIO_MAX_SAMPLES = 8192
 AUDIO_TAPER_FRACTION = 0.05
 # L x L complex workspaces alive next to the held measurements, 16 bytes a
-# cell each.  Measured at L=512: a noisy retrieve peaks at 2.3-2.5 arrays in
-# the division (the plan, J and one half-plane transform), `verify-bounds` at
-# 3.1-3.3 in the true signal's numeric ambiguity beside the plan.  The STFTs
-# and the product read-out hold blocks, and the inversion no full lattice.
-# The margin covers the fixed overheads, which outgrow the per-cell figures
-# below L=512.
+# cell each.  Measured at L=512: a noisy retrieve peaks at 2.5-2.8 arrays in
+# the retrieval (the plan, J and one half-plane transform), `verify-bounds`
+# at 2.3-2.5 in its approximation terms (the true signal's ambiguity and its
+# |.| beside the plan).  The STFTs, the numeric ambiguity and the product
+# read-out hold blocks, and the inversion no full lattice.  The margin
+# covers the fixed overheads, which outgrow the per-cell figures below L=512.
 WORKSPACE_COMPLEX_ARRAYS = 8
 
 

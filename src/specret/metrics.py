@@ -48,10 +48,6 @@ def _outer_l1(row_sums: np.ndarray, dx: float, dy: float, p: float) -> float:
     return float(dy * np.sum((dx * row_sums) ** (1.0 / p)))
 
 
-def _mixed_norm(values: np.ndarray, dx: float, dy: float, p: float) -> float:
-    return _outer_l1(np.sum(np.abs(values) ** p, axis=1), dx, dy, p)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Both sides of the data-noise propagation inequalities, evaluated
@@ -89,9 +85,9 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan, p: float = 2.0,
     eta = noisy - clean, so each sum is transformed once and read out on
     its region's rows a block at a time (`product_blocks`), and the mixed
     L^{p,1} norm of A - A^eta and the L1 norm of its x = 0 slice are taken
-    from those blocks.  With the true signal supplied,
+    from those blocks.  With the true signal supplied, on the plan's grid,
     also reports the approximation-error terms (the ambiguity mass left
-    outside omega).
+    outside omega), from its ambiguity's |.|.
     """
     grid, eps, omega = plan.grid, plan.epsilon, plan.omega
     n = sum(map(len, plan.groups))
@@ -101,11 +97,14 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan, p: float = 2.0,
     k0 = grid.L // 2  # x = 0 column
     approx = approx_slice = None
     if f_true is not None:
+        if f_true.grid != grid:
+            raise GridMismatchError("true signal and plan live on different grids")
         outside = numeric_ambiguity(f_true.values, grid).values
         outside[omega] = 0
-        approx = _mixed_norm(outside, dx, dy, p)
-        approx_slice = dy * float(np.sum(np.abs(outside[:, k0])))
-        del outside  # freed before the noise sums
+        a = np.abs(outside)
+        del outside  # |.| is all the terms read
+        approx_slice = dy * float(np.sum(a[:, k0]))
+        approx = _outer_l1(np.sum(np.power(a, p, out=a), axis=1), dx, dy, p)
     noise_norm = 0.0
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column

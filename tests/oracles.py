@@ -1,22 +1,30 @@
 """Helpers that only the tests call, kept out of the library: whole-family
-peeled masks, the bare Laguerre polynomial, the STFT energy, the mixed
-norm of an ambiguity grid, the assembly of J from a list of measurements,
-the noise-bound check that assembles both J and J^eta, the whole-band
-product read-out, and the one-window family of the single-window
-baseline."""
+peeled masks, the bare Laguerre polynomial, the whole STFT coefficient
+matrix and its measurement, the L x L phase table and the whole-table
+numeric ambiguity, the STFT energy, the mixed norm of a lattice, the
+assembly of J from a list of measurements, the noise-bound check that
+assembles both J and J^eta, the whole-band product read-out, and the
+one-window family of the single-window baseline."""
+from typing import NamedTuple
+
 import numpy as np
 
 from specret import (
     BoundReport,
+    Grid,
     GridMismatchError,
+    Measurement,
     RegionMask,
+    Signal,
     WindowFamily,
     gauss_window_member,
     numeric_ambiguity,
 )
-from specret.metrics import _mixed_norm
+from specret.ambiguity import product_blocks, unit_roots
+from specret.metrics import _outer_l1
 from specret.retrieval import _divide, _group_sums, measurement_grid
 from specret.special import _laguerre_run
+from specret.stft import stft_blocks
 from specret.windows import _check_unit_epsilon, peel
 
 
@@ -37,6 +45,42 @@ def laguerre_eval(n, z):
     return out if out.ndim else float(out)
 
 
+class Coeffs(NamedTuple):
+    grid: Grid
+    values: np.ndarray  # complex, shape (L, L), Fortran-ordered
+
+
+def stft_coeffs(f, g, grid=None):
+    """The whole coefficient matrix c[m, k]: all of `stft_blocks` in one
+    block, transposed."""
+    grid = grid or f.grid
+    (_, block), = stft_blocks(f, g, grid, grid.L)
+    return Coeffs(grid=grid, values=block.T)
+
+
+def power_of(c):
+    """Squared-magnitude measurement |c|^2 of a whole coefficient matrix."""
+    return Measurement(grid=c.grid, power=np.abs(c.values) ** 2)
+
+
+def xy_phase(grid, sign):
+    """exp(sign * i*pi * x_k * y_m) on the (m, k) lattice: the 2L-th root
+    of unity at (k - L/2)(m - L/2) mod 2L, from an L x L index table."""
+    L = grid.L
+    c = np.arange(L) - L // 2
+    idx = np.multiply.outer(c, c)
+    idx %= 2 * L
+    roots = unit_roots(L)
+    return (roots if sign > 0 else roots.conj())[idx]
+
+
+def whole_ambiguity(g, grid):
+    """Oracle for `numeric_ambiguity`: the whole phase table times the
+    whole coefficient matrix of g against itself, phase first."""
+    c = stft_coeffs(Signal(grid=grid, values=np.asarray(g, dtype=np.complex128)), g, grid)
+    return np.multiply(xy_phase(grid, 1), c.values)
+
+
 def stft_energy(c):
     """Quadrature-weighted energy (1/L) * sum |c|^2.
 
@@ -47,11 +91,16 @@ def stft_energy(c):
     return float(1 / c.grid.L * np.sum(np.abs(c.values) ** 2))
 
 
+def lattice_norm(values, dx, dy, p):
+    """The mixed L^{p,1} norm of a lattice: `_outer_l1` of each row's sum of |.|^p."""
+    return _outer_l1(np.sum(np.abs(values) ** p, axis=1), dx, dy, p)
+
+
 def mixed_norm(G, p):
     """Discrete mixed norm: outer L1 sum over y of the inner L^p norm in x."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _mixed_norm(G.values, G.grid.dt, G.grid.dy, p)
+    return lattice_norm(G.values, G.grid.dt, G.grid.dy, p)
 
 
 def assemble(measurements, plan):
@@ -78,15 +127,15 @@ def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
         for j in group[1:]:
             eta += noisy[j].power - clean[j].power
         noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
-    C_p = _mixed_norm(omega.astype(float), dx, dy, p)
+    C_p = lattice_norm(omega.astype(float), dx, dy, p)
     C_R = dx * float(np.sum(omega[k0, :]))
-    lhs = _mixed_norm(A.values - A_eta.values, dx, dy, p)
+    lhs = lattice_norm(A.values - A_eta.values, dx, dy, p)
     lhs_slice = dy * float(np.sum(np.abs(A.values[:, k0] - A_eta.values[:, k0])))
     rhs, rhs_slice = C_p / eps * noise_norm, C_R / eps * noise_norm
     approx = approx_slice = None
     if f_true is not None:
         outside = np.where(omega, 0.0, numeric_ambiguity(f_true.values, grid).values)
-        approx = _mixed_norm(outside, dx, dy, p)
+        approx = lattice_norm(outside, dx, dy, p)
         approx_slice = dy * float(np.sum(np.abs(outside[:, k0])))
     return BoundReport(
         epsilon=eps, p=p, C_p=C_p, C_R_Omega=C_R, lhs_A_norm=lhs, rhs_bound=rhs,
@@ -100,9 +149,20 @@ def gauss_baseline_family(grid):
     return WindowFamily(members=(gauss_window_member(1.0, grid),), scheme="frft_gauss")
 
 
+def product_band(mea, rows):
+    """The blocks of `product_blocks` for rows = (first, stop), gathered into
+    one band: the lattice rows of F(|V_g f|^2)(y, -x), which approximates
+    A f(x, y) * conj(A g(x, y))."""
+    r0, r1 = rows
+    G = np.empty((r1 - r0, mea.grid.L), dtype=np.complex128)
+    for m0, block in product_blocks(mea, rows):
+        G[m0 - r0:m0 - r0 + len(block)] = block
+    return G
+
+
 def gathered_product(mea, rows):
-    """Oracle for `product_blocks`: the read-out of `spectrogram_to_product`
-    before it went by blocks.  The band's rows are gathered from the half
+    """Oracle for `product_blocks`: the whole-band read-out before it went
+    by blocks.  The band's rows are gathered from the half
     plane in one fancy index per half, then scaled and modulated whole."""
     grid = mea.grid
     L = grid.L

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,18 +16,22 @@ from specret import (
     eval_frft_gauss_ambiguity,
     eval_gauss_ambiguity,
     eval_hermite_ambiguity,
-    forward_stft,
     frft_gauss_samples,
     hermite_samples,
     laguerre_function,
     make_grid,
     numeric_ambiguity,
-    spectrogram_to_product,
-    to_measurement,
 )
 from specret import ambiguity
-from specret.ambiguity import PRODUCT_ROWS, hermite_lattices, product_blocks, xy_phase
-from oracles import gathered_product
+from specret.ambiguity import PRODUCT_ROWS, hermite_lattices, product_blocks
+from specret.stft import stft_power
+from oracles import (
+    gathered_product,
+    product_band,
+    stft_coeffs,
+    whole_ambiguity,
+    xy_phase,
+)
 from specret.windows import LATTICE_FLOOR
 from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, FLOORS, GRIDS
 
@@ -119,12 +125,46 @@ class TestNumericAmbiguity:
             assert np.min(np.abs(crossings - want)) < grid.dt
 
 
+class TestBlockedNumericAmbiguity:
+    """`numeric_ambiguity` by blocks of shift rows against the whole phase
+    table times the whole coefficient matrix."""
+
+    @pytest.mark.parametrize("blocks", ["default", "l1024"])
+    @pytest.mark.parametrize("T", [8.0, 1.3])
+    @pytest.mark.parametrize("L", [2, 6, 250, 256])
+    def test_matches_whole_table_product(self, request, rng, L, T, blocks):
+        if blocks == "l1024":  # 8-row blocks, which do not divide 250
+            request.getfixturevalue("l1024_blocks")
+        grid = make_grid(T, L)
+        for g in (dilated_gauss_samples(1.0, grid),
+                  rng.standard_normal(L) + 1j * rng.standard_normal(L)):
+            got = numeric_ambiguity(g, grid).values
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, whole_ambiguity(g, grid))
+
+    def test_peak_memory_in_blocks(self, l1024_blocks):
+        # the C-ordered output, 16 L^2 bytes, and one block of coefficients,
+        # phases and phase indices; the whole-table product also held the
+        # coefficients, the index table and the phase table (40 L^2)
+        grid = make_grid(8.0, 256)
+        g = dilated_gauss_samples(1.0, grid)
+        numeric_ambiguity(g, grid)  # FFT plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            numeric_ambiguity(g, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * grid.L * grid.L
+
+
 class TestSpectrogramToProduct:
     def test_gauss_product_closed_form(self):
         grid = make_grid(8.0, 256)
         g = dilated_gauss_samples(1.0, grid)
         f = Signal(grid=grid, values=g.astype(complex))
-        G = spectrogram_to_product(to_measurement(forward_stft(f, g)), (0, grid.L))
+        G = product_band(stft_power(f, g), (0, grid.L))
         X, Y = np.meshgrid(grid.x, grid.y)
         closed = 0.5 * np.exp(-np.pi * (X ** 2 + Y ** 2))
         assert np.max(np.abs(G - closed)) < 1e-6
@@ -133,8 +173,8 @@ class TestSpectrogramToProduct:
         from conftest import random_signal
         f = random_signal(grid256, rng)
         g = dilated_gauss_samples(1.0, grid256)
-        mea = to_measurement(forward_stft(f, g))
-        G = spectrogram_to_product(mea, (0, grid256.L))
+        mea = stft_power(f, g)
+        G = product_band(mea, (0, grid256.L))
         k0 = grid256.L // 2
         total = grid256.dt * grid256.dy * mea.power.sum()
         assert_allclose(G[k0, k0], total, rtol=1e-12)
@@ -142,8 +182,8 @@ class TestSpectrogramToProduct:
     def test_conjugate_symmetry(self, grid256, rng):
         from conftest import random_signal
         f = random_signal(grid256, rng)
-        mea = to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid256)))
-        G = spectrogram_to_product(mea, (0, grid256.L))
+        mea = stft_power(f, dilated_gauss_samples(1.0, grid256))
+        G = product_band(mea, (0, grid256.L))
         L = grid256.L
         flipped = np.conj(G[(-np.arange(L)) % L][:, (-np.arange(L)) % L])
         assert np.max(np.abs(G - flipped)) < 1e-10 * np.max(np.abs(G))
@@ -154,7 +194,7 @@ class TestSpectrogramToProduct:
         g = dilated_gauss_samples(1.0, grid)
         f_samples = dilated_gauss_samples(2.0, grid)
         f = Signal(grid=grid, values=f_samples.astype(complex))
-        G = spectrogram_to_product(to_measurement(forward_stft(f, g)), (0, grid.L))
+        G = product_band(stft_power(f, g), (0, grid.L))
         Ag = FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid)
         Af = FrftGaussAmbiguity(2.0, 0.0).on_lattice(grid)
         region = np.abs(Ag) > 0.1
@@ -168,9 +208,9 @@ class TestSpectrogramToProduct:
         from conftest import random_signal
         grid = make_grid(8.0, 256)
         f = random_signal(grid, rng)
-        power = to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid))).power
+        power = stft_power(f, dilated_gauss_samples(1.0, grid)).power
         with pytest.raises(ValueError):
-            spectrogram_to_product(Measurement(grid=grid, power=power[::2]), (0, grid.L))
+            product_band(Measurement(grid=grid, power=power[::2]), (0, grid.L))
 
 
 def two_pass_product(mea):
@@ -197,29 +237,29 @@ class TestHalfPlaneProduct:
         from conftest import random_signal
         grid = make_grid(*request.param)
         f = random_signal(grid, rng)
-        power = to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid))).power
+        power = stft_power(f, dilated_gauss_samples(1.0, grid)).power
         assert power.flags.f_contiguous
         return [Measurement(grid=grid, power=p) for p in (power, np.ascontiguousarray(power))]
 
     def test_matches_two_pass_transform(self, powers):
         for mea in powers:
             want = two_pass_product(mea)
-            got = spectrogram_to_product(mea, (0, mea.grid.L))
+            got = product_band(mea, (0, mea.grid.L))
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_every_band_has_the_full_rows(self, powers):
         for mea in powers:
             L = mea.grid.L
-            full = spectrogram_to_product(mea, (0, L))
+            full = product_band(mea, (0, L))
             for r0 in range(L):
                 for r1 in range(r0 + 1, L + 1):
-                    band = spectrogram_to_product(mea, (r0, r1))
+                    band = product_band(mea, (r0, r1))
                     assert band.shape == (r1 - r0, L)
                     assert np.array_equal(band, full[r0:r1])
 
     def test_exact_hermitian_symmetry(self, powers):
         for mea in powers:
-            G = spectrogram_to_product(mea, (0, mea.grid.L))
+            G = product_band(mea, (0, mea.grid.L))
             flip = (-np.arange(mea.grid.L)) % mea.grid.L
             assert np.array_equal(G, np.conj(G[flip][:, flip]))
 
@@ -232,7 +272,7 @@ class TestProductBlocks:
         from conftest import random_signal
         grid = make_grid(*request.param)
         f = random_signal(grid, rng)
-        return to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid)))
+        return stft_power(f, dilated_gauss_samples(1.0, grid))
 
     # a stop of 0 or below counts from L; L/2 is 125 or 128
     @pytest.mark.parametrize("rows", [(0, 0), (60, 70), (63, 65), (100, 200), (120, 131),
@@ -240,7 +280,7 @@ class TestProductBlocks:
     def test_bands_across_block_edges(self, mea, rows):
         L = mea.grid.L
         r0, r1 = rows[0], rows[1] if rows[1] > 0 else L + rows[1]
-        full = spectrogram_to_product(mea, (0, L))
+        full = product_band(mea, (0, L))
         want = gathered_product(mea, (r0, r1))
         got = np.empty_like(want)
         nxt = r0
@@ -251,7 +291,7 @@ class TestProductBlocks:
         assert nxt == r1
         assert np.array_equal(got, want)
         assert np.array_equal(got, full[r0:r1])
-        assert np.array_equal(spectrogram_to_product(mea, (r0, r1)), want)
+        assert np.array_equal(product_band(mea, (r0, r1)), want)
 
     def test_no_rows_transform_nothing(self, mea, monkeypatch):
         monkeypatch.setattr(np.fft, "rfft", None)  # a transform would fail

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from specret import (
     AmbiguityGrid,
     FrftGaussAmbiguity,
+    GridMismatchError,
     RetrievalConfig,
     Signal,
     add_noise,
@@ -26,8 +27,7 @@ from specret import (
     verify_noise_bounds,
 )
 from specret import ambiguity
-from specret.metrics import _mixed_norm
-from oracles import assemble, mixed_norm, two_assembly_bounds
+from oracles import assemble, lattice_norm, mixed_norm, two_assembly_bounds
 from conftest import random_signal
 
 SMALL = make_grid(2.0, 16)
@@ -111,7 +111,7 @@ class TestMixedNorm:
         val = mixed_norm(G, 2.0)
         fine = make_grid(8.0, 4096)
         Gf = FrftGaussAmbiguity(1.0, 0.0).on_lattice(fine)
-        oracle = _mixed_norm(Gf, fine.dt, fine.dy, 2.0)
+        oracle = lattice_norm(Gf, fine.dt, fine.dy, 2.0)
         assert_allclose(val, oracle, rtol=1e-6)
         assert_allclose(val, 1.0, rtol=1e-6)
 
@@ -205,6 +205,15 @@ class TestNoiseBounds:
         assert report.approx_term is not None and report.approx_term >= 0
         assert report.approx_slice_term is not None and report.approx_slice_term >= 0
 
+    def test_true_signal_on_another_grid_rejected(self):
+        # same L, other T: the approximation terms would take the plan's dt
+        grid, f, family, clean = self._setup("alg2")
+        noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
+        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        other = Signal(grid=make_grid(6.0, grid.L), values=f.values)
+        with pytest.raises(GridMismatchError):
+            verify_noise_bounds(clean, noisy, plan, f_true=other)
+
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     @pytest.mark.parametrize("p", [1.5, 2.0])
     @pytest.mark.parametrize("L", [200, 256])
@@ -273,6 +282,24 @@ class TestNoiseBounds:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * L * L + 4 * L * L
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_peak_memory_with_truth(self, l1024_blocks, algorithm):
+        # the true signal's ambiguity, 16 L^2 bytes, beside its |.|, 8 L^2;
+        # the whole-table ambiguity peaked at 40 L^2
+        L = 256
+        grid, f, family, clean = self._setup(algorithm, L)
+        noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
+        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        verify_noise_bounds(clean, noisy, plan, f_true=f)  # FFT plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verify_noise_bounds(clean, noisy, plan, f_true=f)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 + 8 + 4) * L * L
 
     def test_json_round_trip(self):
         import json

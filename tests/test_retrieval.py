@@ -27,7 +27,6 @@ from specret import (
     chirp_preset,
     dilated_gauss_samples,
     eval_frft_gauss_ambiguity,
-    forward_stft,
     gen_chirp,
     gen_mixture,
     make_grid,
@@ -40,14 +39,20 @@ from specret import (
     run_alg1,
     run_alg2,
     reconstruct_from_ambiguity,
-    spectrogram_to_product,
-    to_measurement,
     verify_noise_bounds,
 )
 from specret import ambiguity, retrieval
-from specret.ambiguity import xy_phase
 from specret.retrieval import _two_at_a_time, row_span
-from oracles import assemble, gathered_product, gauss_baseline_family, peel_masks
+from oracles import (
+    assemble,
+    gathered_product,
+    gauss_baseline_family,
+    peel_masks,
+    power_of,
+    product_band,
+    stft_coeffs,
+    xy_phase,
+)
 from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, GRIDS
 
 
@@ -235,7 +240,7 @@ class TestRetrievalPlan:
         expected = np.zeros((grid.L, grid.L), dtype=complex)
         for mea, member, mask in zip(meas, fam.members,
                                      peel_masks(fam, raw_threshold(cfg, grid), grid)):
-            G = spectrogram_to_product(mea, (0, grid.L))
+            G = product_band(mea, (0, grid.L))
             expected[mask.bits] = G[mask.bits] / member.evaluator.on_lattice(grid)[mask.bits]
         assert np.array_equal(J.values, expected)
 
@@ -247,7 +252,7 @@ class TestRetrievalPlan:
         meas = measure_family(f, fam)
         J = assemble(meas, make_plan(fam, grid, cfg))
         # oracle: one spectrogram -> product transform per window, summed
-        num = sum(spectrogram_to_product(mea, (0, grid.L)) for mea in meas)
+        num = sum(product_band(mea, (0, grid.L)) for mea in meas)
         den = fam.summed_on_lattice(grid)
         omega = den > raw_threshold(cfg, grid)
         expected = np.where(omega, num / np.where(omega, den, 1.0), 0.0)
@@ -294,7 +299,7 @@ class TestRetrievalPlan:
         assert np.array_equal(plan.den[plan.omega], summed[plan.omega])
         meas = measure_family(gen_mixture(mixture_preset(), grid), fam)
         J = assemble(meas, plan)
-        num = sum(spectrogram_to_product(mea, (0, grid.L)) for mea in meas)
+        num = sum(product_band(mea, (0, grid.L)) for mea in meas)
         expected = np.where(plan.omega, num / np.where(plan.omega, summed, 1.0), 0.0)
         assert np.max(np.abs(J.values - expected)) <= 1e-9 * np.max(np.abs(expected))
 
@@ -619,7 +624,7 @@ class TestPlanBesideSums:
             power = meas[0].power.copy(order="K")
             for mea in meas[1:]:
                 power += mea.power
-            G = spectrogram_to_product(Measurement(grid=grid, power=power), (0, grid.L))
+            G = product_band(Measurement(grid=grid, power=power), (0, grid.L))
             omega = plan.omega
             assert np.array_equal(rec.ambiguity.values[omega], G[omega] / plan.den[omega])
         assert plan_threads == [threading.get_ident()]  # one build, in the caller
@@ -989,7 +994,7 @@ class TestTwoWindowsInFlight:
         grid = make_grid(8.0, 256)
         f = gen_mixture(mixture_preset(), grid)
         family = build(grid)
-        serial = [to_measurement(forward_stft(f, m.samples, grid)) for m in family.members]
+        serial = [power_of(stft_coeffs(f, m.samples, grid)) for m in family.members]
         threaded = measure_family(f, family)
         assert len(threaded) == len(serial)
         for a, b in zip(threaded, serial):

@@ -9,15 +9,13 @@ from specret import (
     add_noise,
     chirp_preset,
     dilated_gauss_samples,
-    forward_stft,
     gen_chirp,
     hermite_samples,
     make_grid,
-    to_measurement,
 )
 from specret import stft
 from specret.stft import stft_power
-from oracles import stft_energy
+from oracles import power_of, stft_coeffs, stft_energy
 from conftest import random_signal
 
 
@@ -38,14 +36,14 @@ class TestForwardStft:
     def test_zero_signal(self, grid256):
         f = Signal(grid=grid256, values=np.zeros(grid256.L))
         g = dilated_gauss_samples(1.0, grid256)
-        c = forward_stft(f, g)
+        c = stft_coeffs(f, g)
         assert not c.values.any()
 
     def test_matches_direct_summation_random(self, rng):
         grid = make_grid(2.0, 32)
         f = random_signal(grid, rng, localized=False)
         g = rng.standard_normal(grid.L) + 1j * rng.standard_normal(grid.L)
-        got = forward_stft(f, g).values
+        got = stft_coeffs(f, g).values
         want = direct_stft(f, g, grid)
         assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -53,7 +51,7 @@ class TestForwardStft:
         grid = make_grid(8.0, 256)
         g = dilated_gauss_samples(1.0, grid)
         f = Signal(grid=grid, values=g.astype(complex))
-        got = forward_stft(f, g).values
+        got = stft_coeffs(f, g).values
         want = direct_stft(f, g, grid)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) < 1e-10 * scale
@@ -63,8 +61,8 @@ class TestForwardStft:
         f2 = random_signal(grid256, rng)
         g = dilated_gauss_samples(2.0, grid256)
         both = Signal(grid=grid256, values=f1.values + f2.values)
-        lhs = forward_stft(both, g).values
-        rhs = forward_stft(f1, g).values + forward_stft(f2, g).values
+        lhs = stft_coeffs(both, g).values
+        rhs = stft_coeffs(f1, g).values + stft_coeffs(f2, g).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
     def test_shift_covariance_on_torus(self, grid256, rng):
@@ -72,20 +70,20 @@ class TestForwardStft:
         g = dilated_gauss_samples(1.0, grid256)
         s = 17
         shifted = Signal(grid=grid256, values=np.roll(f.values, s))
-        a = np.abs(forward_stft(shifted, g).values)
-        b = np.abs(forward_stft(f, g).values)
+        a = np.abs(stft_coeffs(shifted, g).values)
+        b = np.abs(stft_coeffs(f, g).values)
         assert_allclose(a, np.roll(b, s, axis=1), rtol=0, atol=1e-10 * b.max())
 
     def test_grid_mismatch_rejected(self, grid256, grid512, rng):
         f = random_signal(grid256, rng)
         with pytest.raises(GridMismatchError):
-            forward_stft(f, dilated_gauss_samples(1.0, grid512), grid512)
+            stft_coeffs(f, dilated_gauss_samples(1.0, grid512), grid512)
         with pytest.raises(GridMismatchError):
-            forward_stft(f, dilated_gauss_samples(1.0, grid512))
+            stft_coeffs(f, dilated_gauss_samples(1.0, grid512))
 
 
 def gather_stft(f, g, grid):
-    """Oracle: the index-gather construction the slice-built `forward_stft`
+    """Oracle: the index-gather construction the slice-built `stft_blocks`
     replaced; an L x L index array picks conj(g) at (l - k + L/2) mod L and
     the FFT runs along the strided l axis."""
     L = grid.L
@@ -99,7 +97,7 @@ def gather_stft(f, g, grid):
 
 
 class TestSliceConstruction:
-    """The sliding-window-view `forward_stft` against the index gather."""
+    """The sliding-window-view `stft_blocks` against the index gather."""
 
     @pytest.mark.parametrize("T, L", [(2.0, 32), (1.3, 250), (8.0, 256)])
     def test_matches_index_gather(self, rng, T, L):
@@ -107,7 +105,7 @@ class TestSliceConstruction:
         f = random_signal(grid, rng, localized=False)
         g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         want = gather_stft(f, g, grid)
-        got = forward_stft(f, g).values
+        got = stft_coeffs(f, g).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_every_column_uses_its_own_shift(self, rng):
@@ -118,13 +116,13 @@ class TestSliceConstruction:
         for j in (0, 1, 15, 16, 17, 31):
             g = np.zeros(grid.L, dtype=complex)
             g[j] = 1.0
-            assert_allclose(forward_stft(f, g).values, gather_stft(f, g, grid),
+            assert_allclose(stft_coeffs(f, g).values, gather_stft(f, g, grid),
                             rtol=0, atol=1e-13 * np.max(np.abs(f.values)))
 
     def test_power_is_fortran_ordered(self, grid256, rng):
-        c = forward_stft(random_signal(grid256, rng), dilated_gauss_samples(1.0, grid256))
+        c = stft_coeffs(random_signal(grid256, rng), dilated_gauss_samples(1.0, grid256))
         assert c.values.flags.f_contiguous
-        assert to_measurement(c).power.flags.f_contiguous
+        assert power_of(c).power.flags.f_contiguous
 
 
 def output_scaled_stft(f, g, grid):
@@ -159,7 +157,7 @@ class TestFoldedSign:
         f = random_signal(grid, rng, localized=False)
         for g in self.windows(grid, rng):
             want = np.abs(output_scaled_stft(f, g, grid)) ** 2
-            assert np.array_equal(to_measurement(forward_stft(f, g)).power, want)
+            assert np.array_equal(stft_power(f, g).power, want)
 
     @pytest.mark.parametrize("T, L", [(1.3, 250), (6.0, 512)])
     def test_within_rounding_on_other_steps(self, rng, T, L):
@@ -167,7 +165,7 @@ class TestFoldedSign:
         f = random_signal(grid, rng, localized=False)
         for g in self.windows(grid, rng):
             want = output_scaled_stft(f, g, grid)
-            got = forward_stft(f, g).values
+            got = stft_coeffs(f, g).values
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert err <= 16 * np.finfo(float).eps
 
@@ -185,7 +183,7 @@ class TestBlockedPower:
         f = random_signal(grid, rng, localized=False)
         for g in (dilated_gauss_samples(1.0, grid),
                   rng.standard_normal(L) + 1j * rng.standard_normal(L)):
-            want = to_measurement(forward_stft(f, g)).power
+            want = power_of(stft_coeffs(f, g)).power
             got = stft_power(f, g).power
             assert got.flags.f_contiguous
             assert np.array_equal(got, want)
@@ -204,7 +202,7 @@ class TestIsometry:
         grid = make_grid(8.0, 1024)
         f = gen_chirp(chirp_preset(), grid)
         g = dilated_gauss_samples(1.0, grid) if window == "gauss" else hermite_samples(5, grid)
-        c = forward_stft(f, g)
+        c = stft_coeffs(f, g)
         nf = grid.dt * np.sum(np.abs(f.values) ** 2)
         ng = grid.dt * np.sum(np.abs(g) ** 2)
         assert_allclose(stft_energy(c), nf * ng, rtol=1e-6)
@@ -213,8 +211,8 @@ class TestIsometry:
 class TestMeasurement:
     def test_power_is_squared_magnitude(self, grid256, rng):
         f = random_signal(grid256, rng)
-        c = forward_stft(f, dilated_gauss_samples(1.0, grid256))
-        mea = to_measurement(c)
+        c = stft_coeffs(f, dilated_gauss_samples(1.0, grid256))
+        mea = stft_power(f, dilated_gauss_samples(1.0, grid256))
         assert_allclose(mea.power, np.abs(c.values) ** 2, rtol=0, atol=0)
 
     def test_global_phase_invariance_exact(self, grid256, rng):
@@ -223,20 +221,20 @@ class TestMeasurement:
         # rounding
         f = random_signal(grid256, rng)
         g = dilated_gauss_samples(1.0, grid256)
-        base = to_measurement(forward_stft(f, g)).power
+        base = stft_power(f, g).power
         for phase in (1j, -1.0):
             rot = Signal(grid=grid256, values=phase * f.values)
-            power = to_measurement(forward_stft(rot, g)).power
+            power = stft_power(rot, g).power
             assert np.array_equal(power, base)
         rot = Signal(grid=grid256, values=np.exp(0.37j) * f.values)
-        power = to_measurement(forward_stft(rot, g)).power
+        power = stft_power(rot, g).power
         assert_allclose(power, base, rtol=1e-11, atol=1e-13 * base.max())
 
 
 class TestNoise:
     def _measurement(self, grid, rng):
         f = random_signal(grid, rng, localized=False)
-        return to_measurement(forward_stft(f, dilated_gauss_samples(1.0, grid)))
+        return stft_power(f, dilated_gauss_samples(1.0, grid))
 
     def test_zero_level_is_identity(self, grid256, rng):
         mea = self._measurement(grid256, rng)
