@@ -254,7 +254,7 @@ def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:
     L = grid.L
     roots, c = unit_roots(L), np.arange(L) - L // 2
     out = np.empty((L, L), dtype=np.complex128)
-    for k0, block in stft_blocks(sig, g, grid):
+    for k0, block in stft_blocks(sig, g):
         k = slice(k0, k0 + len(block))
         # phase first: a complex product's last bits depend on the operand order
         np.multiply(roots[np.multiply.outer(c[k], c) % (2 * L)], block, out=block)

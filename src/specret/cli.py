@@ -9,7 +9,6 @@ overflow, division by zero or NaN in a run), 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import hashlib
 import json
@@ -248,12 +247,12 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     measurements = _apply_noise(clean, cfg)
     runner = run_alg1 if rcfg.algorithm == "alg1" else run_alg2
     # the rest reads only the signal and the plan: free the assembled J
-    recon = dataclasses.replace(runner(measurements, family, rcfg), ambiguity=None)
+    recon = runner(measurements, family, rcfg)._replace(ambiguity=None)
     writer = ArtifactWriter(out_dir, "retrieve", cfg)
     extra = {}
     if cfg["noise"]["model"] != "none":
         report = verify_noise_bounds(clean, measurements, recon.plan)
-        extra["noise_bounds"] = dataclasses.asdict(report)
+        extra["noise_bounds"] = report._asdict()
     _emit_reconstruction(writer, cfg, recon, f, rate, extra)
     writer.finish()
     return 0
@@ -375,7 +374,7 @@ def cmd_verify_bounds(cfg: dict, out_dir: Path) -> int:
     noisy = _apply_noise(clean, cfg)
     report = verify_noise_bounds(clean, noisy, make_plan(family, f.grid, rcfg), f_true=f)
     writer = ArtifactWriter(out_dir, "verify-bounds", cfg)
-    writer.write_json("bounds.json", dataclasses.asdict(report))
+    writer.write_json("bounds.json", report._asdict())
     ok = all(report.satisfied)
     print(f"noise bounds satisfied: {ok}")
     writer.finish()

@@ -128,15 +128,15 @@ def signal_to_csv(sig: Signal, path):
 PGM_FLOOR = 1e-12
 
 
-def write_pgm_heatmap(values: np.ndarray, path, floor: float = PGM_FLOOR):
-    """8-bit log-magnitude P5 heatmap, max-normalized, floored at `floor`."""
+def write_pgm_heatmap(values: np.ndarray, path):
+    """8-bit log-magnitude P5 heatmap, max-normalized, floored at PGM_FLOOR."""
     mags = np.abs(np.asarray(values))
     peak = mags.max()
     if peak <= 0:
         img = np.zeros(mags.shape, dtype=np.uint8)
     else:
-        db = np.log10(np.maximum(mags / peak, floor))
-        span = -np.log10(floor)
+        db = np.log10(np.maximum(mags / peak, PGM_FLOOR))
+        span = -np.log10(PGM_FLOOR)
         img = np.round(255.0 * (db + span) / span).astype(np.uint8)
     _write_pgm(img, path)
 

@@ -73,7 +73,3 @@ class Signal:
         if not np.all(np.isfinite(v)):
             raise ValueError("signal contains non-finite samples")
         object.__setattr__(self, "values", v)
-
-    def norm(self) -> float:
-        """Discrete L2 norm, sqrt(dt * sum |f_l|^2)."""
-        return float(np.sqrt(self.grid.dt * np.sum(np.abs(self.values) ** 2)))

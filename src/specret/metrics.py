@@ -1,5 +1,5 @@
-"""Global-phase misfit, mixed L^{p,1} lattice norms, and numerical
-verification of the noise-propagation inequalities.
+"""Global-phase misfit and numerical verification of the
+noise-propagation inequalities in the mixed L^{2,1} lattice norm.
 
 The misfit between two signals is
 
@@ -14,7 +14,7 @@ clean and the noisy ambiguities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,10 +48,9 @@ def _outer_l1(row_sums: np.ndarray, dx: float, dy: float, p: float) -> float:
     return float(dy * np.sum((dx * row_sums) ** (1.0 / p)))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Both sides of the data-noise propagation inequalities, evaluated
-    with discrete Riemann-weighted norms.
+    with discrete Riemann-weighted norms, the mixed ones with p = 2.
 
     epsilon is the plan's raw threshold (cfg.epsilon * dt), which bounds
     |den| below on omega; C_p and C_R_Omega are the mixed norm of omega's
@@ -75,7 +74,7 @@ class BoundReport:
     approx_slice_term: float | None = None
 
 
-def verify_noise_bounds(clean, noisy, plan: RetrievalPlan, p: float = 2.0,
+def verify_noise_bounds(clean, noisy, plan: RetrievalPlan,
                         f_true: Signal | None = None) -> BoundReport:
     """Evaluate the noise-propagation inequalities on a clean/noisy pair.
 
@@ -84,12 +83,13 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan, p: float = 2.0,
     group's region A - A^eta = -F(eta) / den for the group's summed noise
     eta = noisy - clean, so each sum is transformed once and read out on
     its region's rows a block at a time (`product_blocks`), and the mixed
-    L^{p,1} norm of A - A^eta and the L1 norm of its x = 0 slice are taken
+    L^{2,1} norm of A - A^eta and the L1 norm of its x = 0 slice are taken
     from those blocks.  With the true signal supplied, on the plan's grid,
     also reports the approximation-error terms (the ambiguity mass left
     outside omega), from its ambiguity's |.|.
     """
     grid, eps, omega = plan.grid, plan.epsilon, plan.omega
+    p = 2.0  # the mixed norm's inner exponent
     n = sum(map(len, plan.groups))
     if measurement_grid(clean, n) != grid or measurement_grid(noisy, n) != grid:
         raise GridMismatchError("measurements and plan live on different grids")

@@ -86,13 +86,11 @@ class RetrievalConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(NamedTuple):
     signal: Signal
     ambiguity: AmbiguityGrid
     omega_area_fraction: float
     anchor_c: int
-    diagnostics: dict | None = None
     plan: RetrievalPlan | None = None  # the plan `ambiguity` was assembled with
 
 
@@ -155,7 +153,7 @@ def measure_family(f: Signal, family: WindowFamily) -> list[Measurement]:
     order, with the bits of the serial loop.
     """
     members = family.members
-    return _two_at_a_time(lambda j: stft_power(f, members[j].samples, f.grid), len(members))
+    return _two_at_a_time(lambda j: stft_power(f, members[j].samples), len(members))
 
 
 def measurement_grid(measurements, n_windows: int) -> Grid:
@@ -275,7 +273,8 @@ INVERT_ROWS = 64
 
 
 def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Reconstruction:
-    """Invert a (masked) ambiguity lattice to a signal, up to global phase.
+    """Invert an ambiguity lattice, read on its mask (all of it when it has
+    none), to a signal, up to global phase.
 
     The lattice is converted to the V_f f convention by the exact phase
     factor exp(-i*pi*x*y); the inverse transform along y then lands on
@@ -303,10 +302,9 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
     h = L // 2
     k = np.arange(L)
     sgn = (-1.0) ** k
-    mask = A.mask
+    mask = np.ones((L, L), dtype=bool) if A.mask is None else A.mask
 
-    col = A.values[:, h] if mask is None else np.where(mask[:, h], A.values[:, h], 0)
-    col = col * sgn
+    col = np.where(mask[:, h], A.values[:, h], 0) * sgn
     slice_l1 = grid.dy * float(np.sum(np.abs(col)))
     wprof = sgn * ((grid.dy * 1j ** (L % 4) * L) * np.fft.ifft(col))  # w carries (-1)^l
     anchor = int(np.argmax(np.abs(wprof))) if cfg.anchor is None else int(cfg.anchor) % L
@@ -320,7 +318,7 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
     roots = unit_roots(L)
     a = (L - (k - h) + 2 * j) % (2 * L)
     b = (h * (k - h)) % (2 * L)
-    r0, r1 = (0, L) if mask is None else row_span(mask)
+    r0, r1 = row_span(mask)
     powers = roots[np.multiply.outer(np.arange(min(INVERT_ROWS, r1 - r0)), a) % (2 * L)]
     terms = np.empty_like(powers)
     diag = np.zeros(L, dtype=np.complex128)
@@ -328,20 +326,13 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
         m1 = min(m0 + INVERT_ROWS, r1)
         block = terms[:m1 - m0]
         block.fill(0)
-        np.multiply(A.values[m0:m1], powers[:m1 - m0], out=block,
-                    where=True if mask is None else mask[m0:m1])
+        np.multiply(A.values[m0:m1], powers[:m1 - m0], out=block, where=mask[m0:m1])
         diag += roots[(m0 * a + b) % (2 * L)] * block.sum(axis=0)
     out = np.zeros(L, dtype=np.complex128)
     out[j] = (grid.dy * 1j ** (L % 4)) * ((-1.0) ** (k + s)) * diag / np.sqrt(abs(u0))
 
-    omega_frac = float(mask.mean()) if mask is not None else 1.0
-    return Reconstruction(
-        signal=Signal(grid=grid, values=out),
-        ambiguity=A,
-        omega_area_fraction=omega_frac,
-        anchor_c=anchor,
-        diagnostics={"u0": complex(u0), "anchor_profile_max": float(np.max(np.abs(wprof)))},
-    )
+    return Reconstruction(signal=Signal(grid=grid, values=out), ambiguity=A,
+                          omega_area_fraction=float(mask.mean()), anchor_c=anchor)
 
 
 def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
@@ -361,7 +352,7 @@ def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruc
         family.plans[key] = plan
     # each group sum is made as _divide reaches it and dies once transformed
     J = _divide(_group_sums(measurements, plan.groups), plan)
-    return replace(reconstruct_from_ambiguity(J, cfg), plan=plan)
+    return reconstruct_from_ambiguity(J, cfg)._replace(plan=plan)
 
 
 def run_alg1(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:

@@ -12,8 +12,8 @@ energy; all error targets that reference the preset are comparative.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +23,12 @@ from .special import dilated_gauss_values
 MIXTURE_BASE_DILATION = 4.0  # mixtures are time-shifts of phi_4
 
 
-@dataclass(frozen=True)
-class ChirpSpec:
+class ChirpSpec(NamedTuple):
     amplitude: float = 1.0
-    env_width: float = 6.5       # Gaussian envelope exp(-pi ((t-c)/width)^2); inf = flat
+    env_width: float = 6.5       # Gaussian envelope exp(-pi ((t-c)/width)^2)
     env_center: float = 0.0
     f_start: float = 0.0         # instantaneous frequency at t = -T (cycles/unit)
     f_end: float = 13.4          # instantaneous frequency at t = +T
-    analytic: bool = True        # complex exponential carrier; False gives cosine
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class MixtureSpec:
 
 
 def gen_chirp(spec: ChirpSpec, grid: Grid) -> Signal:
-    """Linear chirp with smooth envelope; deterministic in the spec."""
+    """Analytic linear chirp with a Gaussian envelope; deterministic in the spec."""
     nyq = grid.nyquist
     if max(abs(spec.f_start), abs(spec.f_end)) >= nyq:
         raise ValueError(
@@ -54,15 +52,8 @@ def gen_chirp(spec: ChirpSpec, grid: Grid) -> Signal:
     T = grid.T
     rate = (spec.f_end - spec.f_start) / (2.0 * T)
     phase = spec.f_start * (t + T) + 0.5 * rate * (t + T) ** 2
-    if math.isinf(spec.env_width):
-        env = np.full_like(t, spec.amplitude)
-    else:
-        env = spec.amplitude * np.exp(-np.pi * ((t - spec.env_center) / spec.env_width) ** 2)
-    if spec.analytic:
-        carrier = np.exp(2j * np.pi * phase)
-    else:
-        carrier = np.cos(2.0 * np.pi * phase)
-    return Signal(grid=grid, values=env * carrier)
+    env = spec.amplitude * np.exp(-np.pi * ((t - spec.env_center) / spec.env_width) ** 2)
+    return Signal(grid=grid, values=env * np.exp(2j * np.pi * phase))
 
 
 def gen_mixture(spec: MixtureSpec, grid: Grid) -> Signal:

@@ -9,9 +9,10 @@ The coefficient convention is
 so c[m, k] approximates V_g f(x_k, y_m) with a periodized window.  The
 modular window index realizes periodization by cyclic indexing.
 
-`stft_blocks` is the one coefficient path: it yields the (k, m)
-coefficients a block of k rows at a time, transformed in place along the
-contiguous frequency axis.  `stft_power` squares each block's |.| into
+`stft_blocks(f, g)` is the one coefficient path: on the signal's grid, it
+yields the (k, m) coefficients a block of k rows at a time, transformed
+in place along the contiguous frequency axis; POWER_BLOCK_BYTES sets the
+block height.  `stft_power` squares each block's |.| into
 its columns of a Fortran-ordered power, so no L x L complex array is
 made.  Elementwise consumers see the same values in either layout; a
 running sum of powers should keep their layout (``copy(order="K")``),
@@ -32,7 +33,7 @@ from .exceptions import GridMismatchError
 from .grid import Grid, Signal
 
 DRAW_ROWS = 64  # rows of noise drawn at a time: 512 KB at L = 1024
-POWER_BLOCK_BYTES = 2 ** 19  # rows a default `stft_blocks` block holds: 32 at L = 1024
+POWER_BLOCK_BYTES = 2 ** 19  # bytes a `stft_blocks` block holds: 32 rows at L = 1024
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,10 @@ class Measurement:
         object.__setattr__(self, "power", p)
 
 
-def stft_blocks(f: Signal, g: np.ndarray, grid: Grid, n: int | None = None):
-    """Yield (k0, block), block[r, m] being c[m, k0 + r], for consecutive
-    blocks of n shift rows (POWER_BLOCK_BYTES of them by default), each a
-    view of one buffer that the next block overwrites.
+def stft_blocks(f: Signal, g: np.ndarray):
+    """Yield (k0, block), block[r, m] being c[m, k0 + r] on the signal's
+    grid, for consecutive blocks of as many shift rows as POWER_BLOCK_BYTES
+    holds, each a view of one buffer that the next block overwrites.
 
     The factor exp(-2i*pi*t_l*y_m) splits into (-1)^l * exp(-2i*pi*l*m/L) *
     (-1)^m * exp(-i*pi*L/2).  The output sign (-1)^m of a length-L FFT is
@@ -67,14 +68,12 @@ def stft_blocks(f: Signal, g: np.ndarray, grid: Grid, n: int | None = None):
     is applied, so the powers have the bits of scaling the FFT's output
     instead.
     """
-    if grid != f.grid:
-        raise GridMismatchError("signal grid differs from requested grid")
+    grid = f.grid
     g = np.asarray(g)
     if g.shape != (grid.L,):
         raise GridMismatchError(f"window has {g.shape} samples, grid needs {grid.L}")
     L = grid.L
-    if n is None:
-        n = min(max(POWER_BLOCK_BYTES // (16 * L), 1), L)
+    n = min(max(POWER_BLOCK_BYTES // (16 * L), 1), L)
     sgn = (-1.0) ** np.arange(L)  # exp(i*pi*l); exact
     # exp(-i*pi*L/2) = (-i)^L is a unit, exact for integer L
     sig = np.roll(f.values * sgn, L // 2) * (grid.dt * (-1j) ** (L % 4))
@@ -88,12 +87,13 @@ def stft_blocks(f: Signal, g: np.ndarray, grid: Grid, n: int | None = None):
         yield k0, np.fft.fft(block, axis=1, out=block)
 
 
-def stft_power(f: Signal, g: np.ndarray, grid: Grid | None = None) -> Measurement:
-    """|V_g f|^2, Fortran-ordered: each block of `stft_blocks` has its |.|
-    squared in place into its columns k of the power."""
-    grid = grid or f.grid
+def stft_power(f: Signal, g: np.ndarray) -> Measurement:
+    """|V_g f|^2 on the signal's grid, Fortran-ordered: each block of
+    `stft_blocks` has its |.| squared in place into its columns k of the
+    power."""
+    grid = f.grid
     power = np.empty((grid.L, grid.L), order="F")
-    for k0, block in stft_blocks(f, g, grid):
+    for k0, block in stft_blocks(f, g):
         cols = power.T[k0:k0 + len(block)]  # contiguous in the Fortran order
         np.square(np.abs(block, out=cols), out=cols)
     return Measurement(grid=grid, power=power)

@@ -29,8 +29,10 @@ def load_wav(path) -> Signal:
             rate = wf.getframerate()
             nframes = wf.getnframes()
             frames = wf.readframes(nframes)
-    except wave.Error as exc:
+    except (wave.Error, EOFError) as exc:  # EOFError: a header cut short
         raise OSError(f"unreadable wav file {path}: {exc}") from exc
+    if rate <= 0:
+        raise ValueError(f"wav sample rate must be positive, got {rate}")
     if channels != 1:
         raise ValueError(f"expected mono audio, got {channels} channels")
     if width != 2:

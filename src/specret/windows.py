@@ -8,6 +8,7 @@ layer rescales its tolerance before calling in; see retrieval.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,7 @@ LATTICE_FLOOR = 1e-20
 ENERGY_TOLERANCE = 0.5
 
 
-@dataclass(frozen=True)
-class WindowMember:
+class WindowMember(NamedTuple):
     window_id: str
     samples: np.ndarray
     evaluator: object  # closed-form ambiguity evaluator
@@ -79,8 +79,7 @@ class RegionMask:
         return float(self.bits.sum() * self.grid.dt * self.grid.dy)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     R1: float
     R2: float
     covered_disc_radius_numeric: float

@@ -20,6 +20,7 @@ from specret import (
     gauss_window_member,
     numeric_ambiguity,
 )
+from specret import stft
 from specret.ambiguity import product_blocks, unit_roots
 from specret.metrics import _outer_l1
 from specret.retrieval import _divide, _group_sums, measurement_grid
@@ -50,12 +51,17 @@ class Coeffs(NamedTuple):
     values: np.ndarray  # complex, shape (L, L), Fortran-ordered
 
 
-def stft_coeffs(f, g, grid=None):
+def stft_coeffs(f, g):
     """The whole coefficient matrix c[m, k]: all of `stft_blocks` in one
-    block, transposed."""
-    grid = grid or f.grid
-    (_, block), = stft_blocks(f, g, grid, grid.L)
-    return Coeffs(grid=grid, values=block.T)
+    block of L rows, transposed."""
+    L = f.grid.L
+    saved = stft.POWER_BLOCK_BYTES
+    stft.POWER_BLOCK_BYTES = 16 * L * L
+    try:
+        (_, block), = stft_blocks(f, g)
+    finally:
+        stft.POWER_BLOCK_BYTES = saved
+    return Coeffs(grid=f.grid, values=block.T)
 
 
 def power_of(c):
@@ -77,7 +83,7 @@ def xy_phase(grid, sign):
 def whole_ambiguity(g, grid):
     """Oracle for `numeric_ambiguity`: the whole phase table times the
     whole coefficient matrix of g against itself, phase first."""
-    c = stft_coeffs(Signal(grid=grid, values=np.asarray(g, dtype=np.complex128)), g, grid)
+    c = stft_coeffs(Signal(grid=grid, values=np.asarray(g, dtype=np.complex128)), g)
     return np.multiply(xy_phase(grid, 1), c.values)
 
 

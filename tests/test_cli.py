@@ -9,7 +9,6 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +91,7 @@ class TestRetrieve:
         assert main(["retrieve", "--config", str(path), "--out", str(out)]) == 0
         assert degrees == [0, 5]
         result = json.loads((out / "result.json").read_text())
-        assert result["noise_bounds"] == json.loads(json.dumps(asdict(fresh)))
+        assert result["noise_bounds"] == json.loads(json.dumps(fresh._asdict()))
 
     def test_noisy_j_is_freed_before_the_bound_check(self, tmp_path, monkeypatch):
         # the check and the artifacts read the measurements, the plan and the
@@ -246,6 +245,19 @@ class TestWavPipeline:
         cfg = write_config(tmp_path, signal={"kind": "wav", "path": str(tmp_path / "no.wav")})
         assert main(["retrieve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("damage, code", [("empty", 4), ("cut", 4), ("rate0", 2)])
+    def test_damaged_header_exits_without_traceback(self, tmp_path, capsys, damage, code):
+        clip = self._tone_wav(tmp_path)
+        raw = clip.read_bytes()
+        # the sample rate and byte rate fields sit at bytes 24-31 of the header
+        clip.write_bytes({"empty": b"", "cut": raw[:20],
+                          "rate0": raw[:24] + bytes(8) + raw[32:]}[damage])
+        cfg = write_config(tmp_path, signal={"kind": "wav", "path": str(clip)})
+        assert main(["retrieve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestAudioPreparation:
     def test_segment_cap(self):
@@ -390,7 +402,7 @@ class TestNumericErrors:
         def huge_second_window(cfg, grid):
             family = build(cfg, grid)
             members = list(family.members)
-            members[1] = dataclasses.replace(members[1], samples=members[1].samples * 1e200)
+            members[1] = members[1]._replace(samples=members[1].samples * 1e200)
             return dataclasses.replace(family, members=tuple(members))
 
         monkeypatch.setattr(cli, "_build_family", huge_second_window)

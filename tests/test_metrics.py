@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -215,7 +214,7 @@ class TestNoiseBounds:
             verify_noise_bounds(clean, noisy, plan, f_true=other)
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
-    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("p", [2.0])
     @pytest.mark.parametrize("L", [200, 256])
     def test_matches_two_assembly_oracle(self, algorithm, L, p):
         # the transformed noise sums against the difference of the clean and
@@ -224,7 +223,7 @@ class TestNoiseBounds:
         cfg = RetrievalConfig(epsilon=1e-2, algorithm=algorithm)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         plan = (run_alg1 if algorithm == "alg1" else run_alg2)(noisy, family, cfg).plan
-        got = verify_noise_bounds(clean, noisy, plan, p=p, f_true=f)
+        got = verify_noise_bounds(clean, noisy, plan, f_true=f)
         want = two_assembly_bounds(clean, noisy, plan, p=p, f_true=f)
         for name in ("epsilon", "p", "C_p", "C_R_Omega", "rhs_bound", "rhs_slice_bound",
                      "noise_norm", "satisfied", "approx_term", "approx_slice_term"):
@@ -307,5 +306,5 @@ class TestNoiseBounds:
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         report = verify_noise_bounds(clean, noisy,
                                      make_plan(family, grid, RetrievalConfig(epsilon=1e-2)))
-        blob = json.dumps(asdict(report))
+        blob = json.dumps(report._asdict())
         assert json.loads(blob)["satisfied"] == [True, True]

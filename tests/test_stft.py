@@ -77,8 +77,6 @@ class TestForwardStft:
     def test_grid_mismatch_rejected(self, grid256, grid512, rng):
         f = random_signal(grid256, rng)
         with pytest.raises(GridMismatchError):
-            stft_coeffs(f, dilated_gauss_samples(1.0, grid512), grid512)
-        with pytest.raises(GridMismatchError):
             stft_coeffs(f, dilated_gauss_samples(1.0, grid512))
 
 
@@ -190,8 +188,6 @@ class TestBlockedPower:
 
     def test_grid_mismatch_rejected(self, grid256, grid512, rng):
         f = random_signal(grid256, rng)
-        with pytest.raises(GridMismatchError):
-            stft_power(f, dilated_gauss_samples(1.0, grid512), grid512)
         with pytest.raises(GridMismatchError):
             stft_power(f, dilated_gauss_samples(1.0, grid512))
 

@@ -1,3 +1,4 @@
+import struct
 import wave
 
 import numpy as np
@@ -89,4 +90,29 @@ class TestWavErrors:
         p = tmp_path / "junk.wav"
         p.write_bytes(b"this is not a wav file at all")
         with pytest.raises(OSError):
+            load_wav(p)
+
+
+class TestWavHeaderErrors:
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "empty.wav"
+        p.write_bytes(b"")
+        with pytest.raises(OSError):
+            load_wav(p)
+
+    def test_header_cut_short(self, tmp_path):
+        sig, rate = make_tone(L=256, rate=8000)
+        p = tmp_path / "short.wav"
+        save_wav(sig, p, sample_rate=rate)
+        p.write_bytes(p.read_bytes()[:20])
+        with pytest.raises(OSError):
+            load_wav(p)
+
+    def test_zero_sample_rate(self, tmp_path):
+        sig, rate = make_tone(L=256, rate=8000)
+        p = tmp_path / "zero.wav"
+        save_wav(sig, p, sample_rate=rate)
+        raw = p.read_bytes()  # the sample rate and byte rate fields are bytes 24-31
+        p.write_bytes(raw[:24] + struct.pack("<II", 0, 0) + raw[32:])
+        with pytest.raises(ValueError, match="sample rate"):
             load_wav(p)
