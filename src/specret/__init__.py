@@ -52,7 +52,7 @@ from .special import (
     hermite_samples,
     laguerre_function,
 )
-from .stft import Measurement, add_noise
+from .stft import add_noise
 from .wavio import load_wav, save_wav
 from .windows import (
     CoverageReport,

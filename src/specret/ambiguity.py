@@ -49,7 +49,7 @@ import numpy as np
 
 from .grid import Grid, Signal
 from .special import laguerre_function, laguerre_ladder
-from .stft import Measurement, stft_blocks
+from .stft import stft_blocks
 
 
 @dataclass(frozen=True)
@@ -262,11 +262,12 @@ def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:
     return AmbiguityGrid(grid=grid, values=out, mask=None)
 
 
-def product_blocks(mea: Measurement, rows: tuple[int, int] | None):
+def product_blocks(power: np.ndarray, grid: Grid, rows: tuple[int, int] | None):
     """Yield (m0, G), G[r] being lattice row m0 + r, for consecutive blocks
     of rows = (first, stop), or nothing for rows = None.  Each G is a view
-    of one PRODUCT_ROWS-row buffer, overwritten by the next block, and mea
-    is dropped once transformed: a sum made for the call dies first.
+    of one PRODUCT_ROWS-row buffer, overwritten by the next block, and the
+    (L, L) power is dropped once transformed: a sum made for the call dies
+    first.
 
     On the centred lattice the map is
 
@@ -288,13 +289,14 @@ def product_blocks(mea: Measurement, rows: tuple[int, int] | None):
     """
     if rows is None:
         return
-    grid = mea.grid
     L = grid.L
+    if power.shape != (L, L):
+        raise ValueError(f"expected shape {(L, L)}, got {power.shape}")
     h = L // 2
     r0, r1 = rows
     # H[b, n] = sum_{m, k} P[m, k] exp(-2i pi (m b + k n) / L), b <= L/2
-    H = np.fft.rfft(mea.power, axis=0)  # along m, contiguous in a clean power
-    del mea
+    H = np.fft.rfft(power, axis=0)  # along m, contiguous in a clean power
+    del power
     np.fft.fft(H, axis=1, out=H)
     for line in (H[0], H[h]):  # transforms of real lines: make them exactly Hermitian
         line[h + 1:] = line[h - 1:0:-1].conj()

@@ -262,7 +262,7 @@ def cmd_baseline(cfg: dict, out_dir: Path) -> int:
     """Single standard-Gauss window baseline at the configured tolerance:
     `retrieve`'s alg2 path on a one-window family."""
     f, rate = _build_signal(cfg)
-    family = WindowFamily(members=(gauss_window_member(1.0, f.grid),), scheme="frft_gauss")
+    family = WindowFamily(members=(gauss_window_member(1.0, f.grid),), grid=f.grid)
     measurements = _apply_noise(measure_family(f, family), cfg)
     recon = run_alg2(measurements, family, _retrieval_config(cfg))
     writer = ArtifactWriter(out_dir, "baseline", cfg)
@@ -282,23 +282,19 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
     eps = float(cfg["epsilon"])
     writer = ArtifactWriter(out_dir, "coverage", cfg)
     emit = cfg["emit"]
-    payload: dict = {"epsilon": eps, "scheme": cfg["scheme"]["kind"]}
-    if family.scheme == "frft_gauss":
-        summed = family.summed_on_lattice(grid)
+    scheme = cfg["scheme"]
+    payload: dict = {"epsilon": eps, "scheme": scheme["kind"]}
+    if scheme["kind"] == "frft_gauss":
+        summed = family.summed_on_lattice()
         if emit.get("pgm", True):
             container.write_pgm_heatmap(summed, writer.path("summed_ambiguity.pgm"))
             writer.record("summed_ambiguity.pgm")
         union = RegionMask(grid=grid, bits=summed > eps)
-        a = float(cfg["scheme"]["a"])
+        a = float(scheme["a"])
         N = len(family.members)
-        if a > 1 and N >= 3 and eps < 2 ** -0.5:
-            rep = coverage_radii(a, N, eps)
-            payload["coverage_radii"] = {
-                "R1": rep.R1,
-                "R2": rep.R2,
-                "covered_disc_radius_numeric": rep.covered_disc_radius_numeric,
-                "area_fraction": rep.area_fraction,
-            }
+        # the radii are those of the pi/N fan; listed angles make another union
+        if "angles" not in scheme and a > 1 and N >= 3 and eps < 2 ** -0.5:
+            payload["coverage_radii"] = coverage_radii(a, N, eps)._asdict()
         else:
             payload["coverage_radii"] = None
     else:
@@ -372,7 +368,7 @@ def cmd_verify_bounds(cfg: dict, out_dir: Path) -> int:
     rcfg = _retrieval_config(cfg)
     clean = measure_family(f, family)
     noisy = _apply_noise(clean, cfg)
-    report = verify_noise_bounds(clean, noisy, make_plan(family, f.grid, rcfg), f_true=f)
+    report = verify_noise_bounds(clean, noisy, make_plan(family, rcfg), f_true=f)
     writer = ArtifactWriter(out_dir, "verify-bounds", cfg)
     writer.write_json("bounds.json", report._asdict())
     ok = all(report.satisfied)

@@ -21,8 +21,7 @@ import numpy as np
 from .ambiguity import numeric_ambiguity, product_blocks
 from .exceptions import GridMismatchError
 from .grid import Signal
-from .retrieval import RetrievalPlan, measurement_grid, row_span
-from .stft import Measurement
+from .retrieval import RetrievalPlan, check_finite, check_powers, row_span
 
 
 def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
@@ -79,20 +78,20 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan,
     """Evaluate the noise-propagation inequalities on a clean/noisy pair.
 
     `plan` is the retrieval plan of the noisy measurements (`make_plan` or
-    `Reconstruction.plan`); epsilon, C_p and C_R_Omega come from it.  On a
-    group's region A - A^eta = -F(eta) / den for the group's summed noise
-    eta = noisy - clean, so each sum is transformed once and read out on
-    its region's rows a block at a time (`product_blocks`), and the mixed
-    L^{2,1} norm of A - A^eta and the L1 norm of its x = 0 slice are taken
-    from those blocks.  With the true signal supplied, on the plan's grid,
+    `Reconstruction.plan`); epsilon, C_p and C_R_Omega come from it, and
+    each group's noise sum must be finite.  On a group's region
+    A - A^eta = -F(eta) / den for the group's summed noise eta = noisy -
+    clean, so each sum is transformed once and read out on its region's
+    rows a block at a time (`product_blocks`), and the mixed L^{2,1} norm
+    of A - A^eta and the L1 norm of its x = 0 slice are taken from those
+    blocks.  With the true signal supplied, on the plan's grid,
     also reports the approximation-error terms (the ambiguity mass left
     outside omega), from its ambiguity's |.|.
     """
     grid, eps, omega = plan.grid, plan.epsilon, plan.omega
     p = 2.0  # the mixed norm's inner exponent
     n = sum(map(len, plan.groups))
-    if measurement_grid(clean, n) != grid or measurement_grid(noisy, n) != grid:
-        raise GridMismatchError("measurements and plan live on different grids")
+    clean, noisy = check_powers(clean, n, grid), check_powers(noisy, n, grid)
     dx, dy = grid.dt, grid.dy
     k0 = grid.L // 2  # x = 0 column
     approx = approx_slice = None
@@ -109,11 +108,12 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan,
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
     for group, bits in zip(plan.groups, plan.regions):  # one noise sum alive at a time
-        eta = noisy[group[0]].power - clean[group[0]].power
+        eta = noisy[group[0]] - clean[group[0]]
         for j in group[1:]:
-            eta += noisy[j].power - clean[j].power
+            eta += noisy[j] - clean[j]
+        check_finite(eta)
         noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
-        blocks = product_blocks(Measurement(grid=grid, power=eta), row_span(bits))
+        blocks = product_blocks(eta, grid, row_span(bits))
         del eta  # freed once its transform is taken
         for m0, diff in blocks:
             m1 = m0 + len(diff)

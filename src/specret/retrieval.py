@@ -13,8 +13,10 @@ the cells where |sum of its ambiguities| > eps that no earlier group
 claimed (`windows.peel`).  `make_plan` builds it, evaluating each
 member's ambiguity once, and the family keeps the last plan it was run
 with (`WindowFamily.plans`), like an FFTW plan: a setup that retrieves
-many signals builds it once per grid, tolerance and algorithm.  The plan's
+many signals builds it once per tolerance and algorithm.  The plan's
 arrays are read-only, since every run after the first shares them.
+A measurement is its float64 (L, L) power on the family's grid, and one
+finiteness check on each group sum covers every member of the group.
 Since the spectrogram -> product map is linear, a group's
 spectrograms are summed and the sum is transformed once, over half the
 plane (`ambiguity.product_blocks`), and freed.  Only the rows from the
@@ -69,7 +71,7 @@ import numpy as np
 from .ambiguity import AmbiguityGrid, product_blocks, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
-from .stft import Measurement, stft_power
+from .stft import stft_power
 from .windows import WindowFamily, peel
 
 
@@ -145,26 +147,34 @@ def _two_at_a_time(fn, n: int) -> list:
     return out
 
 
-def measure_family(f: Signal, family: WindowFamily) -> list[Measurement]:
-    """Noiseless squared-magnitude measurements, one per family member.
+def measure_family(f: Signal, family: WindowFamily) -> list[np.ndarray]:
+    """Noiseless |V_g f|^2 of f on the family's grid, one power per member.
 
     Two windows are in flight at a time (`_two_at_a_time`), each in
     `stft_power`, and each power is stored at its member's index, in member
     order, with the bits of the serial loop.
     """
+    if f.grid != family.grid:
+        raise GridMismatchError(f"signal grid {f.grid} differs from the family's {family.grid}")
     members = family.members
     return _two_at_a_time(lambda j: stft_power(f, members[j].samples), len(members))
 
 
-def measurement_grid(measurements, n_windows: int) -> Grid:
-    """The grid the measurements share, after checking there is one per window."""
-    if len(measurements) != n_windows:
-        raise ValueError(f"{len(measurements)} measurements for {n_windows} windows")
-    grid = measurements[0].grid
-    for mea in measurements:
-        if mea.grid != grid:
-            raise GridMismatchError("measurements live on different grids")
-    return grid
+def check_powers(powers, n_windows: int, grid: Grid) -> list[np.ndarray]:
+    """One float64 (L, L) power per window; float64 arrays pass uncopied."""
+    if len(powers) != n_windows:
+        raise ValueError(f"{len(powers)} measurements for {n_windows} windows")
+    powers = [np.asarray(p, dtype=np.float64) for p in powers]
+    if any(p.shape != (grid.L, grid.L) for p in powers):
+        raise ValueError(f"a measurement's shape is not {(grid.L, grid.L)}")
+    return powers
+
+
+def check_finite(power: np.ndarray) -> np.ndarray:
+    """power, after checking that every entry is finite."""
+    if not np.isfinite(power).all():
+        raise ValueError("measurement contains non-finite entries")
+    return power
 
 
 class RetrievalPlan(NamedTuple):
@@ -188,18 +198,19 @@ class RetrievalPlan(NamedTuple):
     omega: np.ndarray
 
 
-def make_plan(family: WindowFamily, grid: Grid, cfg: RetrievalConfig) -> RetrievalPlan:
-    """Denominator and regions of `family` on `grid` for cfg.algorithm; each
-    member's ambiguity is evaluated once.  den, omega and the regions are
+def make_plan(family: WindowFamily, cfg: RetrievalConfig) -> RetrievalPlan:
+    """Denominator and regions of `family` on its grid for cfg.algorithm;
+    each member's ambiguity is evaluated once.  den, omega and regions are
     read-only: the retrieval stores the plan in the family and hands the
     same arrays to every later run."""
+    grid = family.grid
     eps = raw_threshold(cfg, grid)
     if cfg.algorithm == "alg2" and eps >= 1:  # a single window's ambiguity peaks at 1
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     n = len(family)  # alg1: one group of all n members, alg2: one group per member
     groups = (tuple(range(n)),) if cfg.algorithm == "alg1" else tuple((j,) for j in range(n))
     regions = []
-    for values, bits in peel(family, groups, eps, grid):
+    for values, bits in peel(family, groups, eps):
         if not regions:  # reuse the first sum as den: no extra L x L buffer
             den = values
             den[~bits] = 0
@@ -221,14 +232,14 @@ def row_span(bits: np.ndarray) -> tuple[int, int] | None:
     return (int(live[0]), int(live[-1]) + 1) if live.size else None
 
 
-def _group_sums(measurements, groups):
+def _group_sums(powers, groups):
     """Each group's `_group_sum`, made as the iterator reaches it and not kept."""
-    return (_group_sum(measurements, group) for group in groups)
+    return (_group_sum(powers, group) for group in groups)
 
 
-def _group_sum(measurements, group) -> Measurement:
-    """The group's powers added in member order; a group of one is its
-    member's own measurement.
+def _group_sum(powers, group) -> np.ndarray:
+    """The group's powers added in member order and checked finite; a
+    group of one is its member's own power.
 
     A sum of two or more powers is added in two halves, cut along the
     powers' axis of largest stride so that each half is one contiguous run
@@ -237,21 +248,21 @@ def _group_sum(measurements, group) -> Measurement:
     still added in member order, so the sums have the serial loop's bits.
     """
     if len(group) == 1:
-        return measurements[group[0]]
-    powers = [measurements[j].power for j in group]
-    power = np.empty_like(powers[0])  # keep the powers' own layout
+        return check_finite(powers[group[0]])
+    members = [powers[j] for j in group]
+    power = np.empty_like(members[0])  # keep the powers' own layout
     axis = int(np.argmax(power.strides))
     n = power.shape[axis]
 
     def add(i):
         block = (slice(None),) * axis + (slice(n * i // 2, n * (i + 1) // 2),)
         out = power[block]
-        np.copyto(out, powers[0][block])
-        for p in powers[1:]:
+        np.copyto(out, members[0][block])
+        for p in members[1:]:
             out += p[block]
 
     _two_at_a_time(add, 2)
-    return Measurement(grid=measurements[group[0]].grid, power=power)
+    return check_finite(power)
 
 
 def _divide(sums, plan: RetrievalPlan) -> AmbiguityGrid:
@@ -260,7 +271,7 @@ def _divide(sums, plan: RetrievalPlan) -> AmbiguityGrid:
     J = None
     sums = iter(sums)  # no loop variable or zip tuple keeps a sum alive
     for bits in plan.regions:
-        for m0, block in product_blocks(next(sums), row_span(bits)):
+        for m0, block in product_blocks(next(sums), plan.grid, row_span(bits)):
             if J is None:
                 J = np.zeros(plan.den.shape, dtype=np.complex128)
             m1 = m0 + len(block)
@@ -336,22 +347,24 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
 
 
 def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
-    """Retrieve with the family's stored plan for this grid, tolerance and
+    """Retrieve with the family's stored plan for this tolerance and
     algorithm, or build it in the calling thread and store it in place of
     the last one.  Each group sum of two or more powers is then added on
-    both cores, one half each (`_group_sums`), divided out and inverted.
+    both cores, one half each (`_group_sums`), checked, divided out and
+    inverted.
     """
-    grid = measurement_grid(measurements, len(family))
+    grid = family.grid
+    powers = check_powers(measurements, len(family), grid)
     if cfg.anchor is not None and not -grid.L < cfg.anchor < grid.L:
         raise ValueError(f"anchor {cfg.anchor} lies outside (-{grid.L}, {grid.L})")
-    key = (grid, raw_threshold(cfg, grid), cfg.algorithm)
+    key = (raw_threshold(cfg, grid), cfg.algorithm)
     plan = family.plans.get(key)
     if plan is None:
-        plan = make_plan(family, grid, cfg)
+        plan = make_plan(family, cfg)
         family.plans.clear()  # one plan per family bounds what it keeps
         family.plans[key] = plan
     # each group sum is made as _divide reaches it and dies once transformed
-    J = _divide(_group_sums(measurements, plan.groups), plan)
+    J = _divide(_group_sums(powers, plan.groups), plan)
     return reconstruct_from_ambiguity(J, cfg)._replace(plan=plan)
 
 

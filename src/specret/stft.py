@@ -19,35 +19,19 @@ running sum of powers should keep their layout (``copy(order="K")``),
 since a C-ordered accumulator makes every add a strided transpose, and
 `add_noise` writes its noisy power in the clean power's layout.
 
-A measurement holds a grid and a power only: which window it came from
-is its position in the family, and the noise model, level and seed are
-part of the run's config.
+A measurement is its float64 (L, L) power only: its grid is its window
+family's, which window it came from is its position in the family, and
+the noise model, level and seed are part of the run's config.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import GridMismatchError
-from .grid import Grid, Signal
+from .grid import Signal
 
 DRAW_ROWS = 64  # rows of noise drawn at a time: 512 KB at L = 1024
 POWER_BLOCK_BYTES = 2 ** 19  # bytes a `stft_blocks` block holds: 32 rows at L = 1024
-
-
-@dataclass(frozen=True)
-class Measurement:
-    grid: Grid
-    power: np.ndarray  # real, shape (L, L), |V_g f|^2 (possibly noisy)
-
-    def __post_init__(self):
-        p = np.asarray(self.power, dtype=np.float64)
-        if p.shape != (self.grid.L, self.grid.L):
-            raise ValueError(f"expected shape {(self.grid.L, self.grid.L)}, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("measurement contains non-finite entries")
-        object.__setattr__(self, "power", p)
 
 
 def stft_blocks(f: Signal, g: np.ndarray):
@@ -87,7 +71,7 @@ def stft_blocks(f: Signal, g: np.ndarray):
         yield k0, np.fft.fft(block, axis=1, out=block)
 
 
-def stft_power(f: Signal, g: np.ndarray) -> Measurement:
+def stft_power(f: Signal, g: np.ndarray) -> np.ndarray:
     """|V_g f|^2 on the signal's grid, Fortran-ordered: each block of
     `stft_blocks` has its |.| squared in place into its columns k of the
     power."""
@@ -96,11 +80,11 @@ def stft_power(f: Signal, g: np.ndarray) -> Measurement:
     for k0, block in stft_blocks(f, g):
         cols = power.T[k0:k0 + len(block)]  # contiguous in the Fortran order
         np.square(np.abs(block, out=cols), out=cols)
-    return Measurement(grid=grid, power=power)
+    return power
 
 
-def add_noise(mea: Measurement, model: str, level: float, seed: int) -> Measurement:
-    """Contaminate a measurement.
+def add_noise(power: np.ndarray, model: str, level: float, seed: int) -> np.ndarray:
+    """Contaminate a measured power; the input is not modified.
 
     additive:        power' = power + eta, eta ~ N(0, level^2) i.i.d.
     multiplicative:  |V| is scaled by i.i.d. N(1, level^2) factors and
@@ -113,17 +97,17 @@ def add_noise(mea: Measurement, model: str, level: float, seed: int) -> Measurem
     if model not in ("additive", "multiplicative"):
         raise ValueError(f"unknown noise model {model!r}")
     rng = np.random.default_rng(seed)
-    power = np.empty_like(mea.power)  # the clean layout: passes over both run contiguously
+    noisy = np.empty_like(power)  # the clean layout: passes over both run contiguously
     # cell [m, k] keeps C-order draw m*L + k: successive calls continue one
     # stream, and a block of draws is still in cache when it lands in a
     # Fortran-ordered power
-    for first in range(0, power.shape[0], DRAW_ROWS):
-        rows = power[first:first + DRAW_ROWS]
+    for first in range(0, noisy.shape[0], DRAW_ROWS):
+        rows = noisy[first:first + DRAW_ROWS]
         np.multiply(rng.standard_normal(rows.shape), level, out=rows)
     if model == "additive":
-        power += mea.power
+        noisy += power
     else:
-        power += 1.0
-        np.square(power, out=power)
-        power *= mea.power
-    return Measurement(grid=mea.grid, power=power)
+        noisy += 1.0
+        np.square(noisy, out=noisy)
+        noisy *= power
+    return noisy

@@ -33,17 +33,17 @@ class WindowMember(NamedTuple):
 
 @dataclass(frozen=True)
 class WindowFamily:
-    """The windows of one measurement setup.
+    """The windows of one measurement setup and the grid they are sampled on.
 
     plans holds the last retrieval plan built for the family, keyed by
-    (grid, raw tolerance, algorithm): the plan depends on nothing else, so
-    a family that retrieves many signals builds it once (see
+    (raw tolerance, algorithm): the plan depends on nothing else, so a
+    family that retrieves many signals builds it once (see
     `retrieval._run`).  It holds at most one plan, about 9 MB for the
     40-window fan at L = 1024, and frees it with the family.
     """
 
     members: tuple
-    scheme: str  # "frft_gauss" or "hermite"
+    grid: Grid
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,12 +54,12 @@ class WindowFamily:
     def __len__(self):
         return len(self.members)
 
-    def summed_on_lattice(self, grid: Grid) -> np.ndarray:
-        """Sum of the member ambiguities on the lattice, added in member
-        order into the first member's buffer."""
-        out = self.members[0].evaluator.on_lattice(grid)
+    def summed_on_lattice(self) -> np.ndarray:
+        """Sum of the member ambiguities on the family's lattice, added in
+        member order into the first member's buffer."""
+        out = self.members[0].evaluator.on_lattice(self.grid)
         for m in self.members[1:]:
-            m.evaluator.on_lattice(grid, out=out)
+            m.evaluator.on_lattice(self.grid, out=out)
         return out
 
 
@@ -119,7 +119,7 @@ def build_frft_family(a: float, N: int, grid: Grid,
                 f"in relative terms, above the {ENERGY_TOLERANCE:g} tolerance")
         members.append(WindowMember(window_id=window_id, samples=samples,
                                     evaluator=FrftGaussAmbiguity(a, alpha)))
-    return WindowFamily(members=tuple(members), scheme="frft_gauss")
+    return WindowFamily(members=tuple(members), grid=grid)
 
 
 def build_hermite_family(degrees, grid: Grid) -> WindowFamily:
@@ -138,7 +138,7 @@ def build_hermite_family(degrees, grid: Grid) -> WindowFamily:
             samples=hermite_samples(n, grid),
             evaluator=HermiteAmbiguity(n),
         ))
-    return WindowFamily(members=tuple(members), scheme="hermite")
+    return WindowFamily(members=tuple(members), grid=grid)
 
 
 def gauss_window_member(a: float, grid: Grid) -> WindowMember:
@@ -167,11 +167,11 @@ def _check_unit_epsilon(epsilon: float):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
-def peel(family: WindowFamily, groups, epsilon: float, grid: Grid):
+def peel(family: WindowFamily, groups, epsilon: float):
     """Onion peeling over a partition of the family into groups of member
-    indices: each group's ambiguities are summed in member order, and the
-    group claims the cells where |sum| > epsilon that no earlier group
-    claimed.
+    indices: each group's ambiguities are summed in member order on the
+    family's lattice, and the group claims the cells where |sum| > epsilon
+    that no earlier group claimed.
 
     Yields (summed A g on the lattice, claimed bits), one pair per group in
     group order; each ambiguity is evaluated once, and only one group's sum
@@ -185,6 +185,7 @@ def peel(family: WindowFamily, groups, epsilon: float, grid: Grid):
     N * floor to a sum of N members, and the claimed bits are those of the
     full lattices (see retrieval.py).
     """
+    grid = family.grid
     floor = LATTICE_FLOOR * epsilon
     evaluators = [[family.members[j].evaluator for j in group] for group in groups]
     hermite = hermite_lattices([ev.n for group in evaluators for ev in group

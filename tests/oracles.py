@@ -12,8 +12,6 @@ import numpy as np
 from specret import (
     BoundReport,
     Grid,
-    GridMismatchError,
-    Measurement,
     RegionMask,
     Signal,
     WindowFamily,
@@ -23,17 +21,17 @@ from specret import (
 from specret import stft
 from specret.ambiguity import product_blocks, unit_roots
 from specret.metrics import _outer_l1
-from specret.retrieval import _divide, _group_sums, measurement_grid
+from specret.retrieval import _divide, _group_sums, check_powers
 from specret.special import _laguerre_run
 from specret.stft import stft_blocks
 from specret.windows import _check_unit_epsilon, peel
 
 
-def peel_masks(family, epsilon, grid):
+def peel_masks(family, epsilon):
     """Pairwise-disjoint masks from `peel`, one group per member."""
     _check_unit_epsilon(epsilon)
-    return [RegionMask(grid=grid, bits=bits)
-            for _, bits in peel(family, [(j,) for j in range(len(family))], epsilon, grid)]
+    return [RegionMask(grid=family.grid, bits=bits)
+            for _, bits in peel(family, [(j,) for j in range(len(family))], epsilon)]
 
 
 def laguerre_eval(n, z):
@@ -66,7 +64,7 @@ def stft_coeffs(f, g):
 
 def power_of(c):
     """Squared-magnitude measurement |c|^2 of a whole coefficient matrix."""
-    return Measurement(grid=c.grid, power=np.abs(c.values) ** 2)
+    return np.abs(c.values) ** 2
 
 
 def xy_phase(grid, sign):
@@ -112,10 +110,8 @@ def mixed_norm(G, p):
 def assemble(measurements, plan):
     """J = F(sum_{j in group} |V_{g_j} f|^2) / sum_{j in group} A g_j on each
     group's region, zero off omega: what `run_alg1` and `run_alg2` invert."""
-    grid = measurement_grid(measurements, sum(map(len, plan.groups)))
-    if grid != plan.grid:
-        raise GridMismatchError("measurements and plan live on different grids")
-    return _divide(_group_sums(measurements, plan.groups), plan)
+    powers = check_powers(measurements, sum(map(len, plan.groups)), plan.grid)
+    return _divide(_group_sums(powers, plan.groups), plan)
 
 
 def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
@@ -129,9 +125,9 @@ def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
     k0 = grid.L // 2
     noise_norm = 0.0
     for group in plan.groups:
-        eta = noisy[group[0]].power - clean[group[0]].power
+        eta = noisy[group[0]] - clean[group[0]]
         for j in group[1:]:
-            eta += noisy[j].power - clean[j].power
+            eta += noisy[j] - clean[j]
         noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
     C_p = lattice_norm(omega.astype(float), dx, dy, p)
     C_R = dx * float(np.sum(omega[k0, :]))
@@ -152,29 +148,28 @@ def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
 
 def gauss_baseline_family(grid):
     """The one standard-Gauss window `specret baseline` retrieves with."""
-    return WindowFamily(members=(gauss_window_member(1.0, grid),), scheme="frft_gauss")
+    return WindowFamily(members=(gauss_window_member(1.0, grid),), grid=grid)
 
 
-def product_band(mea, rows):
+def product_band(power, grid, rows):
     """The blocks of `product_blocks` for rows = (first, stop), gathered into
     one band: the lattice rows of F(|V_g f|^2)(y, -x), which approximates
     A f(x, y) * conj(A g(x, y))."""
     r0, r1 = rows
-    G = np.empty((r1 - r0, mea.grid.L), dtype=np.complex128)
-    for m0, block in product_blocks(mea, rows):
+    G = np.empty((r1 - r0, grid.L), dtype=np.complex128)
+    for m0, block in product_blocks(power, grid, rows):
         G[m0 - r0:m0 - r0 + len(block)] = block
     return G
 
 
-def gathered_product(mea, rows):
+def gathered_product(power, grid, rows):
     """Oracle for `product_blocks`: the whole-band read-out before it went
     by blocks.  The band's rows are gathered from the half
     plane in one fancy index per half, then scaled and modulated whole."""
-    grid = mea.grid
     L = grid.L
     h = L // 2
     r0, r1 = rows
-    H = np.fft.rfft(mea.power, axis=0)
+    H = np.fft.rfft(power, axis=0)
     np.fft.fft(H, axis=1, out=H)
     for line in (H[0], H[h]):
         line[h + 1:] = line[h - 1:0:-1].conj()

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from specret import (
     FrftGaussAmbiguity,
     HermiteAmbiguity,
-    Measurement,
     Signal,
     WindowFamily,
     WindowMember,
@@ -164,7 +163,7 @@ class TestSpectrogramToProduct:
         grid = make_grid(8.0, 256)
         g = dilated_gauss_samples(1.0, grid)
         f = Signal(grid=grid, values=g.astype(complex))
-        G = product_band(stft_power(f, g), (0, grid.L))
+        G = product_band(stft_power(f, g), grid, (0, grid.L))
         X, Y = np.meshgrid(grid.x, grid.y)
         closed = 0.5 * np.exp(-np.pi * (X ** 2 + Y ** 2))
         assert np.max(np.abs(G - closed)) < 1e-6
@@ -174,16 +173,16 @@ class TestSpectrogramToProduct:
         f = random_signal(grid256, rng)
         g = dilated_gauss_samples(1.0, grid256)
         mea = stft_power(f, g)
-        G = product_band(mea, (0, grid256.L))
+        G = product_band(mea, grid256, (0, grid256.L))
         k0 = grid256.L // 2
-        total = grid256.dt * grid256.dy * mea.power.sum()
+        total = grid256.dt * grid256.dy * mea.sum()
         assert_allclose(G[k0, k0], total, rtol=1e-12)
 
     def test_conjugate_symmetry(self, grid256, rng):
         from conftest import random_signal
         f = random_signal(grid256, rng)
         mea = stft_power(f, dilated_gauss_samples(1.0, grid256))
-        G = product_band(mea, (0, grid256.L))
+        G = product_band(mea, grid256, (0, grid256.L))
         L = grid256.L
         flipped = np.conj(G[(-np.arange(L)) % L][:, (-np.arange(L)) % L])
         assert np.max(np.abs(G - flipped)) < 1e-10 * np.max(np.abs(G))
@@ -194,7 +193,7 @@ class TestSpectrogramToProduct:
         g = dilated_gauss_samples(1.0, grid)
         f_samples = dilated_gauss_samples(2.0, grid)
         f = Signal(grid=grid, values=f_samples.astype(complex))
-        G = product_band(stft_power(f, g), (0, grid.L))
+        G = product_band(stft_power(f, g), grid, (0, grid.L))
         Ag = FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid)
         Af = FrftGaussAmbiguity(2.0, 0.0).on_lattice(grid)
         region = np.abs(Ag) > 0.1
@@ -208,19 +207,18 @@ class TestSpectrogramToProduct:
         from conftest import random_signal
         grid = make_grid(8.0, 256)
         f = random_signal(grid, rng)
-        power = stft_power(f, dilated_gauss_samples(1.0, grid)).power
+        power = stft_power(f, dilated_gauss_samples(1.0, grid))
         with pytest.raises(ValueError):
-            product_band(Measurement(grid=grid, power=power[::2]), (0, grid.L))
+            product_band(power[::2], grid, (0, grid.L))
 
 
-def two_pass_product(mea):
+def two_pass_product(mea, grid):
     """The spectrogram -> product map as two full complex passes: modulate
     by (-1)^(m+k), inverse FFT along m, forward FFT along k, transpose,
     modulate and scale; the half-plane kernel's oracle."""
-    grid = mea.grid
     L = grid.L
     sgn = (-1.0) ** np.arange(L)
-    Q = np.multiply(mea.power, sgn[:, None], dtype=np.complex128)
+    Q = np.multiply(mea, sgn[:, None], dtype=np.complex128)
     Q *= sgn[None, :]
     np.fft.ifft(Q, axis=0, out=Q)
     Q *= L
@@ -237,30 +235,33 @@ class TestHalfPlaneProduct:
         from conftest import random_signal
         grid = make_grid(*request.param)
         f = random_signal(grid, rng)
-        power = stft_power(f, dilated_gauss_samples(1.0, grid)).power
+        power = stft_power(f, dilated_gauss_samples(1.0, grid))
         assert power.flags.f_contiguous
-        return [Measurement(grid=grid, power=p) for p in (power, np.ascontiguousarray(power))]
+        return grid, [power, np.ascontiguousarray(power)]
 
     def test_matches_two_pass_transform(self, powers):
+        grid, powers = powers
         for mea in powers:
-            want = two_pass_product(mea)
-            got = product_band(mea, (0, mea.grid.L))
+            want = two_pass_product(mea, grid)
+            got = product_band(mea, grid, (0, grid.L))
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_every_band_has_the_full_rows(self, powers):
+        grid, powers = powers
         for mea in powers:
-            L = mea.grid.L
-            full = product_band(mea, (0, L))
+            L = grid.L
+            full = product_band(mea, grid, (0, L))
             for r0 in range(L):
                 for r1 in range(r0 + 1, L + 1):
-                    band = product_band(mea, (r0, r1))
+                    band = product_band(mea, grid, (r0, r1))
                     assert band.shape == (r1 - r0, L)
                     assert np.array_equal(band, full[r0:r1])
 
     def test_exact_hermitian_symmetry(self, powers):
+        grid, powers = powers
         for mea in powers:
-            G = product_band(mea, (0, mea.grid.L))
-            flip = (-np.arange(mea.grid.L)) % mea.grid.L
+            G = product_band(mea, grid, (0, grid.L))
+            flip = (-np.arange(grid.L)) % grid.L
             assert np.array_equal(G, np.conj(G[flip][:, flip]))
 
 
@@ -272,30 +273,31 @@ class TestProductBlocks:
         from conftest import random_signal
         grid = make_grid(*request.param)
         f = random_signal(grid, rng)
-        return stft_power(f, dilated_gauss_samples(1.0, grid))
+        return stft_power(f, dilated_gauss_samples(1.0, grid)), grid
 
     # a stop of 0 or below counts from L; L/2 is 125 or 128
     @pytest.mark.parametrize("rows", [(0, 0), (60, 70), (63, 65), (100, 200), (120, 131),
                                       (124, 126), (125, 127), (128, 130), (1, -1), (190, 0)])
     def test_bands_across_block_edges(self, mea, rows):
-        L = mea.grid.L
+        mea, grid = mea
+        L = grid.L
         r0, r1 = rows[0], rows[1] if rows[1] > 0 else L + rows[1]
-        full = product_band(mea, (0, L))
-        want = gathered_product(mea, (r0, r1))
+        full = product_band(mea, grid, (0, L))
+        want = gathered_product(mea, grid, (r0, r1))
         got = np.empty_like(want)
         nxt = r0
-        for m0, block in product_blocks(mea, (r0, r1)):
+        for m0, block in product_blocks(mea, grid, (r0, r1)):
             assert m0 == nxt and 0 < len(block) <= PRODUCT_ROWS
             got[m0 - r0:m0 - r0 + len(block)] = block
             nxt = m0 + len(block)
         assert nxt == r1
         assert np.array_equal(got, want)
         assert np.array_equal(got, full[r0:r1])
-        assert np.array_equal(product_band(mea, (r0, r1)), want)
+        assert np.array_equal(product_band(mea, grid, (r0, r1)), want)
 
     def test_no_rows_transform_nothing(self, mea, monkeypatch):
         monkeypatch.setattr(np.fft, "rfft", None)  # a transform would fail
-        assert list(product_blocks(mea, None)) == []
+        assert list(product_blocks(*mea, None)) == []
 
 
 class TestEvaluatorObjects:
@@ -304,9 +306,9 @@ class TestEvaluatorObjects:
         family = WindowFamily(
             members=[WindowMember(window_id=repr(p), samples=np.zeros(grid256.L), evaluator=p)
                      for p in parts],
-            scheme="mixed",
+            grid=grid256,
         )
-        lattice = family.summed_on_lattice(grid256)
+        lattice = family.summed_on_lattice()
         assert_allclose(lattice, parts[0].on_lattice(grid256) + parts[1].on_lattice(grid256),
                         rtol=0, atol=0)
 
@@ -317,12 +319,12 @@ class TestEvaluatorObjects:
         family = WindowFamily(
             members=[WindowMember(window_id=repr(p), samples=np.zeros(L), evaluator=p)
                      for p in parts],
-            scheme="frft_gauss",
+            grid=grid,
         )
         want = parts[0].on_lattice(grid)
         for p in parts[1:]:
             want = want + p.on_lattice(grid)
-        assert np.array_equal(family.summed_on_lattice(grid), want)
+        assert np.array_equal(family.summed_on_lattice(), want)
 
     def test_hermite_lattice_fast_path_matches_meshgrid(self, grid256):
         ev = HermiteAmbiguity(12)

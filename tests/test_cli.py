@@ -81,7 +81,7 @@ class TestRetrieve:
         clean = cli.measure_family(f, family)
         noisy = cli._apply_noise(clean, cfg)
         fresh = cli.verify_noise_bounds(clean, noisy,
-                                        cli.make_plan(family, f.grid, cli._retrieval_config(cfg)))
+                                        cli.make_plan(family, cli._retrieval_config(cfg)))
         degrees = []
         original = windows.hermite_lattices
         monkeypatch.setattr(windows, "hermite_lattices",
@@ -162,6 +162,17 @@ class TestCoverage:
         assert (out / "summed_ambiguity.pgm").exists()
         assert (out / "union_mask.pgm").exists()
         assert (out / "union_mask.bin").exists()
+
+    def test_listed_angles_report_no_fan_radii(self, tmp_path):
+        # the radii hold for the pi/N fan; three nearly equal ellipses cover
+        # only the disc of one, of radius sqrt(C/a), not the pi/3 fan's R1
+        cfg = write_config(tmp_path, scheme={"kind": "frft_gauss", "a": 10.0,
+                                             "angles": [0.0, 0.01, 0.02]}, epsilon=0.1)
+        out = tmp_path / "run"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "coverage.json").read_text())
+        assert payload["coverage_radii"] is None
+        assert (out / "summed_ambiguity.pgm").exists()
 
     def test_hermite_masks(self, tmp_path):
         cfg = write_config(tmp_path, scheme={"kind": "hermite", "degrees": [1, 5, 10]},

@@ -158,7 +158,7 @@ class TestNoiseBounds:
     def test_zero_noise_trivially_satisfied(self):
         grid, f, family, clean = self._setup("alg1")
         cfg = RetrievalConfig(epsilon=1e-3)
-        report = verify_noise_bounds(clean, clean, make_plan(family, grid, cfg))
+        report = verify_noise_bounds(clean, clean, make_plan(family, cfg))
         assert report.lhs_A_norm == 0.0
         assert report.rhs_bound == 0.0
         assert report.satisfied == (True, True)
@@ -168,7 +168,7 @@ class TestNoiseBounds:
     def test_bounds_hold(self, algorithm, model, level):
         grid, f, family, clean = self._setup(algorithm)
         cfg = RetrievalConfig(epsilon=1e-2, algorithm=algorithm)
-        plan = make_plan(family, grid, cfg)
+        plan = make_plan(family, cfg)
         for seed in range(3):
             noisy = [add_noise(m, model, level, seed=100 * seed + j)
                      for j, m in enumerate(clean)]
@@ -181,7 +181,7 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup("alg2")
         cfg = RetrievalConfig(epsilon=1e-2, algorithm="alg2")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
-        plan = make_plan(family, grid, cfg)
+        plan = make_plan(family, cfg)
         report = verify_noise_bounds(clean, noisy, plan)
         omega = assemble(clean, plan).mask
         expected = grid.dt * omega[grid.L // 2, :].sum()
@@ -191,8 +191,8 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup("alg1")
         noisy = [add_noise(m, "additive", 0.02, seed=j) for j, m in enumerate(clean)]
         cfg = RetrievalConfig(epsilon=1e-2)
-        r1 = verify_noise_bounds(clean, noisy, make_plan(family, grid, cfg))
-        etas = [n.power - c.power for c, n in zip(clean, noisy)]
+        r1 = verify_noise_bounds(clean, noisy, make_plan(family, cfg))
+        etas = [n - c for c, n in zip(clean, noisy)]
         dxdy = grid.dt * grid.dy
         assert_allclose(r1.noise_norm, dxdy * np.abs(sum(etas)).sum(), rtol=1e-12)
 
@@ -200,15 +200,24 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup("alg2")
         cfg = RetrievalConfig(epsilon=1e-2, algorithm="alg2")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
-        report = verify_noise_bounds(clean, noisy, make_plan(family, grid, cfg), f_true=f)
+        report = verify_noise_bounds(clean, noisy, make_plan(family, cfg), f_true=f)
         assert report.approx_term is not None and report.approx_term >= 0
         assert report.approx_slice_term is not None and report.approx_slice_term >= 0
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_non_finite_noisy_power_rejected(self, algorithm):
+        grid, f, family, clean = self._setup(algorithm)
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
+        noisy[1][3, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_noise_bounds(clean, noisy, plan)
 
     def test_true_signal_on_another_grid_rejected(self):
         # same L, other T: the approximation terms would take the plan's dt
         grid, f, family, clean = self._setup("alg2")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
-        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
         other = Signal(grid=make_grid(6.0, grid.L), values=f.values)
         with pytest.raises(GridMismatchError):
             verify_noise_bounds(clean, noisy, plan, f_true=other)
@@ -240,7 +249,7 @@ class TestNoiseBounds:
         L = 512
         grid, f, family, clean = self._setup(algorithm, L)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
-        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -256,7 +265,7 @@ class TestNoiseBounds:
         # the report is the same to the bit; row spans exceed 64 rows here
         grid, f, family, clean = self._setup(algorithm)
         noisy = [add_noise(m, "multiplicative", 0.05, seed=j) for j, m in enumerate(clean)]
-        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
         reports = []
         for rows in (1, 7, 64, 1000):
             monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", rows)
@@ -271,7 +280,7 @@ class TestNoiseBounds:
         L = 256
         grid, f, family, clean = self._setup(algorithm, L)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
-        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
         verify_noise_bounds(clean, noisy, plan)  # FFT plans
         tracemalloc.start()
         try:
@@ -289,7 +298,7 @@ class TestNoiseBounds:
         L = 256
         grid, f, family, clean = self._setup(algorithm, L)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
-        plan = make_plan(family, grid, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
         verify_noise_bounds(clean, noisy, plan, f_true=f)  # FFT plans
         tracemalloc.start()
         try:
@@ -305,6 +314,6 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup("alg1")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         report = verify_noise_bounds(clean, noisy,
-                                     make_plan(family, grid, RetrievalConfig(epsilon=1e-2)))
+                                     make_plan(family, RetrievalConfig(epsilon=1e-2)))
         blob = json.dumps(report._asdict())
         assert json.loads(blob)["satisfied"] == [True, True]

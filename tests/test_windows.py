@@ -24,7 +24,7 @@ class TestFamilies:
     def test_single_standard_gauss(self, grid256):
         fam = build_frft_family(1.0, 1, grid256)
         assert len(fam) == 1
-        assert fam.scheme == "frft_gauss"
+        assert fam.grid == grid256
         assert_allclose(fam.members[0].samples,
                         dilated_gauss_samples(1.0, grid256).astype(complex), atol=1e-14)
 
@@ -53,7 +53,7 @@ class TestFamilies:
     def test_hermite_family(self, grid256):
         fam = build_hermite_family([0, 5, 10], grid256)
         assert [m.evaluator.n for m in fam.members] == [0, 5, 10]
-        assert fam.scheme == "hermite"
+        assert fam.grid == grid256
 
     def test_hermite_rejects_non_increasing(self, grid256):
         with pytest.raises(ValueError):
@@ -145,13 +145,13 @@ class TestStabilityMask:
 class TestPeeling:
     def test_single_member_equals_mask(self, grid256):
         fam = build_hermite_family([4], grid256)
-        peeled = peel_masks(fam, 0.1, grid256)
+        peeled = peel_masks(fam, 0.1)
         direct = stability_mask(HermiteAmbiguity(4), 0.1, grid256)
         assert np.array_equal(peeled[0].bits, direct.bits)
 
     def test_nested_set_algebra(self, grid256):
         fam = build_hermite_family([0, 6], grid256)
-        peeled = peel_masks(fam, 0.1, grid256)
+        peeled = peel_masks(fam, 0.1)
         m0 = stability_mask(HermiteAmbiguity(0), 0.1, grid256).bits
         m6 = stability_mask(HermiteAmbiguity(6), 0.1, grid256).bits
         assert np.array_equal(peeled[0].bits, m0)
@@ -159,7 +159,7 @@ class TestPeeling:
 
     def test_disjoint_and_union_exact(self, grid256):
         fam = build_hermite_family([0, 3, 9, 15], grid256)
-        peeled = peel_masks(fam, 0.08, grid256)
+        peeled = peel_masks(fam, 0.08)
         union = np.zeros_like(peeled[0].bits)
         for i, a in enumerate(peeled):
             for b in peeled[i + 1:]:
@@ -176,7 +176,7 @@ class TestPeeling:
         grid = make_grid(8.0, 512)
         eps = 0.5 * grid.dt
         fam = build_hermite_family([50, 100], grid)
-        peeled = peel_masks(fam, eps, grid)
+        peeled = peel_masks(fam, eps)
         s50 = stability_mask(HermiteAmbiguity(50), eps, grid).bits
         s100 = stability_mask(HermiteAmbiguity(100), eps, grid).bits
         union = peeled[0].bits | peeled[1].bits
@@ -187,7 +187,7 @@ class TestPeeling:
     def test_union_beats_any_single_member(self, grid256):
         degrees = [0, 5, 10, 15, 20, 25]
         fam = build_hermite_family(degrees, grid256)
-        peeled = peel_masks(fam, 0.1, grid256)
+        peeled = peel_masks(fam, 0.1)
         union = np.zeros_like(peeled[0].bits)
         for m in peeled:
             union |= m.bits
@@ -201,7 +201,7 @@ class TestSummedMask:
         grid = make_grid(8.0, 512)
         fam = build_frft_family(10.0, 40, grid)
         rep = coverage_radii(10.0, 40, 0.1)
-        bits = fam.summed_on_lattice(grid) > 0.1
+        bits = fam.summed_on_lattice() > 0.1
         X, Y = np.meshgrid(grid.x, grid.y)
         inside = np.hypot(X, Y) <= rep.R1
         assert np.all(bits[inside])
