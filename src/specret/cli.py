@@ -26,11 +26,12 @@ from .grid import Grid, Signal
 from .metrics import misfit, verify_noise_bounds
 from .retrieval import (
     RetrievalConfig,
+    RetrievalPlan,
     _two_at_a_time,
-    make_plan,
     measure_family,
     run_alg1,
     run_alg2,
+    stored_plan,
 )
 from .signals import chirp_preset, gen_chirp, gen_mixture, mixture_preset
 from .stft import add_noise
@@ -48,12 +49,15 @@ from .windows import (
 AUDIO_MAX_SAMPLES = 8192
 AUDIO_TAPER_FRACTION = 0.05
 # L x L complex workspaces alive next to the held measurements, 16 bytes a
-# cell each.  Measured at L=512: a noisy retrieve peaks at 2.5-2.8 arrays in
-# the retrieval (the plan, J and one half-plane transform), `verify-bounds`
-# at 2.3-2.5 in its approximation terms (the true signal's ambiguity and its
-# |.| beside the plan).  The STFTs, the numeric ambiguity and the product
-# read-out hold blocks, and the inversion no full lattice.  The margin
-# covers the fixed overheads, which outgrow the per-cell figures below L=512.
+# cell each.  Measured at L=512 beside the N noisy powers, with the noise
+# sums dropped: a noisy retrieve peaks at 2.3-2.6 arrays in the retrieval
+# (the plan, J, one half-plane transform and alg1's group sum).  Beside its
+# noise sums, `verify-bounds` peaks at 2.3 arrays in its approximation terms
+# (the true signal's ambiguity and its |.|, and the plan), or in drawing
+# the noise when a fan's N + 2 powers outweigh them.  The STFTs, the noise
+# draws, the numeric ambiguity and the product read-out hold blocks, and
+# the inversion no full lattice.  The margin covers the fixed overheads,
+# which outgrow the per-cell figures below L=512.
 WORKSPACE_COMPLEX_ARRAYS = 8
 
 
@@ -111,15 +115,42 @@ def _build_family(cfg: dict, grid: Grid):
     return build_hermite_family(scheme["degrees"], grid)
 
 
-def _apply_noise(measurements, cfg: dict):
+def _apply_noise(powers: list, cfg: dict, plan: RetrievalPlan | None = None,
+                 keep: bool = True) -> list | None:
+    """Replace each clean power in `powers` by its noisy one, in place.
+
+    Window j draws from its own generator, seeded seed + j, so two windows
+    are drawn at a time (`_two_at_a_time`); each pair is then taken in
+    member order.  With a plan, each clean power is overwritten by its
+    noise, noisy - clean, which is added into its group's noise sum and
+    dropped: a group of one keeps its noise as the sum, a larger group sums
+    into its first member's buffer, so each cell is added in member order.
+    Returns the sums, one per group, for `verify_noise_bounds`.  With keep
+    false a noisy power is dropped too once its noise is taken, and its
+    entry set to None.
+    """
     noise = cfg["noise"]
     if noise["model"] == "none":
-        return measurements
+        return None
     model, level = noise["model"], float(noise["level"])
     seed = int(noise.get("seed", cfg["seed"]))
-    # each window draws from its own generator, so two can be drawn at once
-    return _two_at_a_time(lambda j: add_noise(measurements[j], model, level, seed + j),
-                          len(measurements))
+    group_of = {j: i for i, group in enumerate(plan.groups) for j in group} if plan else {}
+    sums = [None] * len(plan.groups) if plan else None
+    for first in range(0, len(powers), 2):
+        pair = _two_at_a_time(lambda i: add_noise(powers[first + i], model, level, seed + first + i),
+                              min(2, len(powers) - first))
+        for j in range(first, first + len(pair)):
+            noisy = pair.pop(0)
+            if plan is not None:
+                np.subtract(noisy, powers[j], out=powers[j])  # the clean power is now the noise
+                i = group_of[j]
+                if sums[i] is None:
+                    sums[i] = powers[j]
+                else:
+                    sums[i] += powers[j]
+            powers[j] = noisy if keep else None
+            del noisy
+    return sums
 
 
 def _retrieval_config(cfg: dict) -> RetrievalConfig:
@@ -135,8 +166,12 @@ def _retrieval_config(cfg: dict) -> RetrievalConfig:
 
 def estimate_bytes(command: str, cfg: dict) -> int:
     """Upper estimate of the peak bytes a command needs, from L, the number
-    of windows and the noise model alone: every measurement is an L x L
-    float64 array, held twice (clean and noisy) when noise is added."""
+    of windows, the noise model and the algorithm alone: every measurement
+    is an L x L float64 array.  With noise, two noisy powers are drawn at a
+    time, each replacing its clean one, and alg1's noise sums into one of
+    them (`_apply_noise`): at most min(2N, N + 3) powers for N windows.
+    An alg2 `retrieve` keeps each window's noise as its group's sum beside
+    its noisy power until the bound check is done: 2N."""
     L = int(cfg["grid"]["L"])
     if cfg["signal"]["kind"] == "wav":
         L = min(L, AUDIO_MAX_SAMPLES)
@@ -149,7 +184,10 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     else:
         held = _window_count(cfg["scheme"])
     if cfg["noise"]["model"] != "none":
-        held *= 2
+        if command == "retrieve" and _retrieval_config(cfg).algorithm == "alg2":
+            held *= 2
+        else:
+            held += min(held, 3)
     return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS)
 
 
@@ -243,16 +281,20 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     f, rate = _build_signal(cfg)
     family = _build_family(cfg, f.grid)
     rcfg = _retrieval_config(cfg)
-    clean = measure_family(f, family)
-    measurements = _apply_noise(clean, cfg)
+    # the plan first, while nothing else is held; the runner finds it stored
+    plan = stored_plan(family, rcfg)
+    powers = measure_family(f, family)
+    extra = {}
+    # the bound report goes only into result.json
+    check = cfg["noise"]["model"] != "none" and cfg["emit"].get("json", True)
+    sums = _apply_noise(powers, cfg, plan if check else None)
+    if check:
+        extra["noise_bounds"] = verify_noise_bounds(sums, plan)._asdict()
+    del sums  # J is never alive beside the noise sums
     runner = run_alg1 if rcfg.algorithm == "alg1" else run_alg2
     # the rest reads only the signal and the plan: free the assembled J
-    recon = runner(measurements, family, rcfg)._replace(ambiguity=None)
+    recon = runner(powers, family, rcfg)._replace(ambiguity=None)
     writer = ArtifactWriter(out_dir, "retrieve", cfg)
-    extra = {}
-    if cfg["noise"]["model"] != "none":
-        report = verify_noise_bounds(clean, measurements, recon.plan)
-        extra["noise_bounds"] = report._asdict()
     _emit_reconstruction(writer, cfg, recon, f, rate, extra)
     writer.finish()
     return 0
@@ -263,8 +305,9 @@ def cmd_baseline(cfg: dict, out_dir: Path) -> int:
     `retrieve`'s alg2 path on a one-window family."""
     f, rate = _build_signal(cfg)
     family = WindowFamily(members=(gauss_window_member(1.0, f.grid),), grid=f.grid)
-    measurements = _apply_noise(measure_family(f, family), cfg)
-    recon = run_alg2(measurements, family, _retrieval_config(cfg))
+    powers = measure_family(f, family)
+    _apply_noise(powers, cfg)
+    recon = run_alg2(powers, family, _retrieval_config(cfg))
     writer = ArtifactWriter(out_dir, "baseline", cfg)
     _emit_reconstruction(writer, cfg, recon, f, rate)
     writer.finish()
@@ -333,8 +376,9 @@ def cmd_random_study(cfg: dict, out_dir: Path) -> int:
     for trial in range(trials):
         degrees = np.sort(rng.choice(np.arange(lo, hi + 1), size=count, replace=False))
         family = build_hermite_family(degrees.tolist(), f.grid)
-        measurements = _apply_noise(measure_family(f, family), cfg)
-        recon = run_alg2(measurements, family, rcfg)
+        powers = measure_family(f, family)
+        _apply_noise(powers, cfg)
+        recon = run_alg2(powers, family, rcfg)
         d, theta = misfit(f, recon.signal)
         rows.append((trial, degrees.tolist(), d, theta))
         print(f"trial {trial}: degrees {degrees.tolist()} misfit {d:.6g}")
@@ -365,10 +409,10 @@ def cmd_verify_bounds(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("verify-bounds needs a noise model")
     f, _ = _build_signal(cfg)
     family = _build_family(cfg, f.grid)
-    rcfg = _retrieval_config(cfg)
-    clean = measure_family(f, family)
-    noisy = _apply_noise(clean, cfg)
-    report = verify_noise_bounds(clean, noisy, make_plan(family, rcfg), f_true=f)
+    plan = stored_plan(family, _retrieval_config(cfg))
+    powers = measure_family(f, family)
+    sums = _apply_noise(powers, cfg, plan, keep=False)
+    report = verify_noise_bounds(sums, plan, f_true=f)
     writer = ArtifactWriter(out_dir, "verify-bounds", cfg)
     writer.write_json("bounds.json", report._asdict())
     ok = all(report.satisfied)

@@ -8,9 +8,11 @@ The misfit between two signals is
 with the minimizer theta* = arg <f1, f2> available in closed form; it
 is also the missing global phase angle.
 
-The noise-bound check transforms each window group's noise sum once
+The noise-bound check takes one noise sum per window group, the group's
+noisy minus clean powers added in member order, and transforms each once
 (the spectrogram -> product map is linear) instead of assembling the
-clean and the noisy ambiguities.
+clean and the noisy ambiguities.  The caller builds the sums as the
+noise is drawn, so no list of clean powers is held beside the noisy one.
 """
 from __future__ import annotations
 
@@ -73,25 +75,29 @@ class BoundReport(NamedTuple):
     approx_slice_term: float | None = None
 
 
-def verify_noise_bounds(clean, noisy, plan: RetrievalPlan,
+def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
                         f_true: Signal | None = None) -> BoundReport:
-    """Evaluate the noise-propagation inequalities on a clean/noisy pair.
+    """Evaluate the noise-propagation inequalities from one noise sum per
+    window group of `plan`.
 
-    `plan` is the retrieval plan of the noisy measurements (`make_plan` or
-    `Reconstruction.plan`); epsilon, C_p and C_R_Omega come from it, and
-    each group's noise sum must be finite.  On a group's region
-    A - A^eta = -F(eta) / den for the group's summed noise eta = noisy -
-    clean, so each sum is transformed once and read out on its region's
-    rows a block at a time (`product_blocks`), and the mixed L^{2,1} norm
-    of A - A^eta and the L1 norm of its x = 0 slice are taken from those
-    blocks.  With the true signal supplied, on the plan's grid,
-    also reports the approximation-error terms (the ambiguity mass left
-    outside omega), from its ambiguity's |.|.
+    `plan` is the retrieval plan of the noisy measurements (`make_plan`,
+    `stored_plan` or `Reconstruction.plan`); epsilon, C_p and C_R_Omega
+    come from it.  noise_sums[i] is the summed noise eta = sum of (noisy -
+    clean) over the powers of plan.groups[i], in member order; there must
+    be one per group, each a finite (L, L) array.  On a group's region
+    A - A^eta = -F(eta) / den, so each sum is transformed once and read out
+    on its region's rows a block at a time (`product_blocks`), and the
+    mixed L^{2,1} norm of A - A^eta and the L1 norm of its x = 0 slice are
+    taken from those blocks.  The sums are only read.  With the true
+    signal supplied, on the plan's grid, also reports the
+    approximation-error terms (the ambiguity mass left outside omega),
+    from its ambiguity's |.|.
     """
     grid, eps, omega = plan.grid, plan.epsilon, plan.omega
     p = 2.0  # the mixed norm's inner exponent
-    n = sum(map(len, plan.groups))
-    clean, noisy = check_powers(clean, n, grid), check_powers(noisy, n, grid)
+    if len(noise_sums) != len(plan.groups):
+        raise ValueError(f"{len(noise_sums)} noise sums for {len(plan.groups)} window groups")
+    noise_sums = check_powers(noise_sums, len(plan.groups), grid)
     dx, dy = grid.dt, grid.dy
     k0 = grid.L // 2  # x = 0 column
     approx = approx_slice = None
@@ -107,15 +113,10 @@ def verify_noise_bounds(clean, noisy, plan: RetrievalPlan,
     noise_norm = 0.0
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
-    for group, bits in zip(plan.groups, plan.regions):  # one noise sum alive at a time
-        eta = noisy[group[0]] - clean[group[0]]
-        for j in group[1:]:
-            eta += noisy[j] - clean[j]
+    for eta, bits in zip(noise_sums, plan.regions):
         check_finite(eta)
         noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
-        blocks = product_blocks(eta, grid, row_span(bits))
-        del eta  # freed once its transform is taken
-        for m0, diff in blocks:
+        for m0, diff in product_blocks(eta, grid, row_span(bits)):
             m1 = m0 + len(diff)
             np.divide(diff, plan.den[m0:m1], out=diff, where=bits[m0:m1])
             a = np.abs(diff)

@@ -23,9 +23,12 @@ plane (`ambiguity.product_blocks`), and freed.  Only the rows from the
 first to the last row of the group's region are read out, a block at a
 time, and divided straight into J, which is zero off omega.
 `run_alg1` and `run_alg2` take the family's stored plan, or build it in
-the calling thread and store it; then the powers of each group of two or
-more members are added in two contiguous halves, one on each core
-(`_two_at_a_time`), so the sums, den and J have the serial bits.
+the calling thread and store it (`stored_plan`); then the powers of each
+group of two or more members are added in two contiguous halves, one on
+each core (`_two_at_a_time`), so the sums, den and J have the serial bits.
+A caller that needs the plan before it measures, as the CLI does to sum
+each group's noise while drawing it, calls `stored_plan` first, and the
+retrieval then finds that plan stored.
 
 A fractional-Gauss window's ambiguity is an ellipse that covers a few
 percent of the lattice, so `peel` evaluates each one only where it
@@ -346,10 +349,22 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
                           omega_area_fraction=float(mask.mean()), anchor_c=anchor)
 
 
+def stored_plan(family: WindowFamily, cfg: RetrievalConfig) -> RetrievalPlan:
+    """The family's stored plan for cfg's tolerance and algorithm, or one
+    built in the calling thread (`make_plan`) and stored in place of the
+    last one."""
+    key = (raw_threshold(cfg, family.grid), cfg.algorithm)
+    plan = family.plans.get(key)
+    if plan is None:
+        plan = make_plan(family, cfg)
+        family.plans.clear()  # one plan per family bounds what it keeps
+        family.plans[key] = plan
+    return plan
+
+
 def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
-    """Retrieve with the family's stored plan for this tolerance and
-    algorithm, or build it in the calling thread and store it in place of
-    the last one.  Each group sum of two or more powers is then added on
+    """Retrieve with the family's `stored_plan` for this tolerance and
+    algorithm.  Each group sum of two or more powers is then added on
     both cores, one half each (`_group_sums`), checked, divided out and
     inverted.
     """
@@ -357,12 +372,7 @@ def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruc
     powers = check_powers(measurements, len(family), grid)
     if cfg.anchor is not None and not -grid.L < cfg.anchor < grid.L:
         raise ValueError(f"anchor {cfg.anchor} lies outside (-{grid.L}, {grid.L})")
-    key = (raw_threshold(cfg, grid), cfg.algorithm)
-    plan = family.plans.get(key)
-    if plan is None:
-        plan = make_plan(family, cfg)
-        family.plans.clear()  # one plan per family bounds what it keeps
-        family.plans[key] = plan
+    plan = stored_plan(family, cfg)
     # each group sum is made as _divide reaches it and dies once transformed
     J = _divide(_group_sums(powers, plan.groups), plan)
     return reconstruct_from_ambiguity(J, cfg)._replace(plan=plan)

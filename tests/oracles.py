@@ -2,9 +2,10 @@
 peeled masks, the bare Laguerre polynomial, the whole STFT coefficient
 matrix and its measurement, the L x L phase table and the whole-table
 numeric ambiguity, the STFT energy, the mixed norm of a lattice, the
-assembly of J from a list of measurements, the noise-bound check that
-assembles both J and J^eta, the whole-band product read-out, and the
-one-window family of the single-window baseline."""
+assembly of J from a list of measurements, the noise-bound check in its
+two-list form and the one that assembles both J and J^eta, the
+whole-band product read-out, and the one-window family of the
+single-window baseline."""
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +18,7 @@ from specret import (
     WindowFamily,
     gauss_window_member,
     numeric_ambiguity,
+    verify_noise_bounds,
 )
 from specret import stft
 from specret.ambiguity import product_blocks, unit_roots
@@ -114,6 +116,27 @@ def assemble(measurements, plan):
     return _divide(_group_sums(powers, plan.groups), plan)
 
 
+def noise_sums(clean, noisy, plan):
+    """Each plan group's noise sum, eta = noisy - clean added over the
+    group in member order, from whole lists of clean and noisy powers."""
+    n = sum(map(len, plan.groups))
+    clean, noisy = check_powers(clean, n, plan.grid), check_powers(noisy, n, plan.grid)
+    sums = []
+    for group in plan.groups:
+        eta = noisy[group[0]] - clean[group[0]]
+        for j in group[1:]:
+            eta += noisy[j] - clean[j]
+        sums.append(eta)
+    return sums
+
+
+def two_list_bounds(clean, noisy, plan, f_true=None):
+    """Oracle for the CLI's noise sums: `verify_noise_bounds` in its
+    two-list form, the noise sums made from whole clean and noisy lists
+    (`noise_sums`) rather than as the noise is drawn."""
+    return verify_noise_bounds(noise_sums(clean, noisy, plan), plan, f_true)
+
+
 def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
     """Oracle for `verify_noise_bounds`: the check as it stood before it
     transformed the noise sums.  A and A^eta are assembled from the clean
@@ -123,12 +146,8 @@ def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
     grid, eps, omega = plan.grid, plan.epsilon, plan.omega
     dx, dy = grid.dt, grid.dy
     k0 = grid.L // 2
-    noise_norm = 0.0
-    for group in plan.groups:
-        eta = noisy[group[0]] - clean[group[0]]
-        for j in group[1:]:
-            eta += noisy[j] - clean[j]
-        noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
+    noise_norm = max(dx * dy * float(np.sum(np.abs(eta)))
+                     for eta in noise_sums(clean, noisy, plan))
     C_p = lattice_norm(omega.astype(float), dx, dy, p)
     C_R = dx * float(np.sum(omega[k0, :]))
     lhs = lattice_norm(A.values - A_eta.values, dx, dy, p)

@@ -35,10 +35,15 @@ from specret import (
     run_alg1,
     run_alg2,
     stability_mask,
-    verify_noise_bounds,
 )
 from specret.stft import stft_power
-from oracles import gauss_baseline_family, peel_masks, stft_coeffs, stft_energy
+from oracles import (
+    gauss_baseline_family,
+    peel_masks,
+    stft_coeffs,
+    stft_energy,
+    two_list_bounds,
+)
 
 
 def announce(criterion, detail):
@@ -227,7 +232,7 @@ class TestCriterion7StabilityBounds:
             seed = int(master.integers(0, 2 ** 31))
             noisy = [add_noise(m, model, level, seed + j)
                      for j, m in enumerate(clean[algorithm])]
-            report = verify_noise_bounds(clean[algorithm], noisy, plans[algorithm])
+            report = two_list_bounds(clean[algorithm], noisy, plans[algorithm])
             assert report.satisfied == (True, True), (trial, algorithm, model, level)
             checked += 1
         elapsed = time.time() - start

@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specret
-from specret import Signal, load_wav, make_grid, save_wav
+from specret import Signal, add_noise, load_wav, make_grid, make_plan, save_wav
 from specret.cli import COMMANDS, check_size, estimate_bytes, main
 from specret.config import load_config
+from oracles import two_list_bounds
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -79,9 +80,8 @@ class TestRetrieve:
         f, _ = cli._build_signal(cfg)
         family = cli._build_family(cfg, f.grid)
         clean = cli.measure_family(f, family)
-        noisy = cli._apply_noise(clean, cfg)
-        fresh = cli.verify_noise_bounds(clean, noisy,
-                                        cli.make_plan(family, cli._retrieval_config(cfg)))
+        noisy = [add_noise(p, "additive", 0.01, 1 + j) for j, p in enumerate(clean)]
+        fresh = two_list_bounds(clean, noisy, make_plan(family, cli._retrieval_config(cfg)))
         degrees = []
         original = windows.hermite_lattices
         monkeypatch.setattr(windows, "hermite_lattices",
@@ -122,11 +122,83 @@ class TestRetrieve:
         alive = 4 * 8 * L * L + 8 * L * L + 3 * L * L
         assert held[-1] - start < alive + 8 * L * L  # J would add 16 L^2
 
+    def test_noisy_peak_holds_one_list_of_powers(self, tmp_path):
+        # the 8 noisy powers, alg1's group sum, J, one half-plane transform
+        # and the plan; the clean list held beside the noisy one peaked at
+        # 21 powers
+        L, N = 256, 8
+        path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=1e-2,
+                            scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": N},
+                            noise={"model": "multiplicative", "level": 0.05})
+        argv = ["retrieve", "--config", str(path), "--out", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # the lazy imports, which stay loaded
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak < (N + 6) * 8 * L * L
+
+    def test_bound_check_skipped_without_json(self, tmp_path, monkeypatch):
+        # the report goes only into result.json
+        from specret import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the noise bounds were checked")
+
+        monkeypatch.setattr(cli, "verify_noise_bounds", refuse)
+        path = write_config(tmp_path, noise={"model": "multiplicative", "level": 0.05},
+                            emit={"csv": True, "pgm": True, "json": False, "wav": False})
+        out = tmp_path / "run"
+        assert main(["retrieve", "--config", str(path), "--out", str(out)]) == 0
+        assert not (out / "result.json").exists()
+
     def test_frft_scheme(self, tmp_path):
         cfg = write_config(tmp_path, scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": 8})
         out = tmp_path / "run"
         assert main(["retrieve", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "result.json").read_text())["misfit"] < 0.05
+
+
+class TestNoiseSums:
+    """`_apply_noise` with a plan, which sums each group's noise as the
+    noise is drawn, against the two-list oracle."""
+
+    @pytest.mark.parametrize("scheme", [
+        {"kind": "frft_gauss", "a": 2.0, "n_windows": 4},  # alg1
+        {"kind": "frft_gauss", "a": 2.0, "n_windows": 5},  # alg1, a last pair of one
+        {"kind": "hermite", "degrees": [0, 5, 10]},  # alg2, a last pair of one
+    ], ids=["fan4", "fan5", "hermite3"])
+    @pytest.mark.parametrize("model", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("truth", [False, True])
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}])
+    def test_matches_two_list_oracle(self, tmp_path, monkeypatch, scheme, model, truth, cores):
+        from specret import cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        path = write_config(tmp_path, scheme=scheme, epsilon=1e-2,
+                            noise={"model": model, "level": 0.05, "seed": 9})
+        cfg = load_config(str(path))
+        f, _ = cli._build_signal(cfg)
+        family = cli._build_family(cfg, f.grid)
+        plan = make_plan(family, cli._retrieval_config(cfg))
+        f_true = f if truth else None
+        clean = cli.measure_family(f, family)
+        noisy = [add_noise(p, model, 0.05, 9 + j) for j, p in enumerate(clean)]
+        want = two_list_bounds(clean, noisy, plan, f_true)
+        for keep in (True, False):
+            powers = cli.measure_family(f, family)
+            sums = cli._apply_noise(powers, cfg, plan, keep)
+            assert len(sums) == len(plan.groups)
+            if keep:
+                assert all(np.array_equal(p, q) for p, q in zip(powers, noisy, strict=True))
+            else:
+                assert powers == [None] * len(family)
+            got = cli.verify_noise_bounds(sums, plan, f_true)
+            for name in want._fields:
+                assert getattr(got, name) == getattr(want, name), name
 
 
 class TestBaseline:
@@ -147,7 +219,9 @@ class TestBaseline:
         cfg = load_config(str(path), {"out": str(out), "seed": None})
         f, _ = _build_signal(cfg)
         fam = gauss_baseline_family(f.grid)
-        want = run_alg2(_apply_noise(measure_family(f, fam), cfg), fam, _retrieval_config(cfg))
+        powers = measure_family(f, fam)
+        _apply_noise(powers, cfg)
+        want = run_alg2(powers, fam, _retrieval_config(cfg))
         assert np.array_equal(read_signal(out / "reconstruction.bin").values, want.signal.values)
 
 
@@ -428,6 +502,33 @@ class TestNumericErrors:
         assert len(err.strip().splitlines()) == 1
         assert "overflow" in err
 
+    def test_overflow_in_a_worker_noise_draw_exits_3(self, tmp_path, capsys, monkeypatch):
+        # window 1's noise is drawn on the second thread, under the CLI's
+        # errstate; scaled by 1e300, its first block of draws overflows
+        from specret import cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        draw = cli.add_noise
+        threads = []
+
+        def huge_second_draw(power, model, level, seed):
+            if seed == 3 + 1:
+                threads.append(threading.get_ident())
+                level = 1e300
+            return draw(power, model, level, seed)
+
+        monkeypatch.setattr(cli, "add_noise", huge_second_draw)
+        path = write_config(tmp_path, noise={"model": "additive", "level": 0.01, "seed": 3})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert not caught
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "overflow" in err
+
     @pytest.fixture
     def plan_thread(self, monkeypatch):
         # two cores, and the threads make_plan ran on; an alg1 retrieve builds
@@ -586,8 +687,14 @@ class TestSizeGuard:
         L = cfg["grid"]["L"]
         clean = estimate_bytes("retrieve", cfg)
         cfg["noise"] = {"model": "additive", "level": 0.1}
-        assert estimate_bytes("retrieve", cfg) - clean == 40 * L * L * 8
+        # alg1 sums the noise into one buffer as two noisy powers replace their clean ones
+        assert estimate_bytes("retrieve", cfg) - clean == 3 * L * L * 8
+        assert estimate_bytes("verify-bounds", cfg) - clean == 3 * L * L * 8
         assert estimate_bytes("coverage", cfg) < estimate_bytes("baseline", cfg) < clean
+        # alg2 keeps every window's noise beside its noisy power until the bound check
+        cfg["algorithm"] = "alg2"
+        assert estimate_bytes("retrieve", cfg) - clean == 40 * L * L * 8
+        assert estimate_bytes("verify-bounds", cfg) - clean == 3 * L * L * 8
 
     @pytest.mark.parametrize("doc", [
         {"signal": {"kind": "chirp"}, "scheme": {"kind": "frft_gauss", "a": 15.0, "n_windows": 12}},

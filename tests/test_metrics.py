@@ -26,7 +26,14 @@ from specret import (
     verify_noise_bounds,
 )
 from specret import ambiguity
-from oracles import assemble, lattice_norm, mixed_norm, two_assembly_bounds
+from oracles import (
+    assemble,
+    lattice_norm,
+    mixed_norm,
+    noise_sums,
+    two_assembly_bounds,
+    two_list_bounds,
+)
 from conftest import random_signal
 
 SMALL = make_grid(2.0, 16)
@@ -158,7 +165,7 @@ class TestNoiseBounds:
     def test_zero_noise_trivially_satisfied(self):
         grid, f, family, clean = self._setup("alg1")
         cfg = RetrievalConfig(epsilon=1e-3)
-        report = verify_noise_bounds(clean, clean, make_plan(family, cfg))
+        report = two_list_bounds(clean, clean, make_plan(family, cfg))
         assert report.lhs_A_norm == 0.0
         assert report.rhs_bound == 0.0
         assert report.satisfied == (True, True)
@@ -172,7 +179,7 @@ class TestNoiseBounds:
         for seed in range(3):
             noisy = [add_noise(m, model, level, seed=100 * seed + j)
                      for j, m in enumerate(clean)]
-            report = verify_noise_bounds(clean, noisy, plan)
+            report = two_list_bounds(clean, noisy, plan)
             assert report.satisfied == (True, True)
             assert report.lhs_A_norm <= report.rhs_bound
             assert report.lhs_slice <= report.rhs_slice_bound
@@ -182,7 +189,7 @@ class TestNoiseBounds:
         cfg = RetrievalConfig(epsilon=1e-2, algorithm="alg2")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         plan = make_plan(family, cfg)
-        report = verify_noise_bounds(clean, noisy, plan)
+        report = two_list_bounds(clean, noisy, plan)
         omega = assemble(clean, plan).mask
         expected = grid.dt * omega[grid.L // 2, :].sum()
         assert_allclose(report.C_R_Omega, expected, rtol=0, atol=0)
@@ -191,7 +198,7 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup("alg1")
         noisy = [add_noise(m, "additive", 0.02, seed=j) for j, m in enumerate(clean)]
         cfg = RetrievalConfig(epsilon=1e-2)
-        r1 = verify_noise_bounds(clean, noisy, make_plan(family, cfg))
+        r1 = two_list_bounds(clean, noisy, make_plan(family, cfg))
         etas = [n - c for c, n in zip(clean, noisy)]
         dxdy = grid.dt * grid.dy
         assert_allclose(r1.noise_norm, dxdy * np.abs(sum(etas)).sum(), rtol=1e-12)
@@ -200,7 +207,7 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup("alg2")
         cfg = RetrievalConfig(epsilon=1e-2, algorithm="alg2")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
-        report = verify_noise_bounds(clean, noisy, make_plan(family, cfg), f_true=f)
+        report = two_list_bounds(clean, noisy, make_plan(family, cfg), f_true=f)
         assert report.approx_term is not None and report.approx_term >= 0
         assert report.approx_slice_term is not None and report.approx_slice_term >= 0
 
@@ -211,7 +218,7 @@ class TestNoiseBounds:
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         noisy[1][3, 7] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            verify_noise_bounds(clean, noisy, plan)
+            two_list_bounds(clean, noisy, plan)
 
     def test_true_signal_on_another_grid_rejected(self):
         # same L, other T: the approximation terms would take the plan's dt
@@ -220,7 +227,7 @@ class TestNoiseBounds:
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
         other = Signal(grid=make_grid(6.0, grid.L), values=f.values)
         with pytest.raises(GridMismatchError):
-            verify_noise_bounds(clean, noisy, plan, f_true=other)
+            two_list_bounds(clean, noisy, plan, f_true=other)
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     @pytest.mark.parametrize("p", [2.0])
@@ -232,7 +239,7 @@ class TestNoiseBounds:
         cfg = RetrievalConfig(epsilon=1e-2, algorithm=algorithm)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         plan = (run_alg1 if algorithm == "alg1" else run_alg2)(noisy, family, cfg).plan
-        got = verify_noise_bounds(clean, noisy, plan, f_true=f)
+        got = two_list_bounds(clean, noisy, plan, f_true=f)
         want = two_assembly_bounds(clean, noisy, plan, p=p, f_true=f)
         for name in ("epsilon", "p", "C_p", "C_R_Omega", "rhs_bound", "rhs_slice_bound",
                      "noise_norm", "satisfied", "approx_term", "approx_slice_term"):
@@ -243,17 +250,18 @@ class TestNoiseBounds:
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_peak_memory(self, algorithm):
-        # no clean or noisy J: one noise sum, its half-plane transform and
+        # no clean or noisy J: one noise sum's half-plane transform and
         # its region's row band at a time (two assemblies peaked at 37.3 and
         # 32.0 L^2 bytes on these families)
         L = 512
         grid, f, family, clean = self._setup(algorithm, L)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        sums = noise_sums(clean, noisy, plan)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            verify_noise_bounds(clean, noisy, plan)
+            verify_noise_bounds(sums, plan)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -269,23 +277,24 @@ class TestNoiseBounds:
         reports = []
         for rows in (1, 7, 64, 1000):
             monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", rows)
-            reports.append(verify_noise_bounds(clean, noisy, plan, f_true=f))
+            reports.append(two_list_bounds(clean, noisy, plan, f_true=f))
         assert all(r == reports[0] for r in reports[1:])
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_peak_memory_in_blocks(self, l1024_blocks, algorithm):
-        # a noise sum and its half-plane transform, 8 L^2 bytes each, and
-        # blocks of the read-out; the whole-band check also held the band,
+        # a noise sum's |.| and its half-plane transform, 8 L^2 bytes each,
+        # and blocks of the read-out; the whole-band check also held the band,
         # its two gathers and its |.| (40 L^2 on the Hermite family)
         L = 256
         grid, f, family, clean = self._setup(algorithm, L)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
-        verify_noise_bounds(clean, noisy, plan)  # FFT plans
+        sums = noise_sums(clean, noisy, plan)
+        verify_noise_bounds(sums, plan)  # FFT plans
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            verify_noise_bounds(clean, noisy, plan)
+            verify_noise_bounds(sums, plan)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -299,11 +308,12 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup(algorithm, L)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
-        verify_noise_bounds(clean, noisy, plan, f_true=f)  # FFT plans
+        sums = noise_sums(clean, noisy, plan)
+        verify_noise_bounds(sums, plan, f_true=f)  # FFT plans
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            verify_noise_bounds(clean, noisy, plan, f_true=f)
+            verify_noise_bounds(sums, plan, f_true=f)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -313,7 +323,7 @@ class TestNoiseBounds:
         import json
         grid, f, family, clean = self._setup("alg1")
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
-        report = verify_noise_bounds(clean, noisy,
+        report = two_list_bounds(clean, noisy,
                                      make_plan(family, RetrievalConfig(epsilon=1e-2)))
         blob = json.dumps(report._asdict())
         assert json.loads(blob)["satisfied"] == [True, True]
