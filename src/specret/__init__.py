@@ -10,7 +10,6 @@ over a fan of angles, and Hermite functions of increasing degree pieced
 together on disjoint annular regions.
 """
 from .ambiguity import (
-    AmbiguityGrid,
     FrftGaussAmbiguity,
     HermiteAmbiguity,
     eval_frft_gauss_ambiguity,
@@ -56,7 +55,6 @@ from .stft import add_noise
 from .wavio import load_wav, save_wav
 from .windows import (
     CoverageReport,
-    RegionMask,
     WindowFamily,
     WindowMember,
     build_frft_family,

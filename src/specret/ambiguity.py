@@ -10,7 +10,8 @@ For the window families used here it has a closed form:
 
 The two evaluator classes cover these kinds (gauss(a) is frft_gauss(a, 0)).
 All are real-valued; gauss kinds are positive, the hermite kind changes
-sign across its n root circles.
+sign across its n root circles.  Every lattice here is a bare (L, L)
+array, row m at y_m and column k at x_k of a grid its caller holds.
 
 `FrftGaussAmbiguity.on_lattice` evaluates the rotated form a xr^2 + yr^2/a,
 which does not cancel at large a, in one loop over bands of rows.  Given
@@ -43,34 +44,11 @@ fills the other half of each row from the exact symmetry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Grid, Signal
 from .special import laguerre_function, laguerre_ladder
 from .stft import stft_blocks
-
-
-@dataclass(frozen=True)
-class AmbiguityGrid:
-    """Complex lattice over (x_k, y_m) with an optional validity mask."""
-
-    grid: Grid
-    values: np.ndarray  # complex, shape (L, L)
-    mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        shape = (self.grid.L, self.grid.L)
-        if v.shape != shape:
-            raise ValueError(f"expected shape {shape}, got {v.shape}")
-        object.__setattr__(self, "values", v)
-        if self.mask is not None:
-            b = np.asarray(self.mask, dtype=bool)
-            if b.shape != shape:
-                raise ValueError(f"mask shape {b.shape} does not match {shape}")
-            object.__setattr__(self, "mask", b)
 
 
 def eval_gauss_ambiguity(a: float, x, y):
@@ -248,8 +226,9 @@ def unit_roots(L: int) -> np.ndarray:
     return np.exp(1j * np.pi / L * np.arange(2 * L))
 
 
-def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:
-    """A g on the (m, k) lattice, C-ordered, from blocks of shift rows."""
+def numeric_ambiguity(g: np.ndarray, grid: Grid) -> np.ndarray:
+    """A g on the (m, k) lattice, complex (L, L) and C-ordered, from blocks
+    of shift rows."""
     sig = Signal(grid=grid, values=np.asarray(g, dtype=np.complex128))
     L = grid.L
     roots, c = unit_roots(L), np.arange(L) - L // 2
@@ -259,7 +238,7 @@ def numeric_ambiguity(g: np.ndarray, grid: Grid) -> AmbiguityGrid:
         # phase first: a complex product's last bits depend on the operand order
         np.multiply(roots[np.multiply.outer(c[k], c) % (2 * L)], block, out=block)
         out[:, k] = block.T
-    return AmbiguityGrid(grid=grid, values=out, mask=None)
+    return out
 
 
 def product_blocks(power: np.ndarray, grid: Grid, rows: tuple[int, int] | None):

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
+from .ambiguity import hermite_lattices
 from .config import ConfigError, load_config
 from .exceptions import RetrievalError
 from .grid import Grid, Signal
@@ -28,6 +29,7 @@ from .retrieval import (
     RetrievalConfig,
     RetrievalPlan,
     _two_at_a_time,
+    check_anchor,
     measure_family,
     run_alg1,
     run_alg2,
@@ -37,13 +39,12 @@ from .signals import chirp_preset, gen_chirp, gen_mixture, mixture_preset
 from .stft import add_noise
 from .wavio import load_wav, save_wav
 from .windows import (
-    RegionMask,
     WindowFamily,
+    _check_unit_epsilon,
     build_frft_family,
     build_hermite_family,
     coverage_radii,
     gauss_window_member,
-    stability_mask,
 )
 
 AUDIO_MAX_SAMPLES = 8192
@@ -279,8 +280,9 @@ def _emit_reconstruction(writer: ArtifactWriter, cfg: dict, recon, f: Signal,
 
 def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     f, rate = _build_signal(cfg)
-    family = _build_family(cfg, f.grid)
     rcfg = _retrieval_config(cfg)
+    check_anchor(rcfg, f.grid)  # before the plan, the STFTs and the noise
+    family = _build_family(cfg, f.grid)
     # the plan first, while nothing else is held; the runner finds it stored
     plan = stored_plan(family, rcfg)
     powers = measure_family(f, family)
@@ -292,8 +294,7 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
         extra["noise_bounds"] = verify_noise_bounds(sums, plan)._asdict()
     del sums  # J is never alive beside the noise sums
     runner = run_alg1 if rcfg.algorithm == "alg1" else run_alg2
-    # the rest reads only the signal and the plan: free the assembled J
-    recon = runner(powers, family, rcfg)._replace(ambiguity=None)
+    recon = runner(powers, family, rcfg)
     writer = ArtifactWriter(out_dir, "retrieve", cfg)
     _emit_reconstruction(writer, cfg, recon, f, rate, extra)
     writer.finish()
@@ -304,10 +305,12 @@ def cmd_baseline(cfg: dict, out_dir: Path) -> int:
     """Single standard-Gauss window baseline at the configured tolerance:
     `retrieve`'s alg2 path on a one-window family."""
     f, rate = _build_signal(cfg)
+    rcfg = _retrieval_config(cfg)
+    check_anchor(rcfg, f.grid)
     family = WindowFamily(members=(gauss_window_member(1.0, f.grid),), grid=f.grid)
     powers = measure_family(f, family)
     _apply_noise(powers, cfg)
-    recon = run_alg2(powers, family, _retrieval_config(cfg))
+    recon = run_alg2(powers, family, rcfg)
     writer = ArtifactWriter(out_dir, "baseline", cfg)
     _emit_reconstruction(writer, cfg, recon, f, rate)
     writer.finish()
@@ -332,7 +335,7 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
         if emit.get("pgm", True):
             container.write_pgm_heatmap(summed, writer.path("summed_ambiguity.pgm"))
             writer.record("summed_ambiguity.pgm")
-        union = RegionMask(grid=grid, bits=summed > eps)
+        union = summed > eps
         a = float(scheme["a"])
         N = len(family.members)
         # the radii are those of the pi/N fan; listed angles make another union
@@ -341,23 +344,26 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
         else:
             payload["coverage_radii"] = None
     else:
-        masks = [stability_mask(m.evaluator, eps, grid) for m in family.members]
-        bits = np.zeros((grid.L, grid.L), dtype=bool)
-        for member, mask in zip(family.members, masks):
-            bits |= mask.bits
+        # each member's stability mask |A h_n| > eps, from one Laguerre run
+        _check_unit_epsilon(eps)
+        union = np.zeros((grid.L, grid.L), dtype=bool)
+        payload["member_areas"] = []
+        lattices = hermite_lattices([m.evaluator.n for m in family.members], grid, 0.0)
+        for member, lattice in zip(family.members, lattices):
+            bits = np.abs(lattice) > eps
+            union |= bits
             if emit.get("pgm", True):
                 name = f"mask_{member.window_id.replace('(', '_').replace(')', '').replace('=', '')}.pgm"
-                container.write_pgm_mask(mask.bits, writer.path(name))
+                container.write_pgm_mask(bits, writer.path(name))
                 writer.record(name)
-        union = RegionMask(grid=grid, bits=bits)
-        payload["member_areas"] = [m.area() for m in masks]
+            payload["member_areas"].append(float(bits.sum() * grid.dt * grid.dy))
     if emit.get("pgm", True):
-        container.write_pgm_mask(union.bits, writer.path("union_mask.pgm"))
+        container.write_pgm_mask(union, writer.path("union_mask.pgm"))
         writer.record("union_mask.pgm")
-    container.write_mask(union, writer.path("union_mask.bin"), desc="union mask")
+    container.write_mask(union, grid, writer.path("union_mask.bin"), desc="union mask")
     writer.record("union_mask.bin")
-    payload["union_area"] = union.area()
-    payload["union_cell_fraction"] = float(union.bits.mean())
+    payload["union_area"] = float(union.sum() * grid.dt * grid.dy)
+    payload["union_cell_fraction"] = float(union.mean())
     if emit.get("json", True):
         writer.write_json("coverage.json", payload)
     writer.finish()
@@ -371,6 +377,7 @@ def cmd_random_study(cfg: dict, out_dir: Path) -> int:
                              int(study["count"]), int(study["trials"]))
     f, _ = _build_signal(cfg)
     rcfg = _retrieval_config(cfg)
+    check_anchor(rcfg, f.grid)
     rng = np.random.default_rng(int(cfg["seed"]))
     rows = []
     for trial in range(trials):

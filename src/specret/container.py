@@ -18,7 +18,9 @@ starting with the False run) for kind 4.  Kinds 1 (real matrix) and 2
 files are refused as a kind mismatch.
 
 Every lattice is the square L x L grid; M, K and hop stay in the header
-for format compatibility, and readers reject any other values.
+for format compatibility, and readers reject any other values.  A mask
+is a bare boolean (L, L) array: `write_mask` takes its bits and grid,
+and `read_mask` returns the pair (grid, bits).
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ import struct
 import numpy as np
 
 from .grid import Grid, Signal
-from .windows import RegionMask
 
 MAGIC = b"TFGRID01"
 VERSION = 1
@@ -93,15 +94,18 @@ def _rle_encode(bits: np.ndarray) -> np.ndarray:
     return runs
 
 
-def write_mask(mask: RegionMask, path, desc: str = "mask"):
-    runs = _rle_encode(mask.bits)
+def write_mask(bits: np.ndarray, grid: Grid, path, desc: str = "mask"):
+    bits = np.asarray(bits, dtype=bool)
+    if bits.shape != (grid.L, grid.L):
+        raise ValueError(f"mask shape {bits.shape} does not match the grid's {(grid.L, grid.L)}")
+    runs = _rle_encode(bits)
     with open(path, "wb") as fh:
-        fh.write(_pack_header(KIND_MASK, mask.grid, desc))
+        fh.write(_pack_header(KIND_MASK, grid, desc))
         fh.write(struct.pack("<Q", len(runs)))
         fh.write(runs.astype("<u4").tobytes())
 
 
-def read_mask(path) -> RegionMask:
+def read_mask(path) -> tuple[Grid, np.ndarray]:
     with open(path, "rb") as fh:
         grid, _ = _read_header(fh, KIND_MASK, "mask")
         L = grid.L
@@ -111,7 +115,7 @@ def read_mask(path) -> RegionMask:
         flat = np.repeat(vals, runs)
         if flat.size != L * L:
             raise ValueError(f"mask runs cover {flat.size} cells, lattice has {L * L}")
-        return RegionMask(grid=grid, bits=flat.reshape(L, L))
+        return grid, flat.reshape(L, L)
 
 
 # ---------------------------------------------------------------- CSV

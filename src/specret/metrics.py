@@ -104,7 +104,7 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     if f_true is not None:
         if f_true.grid != grid:
             raise GridMismatchError("true signal and plan live on different grids")
-        outside = numeric_ambiguity(f_true.values, grid).values
+        outside = numeric_ambiguity(f_true.values, grid)
         outside[omega] = 0
         a = np.abs(outside)
         del outside  # |.| is all the terms read

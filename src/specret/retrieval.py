@@ -21,7 +21,10 @@ Since the spectrogram -> product map is linear, a group's
 spectrograms are summed and the sum is transformed once, over half the
 plane (`ambiguity.product_blocks`), and freed.  Only the rows from the
 first to the last row of the group's region are read out, a block at a
-time, and divided straight into J, which is zero off omega.
+time, and divided straight into J, which is zero off omega.  J is a bare
+complex (L, L) array on the plan's grid, inverted on the plan's omega
+(`reconstruct_from_ambiguity`) and freed when the runner returns: a
+`Reconstruction` keeps the signal and the plan, whose omega is the mask.
 `run_alg1` and `run_alg2` take the family's stored plan, or build it in
 the calling thread and store it (`stored_plan`); then the powers of each
 group of two or more members are added in two contiguous halves, one on
@@ -71,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import AmbiguityGrid, product_blocks, unit_roots
+from .ambiguity import product_blocks, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
 from .stft import stft_power
@@ -93,10 +96,9 @@ class RetrievalConfig:
 
 class Reconstruction(NamedTuple):
     signal: Signal
-    ambiguity: AmbiguityGrid
     omega_area_fraction: float
     anchor_c: int
-    plan: RetrievalPlan | None = None  # the plan `ambiguity` was assembled with
+    plan: RetrievalPlan | None = None  # the plan J was divided with; omega is its mask
 
 
 def raw_threshold(cfg: RetrievalConfig, grid: Grid) -> float:
@@ -268,9 +270,10 @@ def _group_sum(powers, group) -> np.ndarray:
     return check_finite(power)
 
 
-def _divide(sums, plan: RetrievalPlan) -> AmbiguityGrid:
+def _divide(sums, plan: RetrievalPlan) -> np.ndarray:
     """J = F(group sum) / den on each group's region, zero off omega, block
-    by block (`product_blocks`); J is allocated once a sum is transformed."""
+    by block (`product_blocks`); J, complex (L, L), is allocated once a sum
+    is transformed."""
     J = None
     sums = iter(sums)  # no loop variable or zip tuple keeps a sum alive
     for bits in plan.regions:
@@ -279,16 +282,19 @@ def _divide(sums, plan: RetrievalPlan) -> AmbiguityGrid:
                 J = np.zeros(plan.den.shape, dtype=np.complex128)
             m1 = m0 + len(block)
             np.divide(block, plan.den[m0:m1], out=J[m0:m1], where=bits[m0:m1])
-    return AmbiguityGrid(grid=plan.grid, values=J, mask=plan.omega)
+    return J
 
 
 # lattice rows `reconstruct_from_ambiguity` sums at a time
 INVERT_ROWS = 64
 
 
-def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Reconstruction:
-    """Invert an ambiguity lattice, read on its mask (all of it when it has
-    none), to a signal, up to global phase.
+def reconstruct_from_ambiguity(values, grid: Grid, cfg: RetrievalConfig,
+                               mask: np.ndarray | None = None) -> Reconstruction:
+    """Invert the ambiguity lattice `values`, complex (L, L) on `grid`, read
+    on the boolean (L, L) mask (all of it when there is none), to a signal,
+    up to global phase.  Raises ValueError for a lattice or a mask of
+    another shape.
 
     The lattice is converted to the V_f f convention by the exact phase
     factor exp(-i*pi*x*y); the inverse transform along y then lands on
@@ -311,14 +317,17 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
     |f(c)|^2.  The output is normalized by sqrt(|u_c(0)|), which fixes the
     phase factor at the anchor instead of requiring knowledge of f(c).
     """
-    grid = A.grid
     L = grid.L
+    values = np.asarray(values, dtype=np.complex128)
+    mask = np.ones((L, L), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    for name, array in (("lattice", values), ("mask", mask)):
+        if array.shape != (L, L):
+            raise ValueError(f"{name} shape {array.shape} does not match the grid's {(L, L)}")
     h = L // 2
     k = np.arange(L)
     sgn = (-1.0) ** k
-    mask = np.ones((L, L), dtype=bool) if A.mask is None else A.mask
 
-    col = np.where(mask[:, h], A.values[:, h], 0) * sgn
+    col = np.where(mask[:, h], values[:, h], 0) * sgn
     slice_l1 = grid.dy * float(np.sum(np.abs(col)))
     wprof = sgn * ((grid.dy * 1j ** (L % 4) * L) * np.fft.ifft(col))  # w carries (-1)^l
     anchor = int(np.argmax(np.abs(wprof))) if cfg.anchor is None else int(cfg.anchor) % L
@@ -340,13 +349,20 @@ def reconstruct_from_ambiguity(A: AmbiguityGrid, cfg: RetrievalConfig) -> Recons
         m1 = min(m0 + INVERT_ROWS, r1)
         block = terms[:m1 - m0]
         block.fill(0)
-        np.multiply(A.values[m0:m1], powers[:m1 - m0], out=block, where=mask[m0:m1])
+        np.multiply(values[m0:m1], powers[:m1 - m0], out=block, where=mask[m0:m1])
         diag += roots[(m0 * a + b) % (2 * L)] * block.sum(axis=0)
     out = np.zeros(L, dtype=np.complex128)
     out[j] = (grid.dy * 1j ** (L % 4)) * ((-1.0) ** (k + s)) * diag / np.sqrt(abs(u0))
 
-    return Reconstruction(signal=Signal(grid=grid, values=out), ambiguity=A,
+    return Reconstruction(signal=Signal(grid=grid, values=out),
                           omega_area_fraction=float(mask.mean()), anchor_c=anchor)
+
+
+def check_anchor(cfg: RetrievalConfig, grid: Grid):
+    """Refuse a fixed anchor outside (-L, L): taken mod L it would silently
+    read another time index."""
+    if cfg.anchor is not None and not -grid.L < cfg.anchor < grid.L:
+        raise ValueError(f"anchor {cfg.anchor} lies outside (-{grid.L}, {grid.L})")
 
 
 def stored_plan(family: WindowFamily, cfg: RetrievalConfig) -> RetrievalPlan:
@@ -370,12 +386,11 @@ def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruc
     """
     grid = family.grid
     powers = check_powers(measurements, len(family), grid)
-    if cfg.anchor is not None and not -grid.L < cfg.anchor < grid.L:
-        raise ValueError(f"anchor {cfg.anchor} lies outside (-{grid.L}, {grid.L})")
+    check_anchor(cfg, grid)
     plan = stored_plan(family, cfg)
     # each group sum is made as _divide reaches it and dies once transformed
     J = _divide(_group_sums(powers, plan.groups), plan)
-    return reconstruct_from_ambiguity(J, cfg)._replace(plan=plan)
+    return reconstruct_from_ambiguity(J, grid, cfg, plan.omega)._replace(plan=plan)
 
 
 def run_alg1(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:

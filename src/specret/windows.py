@@ -63,22 +63,6 @@ class WindowFamily:
         return out
 
 
-@dataclass(frozen=True)
-class RegionMask:
-    grid: Grid
-    bits: np.ndarray  # bool, shape (L, L)
-
-    def __post_init__(self):
-        b = np.asarray(self.bits, dtype=bool)
-        if b.shape != (self.grid.L, self.grid.L):
-            raise ValueError(f"mask shape {b.shape} does not match grid")
-        object.__setattr__(self, "bits", b)
-
-    def area(self) -> float:
-        """Lattice-cell area of the region, dx*dy per cell."""
-        return float(self.bits.sum() * self.grid.dt * self.grid.dy)
-
-
 class CoverageReport(NamedTuple):
     R1: float
     R2: float
@@ -150,16 +134,15 @@ def gauss_window_member(a: float, grid: Grid) -> WindowMember:
     )
 
 
-def stability_mask(evaluator, epsilon: float, grid: Grid) -> RegionMask:
-    """Lattice mask of {(x, y): |evaluator(x, y)| > epsilon}.
+def stability_mask(evaluator, epsilon: float, grid: Grid) -> np.ndarray:
+    """Boolean (L, L) lattice mask of {(x, y): |evaluator(x, y)| > epsilon}.
 
     epsilon must lie in (0, 1), below the unit peak of the closed forms;
     note the gauss kinds peak at 1/sqrt(2), so epsilon >= 1/sqrt(2) yields
     an empty mask there.
     """
     _check_unit_epsilon(epsilon)
-    bits = np.abs(evaluator.on_lattice(grid)) > epsilon
-    return RegionMask(grid=grid, bits=bits)
+    return np.abs(evaluator.on_lattice(grid)) > epsilon
 
 
 def _check_unit_epsilon(epsilon: float):

@@ -13,7 +13,6 @@ import numpy as np
 from specret import (
     BoundReport,
     Grid,
-    RegionMask,
     Signal,
     WindowFamily,
     gauss_window_member,
@@ -30,10 +29,9 @@ from specret.windows import _check_unit_epsilon, peel
 
 
 def peel_masks(family, epsilon):
-    """Pairwise-disjoint masks from `peel`, one group per member."""
+    """Pairwise-disjoint boolean masks from `peel`, one group per member."""
     _check_unit_epsilon(epsilon)
-    return [RegionMask(grid=family.grid, bits=bits)
-            for _, bits in peel(family, [(j,) for j in range(len(family))], epsilon)]
+    return [bits for _, bits in peel(family, [(j,) for j in range(len(family))], epsilon)]
 
 
 def laguerre_eval(n, z):
@@ -102,11 +100,12 @@ def lattice_norm(values, dx, dy, p):
     return _outer_l1(np.sum(np.abs(values) ** p, axis=1), dx, dy, p)
 
 
-def mixed_norm(G, p):
-    """Discrete mixed norm: outer L1 sum over y of the inner L^p norm in x."""
+def mixed_norm(values, grid, p):
+    """Discrete mixed norm of a lattice on grid: outer L1 sum over y of the
+    inner L^p norm in x."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return lattice_norm(G.values, G.grid.dt, G.grid.dy, p)
+    return lattice_norm(values, grid.dt, grid.dy, p)
 
 
 def assemble(measurements, plan):
@@ -150,12 +149,12 @@ def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
                      for eta in noise_sums(clean, noisy, plan))
     C_p = lattice_norm(omega.astype(float), dx, dy, p)
     C_R = dx * float(np.sum(omega[k0, :]))
-    lhs = lattice_norm(A.values - A_eta.values, dx, dy, p)
-    lhs_slice = dy * float(np.sum(np.abs(A.values[:, k0] - A_eta.values[:, k0])))
+    lhs = lattice_norm(A - A_eta, dx, dy, p)
+    lhs_slice = dy * float(np.sum(np.abs(A[:, k0] - A_eta[:, k0])))
     rhs, rhs_slice = C_p / eps * noise_norm, C_R / eps * noise_norm
     approx = approx_slice = None
     if f_true is not None:
-        outside = np.where(omega, 0.0, numeric_ambiguity(f_true.values, grid).values)
+        outside = np.where(omega, 0.0, numeric_ambiguity(f_true.values, grid))
         approx = lattice_norm(outside, dx, dy, p)
         approx_slice = dy * float(np.sum(np.abs(outside[:, k0])))
     return BoundReport(

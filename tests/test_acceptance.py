@@ -83,7 +83,7 @@ class TestCriterion1MasterOracle:
                           lambda x, y, n=n: eval_hermite_ambiguity(n, x, y)))
         worst = 0.0
         for name, samples, closed in cases:
-            numeric = numeric_ambiguity(samples, grid).values
+            numeric = numeric_ambiguity(samples, grid)
             expected = torus_closed_form(closed, grid)
             dev = float(np.max(np.abs(numeric - expected)))
             assert dev < 1e-5, f"{name}: deviation {dev}"
@@ -255,22 +255,22 @@ class TestCriterion8PropertySuites:
         grid = make_grid(8.0, 256)
         fam = build_hermite_family([0, 5, 10, 20], grid)
         peeled = peel_masks(fam, 0.1)
-        union = np.zeros_like(peeled[0].bits)
+        union = np.zeros_like(peeled[0])
         for i, a in enumerate(peeled):
             for b in peeled[i + 1:]:
-                assert not (a.bits & b.bits).any()
-            union |= a.bits
+                assert not (a & b).any()
+            union |= a
         direct = np.zeros_like(union)
         for m in fam.members:
-            direct |= stability_mask(m.evaluator, 0.1, grid).bits
+            direct |= stability_mask(m.evaluator, 0.1, grid)
         assert np.array_equal(union, direct)
 
     def test_stability_mask_monotone(self):
         grid = make_grid(8.0, 256)
         ev = HermiteAmbiguity(8)
-        previous = stability_mask(ev, 0.02, grid).bits
+        previous = stability_mask(ev, 0.02, grid)
         for eps in (0.05, 0.1, 0.2, 0.4):
-            current = stability_mask(ev, eps, grid).bits
+            current = stability_mask(ev, eps, grid)
             assert not (current & ~previous).any()
             previous = current
 

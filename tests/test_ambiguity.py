@@ -74,12 +74,12 @@ class TestNumericAmbiguity:
     def test_gauss_peak_value(self, grid256):
         amb = numeric_ambiguity(dilated_gauss_samples(1.0, grid256), grid256)
         k0 = grid256.L // 2
-        assert_allclose(amb.values[k0, k0], 2 ** -0.5, atol=1e-8)
+        assert_allclose(amb[k0, k0], 2 ** -0.5, atol=1e-8)
 
     def test_maximum_at_origin(self, grid256):
         for g in (dilated_gauss_samples(2.0, grid256), hermite_samples(3, grid256)):
             amb = numeric_ambiguity(g, grid256)
-            m, k = np.unravel_index(np.argmax(np.abs(amb.values)), amb.values.shape)
+            m, k = np.unravel_index(np.argmax(np.abs(amb)), amb.shape)
             assert (m, k) == (grid256.L // 2, grid256.L // 2)
 
     def test_requires_square_lattice(self):
@@ -92,7 +92,7 @@ class TestNumericAmbiguity:
         grid = make_grid(8.0, 512)
         amb = numeric_ambiguity(dilated_gauss_samples(10.0, grid), grid)
         closed = FrftGaussAmbiguity(10.0, 0.0).on_lattice(grid)
-        assert np.max(np.abs(amb.values - closed)) < 1e-6
+        assert np.max(np.abs(amb - closed)) < 1e-6
 
     def test_matches_frft_closed_form(self):
         grid = make_grid(8.0, 1024)
@@ -100,20 +100,20 @@ class TestNumericAmbiguity:
         amb = numeric_ambiguity(g, grid)
         X, Y = np.meshgrid(grid.x, grid.y)
         closed = eval_frft_gauss_ambiguity(15.0, np.pi / 5, X, Y)
-        assert np.max(np.abs(amb.values - closed)) < 1e-5
+        assert np.max(np.abs(amb - closed)) < 1e-5
 
     def test_matches_hermite_closed_form(self):
         grid = make_grid(8.0, 512)
         amb = numeric_ambiguity(hermite_samples(5, grid), grid)
         closed = HermiteAmbiguity(5).on_lattice(grid)
-        assert np.max(np.abs(amb.values - closed)) < 1e-6
+        assert np.max(np.abs(amb - closed)) < 1e-6
 
     def test_hermite_root_circles(self):
         # radial zero crossings must sit at the Laguerre roots of L_3
         grid = make_grid(8.0, 512)
         amb = numeric_ambiguity(hermite_samples(3, grid), grid)
         m0 = grid.L // 2
-        profile = np.real(amb.values[m0, m0:])
+        profile = np.real(amb[m0, m0:])
         radii = grid.x[m0:]
         crossings = radii[np.flatnonzero(np.sign(profile[1:]) * np.sign(profile[:-1]) < 0)]
         # oracle: roots of the explicit cubic L_3(z) = 1 - 3z + 1.5z^2 - z^3/6
@@ -137,7 +137,7 @@ class TestBlockedNumericAmbiguity:
         grid = make_grid(T, L)
         for g in (dilated_gauss_samples(1.0, grid),
                   rng.standard_normal(L) + 1j * rng.standard_normal(L)):
-            got = numeric_ambiguity(g, grid).values
+            got = numeric_ambiguity(g, grid)
             assert got.flags.c_contiguous
             assert np.array_equal(got, whole_ambiguity(g, grid))
 

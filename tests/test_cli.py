@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import specret
 from specret import Signal, add_noise, load_wav, make_grid, make_plan, save_wav
+from specret import container
 from specret.cli import COMMANDS, check_size, estimate_bytes, main
 from specret.config import load_config
 from oracles import two_list_bounds
@@ -259,6 +260,32 @@ class TestCoverage:
         masks = list(out.glob("mask_hermite*.pgm"))
         assert len(masks) == 3
 
+    def test_hermite_masks_from_one_laguerre_run(self, tmp_path, monkeypatch):
+        # one `hermite_lattices` run over the degrees gives each member's
+        # stability mask, bit for bit
+        from specret import HermiteAmbiguity, cli, stability_mask
+        runs = []
+        lattices = cli.hermite_lattices
+        monkeypatch.setattr(cli, "hermite_lattices",
+                            lambda *args: runs.append(args[0]) or lattices(*args))
+        degrees, eps = [1, 5, 10], 0.1
+        cfg = write_config(tmp_path, scheme={"kind": "hermite", "degrees": degrees},
+                           epsilon=eps)
+        out = tmp_path / "run"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        assert runs == [degrees]
+        grid = make_grid(8.0, 256)
+        payload = json.loads((out / "coverage.json").read_text())
+        union = np.zeros((grid.L, grid.L), dtype=bool)
+        for n, area in zip(degrees, payload["member_areas"], strict=True):
+            bits = stability_mask(HermiteAmbiguity(n), eps, grid)
+            raw = (out / f"mask_hermite_n{n}.pgm").read_bytes()
+            img = np.frombuffer(raw[-grid.L * grid.L:], dtype=np.uint8).reshape(grid.L, grid.L)
+            assert np.array_equal(img == 255, bits)
+            assert area == float(bits.sum() * grid.dt * grid.dy)
+            union |= bits
+        assert np.array_equal(container.read_mask(out / "union_mask.bin")[1], union)
+
 
 class TestRandomStudy:
     def test_deterministic_trials(self, tmp_path):
@@ -455,6 +482,24 @@ class TestFixedAnchor:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "anchor" in err
+
+    @pytest.mark.parametrize("command", ["retrieve", "baseline", "random-study"])
+    def test_anchor_is_refused_before_the_plan_and_the_stfts(self, tmp_path, capsys, command):
+        # the default config at L = 1024: no power, 8 L^2 bytes, is made
+        L = 1024
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"anchor": 5000}))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "x")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * L * L
+        err = capsys.readouterr().err
+        assert err == f"invalid input: anchor 5000 lies outside (-{L}, {L})\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("anchor", [-1, 63])
     def test_edge_anchors_run(self, tmp_path, anchor):

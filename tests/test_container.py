@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specret import RegionMask, dilated_gauss_samples, make_grid, numeric_ambiguity
+from specret import dilated_gauss_samples, make_grid, numeric_ambiguity
 from specret.container import (
     read_mask,
     read_signal,
@@ -35,18 +35,33 @@ class TestBinaryContainer:
 
     def test_mask_rle_round_trip(self, grid256, rng, tmp_path):
         bits = rng.random((grid256.L, grid256.L)) < 0.3
-        mask = RegionMask(grid=grid256, bits=bits)
         p = tmp_path / "mask.bin"
-        write_mask(mask, p)
-        back = read_mask(p)
-        assert np.array_equal(back.bits, bits)
+        write_mask(bits, grid256, p)
+        grid, back = read_mask(p)
+        assert grid == grid256
+        assert np.array_equal(back, bits)
 
     def test_mask_edge_cases(self, tmp_path):
         grid = make_grid(1.0, 4)
         for bits in (np.zeros((4, 4), bool), np.ones((4, 4), bool)):
             p = tmp_path / "m.bin"
-            write_mask(RegionMask(grid=grid, bits=bits), p)
-            assert np.array_equal(read_mask(p).bits, bits)
+            write_mask(bits, grid, p)
+            assert np.array_equal(read_mask(p)[1], bits)
+
+    def test_mask_of_another_shape_is_not_written(self, tmp_path):
+        p = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match="mask shape"):
+            write_mask(np.zeros((4, 5), bool), make_grid(1.0, 4), p)
+        assert not p.exists()
+
+    def test_mask_runs_must_cover_the_lattice(self, tmp_path):
+        p = tmp_path / "m.bin"
+        write_mask(np.eye(4, dtype=bool), make_grid(1.0, 4), p)
+        raw = bytearray(p.read_bytes())
+        raw[-4:] = (int.from_bytes(raw[-4:], "little") + 1).to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="mask runs cover 17 cells"):
+            read_mask(p)
 
     def test_kind_mismatch_rejected(self, signal_file):
         with pytest.raises(ValueError):
@@ -98,7 +113,7 @@ class TestPgm:
     def test_heatmap_header_and_range(self, grid256, tmp_path):
         amb = numeric_ambiguity(dilated_gauss_samples(1.0, grid256), grid256)
         p = tmp_path / "amb.pgm"
-        write_pgm_heatmap(amb.values, p)
+        write_pgm_heatmap(amb, p)
         raw = p.read_bytes()
         header = b"P5\n%d %d\n255\n" % (grid256.L, grid256.L)
         assert raw.startswith(header)

@@ -1,6 +1,8 @@
 """A frozen dataclass is kept only where its __post_init__ validates or
 normalizes its fields: each one costs about 1.5 ms on every fresh import,
-and a record that checks nothing is a NamedTuple instead."""
+and a record that checks nothing is a NamedTuple instead.  The package's
+set of frozen dataclasses is pinned, so a new one is a deliberate edit
+here; lattices and masks travel as bare arrays beside the grid."""
 import ast
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 import specret
 
 MODULES = sorted(Path(specret.__file__).parent.glob("*.py"))
+ALLOWED = {"Grid", "Signal", "RetrievalConfig", "WindowFamily", "MixtureSpec"}
 
 
 def is_frozen_dataclass(decorator) -> bool:
@@ -21,12 +24,21 @@ def is_frozen_dataclass(decorator) -> bool:
         for kw in decorator.keywords)
 
 
+def frozen_dataclasses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(map(is_frozen_dataclass, node.decorator_list))]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_frozen_dataclass_has_post_init(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    bare = [node.name for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-            and any(map(is_frozen_dataclass, node.decorator_list))
-            and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
-                        for item in node.body)]
+    bare = [node.name for node in frozen_dataclasses(path)
+            if not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                       for item in node.body)]
     assert not bare, f"{path.name}: frozen dataclasses without __post_init__: {bare}"
+
+
+def test_the_set_of_frozen_dataclasses_is_pinned():
+    found = {node.name for path in MODULES for node in frozen_dataclasses(path)}
+    assert found == ALLOWED

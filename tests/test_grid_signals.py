@@ -75,7 +75,7 @@ class TestChirp:
         # an elongated slanted ridge with >99% of its energy in |x|,|y|<=12
         grid = make_grid(8.0, 1024)
         f = gen_chirp(chirp_preset(), grid)
-        A = numeric_ambiguity(f.values, grid).values
+        A = numeric_ambiguity(f.values, grid)
         X, Y = np.meshgrid(grid.x, grid.y)
         inside = (np.abs(X) <= 12) & (np.abs(Y) <= 12)
         mass = np.abs(A) ** 2
@@ -118,7 +118,7 @@ class TestMixture:
         grid = make_grid(8.0, 512)
         spec = MixtureSpec(components=((-2.5, 1.0), (0.0, 1.0), (2.5, 1.0)))
         f = gen_mixture(spec, grid)
-        A = numeric_ambiguity(f.values, grid).values
+        A = numeric_ambiguity(f.values, grid)
         row = np.abs(A[grid.L // 2, :])
         above = row > 0.5 * row.max()
         blobs = int(np.sum(above[1:] & ~above[:-1])) + int(above[0])
@@ -127,7 +127,7 @@ class TestMixture:
     def test_preset_blob_structure(self):
         grid = make_grid(8.0, 512)
         f = gen_mixture(mixture_preset(), grid)
-        A = numeric_ambiguity(f.values, grid).values
+        A = numeric_ambiguity(f.values, grid)
         row = np.abs(A[grid.L // 2, :])
         above = row > 0.5 * row.max()
         blobs = int(np.sum(above[1:] & ~above[:-1])) + int(above[0])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from specret import (
-    AmbiguityGrid,
     DegenerateAnchorError,
     EmptyMaskError,
     FrftGaussAmbiguity,
@@ -60,12 +59,26 @@ def gauss_signal(grid, a=1.0):
     return Signal(grid=grid, values=dilated_gauss_samples(a, grid).astype(complex))
 
 
+@pytest.fixture
+def divided(monkeypatch):
+    """Every J the runners divide out, in call order: a `Reconstruction`
+    keeps the signal and the plan, not J."""
+    seen = []
+    divide = retrieval._divide
+
+    def kept(*args):
+        seen.append(divide(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(retrieval, "_divide", kept)
+    return seen
+
+
 class TestReconstructFromAmbiguity:
     def test_exact_closed_form_round_trip(self):
         grid = make_grid(8.0, 256)
-        A = AmbiguityGrid(grid=grid,
-                          values=FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid).astype(complex))
-        rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-6))
+        values = FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid).astype(complex)
+        rec = reconstruct_from_ambiguity(values, grid, RetrievalConfig(epsilon=1e-6))
         d, _ = misfit(gauss_signal(grid), rec.signal)
         assert d < 1e-6
 
@@ -74,7 +87,7 @@ class TestReconstructFromAmbiguity:
         grid = make_grid(8.0, 256)
         f = gauss_signal(grid)
         A = numeric_ambiguity(f.values, grid)
-        rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-6))
+        rec = reconstruct_from_ambiguity(A, grid, RetrievalConfig(epsilon=1e-6))
         assert rec.anchor_c == grid.L // 2  # f peaks at t = 0
         # the profile's maximum |u_c(0)| is |f(c)|^2 estimated at the anchor
         assert_allclose(abs(rec.signal.values[rec.anchor_c]) ** 2, 1.0, atol=1e-6)
@@ -84,7 +97,7 @@ class TestReconstructFromAmbiguity:
         values = dilated_gauss_samples(1.0, grid) * np.exp(2j * np.pi * 0.8 * grid.t)
         f = Signal(grid=grid, values=np.roll(values, 32))
         A = numeric_ambiguity(f.values, grid)
-        rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-6))
+        rec = reconstruct_from_ambiguity(A, grid, RetrievalConfig(epsilon=1e-6))
         assert abs(rec.anchor_c - (grid.L // 2 + 32)) <= 1
         d, _ = misfit(f, rec.signal)
         assert d < 1e-6
@@ -93,18 +106,32 @@ class TestReconstructFromAmbiguity:
         grid = make_grid(8.0, 256)
         f = gauss_signal(grid)
         A = numeric_ambiguity(f.values, grid)
-        rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-6, anchor=grid.L // 2 + 8))
+        rec = reconstruct_from_ambiguity(A, grid,
+                                         RetrievalConfig(epsilon=1e-6, anchor=grid.L // 2 + 8))
         assert rec.anchor_c == grid.L // 2 + 8
         d, _ = misfit(f, rec.signal)
         assert d < 1e-6
 
     def test_empty_mask_is_degenerate(self):
         grid = make_grid(8.0, 256)
-        A = AmbiguityGrid(grid=grid,
-                          values=FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid).astype(complex),
-                          mask=np.zeros((grid.L, grid.L), dtype=bool))
+        values = FrftGaussAmbiguity(1.0, 0.0).on_lattice(grid).astype(complex)
         with pytest.raises(DegenerateAnchorError):
-            reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-6))
+            reconstruct_from_ambiguity(values, grid, RetrievalConfig(epsilon=1e-6),
+                                       np.zeros((grid.L, grid.L), dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(64, 63), (63, 64), (64,), (64, 64, 1)])
+    def test_refuses_a_lattice_of_another_shape(self, shape):
+        grid = make_grid(2.0, 64)
+        with pytest.raises(ValueError, match=r"lattice shape .* does not match"):
+            reconstruct_from_ambiguity(np.ones(shape, dtype=complex), grid,
+                                       RetrievalConfig(epsilon=1e-6))
+
+    @pytest.mark.parametrize("shape", [(64, 63), (63, 64), (64,), (64, 64, 1)])
+    def test_refuses_a_mask_of_another_shape(self, shape):
+        grid = make_grid(2.0, 64)
+        with pytest.raises(ValueError, match=r"mask shape .* does not match"):
+            reconstruct_from_ambiguity(np.ones((64, 64), dtype=complex), grid,
+                                       RetrievalConfig(epsilon=1e-6), np.ones(shape, dtype=bool))
 
 
 class TestAlg1:
@@ -247,7 +274,7 @@ class TestRetrievalPlan:
         masks = peel_masks(fam, raw_threshold(cfg, grid))
         union = np.zeros((grid.L, grid.L), dtype=bool)
         for region, mask, member in zip(plan.regions, masks, fam.members, strict=True):
-            assert np.array_equal(region, mask.bits)
+            assert np.array_equal(region, mask)
             assert np.array_equal(plan.den[region], member.evaluator.on_lattice(grid)[region])
             union |= region
         assert np.array_equal(plan.omega, union)
@@ -265,8 +292,8 @@ class TestRetrievalPlan:
         for mea, member, mask in zip(meas, fam.members,
                                      peel_masks(fam, raw_threshold(cfg, grid))):
             G = product_band(mea, grid, (0, grid.L))
-            expected[mask.bits] = G[mask.bits] / member.evaluator.on_lattice(grid)[mask.bits]
-        assert np.array_equal(J.values, expected)
+            expected[mask] = G[mask] / member.evaluator.on_lattice(grid)[mask]
+        assert np.array_equal(J, expected)
 
     def test_alg1_one_fft_matches_per_window_sum(self):
         grid = make_grid(8.0, 512)
@@ -274,14 +301,15 @@ class TestRetrievalPlan:
         fam = build_frft_family(15.0, 12, grid)
         cfg = RetrievalConfig(epsilon=1e-3)
         meas = measure_family(f, fam)
-        J = assemble(meas, make_plan(fam, cfg))
+        plan = make_plan(fam, cfg)
+        J = assemble(meas, plan)
         # oracle: one spectrogram -> product transform per window, summed
         num = sum(product_band(mea, grid, (0, grid.L)) for mea in meas)
         den = fam.summed_on_lattice()
         omega = den > raw_threshold(cfg, grid)
         expected = np.where(omega, num / np.where(omega, den, 1.0), 0.0)
-        assert np.array_equal(J.mask, omega)
-        assert np.max(np.abs(J.values - expected)) <= 1e-9 * np.max(np.abs(expected))
+        assert np.array_equal(plan.omega, omega)
+        assert np.max(np.abs(J - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("algorithm, degrees", [("alg1", None), ("alg2", [0, 4, 9])])
     def test_each_ambiguity_evaluated_once(self, algorithm, degrees):
@@ -325,7 +353,7 @@ class TestRetrievalPlan:
         J = assemble(meas, plan)
         num = sum(product_band(mea, grid, (0, grid.L)) for mea in meas)
         expected = np.where(plan.omega, num / np.where(plan.omega, summed, 1.0), 0.0)
-        assert np.max(np.abs(J.values - expected)) <= 1e-9 * np.max(np.abs(expected))
+        assert np.max(np.abs(J - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_alg2_tolerance_must_stay_below_unit_peak(self):
         grid = make_grid(8.0, 256)
@@ -434,17 +462,16 @@ class TestFlooredPlan:
         assert np.array_equal(plan.omega, claimed)
 
 
-def e_matrix_reconstruct(A, anchor=None):
+def e_matrix_reconstruct(values, grid, mask=None, anchor=None):
     """Oracle: the inversion `reconstruct_from_ambiguity` replaced, with the
     phase factor from a direct exp and the diagonal read through an L x L
     table E = exp(2i*pi*m*(k + s)/L).  Returns (signal values, anchor)."""
-    grid = A.grid
     L, dy = grid.L, grid.dy
     sgn = (-1.0) ** np.arange(L)
     constL = 1j ** (L % 4)
-    Vff = A.values * np.exp(-1j * np.pi * grid.x[None, :] * grid.y[:, None])
-    if A.mask is not None:
-        Vff = np.where(A.mask, Vff, 0.0)
+    Vff = values * np.exp(-1j * np.pi * grid.x[None, :] * grid.y[:, None])
+    if mask is not None:
+        Vff = np.where(mask, Vff, 0.0)
     col = Vff[:, L // 2] * sgn
     wprof = sgn * (dy * constL * L * np.fft.ifft(col))
     anchor = int(np.argmax(np.abs(wprof))) if anchor is None else anchor % L
@@ -461,9 +488,10 @@ def e_matrix_reconstruct(A, anchor=None):
 class TestInversionOracle:
     """The FFT-diagonal inversion against the E-matrix formula."""
 
-    def check(self, A, anchor=None):
-        want, want_anchor = e_matrix_reconstruct(A, anchor)
-        rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-3, anchor=anchor))
+    def check(self, values, grid, mask=None, anchor=None):
+        want, want_anchor = e_matrix_reconstruct(values, grid, mask, anchor)
+        rec = reconstruct_from_ambiguity(values, grid, RetrievalConfig(epsilon=1e-3, anchor=anchor),
+                                         mask)
         assert rec.anchor_c == want_anchor
         assert np.max(np.abs(rec.signal.values - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -471,15 +499,15 @@ class TestInversionOracle:
         grid = make_grid(8.0, 512)
         f = gen_chirp(chirp_preset(), grid)
         fam = build_frft_family(15.0, 8, grid)
-        cfg = RetrievalConfig(epsilon=1e-3)
-        self.check(assemble(measure_family(f, fam), make_plan(fam, cfg)))
+        plan = make_plan(fam, RetrievalConfig(epsilon=1e-3))
+        self.check(assemble(measure_family(f, fam), plan), grid, plan.omega)
 
     def test_alg2_assembly_non_dyadic(self):
         grid = make_grid(6.5, 250)
         f = gen_mixture(mixture_preset(), grid)
         fam = build_hermite_family([0, 10, 30], grid)
-        cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
-        self.check(assemble(measure_family(f, fam), make_plan(fam, cfg)))
+        plan = make_plan(fam, RetrievalConfig(epsilon=0.5, algorithm="alg2"))
+        self.check(assemble(measure_family(f, fam), plan), grid, plan.omega)
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("anchor", [None, 3, -40])
@@ -487,25 +515,24 @@ class TestInversionOracle:
         grid = make_grid(1.3, 250)
         values = rng.standard_normal((250, 250)) + 1j * rng.standard_normal((250, 250))
         mask = rng.random((250, 250)) < 0.4 if masked else None
-        self.check(AmbiguityGrid(grid=grid, values=values, mask=mask), anchor)
+        self.check(values, grid, mask, anchor)
 
 
 
-def fft_diagonal_reconstruct(A, anchor=None):
+def fft_diagonal_reconstruct(values, grid, mask=None, anchor=None):
     """Oracle: the inversion `reconstruct_from_ambiguity` replaced.  The
     phase-corrected lattice on the mask's rows goes through one L x L
     inverse FFT along y, and the signal is read off its (k + c, k)
     diagonal.  Returns (signal values, anchor)."""
-    grid = A.grid
     L = grid.L
     sgn = (-1.0) ** np.arange(L)
     scale = grid.dy * 1j ** (L % 4) * L
     Vff = np.zeros((L, L), dtype=np.complex128)
-    rows = (0, L) if A.mask is None else row_span(A.mask)
+    rows = (0, L) if mask is None else row_span(mask)
     if rows is not None:
         band = slice(*rows)
-        np.multiply(A.values[band], xy_phase(grid, -1)[band], out=Vff[band],
-                    where=True if A.mask is None else A.mask[band])
+        np.multiply(values[band], xy_phase(grid, -1)[band], out=Vff[band],
+                    where=True if mask is None else mask[band])
     Vff *= sgn[:, None]
     k0 = L // 2
     slice_l1 = grid.dy * float(np.sum(np.abs(Vff[:, k0])))
@@ -524,6 +551,7 @@ def fft_diagonal_reconstruct(A, anchor=None):
 
 
 def assembly(algorithm, T, L):
+    """(J, grid, omega) of a mixture's assembly on the (T, L) grid."""
     grid = make_grid(T, L)
     f = gen_mixture(mixture_preset(), grid)
     if algorithm == "alg1":
@@ -532,16 +560,18 @@ def assembly(algorithm, T, L):
     else:
         fam = build_hermite_family([0, 10, 30], grid)
         cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
-    return assemble(measure_family(f, fam), make_plan(fam, cfg))
+    plan = make_plan(fam, cfg)
+    return assemble(measure_family(f, fam), plan), grid, plan.omega
 
 
 class TestDiagonalInversion:
     """The inversion that sums only the diagonal it reads, against the
     L x L inverse FFT it replaced."""
 
-    def check(self, A, anchor=None):
-        want, want_anchor = fft_diagonal_reconstruct(A, anchor)
-        rec = reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-3, anchor=anchor))
+    def check(self, values, grid, mask=None, anchor=None):
+        want, want_anchor = fft_diagonal_reconstruct(values, grid, mask, anchor)
+        rec = reconstruct_from_ambiguity(values, grid, RetrievalConfig(epsilon=1e-3, anchor=anchor),
+                                         mask)
         assert rec.anchor_c == want_anchor
         assert np.max(np.abs(rec.signal.values - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -551,7 +581,7 @@ class TestDiagonalInversion:
     def test_assemblies(self, algorithm, T, L, anchor):
         # fixed anchors near t = 0, where the signal is not small
         fixed = {None: None, "positive": L // 2 + 8, "negative": L // 2 - 5 - L}
-        self.check(assembly(algorithm, T, L), fixed[anchor])
+        self.check(*assembly(algorithm, T, L), fixed[anchor])
 
     @pytest.mark.parametrize("T, L", [(1.3, 250), (6.5, 250), (8.0, 256)])
     @pytest.mark.parametrize("masked", [False, True])
@@ -559,7 +589,7 @@ class TestDiagonalInversion:
     def test_random_lattice(self, rng, T, L, masked, anchor):
         values = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
         mask = rng.random((L, L)) < 0.4 if masked else None
-        self.check(AmbiguityGrid(grid=make_grid(T, L), values=values, mask=mask), anchor)
+        self.check(values, make_grid(T, L), mask, anchor)
 
     @pytest.mark.parametrize("T, L", [(1.3, 250), (8.0, 256), (8.0, 1024)])
     @pytest.mark.parametrize("anchor", [None, 3])
@@ -567,9 +597,8 @@ class TestDiagonalInversion:
         grid = make_grid(T, L)
         values = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
         cfg = RetrievalConfig(epsilon=1e-3, anchor=anchor)
-        bare = reconstruct_from_ambiguity(AmbiguityGrid(grid=grid, values=values), cfg)
-        full = reconstruct_from_ambiguity(
-            AmbiguityGrid(grid=grid, values=values, mask=np.ones((L, L), dtype=bool)), cfg)
+        bare = reconstruct_from_ambiguity(values, grid, cfg)
+        full = reconstruct_from_ambiguity(values, grid, cfg, np.ones((L, L), dtype=bool))
         assert bare.anchor_c == full.anchor_c
         assert bare.omega_area_fraction == full.omega_area_fraction == 1.0
         assert np.array_equal(bare.signal.values, full.signal.values)
@@ -583,7 +612,7 @@ class TestDiagonalInversion:
         mask = np.zeros((L, L), dtype=bool)
         mask[first:stop] = rng.random((stop - first, L)) < 0.7
         mask[first:stop, L // 2] = True
-        self.check(AmbiguityGrid(grid=make_grid(6.5, L), values=values, mask=mask))
+        self.check(values, make_grid(6.5, L), mask)
 
     @pytest.mark.parametrize("mask", ["empty", "off-axis"])
     def test_degenerate_masks(self, mask):
@@ -592,21 +621,21 @@ class TestDiagonalInversion:
         bits = np.zeros((250, 250), dtype=bool)
         if mask == "off-axis":
             bits[100:150, :100] = True
-        A = AmbiguityGrid(grid=grid, values=np.ones((250, 250), dtype=complex), mask=bits)
+        values = np.ones((250, 250), dtype=complex)
         with pytest.raises(DegenerateAnchorError):
-            fft_diagonal_reconstruct(A)
+            fft_diagonal_reconstruct(values, grid, bits)
         with pytest.raises(DegenerateAnchorError):
-            reconstruct_from_ambiguity(A, RetrievalConfig(epsilon=1e-3))
+            reconstruct_from_ambiguity(values, grid, RetrievalConfig(epsilon=1e-3), bits)
 
     def test_holds_less_than_one_complex_lattice(self):
         # the replaced inversion held an L x L complex buffer: 16 L^2 bytes
-        A = assembly("alg1", 8.0, 512)
+        J, grid, omega = assembly("alg1", 8.0, 512)
         cfg = RetrievalConfig(epsilon=1e-3)
-        reconstruct_from_ambiguity(A, cfg)
+        reconstruct_from_ambiguity(J, grid, cfg, omega)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            reconstruct_from_ambiguity(A, cfg)
+            reconstruct_from_ambiguity(J, grid, cfg, omega)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -633,7 +662,7 @@ class TestPlanBesideSums:
 
     @pytest.mark.parametrize("cores", [{0, 1}, {0}], ids=["two-cores", "one-core"])
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
-    def test_matches_serial_plan_and_assembly(self, monkeypatch, plan_threads, cores,
+    def test_matches_serial_plan_and_assembly(self, monkeypatch, plan_threads, divided, cores,
                                               algorithm):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
         grid = make_grid(8.0, 256)
@@ -652,17 +681,17 @@ class TestPlanBesideSums:
         assert len(rec.plan.regions) == len(plan.regions)
         for got, want in zip(rec.plan.regions, plan.regions):
             assert np.array_equal(got, want)
-        assert np.array_equal(rec.ambiguity.values, J.values)
-        assert np.array_equal(rec.ambiguity.mask, J.mask)
+        assert np.array_equal(rec.plan.omega, plan.omega)
+        assert np.array_equal(divided[-1], J)
         assert np.array_equal(rec.signal.values,
-                              reconstruct_from_ambiguity(J, cfg).signal.values)
+                              reconstruct_from_ambiguity(J, grid, cfg, plan.omega).signal.values)
         if algorithm == "alg1":  # the powers are added in member order
             power = meas[0].copy(order="K")
             for mea in meas[1:]:
                 power += mea
             G = product_band(power, grid, (0, grid.L))
             omega = plan.omega
-            assert np.array_equal(rec.ambiguity.values[omega], G[omega] / plan.den[omega])
+            assert np.array_equal(divided[-1][omega], G[omega] / plan.den[omega])
         assert plan_threads == [threading.get_ident()]  # one build, in the caller
 
     def test_empty_mask_in_the_plan_thread_reaches_the_caller(self, monkeypatch,
@@ -703,7 +732,7 @@ class TestPlanReuse:
 
     @pytest.mark.parametrize("cores", [{0, 1}, {0}], ids=["two-cores", "one-core"])
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
-    def test_reuse_matches_a_fresh_family(self, monkeypatch, builds, cores, algorithm):
+    def test_reuse_matches_a_fresh_family(self, monkeypatch, builds, divided, cores, algorithm):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
         grid = make_grid(8.0, 256)
         fam, cfg, run = self.family(algorithm, grid)
@@ -718,8 +747,8 @@ class TestPlanReuse:
         fresh_fam = self.family(algorithm, grid)[0]
         fresh = run(meas, fresh_fam, cfg)
         assert len(builds) == 2
-        assert np.array_equal(second.ambiguity.values, fresh.ambiguity.values)
-        assert np.array_equal(second.ambiguity.mask, fresh.ambiguity.mask)
+        assert np.array_equal(divided[1], divided[2])  # second's J, fresh's J
+        assert np.array_equal(second.plan.omega, fresh.plan.omega)
         assert np.array_equal(second.signal.values, fresh.signal.values)
         assert second.anchor_c == fresh.anchor_c
 
@@ -828,9 +857,9 @@ class TestInvariants:
         fam = build_frft_family(15.0, 40, grid)
         cfg = RetrievalConfig(epsilon=1e-3)
         rec = run_alg1(measure_family(f, fam), fam, cfg)
-        Af = numeric_ambiguity(f.values, grid).values
+        Af = numeric_ambiguity(f.values, grid)
         total = np.sum(np.abs(Af) ** 2)
-        outside = np.sum(np.abs(Af[~rec.ambiguity.mask]) ** 2)
+        outside = np.sum(np.abs(Af[~rec.plan.omega]) ** 2)
         d, _ = misfit(f, rec.signal)
         assert d < 10.0 * np.sqrt(outside / total) + 1e-4
 
@@ -877,7 +906,7 @@ class TestInvariants:
         fam = build_frft_family(2.0, 8, grid)
         rec = run_alg1(measure_family(f, fam), fam, RetrievalConfig(epsilon=1e-3))
         assert 0.0 < rec.omega_area_fraction < 1.0
-        assert_allclose(rec.omega_area_fraction, rec.ambiguity.mask.mean(), rtol=0, atol=0)
+        assert_allclose(rec.omega_area_fraction, rec.plan.omega.mean(), rtol=0, atol=0)
 
 
 class TestConfigValidation:
@@ -928,7 +957,7 @@ class TestBlockedDivision:
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
-    def test_matches_whole_band_division(self, monkeypatch, algorithm, rows):
+    def test_matches_whole_band_division(self, monkeypatch, divided, algorithm, rows):
         monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", rows)
         grid = make_grid(8.0, 256)
         f = gen_mixture(mixture_preset(), grid)
@@ -940,11 +969,9 @@ class TestBlockedDivision:
         plan = make_plan(family, cfg)
         want = self.whole_band_j(meas, plan)
         assert max(row_span(bits)[1] - row_span(bits)[0] for bits in plan.regions) > 64
-        got = assemble(meas, plan)
-        assert np.array_equal(got.values, want)
-        assert got.mask is plan.omega
-        run = run_alg1 if algorithm == "alg1" else run_alg2
-        assert np.array_equal(run(meas, build(), cfg).ambiguity.values, want)
+        assert np.array_equal(assemble(meas, plan), want)
+        (run_alg1 if algorithm == "alg1" else run_alg2)(meas, build(), cfg)
+        assert np.array_equal(divided[-1], want)
 
     def test_group_sum_is_freed_once_transformed(self, l1024_blocks):
         # the fan's summed power dies once transformed, and J is allocated
@@ -964,7 +991,7 @@ class TestBlockedDivision:
             tracemalloc.stop()
         # J 16 L^2, H 8 L^2, and a 16-row block (L^2) with numpy's copy of it
         assert peak < 16 * L * L + 8 * L * L + 4 * L * L
-        assert J.values.shape == (L, L)
+        assert J.shape == (L, L)
 
     def test_run_holds_the_plan_j_and_one_half_plane(self, l1024_blocks):
         # the whole-band read-out held the band and its two gathers beside
@@ -987,6 +1014,24 @@ class TestBlockedDivision:
         plan_bytes = plan.den.nbytes + plan.omega.nbytes + sum(r.nbytes for r in plan.regions)
         J, H = 16 * L * L, 16 * (L // 2 + 1) * L
         assert peak < plan_bytes + J + H + 8 * L * L
+
+    def test_j_is_freed_when_the_run_returns(self):
+        # a Reconstruction keeps the signal and the stored plan, not J
+        L = 256
+        grid = make_grid(8.0, L)
+        family = build_hermite_family([0, 5, 10, 20], grid)
+        meas = measure_family(gen_mixture(mixture_preset(), grid), family)
+        cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        run_alg2(meas, family, cfg)  # FFT plans, and the plan stored in the family
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rec = run_alg2(meas, family, cfg)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert rec.plan is family.plans[(raw_threshold(cfg, grid), "alg2")]
+        assert kept < 16 * L * L  # J alone is 16 L^2 bytes
 
 
 class TestTwoWindowsInFlight:

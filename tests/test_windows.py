@@ -104,13 +104,13 @@ class TestStabilityMask:
         r_expect = np.sqrt(2 * np.log(10.0) / np.pi)
         X, Y = np.meshgrid(grid.x, grid.y)
         R = np.hypot(X, Y)
-        assert np.array_equal(mask.bits, R < r_expect)
+        assert np.array_equal(mask, R < r_expect)
 
     def test_hermite_annular_gap_count(self):
         grid = make_grid(8.0, 512)
         mask = stability_mask(HermiteAmbiguity(10), 0.1, grid)
         m0 = grid.L // 2
-        profile = mask.bits[m0, m0:]
+        profile = mask[m0, m0:]
         # gaps: maximal False runs strictly inside the radial support
         gaps = 0
         in_gap = False
@@ -125,7 +125,7 @@ class TestStabilityMask:
 
     def test_gauss_above_peak_is_empty(self, grid256):
         mask = stability_mask(FrftGaussAmbiguity(3.0, 0.0), 0.8, grid256)
-        assert not mask.bits.any()
+        assert not mask.any()
 
     def test_epsilon_validation(self, grid256):
         with pytest.raises(ValueError):
@@ -137,8 +137,8 @@ class TestStabilityMask:
     def test_monotone_in_epsilon(self, grid256, eps_pair):
         lo, hi = eps_pair
         ev = HermiteAmbiguity(7)
-        m_lo = stability_mask(ev, lo, grid256).bits
-        m_hi = stability_mask(ev, hi, grid256).bits
+        m_lo = stability_mask(ev, lo, grid256)
+        m_hi = stability_mask(ev, hi, grid256)
         assert not (m_hi & ~m_lo).any()  # mask(hi) subset of mask(lo)
 
 
@@ -147,27 +147,27 @@ class TestPeeling:
         fam = build_hermite_family([4], grid256)
         peeled = peel_masks(fam, 0.1)
         direct = stability_mask(HermiteAmbiguity(4), 0.1, grid256)
-        assert np.array_equal(peeled[0].bits, direct.bits)
+        assert np.array_equal(peeled[0], direct)
 
     def test_nested_set_algebra(self, grid256):
         fam = build_hermite_family([0, 6], grid256)
         peeled = peel_masks(fam, 0.1)
-        m0 = stability_mask(HermiteAmbiguity(0), 0.1, grid256).bits
-        m6 = stability_mask(HermiteAmbiguity(6), 0.1, grid256).bits
-        assert np.array_equal(peeled[0].bits, m0)
-        assert np.array_equal(peeled[1].bits, m6 & ~m0)
+        m0 = stability_mask(HermiteAmbiguity(0), 0.1, grid256)
+        m6 = stability_mask(HermiteAmbiguity(6), 0.1, grid256)
+        assert np.array_equal(peeled[0], m0)
+        assert np.array_equal(peeled[1], m6 & ~m0)
 
     def test_disjoint_and_union_exact(self, grid256):
         fam = build_hermite_family([0, 3, 9, 15], grid256)
         peeled = peel_masks(fam, 0.08)
-        union = np.zeros_like(peeled[0].bits)
+        union = np.zeros_like(peeled[0])
         for i, a in enumerate(peeled):
             for b in peeled[i + 1:]:
-                assert not (a.bits & b.bits).any()
-            union |= a.bits
+                assert not (a & b).any()
+            union |= a
         full = np.zeros_like(union)
         for m in fam.members:
-            full |= stability_mask(m.evaluator, 0.08, grid256).bits
+            full |= stability_mask(m.evaluator, 0.08, grid256)
         assert np.array_equal(union, full)
 
     def test_high_degree_pair_fills_rings(self):
@@ -177,10 +177,10 @@ class TestPeeling:
         eps = 0.5 * grid.dt
         fam = build_hermite_family([50, 100], grid)
         peeled = peel_masks(fam, eps)
-        s50 = stability_mask(HermiteAmbiguity(50), eps, grid).bits
-        s100 = stability_mask(HermiteAmbiguity(100), eps, grid).bits
-        union = peeled[0].bits | peeled[1].bits
-        assert peeled[1].bits.sum() > 0
+        s50 = stability_mask(HermiteAmbiguity(50), eps, grid)
+        s100 = stability_mask(HermiteAmbiguity(100), eps, grid)
+        union = peeled[0] | peeled[1]
+        assert peeled[1].sum() > 0
         assert union.sum() > s50.sum()
         assert union.sum() > s100.sum()
 
@@ -188,11 +188,11 @@ class TestPeeling:
         degrees = [0, 5, 10, 15, 20, 25]
         fam = build_hermite_family(degrees, grid256)
         peeled = peel_masks(fam, 0.1)
-        union = np.zeros_like(peeled[0].bits)
+        union = np.zeros_like(peeled[0])
         for m in peeled:
-            union |= m.bits
+            union |= m
         for n in degrees:
-            single = stability_mask(HermiteAmbiguity(n), 0.1, grid256).bits
+            single = stability_mask(HermiteAmbiguity(n), 0.1, grid256)
             assert union.sum() > single.sum()
 
 
