@@ -84,19 +84,17 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     `stored_plan` or `Reconstruction.plan`); epsilon, C_p and C_R_Omega
     come from it.  noise_sums[i] is the summed noise eta = sum of (noisy -
     clean) over the powers of plan.groups[i], in member order; there must
-    be one per group, each a finite (L, L) array.  On a group's region
+    be one per group, each a finite (L, L) array.  On a group's cells
     A - A^eta = -F(eta) / den, so each sum is transformed once and read out
-    on its region's rows a block at a time (`product_blocks`), and the
+    on its cells' rows a block at a time (`product_blocks`), and the
     mixed L^{2,1} norm of A - A^eta and the L1 norm of its x = 0 slice are
     taken from those blocks.  The sums are only read.  With the true
     signal supplied, on the plan's grid, also reports the
     approximation-error terms (the ambiguity mass left outside omega),
     from its ambiguity's |.|.
     """
-    grid, eps, omega = plan.grid, plan.epsilon, plan.omega
+    grid, eps, owner = plan.grid, plan.epsilon, plan.owner
     p = 2.0  # the mixed norm's inner exponent
-    if len(noise_sums) != len(plan.groups):
-        raise ValueError(f"{len(noise_sums)} noise sums for {len(plan.groups)} window groups")
     noise_sums = check_powers(noise_sums, len(plan.groups), grid)
     dx, dy = grid.dt, grid.dy
     k0 = grid.L // 2  # x = 0 column
@@ -105,7 +103,7 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
         if f_true.grid != grid:
             raise GridMismatchError("true signal and plan live on different grids")
         outside = numeric_ambiguity(f_true.values, grid)
-        outside[omega] = 0
+        outside[owner >= 0] = 0
         a = np.abs(outside)
         del outside  # |.| is all the terms read
         approx_slice = dy * float(np.sum(a[:, k0]))
@@ -113,20 +111,21 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     noise_norm = 0.0
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
-    for eta, bits in zip(noise_sums, plan.regions):
+    for i, eta in enumerate(noise_sums):
         check_finite(eta)
         noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
-        for m0, diff in product_blocks(eta, grid, row_span(bits)):
+        for m0, diff in product_blocks(eta, grid, row_span(owner == i)):
             m1 = m0 + len(diff)
-            np.divide(diff, plan.den[m0:m1], out=diff, where=bits[m0:m1])
+            bits = owner[m0:m1] == i
+            np.divide(diff, plan.den[m0:m1], out=diff, where=bits)
             a = np.abs(diff)
-            a *= bits[m0:m1]  # zero off the region
+            a *= bits  # zero off the group's cells
             slice_abs[m0:m1] += a[:, k0]
             row_sums[m0:m1] += np.sum(np.power(a, p, out=a), axis=1)
 
     # the mixed norm of omega's indicator: each row's sum of |1|^p is its cell count
-    C_p = _outer_l1(omega.sum(axis=1), dx, dy, p)
-    C_R = dx * float(np.sum(omega[k0, :]))  # the y = 0 row
+    C_p = _outer_l1(plan.omega.sum(axis=1), dx, dy, p)
+    C_R = dx * float(np.sum(owner[k0] >= 0))  # the y = 0 row
     lhs = _outer_l1(row_sums, dx, dy, p)
     rhs = C_p / eps * noise_norm
     lhs_slice = dy * float(np.sum(slice_abs))

@@ -7,10 +7,11 @@ Retrieval plan
 Both algorithms divide spectrogram products by window ambiguities where
 those exceed the tolerance; they differ only in how the windows are
 grouped, and the single-window baseline is alg2 on a one-window family.
-A `RetrievalPlan` partitions the family into groups (alg1: one
-group of every member; alg2: one group per member), and each group claims
-the cells where |sum of its ambiguities| > eps that no earlier group
-claimed (`windows.peel`).  `make_plan` builds it, evaluating each
+A `RetrievalPlan` partitions the family into groups (alg1: one group of
+every member; alg2: one group per member), and each group claims the
+cells where |sum of its ambiguities| > eps that no earlier group claimed
+(`windows.peel`); the plan labels each cell with its group's index, -1
+off omega (`owner`).  `make_plan` builds it, evaluating each
 member's ambiguity once, and the family keeps the last plan it was run
 with (`WindowFamily.plans`), like an FFTW plan: a setup that retrieves
 many signals builds it once per tolerance and algorithm.  The plan's
@@ -20,11 +21,12 @@ finiteness check on each group sum covers every member of the group.
 Since the spectrogram -> product map is linear, a group's
 spectrograms are summed and the sum is transformed once, over half the
 plane (`ambiguity.product_blocks`), and freed.  Only the rows from the
-first to the last row of the group's region are read out, a block at a
-time, and divided straight into J, which is zero off omega.  J is a bare
-complex (L, L) array on the plan's grid, inverted on the plan's omega
-(`reconstruct_from_ambiguity`) and freed when the runner returns: a
-`Reconstruction` keeps the signal and the plan, whose omega is the mask.
+first to the last row of the group's cells are read out, a block at a
+time, and divided straight into J on the block's cells labelled with the
+group; J is zero off omega.  J is a bare complex (L, L) array on the
+plan's grid, inverted on the plan's omega (`reconstruct_from_ambiguity`)
+and freed when the runner returns: a `Reconstruction` keeps the signal
+and the plan, whose omega is the mask.
 `run_alg1` and `run_alg2` take the family's stored plan, or build it in
 the calling thread and store it (`stored_plan`); then the powers of each
 group of two or more members are added in two contiguous halves, one on
@@ -69,7 +71,6 @@ import contextvars
 import os
 import threading
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -185,11 +186,11 @@ def check_finite(power: np.ndarray) -> np.ndarray:
 class RetrievalPlan(NamedTuple):
     """The measurement-independent part of an assembly, built once by `make_plan`.
 
-    epsilon is the raw threshold the regions were cut at (`raw_threshold`).
+    epsilon is the raw threshold the cells were claimed at (`raw_threshold`).
     groups partitions the member indices in order (alg1: one group of all,
-    alg2: one per member).  regions are disjoint boolean (L, L) masks, one
-    per group, and omega is their union.  den is real, shape (L, L): on each
-    region the sum of its group's ambiguities, 0 off omega.
+    alg2: one per member).  owner is the (L, L) lattice of the index of the
+    group that claimed each cell, -1 off omega, and omega is owner >= 0.
+    den, real (L, L), is each group's ambiguity sum on its cells, 0 off omega.
 
     A NamedTuple rather than a frozen dataclass: the class is built on every
     fresh import, where a frozen dataclass costs about 1.5 ms.
@@ -199,36 +200,28 @@ class RetrievalPlan(NamedTuple):
     epsilon: float
     groups: tuple
     den: np.ndarray
-    regions: tuple
-    omega: np.ndarray
+    owner: np.ndarray
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.owner >= 0
 
 
 def make_plan(family: WindowFamily, cfg: RetrievalConfig) -> RetrievalPlan:
-    """Denominator and regions of `family` on its grid for cfg.algorithm;
-    each member's ambiguity is evaluated once.  den, omega and regions are
-    read-only: the retrieval stores the plan in the family and hands the
-    same arrays to every later run."""
+    """Denominator and owner labels of `family` on its grid for
+    cfg.algorithm, each member's ambiguity evaluated once; both are
+    read-only, since the family stores the plan for every later run."""
     grid = family.grid
     eps = raw_threshold(cfg, grid)
     if cfg.algorithm == "alg2" and eps >= 1:  # a single window's ambiguity peaks at 1
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     n = len(family)  # alg1: one group of all n members, alg2: one group per member
     groups = (tuple(range(n)),) if cfg.algorithm == "alg1" else tuple((j,) for j in range(n))
-    regions = []
-    for values, bits in peel(family, groups, eps):
-        if not regions:  # reuse the first sum as den: no extra L x L buffer
-            den = values
-            den[~bits] = 0
-        else:
-            den[bits] = values[bits]  # |sum A g| > eps on bits, and A g is real
-        regions.append(bits)
-    omega = reduce(np.logical_or, regions)
-    if not omega.any():
+    den, owner = peel(family, groups, eps)
+    if owner.max() < 0:
         raise EmptyMaskError("no window group's ambiguity exceeds the tolerance")
-    for array in (den, omega, *regions):  # a stored plan is shared by every run
-        array.flags.writeable = False
-    return RetrievalPlan(grid=grid, epsilon=eps, groups=groups, den=den,
-                         regions=tuple(regions), omega=omega)
+    den.flags.writeable = owner.flags.writeable = False  # a stored plan is shared by every run
+    return RetrievalPlan(grid=grid, epsilon=eps, groups=groups, den=den, owner=owner)
 
 
 def row_span(bits: np.ndarray) -> tuple[int, int] | None:
@@ -271,17 +264,17 @@ def _group_sum(powers, group) -> np.ndarray:
 
 
 def _divide(sums, plan: RetrievalPlan) -> np.ndarray:
-    """J = F(group sum) / den on each group's region, zero off omega, block
+    """J = F(group sum) / den on each group's cells, zero off omega, block
     by block (`product_blocks`); J, complex (L, L), is allocated once a sum
     is transformed."""
     J = None
     sums = iter(sums)  # no loop variable or zip tuple keeps a sum alive
-    for bits in plan.regions:
-        for m0, block in product_blocks(next(sums), plan.grid, row_span(bits)):
+    for i in range(len(plan.groups)):
+        for m0, block in product_blocks(next(sums), plan.grid, row_span(plan.owner == i)):
             if J is None:
                 J = np.zeros(plan.den.shape, dtype=np.complex128)
             m1 = m0 + len(block)
-            np.divide(block, plan.den[m0:m1], out=J[m0:m1], where=bits[m0:m1])
+            np.divide(block, plan.den[m0:m1], out=J[m0:m1], where=plan.owner[m0:m1] == i)
     return J
 
 

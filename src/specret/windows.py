@@ -156,25 +156,27 @@ def peel(family: WindowFamily, groups, epsilon: float):
     family's lattice, and the group claims the cells where |sum| > epsilon
     that no earlier group claimed.
 
-    Yields (summed A g on the lattice, claimed bits), one pair per group in
-    group order; each ambiguity is evaluated once, and only one group's sum
-    is alive at a time.  The first member of a group gives the group's
-    buffer and every later member adds into it, so a one-member group holds
-    no second L x L array.  The Hermite members' lattices come from one
-    `hermite_lattices` run over their degrees in the order the groups take
-    them.  Every member is evaluated with the floor LATTICE_FLOOR * epsilon:
-    a Gauss member leaves out its cells at or below the floor, and the
-    Hermite run the outer rows whose cells all are.  Those add at most
-    N * floor to a sum of N members, and the claimed bits are those of the
-    full lattices (see retrieval.py).
+    Returns (den, owner).  owner labels each (L, L) cell with the index of
+    the group that claimed it, -1 off omega, in the smallest signed type
+    that holds the group count; den is each group's sum on its cells, 0
+    off omega.  Each ambiguity is evaluated once, the first group's sum is
+    den's buffer, and one more group's sum is alive at a time.  The first
+    member of a group gives the group's buffer and every later member adds
+    into it.  The Hermite members' lattices come from one `hermite_lattices`
+    run over their degrees in the order the groups take them.  Every member
+    is evaluated with the floor LATTICE_FLOOR * epsilon: a Gauss member
+    leaves out its cells at or below the floor, and the Hermite run the
+    outer rows whose cells all are.  Those add at most N * floor to a sum
+    of N members, and the labels are those of the full lattices (see
+    retrieval.py).
     """
     grid = family.grid
     floor = LATTICE_FLOOR * epsilon
     evaluators = [[family.members[j].evaluator for j in group] for group in groups]
     hermite = hermite_lattices([ev.n for group in evaluators for ev in group
                                 if isinstance(ev, HermiteAmbiguity)], grid, floor)
-    claimed = np.zeros((grid.L, grid.L), dtype=bool)
-    for group in evaluators:
+    owner = np.full((grid.L, grid.L), -1, dtype=np.min_scalar_type(-len(groups)))
+    for i, group in enumerate(evaluators):
         values = None
         for ev in group:
             if not isinstance(ev, HermiteAmbiguity):
@@ -185,9 +187,14 @@ def peel(family: WindowFamily, groups, epsilon: float):
                 values += next(hermite)
         bits = values > epsilon  # |values| > epsilon without an L x L float temporary
         bits |= values < -epsilon
-        bits &= ~claimed
-        claimed |= bits
-        yield values, bits
+        bits &= owner < 0
+        owner[bits] = i
+        if i == 0:  # the first sum is den: no extra L x L buffer
+            den = values
+            den[~bits] = 0
+        else:
+            den[bits] = values[bits]  # |sum A g| > epsilon on bits, and A g is real
+    return den, owner
 
 
 def _ellipse_level(a: float, epsilon: float) -> float:

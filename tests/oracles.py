@@ -29,9 +29,11 @@ from specret.windows import _check_unit_epsilon, peel
 
 
 def peel_masks(family, epsilon):
-    """Pairwise-disjoint boolean masks from `peel`, one group per member."""
+    """Pairwise-disjoint boolean masks from `peel`'s owner labels, one
+    group per member."""
     _check_unit_epsilon(epsilon)
-    return [bits for _, bits in peel(family, [(j,) for j in range(len(family))], epsilon)]
+    _, owner = peel(family, [(j,) for j in range(len(family))], epsilon)
+    return [owner == j for j in range(len(family))]
 
 
 def laguerre_eval(n, z):

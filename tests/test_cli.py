@@ -119,8 +119,8 @@ class TestRetrieve:
                 assert main(argv) == 0
             finally:
                 tracemalloc.stop()
-        # clean and noisy powers of two windows, den, two regions and omega
-        alive = 4 * 8 * L * L + 8 * L * L + 3 * L * L
+        # clean and noisy powers of two windows, den and the owner labels
+        alive = 4 * 8 * L * L + 8 * L * L + L * L
         assert held[-1] - start < alive + 8 * L * L  # J would add 16 L^2
 
     def test_noisy_peak_holds_one_list_of_powers(self, tmp_path):

@@ -273,7 +273,8 @@ class TestRetrievalPlan:
         plan = make_plan(fam, cfg)
         masks = peel_masks(fam, raw_threshold(cfg, grid))
         union = np.zeros((grid.L, grid.L), dtype=bool)
-        for region, mask, member in zip(plan.regions, masks, fam.members, strict=True):
+        for i, (mask, member) in enumerate(zip(masks, fam.members, strict=True)):
+            region = plan.owner == i
             assert np.array_equal(region, mask)
             assert np.array_equal(plan.den[region], member.evaluator.on_lattice(grid)[region])
             union |= region
@@ -335,7 +336,7 @@ class TestRetrievalPlan:
             assert plan.groups == ((0, 1, 2),)
         else:
             assert plan.groups == ((0,), (1,), (2,))
-        assert len(plan.regions) == len(plan.groups)
+        assert plan.owner.max() == len(plan.groups) - 1
 
     def test_alg1_hermite_divides_where_sum_magnitude_exceeds_tolerance(self):
         # the summed Hermite ambiguity changes sign; alg1 divides wherever
@@ -454,10 +455,33 @@ class TestFlooredPlan:
         sums = [sum(full[1:], full[0])] if algorithm == "alg1" else full
         plan = make_plan(fam, cfg)
         claimed = np.zeros((grid.L, grid.L), dtype=bool)
-        for values, region in zip(sums, plan.regions, strict=True):
+        assert len(sums) == len(plan.groups)
+        for i, values in enumerate(sums):
+            region = plan.owner == i
             bits = (np.abs(values) > eps) & ~claimed
             assert np.array_equal(region, bits)
             assert np.array_equal(plan.den[region], values[region])
+            claimed |= bits
+        assert np.array_equal(plan.omega, claimed)
+
+    def test_labels_hold_more_groups_than_int8(self):
+        # degrees 0..129 at T = 16: the last groups claim the outermost rings,
+        # and an int8 label would wrap their indices 128 and 129 to negatives
+        grid = make_grid(16.0, 128)
+        fam = WindowFamily(members=[
+            WindowMember(window_id=str(n), samples=np.zeros(grid.L),
+                         evaluator=HermiteAmbiguity(n)) for n in range(130)], grid=grid)
+        cfg = RetrievalConfig(epsilon=1e-3 / grid.dt, algorithm="alg2")
+        first = WindowFamily(members=fam.members[:128], grid=grid)
+        assert make_plan(first, cfg).owner.dtype == np.int8
+        plan = make_plan(fam, cfg)
+        assert plan.owner.dtype == np.int16
+        assert (plan.owner == 128).any() and (plan.owner == 129).any()
+        eps = raw_threshold(cfg, grid)
+        claimed = np.zeros((grid.L, grid.L), dtype=bool)
+        for i, member in enumerate(fam.members):
+            bits = (np.abs(member.evaluator.on_lattice(grid)) > eps) & ~claimed
+            assert np.array_equal(plan.owner == i, bits)
             claimed |= bits
         assert np.array_equal(plan.omega, claimed)
 
@@ -678,10 +702,7 @@ class TestPlanBesideSums:
         J = assemble(meas, plan)
         rec = (run_alg1 if algorithm == "alg1" else run_alg2)(meas, fam, cfg)
         assert np.array_equal(rec.plan.den, plan.den)
-        assert len(rec.plan.regions) == len(plan.regions)
-        for got, want in zip(rec.plan.regions, plan.regions):
-            assert np.array_equal(got, want)
-        assert np.array_equal(rec.plan.omega, plan.omega)
+        assert np.array_equal(rec.plan.owner, plan.owner)
         assert np.array_equal(divided[-1], J)
         assert np.array_equal(rec.signal.values,
                               reconstruct_from_ambiguity(J, grid, cfg, plan.omega).signal.values)
@@ -777,9 +798,28 @@ class TestPlanReuse:
         grid = make_grid(8.0, 128)
         fam, cfg, run = self.family(algorithm, grid)
         plan = run(measure_family(gen_mixture(mixture_preset(), grid), fam), fam, cfg).plan
-        for array in (plan.den, plan.omega, *plan.regions):
+        for array in (plan.den, plan.owner):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
+
+    def test_stored_plan_keeps_den_and_one_label_byte_per_cell(self):
+        # den (8 L^2) and the int8 owner labels (L^2): a plan keeps no
+        # boolean mask per window, nor omega
+        L = 256
+        grid = make_grid(8.0, L)
+        degrees = [3, 11, 20, 28, 37, 49]
+        cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        retrieval.stored_plan(build_hermite_family(degrees, grid), cfg)  # lazy imports
+        family = build_hermite_family(degrees, grid)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            plan = retrieval.stored_plan(family, cfg)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert list(family.plans.values()) == [plan]
+        assert kept <= plan.den.nbytes + L * L + 4096  # and the plan's few small objects
 
     def test_overflow_in_the_second_half_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -943,7 +983,8 @@ class TestBlockedDivision:
     def whole_band_j(meas, plan):
         L = plan.grid.L
         J = np.zeros((L, L), dtype=complex)
-        for group, bits in zip(plan.groups, plan.regions):
+        for i, group in enumerate(plan.groups):
+            bits = plan.owner == i
             rows = row_span(bits)
             if rows is None:
                 continue
@@ -968,7 +1009,8 @@ class TestBlockedDivision:
         meas = measure_family(f, family)
         plan = make_plan(family, cfg)
         want = self.whole_band_j(meas, plan)
-        assert max(row_span(bits)[1] - row_span(bits)[0] for bits in plan.regions) > 64
+        spans = [row_span(plan.owner == i) for i in range(len(plan.groups))]
+        assert max(stop - first for first, stop in spans) > 64
         assert np.array_equal(assemble(meas, plan), want)
         (run_alg1 if algorithm == "alg1" else run_alg2)(meas, build(), cfg)
         assert np.array_equal(divided[-1], want)
@@ -1011,7 +1053,7 @@ class TestBlockedDivision:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        plan_bytes = plan.den.nbytes + plan.omega.nbytes + sum(r.nbytes for r in plan.regions)
+        plan_bytes = plan.den.nbytes + plan.owner.nbytes
         J, H = 16 * L * L, 16 * (L // 2 + 1) * L
         assert peak < plan_bytes + J + H + 8 * L * L
 
