@@ -246,7 +246,7 @@ def product_blocks(power: np.ndarray, grid: Grid, rows: tuple[int, int] | None):
     of rows = (first, stop), or nothing for rows = None.  Each G is a view
     of one PRODUCT_ROWS-row buffer, overwritten by the next block, and the
     (L, L) power is dropped once transformed: a sum made for the call dies
-    first.
+    first.  A non-finite power is refused, also for rows = None.
 
     On the centred lattice the map is
 
@@ -266,11 +266,13 @@ def product_blocks(power: np.ndarray, grid: Grid, rows: tuple[int, int] | None):
     exactly: the two self-paired lines j = 0 and j = L/2 are made
     Hermitian before any row is read.
     """
-    if rows is None:
-        return
     L = grid.L
     if power.shape != (L, L):
         raise ValueError(f"expected shape {(L, L)}, got {power.shape}")
+    if not np.isfinite(power).all():
+        raise ValueError("power contains non-finite entries")
+    if rows is None:
+        return
     h = L // 2
     r0, r1 = rows
     # H[b, n] = sum_{m, k} P[m, k] exp(-2i pi (m b + k n) / L), b <= L/2

@@ -11,8 +11,9 @@ is also the missing global phase angle.
 The noise-bound check takes one noise sum per window group, the group's
 noisy minus clean powers added in member order, and transforms each once
 (the spectrogram -> product map is linear) instead of assembling the
-clean and the noisy ambiguities.  The caller builds the sums as the
-noise is drawn, so no list of clean powers is held beside the noisy one.
+clean and the noisy ambiguities, in the loop J is divided in
+(`retrieval.group_blocks`).  The caller builds the sums as the noise is
+drawn, so no list of clean powers is held beside the noisy one.
 """
 from __future__ import annotations
 
@@ -20,10 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import numeric_ambiguity, product_blocks
+from .ambiguity import numeric_ambiguity
 from .exceptions import GridMismatchError
 from .grid import Signal
-from .retrieval import RetrievalPlan, check_finite, check_powers, row_span
+from .retrieval import RetrievalPlan, check_powers, group_blocks
 
 
 def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
@@ -85,8 +86,8 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     come from it.  noise_sums[i] is the summed noise eta = sum of (noisy -
     clean) over the powers of plan.groups[i], in member order; there must
     be one per group, each a finite (L, L) array.  On a group's cells
-    A - A^eta = -F(eta) / den, so each sum is transformed once and read out
-    on its cells' rows a block at a time (`product_blocks`), and the
+    A - A^eta = -F(eta) / den, the division J is made of, so the sums are
+    read out as `_divide` reads them (`group_blocks`), and the
     mixed L^{2,1} norm of A - A^eta and the L1 norm of its x = 0 slice are
     taken from those blocks.  The sums are only read.  With the true
     signal supplied, on the plan's grid, also reports the
@@ -95,7 +96,7 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     """
     grid, eps, owner = plan.grid, plan.epsilon, plan.owner
     p = 2.0  # the mixed norm's inner exponent
-    noise_sums = check_powers(noise_sums, len(plan.groups), grid)
+    noise_sums = check_powers(noise_sums, len(plan.groups), grid, ("noise sums", "window groups"))
     dx, dy = grid.dt, grid.dy
     k0 = grid.L // 2  # x = 0 column
     approx = approx_slice = None
@@ -108,20 +109,17 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
         del outside  # |.| is all the terms read
         approx_slice = dy * float(np.sum(a[:, k0]))
         approx = _outer_l1(np.sum(np.power(a, p, out=a), axis=1), dx, dy, p)
-    noise_norm = 0.0
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
-    for i, eta in enumerate(noise_sums):
-        check_finite(eta)
-        noise_norm = max(noise_norm, dx * dy * float(np.sum(np.abs(eta))))
-        for m0, diff in product_blocks(eta, grid, row_span(owner == i)):
-            m1 = m0 + len(diff)
-            bits = owner[m0:m1] == i
-            np.divide(diff, plan.den[m0:m1], out=diff, where=bits)
-            a = np.abs(diff)
-            a *= bits  # zero off the group's cells
-            slice_abs[m0:m1] += a[:, k0]
-            row_sums[m0:m1] += np.sum(np.power(a, p, out=a), axis=1)
+    for i, m0, diff in group_blocks(noise_sums, plan):
+        m1 = m0 + len(diff)
+        bits = owner[m0:m1] == i
+        np.divide(diff, plan.den[m0:m1], out=diff, where=bits)
+        a = np.abs(diff)
+        a *= bits  # zero off the group's cells
+        slice_abs[m0:m1] += a[:, k0]
+        row_sums[m0:m1] += np.sum(np.power(a, p, out=a), axis=1)
+    noise_norm = max(dx * dy * float(np.sum(np.abs(eta))) for eta in noise_sums)  # all finite
 
     # the mixed norm of omega's indicator: each row's sum of |1|^p is its cell count
     C_p = _outer_l1(plan.omega.sum(axis=1), dx, dy, p)

@@ -16,17 +16,17 @@ member's ambiguity once, and the family keeps the last plan it was run
 with (`WindowFamily.plans`), like an FFTW plan: a setup that retrieves
 many signals builds it once per tolerance and algorithm.  The plan's
 arrays are read-only, since every run after the first shares them.
-A measurement is its float64 (L, L) power on the family's grid, and one
-finiteness check on each group sum covers every member of the group.
-Since the spectrogram -> product map is linear, a group's
-spectrograms are summed and the sum is transformed once, over half the
-plane (`ambiguity.product_blocks`), and freed.  Only the rows from the
-first to the last row of the group's cells are read out, a block at a
-time, and divided straight into J on the block's cells labelled with the
-group; J is zero off omega.  J is a bare complex (L, L) array on the
-plan's grid, inverted on the plan's omega (`reconstruct_from_ambiguity`)
-and freed when the runner returns: a `Reconstruction` keeps the signal
-and the plan, whose omega is the mask.
+A measurement is its float64 (L, L) power on the family's grid.  Since
+the spectrogram -> product map is linear, a group's spectrograms are
+summed and the sum is transformed once, over half the plane, and freed
+(`ambiguity.product_blocks`, whose finiteness check on each group sum
+covers every member).  Only the rows from the first to the last row of
+the group's cells are read out, a block at a time (`group_blocks`, which
+the noise-bound check reads too), and divided straight into J on the
+block's cells labelled with the group; J is zero off omega.  J is a bare
+complex (L, L) array on the plan's grid, inverted on the plan's omega
+(`reconstruct_from_ambiguity`) and freed when the runner returns: a
+`Reconstruction` keeps the signal and the plan, whose omega is the mask.
 `run_alg1` and `run_alg2` take the family's stored plan, or build it in
 the calling thread and store it (`stored_plan`); then the powers of each
 group of two or more members are added in two contiguous halves, one on
@@ -79,7 +79,7 @@ from .ambiguity import product_blocks, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
 from .stft import stft_power
-from .windows import WindowFamily, peel
+from .windows import WindowFamily, _check_unit_epsilon, peel
 
 
 @dataclass(frozen=True)
@@ -166,21 +166,14 @@ def measure_family(f: Signal, family: WindowFamily) -> list[np.ndarray]:
     return _two_at_a_time(lambda j: stft_power(f, members[j].samples), len(members))
 
 
-def check_powers(powers, n_windows: int, grid: Grid) -> list[np.ndarray]:
-    """One float64 (L, L) power per window; float64 arrays pass uncopied."""
-    if len(powers) != n_windows:
-        raise ValueError(f"{len(powers)} measurements for {n_windows} windows")
+def check_powers(powers, n: int, grid: Grid, nouns=("measurements", "windows")) -> list:
+    """n float64 (L, L) arrays, one per nouns[1]; float64 arrays pass uncopied."""
+    if len(powers) != n:
+        raise ValueError(f"{len(powers)} {nouns[0]} for {n} {nouns[1]}")
     powers = [np.asarray(p, dtype=np.float64) for p in powers]
     if any(p.shape != (grid.L, grid.L) for p in powers):
-        raise ValueError(f"a measurement's shape is not {(grid.L, grid.L)}")
+        raise ValueError(f"an array's shape is not {(grid.L, grid.L)}")
     return powers
-
-
-def check_finite(power: np.ndarray) -> np.ndarray:
-    """power, after checking that every entry is finite."""
-    if not np.isfinite(power).all():
-        raise ValueError("measurement contains non-finite entries")
-    return power
 
 
 class RetrievalPlan(NamedTuple):
@@ -213,8 +206,8 @@ def make_plan(family: WindowFamily, cfg: RetrievalConfig) -> RetrievalPlan:
     read-only, since the family stores the plan for every later run."""
     grid = family.grid
     eps = raw_threshold(cfg, grid)
-    if cfg.algorithm == "alg2" and eps >= 1:  # a single window's ambiguity peaks at 1
-        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+    if cfg.algorithm == "alg2":  # a single window's ambiguity peaks at 1
+        _check_unit_epsilon(eps)
     n = len(family)  # alg1: one group of all n members, alg2: one group per member
     groups = (tuple(range(n)),) if cfg.algorithm == "alg1" else tuple((j,) for j in range(n))
     den, owner = peel(family, groups, eps)
@@ -230,14 +223,9 @@ def row_span(bits: np.ndarray) -> tuple[int, int] | None:
     return (int(live[0]), int(live[-1]) + 1) if live.size else None
 
 
-def _group_sums(powers, groups):
-    """Each group's `_group_sum`, made as the iterator reaches it and not kept."""
-    return (_group_sum(powers, group) for group in groups)
-
-
 def _group_sum(powers, group) -> np.ndarray:
-    """The group's powers added in member order and checked finite; a
-    group of one is its member's own power.
+    """The group's powers added in member order; a group of one is its
+    member's own power.
 
     A sum of two or more powers is added in two halves, cut along the
     powers' axis of largest stride so that each half is one contiguous run
@@ -246,7 +234,7 @@ def _group_sum(powers, group) -> np.ndarray:
     still added in member order, so the sums have the serial loop's bits.
     """
     if len(group) == 1:
-        return check_finite(powers[group[0]])
+        return powers[group[0]]
     members = [powers[j] for j in group]
     power = np.empty_like(members[0])  # keep the powers' own layout
     axis = int(np.argmax(power.strides))
@@ -260,21 +248,28 @@ def _group_sum(powers, group) -> np.ndarray:
             out += p[block]
 
     _two_at_a_time(add, 2)
-    return check_finite(power)
+    return power
+
+
+def group_blocks(sums, plan: RetrievalPlan):
+    """Yield (i, m0, G) for each group i in order, the `product_blocks` of the
+    next sum on the rows of the group's cells; no sum is kept once transformed."""
+    sums = iter(sums)  # no loop variable or zip tuple keeps a sum alive
+    for i in range(len(plan.groups)):
+        for m0, G in product_blocks(next(sums), plan.grid, row_span(plan.owner == i)):
+            yield i, m0, G
 
 
 def _divide(sums, plan: RetrievalPlan) -> np.ndarray:
     """J = F(group sum) / den on each group's cells, zero off omega, block
-    by block (`product_blocks`); J, complex (L, L), is allocated once a sum
+    by block (`group_blocks`); J, complex (L, L), is allocated once a sum
     is transformed."""
     J = None
-    sums = iter(sums)  # no loop variable or zip tuple keeps a sum alive
-    for i in range(len(plan.groups)):
-        for m0, block in product_blocks(next(sums), plan.grid, row_span(plan.owner == i)):
-            if J is None:
-                J = np.zeros(plan.den.shape, dtype=np.complex128)
-            m1 = m0 + len(block)
-            np.divide(block, plan.den[m0:m1], out=J[m0:m1], where=plan.owner[m0:m1] == i)
+    for i, m0, block in group_blocks(sums, plan):
+        if J is None:
+            J = np.zeros(plan.den.shape, dtype=np.complex128)
+        m1 = m0 + len(block)
+        np.divide(block, plan.den[m0:m1], out=J[m0:m1], where=plan.owner[m0:m1] == i)
     return J
 
 
@@ -374,7 +369,7 @@ def stored_plan(family: WindowFamily, cfg: RetrievalConfig) -> RetrievalPlan:
 def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
     """Retrieve with the family's `stored_plan` for this tolerance and
     algorithm.  Each group sum of two or more powers is then added on
-    both cores, one half each (`_group_sums`), checked, divided out and
+    both cores, one half each (`_group_sum`), checked, divided out and
     inverted.
     """
     grid = family.grid
@@ -382,7 +377,7 @@ def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruc
     check_anchor(cfg, grid)
     plan = stored_plan(family, cfg)
     # each group sum is made as _divide reaches it and dies once transformed
-    J = _divide(_group_sums(powers, plan.groups), plan)
+    J = _divide((_group_sum(powers, g) for g in plan.groups), plan)
     return reconstruct_from_ambiguity(J, grid, cfg, plan.omega)._replace(plan=plan)
 
 

@@ -22,7 +22,7 @@ from specret import (
 from specret import stft
 from specret.ambiguity import product_blocks, unit_roots
 from specret.metrics import _outer_l1
-from specret.retrieval import _divide, _group_sums, check_powers
+from specret.retrieval import _divide, _group_sum, check_powers
 from specret.special import _laguerre_run
 from specret.stft import stft_blocks
 from specret.windows import _check_unit_epsilon, peel
@@ -114,7 +114,7 @@ def assemble(measurements, plan):
     """J = F(sum_{j in group} |V_{g_j} f|^2) / sum_{j in group} A g_j on each
     group's region, zero off omega: what `run_alg1` and `run_alg2` invert."""
     powers = check_powers(measurements, sum(map(len, plan.groups)), plan.grid)
-    return _divide(_group_sums(powers, plan.groups), plan)
+    return _divide((_group_sum(powers, g) for g in plan.groups), plan)
 
 
 def noise_sums(clean, noisy, plan):
@@ -173,8 +173,8 @@ def gauss_baseline_family(grid):
 
 def product_band(power, grid, rows):
     """The blocks of `product_blocks` for rows = (first, stop), gathered into
-    one band: the lattice rows of F(|V_g f|^2)(y, -x), which approximates
-    A f(x, y) * conj(A g(x, y))."""
+    one band: the lattice rows of F(|V_g f|^2)(y, -x), which is
+    A f(x, y) * conj(A g(x, y)) on the finite lattice."""
     r0, r1 = rows
     G = np.empty((r1 - r0, grid.L), dtype=np.complex128)
     for m0, block in product_blocks(power, grid, rows):

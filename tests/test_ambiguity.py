@@ -299,6 +299,19 @@ class TestProductBlocks:
         monkeypatch.setattr(np.fft, "rfft", None)  # a transform would fail
         assert list(product_blocks(*mea, None)) == []
 
+    @pytest.mark.parametrize("L", [250, 256, 1024])
+    @pytest.mark.parametrize("T", [8.0, 5.0])
+    def test_summed_spectrograms_give_the_summed_products(self, rng, T, L):
+        # F(sum_j |V_{g_j} f|^2) = A f * conj(sum_j A g_j) on the finite lattice
+        grid = make_grid(T, L)
+        f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        windows = [rng.standard_normal(L) + 1j * rng.standard_normal(L) for _ in range(3)]
+        power = sum(stft_power(Signal(grid=grid, values=f), g) for g in windows)
+        got = product_band(power, grid, (0, L))
+        want = numeric_ambiguity(f, grid) * np.conj(sum(numeric_ambiguity(g, grid)
+                                                         for g in windows))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
 
 class TestEvaluatorObjects:
     def test_summed_matches_parts(self, grid256):

@@ -213,6 +213,25 @@ class TestNoiseBounds:
         with pytest.raises(ValueError, match="non-finite"):
             two_list_bounds(clean, noisy, plan)
 
+    def test_wrong_count_of_noise_sums_names_sums_and_groups(self):
+        grid = make_grid(8.0, 64)
+        plan = make_plan(build_frft_family(2.0, 4, grid), RetrievalConfig(epsilon=1e-2))
+        sums = [np.zeros((64, 64)) for _ in range(4)]  # one per window, not per group
+        with pytest.raises(ValueError, match="4 noise sums for 1 window groups"):
+            verify_noise_bounds(sums, plan)
+
+    def test_non_finite_sum_of_a_group_with_no_cells_rejected(self):
+        # window 1 repeats window 0, so under alg2 its group claims no cell
+        grid = make_grid(8.0, 256)
+        family = build_frft_family(2.0, 2, grid, angles=[0.0, 0.0])
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        assert not (plan.owner == 1).any()
+        sums = [np.zeros((256, 256)) for _ in range(2)]
+        assert verify_noise_bounds(sums, plan).noise_norm == 0
+        sums[1][3, 7] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_noise_bounds(sums, plan)
+
     def test_true_signal_on_another_grid_rejected(self):
         # same L, other T: the approximation terms would take the plan's dt
         grid, f, family, clean = self._setup("alg2")

@@ -163,7 +163,7 @@ class TestAlg1:
         f = gauss_signal(grid)
         fam = build_frft_family(2.0, 4, grid)
         meas = measure_family(f, fam)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3 measurements for 4 windows"):
             run_alg1(meas[:-1], fam, RetrievalConfig(epsilon=1e-3))
 
     def test_non_square_lattice_rejected(self):
@@ -207,6 +207,19 @@ class TestMeasurementChecks:
         meas[1][40, 100] = value
         with pytest.raises(ValueError, match="non-finite"):
             run(meas, fam, RetrievalConfig(epsilon=1e-3, algorithm=algorithm))
+
+    def test_non_finite_power_of_a_group_with_no_cells_rejected(self):
+        # window 1 repeats window 0, so under alg2 its group claims no cell
+        # and no row of its power is read out; it is still checked
+        grid = make_grid(8.0, 256)
+        fam = build_frft_family(2.0, 2, grid, angles=[0.0, 0.0])
+        cfg = RetrievalConfig(epsilon=1e-2, algorithm="alg2")
+        assert not (make_plan(fam, cfg).owner == 1).any()
+        meas = measure_family(gauss_signal(grid), fam)
+        run_alg2(meas, fam, cfg)
+        meas[1][40, 100] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            run_alg2(meas, fam, cfg)
 
 
 class TestAlg2:
@@ -360,7 +373,7 @@ class TestRetrievalPlan:
         grid = make_grid(8.0, 256)
         fam = build_hermite_family([0, 3], grid)
         cfg = RetrievalConfig(epsilon=2.0 / grid.dt, algorithm="alg2")  # analytic 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), got "):
             make_plan(fam, cfg)
 
 
@@ -847,7 +860,7 @@ class TestPlanReuse:
         grid = make_grid(8.0, 64)
         rng = np.random.default_rng(3)
         meas = [np.asarray(rng.random((64, 64)), order=order) for _ in range(5)]
-        sums = list(retrieval._group_sums(meas, ((0, 1, 2, 3, 4), (2,))))
+        sums = [retrieval._group_sum(meas, g) for g in ((0, 1, 2, 3, 4), (2,))]
         serial = meas[0].copy()
         for mea in meas[1:]:
             serial += mea
@@ -1023,11 +1036,11 @@ class TestBlockedDivision:
         family = build_frft_family(2.0, 8, grid)
         meas = measure_family(gen_mixture(mixture_preset(), grid), family)
         plan = make_plan(family, RetrievalConfig(epsilon=1e-3))
-        retrieval._divide(retrieval._group_sums(meas, plan.groups), plan)
+        retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            J = retrieval._divide(retrieval._group_sums(meas, plan.groups), plan)
+            J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
