@@ -27,8 +27,10 @@ recurrence up to its largest degree, run on the quadrant x, y <= 0 and
 mirrored by slices, handing out each degree's lattice on the way.  Given
 a floor > 0 it skips the outer rows whose cells are all at most the
 floor, found from the monotone tail of the Laguerre functions; with no
-floor it evaluates every cell.  `HermiteAmbiguity.on_lattice` is its
-one-degree case.
+floor it evaluates every cell (`first_live_row`, `mirror_quadrant`).
+`HermiteAmbiguity.on_lattice` is its one-degree case; a retrieval plan
+claims its cells on the quadrant itself (`windows.peel`) and mirrors the
+result once, so it makes no lattice per degree.
 
 `numeric_ambiguity` is exp(i*pi*x*y) V_g g.  On the square lattice
 x_k * y_m = (k - L/2)(m - L/2)/L, so each phase is a 2L-th root of unity
@@ -199,26 +201,44 @@ def hermite_lattices(degrees, grid: Grid, floor: float):
     and |exp(-z/2) L_n(z)| decreases; every cell of a dead row, and of
     every row beyond it, is then at most floor.
     """
-    # radial dependence: index L/2 + j mirrors L/2 - j, and index 0
-    # (x = -T, y = -Nyquist) has no partner; rows before r0 stay 0
     degrees = list(degrees)
-    h = grid.L // 2
-    x2 = grid.x[:h + 1] ** 2
-    y2 = grid.y[:h + 1] ** 2
-    r0 = 0
-    if floor > 0:
-        z0 = np.pi * (y2 + x2[h])  # the x = 0 column, as the quadrant computes it
-        dead = z0 >= 6 * max(degrees) + 2
-        for v in laguerre_ladder(degrees, z0):
-            dead &= np.abs(v) <= floor
-        r0 = int(np.argmin(dead))  # the x = 0 cell of row h is never dead
-    m = max(r0, 1)
+    x2, y2 = quadrant_squares(grid)
+    r0 = first_live_row(degrees, grid, floor)
     for q in laguerre_ladder(degrees, np.pi * (y2[r0:, None] + x2[None, :])):
         out = np.zeros((grid.L, grid.L))
-        out[r0:h + 1, :h + 1] = q
-        out[r0:h + 1, h + 1:] = q[:, h - 1:0:-1]
-        out[h + 1:2 * h + 1 - m] = out[h - 1:m - 1:-1]
+        out[r0:len(y2), :len(x2)] = q
+        mirror_quadrant(out, r0)
         yield out
+
+
+def quadrant_squares(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """x^2 and y^2 on the quadrant x, y <= 0: lattice indices 0, ..., L/2."""
+    h = grid.L // 2
+    return grid.x[:h + 1] ** 2, grid.y[:h + 1] ** 2
+
+
+def first_live_row(degrees, grid: Grid, floor: float) -> int:
+    """The first quadrant row that a floored Hermite lattice of `degrees`
+    evaluates (see `hermite_lattices`); 0 with floor <= 0."""
+    if floor <= 0:
+        return 0
+    x2, y2 = quadrant_squares(grid)
+    z0 = np.pi * (y2 + x2[-1])  # the x = 0 column, as the quadrant computes it
+    dead = z0 >= 6 * max(degrees) + 2
+    for v in laguerre_ladder(degrees, z0):
+        dead &= np.abs(v) <= floor
+    return int(np.argmin(dead))  # the x = 0 cell of row L/2 is never dead
+
+
+def mirror_quadrant(out: np.ndarray, r0: int):
+    """Fill the (L, L) lattice `out` in place from its quadrant rows r0..L/2,
+    columns 0..L/2, by the radial symmetry: index L/2 + j mirrors L/2 - j,
+    and index 0 (x = -T, y = -Nyquist) has no partner.  Rows before r0 and
+    their mirrors are left as they are."""
+    h = out.shape[0] // 2
+    m = max(r0, 1)
+    out[r0:h + 1, h + 1:] = out[r0:h + 1, h - 1:0:-1]
+    out[h + 1:2 * h + 1 - m] = out[h - 1:m - 1:-1]
 
 
 def unit_roots(L: int) -> np.ndarray:

@@ -50,15 +50,15 @@ from .windows import (
 AUDIO_MAX_SAMPLES = 8192
 AUDIO_TAPER_FRACTION = 0.05
 # L x L complex workspaces alive next to the held measurements, 16 bytes a
-# cell each.  Measured at L=512 beside the N noisy powers, with the noise
-# sums dropped: a noisy retrieve peaks at 2.3-2.6 arrays in the retrieval
-# (the plan, J, one half-plane transform and alg1's group sum).  Beside its
-# noise sums, `verify-bounds` peaks at 2.3 arrays in its approximation terms
-# (the true signal's ambiguity and its |.|, and the plan), or in drawing
-# the noise when a fan's N + 2 powers outweigh them.  The STFTs, the noise
-# draws, the numeric ambiguity and the product read-out hold blocks, and
-# the inversion no full lattice.  The margin covers the fixed overheads,
-# which outgrow the per-cell figures below L=512.
+# cell each.  Measured at L=512 beside the N powers: a noisy retrieve peaks
+# at 1.8-2.1 arrays, in the noise-bound check or the retrieval (the plan,
+# one noise sum or alg1's group sum, one half-plane transform and J on
+# omega's rows).  `verify-bounds` peaks at 1.1-1.2 arrays while it draws
+# the noise; its approximation terms (the true signal's ambiguity and its
+# |.|, and the plan: 2.1 arrays) come once every power is dropped.  The
+# STFTs, the noise draws, the numeric ambiguity and the product read-out
+# hold blocks, and the inversion no full lattice.  The margin covers the
+# fixed overheads, which outgrow the per-cell figures below L=512.
 WORKSPACE_COMPLEX_ARRAYS = 8
 
 
@@ -117,41 +117,56 @@ def _build_family(cfg: dict, grid: Grid):
 
 
 def _apply_noise(powers: list, cfg: dict, plan: RetrievalPlan | None = None,
-                 keep: bool = True) -> list | None:
+                 keep: bool = True):
     """Replace each clean power in `powers` by its noisy one, in place.
 
     Window j draws from its own generator, seeded seed + j, so two windows
     are drawn at a time (`_two_at_a_time`); each pair is then taken in
-    member order.  With a plan, each clean power is overwritten by its
-    noise, noisy - clean, which is added into its group's noise sum and
-    dropped: a group of one keeps its noise as the sum, a larger group sums
-    into its first member's buffer, so each cell is added in member order.
-    Returns the sums, one per group, for `verify_noise_bounds`.  With keep
-    false a noisy power is dropped too once its noise is taken, and its
-    entry set to None.
+    member order.  Without a plan every power is drawn here and None is
+    returned.  With a plan a generator is returned that yields the groups'
+    noise sums in plan order, for `verify_noise_bounds`: a group's members
+    are drawn, in pairs, only when its sum is asked for, each clean power
+    is overwritten by its noise, noisy - clean, and added into the sum, so
+    each cell is added in member order.  A group of one keeps its noise as
+    the sum, drawn alone, and a larger group sums into its first member's
+    buffer; the generator keeps no sum once it has yielded it, so one sum
+    is alive at a time.  With keep false a noisy power is dropped too once
+    its noise is taken, and its entry set to None.
     """
     noise = cfg["noise"]
     if noise["model"] == "none":
         return None
     model, level = noise["model"], float(noise["level"])
     seed = int(noise.get("seed", cfg["seed"]))
-    group_of = {j: i for i, group in enumerate(plan.groups) for j in group} if plan else {}
-    sums = [None] * len(plan.groups) if plan else None
-    for first in range(0, len(powers), 2):
-        pair = _two_at_a_time(lambda i: add_noise(powers[first + i], model, level, seed + first + i),
-                              min(2, len(powers) - first))
-        for j in range(first, first + len(pair)):
+
+    def draw(j):
+        return add_noise(powers[j], model, level, seed + j)
+
+    if plan is None:
+        for first in range(0, len(powers), 2):
+            pair = _two_at_a_time(lambda i: draw(first + i), min(2, len(powers) - first))
+            powers[first:first + len(pair)] = pair
+        return None
+    return (_group_noise(powers, draw, group, keep) for group in plan.groups)
+
+
+def _group_noise(powers: list, draw, group, keep: bool) -> np.ndarray:
+    """One group's noise sum for `_apply_noise`, its members drawn two at a
+    time by draw(j)."""
+    total = None
+    for first in range(0, len(group), 2):
+        members = group[first:first + 2]
+        pair = _two_at_a_time(lambda i: draw(members[i]), len(members))
+        for j in members:
             noisy = pair.pop(0)
-            if plan is not None:
-                np.subtract(noisy, powers[j], out=powers[j])  # the clean power is now the noise
-                i = group_of[j]
-                if sums[i] is None:
-                    sums[i] = powers[j]
-                else:
-                    sums[i] += powers[j]
+            np.subtract(noisy, powers[j], out=powers[j])  # the clean power is now the noise
+            if total is None:
+                total = powers[j]
+            else:
+                total += powers[j]
             powers[j] = noisy if keep else None
             del noisy
-    return sums
+    return total
 
 
 def _retrieval_config(cfg: dict) -> RetrievalConfig:
@@ -171,8 +186,9 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     is an L x L float64 array.  With noise, two noisy powers are drawn at a
     time, each replacing its clean one, and alg1's noise sums into one of
     them (`_apply_noise`): at most min(2N, N + 3) powers for N windows.
-    An alg2 `retrieve` keeps each window's noise as its group's sum beside
-    its noisy power until the bound check is done: 2N."""
+    An alg2 `retrieve` or `verify-bounds` draws one window at a time, as
+    the bound check asks for its noise sum, and the check drops each sum
+    before the next is drawn: N + 1."""
     L = int(cfg["grid"]["L"])
     if cfg["signal"]["kind"] == "wav":
         L = min(L, AUDIO_MAX_SAMPLES)
@@ -185,8 +201,8 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     else:
         held = _window_count(cfg["scheme"])
     if cfg["noise"]["model"] != "none":
-        if command == "retrieve" and _retrieval_config(cfg).algorithm == "alg2":
-            held *= 2
+        if command in ("retrieve", "verify-bounds") and _retrieval_config(cfg).algorithm == "alg2":
+            held += 1
         else:
             held += min(held, 3)
     return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS)
@@ -287,12 +303,12 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     plan = stored_plan(family, rcfg)
     powers = measure_family(f, family)
     extra = {}
-    # the bound report goes only into result.json
-    check = cfg["noise"]["model"] != "none" and cfg["emit"].get("json", True)
-    sums = _apply_noise(powers, cfg, plan if check else None)
-    if check:
-        extra["noise_bounds"] = verify_noise_bounds(sums, plan)._asdict()
-    del sums  # J is never alive beside the noise sums
+    # the bound report goes only into result.json; each noise sum is drawn,
+    # checked and dropped before the next, and J is never alive beside one
+    if cfg["noise"]["model"] != "none" and cfg["emit"].get("json", True):
+        extra["noise_bounds"] = verify_noise_bounds(_apply_noise(powers, cfg, plan), plan)._asdict()
+    else:
+        _apply_noise(powers, cfg)
     runner = run_alg1 if rcfg.algorithm == "alg1" else run_alg2
     recon = runner(powers, family, rcfg)
     writer = ArtifactWriter(out_dir, "retrieve", cfg)
@@ -418,8 +434,7 @@ def cmd_verify_bounds(cfg: dict, out_dir: Path) -> int:
     family = _build_family(cfg, f.grid)
     plan = stored_plan(family, _retrieval_config(cfg))
     powers = measure_family(f, family)
-    sums = _apply_noise(powers, cfg, plan, keep=False)
-    report = verify_noise_bounds(sums, plan, f_true=f)
+    report = verify_noise_bounds(_apply_noise(powers, cfg, plan, keep=False), plan, f_true=f)
     writer = ArtifactWriter(out_dir, "verify-bounds", cfg)
     writer.write_json("bounds.json", report._asdict())
     ok = all(report.satisfied)

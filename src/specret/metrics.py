@@ -12,8 +12,11 @@ The noise-bound check takes one noise sum per window group, the group's
 noisy minus clean powers added in member order, and transforms each once
 (the spectrogram -> product map is linear) instead of assembling the
 clean and the noisy ambiguities, in the loop J is divided in
-(`retrieval.group_blocks`).  The caller builds the sums as the noise is
-drawn, so no list of clean powers is held beside the noisy one.
+(`retrieval.group_blocks`).  It reads the sums lazily, one group at a
+time, taking each sum's norm as it reaches it, and keeps none: the CLI
+hands it a generator that draws a group's noise only when its sum is
+asked for, so one noise sum is alive at a time and no list of clean
+powers is held beside the noisy one.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 from .ambiguity import numeric_ambiguity
 from .exceptions import GridMismatchError
 from .grid import Signal
-from .retrieval import RetrievalPlan, check_powers, group_blocks
+from .retrieval import RetrievalPlan, group_blocks
 
 
 def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
@@ -83,35 +86,46 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
 
     `plan` is the retrieval plan of the noisy measurements (`make_plan`,
     `stored_plan` or `Reconstruction.plan`); epsilon, C_p and C_R_Omega
-    come from it.  noise_sums[i] is the summed noise eta = sum of (noisy -
-    clean) over the powers of plan.groups[i], in member order; there must
-    be one per group, each a finite (L, L) array.  On a group's cells
-    A - A^eta = -F(eta) / den, the division J is made of, so the sums are
-    read out as `_divide` reads them (`group_blocks`), and the
-    mixed L^{2,1} norm of A - A^eta and the L1 norm of its x = 0 slice are
-    taken from those blocks.  The sums are only read.  With the true
+    come from it.  noise_sums yields, for each group of plan.groups in
+    order, the summed noise eta = sum of (noisy - clean) over the group's
+    powers in member order, a finite (L, L) array.  It may be any
+    iterable: it is read lazily, one sum at a time, and no sum is kept, so
+    a generator that makes each sum as it is asked for holds one at a
+    time.  A sized iterable of the wrong length is refused before any
+    transform, an iterator that runs short or long once that shows; both
+    with a ValueError.  On a group's cells A - A^eta = -F(eta) / den, the
+    division J is made of, so the sums are read out as `_divide` reads
+    them (`group_blocks`); the L1 norm of each sum is taken as it is
+    reached, and the mixed L^{2,1} norm of A - A^eta and the L1 norm of its
+    x = 0 slice from the blocks.  The sums are only read.  With the true
     signal supplied, on the plan's grid, also reports the
     approximation-error terms (the ambiguity mass left outside omega),
-    from its ambiguity's |.|.
+    from its ambiguity's |.|, once the sums are done.
     """
     grid, eps, owner = plan.grid, plan.epsilon, plan.owner
     p = 2.0  # the mixed norm's inner exponent
-    noise_sums = check_powers(noise_sums, len(plan.groups), grid, ("noise sums", "window groups"))
+    n = len(plan.groups)
+    if hasattr(noise_sums, "__len__") and len(noise_sums) != n:
+        raise ValueError(f"{len(noise_sums)} noise sums for {n} window groups")
+    if f_true is not None and f_true.grid != grid:
+        raise GridMismatchError("true signal and plan live on different grids")
     dx, dy = grid.dt, grid.dy
     k0 = grid.L // 2  # x = 0 column
-    approx = approx_slice = None
-    if f_true is not None:
-        if f_true.grid != grid:
-            raise GridMismatchError("true signal and plan live on different grids")
-        outside = numeric_ambiguity(f_true.values, grid)
-        outside[owner >= 0] = 0
-        a = np.abs(outside)
-        del outside  # |.| is all the terms read
-        approx_slice = dy * float(np.sum(a[:, k0]))
-        approx = _outer_l1(np.sum(np.power(a, p, out=a), axis=1), dx, dy, p)
+    sums = iter(noise_sums)
+    norms = []  # each sum's L1 norm
+
+    def next_sum(i):
+        try:
+            eta = next(sums)
+        except StopIteration:
+            raise ValueError(f"{i} noise sums for {n} window groups") from None
+        eta = np.asarray(eta, dtype=np.float64)  # `product_blocks` checks its shape
+        norms.append(dx * dy * float(np.sum(np.abs(eta))))
+        return eta  # held by no name here once `group_blocks` takes it
+
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
-    for i, m0, diff in group_blocks(noise_sums, plan):
+    for i, m0, diff in group_blocks(map(next_sum, range(n)), plan):
         m1 = m0 + len(diff)
         bits = owner[m0:m1] == i
         np.divide(diff, plan.den[m0:m1], out=diff, where=bits)
@@ -119,7 +133,18 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
         a *= bits  # zero off the group's cells
         slice_abs[m0:m1] += a[:, k0]
         row_sums[m0:m1] += np.sum(np.power(a, p, out=a), axis=1)
-    noise_norm = max(dx * dy * float(np.sum(np.abs(eta))) for eta in noise_sums)  # all finite
+    extra = sum(1 for _ in sums)
+    if extra:
+        raise ValueError(f"{n + extra} noise sums for {n} window groups")
+    noise_norm = max(norms)  # every sum was finite
+    approx = approx_slice = None
+    if f_true is not None:
+        outside = numeric_ambiguity(f_true.values, grid)
+        outside[owner >= 0] = 0
+        a = np.abs(outside)
+        del outside  # |.| is all the terms read
+        approx_slice = dy * float(np.sum(a[:, k0]))
+        approx = _outer_l1(np.sum(np.power(a, p, out=a), axis=1), dx, dy, p)
 
     # the mixed norm of omega's indicator: each row's sum of |1|^p is its cell count
     C_p = _outer_l1(plan.omega.sum(axis=1), dx, dy, p)

@@ -24,16 +24,19 @@ covers every member).  Only the rows from the first to the last row of
 the group's cells are read out, a block at a time (`group_blocks`, which
 the noise-bound check reads too), and divided straight into J on the
 block's cells labelled with the group; J is zero off omega.  J is a bare
-complex (L, L) array on the plan's grid, inverted on the plan's omega
-(`reconstruct_from_ambiguity`) and freed when the runner returns: a
-`Reconstruction` keeps the signal and the plan, whose omega is the mask.
+complex array on the plan's grid that holds only the lattice rows from
+omega's first to its last (`_divide`): W2's omega touches 371 of 1024
+rows.  It is inverted on the plan's omega from that first row (`_invert`,
+the body of `reconstruct_from_ambiguity`, which takes a whole lattice)
+and freed when the runner returns: a `Reconstruction` keeps the signal
+and the plan, whose omega is the mask.
 `run_alg1` and `run_alg2` take the family's stored plan, or build it in
 the calling thread and store it (`stored_plan`); then the powers of each
 group of two or more members are added in two contiguous halves, one on
 each core (`_two_at_a_time`), so the sums, den and J have the serial bits.
-A caller that needs the plan before it measures, as the CLI does to sum
-each group's noise while drawing it, calls `stored_plan` first, and the
-retrieval then finds that plan stored.
+A caller that needs the plan before it measures, as the CLI does to draw
+each group's noise sum as the noise-bound check asks for it, calls
+`stored_plan` first, and the retrieval then finds that plan stored.
 
 A fractional-Gauss window's ambiguity is an ellipse that covers a few
 percent of the lattice, so `peel` evaluates each one only where it
@@ -41,17 +44,19 @@ exceeds floor = windows.LATTICE_FLOOR * eps = 1e-20 * eps.  A Hermite
 window's ambiguity exp(-z/2) L_n(z), z = pi (x^2 + y^2), decreases in
 |.| once z >= 6n + 2: every zero of L_n lies below 4n + 2, so there each
 term of d/dz ln|L_n| = sum 1/(z - z_i) is below 1/(2n) and the sum below
-1/2.  `peel` runs the Laguerre recurrence once for all Hermite members
-(`ambiguity.hermite_lattices`) and skips the outer lattice rows whose
-x = 0 cell lies in that tail at or below floor for every degree; every
-cell of those rows is at most floor too.  The cells left out hold
-values of magnitude <= floor, so a group of N windows loses at most
-N * floor, about 1e-18 of eps for a 40-window fan: a cell's sum can
-cross eps only if it lies that close to eps, so omega is the full
-lattices' omega.  Every evaluated cell has the bits of the full lattice,
-and on omega the dropped terms lie below the rounding of the much larger
-sum, so den has matched the full-lattice sum there bit for bit on W1, W2
-and on every family the property tests draw.
+1/2.  The ambiguity is radial, so for a family of Hermite windows `peel`
+claims the cells on the quadrant x, y <= 0 only, windows.PLAN_ROWS rows
+at a time, each block from one Laguerre run over every degree, and
+mirrors den and the labels once; it skips the outer quadrant rows whose
+x = 0 cell lies in that tail at or below floor for every degree
+(`ambiguity.first_live_row`); every cell of those rows is at most floor
+too.  The cells left out hold values of magnitude <= floor, so a group
+of N windows loses at most N * floor, about 1e-18 of eps for a 40-window
+fan: a cell's sum can cross eps only if it lies that close to eps, so
+omega is the full lattices' omega.  Every evaluated cell has the bits of
+the full lattice, and on omega the dropped terms lie below the rounding
+of the much larger sum, so den has matched the full-lattice sum there
+bit for bit on W1, W2 and on every family the property tests draw.
 
 Tolerance convention
 --------------------
@@ -166,10 +171,10 @@ def measure_family(f: Signal, family: WindowFamily) -> list[np.ndarray]:
     return _two_at_a_time(lambda j: stft_power(f, members[j].samples), len(members))
 
 
-def check_powers(powers, n: int, grid: Grid, nouns=("measurements", "windows")) -> list:
-    """n float64 (L, L) arrays, one per nouns[1]; float64 arrays pass uncopied."""
+def check_powers(powers, n: int, grid: Grid) -> list:
+    """n float64 (L, L) arrays, one per window; float64 arrays pass uncopied."""
     if len(powers) != n:
-        raise ValueError(f"{len(powers)} {nouns[0]} for {n} {nouns[1]}")
+        raise ValueError(f"{len(powers)} measurements for {n} windows")
     powers = [np.asarray(p, dtype=np.float64) for p in powers]
     if any(p.shape != (grid.L, grid.L) for p in powers):
         raise ValueError(f"an array's shape is not {(grid.L, grid.L)}")
@@ -260,17 +265,20 @@ def group_blocks(sums, plan: RetrievalPlan):
             yield i, m0, G
 
 
-def _divide(sums, plan: RetrievalPlan) -> np.ndarray:
-    """J = F(group sum) / den on each group's cells, zero off omega, block
-    by block (`group_blocks`); J, complex (L, L), is allocated once a sum
-    is transformed."""
+def _divide(sums, plan: RetrievalPlan) -> tuple[int, np.ndarray]:
+    """(first, J): J = F(group sum) / den on each group's cells, zero off
+    omega, on the rows of omega from `first` to its last one, block by
+    block (`group_blocks`).  J, complex, is allocated once a sum is
+    transformed; row r of J is lattice row first + r."""
+    first, stop = row_span(plan.omega)
     J = None
     for i, m0, block in group_blocks(sums, plan):
         if J is None:
-            J = np.zeros(plan.den.shape, dtype=np.complex128)
+            J = np.zeros((stop - first, plan.grid.L), dtype=np.complex128)
         m1 = m0 + len(block)
-        np.divide(block, plan.den[m0:m1], out=J[m0:m1], where=plan.owner[m0:m1] == i)
-    return J
+        np.divide(block, plan.den[m0:m1], out=J[m0 - first:m1 - first],
+                  where=plan.owner[m0:m1] == i)
+    return first, J
 
 
 # lattice rows `reconstruct_from_ambiguity` sums at a time
@@ -311,11 +319,22 @@ def reconstruct_from_ambiguity(values, grid: Grid, cfg: RetrievalConfig,
     for name, array in (("lattice", values), ("mask", mask)):
         if array.shape != (L, L):
             raise ValueError(f"{name} shape {array.shape} does not match the grid's {(L, L)}")
+    return _invert(values, 0, grid, cfg, mask)
+
+
+def _invert(values: np.ndarray, first: int, grid: Grid, cfg: RetrievalConfig,
+            mask: np.ndarray) -> Reconstruction:
+    """`reconstruct_from_ambiguity` of the complex rows `values`, lattice
+    rows first, first + 1, ..., of an ambiguity lattice whose other rows
+    the (L, L) mask leaves out."""
+    L = grid.L
     h = L // 2
     k = np.arange(L)
     sgn = (-1.0) ** k
 
-    col = np.where(mask[:, h], values[:, h], 0) * sgn
+    col = np.zeros(L, dtype=np.complex128)
+    col[first:first + len(values)] = values[:, h]
+    col = np.where(mask[:, h], col, 0) * sgn
     slice_l1 = grid.dy * float(np.sum(np.abs(col)))
     wprof = sgn * ((grid.dy * 1j ** (L % 4) * L) * np.fft.ifft(col))  # w carries (-1)^l
     anchor = int(np.argmax(np.abs(wprof))) if cfg.anchor is None else int(cfg.anchor) % L
@@ -337,7 +356,8 @@ def reconstruct_from_ambiguity(values, grid: Grid, cfg: RetrievalConfig,
         m1 = min(m0 + INVERT_ROWS, r1)
         block = terms[:m1 - m0]
         block.fill(0)
-        np.multiply(values[m0:m1], powers[:m1 - m0], out=block, where=mask[m0:m1])
+        np.multiply(values[m0 - first:m1 - first], powers[:m1 - m0], out=block,
+                    where=mask[m0:m1])
         diag += roots[(m0 * a + b) % (2 * L)] * block.sum(axis=0)
     out = np.zeros(L, dtype=np.complex128)
     out[j] = (grid.dy * 1j ** (L % 4)) * ((-1.0) ** (k + s)) * diag / np.sqrt(abs(u0))
@@ -377,8 +397,8 @@ def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruc
     check_anchor(cfg, grid)
     plan = stored_plan(family, cfg)
     # each group sum is made as _divide reaches it and dies once transformed
-    J = _divide((_group_sum(powers, g) for g in plan.groups), plan)
-    return reconstruct_from_ambiguity(J, grid, cfg, plan.omega)._replace(plan=plan)
+    first, J = _divide((_group_sum(powers, g) for g in plan.groups), plan)
+    return _invert(J, first, grid, cfg, plan.omega)._replace(plan=plan)
 
 
 def run_alg1(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:

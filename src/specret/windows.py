@@ -12,14 +12,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import FrftGaussAmbiguity, HermiteAmbiguity, hermite_lattices
+from .ambiguity import (
+    FrftGaussAmbiguity,
+    HermiteAmbiguity,
+    first_live_row,
+    mirror_quadrant,
+    quadrant_squares,
+)
 from .grid import Grid
-from .special import dilated_gauss_samples, frft_gauss_samples, hermite_samples
+from .special import (
+    dilated_gauss_samples,
+    frft_gauss_samples,
+    hermite_samples,
+    laguerre_ladder,
+)
 
 
 # window-ambiguity cells at or below this fraction of the threshold are
 # not evaluated when `peel` sums a group (see "Retrieval plan" in retrieval.py)
 LATTICE_FLOOR = 1e-20
+# quadrant rows `peel` evaluates together for a Hermite family: 256 KB a
+# degree at L = 1024
+PLAN_ROWS = 64
 # largest relative deviation of a fan window's grid energy dt * sum |g|^2
 # from its closed-form norm^2; resolved windows deviate by under 1e-3
 ENERGY_TOLERANCE = 0.5
@@ -159,42 +173,63 @@ def peel(family: WindowFamily, groups, epsilon: float):
     Returns (den, owner).  owner labels each (L, L) cell with the index of
     the group that claimed it, -1 off omega, in the smallest signed type
     that holds the group count; den is each group's sum on its cells, 0
-    off omega.  Each ambiguity is evaluated once, the first group's sum is
-    den's buffer, and one more group's sum is alive at a time.  The first
-    member of a group gives the group's buffer and every later member adds
-    into it.  The Hermite members' lattices come from one `hermite_lattices`
-    run over their degrees in the order the groups take them.  Every member
-    is evaluated with the floor LATTICE_FLOOR * epsilon: a Gauss member
-    leaves out its cells at or below the floor, and the Hermite run the
-    outer rows whose cells all are.  Those add at most N * floor to a sum
-    of N members, and the labels are those of the full lattices (see
-    retrieval.py).
+    off omega.  Each ambiguity is evaluated once, with the floor
+    LATTICE_FLOOR * epsilon.  A family of Hermite windows alone is
+    evaluated on the quadrant x, y <= 0 only, PLAN_ROWS rows at a time,
+    each block from one `laguerre_ladder` run over the degrees in the order
+    the groups take them; each group claims its cells of the block, and
+    den and owner are mirrored once at the end.  The quadrant's outer rows
+    whose cells all lie at or below the floor are not evaluated
+    (`first_live_row`).  Any other family adds each member's `on_lattice`
+    into its group's buffer, the first group's sum being den's buffer, so
+    one more group's sum is alive at a time; a Gauss member leaves out its
+    cells at or below the floor.  The cells left out add at most N * floor
+    to a sum of N members, and the labels are those of the full lattices
+    (see retrieval.py).
     """
     grid = family.grid
     floor = LATTICE_FLOOR * epsilon
     evaluators = [[family.members[j].evaluator for j in group] for group in groups]
-    hermite = hermite_lattices([ev.n for group in evaluators for ev in group
-                                if isinstance(ev, HermiteAmbiguity)], grid, floor)
     owner = np.full((grid.L, grid.L), -1, dtype=np.min_scalar_type(-len(groups)))
+    if all(isinstance(ev, HermiteAmbiguity) for group in evaluators for ev in group):
+        degrees = [ev.n for group in evaluators for ev in group]
+        den = np.zeros((grid.L, grid.L))
+        x2, y2 = quadrant_squares(grid)
+        h1 = len(x2)  # the quadrant is rows and columns 0, ..., L/2
+        r0 = first_live_row(degrees, grid, floor)
+        for b0 in range(r0, h1, PLAN_ROWS):
+            rows = slice(b0, min(b0 + PLAN_ROWS, h1))
+            ladder = laguerre_ladder(degrees, np.pi * (y2[rows, None] + x2[None, :]))
+            for i, group in enumerate(groups):
+                values = next(ladder)
+                for _ in group[1:]:
+                    values += next(ladder)
+                _claim(values, i, epsilon, den[rows, :h1], owner[rows, :h1])
+        mirror_quadrant(den, r0)
+        mirror_quadrant(owner, r0)
+        return den, owner
     for i, group in enumerate(evaluators):
         values = None
         for ev in group:
-            if not isinstance(ev, HermiteAmbiguity):
-                values = ev.on_lattice(grid, floor, out=values)
-            elif values is None:
-                values = next(hermite)
-            else:
-                values += next(hermite)
-        bits = values > epsilon  # |values| > epsilon without an L x L float temporary
-        bits |= values < -epsilon
-        bits &= owner < 0
-        owner[bits] = i
+            values = ev.on_lattice(grid, floor, out=values)
         if i == 0:  # the first sum is den: no extra L x L buffer
             den = values
-            den[~bits] = 0
-        else:
-            den[bits] = values[bits]  # |sum A g| > epsilon on bits, and A g is real
+        _claim(values, i, epsilon, den, owner)
     return den, owner
+
+
+def _claim(values, i: int, epsilon: float, den: np.ndarray, owner: np.ndarray):
+    """Give the cells of owner still unclaimed where |values| > epsilon the
+    label i and den's value there; den may be values' own buffer, which is
+    then cleared everywhere else."""
+    bits = values > epsilon  # |values| > epsilon without a float temporary
+    bits |= values < -epsilon
+    bits &= owner < 0
+    owner[bits] = i
+    if den is values:
+        den[~bits] = 0
+    else:
+        den[bits] = values[bits]  # |sum A g| > epsilon on bits, and A g is real
 
 
 def _ellipse_level(a: float, epsilon: float) -> float:

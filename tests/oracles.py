@@ -110,11 +110,21 @@ def mixed_norm(values, grid, p):
     return lattice_norm(values, grid.dt, grid.dy, p)
 
 
+def padded(divided, grid):
+    """The (L, L) lattice of `_divide`'s (first, J): J's rows from lattice
+    row first on, zeros elsewhere."""
+    first, J = divided
+    out = np.zeros((grid.L, grid.L), dtype=np.complex128)
+    out[first:first + len(J)] = J
+    return out
+
+
 def assemble(measurements, plan):
     """J = F(sum_{j in group} |V_{g_j} f|^2) / sum_{j in group} A g_j on each
-    group's region, zero off omega: what `run_alg1` and `run_alg2` invert."""
+    group's region, zero off omega, on the whole (L, L) lattice: what
+    `run_alg1` and `run_alg2` invert."""
     powers = check_powers(measurements, sum(map(len, plan.groups)), plan.grid)
-    return _divide((_group_sum(powers, g) for g in plan.groups), plan)
+    return padded(_divide((_group_sum(powers, g) for g in plan.groups), plan), plan.grid)
 
 
 def noise_sums(clean, noisy, plan):

@@ -17,10 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specret
-from specret import Signal, add_noise, load_wav, make_grid, make_plan, save_wav
+from specret import (
+    RetrievalConfig,
+    Signal,
+    add_noise,
+    build_hermite_family,
+    load_wav,
+    make_grid,
+    make_plan,
+    save_wav,
+)
 from specret import container
 from specret.cli import COMMANDS, check_size, estimate_bytes, main
 from specret.config import load_config
+from specret.retrieval import row_span
 from oracles import two_list_bounds
 
 
@@ -83,14 +93,17 @@ class TestRetrieve:
         clean = cli.measure_family(f, family)
         noisy = [add_noise(p, "additive", 0.01, 1 + j) for j, p in enumerate(clean)]
         fresh = two_list_bounds(clean, noisy, make_plan(family, cli._retrieval_config(cfg)))
-        degrees = []
-        original = windows.hermite_lattices
-        monkeypatch.setattr(windows, "hermite_lattices",
-                            lambda ns, grid, *args, **kwargs:
-                            degrees.extend(ns) or original(ns, grid, *args, **kwargs))
+        runs = []  # (degrees, rows) of each block of the plan's one Laguerre run
+        original = windows.laguerre_ladder
+        monkeypatch.setattr(windows, "laguerre_ladder",
+                            lambda ns, z: runs.append((list(ns), len(z))) or original(ns, z))
         out = tmp_path / "run"
         assert main(["retrieve", "--config", str(path), "--out", str(out)]) == 0
-        assert degrees == [0, 5]
+        assert runs and all(ns == [0, 5] for ns, _ in runs)
+        # each quadrant row once: a second plan would evaluate its live rows,
+        # more than half of the quadrant's L/2 + 1 here, again
+        rows = sum(n for _, n in runs)
+        assert f.grid.L // 4 < rows <= f.grid.L // 2 + 1
         result = json.loads((out / "result.json").read_text())
         assert result["noise_bounds"] == json.loads(json.dumps(fresh._asdict()))
 
@@ -143,6 +156,33 @@ class TestRetrieve:
                 tracemalloc.stop()
         assert peak < (N + 6) * 8 * L * L
 
+    def test_noisy_hermite_peak_holds_one_noise_sum(self, tmp_path):
+        # the N noisy powers and one noise sum, the plan, J on omega's rows
+        # and one half-plane transform, with one power's worth of slack for
+        # the blocks and the fixed overheads; every noise sum held at once,
+        # J on the whole lattice and a lattice per degree peaked at 62.7 L^2
+        L, degrees = 256, [5, 10]
+        path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=0.5,
+                            scheme={"kind": "hermite", "degrees": degrees},
+                            noise={"model": "multiplicative", "level": 0.05})
+        argv = ["retrieve", "--config", str(path), "--out", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # the lazy imports, which stay loaded
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        plan = make_plan(build_hermite_family(degrees, make_grid(8.0, L)),
+                         RetrievalConfig(epsilon=0.5, algorithm="alg2"))
+        first, stop = row_span(plan.omega)
+        assert stop - first < L  # J is narrower than the lattice here
+        powers = (len(degrees) + 1) * 8 * L * L
+        J, H = 16 * (stop - first) * L, 16 * (L // 2 + 1) * L
+        assert peak < powers + plan.den.nbytes + plan.owner.nbytes + J + H + 8 * L * L
+
     def test_bound_check_skipped_without_json(self, tmp_path, monkeypatch):
         # the report goes only into result.json
         from specret import cli
@@ -191,13 +231,11 @@ class TestNoiseSums:
         want = two_list_bounds(clean, noisy, plan, f_true)
         for keep in (True, False):
             powers = cli.measure_family(f, family)
-            sums = cli._apply_noise(powers, cfg, plan, keep)
-            assert len(sums) == len(plan.groups)
+            got = cli.verify_noise_bounds(cli._apply_noise(powers, cfg, plan, keep), plan, f_true)
             if keep:
                 assert all(np.array_equal(p, q) for p, q in zip(powers, noisy, strict=True))
             else:
                 assert powers == [None] * len(family)
-            got = cli.verify_noise_bounds(sums, plan, f_true)
             for name in want._fields:
                 assert getattr(got, name) == getattr(want, name), name
 
@@ -548,16 +586,18 @@ class TestNumericErrors:
         assert "overflow" in err
 
     def test_overflow_in_a_worker_noise_draw_exits_3(self, tmp_path, capsys, monkeypatch):
-        # window 1's noise is drawn on the second thread, under the CLI's
-        # errstate; scaled by 1e300, its first block of draws overflows
+        # window 1's noise is drawn under the CLI's errstate, as the bound
+        # check asks for its group's sum; scaled by 1e300, its first block of
+        # draws overflows.  The draws once ran on a second thread; numpy's
+        # generators hold the GIL, so they now run one at a time in the caller
         from specret import cli
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         draw = cli.add_noise
-        threads = []
+        drawn = []
 
         def huge_second_draw(power, model, level, seed):
             if seed == 3 + 1:
-                threads.append(threading.get_ident())
+                drawn.append(seed)
                 level = 1e300
             return draw(power, model, level, seed)
 
@@ -568,7 +608,7 @@ class TestNumericErrors:
             rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
         assert rc == 3
         assert not caught
-        assert len(threads) == 1 and threads[0] != threading.get_ident()
+        assert drawn == [4]
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
@@ -736,10 +776,11 @@ class TestSizeGuard:
         assert estimate_bytes("retrieve", cfg) - clean == 3 * L * L * 8
         assert estimate_bytes("verify-bounds", cfg) - clean == 3 * L * L * 8
         assert estimate_bytes("coverage", cfg) < estimate_bytes("baseline", cfg) < clean
-        # alg2 keeps every window's noise beside its noisy power until the bound check
+        # an alg2 group's noise sum is its window's noise, in its clean buffer,
+        # and is checked and dropped before the next window is drawn
         cfg["algorithm"] = "alg2"
-        assert estimate_bytes("retrieve", cfg) - clean == 40 * L * L * 8
-        assert estimate_bytes("verify-bounds", cfg) - clean == 3 * L * L * 8
+        assert estimate_bytes("retrieve", cfg) - clean == 1 * L * L * 8
+        assert estimate_bytes("verify-bounds", cfg) - clean == 1 * L * L * 8
 
     @pytest.mark.parametrize("doc", [
         {"signal": {"kind": "chirp"}, "scheme": {"kind": "frft_gauss", "a": 15.0, "n_windows": 12}},

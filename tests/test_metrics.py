@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -219,6 +220,54 @@ class TestNoiseBounds:
         sums = [np.zeros((64, 64)) for _ in range(4)]  # one per window, not per group
         with pytest.raises(ValueError, match="4 noise sums for 1 window groups"):
             verify_noise_bounds(sums, plan)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    @pytest.mark.parametrize("truth", [False, True])
+    def test_generator_sums_are_freed_one_at_a_time(self, algorithm, truth):
+        # each sum is dead before the next is asked for, and the report is
+        # the list's, bit for bit
+        grid, f, family, clean = self._setup(algorithm)
+        noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        f_true = f if truth else None
+        want = two_list_bounds(clean, noisy, plan, f_true)
+        made = []
+
+        def sums():  # `noise_sums`, one group at a time
+            for group in plan.groups:
+                assert all(ref() is None for ref in made)
+                eta = noisy[group[0]] - clean[group[0]]
+                for j in group[1:]:
+                    eta += noisy[j] - clean[j]
+                made.append(weakref.ref(eta))
+                yield eta
+                del eta
+
+        assert verify_noise_bounds(sums(), plan, f_true) == want
+        assert len(made) == len(plan.groups) and made[-1]() is None
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_iterator_of_the_wrong_length_names_sums_and_groups(self, count):
+        # alg2 on three windows: three groups; a lazy iterator is counted as
+        # it is read
+        grid, f, family, clean = self._setup("alg2")
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        sums = (np.zeros((grid.L, grid.L)) for _ in range(count))
+        with pytest.raises(ValueError, match=f"^{count} noise sums for 3 window groups$"):
+            verify_noise_bounds(sums, plan)
+
+    def test_list_of_the_wrong_length_is_refused_before_any_transform(self, monkeypatch):
+        from specret import retrieval
+
+        def refuse(*args):
+            raise AssertionError("a noise sum was transformed")
+
+        monkeypatch.setattr(retrieval, "product_blocks", refuse)
+        grid, f, family, clean = self._setup("alg2")
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        for sums in (clean[:2], clean + clean[:1]):
+            with pytest.raises(ValueError, match=f"^{len(sums)} noise sums for 3 window groups$"):
+                verify_noise_bounds(sums, plan)
 
     def test_non_finite_sum_of_a_group_with_no_cells_rejected(self):
         # window 1 repeats window 0, so under alg2 its group claims no cell

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -39,12 +39,15 @@ from specret import (
     reconstruct_from_ambiguity,
     verify_noise_bounds,
 )
-from specret import ambiguity, retrieval
+from specret import ambiguity, retrieval, windows
+from specret.ambiguity import hermite_lattices
+from specret.windows import LATTICE_FLOOR
 from specret.retrieval import _two_at_a_time, row_span
 from oracles import (
     assemble,
     gathered_product,
     gauss_baseline_family,
+    padded,
     peel_masks,
     power_of,
     product_band,
@@ -61,14 +64,15 @@ def gauss_signal(grid, a=1.0):
 
 @pytest.fixture
 def divided(monkeypatch):
-    """Every J the runners divide out, in call order: a `Reconstruction`
-    keeps the signal and the plan, not J."""
+    """Every J the runners divide out, in call order, padded to the (L, L)
+    lattice: a `Reconstruction` keeps the signal and the plan, not J."""
     seen = []
     divide = retrieval._divide
 
-    def kept(*args):
-        seen.append(divide(*args))
-        return seen[-1]
+    def kept(sums, plan):
+        band = divide(sums, plan)
+        seen.append(padded(band, plan.grid))
+        return band
 
     monkeypatch.setattr(retrieval, "_divide", kept)
     return seen
@@ -427,6 +431,28 @@ class TestRetrievalPlan:
         assert np.array_equal(plan.den[plan.omega], summed[plan.omega])
 
 
+def full_lattice_plan(family, cfg):
+    """Oracle for `make_plan`'s (den, owner) on a Hermite family: each
+    group's sum of the floored full lattices (`hermite_lattices`), claimed
+    on the whole lattice in group order."""
+    grid = family.grid
+    eps = raw_threshold(cfg, grid)
+    n = len(family)
+    groups = [range(n)] if cfg.algorithm == "alg1" else [[j] for j in range(n)]
+    lattices = list(hermite_lattices([m.evaluator.n for m in family.members], grid,
+                                     LATTICE_FLOOR * eps))
+    den = np.zeros((grid.L, grid.L))
+    owner = np.full((grid.L, grid.L), -1, dtype=np.min_scalar_type(-len(groups)))
+    for i, group in enumerate(groups):
+        values = lattices[group[0]].copy()
+        for j in group[1:]:
+            values += lattices[j]
+        bits = (np.abs(values) > eps) & (owner < 0)
+        owner[bits] = i
+        den[bits] = values[bits]
+    return den, owner
+
+
 class TestFlooredPlan:
     """`make_plan`, which evaluates each Gauss window only above a floor,
     against the full-lattice sum."""
@@ -476,6 +502,47 @@ class TestFlooredPlan:
             assert np.array_equal(plan.den[region], values[region])
             claimed |= bits
         assert np.array_equal(plan.omega, claimed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(degrees=DEGREE_SETS, epsilon=EPSILONS, shape=GRIDS,
+           algorithm=st.sampled_from(["alg1", "alg2"]), rows=st.integers(1, 80))
+    # the default height on 51 live quadrant rows, one short block, and on
+    # 129, two full blocks and a row
+    @example(degrees=[0, 50, 200], epsilon=1e-3, shape=(1.3, 250), algorithm="alg2", rows=64)
+    @example(degrees=[0, 7, 30], epsilon=1e-3, shape=(8.0, 256), algorithm="alg1", rows=64)
+    def test_quadrant_blocks_of_any_height_match_full_lattices(self, degrees, epsilon, shape,
+                                                               algorithm, rows):
+        # the Hermite plan is claimed on the quadrant, a block of rows at a
+        # time, and mirrored: each block height gives the full lattices' plan
+        grid = make_grid(*shape)
+        fam = WindowFamily(members=[
+            WindowMember(window_id=str(n), samples=np.zeros(grid.L),
+                         evaluator=HermiteAmbiguity(n)) for n in degrees], grid=grid)
+        cfg = RetrievalConfig(epsilon=epsilon, algorithm=algorithm)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(windows, "PLAN_ROWS", rows)
+            plan = make_plan(fam, cfg)
+        den, owner = full_lattice_plan(fam, cfg)
+        assert np.array_equal(plan.den, den)
+        assert np.array_equal(plan.owner, owner)
+
+    def test_hermite_plan_holds_no_lattice_per_degree(self):
+        # den (8 L^2 bytes), the int8 labels (L^2) and blocks of quadrant
+        # rows; a full lattice per degree, mirrored to be peeled, peaked at
+        # 24.3 L^2 on W2's family and grid
+        L = 1024
+        grid = make_grid(8.0, L)
+        cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        make_plan(build_hermite_family([50, 100], grid), cfg)  # lazy imports
+        family = build_hermite_family([50, 100], grid)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            make_plan(family, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * L * L
 
     def test_labels_hold_more_groups_than_int8(self):
         # degrees 0..129 at T = 16: the last groups claim the outermost rings,
@@ -1040,13 +1107,36 @@ class TestBlockedDivision:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
+            first, J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups),
+                                         plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # J 16 L^2, H 8 L^2, and a 16-row block (L^2) with numpy's copy of it
         assert peak < 16 * L * L + 8 * L * L + 4 * L * L
-        assert J.shape == (L, L)
+        assert (first, first + len(J)) == row_span(plan.omega)
+        assert J.shape[1] == L
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_j_holds_omegas_rows_only(self, algorithm):
+        # J is allocated on the rows from omega's first to its last, and
+        # equals the whole-lattice J there; the whole lattice is zero outside
+        grid = make_grid(8.0, 256)
+        f = gen_mixture(mixture_preset(), grid)
+        if algorithm == "alg1":
+            family, cfg = build_frft_family(2.0, 8, grid), RetrievalConfig(epsilon=1e-2)
+        else:
+            family = build_hermite_family([5, 10], grid)
+            cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        meas = measure_family(f, family)
+        plan = make_plan(family, cfg)
+        first, J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
+        first_row, stop = row_span(plan.omega)
+        assert (first, len(J)) == (first_row, stop - first_row)
+        assert len(J) < grid.L
+        want = self.whole_band_j(meas, plan)
+        assert np.array_equal(J, want[first:stop])
+        assert not want[:first].any() and not want[stop:].any()
 
     def test_run_holds_the_plan_j_and_one_half_plane(self, l1024_blocks):
         # the whole-band read-out held the band and its two gathers beside
