@@ -50,12 +50,13 @@ from .windows import (
 AUDIO_MAX_SAMPLES = 8192
 AUDIO_TAPER_FRACTION = 0.05
 # L x L complex workspaces alive next to the held measurements, 16 bytes a
-# cell each.  Measured at L=512 beside the N powers: a noisy retrieve peaks
-# at 1.8-2.1 arrays, in the noise-bound check or the retrieval (the plan,
-# one noise sum or alg1's group sum, one half-plane transform and J on
-# omega's rows).  `verify-bounds` peaks at 1.1-1.2 arrays while it draws
-# the noise; its approximation terms (the true signal's ambiguity and its
-# |.|, and the plan: 2.1 arrays) come once every power is dropped.  The
+# cell each.  Measured at L=512 beside the N powers (8-window a=2 fan,
+# Hermite [0, 5, 10] and [50, 100], 5% multiplicative noise): a noisy
+# retrieve peaks at 0.9-1.8 arrays, in the noise-bound check or the
+# retrieval (the plan, one noise sum or alg1's group sum, the lines one
+# band's transform reads and J on omega's rows), and `verify-bounds` at
+# 0.8-1.3; its approximation terms (the true signal's ambiguity and its
+# |.|, beside the plan) come once every power is dropped.  The
 # STFTs, the noise draws, the numeric ambiguity and the product read-out
 # hold blocks, and the inversion no full lattice.  The margin covers the
 # fixed overheads, which outgrow the per-cell figures below L=512.

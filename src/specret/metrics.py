@@ -13,10 +13,11 @@ noisy minus clean powers added in member order, and transforms each once
 (the spectrogram -> product map is linear) instead of assembling the
 clean and the noisy ambiguities, in the loop J is divided in
 (`retrieval.group_blocks`).  It reads the sums lazily, one group at a
-time, taking each sum's norm as it reaches it, and keeps none: the CLI
-hands it a generator that draws a group's noise only when its sum is
-asked for, so one noise sum is alive at a time and no list of clean
-powers is held beside the noisy one.
+time, taking each sum's norm as it reaches it, NORM_CELLS cells at a
+time (`_l1`), and keeps none, nor any block of a group once the next
+sum is asked for: the CLI hands it a generator that draws a group's
+noise only when its sum is asked for, so one noise sum is alive at a
+time and no list of clean powers is held beside the noisy one.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ from .ambiguity import numeric_ambiguity
 from .exceptions import GridMismatchError
 from .grid import Signal
 from .retrieval import RetrievalPlan, group_blocks
+
+NORM_CELLS = 1 << 16  # cells `_l1` takes |.| of at a time: 512 KB
 
 
 def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
@@ -45,6 +48,24 @@ def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
     theta = float(np.angle(inner)) if inner != 0 else 0.0
     d = float(np.linalg.norm(f1.values - np.exp(1j * theta) * f2.values) / n1)
     return d, theta % (2 * np.pi)
+
+
+def _l1(values: np.ndarray) -> float:
+    """sum |values| in the array's memory order, taking |.| of at most
+    NORM_CELLS cells at a time (`_abs_sum`): for a contiguous array, the
+    bits of np.sum(np.abs(values)) without its temporary."""
+    flat = values.ravel(order="K")  # a view of a contiguous array
+    return float(_abs_sum(flat, 0, flat.size))
+
+
+def _abs_sum(flat: np.ndarray, lo: int, n: int):
+    """sum |flat[lo:lo + n]|.  A range longer than NORM_CELLS is split where
+    numpy's pairwise summation splits it, at half its length rounded down
+    to a multiple of 8, so the sum is numpy's, bit for bit."""
+    if n <= NORM_CELLS:
+        return np.sum(np.abs(flat[lo:lo + n]))
+    half = n // 2 - n // 2 % 8
+    return _abs_sum(flat, lo, half) + _abs_sum(flat, lo + half, n - half)
 
 
 def _outer_l1(row_sums: np.ndarray, dx: float, dy: float, p: float) -> float:
@@ -120,7 +141,7 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
         except StopIteration:
             raise ValueError(f"{i} noise sums for {n} window groups") from None
         eta = np.asarray(eta, dtype=np.float64)  # `product_blocks` checks its shape
-        norms.append(dx * dy * float(np.sum(np.abs(eta))))
+        norms.append(dx * dy * _l1(eta))
         return eta  # held by no name here once `group_blocks` takes it
 
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
@@ -128,11 +149,12 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     for i, m0, diff in group_blocks(map(next_sum, range(n)), plan):
         m1 = m0 + len(diff)
         bits = owner[m0:m1] == i
-        np.divide(diff, plan.den[m0:m1], out=diff, where=bits)
+        np.divide(diff, plan.den[m0 - plan.first:m1 - plan.first], out=diff, where=bits)
         a = np.abs(diff)
         a *= bits  # zero off the group's cells
         slice_abs[m0:m1] += a[:, k0]
         row_sums[m0:m1] += np.sum(np.power(a, p, out=a), axis=1)
+        del diff, a, bits  # nothing of the block is held while the next sum is made
     extra = sum(1 for _ in sums)
     if extra:
         raise ValueError(f"{n + extra} noise sums for {n} window groups")

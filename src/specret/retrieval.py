@@ -11,22 +11,25 @@ A `RetrievalPlan` partitions the family into groups (alg1: one group of
 every member; alg2: one group per member), and each group claims the
 cells where |sum of its ambiguities| > eps that no earlier group claimed
 (`windows.peel`); the plan labels each cell with its group's index, -1
-off omega (`owner`).  `make_plan` builds it, evaluating each
+off omega (`owner`), records each group's first and last row (`spans`)
+and holds den only on omega's row band, from its first row (`first`) to
+its last: W2's omega touches 371 of 1024 rows, so den is 3.0 MB, not
+8.4.  `make_plan` builds it, evaluating each
 member's ambiguity once, and the family keeps the last plan it was run
 with (`WindowFamily.plans`), like an FFTW plan: a setup that retrieves
 many signals builds it once per tolerance and algorithm.  The plan's
 arrays are read-only, since every run after the first shares them.
 A measurement is its float64 (L, L) power on the family's grid.  Since
 the spectrogram -> product map is linear, a group's spectrograms are
-summed and the sum is transformed once, over half the plane, and freed
+summed and the sum is transformed once and freed
 (`ambiguity.product_blocks`, whose finiteness check on each group sum
-covers every member).  Only the rows from the first to the last row of
-the group's cells are read out, a block at a time (`group_blocks`, which
-the noise-bound check reads too), and divided straight into J on the
-block's cells labelled with the group; J is zero off omega.  J is a bare
-complex array on the plan's grid that holds only the lattice rows from
-omega's first to its last (`_divide`): W2's omega touches 371 of 1024
-rows.  It is inverted on the plan's omega from that first row (`_invert`,
+covers every member).  The transform makes only the lines that the rows
+of the group's span read, and reads those rows out a block at a time
+(`group_blocks`, which the noise-bound check reads too); each block is
+divided straight into J on its cells labelled with the group; J is zero
+off omega.  J is a bare complex array on the plan's grid that holds
+den's rows, omega's band (`_divide`).  It is inverted on the plan's omega
+from that first row (`_invert`,
 the body of `reconstruct_from_ambiguity`, which takes a whole lattice)
 and freed when the runner returns: a `Reconstruction` keeps the signal
 and the plan, whose omega is the mask.
@@ -84,7 +87,7 @@ from .ambiguity import product_blocks, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
 from .stft import stft_power
-from .windows import WindowFamily, _check_unit_epsilon, peel
+from .windows import WindowFamily, _check_unit_epsilon, peel, row_span
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,12 @@ class RetrievalPlan(NamedTuple):
     groups partitions the member indices in order (alg1: one group of all,
     alg2: one per member).  owner is the (L, L) lattice of the index of the
     group that claimed each cell, -1 off omega, and omega is owner >= 0.
-    den, real (L, L), is each group's ambiguity sum on its cells, 0 off omega.
+    den, real, is each group's ambiguity sum on its cells, 0 off omega, on
+    omega's row band only: row r of den is lattice row first + r, and the
+    band runs from omega's first row to its last, the rows J is held on.
+    spans holds each group's
+    `row_span` of its cells, None for a group that claimed none: the rows
+    its product is read out on (`group_blocks`).
 
     A NamedTuple rather than a frozen dataclass: the class is built on every
     fresh import, where a frozen dataclass costs about 1.5 ms.
@@ -198,7 +206,9 @@ class RetrievalPlan(NamedTuple):
     epsilon: float
     groups: tuple
     den: np.ndarray
+    first: int
     owner: np.ndarray
+    spans: tuple
 
     @property
     def omega(self) -> np.ndarray:
@@ -206,26 +216,22 @@ class RetrievalPlan(NamedTuple):
 
 
 def make_plan(family: WindowFamily, cfg: RetrievalConfig) -> RetrievalPlan:
-    """Denominator and owner labels of `family` on its grid for
-    cfg.algorithm, each member's ambiguity evaluated once; both are
-    read-only, since the family stores the plan for every later run."""
+    """Denominator, owner labels and group row spans of `family` on its grid
+    for cfg.algorithm, each member's ambiguity evaluated once; the arrays
+    are read-only, since the family stores the plan for every later run."""
     grid = family.grid
     eps = raw_threshold(cfg, grid)
     if cfg.algorithm == "alg2":  # a single window's ambiguity peaks at 1
         _check_unit_epsilon(eps)
     n = len(family)  # alg1: one group of all n members, alg2: one group per member
     groups = (tuple(range(n)),) if cfg.algorithm == "alg1" else tuple((j,) for j in range(n))
-    den, owner = peel(family, groups, eps)
-    if owner.max() < 0:
+    den, first, owner = peel(family, groups, eps)
+    if not len(den):
         raise EmptyMaskError("no window group's ambiguity exceeds the tolerance")
+    spans = tuple(row_span(owner == i) for i in range(len(groups)))
     den.flags.writeable = owner.flags.writeable = False  # a stored plan is shared by every run
-    return RetrievalPlan(grid=grid, epsilon=eps, groups=groups, den=den, owner=owner)
-
-
-def row_span(bits: np.ndarray) -> tuple[int, int] | None:
-    """(first, stop) of the rows holding a True cell of bits; None if none."""
-    live = np.flatnonzero(bits.any(axis=1))
-    return (int(live[0]), int(live[-1]) + 1) if live.size else None
+    return RetrievalPlan(grid=grid, epsilon=eps, groups=groups, den=den, first=first,
+                         owner=owner, spans=spans)
 
 
 def _group_sum(powers, group) -> np.ndarray:
@@ -258,26 +264,27 @@ def _group_sum(powers, group) -> np.ndarray:
 
 def group_blocks(sums, plan: RetrievalPlan):
     """Yield (i, m0, G) for each group i in order, the `product_blocks` of the
-    next sum on the rows of the group's cells; no sum is kept once transformed."""
+    next sum on the group's rows (plan.spans); no sum is kept once
+    transformed, and no block once the group's last one is taken."""
     sums = iter(sums)  # no loop variable or zip tuple keeps a sum alive
-    for i in range(len(plan.groups)):
-        for m0, G in product_blocks(next(sums), plan.grid, row_span(plan.owner == i)):
-            yield i, m0, G
+    for i, span in enumerate(plan.spans):
+        # the generator's frame, and with it the last block, ends with the group
+        yield from ((i, m0, G) for m0, G in product_blocks(next(sums), plan.grid, span))
 
 
 def _divide(sums, plan: RetrievalPlan) -> tuple[int, np.ndarray]:
     """(first, J): J = F(group sum) / den on each group's cells, zero off
-    omega, on the rows of omega from `first` to its last one, block by
+    omega, on den's rows, omega's from `first` to its last one, block by
     block (`group_blocks`).  J, complex, is allocated once a sum is
     transformed; row r of J is lattice row first + r."""
-    first, stop = row_span(plan.omega)
+    first = plan.first
     J = None
     for i, m0, block in group_blocks(sums, plan):
         if J is None:
-            J = np.zeros((stop - first, plan.grid.L), dtype=np.complex128)
+            J = np.zeros(plan.den.shape, dtype=np.complex128)
         m1 = m0 + len(block)
-        np.divide(block, plan.den[m0:m1], out=J[m0 - first:m1 - first],
-                  where=plan.owner[m0:m1] == i)
+        band = slice(m0 - first, m1 - first)
+        np.divide(block, plan.den[band], out=J[band], where=plan.owner[m0:m1] == i)
     return first, J
 
 

@@ -164,38 +164,49 @@ def _check_unit_epsilon(epsilon: float):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
+def row_span(bits: np.ndarray) -> tuple[int, int] | None:
+    """(first, stop) of the rows holding a True cell of bits; None if none."""
+    live = np.flatnonzero(bits.any(axis=1))
+    return (int(live[0]), int(live[-1]) + 1) if live.size else None
+
+
 def peel(family: WindowFamily, groups, epsilon: float):
     """Onion peeling over a partition of the family into groups of member
     indices: each group's ambiguities are summed in member order on the
     family's lattice, and the group claims the cells where |sum| > epsilon
     that no earlier group claimed.
 
-    Returns (den, owner).  owner labels each (L, L) cell with the index of
-    the group that claimed it, -1 off omega, in the smallest signed type
-    that holds the group count; den is each group's sum on its cells, 0
-    off omega.  Each ambiguity is evaluated once, with the floor
-    LATTICE_FLOOR * epsilon.  A family of Hermite windows alone is
-    evaluated on the quadrant x, y <= 0 only, PLAN_ROWS rows at a time,
-    each block from one `laguerre_ladder` run over the degrees in the order
-    the groups take them; each group claims its cells of the block, and
-    den and owner are mirrored once at the end.  The quadrant's outer rows
-    whose cells all lie at or below the floor are not evaluated
+    Returns (den, first, owner).  owner labels each (L, L) cell with the
+    index of the group that claimed it, -1 off omega, in the smallest
+    signed type that holds the group count.  den is each group's sum on
+    its cells, 0 off omega, on omega's row band only: row r of den is
+    lattice row first + r, and the band runs from omega's first row to its
+    last (`row_span`; no rows, first 0, for an empty omega).  Each
+    ambiguity is evaluated once, with the floor LATTICE_FLOOR * epsilon.
+    A family of Hermite windows alone is evaluated on the quadrant
+    x, y <= 0 only, PLAN_ROWS rows at a time, each block from one
+    `laguerre_ladder` run over the degrees in the order the groups take
+    them; each group claims its cells of the block into the quadrant's den,
+    the labels are mirrored once at the end, and den's band is read from
+    the quadrant by the same mirror.  The quadrant's outer rows whose
+    cells all lie at or below the floor are not evaluated
     (`first_live_row`).  Any other family adds each member's `on_lattice`
     into its group's buffer, the first group's sum being den's buffer, so
-    one more group's sum is alive at a time; a Gauss member leaves out its
-    cells at or below the floor.  The cells left out add at most N * floor
-    to a sum of N members, and the labels are those of the full lattices
-    (see retrieval.py).
+    one more group's sum is alive at a time, and den's band is copied out
+    at the end; a Gauss member leaves out its cells at or below the floor.
+    The cells left out add at most N * floor to a sum of N members, and the
+    labels are those of the full lattices (see retrieval.py).
     """
     grid = family.grid
+    L, h = grid.L, grid.L // 2
     floor = LATTICE_FLOOR * epsilon
     evaluators = [[family.members[j].evaluator for j in group] for group in groups]
-    owner = np.full((grid.L, grid.L), -1, dtype=np.min_scalar_type(-len(groups)))
+    owner = np.full((L, L), -1, dtype=np.min_scalar_type(-len(groups)))
     if all(isinstance(ev, HermiteAmbiguity) for group in evaluators for ev in group):
         degrees = [ev.n for group in evaluators for ev in group]
-        den = np.zeros((grid.L, grid.L))
         x2, y2 = quadrant_squares(grid)
         h1 = len(x2)  # the quadrant is rows and columns 0, ..., L/2
+        quadrant = np.zeros((h1, h1))
         r0 = first_live_row(degrees, grid, floor)
         for b0 in range(r0, h1, PLAN_ROWS):
             rows = slice(b0, min(b0 + PLAN_ROWS, h1))
@@ -204,10 +215,14 @@ def peel(family: WindowFamily, groups, epsilon: float):
                 values = next(ladder)
                 for _ in group[1:]:
                     values += next(ladder)
-                _claim(values, i, epsilon, den[rows, :h1], owner[rows, :h1])
-        mirror_quadrant(den, r0)
+                _claim(values, i, epsilon, quadrant[rows], owner[rows, :h1])
         mirror_quadrant(owner, r0)
-        return den, owner
+        first, stop = row_span(owner >= 0) or (0, 0)
+        band = np.arange(first, stop)
+        den = np.empty((stop - first, L))
+        den[:, :h1] = quadrant[np.minimum(band, L - band)]  # row L - r mirrors row r
+        den[:, h1:] = den[:, h - 1:0:-1]  # and column L - k column k
+        return den, first, owner
     for i, group in enumerate(evaluators):
         values = None
         for ev in group:
@@ -215,7 +230,8 @@ def peel(family: WindowFamily, groups, epsilon: float):
         if i == 0:  # the first sum is den: no extra L x L buffer
             den = values
         _claim(values, i, epsilon, den, owner)
-    return den, owner
+    first, stop = row_span(owner >= 0) or (0, 0)
+    return den[first:stop].copy(), first, owner
 
 
 def _claim(values, i: int, epsilon: float, den: np.ndarray, owner: np.ndarray):

@@ -2,7 +2,8 @@
 peeled masks, the bare Laguerre polynomial, the whole STFT coefficient
 matrix and its measurement, the L x L phase table and the whole-table
 numeric ambiguity, the STFT energy, the mixed norm of a lattice, the
-assembly of J from a list of measurements, the noise-bound check in its
+assembly of J from a list of measurements, a plan's den on the whole
+lattice, the noise-bound check in its
 two-list form and the one that assembles both J and J^eta, the
 whole-band product read-out, and the one-window family of the
 single-window baseline."""
@@ -32,7 +33,7 @@ def peel_masks(family, epsilon):
     """Pairwise-disjoint boolean masks from `peel`'s owner labels, one
     group per member."""
     _check_unit_epsilon(epsilon)
-    _, owner = peel(family, [(j,) for j in range(len(family))], epsilon)
+    *_, owner = peel(family, [(j,) for j in range(len(family))], epsilon)
     return [owner == j for j in range(len(family))]
 
 
@@ -114,9 +115,15 @@ def padded(divided, grid):
     """The (L, L) lattice of `_divide`'s (first, J): J's rows from lattice
     row first on, zeros elsewhere."""
     first, J = divided
-    out = np.zeros((grid.L, grid.L), dtype=np.complex128)
+    out = np.zeros((grid.L, grid.L), dtype=J.dtype)
     out[first:first + len(J)] = J
     return out
+
+
+def den_lattice(plan):
+    """A plan's den, held on omega's row band, padded back to the (L, L)
+    lattice with zeros."""
+    return padded((plan.first, plan.den), plan.grid)
 
 
 def assemble(measurements, plan):

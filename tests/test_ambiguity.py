@@ -266,7 +266,9 @@ class TestHalfPlaneProduct:
 
 
 class TestProductBlocks:
-    """The block read-out against the whole-band gather it replaced."""
+    """The block read-out against the whole-band gather it replaced, which
+    transforms the other axis first: equal within 1e-14 of the product's
+    maximum."""
 
     @pytest.fixture(params=[(8.0, 256), (1.3, 250)], ids=["L256", "L250"])
     def mea(self, request, rng):
@@ -291,9 +293,9 @@ class TestProductBlocks:
             got[m0 - r0:m0 - r0 + len(block)] = block
             nxt = m0 + len(block)
         assert nxt == r1
-        assert np.array_equal(got, want)
+        assert np.max(np.abs(got - want), initial=0) <= 1e-14 * np.max(np.abs(full))
         assert np.array_equal(got, full[r0:r1])
-        assert np.array_equal(product_band(mea, grid, (r0, r1)), want)
+        assert np.array_equal(product_band(mea, grid, (r0, r1)), got)
 
     def test_no_rows_transform_nothing(self, mea, monkeypatch):
         monkeypatch.setattr(np.fft, "rfft", None)  # a transform would fail
@@ -311,6 +313,79 @@ class TestProductBlocks:
         want = numeric_ambiguity(f, grid) * np.conj(sum(numeric_ambiguity(g, grid)
                                                          for g in windows))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestPrunedProduct:
+    """The transform that takes the shift axis first and keeps only the
+    shift frequencies a band reads, against the old path (`gathered_product`)."""
+
+    @staticmethod
+    def power(rng, T, L, order="F"):
+        from conftest import random_signal
+        grid = make_grid(T, L)
+        power = stft_power(random_signal(grid, rng), dilated_gauss_samples(1.0, grid))
+        return np.asarray(power, order=order), grid
+
+    @pytest.mark.parametrize("L", [250, 256, 1024])
+    @pytest.mark.parametrize("T", [8.0, 5.0])
+    def test_matches_the_old_path(self, rng, T, L):
+        mea, grid = self.power(rng, T, L)
+        h = L // 2
+        want = gathered_product(mea, grid, (0, L))
+        tol = 1e-14 * np.max(np.abs(want))
+        for rows in [(0, L), (h - L // 8, h + L // 4), (0, h), (h, L), (h + 1, h + 2)]:
+            got = product_band(mea, grid, rows)
+            assert np.max(np.abs(got - want[slice(*rows)])) <= tol, rows
+
+    @pytest.mark.parametrize("L", [250, 256, 1024])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_exact_hermitian_symmetry(self, rng, L, order):
+        mea, grid = self.power(rng, 8.0, L, order)
+        G = product_band(mea, grid, (0, L))
+        flip = (-np.arange(L)) % L
+        assert np.array_equal(G, np.conj(G[flip][:, flip]))
+
+    @pytest.mark.parametrize("L", [250, 256])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_any_band_has_the_full_bands_rows(self, rng, L, order):
+        # a band reads fewer shift frequencies than the full one, never other bits
+        mea, grid = self.power(rng, 8.0, L, order)
+        h = L // 2
+        full = product_band(mea, grid, (0, L))
+        cuts = rng.integers(0, L + 1, size=(20, 2))
+        bands = [(min(c), max(c)) for c in cuts if c[0] != c[1]]
+        bands += [(0, 1), (L - 1, L), (1, L), (h, h + 1), (h - 1, h), (h + 1, L), (3, h)]
+        for r0, r1 in bands:
+            assert np.array_equal(product_band(mea, grid, (r0, r1)), full[r0:r1]), (r0, r1)
+
+    @pytest.mark.parametrize("rows", [(378, 647), (327, 698), (600, 700), (0, 1024)])
+    def test_holds_the_kept_lines_and_three_blocks(self, rng, rows):
+        # beyond its input, one (L, q + 1) complex array of the shift
+        # frequencies rows reads and a few PRODUCT_ROWS blocks; the half
+        # plane of the old path held 16 (L/2 + 1) L bytes
+        mea, grid = self.power(rng, 8.0, 1024)
+        L, h = grid.L, grid.L // 2
+        r0, r1 = rows
+        q = max(h - r0, r1 - 1 - h)
+        list(product_blocks(mea, grid, (0, 8)))  # lazy imports and FFT plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in product_blocks(mea, grid, rows):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (q + 1) * L + 3 * 16 * PRODUCT_ROWS * L
+
+    @pytest.mark.parametrize("rows", [None, (0, 10), (200, 230)])
+    def test_non_finite_cell_in_any_block_is_refused(self, rng, rows):
+        mea, grid = self.power(rng, 8.0, 256)
+        for cell, value in [((0, 0), np.nan), ((255, 255), np.inf), ((PRODUCT_ROWS, 7), -np.inf)]:
+            bad = mea.copy(order="K")
+            bad[cell] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                list(product_blocks(bad, grid, rows))
 
 
 class TestEvaluatorObjects:

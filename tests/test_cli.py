@@ -183,6 +183,27 @@ class TestRetrieve:
         J, H = 16 * (stop - first) * L, 16 * (L // 2 + 1) * L
         assert peak < powers + plan.den.nbytes + plan.owner.nbytes + J + H + 8 * L * L
 
+    def test_w2_peak_holds_four_and_a_half_powers(self, tmp_path):
+        # W2 through the CLI: the two noisy powers, one noise sum, the
+        # plan's den on omega's 371 rows, J there and the pruned transform
+        # of one group's rows; one half-plane transform per group sum and
+        # den on the whole lattice peaked at 5.4 powers
+        L = 1024
+        path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=0.5,
+                            scheme={"kind": "hermite", "degrees": [50, 100]},
+                            noise={"model": "multiplicative", "level": 0.05})
+        argv = ["retrieve", "--config", str(path), "--out", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # the lazy imports, which stay loaded
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4.5 * 8 * L * L
+
     def test_bound_check_skipped_without_json(self, tmp_path, monkeypatch):
         # the report goes only into result.json
         from specret import cli
@@ -357,6 +378,50 @@ class TestVerifyBounds:
     def test_requires_noise(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["verify-bounds", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_each_draw_holds_no_block_of_the_last_group(self, tmp_path, monkeypatch):
+        # a group's noise is drawn beside the clean powers still held and
+        # the plan only: no product block of the previous group, its |.| or
+        # its labels, which put the later draws at 1.4-1.5 powers above them
+        from specret import cli
+        L, degrees = 512, [0, 5, 10]
+        path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=0.5,
+                            scheme={"kind": "hermite", "degrees": degrees},
+                            noise={"model": "multiplicative", "level": 0.05})
+        draws, plans = [], []
+        draw, plan_for = cli._group_noise, cli.stored_plan
+
+        def traced_draw(powers, *args):
+            held = sum(p is not None for p in powers)
+            now = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return draw(powers, *args)
+            finally:
+                draws.append((held, now, tracemalloc.get_traced_memory()[1]))
+
+        def kept_plan(*args):
+            plans.append(plan_for(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(cli, "_group_noise", traced_draw)
+        monkeypatch.setattr(cli, "stored_plan", kept_plan)
+        argv = ["verify-bounds", "--config", str(path), "--out", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # the lazy imports, which stay loaded
+            draws.clear()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+            finally:
+                tracemalloc.stop()
+        plan = plans[-1]
+        power, plan_bytes = 8 * L * L, plan.den.nbytes + plan.owner.nbytes
+        assert [held for held, *_ in draws] == [3, 2, 1]
+        for held, now, peak in draws:
+            assert now - start <= (held + 0.1) * power + plan_bytes
+            assert peak - start <= (held + 1.2) * power + plan_bytes
 
 
 class TestWavPipeline:

@@ -26,6 +26,7 @@ from specret import (
     verify_noise_bounds,
 )
 from specret import ambiguity
+from specret.metrics import NORM_CELLS, _l1
 from oracles import (
     lattice_norm,
     mixed_norm,
@@ -143,6 +144,30 @@ class TestMixedNorm:
         GHom = pad.copy()
         GHom[:8, :8] = scale * A
         assert abs(mixed_norm(GHom, grid, p) - abs(scale) * na) < 1e-10
+
+
+class TestBlockwiseL1:
+    """The noise sums' L1 norm, taken NORM_CELLS cells at a time, against
+    the whole-array np.sum(np.abs(.)) it replaced."""
+
+    @pytest.mark.parametrize("shape", [(16, 16), (256, 256), (300, 700), (1024, 1024)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_has_the_whole_sums_bits(self, rng, shape, order):
+        for scale in (1e-3, 1.0, 1e5):
+            x = np.asarray(scale * rng.standard_normal(shape), order=order)
+            assert _l1(x) == float(np.sum(np.abs(x)))
+
+    def test_holds_no_abs_of_the_whole_array(self, rng):
+        x = rng.standard_normal((1024, 1024))
+        _l1(x[:8])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _l1(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * NORM_CELLS + 4096  # the |.| of the whole array is 8 MB
 
 
 class TestNoiseBounds:

@@ -45,7 +45,7 @@ from specret.windows import LATTICE_FLOOR
 from specret.retrieval import _two_at_a_time, row_span
 from oracles import (
     assemble,
-    gathered_product,
+    den_lattice,
     gauss_baseline_family,
     padded,
     peel_masks,
@@ -289,14 +289,15 @@ class TestRetrievalPlan:
         cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
         plan = make_plan(fam, cfg)
         masks = peel_masks(fam, raw_threshold(cfg, grid))
+        den = den_lattice(plan)
         union = np.zeros((grid.L, grid.L), dtype=bool)
         for i, (mask, member) in enumerate(zip(masks, fam.members, strict=True)):
             region = plan.owner == i
             assert np.array_equal(region, mask)
-            assert np.array_equal(plan.den[region], member.evaluator.on_lattice(grid)[region])
+            assert np.array_equal(den[region], member.evaluator.on_lattice(grid)[region])
             union |= region
         assert np.array_equal(plan.omega, union)
-        assert not plan.den[~union].any()
+        assert not den[~union].any()
 
     def test_alg2_assembly_matches_per_window_division(self):
         grid = make_grid(8.0, 256)
@@ -366,7 +367,7 @@ class TestRetrievalPlan:
         eps = raw_threshold(cfg, grid)
         assert np.array_equal(plan.omega, np.abs(summed) > eps)
         assert (plan.omega & (summed < -eps)).any()
-        assert np.array_equal(plan.den[plan.omega], summed[plan.omega])
+        assert np.array_equal(den_lattice(plan)[plan.omega], summed[plan.omega])
         meas = measure_family(gen_mixture(mixture_preset(), grid), fam)
         J = assemble(meas, plan)
         num = sum(product_band(mea, grid, (0, grid.L)) for mea in meas)
@@ -415,6 +416,37 @@ class TestRetrievalPlan:
             with pytest.raises(ValueError):
                 verify_noise_bounds(wrong, plan)  # one noise sum per window here
 
+    @pytest.mark.parametrize("scheme, algorithm", [
+        ("fan", "alg1"), ("hermite", "alg1"), ("hermite", "alg2")])
+    def test_den_on_omegas_rows_and_each_groups_span(self, scheme, algorithm):
+        grid = make_grid(8.0, 256)
+        if scheme == "fan":
+            fam, cfg = build_frft_family(2.0, 8, grid), RetrievalConfig(epsilon=1e-2)
+        else:
+            fam = build_hermite_family([0, 5, 20], grid)
+            cfg = RetrievalConfig(epsilon=0.5, algorithm=algorithm)
+        plan = make_plan(fam, cfg)
+        first, stop = row_span(plan.omega)
+        assert stop - first < grid.L
+        assert plan.first == first and plan.den.shape == (stop - first, grid.L)
+        assert plan.den.flags.c_contiguous and plan.den.base is None  # no (L, L) buffer kept
+        assert plan.spans == tuple(row_span(plan.owner == i) for i in range(len(plan.groups)))
+        # the group loop reads the spans, not the labels
+        sums = [np.ones((grid.L, grid.L)) for _ in plan.groups]
+        blocks = list(retrieval.group_blocks(sums, plan._replace(owner=None)))
+        spans = [(i, m0, m0 + len(G)) for i, m0, G in blocks]
+        for i, span in enumerate(plan.spans):
+            rows = [(m0, m1) for j, m0, m1 in spans if j == i]
+            assert (rows[0][0], rows[-1][1]) == span
+
+    def test_w2_den_holds_omegas_371_rows(self):
+        grid = make_grid(8.0, 1024)
+        plan = make_plan(build_hermite_family([50, 100], grid),
+                         RetrievalConfig(epsilon=0.5, algorithm="alg2"))
+        assert plan.spans == ((378, 647), (327, 698))
+        assert (plan.first, plan.den.shape) == (327, (371, 1024))
+        assert plan.den.nbytes < 3.1e6  # 8.4 MB on the whole lattice
+
     def test_w1_omega_unchanged(self):
         # W1: the 40-angle a = 15 fan at T = 8, L = 1024, eps = 1e-3
         grid = make_grid(8.0, 1024)
@@ -428,7 +460,7 @@ class TestRetrievalPlan:
         assert np.array_equal(plan.omega, den > raw_threshold(cfg, grid))
         summed = fam.summed_on_lattice()
         assert np.max(np.abs(summed - den)) <= 1e-12 * np.max(den)
-        assert np.array_equal(plan.den[plan.omega], summed[plan.omega])
+        assert np.array_equal(den_lattice(plan)[plan.omega], summed[plan.omega])
 
 
 def full_lattice_plan(family, cfg):
@@ -477,7 +509,7 @@ class TestFlooredPlan:
             return
         plan = make_plan(fam, cfg)
         assert np.array_equal(plan.omega, omega)
-        assert np.array_equal(plan.den[omega], summed[omega])
+        assert np.array_equal(den_lattice(plan)[omega], summed[omega])
 
     @settings(max_examples=40, deadline=None)
     @given(degrees=DEGREE_SETS, epsilon=EPSILONS, shape=GRIDS,
@@ -493,13 +525,14 @@ class TestFlooredPlan:
         full = [m.evaluator.on_lattice(grid) for m in fam.members]
         sums = [sum(full[1:], full[0])] if algorithm == "alg1" else full
         plan = make_plan(fam, cfg)
+        den = den_lattice(plan)
         claimed = np.zeros((grid.L, grid.L), dtype=bool)
         assert len(sums) == len(plan.groups)
         for i, values in enumerate(sums):
             region = plan.owner == i
             bits = (np.abs(values) > eps) & ~claimed
             assert np.array_equal(region, bits)
-            assert np.array_equal(plan.den[region], values[region])
+            assert np.array_equal(den[region], values[region])
             claimed |= bits
         assert np.array_equal(plan.omega, claimed)
 
@@ -523,7 +556,7 @@ class TestFlooredPlan:
             mp.setattr(windows, "PLAN_ROWS", rows)
             plan = make_plan(fam, cfg)
         den, owner = full_lattice_plan(fam, cfg)
-        assert np.array_equal(plan.den, den)
+        assert np.array_equal(den_lattice(plan), den)
         assert np.array_equal(plan.owner, owner)
 
     def test_hermite_plan_holds_no_lattice_per_degree(self):
@@ -1057,11 +1090,12 @@ class TestConfigValidation:
 
 
 class TestBlockedDivision:
-    """J divided block by block against the whole-band read-out it replaced."""
+    """J divided block by block against the whole-band division it replaced."""
 
     @staticmethod
     def whole_band_j(meas, plan):
         L = plan.grid.L
+        den = den_lattice(plan)
         J = np.zeros((L, L), dtype=complex)
         for i, group in enumerate(plan.groups):
             bits = plan.owner == i
@@ -1072,8 +1106,8 @@ class TestBlockedDivision:
             for j in group[1:]:
                 power += meas[j]
             band = slice(*rows)
-            np.divide(gathered_product(power, plan.grid, rows),
-                      plan.den[band], out=J[band], where=bits[band])
+            np.divide(product_band(power, plan.grid, rows),
+                      den[band], out=J[band], where=bits[band])
         return J
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
