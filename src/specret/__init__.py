@@ -61,7 +61,6 @@ from .windows import (
     build_hermite_family,
     coverage_radii,
     gauss_window_member,
-    stability_mask,
 )
 
 __version__ = "0.1.0"

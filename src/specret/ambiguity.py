@@ -44,9 +44,8 @@ exact symmetry of a real input's transform, so it transforms the shift
 axis first: a real-input FFT along k, PRODUCT_ROWS rows at a time, keeps
 only the q + 1 frequencies the band reads (q = the band's largest
 |i - L/2|), and one complex FFT along the frequency bins runs over those
-lines in place.  On W2's bands that is 2.2 and 3.0 MB, against 8.4 MB for
-the half plane the transform held before.  It reads out the rows
-PRODUCT_ROWS at a time through one buffer.
+lines in place.  It reads out the rows PRODUCT_ROWS at a time through
+one buffer.
 """
 from __future__ import annotations
 

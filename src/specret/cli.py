@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from .grid import Grid, Signal
 from .metrics import misfit, verify_noise_bounds
 from .retrieval import (
     RetrievalConfig,
-    RetrievalPlan,
     _two_at_a_time,
     check_anchor,
     measure_family,
@@ -117,54 +117,29 @@ def _build_family(cfg: dict, grid: Grid):
     return build_hermite_family(scheme["degrees"], grid)
 
 
-def _apply_noise(powers: list, cfg: dict, plan: RetrievalPlan | None = None,
-                 keep: bool = True):
-    """Replace each clean power in `powers` by its noisy one, in place.
+def _group_noise(powers: list, draw, group, keep: bool = True, summed: bool = True):
+    """Replace the clean powers of `group`'s members by their noisy ones,
+    draw(j), in place, drawn two at a time (`_two_at_a_time`) and taken in
+    member order; returns the group's noise sum, or None unsummed.
 
-    Window j draws from its own generator, seeded seed + j, so two windows
-    are drawn at a time (`_two_at_a_time`); each pair is then taken in
-    member order.  Without a plan every power is drawn here and None is
-    returned.  With a plan a generator is returned that yields the groups'
-    noise sums in plan order, for `verify_noise_bounds`: a group's members
-    are drawn, in pairs, only when its sum is asked for, each clean power
-    is overwritten by its noise, noisy - clean, and added into the sum, so
-    each cell is added in member order.  A group of one keeps its noise as
-    the sum, drawn alone, and a larger group sums into its first member's
-    buffer; the generator keeps no sum once it has yielded it, so one sum
-    is alive at a time.  With keep false a noisy power is dropped too once
+    Summed, each clean power is overwritten by its noise, noisy - clean,
+    and added into the sum, so each cell is added in member order: a group
+    of one keeps its noise as the sum, and a larger group sums into its
+    first member's buffer.  With keep false a noisy power is dropped once
     its noise is taken, and its entry set to None.
     """
-    noise = cfg["noise"]
-    if noise["model"] == "none":
-        return None
-    model, level = noise["model"], float(noise["level"])
-    seed = int(noise.get("seed", cfg["seed"]))
-
-    def draw(j):
-        return add_noise(powers[j], model, level, seed + j)
-
-    if plan is None:
-        for first in range(0, len(powers), 2):
-            pair = _two_at_a_time(lambda i: draw(first + i), min(2, len(powers) - first))
-            powers[first:first + len(pair)] = pair
-        return None
-    return (_group_noise(powers, draw, group, keep) for group in plan.groups)
-
-
-def _group_noise(powers: list, draw, group, keep: bool) -> np.ndarray:
-    """One group's noise sum for `_apply_noise`, its members drawn two at a
-    time by draw(j)."""
     total = None
     for first in range(0, len(group), 2):
         members = group[first:first + 2]
         pair = _two_at_a_time(lambda i: draw(members[i]), len(members))
         for j in members:
             noisy = pair.pop(0)
-            np.subtract(noisy, powers[j], out=powers[j])  # the clean power is now the noise
-            if total is None:
-                total = powers[j]
-            else:
-                total += powers[j]
+            if summed:
+                np.subtract(noisy, powers[j], out=powers[j])  # the clean power is now the noise
+                if total is None:
+                    total = powers[j]
+                else:
+                    total += powers[j]
             powers[j] = noisy if keep else None
             del noisy
     return total
@@ -181,15 +156,54 @@ def _retrieval_config(cfg: dict) -> RetrievalConfig:
     )
 
 
+def _checks_bounds(command: str, cfg: dict) -> bool:
+    """Whether a noisy run checks the noise bounds: `verify-bounds` always,
+    `retrieve` when it writes result.json, the report's one reader."""
+    return cfg["noise"]["model"] != "none" and (
+        command == "verify-bounds" or command == "retrieve" and cfg["emit"].get("json", True))
+
+
+def _measure(command: str, cfg: dict, f: Signal, family: WindowFamily, rcfg: RetrievalConfig):
+    """The run path of every measuring command: the anchor check, the plan,
+    built first while nothing else is held and stored in the family for
+    rcfg's runner, the measurement and the noise, window j drawn from its
+    own generator seeded seed + j.  Returns (powers, report): the noisy
+    powers and, when the command checks the noise bounds (`_checks_bounds`),
+    `verify_noise_bounds`' report, each group's noise drawn only as the
+    check asks for its sum, in plan order; else None, the windows drawn two
+    at a time with no sums.  `verify-bounds`, which reads no power
+    afterwards, drops each noisy power once its noise is summed and checks
+    against f as the true signal.
+    """
+    check_anchor(rcfg, f.grid)  # before the plan, the STFTs and the noise
+    plan = stored_plan(family, rcfg)
+    powers = measure_family(f, family)
+    noise = cfg["noise"]
+    if noise["model"] == "none":
+        return powers, None
+    model, level = noise["model"], float(noise["level"])
+    seed = int(noise.get("seed", cfg["seed"]))
+
+    def draw(j):
+        return add_noise(powers[j], model, level, seed + j)
+
+    if not _checks_bounds(command, cfg):
+        _group_noise(powers, draw, range(len(powers)), summed=False)
+        return powers, None
+    keep = command != "verify-bounds"
+    sums = (_group_noise(powers, draw, group, keep) for group in plan.groups)
+    return powers, verify_noise_bounds(sums, plan, f_true=None if keep else f)
+
+
 def estimate_bytes(command: str, cfg: dict) -> int:
     """Upper estimate of the peak bytes a command needs, from L, the number
     of windows, the noise model and the algorithm alone: every measurement
     is an L x L float64 array.  With noise, two noisy powers are drawn at a
-    time, each replacing its clean one, and alg1's noise sums into one of
-    them (`_apply_noise`): at most min(2N, N + 3) powers for N windows.
-    An alg2 `retrieve` or `verify-bounds` draws one window at a time, as
-    the bound check asks for its noise sum, and the check drops each sum
-    before the next is drawn: N + 1."""
+    time beside the clean ones they replace, and alg1's bound check sums
+    the noise into one of them (`_measure`): at most min(2N, N + 3) powers
+    for N windows.  An alg2 run that checks the noise bounds draws one
+    window at a time, as the check asks for its noise sum, and the check
+    drops each sum before the next is drawn: N + 1."""
     L = int(cfg["grid"]["L"])
     if cfg["signal"]["kind"] == "wav":
         L = min(L, AUDIO_MAX_SAMPLES)
@@ -202,7 +216,7 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     else:
         held = _window_count(cfg["scheme"])
     if cfg["noise"]["model"] != "none":
-        if command in ("retrieve", "verify-bounds") and _retrieval_config(cfg).algorithm == "alg2":
+        if _checks_bounds(command, cfg) and _retrieval_config(cfg).algorithm == "alg2":
             held += 1
         else:
             held += min(held, 3)
@@ -298,22 +312,14 @@ def _emit_reconstruction(writer: ArtifactWriter, cfg: dict, recon, f: Signal,
 def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     f, rate = _build_signal(cfg)
     rcfg = _retrieval_config(cfg)
-    check_anchor(rcfg, f.grid)  # before the plan, the STFTs and the noise
     family = _build_family(cfg, f.grid)
-    # the plan first, while nothing else is held; the runner finds it stored
-    plan = stored_plan(family, rcfg)
-    powers = measure_family(f, family)
-    extra = {}
-    # the bound report goes only into result.json; each noise sum is drawn,
-    # checked and dropped before the next, and J is never alive beside one
-    if cfg["noise"]["model"] != "none" and cfg["emit"].get("json", True):
-        extra["noise_bounds"] = verify_noise_bounds(_apply_noise(powers, cfg, plan), plan)._asdict()
-    else:
-        _apply_noise(powers, cfg)
+    # the bound report goes only into result.json, and J is never alive beside a noise sum
+    powers, report = _measure("retrieve", cfg, f, family, rcfg)
     runner = run_alg1 if rcfg.algorithm == "alg1" else run_alg2
     recon = runner(powers, family, rcfg)
     writer = ArtifactWriter(out_dir, "retrieve", cfg)
-    _emit_reconstruction(writer, cfg, recon, f, rate, extra)
+    _emit_reconstruction(writer, cfg, recon, f, rate,
+                         None if report is None else {"noise_bounds": report._asdict()})
     writer.finish()
     return 0
 
@@ -322,11 +328,9 @@ def cmd_baseline(cfg: dict, out_dir: Path) -> int:
     """Single standard-Gauss window baseline at the configured tolerance:
     `retrieve`'s alg2 path on a one-window family."""
     f, rate = _build_signal(cfg)
-    rcfg = _retrieval_config(cfg)
-    check_anchor(rcfg, f.grid)
+    rcfg = replace(_retrieval_config(cfg), algorithm="alg2")
     family = WindowFamily(members=(gauss_window_member(1.0, f.grid),), grid=f.grid)
-    powers = measure_family(f, family)
-    _apply_noise(powers, cfg)
+    powers, _ = _measure("baseline", cfg, f, family, rcfg)
     recon = run_alg2(powers, family, rcfg)
     writer = ArtifactWriter(out_dir, "baseline", cfg)
     _emit_reconstruction(writer, cfg, recon, f, rate)
@@ -393,17 +397,16 @@ def cmd_random_study(cfg: dict, out_dir: Path) -> int:
     lo, hi, count, trials = (int(study["degree_min"]), int(study["degree_max"]),
                              int(study["count"]), int(study["trials"]))
     f, _ = _build_signal(cfg)
-    rcfg = _retrieval_config(cfg)
-    check_anchor(rcfg, f.grid)
+    rcfg = replace(_retrieval_config(cfg), algorithm="alg2")
     rng = np.random.default_rng(int(cfg["seed"]))
     rows = []
     for trial in range(trials):
         degrees = np.sort(rng.choice(np.arange(lo, hi + 1), size=count, replace=False))
         family = build_hermite_family(degrees.tolist(), f.grid)
-        powers = measure_family(f, family)
-        _apply_noise(powers, cfg)
+        powers, _ = _measure("random-study", cfg, f, family, rcfg)
         recon = run_alg2(powers, family, rcfg)
         d, theta = misfit(f, recon.signal)
+        del family, powers, recon  # the next trial measures beside none of them
         rows.append((trial, degrees.tolist(), d, theta))
         print(f"trial {trial}: degrees {degrees.tolist()} misfit {d:.6g}")
     writer = ArtifactWriter(out_dir, "random-study", cfg)
@@ -433,9 +436,7 @@ def cmd_verify_bounds(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("verify-bounds needs a noise model")
     f, _ = _build_signal(cfg)
     family = _build_family(cfg, f.grid)
-    plan = stored_plan(family, _retrieval_config(cfg))
-    powers = measure_family(f, family)
-    report = verify_noise_bounds(_apply_noise(powers, cfg, plan, keep=False), plan, f_true=f)
+    _, report = _measure("verify-bounds", cfg, f, family, _retrieval_config(cfg))
     writer = ArtifactWriter(out_dir, "verify-bounds", cfg)
     writer.write_json("bounds.json", report._asdict())
     ok = all(report.satisfied)

@@ -13,11 +13,10 @@ cells where |sum of its ambiguities| > eps that no earlier group claimed
 (`windows.peel`); the plan labels each cell with its group's index, -1
 off omega (`owner`), records each group's first and last row (`spans`)
 and holds den only on omega's row band, from its first row (`first`) to
-its last: W2's omega touches 371 of 1024 rows, so den is 3.0 MB, not
-8.4.  `make_plan` builds it, evaluating each
-member's ambiguity once, and the family keeps the last plan it was run
-with (`WindowFamily.plans`), like an FFTW plan: a setup that retrieves
-many signals builds it once per tolerance and algorithm.  The plan's
+its last.  `make_plan` builds it, evaluating each member's ambiguity
+once, and the family keeps the last plan it was run with
+(`WindowFamily.plans`), like an FFTW plan: a setup that retrieves many
+signals builds it once per tolerance and algorithm.  The plan's
 arrays are read-only, since every run after the first shares them.
 A measurement is its float64 (L, L) power on the family's grid.  Since
 the spectrogram -> product map is linear, a group's spectrograms are

@@ -1,5 +1,5 @@
-"""Window families, stability sets, disjoint-region peeling, and the
-coverage geometry of rotated elliptical supports.
+"""Window families, the peeling of their stability sets into disjoint
+regions, and the coverage geometry of rotated elliptical supports.
 
 Thresholds here compare against the raw analytic ambiguity values (the
 peak of A h_n is 1, the peak of A phi_a is 1/sqrt(2)).  The retrieval
@@ -52,8 +52,8 @@ class WindowFamily:
     plans holds the last retrieval plan built for the family, keyed by
     (raw tolerance, algorithm): the plan depends on nothing else, so a
     family that retrieves many signals builds it once (see
-    `retrieval._run`).  It holds at most one plan, about 9 MB for the
-    40-window fan at L = 1024, and frees it with the family.
+    `retrieval._run`).  It holds at most one plan and frees it with the
+    family.
     """
 
     members: tuple
@@ -146,17 +146,6 @@ def gauss_window_member(a: float, grid: Grid) -> WindowMember:
         samples=dilated_gauss_samples(a, grid).astype(np.complex128),
         evaluator=FrftGaussAmbiguity(a, 0.0),
     )
-
-
-def stability_mask(evaluator, epsilon: float, grid: Grid) -> np.ndarray:
-    """Boolean (L, L) lattice mask of {(x, y): |evaluator(x, y)| > epsilon}.
-
-    epsilon must lie in (0, 1), below the unit peak of the closed forms;
-    note the gauss kinds peak at 1/sqrt(2), so epsilon >= 1/sqrt(2) yields
-    an empty mask there.
-    """
-    _check_unit_epsilon(epsilon)
-    return np.abs(evaluator.on_lattice(grid)) > epsilon
 
 
 def _check_unit_epsilon(epsilon: float):

@@ -1,12 +1,12 @@
-"""Helpers that only the tests call, kept out of the library: whole-family
-peeled masks, the bare Laguerre polynomial, the whole STFT coefficient
-matrix and its measurement, the L x L phase table and the whole-table
-numeric ambiguity, the STFT energy, the mixed norm of a lattice, the
-assembly of J from a list of measurements, a plan's den on the whole
-lattice, the noise-bound check in its
-two-list form and the one that assembles both J and J^eta, the
-whole-band product read-out, and the one-window family of the
-single-window baseline."""
+"""Helpers that only the tests call, kept out of the library: a window's
+stability mask, whole-family peeled masks, the bare Laguerre polynomial,
+the whole STFT coefficient matrix and its measurement, the L x L phase
+table and the whole-table numeric ambiguity, the STFT energy, the mixed
+norm of a lattice, the assembly of J from a list of measurements, a
+plan's den on the whole lattice, the CLI's noisy powers drawn window by
+window, the noise-bound check in its two-list form and the one that
+assembles both J and J^eta, the whole-band product read-out, and the
+one-window family of the single-window baseline."""
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +16,7 @@ from specret import (
     Grid,
     Signal,
     WindowFamily,
+    add_noise,
     gauss_window_member,
     numeric_ambiguity,
     verify_noise_bounds,
@@ -35,6 +36,17 @@ def peel_masks(family, epsilon):
     _check_unit_epsilon(epsilon)
     *_, owner = peel(family, [(j,) for j in range(len(family))], epsilon)
     return [owner == j for j in range(len(family))]
+
+
+def stability_mask(evaluator, epsilon, grid):
+    """Boolean (L, L) lattice mask of {(x, y): |evaluator(x, y)| > epsilon}.
+
+    epsilon must lie in (0, 1), below the unit peak of the closed forms;
+    note the gauss kinds peak at 1/sqrt(2), so epsilon >= 1/sqrt(2) yields
+    an empty mask there.
+    """
+    _check_unit_epsilon(epsilon)
+    return np.abs(evaluator.on_lattice(grid)) > epsilon
 
 
 def laguerre_eval(n, z):
@@ -146,6 +158,13 @@ def noise_sums(clean, noisy, plan):
             eta += noisy[j] - clean[j]
         sums.append(eta)
     return sums
+
+
+def noisy_powers(clean, noise, seed):
+    """The CLI's noisy powers, drawn window by window from whole clean
+    ones: window j's from its own generator, seeded seed + j."""
+    return [add_noise(p, noise["model"], float(noise["level"]), seed + j)
+            for j, p in enumerate(clean)]
 
 
 def two_list_bounds(clean, noisy, plan, f_true=None):

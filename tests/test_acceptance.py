@@ -34,12 +34,12 @@ from specret import (
     numeric_ambiguity,
     run_alg1,
     run_alg2,
-    stability_mask,
 )
 from specret.stft import stft_power
 from oracles import (
     gauss_baseline_family,
     peel_masks,
+    stability_mask,
     stft_coeffs,
     stft_energy,
     two_list_bounds,

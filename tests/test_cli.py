@@ -31,7 +31,7 @@ from specret import container
 from specret.cli import COMMANDS, check_size, estimate_bytes, main
 from specret.config import load_config
 from specret.retrieval import row_span
-from oracles import two_list_bounds
+from oracles import noisy_powers, two_list_bounds
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -226,8 +226,10 @@ class TestRetrieve:
 
 
 class TestNoiseSums:
-    """`_apply_noise` with a plan, which sums each group's noise as the
-    noise is drawn, against the two-list oracle."""
+    """The noise of `_measure`, which sums each group's noise as the noise
+    is drawn when the bounds are checked, against the two-list oracle:
+    `retrieve` keeps the noisy powers, `verify-bounds` drops them and
+    checks against the true signal (truth)."""
 
     @pytest.mark.parametrize("scheme", [
         {"kind": "frft_gauss", "a": 2.0, "n_windows": 4},  # alg1
@@ -245,20 +247,17 @@ class TestNoiseSums:
         cfg = load_config(str(path))
         f, _ = cli._build_signal(cfg)
         family = cli._build_family(cfg, f.grid)
-        plan = make_plan(family, cli._retrieval_config(cfg))
-        f_true = f if truth else None
+        rcfg = cli._retrieval_config(cfg)
         clean = cli.measure_family(f, family)
-        noisy = [add_noise(p, model, 0.05, 9 + j) for j, p in enumerate(clean)]
-        want = two_list_bounds(clean, noisy, plan, f_true)
-        for keep in (True, False):
-            powers = cli.measure_family(f, family)
-            got = cli.verify_noise_bounds(cli._apply_noise(powers, cfg, plan, keep), plan, f_true)
-            if keep:
-                assert all(np.array_equal(p, q) for p, q in zip(powers, noisy, strict=True))
-            else:
-                assert powers == [None] * len(family)
-            for name in want._fields:
-                assert getattr(got, name) == getattr(want, name), name
+        noisy = noisy_powers(clean, cfg["noise"], 9)
+        want = two_list_bounds(clean, noisy, make_plan(family, rcfg), f if truth else None)
+        powers, got = cli._measure("verify-bounds" if truth else "retrieve", cfg, f, family, rcfg)
+        if not truth:
+            assert all(np.array_equal(p, q) for p, q in zip(powers, noisy, strict=True))
+        else:
+            assert powers == [None] * len(family)
+        for name in want._fields:
+            assert getattr(got, name) == getattr(want, name), name
 
 
 class TestBaseline:
@@ -270,7 +269,7 @@ class TestBaseline:
 
     def test_noisy_baseline_is_alg2_on_the_one_window_family(self, tmp_path):
         from specret import measure_family, run_alg2
-        from specret.cli import _apply_noise, _build_signal, _retrieval_config
+        from specret.cli import _build_signal, _retrieval_config
         from specret.container import read_signal
         from oracles import gauss_baseline_family
         path = write_config(tmp_path, noise={"model": "multiplicative", "level": 0.05, "seed": 3})
@@ -279,8 +278,7 @@ class TestBaseline:
         cfg = load_config(str(path), {"out": str(out), "seed": None})
         f, _ = _build_signal(cfg)
         fam = gauss_baseline_family(f.grid)
-        powers = measure_family(f, fam)
-        _apply_noise(powers, cfg)
+        powers = noisy_powers(measure_family(f, fam), cfg["noise"], 3)
         want = run_alg2(powers, fam, _retrieval_config(cfg))
         assert np.array_equal(read_signal(out / "reconstruction.bin").values, want.signal.values)
 
@@ -322,7 +320,8 @@ class TestCoverage:
     def test_hermite_masks_from_one_laguerre_run(self, tmp_path, monkeypatch):
         # one `hermite_lattices` run over the degrees gives each member's
         # stability mask, bit for bit
-        from specret import HermiteAmbiguity, cli, stability_mask
+        from specret import HermiteAmbiguity, cli
+        from oracles import stability_mask
         runs = []
         lattices = cli.hermite_lattices
         monkeypatch.setattr(cli, "hermite_lattices",
@@ -363,6 +362,40 @@ class TestRandomStudy:
         cfg = write_config(tmp_path, study={"count": 6, "degree_min": 0, "degree_max": 0,
                                             "trials": 1})
         assert main(["random-study", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_no_trial_measures_beside_the_last_trials_powers(self, tmp_path, monkeypatch):
+        # each trial drops its family, powers and reconstruction before the
+        # next one measures: beside the new trial's own plan only small
+        # arrays are alive; the last trial's count noisy powers and its plan
+        # put every later measurement 3.7 powers higher at L = 256
+        from specret import cli
+        L, count = 256, 3
+        path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=0.5,
+                            noise={"model": "multiplicative", "level": 0.05},
+                            study={"count": count, "degree_min": 0, "degree_max": 12,
+                                   "trials": 3})
+        held = []
+        measure = cli.measure_family
+
+        def traced_measure(f, family):
+            plan_bytes = sum(p.den.nbytes + p.owner.nbytes for p in family.plans.values())
+            held.append(tracemalloc.get_traced_memory()[0] - plan_bytes)
+            return measure(f, family)
+
+        monkeypatch.setattr(cli, "measure_family", traced_measure)
+        argv = ["random-study", "--config", str(path), "--out", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # the lazy imports, which stay loaded
+            held.clear()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+            finally:
+                tracemalloc.stop()
+        assert len(held) == 3
+        for now in held:
+            assert now - start < 0.25 * 8 * L * L
 
 
 class TestVerifyBounds:
@@ -422,6 +455,123 @@ class TestVerifyBounds:
         for held, now, peak in draws:
             assert now - start <= (held + 0.1) * power + plan_bytes
             assert peak - start <= (held + 1.2) * power + plan_bytes
+
+
+class TestOneRunPath:
+    """Each measuring command, clean and noisy, against the library pipeline
+    assembled by hand: `measure_family`, each window's `add_noise`, the
+    runner and `verify_noise_bounds`.  Every command builds the plan before
+    it measures, once, where its runner finds it stored."""
+
+    L = 128
+    FAN = {"kind": "frft_gauss", "a": 2.0, "n_windows": 4}
+    HERMITE = {"kind": "hermite", "degrees": [0, 5, 10]}
+    NOISE = {"model": "multiplicative", "level": 0.05, "seed": 5}
+
+    def run(self, tmp_path, monkeypatch, command, noisy, **fields):
+        """(exit code, out dir, loaded config, the calls in order) of one run."""
+        from specret import cli, retrieval
+        calls = []
+        for module, name in ((cli, "stored_plan"), (retrieval, "make_plan"),
+                             (cli, "measure_family")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        path = write_config(tmp_path, grid={"T": 8.0, "L": self.L}, epsilon=1e-2,
+                            noise=self.NOISE if noisy else {"model": "none"}, **fields)
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        return rc, out, load_config(str(path)), calls
+
+    def powers(self, f, family, cfg):
+        """Clean and noisy powers, the noisy ones None for a clean run."""
+        clean = specret.measure_family(f, family)
+        noisy = None if cfg["noise"]["model"] == "none" else noisy_powers(clean, self.NOISE, 5)
+        return clean, noisy
+
+    def recon_bits(self, out):
+        return container.read_signal(out / "reconstruction.bin").values
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("scheme", [FAN, HERMITE], ids=["fan", "hermite"])
+    def test_retrieve(self, tmp_path, monkeypatch, scheme, noisy):
+        from specret import cli
+        rc, out, cfg, calls = self.run(tmp_path, monkeypatch, "retrieve", noisy, scheme=scheme)
+        assert rc == 0
+        assert calls == ["stored_plan", "make_plan", "measure_family"]
+        f, _ = cli._build_signal(cfg)
+        family = cli._build_family(cfg, f.grid)
+        rcfg = cli._retrieval_config(cfg)
+        clean, noisy_list = self.powers(f, family, cfg)
+        runner = specret.run_alg1 if scheme is self.FAN else specret.run_alg2
+        want = runner(noisy_list or clean, family, rcfg)
+        assert np.array_equal(self.recon_bits(out), want.signal.values)
+        bounds = json.loads((out / "result.json").read_text()).get("noise_bounds")
+        if noisy:
+            report = two_list_bounds(clean, noisy_list, make_plan(family, rcfg))
+            assert bounds == json.loads(json.dumps(report._asdict()))
+        else:
+            assert bounds is None
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_baseline(self, tmp_path, monkeypatch, noisy):
+        # the fan's alg1 setting still retrieves the one window with alg2
+        from specret import cli
+        from oracles import gauss_baseline_family
+        rc, out, cfg, calls = self.run(tmp_path, monkeypatch, "baseline", noisy, scheme=self.FAN)
+        assert rc == 0
+        assert calls == ["stored_plan", "make_plan", "measure_family"]
+        f, _ = cli._build_signal(cfg)
+        family = gauss_baseline_family(f.grid)
+        clean, noisy_list = self.powers(f, family, cfg)
+        want = specret.run_alg2(noisy_list or clean, family, cli._retrieval_config(cfg))
+        assert np.array_equal(self.recon_bits(out), want.signal.values)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_random_study(self, tmp_path, monkeypatch, noisy):
+        from specret import cli
+        study = {"count": 3, "degree_min": 0, "degree_max": 12, "trials": 2}
+        rc, out, cfg, calls = self.run(tmp_path, monkeypatch, "random-study", noisy, study=study)
+        assert rc == 0
+        assert calls == ["stored_plan", "make_plan", "measure_family"] * 2
+        f, _ = cli._build_signal(cfg)
+        rng = np.random.default_rng(int(cfg["seed"]))
+        rows = (out / "trials.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            degrees = np.sort(rng.choice(np.arange(0, 13), size=3, replace=False)).tolist()
+            family = specret.build_hermite_family(degrees, f.grid)
+            clean, noisy_list = self.powers(f, family, cfg)
+            want = specret.run_alg2(noisy_list or clean, family, cli._retrieval_config(cfg))
+            d, theta = specret.misfit(f, want.signal)
+            assert row.split(",")[1:] == ["|".join(map(str, degrees)), repr(d), repr(theta)]
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("scheme", [FAN, HERMITE], ids=["fan", "hermite"])
+    def test_verify_bounds(self, tmp_path, monkeypatch, scheme, noisy):
+        from specret import cli
+        rc, out, cfg, calls = self.run(tmp_path, monkeypatch, "verify-bounds", noisy, scheme=scheme)
+        if not noisy:  # the check needs a noise model
+            assert (rc, calls) == (2, [])
+            return
+        assert rc == 0
+        assert calls == ["stored_plan", "make_plan", "measure_family"]
+        f, _ = cli._build_signal(cfg)
+        family = cli._build_family(cfg, f.grid)
+        clean, noisy_list = self.powers(f, family, cfg)
+        report = two_list_bounds(clean, noisy_list, make_plan(family, cli._retrieval_config(cfg)), f)
+        bounds = json.loads((out / "bounds.json").read_text())
+        assert bounds == json.loads(json.dumps(report._asdict()))
+
+    @pytest.mark.parametrize("anchor", [-L, L])
+    def test_verify_bounds_refuses_an_anchor_off_the_grid(self, tmp_path, monkeypatch, capsys,
+                                                          anchor):
+        rc, out, _, calls = self.run(tmp_path, monkeypatch, "verify-bounds", True, anchor=anchor)
+        assert (rc, calls) == (2, [])
+        err = capsys.readouterr().err
+        assert err == f"invalid input: anchor {anchor} lies outside (-{self.L}, {self.L})\n"
+        assert not out.exists()
 
 
 class TestWavPipeline:
@@ -846,6 +996,13 @@ class TestSizeGuard:
         cfg["algorithm"] = "alg2"
         assert estimate_bytes("retrieve", cfg) - clean == 1 * L * L * 8
         assert estimate_bytes("verify-bounds", cfg) - clean == 1 * L * L * 8
+        # without result.json nothing checks the bounds, so nothing drops the
+        # noise a window at a time: two noisy powers are drawn beside the clean ones
+        cfg["emit"]["json"] = False
+        assert estimate_bytes("retrieve", cfg) - clean == 3 * L * L * 8
+        assert estimate_bytes("verify-bounds", cfg) - clean == 1 * L * L * 8
+        cfg["scheme"] = {"kind": "hermite", "degrees": [50, 100]}  # W2 with json off
+        assert estimate_bytes("retrieve", cfg) - estimate_bytes("coverage", cfg) == 4 * L * L * 8
 
     @pytest.mark.parametrize("doc", [
         {"signal": {"kind": "chirp"}, "scheme": {"kind": "frft_gauss", "a": 15.0, "n_windows": 12}},

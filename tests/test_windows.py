@@ -10,9 +10,8 @@ from specret import (
     coverage_radii,
     dilated_gauss_samples,
     make_grid,
-    stability_mask,
 )
-from oracles import peel_masks
+from oracles import peel_masks, stability_mask
 
 
 def member_sum(family, x, y):
