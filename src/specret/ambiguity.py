@@ -45,9 +45,16 @@ axis first: a real-input FFT along k, PRODUCT_ROWS rows at a time, keeps
 only the q + 1 frequencies the band reads (q = the band's largest
 |i - L/2|), and one complex FFT along the frequency bins runs over those
 lines in place.  It reads out the rows PRODUCT_ROWS at a time through
-one buffer.
+one buffer.  The first pass (`first_pass`) takes the power's row blocks
+as they are made and returns the kept lines (`Lines`): the noise-bound
+check feeds it each block of noise as the noise kernel
+(`stft.draw_noise`) draws it, and a whole (L, L) power goes through it
+over its own row blocks.
 """
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,7 +91,9 @@ def eval_hermite_ambiguity(n: int, x, y):
 
 # lattice rows evaluated together by `FrftGaussAmbiguity.on_lattice`
 BAND_ROWS = 16
-PRODUCT_ROWS = 64  # lattice rows `product_blocks` reads out at a time: 1 MB at L = 1024
+# lattice rows the product transform takes and reads out at a time, and
+# the noise kernel draws at a time: 1 MB of complex rows at L = 1024
+PRODUCT_ROWS = 64
 
 
 class FrftGaussAmbiguity:
@@ -264,13 +273,70 @@ def numeric_ambiguity(g: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def product_blocks(power: np.ndarray, grid: Grid, rows: tuple[int, int] | None):
+class Lines(NamedTuple):
+    """A power's `first_pass` on a band: X, the shift lines 0, ..., q it
+    reads, complex (L, q + 1) and Fortran-ordered (None for no rows), and
+    l1, if asked for, the sum of the power's |.|."""
+
+    X: np.ndarray | None
+    l1: float | None
+
+
+def first_pass(blocks, grid: Grid, rows: tuple[int, int] | None, l1: bool = False) -> Lines:
+    """The first pass of `product_blocks` over the consecutive real row
+    blocks, at most PRODUCT_ROWS rows each, of an (L, L) power, each
+    transformed along k as it comes, so the power need never be whole.  A
+    non-finite cell refuses the power.  With l1, each row's sum of |.| is
+    taken in a C-ordered buffer and added in row order, the same bits in
+    any layout and block height; a non-finite L1 then refuses the power,
+    else the cells are checked, which is cheaper on a Fortran-ordered
+    power's strided blocks.
+    """
+    L = grid.L
+    h, R = L // 2, min(PRODUCT_ROWS, L)
+    X = None
+    if rows is not None:
+        q = max(h - rows[0], rows[1] - 1 - h)
+        X = np.empty((q + 1, L), dtype=np.complex128).T  # lines contiguous along m
+        spectra = np.empty((R, h + 1), dtype=np.complex128)
+    mags = np.empty((R, L)) if l1 else None
+    norm, m0 = 0.0, 0
+    for block in blocks:
+        n = len(block)
+        if l1:
+            for row in np.sum(np.abs(block, out=mags[:n]), axis=1).tolist():
+                norm += row
+        if not (math.isfinite(norm) if l1 else np.isfinite(block).all()):
+            raise ValueError("power contains non-finite entries")
+        if X is not None:
+            np.fft.rfft(block, axis=1, out=spectra[:n])
+            X[m0:m0 + n] = spectra[:n, :q + 1]
+        m0 += n
+    if m0 != L:
+        raise ValueError(f"the blocks hold {m0} rows of an {(L, L)} power")
+    return Lines(X, norm if l1 else None)
+
+
+def lines_of(power, grid: Grid, rows: tuple[int, int] | None, l1: bool = False) -> Lines:
+    """power's `first_pass` on rows: Lines pass through, and a real (L, L)
+    array is transformed as float64 over its own row blocks."""
+    if isinstance(power, Lines):
+        return power
+    power = np.asarray(power, dtype=np.float64)
+    L = grid.L
+    if power.shape != (L, L):
+        raise ValueError(f"expected shape {(L, L)}, got {power.shape}")
+    return first_pass((power[m:m + PRODUCT_ROWS] for m in range(0, L, PRODUCT_ROWS)),
+                      grid, rows, l1)
+
+
+def product_blocks(power, grid: Grid, rows: tuple[int, int] | None):
     """Yield (m0, G), G[r] being lattice row m0 + r, for consecutive blocks
-    of rows = (first, stop), or nothing for rows = None.  Each G is a view
-    of one PRODUCT_ROWS-row buffer, overwritten by the next block, and the
-    (L, L) power is dropped once transformed: a sum made for the call dies
-    first.  A non-finite power is refused, also for rows = None; it is
-    checked PRODUCT_ROWS rows at a time, with no (L, L) mask.
+    of rows = (first, stop), or nothing for rows = None.  power is a real
+    (L, L) array, or its `first_pass` Lines on these rows.  Each G is a
+    view of one PRODUCT_ROWS-row buffer, overwritten by the next block, and
+    the power is dropped once transformed: a sum made for the call dies
+    first.  A non-finite power is refused, also for rows = None.
 
     On the centred lattice the map is
 
@@ -287,9 +353,9 @@ def product_blocks(power: np.ndarray, grid: Grid, rows: tuple[int, int] | None):
     the conjugate of line h - i.  So the band reads lines 0, ..., q,
     q = max(h - first, stop - 1 - h), and no others are made:
 
-    - first pass: one real-input FFT along k, PRODUCT_ROWS rows of P at a
-      time, keeping lines 0, ..., q of each in one Fortran-ordered (L, q + 1)
-      complex X; the power is then dropped;
+    - first pass (`first_pass`): one real-input FFT along k, a block of
+      rows of P at a time, keeping lines 0, ..., q of each in one
+      Fortran-ordered (L, q + 1) complex X;
     - second pass: one complex FFT along m over those q + 1 lines, in place.
 
     Each block is then read out of X, a line per row (reversed for i >= h,
@@ -299,26 +365,14 @@ def product_blocks(power: np.ndarray, grid: Grid, rows: tuple[int, int] | None):
     exactly; every line is transformed alone, so no row's bits depend on
     the band asked for.
     """
-    L = grid.L
-    if power.shape != (L, L):
-        raise ValueError(f"expected shape {(L, L)}, got {power.shape}")
-    h = L // 2
-    if rows is not None:
-        r0, r1 = rows
-        q = max(h - r0, r1 - 1 - h)
-        X = np.empty((q + 1, L), dtype=np.complex128).T  # lines contiguous along m
-        spectra = np.empty((min(PRODUCT_ROWS, L), h + 1), dtype=np.complex128)
-    for m0 in range(0, L, PRODUCT_ROWS):
-        block = power[m0:m0 + PRODUCT_ROWS]
-        if not np.isfinite(block).all():
-            raise ValueError("power contains non-finite entries")
-        if rows is not None:
-            part = spectra[:len(block)]
-            np.fft.rfft(block, axis=1, out=part)
-            X[m0:m0 + len(block)] = part[:, :q + 1]
+    X = lines_of(power, grid, rows).X
+    del power
     if rows is None:
         return
-    del power, block, spectra, part
+    L = grid.L
+    r0, r1 = rows
+    h = L // 2
+    q = X.shape[1] - 1  # max(h - r0, r1 - 1 - h)
     np.fft.fft(X, axis=0, out=X)
     for line in (X[:, n] for n in (0, h) if n <= q):  # make them exactly Hermitian
         line[h + 1:] = line[h - 1:0:-1].conj()

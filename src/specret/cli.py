@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .ambiguity import hermite_lattices
+from .ambiguity import first_pass, hermite_lattices
 from .config import ConfigError, load_config
 from .exceptions import RetrievalError
 from .grid import Grid, Signal
@@ -36,7 +36,7 @@ from .retrieval import (
     stored_plan,
 )
 from .signals import chirp_preset, gen_chirp, gen_mixture, mixture_preset
-from .stft import add_noise
+from .stft import block_buffer, draw_noise
 from .wavio import load_wav, save_wav
 from .windows import (
     WindowFamily,
@@ -52,13 +52,13 @@ AUDIO_TAPER_FRACTION = 0.05
 # L x L complex workspaces alive next to the held measurements, 16 bytes a
 # cell each.  Measured at L=512 beside the N powers (8-window a=2 fan,
 # Hermite [0, 5, 10] and [50, 100], 5% multiplicative noise): a noisy
-# retrieve peaks at 0.9-1.8 arrays, in the noise-bound check or the
-# retrieval (the plan, one noise sum or alg1's group sum, the lines one
-# band's transform reads and J on omega's rows), and `verify-bounds` at
-# 0.8-1.3; its approximation terms (the true signal's ambiguity and its
-# |.|, beside the plan) come once every power is dropped.  The
-# STFTs, the noise draws, the numeric ambiguity and the product read-out
-# hold blocks, and the inversion no full lattice.  The margin covers the
+# retrieve peaks at 1.0-1.8 arrays, in the noise-bound check or the
+# retrieval (the plan, alg1's group sum, the lines of at most two groups'
+# transforms and J on omega's rows), and `verify-bounds` at 1.0-1.7; its
+# approximation terms (the true signal's ambiguity and its |.|, beside
+# the plan) come once every power is dropped.  The STFTs, the noise
+# draws, the numeric ambiguity and the product read-out hold blocks, and
+# the inversion no full lattice.  The margin covers the
 # fixed overheads, which outgrow the per-cell figures below L=512.
 WORKSPACE_COMPLEX_ARRAYS = 8
 
@@ -117,32 +117,43 @@ def _build_family(cfg: dict, grid: Grid):
     return build_hermite_family(scheme["degrees"], grid)
 
 
-def _group_noise(powers: list, draw, group, keep: bool = True, summed: bool = True):
-    """Replace the clean powers of `group`'s members by their noisy ones,
-    draw(j), in place, drawn two at a time (`_two_at_a_time`) and taken in
-    member order; returns the group's noise sum, or None unsummed.
+def _noise_rows(powers: list, group, model: str, level: float, seed: int):
+    """Yield the group's noise sum a row block at a time: each member's
+    noise from the kernel (`draw_noise`), which writes its noisy rows over
+    its clean ones, window j drawn from its own generator seeded seed + j,
+    added in member order.  A group of several windows is pipelined over
+    two threads (`_two_at_a_time`): the first half of the members is drawn
+    and summed into block b while the rest is drawn and added into block
+    b - 1, so every cell is still added in member order, and a fixed few
+    blocks are held whatever the group's size."""
+    like = powers[group[0]]
+    if len(group) == 1:
+        yield from draw_noise(like, model, level, seed + group[0], block_buffer(like))
+        return
+    n, half = len(group), (len(group) + 1) // 2
+    # each side's noise buffer and draw buffers, which its members take in turn
+    sides = [(block_buffer(like), (block_buffer(like, "C"), block_buffer(like))) for _ in range(2)]
+    streams = [draw_noise(powers[j], model, level, seed + j, *sides[k >= half])
+               for k, j in enumerate(group)]
+    sums = [block_buffer(like), block_buffer(like)]  # block b is summed in sums[b % 2]
+    rows, count = len(sums[0]), -(-len(like) // len(sums[0]))
 
-    Summed, each clean power is overwritten by its noise, noisy - clean,
-    and added into the sum, so each cell is added in member order: a group
-    of one keeps its noise as the sum, and a larger group sums into its
-    first member's buffer.  With keep false a noisy power is dropped once
-    its noise is taken, and its entry set to None.
-    """
-    total = None
-    for first in range(0, len(group), 2):
-        members = group[first:first + 2]
-        pair = _two_at_a_time(lambda i: draw(members[i]), len(members))
-        for j in members:
-            noisy = pair.pop(0)
-            if summed:
-                np.subtract(noisy, powers[j], out=powers[j])  # the clean power is now the noise
-                if total is None:
-                    total = powers[j]
-                else:
-                    total += powers[j]
-            powers[j] = noisy if keep else None
-            del noisy
-    return total
+    def step(side, b):  # side 0: members 0, ..., half - 1 into block b; side 1: the rest into b - 1
+        b -= side
+        if not 0 <= b < count:
+            return
+        for k in range(half, n) if side else range(half):
+            eta = next(streams[k])
+            total = sums[b % 2][:len(eta)]
+            if k:
+                total += eta
+            else:
+                np.copyto(total, eta)
+
+    for b in range(count + 1):
+        _two_at_a_time(lambda side: step(side, b), 2)
+        if b:
+            yield sums[(b - 1) % 2][:len(like) - (b - 1) * rows]
 
 
 def _retrieval_config(cfg: dict) -> RetrievalConfig:
@@ -156,24 +167,22 @@ def _retrieval_config(cfg: dict) -> RetrievalConfig:
     )
 
 
-def _checks_bounds(command: str, cfg: dict) -> bool:
-    """Whether a noisy run checks the noise bounds: `verify-bounds` always,
-    `retrieve` when it writes result.json, the report's one reader."""
-    return cfg["noise"]["model"] != "none" and (
-        command == "verify-bounds" or command == "retrieve" and cfg["emit"].get("json", True))
-
-
 def _measure(command: str, cfg: dict, f: Signal, family: WindowFamily, rcfg: RetrievalConfig):
     """The run path of every measuring command: the anchor check, the plan,
     built first while nothing else is held and stored in the family for
-    rcfg's runner, the measurement and the noise, window j drawn from its
-    own generator seeded seed + j.  Returns (powers, report): the noisy
-    powers and, when the command checks the noise bounds (`_checks_bounds`),
-    `verify_noise_bounds`' report, each group's noise drawn only as the
-    check asks for its sum, in plan order; else None, the windows drawn two
-    at a time with no sums.  `verify-bounds`, which reads no power
-    afterwards, drops each noisy power once its noise is summed and checks
-    against f as the true signal.
+    rcfg's runner, the measurement and the noise.  The noise kernel
+    (`draw_noise`) writes each window's noisy power over its clean one in
+    place, a row block at a time, window j from its own generator seeded
+    seed + j.  Returns (powers, report): the noisy powers and, for
+    `verify-bounds` and a `retrieve` that writes result.json,
+    `verify_noise_bounds`' report, else None.  The check streams two
+    window groups at a time, one on each core, each group's noise sum going
+    a row block at a time straight into its transform's first pass
+    (`_noise_rows`), and reads the groups' lines in plan order; no (L, L)
+    noise is made.  Without the check the windows are drawn two at a time.
+    `verify-bounds`, which reads no power afterwards, drops each group's
+    powers once its noise is streamed and checks against f as the true
+    signal.
     """
     check_anchor(rcfg, f.grid)  # before the plan, the STFTs and the noise
     plan = stored_plan(family, rcfg)
@@ -183,27 +192,39 @@ def _measure(command: str, cfg: dict, f: Signal, family: WindowFamily, rcfg: Ret
         return powers, None
     model, level = noise["model"], float(noise["level"])
     seed = int(noise.get("seed", cfg["seed"]))
-
-    def draw(j):
-        return add_noise(powers[j], model, level, seed + j)
-
-    if not _checks_bounds(command, cfg):
-        _group_noise(powers, draw, range(len(powers)), summed=False)
-        return powers, None
     keep = command != "verify-bounds"
-    sums = (_group_noise(powers, draw, group, keep) for group in plan.groups)
-    return powers, verify_noise_bounds(sums, plan, f_true=None if keep else f)
+    if keep and not (command == "retrieve" and cfg["emit"].get("json", True)):
+        def draw(j):  # nothing reads a bound report but result.json
+            for _ in draw_noise(powers[j], model, level, seed + j):
+                pass
+
+        _two_at_a_time(draw, len(powers))
+        return powers, None
+
+    def lines(i):
+        group = plan.groups[i]
+        out = first_pass(_noise_rows(powers, group, model, level, seed), plan.grid,
+                         plan.spans[i], l1=True)
+        if not keep:
+            for j in group:
+                powers[j] = None
+        return out
+
+    def pairs():
+        for first in range(0, len(plan.groups), 2):
+            pair = _two_at_a_time(lambda k: lines(first + k), min(len(plan.groups) - first, 2))
+            while pair:
+                yield pair.pop(0)
+
+    return powers, verify_noise_bounds(pairs(), plan, f_true=None if keep else f)
 
 
 def estimate_bytes(command: str, cfg: dict) -> int:
     """Upper estimate of the peak bytes a command needs, from L, the number
-    of windows, the noise model and the algorithm alone: every measurement
-    is an L x L float64 array.  With noise, two noisy powers are drawn at a
-    time beside the clean ones they replace, and alg1's bound check sums
-    the noise into one of them (`_measure`): at most min(2N, N + 3) powers
-    for N windows.  An alg2 run that checks the noise bounds draws one
-    window at a time, as the check asks for its noise sum, and the check
-    drops each sum before the next is drawn: N + 1."""
+    of windows and the noise model alone: every measurement is an L x L
+    float64 array, which the noise is drawn into in place, and a noisy run
+    holds beside them the first-pass lines of at most two window groups
+    (`_measure`), at most L/2 + 1 complex lines of L cells each."""
     L = int(cfg["grid"]["L"])
     if cfg["signal"]["kind"] == "wav":
         L = min(L, AUDIO_MAX_SAMPLES)
@@ -215,12 +236,8 @@ def estimate_bytes(command: str, cfg: dict) -> int:
         held = int(cfg["study"]["count"])
     else:
         held = _window_count(cfg["scheme"])
-    if cfg["noise"]["model"] != "none":
-        if _checks_bounds(command, cfg) and _retrieval_config(cfg).algorithm == "alg2":
-            held += 1
-        else:
-            held += min(held, 3)
-    return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS)
+    lines = 2 * 16 * L * (L // 2 + 1) if held and cfg["noise"]["model"] != "none" else 0
+    return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS) + lines
 
 
 def check_size(command: str, cfg: dict):
@@ -313,7 +330,7 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     f, rate = _build_signal(cfg)
     rcfg = _retrieval_config(cfg)
     family = _build_family(cfg, f.grid)
-    # the bound report goes only into result.json, and J is never alive beside a noise sum
+    # the bound report goes only into result.json, and J is never alive beside the noise
     powers, report = _measure("retrieve", cfg, f, family, rcfg)
     runner = run_alg1 if rcfg.algorithm == "alg1" else run_alg2
     recon = runner(powers, family, rcfg)

@@ -12,12 +12,13 @@ The noise-bound check takes one noise sum per window group, the group's
 noisy minus clean powers added in member order, and transforms each once
 (the spectrogram -> product map is linear) instead of assembling the
 clean and the noisy ambiguities, in the loop J is divided in
-(`retrieval.group_blocks`).  It reads the sums lazily, one group at a
-time, taking each sum's norm as it reaches it, NORM_CELLS cells at a
-time (`_l1`), and keeps none, nor any block of a group once the next
-sum is asked for: the CLI hands it a generator that draws a group's
-noise only when its sum is asked for, so one noise sum is alive at a
-time and no list of clean powers is held beside the noisy one.
+(`retrieval.group_blocks`).  A sum may come whole, as an (L, L) array,
+or as its transform's first pass (`ambiguity.first_pass`), which the CLI
+streams a row block at a time as the noise is drawn, so that no (L, L)
+noise is ever made; the first pass also takes the sum's L1 norm, each
+row's sum of |.| added in row order, with the same bits either way.  The
+check reads the sums lazily, one group at a time, and keeps none, nor any
+block of a group once the next sum is asked for.
 """
 from __future__ import annotations
 
@@ -25,12 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import numeric_ambiguity
+from .ambiguity import lines_of, numeric_ambiguity
 from .exceptions import GridMismatchError
 from .grid import Signal
 from .retrieval import RetrievalPlan, group_blocks
-
-NORM_CELLS = 1 << 16  # cells `_l1` takes |.| of at a time: 512 KB
 
 
 def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
@@ -48,24 +47,6 @@ def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
     theta = float(np.angle(inner)) if inner != 0 else 0.0
     d = float(np.linalg.norm(f1.values - np.exp(1j * theta) * f2.values) / n1)
     return d, theta % (2 * np.pi)
-
-
-def _l1(values: np.ndarray) -> float:
-    """sum |values| in the array's memory order, taking |.| of at most
-    NORM_CELLS cells at a time (`_abs_sum`): for a contiguous array, the
-    bits of np.sum(np.abs(values)) without its temporary."""
-    flat = values.ravel(order="K")  # a view of a contiguous array
-    return float(_abs_sum(flat, 0, flat.size))
-
-
-def _abs_sum(flat: np.ndarray, lo: int, n: int):
-    """sum |flat[lo:lo + n]|.  A range longer than NORM_CELLS is split where
-    numpy's pairwise summation splits it, at half its length rounded down
-    to a multiple of 8, so the sum is numpy's, bit for bit."""
-    if n <= NORM_CELLS:
-        return np.sum(np.abs(flat[lo:lo + n]))
-    half = n // 2 - n // 2 % 8
-    return _abs_sum(flat, lo, half) + _abs_sum(flat, lo + half, n - half)
 
 
 def _outer_l1(row_sums: np.ndarray, dx: float, dy: float, p: float) -> float:
@@ -109,15 +90,16 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     `stored_plan` or `Reconstruction.plan`); epsilon, C_p and C_R_Omega
     come from it.  noise_sums yields, for each group of plan.groups in
     order, the summed noise eta = sum of (noisy - clean) over the group's
-    powers in member order, a finite (L, L) array.  It may be any
-    iterable: it is read lazily, one sum at a time, and no sum is kept, so
-    a generator that makes each sum as it is asked for holds one at a
-    time.  A sized iterable of the wrong length is refused before any
+    powers in member order: a finite (L, L) array, or its `first_pass`
+    Lines on the group's rows (plan.spans) with the L1 taken.  It may be
+    any iterable: it is read lazily, one sum at a time, and no sum is
+    kept, so a generator that makes each sum as it is asked for holds one
+    at a time.  A sized iterable of the wrong length is refused before any
     transform, an iterator that runs short or long once that shows; both
     with a ValueError.  On a group's cells A - A^eta = -F(eta) / den, the
     division J is made of, so the sums are read out as `_divide` reads
-    them (`group_blocks`); the L1 norm of each sum is taken as it is
-    reached, and the mixed L^{2,1} norm of A - A^eta and the L1 norm of its
+    them (`group_blocks`); the L1 norm of each sum is taken in its first
+    pass, and the mixed L^{2,1} norm of A - A^eta and the L1 norm of its
     x = 0 slice from the blocks.  The sums are only read.  With the true
     signal supplied, on the plan's grid, also reports the
     approximation-error terms (the ambiguity mass left outside omega),
@@ -135,18 +117,18 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     sums = iter(noise_sums)
     norms = []  # each sum's L1 norm
 
-    def next_sum(i):
+    def next_lines(i):
         try:
             eta = next(sums)
         except StopIteration:
             raise ValueError(f"{i} noise sums for {n} window groups") from None
-        eta = np.asarray(eta, dtype=np.float64)  # `product_blocks` checks its shape
-        norms.append(dx * dy * _l1(eta))
-        return eta  # held by no name here once `group_blocks` takes it
+        lines = lines_of(eta, grid, plan.spans[i], l1=True)
+        norms.append(dx * dy * lines.l1)
+        return lines  # held by no name here once `group_blocks` takes it
 
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
-    for i, m0, diff in group_blocks(map(next_sum, range(n)), plan):
+    for i, m0, diff in group_blocks(map(next_lines, range(n)), plan):
         m1 = m0 + len(diff)
         bits = owner[m0:m1] == i
         np.divide(diff, plan.den[m0 - plan.first:m1 - plan.first], out=diff, where=bits)

@@ -36,8 +36,8 @@ and the plan, whose omega is the mask.
 the calling thread and store it (`stored_plan`); then the powers of each
 group of two or more members are added in two contiguous halves, one on
 each core (`_two_at_a_time`), so the sums, den and J have the serial bits.
-A caller that needs the plan before it measures, as the CLI does to draw
-each group's noise sum as the noise-bound check asks for it, calls
+A caller that needs the plan before it measures, as the CLI does to
+stream each group's noise into the noise-bound check, calls
 `stored_plan` first, and the retrieval then finds that plan stored.
 
 A fractional-Gauss window's ambiguity is an ellipse that covers a few

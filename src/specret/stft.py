@@ -16,8 +16,12 @@ block height.  `stft_power` squares each block's |.| into
 its columns of a Fortran-ordered power, so no L x L complex array is
 made.  Elementwise consumers see the same values in either layout; a
 running sum of powers should keep their layout (``copy(order="K")``),
-since a C-ordered accumulator makes every add a strided transpose, and
-`add_noise` writes its noisy power in the clean power's layout.
+since a C-ordered accumulator makes every add a strided transpose.
+
+The noise kernel `draw_noise` writes a power's noisy rows over its clean
+ones in place, a block of ambiguity.PRODUCT_ROWS rows at a time, the
+blocks the product transform's first pass takes, and hands each block's
+noise on; `add_noise` is a copy, then the kernel.
 
 A measurement is its float64 (L, L) power only: its grid is its window
 family's, which window it came from is its position in the family, and
@@ -27,10 +31,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ambiguity  # a cycle: the noise kernel reads PRODUCT_ROWS when it runs
 from .exceptions import GridMismatchError
 from .grid import Signal
 
-DRAW_ROWS = 64  # rows of noise drawn at a time: 512 KB at L = 1024
 POWER_BLOCK_BYTES = 2 ** 19  # bytes a `stft_blocks` block holds: 32 rows at L = 1024
 
 
@@ -83,35 +87,54 @@ def stft_power(f: Signal, g: np.ndarray) -> np.ndarray:
     return power
 
 
-def add_noise(power: np.ndarray, model: str, level: float, seed: int) -> np.ndarray:
-    """Contaminate a measured power; the input is not modified.
+def draw_noise(power: np.ndarray, model: str, level: float, seed: int,
+               noise: np.ndarray | None = None, work: tuple | None = None):
+    """The noise kernel: contaminate `power` in place, a block of
+    ambiguity.PRODUCT_ROWS rows at a time, yielding after each block its
+    noise, noisy - clean, in the leading rows of the buffer `noise`, or
+    None when no buffer is given.
 
     additive:        power' = power + eta, eta ~ N(0, level^2) i.i.d.
     multiplicative:  |V| is scaled by i.i.d. N(1, level^2) factors and
                      then squared, i.e. power' = power * (1 + g)^2.
-    Deterministic for a fixed seed (PCG64).  The noisy power has the
-    clean power's memory layout.
+    Cell [m, k] takes draw m*L + k of a PCG64 generator seeded `seed`, in
+    any layout: a block is drawn into a C-ordered buffer and contaminated
+    in one in the power's layout, the pair `work` (`block_buffer`), which
+    streams advanced by one thread may share.
     """
     if level < 0:
         raise ValueError(f"noise level must be nonnegative, got {level}")
     if model not in ("additive", "multiplicative"):
         raise ValueError(f"unknown noise model {model!r}")
     rng = np.random.default_rng(seed)
-    noisy = np.empty_like(power)  # the clean layout: passes over both run contiguously
-    # cell [m, k] keeps C-order draw m*L + k: successive calls continue one
-    # stream, and a block of draws is still in cache when it lands in a
-    # Fortran-ordered power.  The block is scaled in its own C order and
-    # then copied: a ufunc from a C- into an F-ordered block is far slower
-    draws = np.empty((min(DRAW_ROWS, noisy.shape[0]), noisy.shape[1]))
-    for first in range(0, noisy.shape[0], DRAW_ROWS):
-        rows = noisy[first:first + DRAW_ROWS]
-        block = rng.standard_normal(out=draws[:len(rows)])
+    draws, noisy = work or (block_buffer(power, "C"), block_buffer(power))
+    for m0 in range(0, len(power), len(draws)):
+        rows = power[m0:m0 + len(draws)]
+        block = noisy[:len(rows)]
+        np.copyto(block, rng.standard_normal(out=draws[:len(rows)]))
         block *= level
+        if model == "additive":
+            block += rows
+        else:
+            block += 1.0
+            np.square(block, out=block)
+            block *= rows
+        if noise is not None:
+            np.subtract(block, rows, out=noise[:len(rows)])
         np.copyto(rows, block)
-    if model == "additive":
-        noisy += power
-    else:
-        noisy += 1.0
-        np.square(noisy, out=noisy)
-        noisy *= power
+        yield None if noise is None else noise[:len(rows)]
+
+
+def block_buffer(power: np.ndarray, order: str = "K") -> np.ndarray:
+    """An empty block of ambiguity.PRODUCT_ROWS rows of `power`, in its
+    layout, or C-ordered for order "C"."""
+    return np.empty_like(power[:ambiguity.PRODUCT_ROWS], order=order)
+
+
+def add_noise(power: np.ndarray, model: str, level: float, seed: int) -> np.ndarray:
+    """A noisy copy of a measured power, in its memory layout: the copy,
+    then the kernel (`draw_noise`).  The input is not modified."""
+    noisy = np.array(power, dtype=np.float64, order="K")
+    for _ in draw_noise(noisy, model, level, seed):
+        pass
     return noisy

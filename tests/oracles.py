@@ -2,7 +2,7 @@
 stability mask, whole-family peeled masks, the bare Laguerre polynomial,
 the whole STFT coefficient matrix and its measurement, the L x L phase
 table and the whole-table numeric ambiguity, the STFT energy, the mixed
-norm of a lattice, the assembly of J from a list of measurements, a
+norm of a lattice and the noise bound's L1, the assembly of J from a list of measurements, a
 plan's den on the whole lattice, the CLI's noisy powers drawn window by
 window, the noise-bound check in its two-list form and the one that
 assembles both J and J^eta, the whole-band product read-out, and the
@@ -174,6 +174,12 @@ def two_list_bounds(clean, noisy, plan, f_true=None):
     return verify_noise_bounds(noise_sums(clean, noisy, plan), plan, f_true)
 
 
+def row_l1(x):
+    """sum |x| by the noise bound's rule: each row's pairwise sum, on a
+    C-ordered copy, added in row order."""
+    return float(np.add.accumulate(np.sum(np.abs(np.ascontiguousarray(x)), axis=1))[-1])
+
+
 def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
     """Oracle for `verify_noise_bounds`: the check as it stood before it
     transformed the noise sums.  A and A^eta are assembled from the clean
@@ -183,8 +189,7 @@ def two_assembly_bounds(clean, noisy, plan, p=2.0, f_true=None):
     grid, eps, omega = plan.grid, plan.epsilon, plan.omega
     dx, dy = grid.dt, grid.dy
     k0 = grid.L // 2
-    noise_norm = max(dx * dy * float(np.sum(np.abs(eta)))
-                     for eta in noise_sums(clean, noisy, plan))
+    noise_norm = max(dx * dy * row_l1(eta) for eta in noise_sums(clean, noisy, plan))
     C_p = lattice_norm(omega.astype(float), dx, dy, p)
     C_R = dx * float(np.sum(omega[k0, :]))
     lhs = lattice_norm(A - A_eta, dx, dy, p)

@@ -28,6 +28,7 @@ from specret import (
     save_wav,
 )
 from specret import container
+from specret.ambiguity import PRODUCT_ROWS
 from specret.cli import COMMANDS, check_size, estimate_bytes, main
 from specret.config import load_config
 from specret.retrieval import row_span
@@ -204,6 +205,39 @@ class TestRetrieve:
                 tracemalloc.stop()
         assert peak <= 4.5 * 8 * L * L
 
+    def test_run_without_the_check_holds_no_more_than_with_it(self, tmp_path, monkeypatch):
+        # W2's shape at L = 512, up to the retrieval: without result.json the
+        # noise is drawn into the powers in place, two windows at a time;
+        # drawing each noisy power beside its clean one held 0.35 powers more
+        # than the check's stream
+        from specret import cli
+        L = 512
+        peaks = {}
+        runner = cli.run_alg2
+
+        def traced_runner(*args):
+            if tracemalloc.is_tracing():
+                peaks[json_on] = tracemalloc.get_traced_memory()[1] - start
+            return runner(*args)
+
+        monkeypatch.setattr(cli, "run_alg2", traced_runner)
+        for json_on in (True, False):
+            path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=0.5,
+                                scheme={"kind": "hermite", "degrees": [50, 100]},
+                                noise={"model": "multiplicative", "level": 0.05},
+                                emit={"csv": True, "pgm": True, "json": json_on, "wav": False})
+            argv = ["retrieve", "--config", str(path), "--out", str(tmp_path / "out")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0  # the lazy imports, which stay loaded
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    assert main(argv) == 0
+                finally:
+                    tracemalloc.stop()
+        assert peaks[False] <= peaks[True]
+        assert peaks[False] <= 3.8 * 8 * L * L  # the two powers, the plan and the blocks
+
     def test_bound_check_skipped_without_json(self, tmp_path, monkeypatch):
         # the report goes only into result.json
         from specret import cli
@@ -258,6 +292,44 @@ class TestNoiseSums:
             assert powers == [None] * len(family)
         for name in want._fields:
             assert getattr(got, name) == getattr(want, name), name
+
+
+class TestNoiseStream:
+    """`_measure`'s noise, drawn into the powers in place a row block at a
+    time and, with the check, streamed into each group's first pass, two
+    groups at a time or a group's members split between the cores, against
+    the list path: each window's `add_noise` and the two-list check."""
+
+    @pytest.mark.parametrize("scheme, algorithm", [
+        ({"kind": "frft_gauss", "a": 2.0, "n_windows": 7}, "alg1"),  # 4 + 3 members a block
+        ({"kind": "frft_gauss", "a": 2.0, "n_windows": 5}, "alg2"),  # pairs, then one group
+        ({"kind": "hermite", "degrees": [0, 5, 10]}, "alg1"),  # 2 + 1 members a block
+        ({"kind": "hermite", "degrees": [0, 5, 10]}, "alg2"),
+    ], ids=["fan7-alg1", "fan5-alg2", "hermite3-alg1", "hermite3-alg2"])
+    @pytest.mark.parametrize("model", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}])
+    def test_matches_the_list_path(self, tmp_path, monkeypatch, scheme, algorithm, model, check,
+                                   cores):
+        # L = 250: the last row block is 58 rows
+        from specret import cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        path = write_config(tmp_path, scheme=scheme, algorithm=algorithm, epsilon=1e-2,
+                            grid={"T": 8.0, "L": 250},
+                            noise={"model": model, "level": 0.05, "seed": 9},
+                            emit={"csv": True, "pgm": True, "json": check, "wav": False})
+        cfg = load_config(str(path))
+        f, _ = cli._build_signal(cfg)
+        family = cli._build_family(cfg, f.grid)
+        rcfg = cli._retrieval_config(cfg)
+        clean = cli.measure_family(f, family)
+        noisy = noisy_powers(clean, cfg["noise"], 9)
+        powers, got = cli._measure("retrieve", cfg, f, family, rcfg)
+        assert all(np.array_equal(p, q) for p, q in zip(powers, noisy, strict=True))
+        if check:
+            assert got == two_list_bounds(clean, noisy, make_plan(family, rcfg))
+        else:
+            assert got is None
 
 
 class TestBaseline:
@@ -413,31 +485,31 @@ class TestVerifyBounds:
         assert main(["verify-bounds", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
     def test_each_draw_holds_no_block_of_the_last_group(self, tmp_path, monkeypatch):
-        # a group's noise is drawn beside the clean powers still held and
-        # the plan only: no product block of the previous group, its |.| or
-        # its labels, which put the later draws at 1.4-1.5 powers above them
+        # on one core the two groups of a pair stream one after the other:
+        # each group's noise is drawn beside the powers still held, the plan,
+        # the lines its pair has made so far and one first pass's blocks; the
+        # lines, product blocks and |.| of the pair before are dropped
         from specret import cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         L, degrees = 512, [0, 5, 10]
         path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=0.5,
                             scheme={"kind": "hermite", "degrees": degrees},
                             noise={"model": "multiplicative", "level": 0.05})
         draws, plans = [], []
-        draw, plan_for = cli._group_noise, cli.stored_plan
+        rows, plan_for = cli._noise_rows, cli.stored_plan
 
-        def traced_draw(powers, *args):
+        def traced_rows(powers, group, *args):
             held = sum(p is not None for p in powers)
             now = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            try:
-                return draw(powers, *args)
-            finally:
-                draws.append((held, now, tracemalloc.get_traced_memory()[1]))
+            yield from rows(powers, group, *args)
+            draws.append((group, held, now, tracemalloc.get_traced_memory()[1]))
 
         def kept_plan(*args):
             plans.append(plan_for(*args))
             return plans[-1]
 
-        monkeypatch.setattr(cli, "_group_noise", traced_draw)
+        monkeypatch.setattr(cli, "_noise_rows", traced_rows)
         monkeypatch.setattr(cli, "stored_plan", kept_plan)
         argv = ["verify-bounds", "--config", str(path), "--out", str(tmp_path / "out")]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -451,10 +523,16 @@ class TestVerifyBounds:
                 tracemalloc.stop()
         plan = plans[-1]
         power, plan_bytes = 8 * L * L, plan.den.nbytes + plan.owner.nbytes
-        assert [held for held, *_ in draws] == [3, 2, 1]
-        for held, now, peak in draws:
-            assert now - start <= (held + 0.1) * power + plan_bytes
-            assert peak - start <= (held + 1.2) * power + plan_bytes
+        h, R = L // 2, min(PRODUCT_ROWS, L)
+        lines = [16 * L * (max(h - r0, r1 - 1 - h) + 1) for r0, r1 in plan.spans]
+        first_pass = 16 * R * (h + 1) + 8 * R * L  # its spectra and |.| blocks
+        kernel = 4 * 8 * R * L  # a draw block, a noisy block, a noise block and slack
+        assert [(group, held) for group, held, *_ in draws] == [((0,), 3), ((1,), 2), ((2,), 1)]
+        for i, (_, held, now, peak) in enumerate(draws):
+            made = sum(lines[i - i % 2:i + 1])  # the lines of its pair, its own included
+            # the fixed overheads (config, signal, windows) take about 60 KB
+            assert now - start <= held * power + plan_bytes + made + first_pass + 2**17
+            assert peak - start <= held * power + plan_bytes + made + first_pass + kernel + 2**17
 
 
 class TestOneRunPath:
@@ -801,29 +879,63 @@ class TestNumericErrors:
         assert "overflow" in err
 
     def test_overflow_in_a_worker_noise_draw_exits_3(self, tmp_path, capsys, monkeypatch):
-        # window 1's noise is drawn under the CLI's errstate, as the bound
-        # check asks for its group's sum; scaled by 1e300, its first block of
-        # draws overflows.  The draws once ran on a second thread; numpy's
-        # generators hold the GIL, so they now run one at a time in the caller
+        # window 1's noise is drawn on the second thread, two groups at a
+        # time, under the CLI's errstate; scaled by 1e306, the sum of its
+        # first block's |.| overflows there.  numpy's generators release the
+        # GIL while they fill a block, so the two windows' draws overlap
         from specret import cli
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        draw = cli.add_noise
+        draw = cli.draw_noise
         drawn = []
 
-        def huge_second_draw(power, model, level, seed):
+        def huge_second_draw(power, model, level, seed, *args):
             if seed == 3 + 1:
-                drawn.append(seed)
-                level = 1e300
-            return draw(power, model, level, seed)
+                drawn.append(threading.get_ident())
+                level = 1e306
+            return draw(power, model, level, seed, *args)
 
-        monkeypatch.setattr(cli, "add_noise", huge_second_draw)
+        monkeypatch.setattr(cli, "draw_noise", huge_second_draw)
         path = write_config(tmp_path, noise={"model": "additive", "level": 0.01, "seed": 3})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
         assert rc == 3
         assert not caught
-        assert drawn == [4]
+        assert len(drawn) == 1 and drawn[0] != threading.get_ident()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "overflow" in err
+
+    @pytest.mark.parametrize("window", [0, 3])
+    def test_overflow_in_either_half_of_a_groups_draws_exits_3(self, tmp_path, capsys,
+                                                                monkeypatch, window):
+        # alg1's one group draws windows 0 and 1 on the calling thread and
+        # 2 and 3 on the second, a row block at a time
+        from specret import cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        draw = cli.draw_noise
+        drawn = []
+
+        def huge_draw(power, model, level, seed, *args):
+            if seed != 3 + window:
+                return draw(power, model, level, seed, *args)
+
+            def stream():  # runs on the thread that advances it
+                drawn.append(threading.get_ident())
+                yield from draw(power, model, 1e306, seed, *args)
+            return stream()
+
+        monkeypatch.setattr(cli, "draw_noise", huge_draw)
+        path = write_config(tmp_path, noise={"model": "additive", "level": 0.01, "seed": 3},
+                            scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": 4},
+                            epsilon=1e-2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert not caught
+        assert len(drawn) == 1 and (drawn[0] == threading.get_ident()) == (window == 0)
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
@@ -986,28 +1098,26 @@ class TestSizeGuard:
         cfg = load_config(None)
         L = cfg["grid"]["L"]
         clean = estimate_bytes("retrieve", cfg)
+        lines = 2 * 16 * L * (L // 2 + 1)  # the first-pass lines of two window groups
         cfg["noise"] = {"model": "additive", "level": 0.1}
-        # alg1 sums the noise into one buffer as two noisy powers replace their clean ones
-        assert estimate_bytes("retrieve", cfg) - clean == 3 * L * L * 8
-        assert estimate_bytes("verify-bounds", cfg) - clean == 3 * L * L * 8
+        # one rule for every noisy run, whatever checks the bounds: the noise
+        # is drawn into the powers in place, beside at most two groups' lines
+        for algorithm in ("alg1", "alg2"):
+            for emit_json in (True, False):
+                cfg["algorithm"], cfg["emit"]["json"] = algorithm, emit_json
+                assert estimate_bytes("retrieve", cfg) - clean == lines
+                assert estimate_bytes("verify-bounds", cfg) - clean == lines
         assert estimate_bytes("coverage", cfg) < estimate_bytes("baseline", cfg) < clean
-        # an alg2 group's noise sum is its window's noise, in its clean buffer,
-        # and is checked and dropped before the next window is drawn
-        cfg["algorithm"] = "alg2"
-        assert estimate_bytes("retrieve", cfg) - clean == 1 * L * L * 8
-        assert estimate_bytes("verify-bounds", cfg) - clean == 1 * L * L * 8
-        # without result.json nothing checks the bounds, so nothing drops the
-        # noise a window at a time: two noisy powers are drawn beside the clean ones
-        cfg["emit"]["json"] = False
-        assert estimate_bytes("retrieve", cfg) - clean == 3 * L * L * 8
-        assert estimate_bytes("verify-bounds", cfg) - clean == 1 * L * L * 8
         cfg["scheme"] = {"kind": "hermite", "degrees": [50, 100]}  # W2 with json off
-        assert estimate_bytes("retrieve", cfg) - estimate_bytes("coverage", cfg) == 4 * L * L * 8
+        assert estimate_bytes("retrieve", cfg) - estimate_bytes("coverage", cfg) == \
+            2 * 8 * L * L + lines
 
     @pytest.mark.parametrize("doc", [
         {"signal": {"kind": "chirp"}, "scheme": {"kind": "frft_gauss", "a": 15.0, "n_windows": 12}},
         {"signal": {"kind": "mixture"}, "scheme": {"kind": "hermite", "degrees": [5, 10]}},
-    ], ids=["fan12", "hermite"])
+        {"signal": {"kind": "mixture"}, "scheme": {"kind": "hermite", "degrees": [50, 100]},
+         "epsilon": 0.5, "emit": {"csv": True, "pgm": True, "json": False, "wav": False}},
+    ], ids=["fan12", "hermite", "w2-json-off"])
     def test_estimate_covers_noisy_retrieve_peak(self, tmp_path, doc):
         # below L=512 the fixed overheads outgrow the per-cell estimate
         path = write_config(tmp_path, grid={"T": 8.0, "L": 512},

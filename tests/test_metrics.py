@@ -26,11 +26,12 @@ from specret import (
     verify_noise_bounds,
 )
 from specret import ambiguity
-from specret.metrics import NORM_CELLS, _l1
+from specret.ambiguity import PRODUCT_ROWS, lines_of
 from oracles import (
     lattice_norm,
     mixed_norm,
     noise_sums,
+    row_l1,
     two_assembly_bounds,
     two_list_bounds,
 )
@@ -147,27 +148,33 @@ class TestMixedNorm:
 
 
 class TestBlockwiseL1:
-    """The noise sums' L1 norm, taken NORM_CELLS cells at a time, against
-    the whole-array np.sum(np.abs(.)) it replaced."""
+    """The noise sums' L1 norm (`ambiguity.first_pass`): each row's sum of
+    |.| added in row order, with the bits of `oracles.row_l1` in either
+    layout, within rounding of the whole-array np.sum(np.abs(.)), and
+    never the |.| of more than one PRODUCT_ROWS-row block."""
 
-    @pytest.mark.parametrize("shape", [(16, 16), (256, 256), (300, 700), (1024, 1024)])
+    @pytest.mark.parametrize("shape", [(16, 16), (256, 256), (250, 250), (1024, 1024)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_has_the_whole_sums_bits(self, rng, shape, order):
+        grid = make_grid(8.0, shape[0])
         for scale in (1e-3, 1.0, 1e5):
             x = np.asarray(scale * rng.standard_normal(shape), order=order)
-            assert _l1(x) == float(np.sum(np.abs(x)))
+            l1 = lines_of(x, grid, None, l1=True).l1
+            assert l1 == row_l1(x)
+            assert abs(l1 - np.sum(np.abs(x))) <= 1e-13 * l1
 
     def test_holds_no_abs_of_the_whole_array(self, rng):
+        grid = make_grid(8.0, 1024)
         x = rng.standard_normal((1024, 1024))
-        _l1(x[:8])
+        lines_of(x, grid, None, l1=True)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _l1(x)
+            lines_of(x, grid, None, l1=True)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * NORM_CELLS + 4096  # the |.| of the whole array is 8 MB
+        assert peak <= 8 * PRODUCT_ROWS * 1024 + 4096  # the |.| of the whole array is 8 MB
 
 
 class TestNoiseBounds:

@@ -12,8 +12,8 @@ from specret import (
     hermite_samples,
     make_grid,
 )
-from specret import stft
-from specret.stft import stft_power
+from specret import ambiguity, stft
+from specret.stft import block_buffer, draw_noise, stft_power
 from oracles import power_of, stft_coeffs, stft_energy
 from conftest import random_signal
 
@@ -269,6 +269,33 @@ class TestNoise:
         noisy = add_noise(c_ordered, model, 0.1, seed=3)
         assert noisy.flags.c_contiguous
         assert np.array_equal(noisy, want)
+
+    @pytest.mark.parametrize("model", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows", [7, 64])
+    def test_kernel_writes_add_noises_bits_in_place(self, monkeypatch, rng, model, order, rows):
+        # a block of PRODUCT_ROWS rows at a time, the last one short at L = 250;
+        # each yielded block is that block's noisy - clean
+        monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", rows)
+        mea = np.asarray(self._measurement(make_grid(8.0, 250), rng), order=order)
+        want = add_noise(mea, model, 0.1, seed=3)
+        power = mea.copy(order="K")
+        noise = [eta.copy() for eta in draw_noise(power, model, 0.1, 3, block_buffer(power))]
+        assert [len(eta) for eta in noise] == [rows] * (250 // rows) + [250 % rows]
+        assert np.array_equal(power, want)
+        assert np.array_equal(np.concatenate(noise), want - mea)
+        assert power.flags.f_contiguous == (order == "F")
+
+    def test_streams_sharing_work_buffers_keep_their_bits(self, grid256, rng):
+        # two windows advanced in turn through one pair of work buffers, as
+        # one thread advances a group's members
+        mea = [self._measurement(grid256, rng) for _ in range(2)]
+        want = [add_noise(p, "multiplicative", 0.05, seed=j) for j, p in enumerate(mea)]
+        work = (block_buffer(mea[0], "C"), block_buffer(mea[0]))
+        streams = [draw_noise(p, "multiplicative", 0.05, j, None, work) for j, p in enumerate(mea)]
+        for _ in zip(*streams):
+            pass
+        assert all(np.array_equal(p, q) for p, q in zip(mea, want))
 
     def test_rejects_bad_arguments(self, grid256, rng):
         mea = self._measurement(grid256, rng)
