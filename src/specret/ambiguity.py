@@ -19,8 +19,8 @@ a floor > 0 it evaluates only the ellipse where the value exceeds the
 floor: on each row that is one x interval in closed form (`row_spans`),
 and each band is evaluated on the box around its rows' intervals; with
 no floor every row spans the whole lattice.  A window family adds its
-members into one buffer this way; see retrieval.py for the floor a
-retrieval plan uses.
+members into one buffer this way; `windows.peel` bounds what the floor
+of a retrieval plan leaves out.
 
 `hermite_lattices` evaluates a Hermite family with one Laguerre
 recurrence up to its largest degree, run on the quadrant x, y <= 0 and

@@ -18,20 +18,19 @@ once, and the family keeps the last plan it was run with
 (`WindowFamily.plans`), like an FFTW plan: a setup that retrieves many
 signals builds it once per tolerance and algorithm.  The plan's
 arrays are read-only, since every run after the first shares them.
+
 A measurement is its float64 (L, L) power on the family's grid.  Since
 the spectrogram -> product map is linear, a group's spectrograms are
 summed and the sum is transformed once and freed
 (`ambiguity.product_blocks`, whose finiteness check on each group sum
 covers every member).  The transform makes only the lines that the rows
 of the group's span read, and reads those rows out a block at a time
-(`group_blocks`, which the noise-bound check reads too); each block is
-divided straight into J on its cells labelled with the group; J is zero
-off omega.  J is a bare complex array on the plan's grid that holds
-den's rows, omega's band (`_divide`).  It is inverted on the plan's omega
-from that first row (`_invert`,
-the body of `reconstruct_from_ambiguity`, which takes a whole lattice)
-and freed when the runner returns: a `Reconstruction` keeps the signal
-and the plan, whose omega is the mask.
+(`group_blocks`, which the noise-bound check reads too); `_divide`
+divides each block straight into J on the group's cells.  J, complex,
+holds den's rows, from lattice row `first` on, and is +0.0 off omega,
+so the inversion reads J and `first` alone (`_invert`).  J is freed
+when the runner returns: a `Reconstruction` keeps the signal and the
+plan, whose omega is the mask.
 `run_alg1` and `run_alg2` take the family's stored plan, or build it in
 the calling thread and store it (`stored_plan`); then the powers of each
 group of two or more members are added in two contiguous halves, one on
@@ -40,25 +39,13 @@ A caller that needs the plan before it measures, as the CLI does to
 stream each group's noise into the noise-bound check, calls
 `stored_plan` first, and the retrieval then finds that plan stored.
 
-A fractional-Gauss window's ambiguity is an ellipse that covers a few
-percent of the lattice, so `peel` evaluates each one only where it
-exceeds floor = windows.LATTICE_FLOOR * eps = 1e-20 * eps.  A Hermite
-window's ambiguity exp(-z/2) L_n(z), z = pi (x^2 + y^2), decreases in
-|.| once z >= 6n + 2: every zero of L_n lies below 4n + 2, so there each
-term of d/dz ln|L_n| = sum 1/(z - z_i) is below 1/(2n) and the sum below
-1/2.  The ambiguity is radial, so for a family of Hermite windows `peel`
-claims the cells on the quadrant x, y <= 0 only, windows.PLAN_ROWS rows
-at a time, each block from one Laguerre run over every degree, and
-mirrors den and the labels once; it skips the outer quadrant rows whose
-x = 0 cell lies in that tail at or below floor for every degree
-(`ambiguity.first_live_row`); every cell of those rows is at most floor
-too.  The cells left out hold values of magnitude <= floor, so a group
-of N windows loses at most N * floor, about 1e-18 of eps for a 40-window
-fan: a cell's sum can cross eps only if it lies that close to eps, so
-omega is the full lattices' omega.  Every evaluated cell has the bits of
-the full lattice, and on omega the dropped terms lie below the rounding
-of the much larger sum, so den has matched the full-lattice sum there
-bit for bit on W1, W2 and on every family the property tests draw.
+The plan evaluates each window's ambiguity only where it exceeds a floor
+far below eps, so a fan window costs its ellipse, a few percent of the
+lattice, and omega is the full lattices' omega (the bound is in
+`windows.peel`).  A Hermite family's ambiguities are radial: `peel`
+claims its cells on the quadrant x, y <= 0 only and skips the outer rows
+that lie in every degree's decreasing tail at or below the floor (the
+tail argument is in `ambiguity.hermite_lattices`).
 
 Tolerance convention
 --------------------
@@ -271,11 +258,11 @@ def group_blocks(sums, plan: RetrievalPlan):
         yield from ((i, m0, G) for m0, G in product_blocks(next(sums), plan.grid, span))
 
 
-def _divide(sums, plan: RetrievalPlan) -> tuple[int, np.ndarray]:
-    """(first, J): J = F(group sum) / den on each group's cells, zero off
-    omega, on den's rows, omega's from `first` to its last one, block by
-    block (`group_blocks`).  J, complex, is allocated once a sum is
-    transformed; row r of J is lattice row first + r."""
+def _divide(sums, plan: RetrievalPlan) -> np.ndarray:
+    """J = F(group sum) / den on each group's cells, +0.0 off omega, on
+    den's rows: row r of J is lattice row plan.first + r.  J, complex, is
+    divided block by block (`group_blocks`) and allocated once a sum is
+    transformed."""
     first = plan.first
     J = None
     for i, m0, block in group_blocks(sums, plan):
@@ -284,10 +271,10 @@ def _divide(sums, plan: RetrievalPlan) -> tuple[int, np.ndarray]:
         m1 = m0 + len(block)
         band = slice(m0 - first, m1 - first)
         np.divide(block, plan.den[band], out=J[band], where=plan.owner[m0:m1] == i)
-    return first, J
+    return J
 
 
-# lattice rows `reconstruct_from_ambiguity` sums at a time
+# lattice rows `_invert` sums at a time
 INVERT_ROWS = 64
 
 
@@ -296,7 +283,29 @@ def reconstruct_from_ambiguity(values, grid: Grid, cfg: RetrievalConfig,
     """Invert the ambiguity lattice `values`, complex (L, L) on `grid`, read
     on the boolean (L, L) mask (all of it when there is none), to a signal,
     up to global phase.  Raises ValueError for a lattice or a mask of
-    another shape.
+    another shape.  The mask's row band is copied with +0.0 off the mask,
+    the form of the runners' J, and inverted (`_invert`); without a mask
+    nothing is copied."""
+    L = grid.L
+    values = np.asarray(values, dtype=np.complex128)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+    for name, array in (("lattice", values), ("mask", mask)):
+        if array is not None and array.shape != (L, L):
+            raise ValueError(f"{name} shape {array.shape} does not match the grid's {(L, L)}")
+    first, area = 0, 1.0
+    if mask is not None:
+        first, stop = row_span(mask) or (0, 0)
+        values = np.where(mask[first:stop], values[first:stop], 0)
+        area = float(np.count_nonzero(mask) / mask.size)  # mask.mean()'s bits
+    samples, anchor = _invert(values, first, grid, cfg)
+    return Reconstruction(Signal(grid=grid, values=samples), area, anchor)
+
+
+def _invert(J: np.ndarray, first: int, grid: Grid, cfg: RetrievalConfig) -> tuple:
+    """(samples, anchor) of the signal, up to global phase, from the
+    complex rows J, lattice rows first on, of an ambiguity lattice that is
+    zero elsewhere.
 
     The lattice is converted to the V_f f convention by the exact phase
     factor exp(-i*pi*x*y); the inverse transform along y then lands on
@@ -307,12 +316,13 @@ def reconstruct_from_ambiguity(values, grid: Grid, cfg: RetrievalConfig,
         u_c(x_k) = dy i^L (-1)^(k+s) sum_m A[m, k] zeta^e,
         e = -(k - L/2)(m - L/2) + L m + 2 m j_k  (mod 2L),
 
-    summed over the mask's rows, with zeta = exp(i*pi/L) read from the
-    2L-entry table of `unit_roots`.  As e = m a_k + b_k, the rows are
-    taken INVERT_ROWS at a time: a block starting at row m0 multiplies its
-    cells by one block of powers zeta^((m - m0) a_k), sums each column,
-    and scales the column sums by zeta^(m0 a_k + b_k).  That is O(L R)
-    work for R rows and two blocks of memory, with no L x L buffer.
+    summed over J's rows, with zeta = exp(i*pi/L) read from the 2L-entry
+    table of `unit_roots`.  As e = m a_k + b_k, the rows are taken
+    INVERT_ROWS at a time: a block starting at row m0 multiplies its cells
+    by one block of powers zeta^((m - m0) a_k), sums each column, and
+    scales the column sums by zeta^(m0 a_k + b_k).  That is O(L R) work for
+    R rows and two blocks of memory, with no L x L buffer.  J's +0.0 cells
+    off omega leave every diagonal entry's bits as a mask would.
 
     The anchor maximizes |w(c)| for the profile w(c), one length-L inverse
     FFT of the x = 0 column, where the phase factor is 1: an estimate of
@@ -320,32 +330,18 @@ def reconstruct_from_ambiguity(values, grid: Grid, cfg: RetrievalConfig,
     phase factor at the anchor instead of requiring knowledge of f(c).
     """
     L = grid.L
-    values = np.asarray(values, dtype=np.complex128)
-    mask = np.ones((L, L), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    for name, array in (("lattice", values), ("mask", mask)):
-        if array.shape != (L, L):
-            raise ValueError(f"{name} shape {array.shape} does not match the grid's {(L, L)}")
-    return _invert(values, 0, grid, cfg, mask)
-
-
-def _invert(values: np.ndarray, first: int, grid: Grid, cfg: RetrievalConfig,
-            mask: np.ndarray) -> Reconstruction:
-    """`reconstruct_from_ambiguity` of the complex rows `values`, lattice
-    rows first, first + 1, ..., of an ambiguity lattice whose other rows
-    the (L, L) mask leaves out."""
-    L = grid.L
     h = L // 2
     k = np.arange(L)
     sgn = (-1.0) ** k
 
     col = np.zeros(L, dtype=np.complex128)
-    col[first:first + len(values)] = values[:, h]
-    col = np.where(mask[:, h], col, 0) * sgn
+    col[first:first + len(J)] = J[:, h]
+    col *= sgn
     slice_l1 = grid.dy * float(np.sum(np.abs(col)))
     wprof = sgn * ((grid.dy * 1j ** (L % 4) * L) * np.fft.ifft(col))  # w carries (-1)^l
     anchor = int(np.argmax(np.abs(wprof))) if cfg.anchor is None else int(cfg.anchor) % L
     u0 = wprof[anchor]  # at the auto anchor |u0| = max |w|, so one check covers both
-    if slice_l1 <= 0 or abs(u0) < 1e-10 * slice_l1:  # also an empty mask
+    if slice_l1 <= 0 or abs(u0) < 1e-10 * slice_l1:  # also no rows, or none on x = 0
         raise DegenerateAnchorError(f"anchor {anchor} has |u_c(0)| ~ 0")
 
     # the diagonal u_c(x_k) = uhat(x_k, x_k + c), at time index j_k
@@ -354,22 +350,16 @@ def _invert(values: np.ndarray, first: int, grid: Grid, cfg: RetrievalConfig,
     roots = unit_roots(L)
     a = (L - (k - h) + 2 * j) % (2 * L)
     b = (h * (k - h)) % (2 * L)
-    r0, r1 = row_span(mask)
-    powers = roots[np.multiply.outer(np.arange(min(INVERT_ROWS, r1 - r0)), a) % (2 * L)]
+    powers = roots[np.multiply.outer(np.arange(min(INVERT_ROWS, len(J))), a) % (2 * L)]
     terms = np.empty_like(powers)
     diag = np.zeros(L, dtype=np.complex128)
-    for m0 in range(r0, r1, INVERT_ROWS):
-        m1 = min(m0 + INVERT_ROWS, r1)
-        block = terms[:m1 - m0]
-        block.fill(0)
-        np.multiply(values[m0 - first:m1 - first], powers[:m1 - m0], out=block,
-                    where=mask[m0:m1])
-        diag += roots[(m0 * a + b) % (2 * L)] * block.sum(axis=0)
+    for r0 in range(0, len(J), INVERT_ROWS):
+        rows = J[r0:r0 + INVERT_ROWS]
+        block = np.multiply(rows, powers[:len(rows)], out=terms[:len(rows)])
+        diag += roots[((first + r0) * a + b) % (2 * L)] * block.sum(axis=0)
     out = np.zeros(L, dtype=np.complex128)
     out[j] = (grid.dy * 1j ** (L % 4)) * ((-1.0) ** (k + s)) * diag / np.sqrt(abs(u0))
-
-    return Reconstruction(signal=Signal(grid=grid, values=out),
-                          omega_area_fraction=float(mask.mean()), anchor_c=anchor)
+    return out, anchor
 
 
 def check_anchor(cfg: RetrievalConfig, grid: Grid):
@@ -403,8 +393,10 @@ def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruc
     check_anchor(cfg, grid)
     plan = stored_plan(family, cfg)
     # each group sum is made as _divide reaches it and dies once transformed
-    first, J = _divide((_group_sum(powers, g) for g in plan.groups), plan)
-    return _invert(J, first, grid, cfg, plan.omega)._replace(plan=plan)
+    J = _divide((_group_sum(powers, g) for g in plan.groups), plan)
+    samples, anchor = _invert(J, plan.first, grid, cfg)
+    area = float(np.count_nonzero(plan.owner >= 0) / plan.owner.size)  # omega.mean()'s bits
+    return Reconstruction(Signal(grid=grid, values=samples), area, anchor, plan)
 
 
 def run_alg1(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:

@@ -29,7 +29,7 @@ from .special import (
 
 
 # window-ambiguity cells at or below this fraction of the threshold are
-# not evaluated when `peel` sums a group (see "Retrieval plan" in retrieval.py)
+# not evaluated when `peel` sums a group (see `peel` for the bound)
 LATTICE_FLOOR = 1e-20
 # quadrant rows `peel` evaluates together for a Hermite family: 256 KB a
 # degree at L = 1024
@@ -183,8 +183,14 @@ def peel(family: WindowFamily, groups, epsilon: float):
     into its group's buffer, the first group's sum being den's buffer, so
     one more group's sum is alive at a time, and den's band is copied out
     at the end; a Gauss member leaves out its cells at or below the floor.
-    The cells left out add at most N * floor to a sum of N members, and the
-    labels are those of the full lattices (see retrieval.py).
+    The cells left out hold values of magnitude at most floor, so a group
+    of N windows loses at most N * floor, 4e-19 of epsilon for a
+    40-window fan: a cell's sum can cross epsilon only if it lies that
+    close to it, so the labels are those of the full lattices.  Every
+    evaluated cell has the full lattice's bits, and on omega the dropped
+    terms lie below the rounding of the much larger sum, so den has
+    matched the full-lattice sum there bit for bit on W1, W2 and on every
+    family the property tests draw.
     """
     grid = family.grid
     L, h = grid.L, grid.L // 2

@@ -2,17 +2,19 @@
 stability mask, whole-family peeled masks, the bare Laguerre polynomial,
 the whole STFT coefficient matrix and its measurement, the L x L phase
 table and the whole-table numeric ambiguity, the STFT energy, the mixed
-norm of a lattice and the noise bound's L1, the assembly of J from a list of measurements, a
-plan's den on the whole lattice, the CLI's noisy powers drawn window by
-window, the noise-bound check in its two-list form and the one that
-assembles both J and J^eta, the whole-band product read-out, and the
-one-window family of the single-window baseline."""
+norm of a lattice and the noise bound's L1, the assembly of J from a
+list of measurements, a plan's den on the whole lattice, the inversion
+that read omega's mask, the CLI's noisy powers drawn window by window,
+the noise-bound check in its two-list form and the one that assembles
+both J and J^eta, the whole-band product read-out, and the one-window
+family of the single-window baseline."""
 from typing import NamedTuple
 
 import numpy as np
 
 from specret import (
     BoundReport,
+    DegenerateAnchorError,
     Grid,
     Signal,
     WindowFamily,
@@ -24,10 +26,10 @@ from specret import (
 from specret import stft
 from specret.ambiguity import product_blocks, unit_roots
 from specret.metrics import _outer_l1
-from specret.retrieval import _divide, _group_sum, check_powers
+from specret.retrieval import INVERT_ROWS, _divide, _group_sum, check_powers
 from specret.special import _laguerre_run
 from specret.stft import stft_blocks
-from specret.windows import _check_unit_epsilon, peel
+from specret.windows import _check_unit_epsilon, peel, row_span
 
 
 def peel_masks(family, epsilon):
@@ -123,19 +125,19 @@ def mixed_norm(values, grid, p):
     return lattice_norm(values, grid.dt, grid.dy, p)
 
 
-def padded(divided, grid):
-    """The (L, L) lattice of `_divide`'s (first, J): J's rows from lattice
-    row first on, zeros elsewhere."""
-    first, J = divided
-    out = np.zeros((grid.L, grid.L), dtype=J.dtype)
-    out[first:first + len(J)] = J
+def padded(rows, plan):
+    """The (L, L) lattice of rows held on omega's row band, as `_divide`'s
+    J and the plan's den are: row r is lattice row plan.first + r, and
+    the other rows are zeros."""
+    out = np.zeros((plan.grid.L, plan.grid.L), dtype=rows.dtype)
+    out[plan.first:plan.first + len(rows)] = rows
     return out
 
 
 def den_lattice(plan):
     """A plan's den, held on omega's row band, padded back to the (L, L)
     lattice with zeros."""
-    return padded((plan.first, plan.den), plan.grid)
+    return padded(plan.den, plan)
 
 
 def assemble(measurements, plan):
@@ -143,7 +145,48 @@ def assemble(measurements, plan):
     group's region, zero off omega, on the whole (L, L) lattice: what
     `run_alg1` and `run_alg2` invert."""
     powers = check_powers(measurements, sum(map(len, plan.groups)), plan.grid)
-    return padded(_divide((_group_sum(powers, g) for g in plan.groups), plan), plan.grid)
+    return padded(_divide((_group_sum(powers, g) for g in plan.groups), plan), plan)
+
+
+def masked_inversion(values, first, grid, cfg, mask):
+    """Oracle for `retrieval._invert`: the inversion as it stood when it
+    read the (L, L) mask, of the complex rows `values`, lattice rows
+    first, first + 1, ...  The x = 0 column is zeroed off the mask, the
+    rows summed are the mask's row span, and each block is multiplied
+    only on the mask into a cleared buffer.  Returns (samples, anchor,
+    omega_area_fraction)."""
+    L = grid.L
+    h = L // 2
+    k = np.arange(L)
+    sgn = (-1.0) ** k
+    col = np.zeros(L, dtype=np.complex128)
+    col[first:first + len(values)] = values[:, h]
+    col = np.where(mask[:, h], col, 0) * sgn
+    slice_l1 = grid.dy * float(np.sum(np.abs(col)))
+    wprof = sgn * ((grid.dy * 1j ** (L % 4) * L) * np.fft.ifft(col))
+    anchor = int(np.argmax(np.abs(wprof))) if cfg.anchor is None else int(cfg.anchor) % L
+    u0 = wprof[anchor]
+    if slice_l1 <= 0 or abs(u0) < 1e-10 * slice_l1:
+        raise DegenerateAnchorError(f"anchor {anchor} has |u_c(0)| ~ 0")
+    s = anchor - h
+    j = (k + s) % L
+    roots = unit_roots(L)
+    a = (L - (k - h) + 2 * j) % (2 * L)
+    b = (h * (k - h)) % (2 * L)
+    r0, r1 = row_span(mask)
+    powers = roots[np.multiply.outer(np.arange(min(INVERT_ROWS, r1 - r0)), a) % (2 * L)]
+    terms = np.empty_like(powers)
+    diag = np.zeros(L, dtype=np.complex128)
+    for m0 in range(r0, r1, INVERT_ROWS):
+        m1 = min(m0 + INVERT_ROWS, r1)
+        block = terms[:m1 - m0]
+        block.fill(0)
+        np.multiply(values[m0 - first:m1 - first], powers[:m1 - m0], out=block,
+                    where=mask[m0:m1])
+        diag += roots[(m0 * a + b) % (2 * L)] * block.sum(axis=0)
+    out = np.zeros(L, dtype=np.complex128)
+    out[j] = (grid.dy * 1j ** (L % 4)) * ((-1.0) ** (k + s)) * diag / np.sqrt(abs(u0))
+    return out, anchor, float(mask.mean())
 
 
 def noise_sums(clean, noisy, plan):

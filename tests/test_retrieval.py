@@ -47,6 +47,7 @@ from oracles import (
     assemble,
     den_lattice,
     gauss_baseline_family,
+    masked_inversion,
     padded,
     peel_masks,
     power_of,
@@ -70,9 +71,9 @@ def divided(monkeypatch):
     divide = retrieval._divide
 
     def kept(sums, plan):
-        band = divide(sums, plan)
-        seen.append(padded(band, plan.grid))
-        return band
+        J = divide(sums, plan)
+        seen.append(padded(J, plan))
+        return J
 
     monkeypatch.setattr(retrieval, "_divide", kept)
     return seen
@@ -779,6 +780,90 @@ class TestDiagonalInversion:
         assert peak < 16 * 512 * 512
 
 
+class TestInversionReadsJ:
+    """The inversion reads J and its first row alone, against the masked
+    inversion it replaced (`oracles.masked_inversion`): samples, anchor
+    and area keep their bits."""
+
+    @staticmethod
+    def same(rec, want):
+        samples, anchor, area = want
+        assert np.array_equal(rec.signal.values, samples)
+        assert rec.anchor_c == anchor
+        assert rec.omega_area_fraction == area and type(rec.omega_area_fraction) is float
+
+    @pytest.mark.parametrize("cores", [{0, 1}, {0}], ids=["two-cores", "one-core"])
+    @pytest.mark.parametrize("T, L", [(8.0, 256), (6.5, 250)])
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_runners_match_the_masked_inversion(self, monkeypatch, cores, T, L, algorithm):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        grid = make_grid(T, L)
+        if algorithm == "alg1":
+            fam, cfg, run = build_frft_family(15.0, 40, grid), RetrievalConfig(epsilon=1e-3), run_alg1
+        else:
+            fam = build_hermite_family([0, 5, 10, 20], grid)
+            cfg, run = RetrievalConfig(epsilon=0.5, algorithm="alg2"), run_alg2
+        meas = measure_family(gen_mixture(mixture_preset(), grid), fam)
+        plan = make_plan(fam, cfg)
+        want = masked_inversion(assemble(meas, plan), 0, grid, cfg, plan.omega)
+        self.same(run(meas, fam, cfg), want)
+
+    @staticmethod
+    def mask(kind, L, rng):
+        h = L // 2
+        bits = np.zeros((L, L), dtype=bool)
+        if kind == "inner-band":  # empty leading and trailing rows
+            bits[37:201] = rng.random((164, L)) < 0.6
+            bits[37:201, h] = True
+        elif kind == "one-row":
+            bits[120] = rng.random(L) < 0.6
+            bits[120, h] = True
+        elif kind == "65-rows":  # one row past a block of INVERT_ROWS
+            bits[50:115] = rng.random((65, L)) < 0.6
+            bits[50:115, h] = True
+        else:  # "x0-off": the x = 0 column off the mask but on a few rows
+            bits[:] = rng.random((L, L)) < 0.6
+            bits[:, h] = False
+            bits[100:140, h] = True
+        return bits
+
+    @pytest.mark.parametrize("anchor", [None, 3])
+    @pytest.mark.parametrize("T, L", [(6.5, 250), (8.0, 256)])
+    @pytest.mark.parametrize("kind", ["inner-band", "one-row", "65-rows", "x0-off", "none"])
+    def test_random_lattices_match_the_masked_inversion(self, rng, kind, T, L, anchor):
+        assert retrieval.INVERT_ROWS == 64
+        grid = make_grid(T, L)
+        cfg = RetrievalConfig(epsilon=1e-3, anchor=anchor)
+        values = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
+        mask = None if kind == "none" else self.mask(kind, L, rng)
+        want = masked_inversion(values, 0, grid, cfg,
+                                np.ones((L, L), dtype=bool) if mask is None else mask)
+        if mask is not None:
+            values[~mask] = np.nan  # never read
+        self.same(reconstruct_from_ambiguity(values, grid, cfg, mask), want)
+
+    @pytest.mark.parametrize("T, L", [(8.0, 256), (6.5, 250)])
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_j_is_positive_zero_off_omega(self, T, L, algorithm):
+        # the inversion multiplies J's unclaimed cells without a mask; each
+        # must be +0.0, which array_equal cannot tell from -0.0
+        grid = make_grid(T, L)
+        if algorithm == "alg1":
+            fam, cfg = build_frft_family(2.0, 8, grid), RetrievalConfig(epsilon=1e-2)
+        else:  # Laguerre functions change sign: den has negative cells
+            fam = build_hermite_family([0, 5, 10, 20], grid)
+            cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        meas = measure_family(gen_mixture(mixture_preset(), grid), fam)
+        plan = make_plan(fam, cfg)
+        J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
+        assert len(J) % ambiguity.PRODUCT_ROWS
+        assert (algorithm == "alg1") == (plan.den >= 0).all()
+        off = plan.owner[plan.first:plan.first + len(J)] < 0
+        assert off.any()
+        assert np.all(J[off] == 0)
+        assert not np.signbit(J[off].real).any() and not np.signbit(J[off].imag).any()
+
+
 class TestPlanBesideSums:
     """A first run builds the plan in the calling thread, then adds the
     group's powers on both cores; the plan and J are the serial ones, bit
@@ -1141,14 +1226,13 @@ class TestBlockedDivision:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            first, J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups),
-                                         plan)
+            J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # J 16 L^2, H 8 L^2, and a 16-row block (L^2) with numpy's copy of it
         assert peak < 16 * L * L + 8 * L * L + 4 * L * L
-        assert (first, first + len(J)) == row_span(plan.omega)
+        assert (plan.first, plan.first + len(J)) == row_span(plan.omega)
         assert J.shape[1] == L
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
@@ -1164,9 +1248,9 @@ class TestBlockedDivision:
             cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
         meas = measure_family(f, family)
         plan = make_plan(family, cfg)
-        first, J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
-        first_row, stop = row_span(plan.omega)
-        assert (first, len(J)) == (first_row, stop - first_row)
+        J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
+        first, stop = row_span(plan.omega)
+        assert (plan.first, len(J)) == (first, stop - first)
         assert len(J) < grid.L
         want = self.whole_band_j(meas, plan)
         assert np.array_equal(J, want[first:stop])
