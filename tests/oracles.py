@@ -6,8 +6,9 @@ norm of a lattice and the noise bound's L1, the assembly of J from a
 list of measurements, a plan's den on the whole lattice, the inversion
 that read omega's mask, the CLI's noisy powers drawn window by window,
 the noise-bound check in its two-list form and the one that assembles
-both J and J^eta, the whole-band product read-out, and the one-window
-family of the single-window baseline."""
+both J and J^eta, the whole-band product read-out, the one-window
+family of the single-window baseline, and the whole retrieval evaluated
+densely from the paper's formulas."""
 from typing import NamedTuple
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from specret import (
     BoundReport,
     DegenerateAnchorError,
+    EmptyMaskError,
     Grid,
     Signal,
     WindowFamily,
@@ -286,3 +288,74 @@ def gathered_product(power, grid, rows):
     G *= ((grid.dt * grid.dy) * sgn[r0:r1])[:, None]
     G *= sgn
     return G
+
+
+def _roots(L, sign):
+    """exp(sign 2i pi m k / L) on the (m, k) lattice, the exponent reduced mod L."""
+    k = np.arange(L)
+    return np.exp(sign * 2j * np.pi / L * (np.multiply.outer(k, k) % L))
+
+
+def dense_retrieve(f, family, cfg):
+    """Reference for `run_alg1` and `run_alg2`: the whole retrieval as dense
+    sums of the paper's formulas on the grid of `grid.py`, with no FFT and
+    no library numerics beyond the window samples and the closed-form
+    evaluators (each member's `evaluator(x, y)`).
+
+    - The STFT is the direct sum over l of the `stft` convention.
+    - The product is the direct double sum of the `product_blocks`
+      docstring.
+    - Each group's ambiguity sum is the closed form at (x_k, y_m), and the
+      groups (alg1: all members; alg2: one per member) claim the cells
+      where |sum| > epsilon * dt in order.
+    - The inversion takes V = exp(-i pi x y) J, its inverse DFT along y,
+      U[j, k] = sum_m V[m, k] (-1)^m exp(2i pi m j / L), the anchor from
+      the x = 0 column and the diagonal k -> (k + c - L/2, k).
+
+    Returns (samples, anchor, owner, den), den on the whole lattice; raises
+    EmptyMaskError and DegenerateAnchorError as the runners do.
+    """
+    grid = family.grid
+    L, h, dt, dy = grid.L, grid.L // 2, grid.dt, grid.dy
+    k = np.arange(L)
+    s = (-1.0) ** k
+    forward, inverse = _roots(L, -1), _roots(L, 1)
+    # c[m, k] = dt sum_l f_l conj(g[(l - k + L/2) mod L]) exp(-2i pi t_l y_m)
+    shifts = np.exp(-2j * np.pi * np.multiply.outer(grid.y, grid.t))
+    lags = (k[:, None] - k[None, :] + h) % L
+    X, Y = np.meshgrid(grid.x, grid.y)
+    n = len(family)
+    groups = [list(range(n))] if cfg.algorithm == "alg1" else [[j] for j in range(n)]
+    eps = cfg.epsilon * dt
+    owner = np.full((L, L), -1)
+    den = np.zeros((L, L))
+    J = np.zeros((L, L), dtype=np.complex128)
+    for i, group in enumerate(groups):
+        P = np.zeros((L, L))
+        values = np.zeros((L, L))
+        for j in group:
+            g = family.members[j].samples
+            c = dt * (shifts @ (f.values[:, None] * np.conj(g[lags])))
+            P += np.abs(c) ** 2
+            values += family.members[j].evaluator(X, Y)
+        # G[i, j] = dt dy s(i + j) sum_{m, k} P[m, k] s(m + k) exp(2i pi (m j - k i) / L)
+        G = dt * dy * np.outer(s, s) * (forward @ (P * np.outer(s, s)).T @ inverse)
+        bits = (np.abs(values) > eps) & (owner < 0)
+        owner[bits] = i
+        den[bits] = values[bits]
+        J[bits] = G[bits] / values[bits]
+    if not (owner >= 0).any():
+        raise EmptyMaskError("no window group's ambiguity exceeds the tolerance")
+    V = np.exp(-1j * np.pi * np.multiply.outer(grid.y, grid.x)) * J
+    U = inverse @ (V * s[:, None])
+    scale = dy * 1j ** (L % 4)
+    profile = scale * s * U[:, h]  # |f(c)|^2 up to the normalization
+    anchor = int(np.argmax(np.abs(profile))) if cfg.anchor is None else int(cfg.anchor) % L
+    u0 = profile[anchor]
+    slice_l1 = dy * float(np.sum(np.abs(J[:, h])))
+    if slice_l1 <= 0 or abs(u0) < 1e-10 * slice_l1:
+        raise DegenerateAnchorError(f"anchor {anchor} has |u_c(0)| ~ 0")
+    rows = (k + anchor - h) % L
+    samples = np.zeros(L, dtype=np.complex128)
+    samples[rows] = scale * (-1.0) ** (k + anchor - h) * U[rows, k] / np.sqrt(abs(u0))
+    return samples, anchor, owner, den

@@ -25,8 +25,10 @@ from specret import (
     chirp_preset,
     dilated_gauss_samples,
     eval_frft_gauss_ambiguity,
+    frft_gauss_samples,
     gen_chirp,
     gen_mixture,
+    hermite_samples,
     make_grid,
     make_plan,
     mixture_preset,
@@ -46,6 +48,7 @@ from specret.retrieval import _two_at_a_time, row_span
 from oracles import (
     assemble,
     den_lattice,
+    dense_retrieve,
     gauss_baseline_family,
     masked_inversion,
     padded,
@@ -56,7 +59,7 @@ from oracles import (
     two_list_bounds,
     xy_phase,
 )
-from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, GRIDS
+from conftest import ANGLES, DEGREE_SETS, DILATIONS, EPSILONS, GRIDS, random_signal
 
 
 def gauss_signal(grid, a=1.0):
@@ -77,6 +80,56 @@ def divided(monkeypatch):
 
     monkeypatch.setattr(retrieval, "_divide", kept)
     return seen
+
+
+# small families for the dense reference: fans of 1-5 windows with a in
+# [1, 3], and Hermite degree sets from [0, 8), each member built directly
+DENSE_FAMILIES = st.one_of(
+    st.tuples(st.just("fan"), st.floats(1.0, 3.0),
+              st.lists(st.floats(0.0, np.pi), min_size=1, max_size=5)),
+    st.tuples(st.just("hermite"), st.just(None),
+              st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True).map(sorted)))
+
+
+def dense_family(spec, grid):
+    kind, a, params = spec
+    if kind == "fan":
+        members = [WindowMember(window_id=f"frft_gauss({a}, {alpha})",
+                                samples=frft_gauss_samples(a, alpha, grid),
+                                evaluator=FrftGaussAmbiguity(a, alpha)) for alpha in params]
+    else:
+        members = [WindowMember(window_id=f"hermite({n})", samples=hermite_samples(n, grid),
+                                evaluator=HermiteAmbiguity(n)) for n in params]
+    return WindowFamily(members=members, grid=grid)
+
+
+class TestDenseReference:
+    """The whole retrieval, from the powers to the samples, against the
+    dense sums of the paper's formulas (`oracles.dense_retrieve`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.sampled_from([1.5, 2.0, 2.5]), L=st.sampled_from([16, 24, 32]),
+           spec=DENSE_FAMILIES, algorithm=st.sampled_from(["alg1", "alg2"]),
+           epsilon=st.floats(-3.0, np.log10(0.5)).map(lambda e: 10.0 ** e),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_runners_match_the_dense_sums(self, T, L, spec, algorithm, epsilon, seed):
+        grid = make_grid(T, L)
+        family = dense_family(spec, grid)
+        f = random_signal(grid, np.random.default_rng(seed))
+        cfg = RetrievalConfig(epsilon=epsilon, algorithm=algorithm)
+        runner = run_alg1 if algorithm == "alg1" else run_alg2
+        powers = measure_family(f, family)
+        try:
+            samples, anchor, owner, den = dense_retrieve(f, family, cfg)
+        except (EmptyMaskError, DegenerateAnchorError) as exc:
+            with pytest.raises(type(exc)):
+                runner(powers, family, cfg)
+            return
+        got = runner(powers, family, cfg)
+        assert np.array_equal(got.plan.owner, owner)
+        assert got.anchor_c == anchor
+        assert np.max(np.abs(den_lattice(got.plan) - den)) <= 1e-12 * np.max(np.abs(den))
+        assert np.max(np.abs(got.signal.values - samples)) <= 1e-10 * np.max(np.abs(samples))
 
 
 class TestReconstructFromAmbiguity:
