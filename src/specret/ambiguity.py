@@ -22,15 +22,14 @@ no floor every row spans the whole lattice.  A window family adds its
 members into one buffer this way; `windows.peel` bounds what the floor
 of a retrieval plan leaves out.
 
-`hermite_lattices` evaluates a Hermite family with one Laguerre
-recurrence up to its largest degree, run on the quadrant x, y <= 0 and
-mirrored by slices, handing out each degree's lattice on the way.  Given
-a floor > 0 it skips the outer rows whose cells are all at most the
-floor, found from the monotone tail of the Laguerre functions; with no
-floor it evaluates every cell (`first_live_row`, `mirror_quadrant`).
-`HermiteAmbiguity.on_lattice` is its one-degree case; a retrieval plan
-claims its cells on the quadrant itself (`windows.peel`) and mirrors the
-result once, so it makes no lattice per degree.
+`hermite_blocks` is the one driver of Hermite lattices: it runs the
+Laguerre recurrence over a family's degrees on the quadrant x, y <= 0, a
+block of PLAN_ROWS rows at a time, skipping the outer rows whose cells
+are all at most a floor.  Its readers mirror what they keep from the
+quadrant by slices (`mirror_quadrant`): `HermiteAmbiguity.on_lattice`
+the one degree's values, a retrieval plan (`windows.peel`) its labels,
+and the CLI's `coverage` each member's stability mask, so neither of the
+last two makes a lattice per degree.
 
 `numeric_ambiguity` is exp(i*pi*x*y) V_g g.  On the square lattice
 x_k * y_m = (k - L/2)(m - L/2)/L, so each phase is a 2L-th root of unity
@@ -94,6 +93,9 @@ BAND_ROWS = 16
 # lattice rows the product transform takes and reads out at a time, and
 # the noise kernel draws at a time: 1 MB of complex rows at L = 1024
 PRODUCT_ROWS = 64
+# quadrant rows `hermite_blocks` evaluates together: 256 KB a degree at
+# L = 1024
+PLAN_ROWS = 64
 
 
 class FrftGaussAmbiguity:
@@ -189,9 +191,13 @@ class HermiteAmbiguity:
     def on_lattice(self, grid: Grid, floor: float = 0.0,
                    out: np.ndarray | None = None) -> np.ndarray:
         """The ambiguity on the (y, x) lattice, or added into `out`: the
-        one-degree `hermite_lattices`, so rows whose every cell is at most
-        floor stay 0; with floor <= 0 every cell is evaluated."""
-        values = next(hermite_lattices([self.n], grid, floor))
+        quadrant blocks of `hermite_blocks`, mirrored, so rows whose every
+        cell is at most floor stay 0; with floor <= 0 every cell is
+        evaluated."""
+        values = np.zeros((grid.L, grid.L))
+        for rows, ladder in hermite_blocks([self.n], grid, floor):
+            values[rows, :grid.L // 2 + 1] = next(ladder)
+        mirror_quadrant(values)
         if out is None:
             return values
         out += values
@@ -201,56 +207,43 @@ class HermiteAmbiguity:
         return f"HermiteAmbiguity(n={self.n})"
 
 
-def hermite_lattices(degrees, grid: Grid, floor: float):
-    """Yield A h_n on the (y, x) lattice for each n in degrees, in order,
-    from one `laguerre_ladder` run on the quadrant x, y <= 0, mirrored.
+def hermite_blocks(degrees, grid: Grid, floor: float):
+    """Yield (rows, ladder) for each block of PLAN_ROWS quadrant rows: rows
+    is a slice of the quadrant x, y <= 0 (lattice rows and columns 0, ...,
+    L/2), and ladder is `laguerre_ladder(degrees, pi (y^2 + x^2))` on the
+    block's rows, A h_n for each n in degrees in order.
 
-    Every lattice is fresh.  With floor > 0 the quadrant's leading rows
-    (the largest |y|) whose x = 0 cell is dead are skipped and stay 0: a
-    cell is dead where z = pi y^2 >= 6 n_max + 2 and its value is at most
-    floor for every degree.  All zeros of L_n lie below 4n + 2, so past
+    The blocks start at the first live row.  With floor > 0 the leading
+    rows (the largest |y|) whose x = 0 cell is dead are skipped: a cell is
+    dead where z = pi y^2 >= 6 n_max + 2 and its value is at most floor
+    for every degree.  All zeros of L_n lie below 4n + 2, so past
     z = 6n + 2 each term of d/dz ln|L_n| = sum 1/(z - z_i) is below 1/(2n)
     and |exp(-z/2) L_n(z)| decreases; every cell of a dead row, and of
-    every row beyond it, is then at most floor.
+    every row beyond it, is then at most floor.  With floor <= 0 every row
+    is evaluated.
     """
     degrees = list(degrees)
-    x2, y2 = quadrant_squares(grid)
-    r0 = first_live_row(degrees, grid, floor)
-    for q in laguerre_ladder(degrees, np.pi * (y2[r0:, None] + x2[None, :])):
-        out = np.zeros((grid.L, grid.L))
-        out[r0:len(y2), :len(x2)] = q
-        mirror_quadrant(out, r0)
-        yield out
-
-
-def quadrant_squares(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """x^2 and y^2 on the quadrant x, y <= 0: lattice indices 0, ..., L/2."""
     h = grid.L // 2
-    return grid.x[:h + 1] ** 2, grid.y[:h + 1] ** 2
+    x2, y2 = grid.x[:h + 1] ** 2, grid.y[:h + 1] ** 2
+    r0 = 0
+    if floor > 0:
+        z0 = np.pi * (y2 + x2[-1])  # the x = 0 column, as the blocks compute it
+        dead = z0 >= 6 * max(degrees) + 2
+        for v in laguerre_ladder(degrees, z0):
+            dead &= np.abs(v) <= floor
+        r0 = int(np.argmin(dead))  # the x = 0 cell of row L/2 is never dead
+    for b0 in range(r0, h + 1, PLAN_ROWS):
+        rows = slice(b0, min(b0 + PLAN_ROWS, h + 1))
+        yield rows, laguerre_ladder(degrees, np.pi * (y2[rows, None] + x2[None, :]))
 
 
-def first_live_row(degrees, grid: Grid, floor: float) -> int:
-    """The first quadrant row that a floored Hermite lattice of `degrees`
-    evaluates (see `hermite_lattices`); 0 with floor <= 0."""
-    if floor <= 0:
-        return 0
-    x2, y2 = quadrant_squares(grid)
-    z0 = np.pi * (y2 + x2[-1])  # the x = 0 column, as the quadrant computes it
-    dead = z0 >= 6 * max(degrees) + 2
-    for v in laguerre_ladder(degrees, z0):
-        dead &= np.abs(v) <= floor
-    return int(np.argmin(dead))  # the x = 0 cell of row L/2 is never dead
-
-
-def mirror_quadrant(out: np.ndarray, r0: int):
-    """Fill the (L, L) lattice `out` in place from its quadrant rows r0..L/2,
-    columns 0..L/2, by the radial symmetry: index L/2 + j mirrors L/2 - j,
-    and index 0 (x = -T, y = -Nyquist) has no partner.  Rows before r0 and
-    their mirrors are left as they are."""
+def mirror_quadrant(out: np.ndarray):
+    """Fill the (L, L) lattice `out` in place from its quadrant, rows and
+    columns 0, ..., L/2, by the radial symmetry: index L/2 + j mirrors
+    L/2 - j, and index 0 (x = -T, y = -Nyquist) has no partner."""
     h = out.shape[0] // 2
-    m = max(r0, 1)
-    out[r0:h + 1, h + 1:] = out[r0:h + 1, h - 1:0:-1]
-    out[h + 1:2 * h + 1 - m] = out[h - 1:m - 1:-1]
+    out[:h + 1, h + 1:] = out[:h + 1, h - 1:0:-1]
+    out[h + 1:] = out[h - 1:0:-1]
 
 
 def unit_roots(L: int) -> np.ndarray:

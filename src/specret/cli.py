@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .ambiguity import first_pass, hermite_lattices
+from .ambiguity import first_pass, hermite_blocks, mirror_quadrant
 from .config import ConfigError, load_config
 from .exceptions import RetrievalError
 from .grid import Grid, Signal
@@ -382,13 +382,21 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
         else:
             payload["coverage_radii"] = None
     else:
-        # each member's stability mask |A h_n| > eps, from one Laguerre run
+        # each member's stability mask |A h_n| > eps, held as quadrant bits
+        # from one Laguerre run, with eps as the floor, and mirrored once
         _check_unit_epsilon(eps)
+        h1 = grid.L // 2 + 1
+        quadrants = np.zeros((len(family), h1, h1), dtype=bool)
+        for rows, ladder in hermite_blocks([m.evaluator.n for m in family.members], grid, eps):
+            for quadrant in quadrants[:, rows]:
+                values = next(ladder)
+                np.greater(np.abs(values, out=values), eps, out=quadrant)
         union = np.zeros((grid.L, grid.L), dtype=bool)
+        bits = np.empty_like(union)
         payload["member_areas"] = []
-        lattices = hermite_lattices([m.evaluator.n for m in family.members], grid, 0.0)
-        for member, lattice in zip(family.members, lattices):
-            bits = np.abs(lattice) > eps
+        for member, quadrant in zip(family.members, quadrants):
+            bits[:h1, :h1] = quadrant
+            mirror_quadrant(bits)
             union |= bits
             if emit.get("pgm", True):
                 name = f"mask_{member.window_id.replace('(', '_').replace(')', '').replace('=', '')}.pgm"

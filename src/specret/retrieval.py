@@ -45,7 +45,7 @@ lattice, and omega is the full lattices' omega (the bound is in
 `windows.peel`).  A Hermite family's ambiguities are radial: `peel`
 claims its cells on the quadrant x, y <= 0 only and skips the outer rows
 that lie in every degree's decreasing tail at or below the floor (the
-tail argument is in `ambiguity.hermite_lattices`).
+tail argument is in `ambiguity.hermite_blocks`).
 
 Tolerance convention
 --------------------

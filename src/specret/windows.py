@@ -12,28 +12,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import (
-    FrftGaussAmbiguity,
-    HermiteAmbiguity,
-    first_live_row,
-    mirror_quadrant,
-    quadrant_squares,
-)
+from .ambiguity import FrftGaussAmbiguity, HermiteAmbiguity, hermite_blocks, mirror_quadrant
 from .grid import Grid
-from .special import (
-    dilated_gauss_samples,
-    frft_gauss_samples,
-    hermite_samples,
-    laguerre_ladder,
-)
+from .special import dilated_gauss_samples, frft_gauss_samples, hermite_samples
 
 
 # window-ambiguity cells at or below this fraction of the threshold are
 # not evaluated when `peel` sums a group (see `peel` for the bound)
 LATTICE_FLOOR = 1e-20
-# quadrant rows `peel` evaluates together for a Hermite family: 256 KB a
-# degree at L = 1024
-PLAN_ROWS = 64
 # largest relative deviation of a fan window's grid energy dt * sum |g|^2
 # from its closed-form norm^2; resolved windows deviate by under 1e-3
 ENERGY_TOLERANCE = 0.5
@@ -173,13 +159,12 @@ def peel(family: WindowFamily, groups, epsilon: float):
     last (`row_span`; no rows, first 0, for an empty omega).  Each
     ambiguity is evaluated once, with the floor LATTICE_FLOOR * epsilon.
     A family of Hermite windows alone is evaluated on the quadrant
-    x, y <= 0 only, PLAN_ROWS rows at a time, each block from one
-    `laguerre_ladder` run over the degrees in the order the groups take
-    them; each group claims its cells of the block into the quadrant's den,
-    the labels are mirrored once at the end, and den's band is read from
-    the quadrant by the same mirror.  The quadrant's outer rows whose
-    cells all lie at or below the floor are not evaluated
-    (`first_live_row`).  Any other family adds each member's `on_lattice`
+    x, y <= 0 only, a block of rows at a time (`hermite_blocks`, over the
+    degrees in the order the groups take them, which skips the outer rows
+    whose cells all lie at or below the floor); each group claims its
+    cells of the block into the quadrant's den, the labels are mirrored
+    once at the end, and den's band is read from the quadrant by the same
+    mirror.  Any other family adds each member's `on_lattice`
     into its group's buffer, the first group's sum being den's buffer, so
     one more group's sum is alive at a time, and den's band is copied out
     at the end; a Gauss member leaves out its cells at or below the floor.
@@ -199,19 +184,15 @@ def peel(family: WindowFamily, groups, epsilon: float):
     owner = np.full((L, L), -1, dtype=np.min_scalar_type(-len(groups)))
     if all(isinstance(ev, HermiteAmbiguity) for group in evaluators for ev in group):
         degrees = [ev.n for group in evaluators for ev in group]
-        x2, y2 = quadrant_squares(grid)
-        h1 = len(x2)  # the quadrant is rows and columns 0, ..., L/2
+        h1 = h + 1  # the quadrant is rows and columns 0, ..., L/2
         quadrant = np.zeros((h1, h1))
-        r0 = first_live_row(degrees, grid, floor)
-        for b0 in range(r0, h1, PLAN_ROWS):
-            rows = slice(b0, min(b0 + PLAN_ROWS, h1))
-            ladder = laguerre_ladder(degrees, np.pi * (y2[rows, None] + x2[None, :]))
+        for rows, ladder in hermite_blocks(degrees, grid, floor):
             for i, group in enumerate(groups):
                 values = next(ladder)
                 for _ in group[1:]:
                     values += next(ladder)
                 _claim(values, i, epsilon, quadrant[rows], owner[rows, :h1])
-        mirror_quadrant(owner, r0)
+        mirror_quadrant(owner)
         first, stop = row_span(owner >= 0) or (0, 0)
         band = np.arange(first, stop)
         den = np.empty((stop - first, L))

@@ -8,9 +8,11 @@ from numpy.testing import assert_allclose
 from specret import (
     FrftGaussAmbiguity,
     HermiteAmbiguity,
+    RetrievalConfig,
     Signal,
     WindowFamily,
     WindowMember,
+    build_hermite_family,
     dilated_gauss_samples,
     eval_frft_gauss_ambiguity,
     eval_gauss_ambiguity,
@@ -19,10 +21,11 @@ from specret import (
     hermite_samples,
     laguerre_function,
     make_grid,
+    make_plan,
     numeric_ambiguity,
 )
 from specret import ambiguity
-from specret.ambiguity import PRODUCT_ROWS, hermite_lattices, product_blocks
+from specret.ambiguity import PRODUCT_ROWS, product_blocks
 from specret.stft import stft_power
 from oracles import (
     gathered_product,
@@ -529,14 +532,15 @@ class TestHermiteQuadrant:
 
 
 class TestCroppedHermiteLattices:
-    """`hermite_lattices` with a floor against the full lattices of
-    `HermiteAmbiguity.on_lattice`."""
+    """`HermiteAmbiguity.on_lattice` with a floor, whose `hermite_blocks`
+    skip the dead outer rows, against the full lattice (no floor)."""
 
     @settings(max_examples=60, deadline=None)
     @given(degrees=DEGREE_SETS, floor=FLOORS, shape=GRIDS)
     def test_skipped_rows_hold_nothing_above_floor(self, degrees, floor, shape):
         grid = make_grid(*shape)
-        for n, part in zip(degrees, hermite_lattices(degrees, grid, floor), strict=True):
+        for n in degrees:
+            part = HermiteAmbiguity(n).on_lattice(grid, floor)
             full = HermiteAmbiguity(n).on_lattice(grid)
             same = (part == full).all(axis=1)
             assert not part[~same].any()
@@ -545,12 +549,17 @@ class TestCroppedHermiteLattices:
     def test_w2_cell_steps(self, monkeypatch):
         # W2's plan: degrees [50, 100] at T = 8, L = 1024, floor at eps = 0.5;
         # two full-quadrant runs took (50 + 100) * 513^2 = 39.5M cell steps
-        steps = []
+        steps, rows = [], []
         original = ambiguity.laguerre_ladder
-        monkeypatch.setattr(ambiguity, "laguerre_ladder", lambda degrees, z:
-                            steps.append(max(degrees) * np.size(z)) or original(degrees, z))
+
+        def counted(degrees, z):
+            if np.ndim(z) == 2:  # the quadrant blocks, not the x = 0 column's pass
+                steps.append(max(degrees) * np.size(z))
+                rows.append(len(z))
+            return original(degrees, z)
+
+        monkeypatch.setattr(ambiguity, "laguerre_ladder", counted)
         grid = make_grid(8.0, 1024)
-        lattices = list(hermite_lattices([50, 100], grid, LATTICE_FLOOR * 0.5 * grid.dt))
+        make_plan(build_hermite_family([50, 100], grid), RetrievalConfig(0.5, algorithm="alg2"))
         assert sum(steps) <= 12e6
-        # 225 of the 513 quadrant rows, mirrored
-        assert [lat.any(axis=1).sum() for lat in lattices] == [2 * 225 - 1] * 2
+        assert sum(rows) == 225  # of the 513 quadrant rows

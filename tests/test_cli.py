@@ -86,7 +86,7 @@ class TestRetrieve:
 
     def test_noise_run_plans_once(self, tmp_path, monkeypatch):
         # the noise-bound check reuses the retrieval's plan and noisy assembly
-        from specret import cli, windows
+        from specret import ambiguity, cli
         path = write_config(tmp_path, noise={"model": "additive", "level": 0.01, "seed": 1})
         cfg = load_config(str(path))
         f, _ = cli._build_signal(cfg)
@@ -95,9 +95,9 @@ class TestRetrieve:
         noisy = [add_noise(p, "additive", 0.01, 1 + j) for j, p in enumerate(clean)]
         fresh = two_list_bounds(clean, noisy, make_plan(family, cli._retrieval_config(cfg)))
         runs = []  # (degrees, rows) of each block of the plan's one Laguerre run
-        original = windows.laguerre_ladder
-        monkeypatch.setattr(windows, "laguerre_ladder",
-                            lambda ns, z: runs.append((list(ns), len(z))) or original(ns, z))
+        original = ambiguity.laguerre_ladder
+        monkeypatch.setattr(ambiguity, "laguerre_ladder", lambda ns, z: (
+            np.ndim(z) == 2 and runs.append((list(ns), len(z)))) or original(ns, z))
         out = tmp_path / "run"
         assert main(["retrieve", "--config", str(path), "--out", str(out)]) == 0
         assert runs and all(ns == [0, 5] for ns, _ in runs)
@@ -390,14 +390,14 @@ class TestCoverage:
         assert len(masks) == 3
 
     def test_hermite_masks_from_one_laguerre_run(self, tmp_path, monkeypatch):
-        # one `hermite_lattices` run over the degrees gives each member's
+        # one `hermite_blocks` run over the degrees gives each member's
         # stability mask, bit for bit
         from specret import HermiteAmbiguity, cli
         from oracles import stability_mask
         runs = []
-        lattices = cli.hermite_lattices
-        monkeypatch.setattr(cli, "hermite_lattices",
-                            lambda *args: runs.append(args[0]) or lattices(*args))
+        blocks = cli.hermite_blocks
+        monkeypatch.setattr(cli, "hermite_blocks",
+                            lambda *args: runs.append(args[0]) or blocks(*args))
         degrees, eps = [1, 5, 10], 0.1
         cfg = write_config(tmp_path, scheme={"kind": "hermite", "degrees": degrees},
                            epsilon=eps)

@@ -41,8 +41,7 @@ from specret import (
     reconstruct_from_ambiguity,
     verify_noise_bounds,
 )
-from specret import ambiguity, retrieval, windows
-from specret.ambiguity import hermite_lattices
+from specret import ambiguity, retrieval
 from specret.windows import LATTICE_FLOOR
 from specret.retrieval import _two_at_a_time, row_span
 from oracles import (
@@ -519,14 +518,13 @@ class TestRetrievalPlan:
 
 def full_lattice_plan(family, cfg):
     """Oracle for `make_plan`'s (den, owner) on a Hermite family: each
-    group's sum of the floored full lattices (`hermite_lattices`), claimed
-    on the whole lattice in group order."""
+    group's sum of the floored full lattices (`HermiteAmbiguity.on_lattice`),
+    claimed on the whole lattice in group order."""
     grid = family.grid
     eps = raw_threshold(cfg, grid)
     n = len(family)
     groups = [range(n)] if cfg.algorithm == "alg1" else [[j] for j in range(n)]
-    lattices = list(hermite_lattices([m.evaluator.n for m in family.members], grid,
-                                     LATTICE_FLOOR * eps))
+    lattices = [m.evaluator.on_lattice(grid, LATTICE_FLOOR * eps) for m in family.members]
     den = np.zeros((grid.L, grid.L))
     owner = np.full((grid.L, grid.L), -1, dtype=np.min_scalar_type(-len(groups)))
     for i, group in enumerate(groups):
@@ -607,7 +605,7 @@ class TestFlooredPlan:
                          evaluator=HermiteAmbiguity(n)) for n in degrees], grid=grid)
         cfg = RetrievalConfig(epsilon=epsilon, algorithm=algorithm)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(windows, "PLAN_ROWS", rows)
+            mp.setattr(ambiguity, "PLAN_ROWS", rows)
             plan = make_plan(fam, cfg)
         den, owner = full_lattice_plan(fam, cfg)
         assert np.array_equal(den_lattice(plan), den)
