@@ -39,6 +39,7 @@ from .signals import chirp_preset, gen_chirp, gen_mixture, mixture_preset
 from .stft import block_buffer, draw_noise
 from .wavio import load_wav, save_wav
 from .windows import (
+    COVERAGE_DIRECTIONS,
     WindowFamily,
     _check_unit_epsilon,
     build_frft_family,
@@ -224,7 +225,9 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     of windows and the noise model alone: every measurement is an L x L
     float64 array, which the noise is drawn into in place, and a noisy run
     holds beside them the first-pass lines of at most two window groups
-    (`_measure`), at most L/2 + 1 complex lines of L cells each."""
+    (`_measure`), at most L/2 + 1 complex lines of L cells each.  A fan's
+    `coverage` adds its polar scan (`coverage_radii`), a few float arrays
+    of COVERAGE_DIRECTIONS cells whatever L is."""
     L = int(cfg["grid"]["L"])
     if cfg["signal"]["kind"] == "wav":
         L = min(L, AUDIO_MAX_SAMPLES)
@@ -237,7 +240,9 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     else:
         held = _window_count(cfg["scheme"])
     lines = 2 * 16 * L * (L // 2 + 1) if held and cfg["noise"]["model"] != "none" else 0
-    return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS) + lines
+    fan_scan = command == "coverage" and cfg["scheme"]["kind"] == "frft_gauss"
+    scan = 6 * 8 * COVERAGE_DIRECTIONS if fan_scan else 0
+    return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS) + lines + scan
 
 
 def check_size(command: str, cfg: dict):

@@ -1150,6 +1150,21 @@ class TestSizeGuard:
         assert rc == 0
         assert estimate_bytes("verify-bounds", load_config(str(path))) >= peak
 
+    @pytest.mark.parametrize("L", [256, 1024])
+    def test_estimate_covers_coverage_peak(self, tmp_path, L):
+        # the default 40-window fan, whose polar scan of the union's extent
+        # costs the same at every L
+        path = write_config(tmp_path, grid={"T": 8.0, "L": L},
+                            scheme={"kind": "frft_gauss", "a": 15.0, "n_windows": 40})
+        tracemalloc.start()
+        try:
+            rc = main(["coverage", "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert estimate_bytes("coverage", load_config(str(path))) >= peak
+
 
 def mostly(valid, *odd):
     """Draw `valid` about seven times in eight, else one of the odd values."""
