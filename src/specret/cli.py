@@ -44,6 +44,7 @@ from .windows import (
     _check_unit_epsilon,
     build_frft_family,
     build_hermite_family,
+    check_hermite_degree,
     coverage_radii,
     gauss_window_member,
 )
@@ -427,6 +428,7 @@ def cmd_random_study(cfg: dict, out_dir: Path) -> int:
     lo, hi, count, trials = (int(study["degree_min"]), int(study["degree_max"]),
                              int(study["count"]), int(study["trials"]))
     f, _ = _build_signal(cfg)
+    check_hermite_degree(hi, f.grid)  # before the first draw
     rcfg = replace(_retrieval_config(cfg), algorithm="alg2")
     rng = np.random.default_rng(int(cfg["seed"]))
     rows = []

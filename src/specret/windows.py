@@ -108,8 +108,24 @@ def build_frft_family(a: float, N: int, grid: Grid,
     return WindowFamily(members=tuple(members), grid=grid)
 
 
+def check_hermite_degree(n: int, grid: Grid):
+    """Refuse a Hermite window of degree n that the grid cannot hold, in
+    O(1): h_n turns at |t| = sqrt((2n + 1) / (2 pi)), in time and in
+    frequency alike, and that point must lie within both the grid's
+    half-width T and its Nyquist L / (4T).  Past either edge the window
+    is truncated or aliased, and a retrieval with it silently fails."""
+    reach = min(grid.T, grid.nyquist)
+    limit = 2 * np.pi * reach * reach  # the largest 2n + 1 that fits
+    if not 2 * n + 1 <= limit:  # an exact int-float comparison, even for huge n
+        raise ValueError(
+            f"hermite(n={n}) does not fit the grid (T={grid.T:g}, L={grid.L}): h_n turns at "
+            f"sqrt((2n + 1) / (2 pi)), beyond min(T, L/(4T)) = {reach:.4g} for n > "
+            f"{max(int((limit - 1) // 2), -1)}")
+
+
 def build_hermite_family(degrees, grid: Grid) -> WindowFamily:
-    """Family of Hermite windows with strictly increasing degrees."""
+    """Family of Hermite windows with strictly increasing degrees, the
+    largest of which the grid holds (`check_hermite_degree`)."""
     degrees = [int(n) for n in degrees]
     if not degrees:
         raise ValueError("need at least one degree")
@@ -117,6 +133,7 @@ def build_hermite_family(degrees, grid: Grid) -> WindowFamily:
         raise ValueError(f"degrees must be nonnegative, got {degrees}")
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError(f"degrees must be strictly increasing, got {degrees}")
+    check_hermite_degree(degrees[-1], grid)
     members = []
     for n in degrees:
         members.append(WindowMember(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -843,9 +844,10 @@ class TestFixedAnchor:
 
 class TestNumericErrors:
     def test_numeric_overflow_exits_3_without_traceback(self, tmp_path, capsys):
-        # a degree-900 Hermite window underflows on a T=40 grid
+        # a degree-900 Hermite window underflows on a T=40 grid; at L=4096 the
+        # grid holds it (it turns at 16.9, inside the Nyquist 25.6)
         path = write_config(tmp_path, scheme={"kind": "hermite", "degrees": [900]},
-                            grid={"T": 40.0, "L": 1024})
+                            grid={"T": 40.0, "L": 4096})
         assert main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -1057,6 +1059,34 @@ def test_import_leaves_out_concurrent_futures():
     assert proc.stdout.strip() == "False"
 
 
+class TestHermiteGuard:
+    """Hermite windows the grid cannot hold exit 2 before any window is
+    sampled or any degree drawn."""
+
+    @pytest.mark.parametrize("command, fields", [
+        ("retrieve", {"scheme": {"kind": "hermite", "degrees": [600]}, "epsilon": 0.5}),
+        ("retrieve", {"scheme": {"kind": "hermite", "degrees": [0, 10 ** 6]}}),
+        ("coverage", {"scheme": {"kind": "hermite", "degrees": [600]}, "epsilon": 0.1}),
+        ("random-study", {"study": {"count": 6, "degree_min": 0, "degree_max": 100000,
+                                    "trials": 3}}),
+    ])
+    def test_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, command, fields):
+        from specret import cli, windows
+        sampled, built = [], []
+        monkeypatch.setattr(windows, "hermite_samples", lambda n, grid: sampled.append(n))
+        build = cli.build_hermite_family
+        monkeypatch.setattr(cli, "build_hermite_family",
+                            lambda *args: built.append(args) or build(*args))
+        path = write_config(tmp_path, **fields)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "does not fit the grid" in err and "Traceback" not in err
+        assert sampled == []
+        if command == "random-study":  # refused on degree_max, before the first draw
+            assert built == []
+        assert not (tmp_path / "x").exists()
+
+
 class TestSizeGuard:
     def test_huge_fan_exits_2_before_allocating(self, tmp_path, capsys):
         path = write_config(tmp_path, signal={"kind": "chirp"},
@@ -1180,7 +1210,8 @@ CONFIG_DOCS = st.fixed_dictionaries(
             "L": mostly(st.integers(8, 32).map(lambda n: 2 * n), -2, 0, 2, 63)}),
         "study": st.fixed_dictionaries({"trials": st.integers(1, 3)}, optional={
             "count": mostly(st.integers(1, 4), 0, 30), "degree_min": mostly(st.integers(0, 10), -1),
-            "degree_max": st.integers(10, 20)}),
+            # ranges up to 10**6: the study refuses a degree_max the grid cannot hold
+            "degree_max": st.one_of(st.integers(10, 20), st.integers(10, 10 ** 6))}),
     },
     optional={
         "signal": mostly(st.sampled_from([{"kind": "mixture"}, {"kind": "mixture"},
@@ -1193,8 +1224,10 @@ CONFIG_DOCS = st.fixed_dictionaries(
                 "n_windows": mostly(st.integers(1, 6), -1, 0),
                 "angles": st.lists(mostly(st.floats(-10, 10), *ODD_NUMBERS), max_size=6)}),
             st.fixed_dictionaries({"kind": st.just("hermite")}, optional={
-                "degrees": mostly(st.lists(st.integers(0, 40), min_size=1, max_size=4,
-                                           unique=True).map(sorted), [], [-1], [5, 3])})),
+                # degrees up to 10**7, which the family refuses before sampling
+                "degrees": mostly(st.lists(st.integers(0, 40) | st.integers(0, 10 ** 7),
+                                           min_size=1, max_size=4, unique=True).map(sorted),
+                                  [], [-1], [5, 3])})),
         "epsilon": mostly(st.floats(1e-6, 0.9), *ODD_NUMBERS),
         "noise": mostly(st.sampled_from([{"model": "none"}]), {"model": "poisson"},
                         {"model": "additive"}) | st.fixed_dictionaries({
@@ -1210,20 +1243,65 @@ CONFIG_DOCS = st.fixed_dictionaries(
 )
 
 
+# valid Hermite runs on the mixture's small grids, with degrees up to 10**7
+# and study ranges up to 10**6: most reach the guard, where CONFIG_DOCS
+# mostly stop at the config checks
+HERMITE_DOCS = st.fixed_dictionaries({
+    "signal": st.just({"kind": "mixture"}),
+    "grid": st.fixed_dictionaries({"T": st.floats(4.0, 8.0),
+                                   "L": st.integers(8, 32).map(lambda n: 2 * n)}),
+    "scheme": st.fixed_dictionaries({"kind": st.just("hermite"), "degrees": st.lists(
+        st.integers(0, 40) | st.integers(0, 10 ** 7), min_size=1, max_size=4,
+        unique=True).map(sorted)}),
+    "study": st.fixed_dictionaries({
+        "trials": st.integers(1, 2), "count": st.integers(1, 3),
+        "degree_min": st.integers(0, 10),
+        "degree_max": st.integers(10, 40) | st.integers(10, 10 ** 6)}),
+    "epsilon": st.floats(1e-3, 0.9),
+    "noise": st.sampled_from([{"model": "none"}, {"model": "multiplicative", "level": 0.05}]),
+    "emit": st.just({"csv": False, "pgm": False, "json": True, "wav": False}),
+})
+
+
+def run_exit_code(doc, command):
+    """(exit code, seconds, RuntimeWarnings, stderr) of one CLI run of doc."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = time.perf_counter()
+            rc = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            elapsed = time.perf_counter() - start
+    return rc, elapsed, [w for w in caught if issubclass(w.category, RuntimeWarning)], err.getvalue()
+
+
 class TestConfigFuzz:
+    """Every config exits 0, 2, 3 or 4 with one line at most on stderr, and
+    no traceback.  Every grid here has L <= 64, where no run takes a
+    second; a degree of 10**7 sampled before the Hermite guard would take
+    minutes, so each run is held to 5 s."""
+
     @settings(max_examples=50, deadline=None)
     @given(doc=CONFIG_DOCS, command=st.sampled_from(sorted(COMMANDS)))
     def test_documented_exit_codes_only(self, doc, command):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "cfg.json"
-            path.write_text(json.dumps(doc))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                    warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rc = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        rc, elapsed, caught, err = run_exit_code(doc, command)
         assert rc in (0, 2, 3, 4)
+        assert elapsed < 5.0
         if rc == 0:  # a successful run passed through no overflow or NaN
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert "Traceback" not in err.getvalue()
-        assert len(err.getvalue().strip().splitlines()) <= 1
+            assert not caught
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) <= 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(doc=HERMITE_DOCS, command=st.sampled_from(sorted(COMMANDS)))
+    def test_hermite_degrees_of_any_size(self, doc, command):
+        rc, elapsed, caught, err = run_exit_code(doc, command)
+        assert rc in (0, 2, 3, 4)
+        assert elapsed < 5.0
+        if rc == 0:
+            assert not caught
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) <= 1

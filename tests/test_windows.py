@@ -11,6 +11,7 @@ from specret import (
     dilated_gauss_samples,
     make_grid,
 )
+from specret.windows import check_hermite_degree
 from oracles import peel_masks, stability_mask
 
 
@@ -61,6 +62,24 @@ class TestFamilies:
             build_hermite_family([2, 2], grid256)
         with pytest.raises(ValueError):
             build_hermite_family([], grid256)
+
+    @pytest.mark.parametrize("T, L, fits, refused", [
+        (8.0, 256, 200, 201),  # both edges at 8: degree 200 turns at 7.99, 201 at 8.01
+        (8.0, 1024, 200, 201),  # the half-width binds
+        (8.0, 128, 49, 50),  # the Nyquist L/(4T) = 4 binds, well inside T
+        (40.0, 2048, 514, 515),  # Nyquist 12.8: the n = 400 lattice's window fits
+    ])
+    def test_hermite_refuses_degrees_the_grid_cannot_hold(self, T, L, fits, refused):
+        grid = make_grid(T, L)
+        check_hermite_degree(fits, grid)
+        with pytest.raises(ValueError, match=rf"hermite\(n={refused}\) does not fit the grid"):
+            build_hermite_family([0, refused], grid)
+
+    def test_hermite_guard_is_o1_for_any_degree(self, grid256):
+        # 10**400 has no float; the guard compares it with an exact int-float comparison
+        for n in (10 ** 6, 10 ** 7, 10 ** 400):
+            with pytest.raises(ValueError, match="does not fit the grid"):
+                check_hermite_degree(n, grid256)
 
     def test_frft_rejects_bad_parameters(self, grid256):
         with pytest.raises(ValueError):
