@@ -228,7 +228,8 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     holds beside them the first-pass lines of at most two window groups
     (`_measure`), at most L/2 + 1 complex lines of L cells each.  A fan's
     `coverage` adds its polar scan (`coverage_radii`), a few float arrays
-    of COVERAGE_DIRECTIONS cells whatever L is."""
+    of COVERAGE_DIRECTIONS cells whatever L is, and a Hermite `coverage`
+    its members' quadrant mask bits."""
     L = int(cfg["grid"]["L"])
     if cfg["signal"]["kind"] == "wav":
         L = min(L, AUDIO_MAX_SAMPLES)
@@ -241,9 +242,12 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     else:
         held = _window_count(cfg["scheme"])
     lines = 2 * 16 * L * (L // 2 + 1) if held and cfg["noise"]["model"] != "none" else 0
-    fan_scan = command == "coverage" and cfg["scheme"]["kind"] == "frft_gauss"
-    scan = 6 * 8 * COVERAGE_DIRECTIONS if fan_scan else 0
-    return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS) + lines + scan
+    extra = 0
+    if command == "coverage" and cfg["scheme"]["kind"] == "frft_gauss":
+        extra = 6 * 8 * COVERAGE_DIRECTIONS  # the polar scan
+    elif command == "coverage":
+        extra = _window_count(cfg["scheme"]) * (L // 2 + 1) ** 2  # a quadrant mask a member
+    return L * L * (8 * held + 16 * WORKSPACE_COMPLEX_ARRAYS) + lines + extra
 
 
 def check_size(command: str, cfg: dict):
@@ -395,8 +399,7 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
         quadrants = np.zeros((len(family), h1, h1), dtype=bool)
         for rows, ladder in hermite_blocks([m.evaluator.n for m in family.members], grid, eps):
             for quadrant in quadrants[:, rows]:
-                values = next(ladder)
-                np.greater(np.abs(values, out=values), eps, out=quadrant)
+                np.greater(np.abs(next(ladder)), eps, out=quadrant)
         union = np.zeros((grid.L, grid.L), dtype=bool)
         bits = np.empty_like(union)
         payload["member_areas"] = []

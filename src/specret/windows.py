@@ -109,18 +109,14 @@ def build_frft_family(a: float, N: int, grid: Grid,
 
 
 def check_hermite_degree(n: int, grid: Grid):
-    """Refuse a Hermite window of degree n that the grid cannot hold, in
-    O(1): h_n turns at |t| = sqrt((2n + 1) / (2 pi)), in time and in
-    frequency alike, and that point must lie within both the grid's
-    half-width T and its Nyquist L / (4T).  Past either edge the window
-    is truncated or aliased, and a retrieval with it silently fails."""
+    """Refuse, in O(1), a Hermite degree the grid cannot hold: h_n turns at
+    |t| = sqrt((2n + 1) / (2 pi)) in time and in frequency alike, which
+    must lie within both the half-width T and the Nyquist L / (4T); past
+    either the window is truncated or aliased, and retrieves nothing."""
     reach = min(grid.T, grid.nyquist)
-    limit = 2 * np.pi * reach * reach  # the largest 2n + 1 that fits
-    if not 2 * n + 1 <= limit:  # an exact int-float comparison, even for huge n
-        raise ValueError(
-            f"hermite(n={n}) does not fit the grid (T={grid.T:g}, L={grid.L}): h_n turns at "
-            f"sqrt((2n + 1) / (2 pi)), beyond min(T, L/(4T)) = {reach:.4g} for n > "
-            f"{max(int((limit - 1) // 2), -1)}")
+    if not 2 * n + 1 <= 2 * np.pi * reach * reach:  # int-float: exact for any n
+        raise ValueError(f"hermite(n={n}) does not fit the grid (T={grid.T:g}, L={grid.L}): it "
+                         f"turns at sqrt((2n + 1) / (2 pi)), beyond min(T, L/(4T)) = {reach:.4g}")
 
 
 def build_hermite_family(degrees, grid: Grid) -> WindowFamily:
@@ -256,9 +252,7 @@ def coverage_radii(a: float, N: int, epsilon: float,
     ellipses, R2 from the near pair; the union covers the disc of radius
     R1.  The numeric field scans a fine polar grid and takes, over all
     directions, the smallest radial extent of the union; it must not fall
-    below R1 (asserted at 0.1% slack).  The scan takes the minimum over the
-    N ellipses one angle at a time, so it holds a few n_theta arrays
-    whatever N is.
+    below R1 (asserted at 0.1% slack).
     """
     if a <= 1:
         raise ValueError(f"need a > 1, got {a}")
@@ -276,7 +270,7 @@ def coverage_radii(a: float, N: int, epsilon: float,
     # union extent along each direction: r(theta)^2 = C / min_j E(theta + alpha_j)
     theta = np.linspace(0.0, np.pi, n_theta, endpoint=False)
     emin = np.full(n_theta, np.inf)
-    for alpha in np.pi * np.arange(N) / N:
+    for alpha in np.pi * np.arange(N) / N:  # a few n_theta arrays, whatever N is
         psi = theta + alpha
         np.minimum(emin, a * np.cos(psi) ** 2 + np.sin(psi) ** 2 / a, out=emin)
     r2 = C / emin

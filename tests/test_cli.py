@@ -1139,8 +1139,9 @@ class TestSizeGuard:
                 assert estimate_bytes("verify-bounds", cfg) - clean == lines
         assert estimate_bytes("coverage", cfg) < estimate_bytes("baseline", cfg) < clean
         cfg["scheme"] = {"kind": "hermite", "degrees": [50, 100]}  # W2 with json off
+        # coverage holds one quadrant of mask bits a member, (L/2 + 1)^2 bytes
         assert estimate_bytes("retrieve", cfg) - estimate_bytes("coverage", cfg) == \
-            2 * 8 * L * L + lines
+            2 * 8 * L * L + lines - 2 * (L // 2 + 1) ** 2
 
     @pytest.mark.parametrize("doc", [
         {"signal": {"kind": "chirp"}, "scheme": {"kind": "frft_gauss", "a": 15.0, "n_windows": 12}},
