@@ -34,8 +34,8 @@ last two makes a lattice per degree.
 `numeric_ambiguity` is exp(i*pi*x*y) V_g g.  On the square lattice
 x_k * y_m = (k - L/2)(m - L/2)/L, so each phase is a 2L-th root of unity
 from the `unit_roots` table: each block of `stft.stft_blocks` rows is
-multiplied by its phases in place and copied into its output columns,
-with no L x L phase or coefficient table beside the output.
+multiplied by its phases straight into its output rows, with no L x L
+phase or coefficient table beside the output.
 
 `product_blocks` takes the 2D DFT of a real power on a band of rows
 only.  Row i of the product reads one shift frequency, |i - L/2| by the
@@ -253,16 +253,15 @@ def unit_roots(L: int) -> np.ndarray:
 
 def numeric_ambiguity(g: np.ndarray, grid: Grid) -> np.ndarray:
     """A g on the (m, k) lattice, complex (L, L) and C-ordered, from blocks
-    of shift rows."""
+    of frequency rows."""
     sig = Signal(grid=grid, values=np.asarray(g, dtype=np.complex128))
     L = grid.L
     roots, c = unit_roots(L), np.arange(L) - L // 2
     out = np.empty((L, L), dtype=np.complex128)
-    for k0, block in stft_blocks(sig, g):
-        k = slice(k0, k0 + len(block))
+    for m0, block in stft_blocks(sig, g):
+        m = slice(m0, m0 + len(block))
         # phase first: a complex product's last bits depend on the operand order
-        np.multiply(roots[np.multiply.outer(c[k], c) % (2 * L)], block, out=block)
-        out[:, k] = block.T
+        np.multiply(roots[np.multiply.outer(c[m], c) % (2 * L)], block, out=out[m])
     return out
 
 
@@ -281,9 +280,8 @@ def first_pass(blocks, grid: Grid, rows: tuple[int, int] | None, l1: bool = Fals
     transformed along k as it comes, so the power need never be whole.  A
     non-finite cell refuses the power.  With l1, each row's sum of |.| is
     taken in a C-ordered buffer and added in row order, the same bits in
-    any layout and block height; a non-finite L1 then refuses the power,
-    else the cells are checked, which is cheaper on a Fortran-ordered
-    power's strided blocks.
+    any layout and block height, and a non-finite L1 refuses the power in
+    place of the cell check.
     """
     L = grid.L
     h, R = L // 2, min(PRODUCT_ROWS, L)

@@ -133,8 +133,8 @@ def _noise_rows(powers: list, group, model: str, level: float, seed: int):
         yield from draw_noise(like, model, level, seed + group[0], block_buffer(like))
         return
     n, half = len(group), (len(group) + 1) // 2
-    # each side's noise buffer and draw buffers, which its members take in turn
-    sides = [(block_buffer(like), (block_buffer(like, "C"), block_buffer(like))) for _ in range(2)]
+    # each side's noise and work buffers, which its members take in turn
+    sides = [(block_buffer(like), block_buffer(like)) for _ in range(2)]
     streams = [draw_noise(powers[j], model, level, seed + j, *sides[k >= half])
                for k, j in enumerate(group)]
     sums = [block_buffer(like), block_buffer(like)]  # block b is summed in sums[b % 2]

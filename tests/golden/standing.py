@@ -8,7 +8,10 @@ Each run goes through `python -m specret COMMAND --seed 7` in a fresh
 process, once with this tree's `src` and once with DIR's.  For every run
 the script prints each manifest file as identical or changed (a file only
 one side wrote counts as changed), and it exits 1 on any change or any
-nonzero exit.  The small-grid versions of these runs are pinned in tier-1
+nonzero exit.  Under a changed `result.json`, `bounds.json` or
+`summary.json` it prints each numeric field, this tree's value and its
+move relative to DIR's; under a changed `reconstruction.bin`, the largest
+sample move relative to DIR's largest sample.  The small-grid versions of these runs are pinned in tier-1
 by `tests/test_golden.py`.
 """
 from __future__ import annotations
@@ -20,6 +23,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SEED = 7
 ROOT = Path(__file__).resolve().parents[2]
@@ -70,6 +75,50 @@ def run(tree: Path, command: str, config: Path, out: Path) -> list | None:
     return json.loads((out / "manifest.json").read_text())["files"]
 
 
+def leaves(doc, key=""):
+    """Yield (dotted key, value) for every scalar in a JSON document."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from leaves(v, f"{key}[{i}]")
+    else:
+        yield key, doc
+
+
+def relative(this: float, base: float) -> float:
+    return 0.0 if this == base else abs(this - base) / abs(base) if base else float("inf")
+
+
+def moves(path: str, this: Path, base: Path) -> list[str]:
+    """The lines that say how a changed file moved: each numeric field of a
+    report, or the largest move of a reconstruction."""
+    name = Path(path).name
+    if not ((this / path).exists() and (base / path).exists()):
+        return []
+    if name == "reconstruction.bin":
+        sys.path.insert(0, str(ROOT / "src"))
+        from specret.container import read_signal
+        a, b = (read_signal(side / path).values for side in (this, base))
+        if a.shape != b.shape:
+            return [f"{a.shape} samples against {b.shape}"]
+        move = float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+        return [f"largest sample move {move:.2g} of the maximum"]
+    if name not in ("result.json", "bounds.json", "summary.json"):
+        return []
+    a, b = (dict(leaves(json.loads((side / path).read_text()))) for side in (this, base))
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key), b.get(key)
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        if numeric:
+            lines.append(f"{key}: {x!r} (moved {relative(x, y):.2g} relative)")
+        elif x != y:
+            lines.append(f"{key}: {x!r}, was {y!r}")
+    return lines
+
+
 def compare(name: str, command: str, doc: dict, against: Path) -> bool:
     """Run one config on both trees and print each file's verdict; True if
     every file is identical."""
@@ -80,14 +129,17 @@ def compare(name: str, command: str, doc: dict, against: Path) -> bool:
         config.write_text(json.dumps(doc))
         sides = [run(tree, command, config, work / label)
                  for tree, label in ((ROOT, "this"), (against, "base"))]
-    if None in sides:
-        return False
-    this, base = ({f["path"]: f for f in files} for files in sides)
-    same = True
-    for path in sorted(this.keys() | base.keys()):
-        verdict = "identical" if this.get(path) == base.get(path) else "changed"
-        same &= verdict == "identical"
-        print(f"  {path}: {verdict}")
+        if None in sides:
+            return False
+        this, base = ({f["path"]: f for f in files} for files in sides)
+        same = True
+        for path in sorted(this.keys() | base.keys()):
+            verdict = "identical" if this.get(path) == base.get(path) else "changed"
+            same &= verdict == "identical"
+            print(f"  {path}: {verdict}")
+            if verdict == "changed":
+                for line in moves(path, work / "this", work / "base"):
+                    print(f"    {line}")
     return same
 
 

@@ -65,12 +65,12 @@ def laguerre_eval(n, z):
 
 class Coeffs(NamedTuple):
     grid: Grid
-    values: np.ndarray  # complex, shape (L, L), Fortran-ordered
+    values: np.ndarray  # complex, shape (L, L), C-ordered
 
 
 def stft_coeffs(f, g):
     """The whole coefficient matrix c[m, k]: all of `stft_blocks` in one
-    block of L rows, transposed."""
+    block of L rows."""
     L = f.grid.L
     saved = stft.POWER_BLOCK_BYTES
     stft.POWER_BLOCK_BYTES = 16 * L * L
@@ -78,7 +78,7 @@ def stft_coeffs(f, g):
         (_, block), = stft_blocks(f, g)
     finally:
         stft.POWER_BLOCK_BYTES = saved
-    return Coeffs(grid=f.grid, values=block.T)
+    return Coeffs(grid=f.grid, values=block)
 
 
 def power_of(c):

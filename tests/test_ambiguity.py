@@ -239,8 +239,8 @@ class TestHalfPlaneProduct:
         grid = make_grid(*request.param)
         f = random_signal(grid, rng)
         power = stft_power(f, dilated_gauss_samples(1.0, grid))
-        assert power.flags.f_contiguous
-        return grid, [power, np.ascontiguousarray(power)]
+        assert power.flags.c_contiguous
+        return grid, [power, np.asfortranarray(power)]
 
     def test_matches_two_pass_transform(self, powers):
         grid, powers = powers

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -106,7 +106,9 @@ class TestDenseReference:
     """The whole retrieval, from the powers to the samples, against the
     dense sums of the paper's formulas (`oracles.dense_retrieve`)."""
 
-    @settings(max_examples=60, deadline=None)
+    # no shrink phase: a failing example reports in seconds, not minutes
+    @settings(max_examples=60, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(T=st.sampled_from([1.5, 2.0, 2.5]), L=st.sampled_from([16, 24, 32]),
            spec=DENSE_FAMILIES, algorithm=st.sampled_from(["alg1", "alg2"]),
            epsilon=st.floats(-3.0, np.log10(0.5)).map(lambda e: 10.0 ** e),
@@ -1077,13 +1079,13 @@ class TestPlanReuse:
         meas = measure_family(gauss_signal(grid), fam)
         cfg = RetrievalConfig(epsilon=1e-3)
         run_alg1(meas, fam, cfg)  # stores the plan
-        # the powers are Fortran-ordered, so the second half is the last
-        # columns, which the second thread adds
-        assert meas[0].flags.f_contiguous
+        # the powers are C-ordered, so the second half is the last rows,
+        # which the second thread adds
+        assert meas[0].flags.c_contiguous
         huge = []
         for mea in meas:
             power = mea.copy(order="K")
-            power[:, -1] = 1e308
+            power[-1] = 1e308
             huge.append(power)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             run_alg1(huge, fam, cfg)
@@ -1391,7 +1393,7 @@ class TestTwoWindowsInFlight:
         assert len(threaded) == len(serial)
         for a, b in zip(threaded, serial):
             assert a.dtype == np.float64
-            assert a.flags.f_contiguous
+            assert a.flags.c_contiguous
             assert np.array_equal(a, b)
 
     def test_worker_sees_the_callers_errstate(self):

@@ -116,16 +116,17 @@ class TestSliceConstruction:
             assert_allclose(stft_coeffs(f, g).values, gather_stft(f, g, grid),
                             rtol=0, atol=1e-13 * np.max(np.abs(f.values)))
 
-    def test_power_is_fortran_ordered(self, grid256, rng):
+    def test_power_is_c_ordered(self, grid256, rng):
         c = stft_coeffs(random_signal(grid256, rng), dilated_gauss_samples(1.0, grid256))
-        assert c.values.flags.f_contiguous
-        assert power_of(c).flags.f_contiguous
+        assert c.values.flags.c_contiguous
+        assert power_of(c).flags.c_contiguous
 
 
 def output_scaled_stft(f, g, grid):
-    """Oracle: the slice construction with dt * exp(-i*pi*L/2) and the sign
-    (-1)^m applied in one pass over the FFT's output, as before they were
-    folded into the signal vector and the slice offsets."""
+    """Oracle: the time-domain construction, the signal times the slices
+    of the doubled conjugate window transformed along l, with dt *
+    exp(-i*pi*L/2) and the sign (-1)^m applied in one pass over the FFT's
+    output."""
     L = grid.L
     h = L // 2
     sgn = (-1.0) ** np.arange(L)
@@ -140,8 +141,23 @@ def output_scaled_stft(f, g, grid):
     return out.T
 
 
+def output_scaled_spectral_stft(f, g, grid):
+    """Oracle: the frequency-row construction with no sign or scale folded
+    in: row m is the inverse FFT of F[(q + m - L/2) mod L] * conj(G[q]) *
+    (-1)^q, gathered by an L x L index table, and dt * (-1)^(m - L/2) is
+    applied in one pass over the inverse FFT's output."""
+    L = grid.L
+    h = L // 2
+    q = np.arange(L)
+    spectrum = np.fft.fft(f.values)[(q[None, :] + q[:, None] - h) % L]
+    out = np.fft.ifft(np.multiply(np.conj(np.fft.fft(g)) * (-1.0) ** q, spectrum), axis=1)
+    out *= (grid.dt * (-1.0) ** (q - h))[:, None]
+    return out
+
+
 class TestFoldedSign:
-    """The output sign as a roll of the FFT input, and the scale on the signal."""
+    """The signs (-1)^m and (-1)^q folded into the doubled spectrum, and the
+    scale on the window's spectrum."""
 
     def windows(self, grid, rng):
         return (dilated_gauss_samples(1.0, grid), hermite_samples(5, grid),
@@ -153,7 +169,7 @@ class TestFoldedSign:
         grid = make_grid(L / 128, L)
         f = random_signal(grid, rng, localized=False)
         for g in self.windows(grid, rng):
-            want = np.abs(output_scaled_stft(f, g, grid)) ** 2
+            want = np.abs(output_scaled_spectral_stft(f, g, grid)) ** 2
             assert np.array_equal(stft_power(f, g), want)
 
     @pytest.mark.parametrize("T, L", [(1.3, 250), (6.0, 512)])
@@ -182,7 +198,7 @@ class TestBlockedPower:
                   rng.standard_normal(L) + 1j * rng.standard_normal(L)):
             want = power_of(stft_coeffs(f, g))
             got = stft_power(f, g)
-            assert got.flags.f_contiguous
+            assert got.flags.c_contiguous
             assert np.array_equal(got, want)
 
     def test_grid_mismatch_rejected(self, grid256, grid512, rng):
@@ -259,7 +275,7 @@ class TestNoise:
     @pytest.mark.parametrize("model", ["additive", "multiplicative"])
     def test_noisy_power_keeps_clean_layout_and_draws(self, grid256, rng, model):
         # cell [m, k] gets the C-ordered draw m*L + k, whatever the layout
-        mea = self._measurement(grid256, rng)
+        mea = np.asfortranarray(self._measurement(grid256, rng))
         noisy = add_noise(mea, model, 0.1, seed=3)
         assert noisy.flags.f_contiguous
         eta = np.random.default_rng(3).standard_normal(mea.shape) * 0.1
@@ -287,11 +303,11 @@ class TestNoise:
         assert power.flags.f_contiguous == (order == "F")
 
     def test_streams_sharing_work_buffers_keep_their_bits(self, grid256, rng):
-        # two windows advanced in turn through one pair of work buffers, as
-        # one thread advances a group's members
+        # two windows advanced in turn through one work buffer, as one
+        # thread advances a group's members
         mea = [self._measurement(grid256, rng) for _ in range(2)]
         want = [add_noise(p, "multiplicative", 0.05, seed=j) for j, p in enumerate(mea)]
-        work = (block_buffer(mea[0], "C"), block_buffer(mea[0]))
+        work = block_buffer(mea[0])
         streams = [draw_noise(p, "multiplicative", 0.05, j, None, work) for j, p in enumerate(mea)]
         for _ in zip(*streams):
             pass
