@@ -11,8 +11,8 @@ one side wrote counts as changed), and it exits 1 on any change or any
 nonzero exit.  Under a changed `result.json`, `bounds.json` or
 `summary.json` it prints each numeric field, this tree's value and its
 move relative to DIR's; under a changed `reconstruction.bin`, the largest
-sample move relative to DIR's largest sample.  The small-grid versions of these runs are pinned in tier-1
-by `tests/test_golden.py`.
+sample move relative to DIR's largest sample.  The small-grid versions
+of these runs are pinned in tier-1 by `tests/test_golden.py`.
 """
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ import numpy as np
 
 SEED = 7
 ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "src"))
+from specret.container import read_signal  # noqa: E402
 
 MIXTURE = {"signal": {"kind": "mixture"}}
 W2 = {**MIXTURE, "scheme": {"kind": "hermite", "degrees": [50, 100]}, "epsilon": 0.5,
@@ -98,8 +100,6 @@ def moves(path: str, this: Path, base: Path) -> list[str]:
     if not ((this / path).exists() and (base / path).exists()):
         return []
     if name == "reconstruction.bin":
-        sys.path.insert(0, str(ROOT / "src"))
-        from specret.container import read_signal
         a, b = (read_signal(side / path).values for side in (this, base))
         if a.shape != b.shape:
             return [f"{a.shape} samples against {b.shape}"]
