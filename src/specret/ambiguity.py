@@ -44,11 +44,10 @@ axis first: a real-input FFT along k, PRODUCT_ROWS rows at a time, keeps
 only the q + 1 frequencies the band reads (q = the band's largest
 |i - L/2|), and one complex FFT along the frequency bins runs over those
 lines in place.  It reads out the rows PRODUCT_ROWS at a time through
-one buffer.  The first pass (`first_pass`) takes the power's row blocks
-as they are made and returns the kept lines (`Lines`): the noise-bound
-check feeds it each block of noise as the noise kernel
-(`stft.draw_noise`) draws it, and a whole (L, L) power goes through it
-over its own row blocks.
+one buffer.  The first pass (`FirstPass`) takes a power's row blocks one
+at a time and keeps the lines (`Lines`): the measurement stream
+(`retrieval.measure_lines`) feeds it each block of a group's sums as it
+is made, and a whole power goes through it by its own row blocks.
 """
 from __future__ import annotations
 
@@ -266,7 +265,7 @@ def numeric_ambiguity(g: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 class Lines(NamedTuple):
-    """A power's `first_pass` on a band: X, the shift lines 0, ..., q it
+    """A power's `FirstPass` on a band: X, the shift lines 0, ..., q it
     reads, complex (L, q + 1) and Fortran-ordered (None for no rows), and
     l1, if asked for, the sum of the power's |.|."""
 
@@ -274,42 +273,46 @@ class Lines(NamedTuple):
     l1: float | None
 
 
-def first_pass(blocks, grid: Grid, rows: tuple[int, int] | None, l1: bool = False) -> Lines:
+class FirstPass:
     """The first pass of `product_blocks` over the consecutive real row
-    blocks, at most PRODUCT_ROWS rows each, of an (L, L) power, each
-    transformed along k as it comes, so the power need never be whole.  A
-    non-finite cell refuses the power.  With l1, each row's sum of |.| is
-    taken in a C-ordered buffer and added in row order, the same bits in
-    any layout and block height, and a non-finite L1 refuses the power in
-    place of the cell check.
+    blocks of an (L, L) power, fed one at a time (`add`), each transformed
+    along k as it comes, so the power need never be whole; `lines` ends
+    the pass.  A non-finite cell refuses the power.  With l1, each row's
+    sum of |.| is taken in a C-ordered buffer and added in row order, the
+    same bits in any layout and block height, and a non-finite L1 refuses
+    the power in place of the cell check.  The |.| rows and the spectra
+    take turns in one buffer, as high as the highest block so far.
     """
-    L = grid.L
-    h, R = L // 2, min(PRODUCT_ROWS, L)
-    X = None
-    if rows is not None:
-        q = max(h - rows[0], rows[1] - 1 - h)
-        X = np.empty((q + 1, L), dtype=np.complex128).T  # lines contiguous along m
-        spectra = np.empty((R, h + 1), dtype=np.complex128)
-    mags = np.empty((R, L)) if l1 else None
-    norm, m0 = 0.0, 0
-    for block in blocks:
-        n = len(block)
-        if l1:
-            for row in np.sum(np.abs(block, out=mags[:n]), axis=1).tolist():
-                norm += row
-        if not (math.isfinite(norm) if l1 else np.isfinite(block).all()):
+
+    def __init__(self, grid: Grid, rows: tuple[int, int] | None, l1: bool = False):
+        L, h = grid.L, grid.L // 2
+        self.L, self.m0, self.norm, self.buf = L, 0, 0.0 if l1 else None, np.empty(0)
+        self.q = None if rows is None else max(h - rows[0], rows[1] - 1 - h)
+        # lines contiguous along m
+        self.X = None if rows is None else np.empty((self.q + 1, L), dtype=np.complex128).T
+
+    def add(self, block: np.ndarray):
+        n, m0, L = len(block), self.m0, self.L
+        if len(self.buf) < n * (L + 2) and (self.X is not None or self.norm is not None):
+            self.buf = np.empty(n * (L + 2))  # |.| rows, then spectra
+        if self.norm is not None:
+            for row in np.sum(np.abs(block, out=self.buf[:n * L].reshape(n, L)), axis=1).tolist():
+                self.norm += row
+        if not (math.isfinite(self.norm) if self.norm is not None else np.isfinite(block).all()):
             raise ValueError("power contains non-finite entries")
-        if X is not None:
-            np.fft.rfft(block, axis=1, out=spectra[:n])
-            X[m0:m0 + n] = spectra[:n, :q + 1]
-        m0 += n
-    if m0 != L:
-        raise ValueError(f"the blocks hold {m0} rows of an {(L, L)} power")
-    return Lines(X, norm if l1 else None)
+        if self.X is not None:
+            spectra = self.buf[:n * (L + 2)].view(np.complex128).reshape(n, L // 2 + 1)
+            self.X[m0:m0 + n] = np.fft.rfft(block, axis=1, out=spectra)[:, :self.q + 1]
+        self.m0 += n
+
+    def lines(self) -> Lines:
+        if self.m0 != self.L:
+            raise ValueError(f"the blocks hold {self.m0} rows of an {(self.L, self.L)} power")
+        return Lines(self.X, self.norm)
 
 
 def lines_of(power, grid: Grid, rows: tuple[int, int] | None, l1: bool = False) -> Lines:
-    """power's `first_pass` on rows: Lines pass through, and a real (L, L)
+    """power's `FirstPass` on rows: Lines pass through, and a real (L, L)
     array is transformed as float64 over its own row blocks."""
     if isinstance(power, Lines):
         return power
@@ -317,14 +320,16 @@ def lines_of(power, grid: Grid, rows: tuple[int, int] | None, l1: bool = False) 
     L = grid.L
     if power.shape != (L, L):
         raise ValueError(f"expected shape {(L, L)}, got {power.shape}")
-    return first_pass((power[m:m + PRODUCT_ROWS] for m in range(0, L, PRODUCT_ROWS)),
-                      grid, rows, l1)
+    p = FirstPass(grid, rows, l1)
+    for m in range(0, L, PRODUCT_ROWS):
+        p.add(power[m:m + PRODUCT_ROWS])
+    return p.lines()
 
 
 def product_blocks(power, grid: Grid, rows: tuple[int, int] | None):
     """Yield (m0, G), G[r] being lattice row m0 + r, for consecutive blocks
     of rows = (first, stop), or nothing for rows = None.  power is a real
-    (L, L) array, or its `first_pass` Lines on these rows.  Each G is a
+    (L, L) array, or its `FirstPass` Lines on these rows.  Each G is a
     view of one PRODUCT_ROWS-row buffer, overwritten by the next block, and
     the power is dropped once transformed: a sum made for the call dies
     first.  A non-finite power is refused, also for rows = None.
@@ -344,7 +349,7 @@ def product_blocks(power, grid: Grid, rows: tuple[int, int] | None):
     the conjugate of line h - i.  So the band reads lines 0, ..., q,
     q = max(h - first, stop - 1 - h), and no others are made:
 
-    - first pass (`first_pass`): one real-input FFT along k, a block of
+    - first pass (`FirstPass`): one real-input FFT along k, a block of
       rows of P at a time, keeping lines 0, ..., q of each in one
       Fortran-ordered (L, q + 1) complex X;
     - second pass: one complex FFT along m over those q + 1 lines, in place.

@@ -21,22 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .ambiguity import first_pass, hermite_blocks, mirror_quadrant
+from .ambiguity import hermite_blocks, mirror_quadrant
 from .config import ConfigError, load_config
 from .exceptions import RetrievalError
 from .grid import Grid, Signal
 from .metrics import misfit, verify_noise_bounds
-from .retrieval import (
-    RetrievalConfig,
-    _two_at_a_time,
-    check_anchor,
-    measure_family,
-    run_alg1,
-    run_alg2,
-    stored_plan,
-)
+from .retrieval import RetrievalConfig, check_anchor, measure_lines, run_alg1, run_alg2, stored_plan
 from .signals import chirp_preset, gen_chirp, gen_mixture, mixture_preset
-from .stft import block_buffer, draw_noise
 from .wavio import load_wav, save_wav
 from .windows import (
     COVERAGE_DIRECTIONS,
@@ -51,17 +42,11 @@ from .windows import (
 
 AUDIO_MAX_SAMPLES = 8192
 AUDIO_TAPER_FRACTION = 0.05
-# L x L complex workspaces alive next to the held measurements, 16 bytes a
-# cell each.  Measured at L=512 beside the N powers (8-window a=2 fan,
-# Hermite [0, 5, 10] and [50, 100], 5% multiplicative noise): a noisy
-# retrieve peaks at 1.0-1.8 arrays, in the noise-bound check or the
-# retrieval (the plan, alg1's group sum, the lines of at most two groups'
-# transforms and J on omega's rows), and `verify-bounds` at 1.0-1.7; its
-# approximation terms (the true signal's ambiguity and its |.|, beside
-# the plan) come once every power is dropped.  The STFTs, the noise
-# draws, the numeric ambiguity and the product read-out hold blocks, and
-# the inversion no full lattice.  The margin covers the
-# fixed overheads, which outgrow the per-cell figures below L=512.
+# L x L complex workspaces, 16 bytes a cell each, counted beside one power
+# a window, which the measurement stream (`_measure`) no longer holds: a
+# noisy retrieve peaked at 1.0-1.8 of them above the powers and
+# `verify-bounds` at 1.0-1.7 when it did (L=512), and the margin covers
+# the fixed overheads below L=512.
 WORKSPACE_COMPLEX_ARRAYS = 8
 
 
@@ -119,45 +104,6 @@ def _build_family(cfg: dict, grid: Grid):
     return build_hermite_family(scheme["degrees"], grid)
 
 
-def _noise_rows(powers: list, group, model: str, level: float, seed: int):
-    """Yield the group's noise sum a row block at a time: each member's
-    noise from the kernel (`draw_noise`), which writes its noisy rows over
-    its clean ones, window j drawn from its own generator seeded seed + j,
-    added in member order.  A group of several windows is pipelined over
-    two threads (`_two_at_a_time`): the first half of the members is drawn
-    and summed into block b while the rest is drawn and added into block
-    b - 1, so every cell is still added in member order, and a fixed few
-    blocks are held whatever the group's size."""
-    like = powers[group[0]]
-    if len(group) == 1:
-        yield from draw_noise(like, model, level, seed + group[0], block_buffer(like))
-        return
-    n, half = len(group), (len(group) + 1) // 2
-    # each side's noise and work buffers, which its members take in turn
-    sides = [(block_buffer(like), block_buffer(like)) for _ in range(2)]
-    streams = [draw_noise(powers[j], model, level, seed + j, *sides[k >= half])
-               for k, j in enumerate(group)]
-    sums = [block_buffer(like), block_buffer(like)]  # block b is summed in sums[b % 2]
-    rows, count = len(sums[0]), -(-len(like) // len(sums[0]))
-
-    def step(side, b):  # side 0: members 0, ..., half - 1 into block b; side 1: the rest into b - 1
-        b -= side
-        if not 0 <= b < count:
-            return
-        for k in range(half, n) if side else range(half):
-            eta = next(streams[k])
-            total = sums[b % 2][:len(eta)]
-            if k:
-                total += eta
-            else:
-                np.copyto(total, eta)
-
-    for b in range(count + 1):
-        _two_at_a_time(lambda side: step(side, b), 2)
-        if b:
-            yield sums[(b - 1) % 2][:len(like) - (b - 1) * rows]
-
-
 def _retrieval_config(cfg: dict) -> RetrievalConfig:
     algorithm = cfg.get("algorithm") or (
         "alg1" if cfg["scheme"]["kind"] == "frft_gauss" else "alg2"
@@ -172,64 +118,37 @@ def _retrieval_config(cfg: dict) -> RetrievalConfig:
 def _measure(command: str, cfg: dict, f: Signal, family: WindowFamily, rcfg: RetrievalConfig):
     """The run path of every measuring command: the anchor check, the plan,
     built first while nothing else is held and stored in the family for
-    rcfg's runner, the measurement and the noise.  The noise kernel
-    (`draw_noise`) writes each window's noisy power over its clean one in
-    place, a row block at a time, window j from its own generator seeded
-    seed + j.  Returns (powers, report): the noisy powers and, for
-    `verify-bounds` and a `retrieve` that writes result.json,
-    `verify_noise_bounds`' report, else None.  The check streams two
-    window groups at a time, one on each core, each group's noise sum going
-    a row block at a time straight into its transform's first pass
-    (`_noise_rows`), and reads the groups' lines in plan order; no (L, L)
-    noise is made.  Without the check the windows are drawn two at a time.
-    `verify-bounds`, which reads no power afterwards, drops each group's
-    powers once its noise is streamed and checks against f as the true
-    signal.
+    rcfg's runner, and the measurement stream (`measure_lines`), which
+    holds no power.  Returns (lines, report): each group's lines for the
+    runner (None for `verify-bounds`) and, for `verify-bounds` (against f
+    as the true signal) and a `retrieve` that writes result.json,
+    `verify_noise_bounds`' report on the noise lines, else None.
     """
     check_anchor(rcfg, f.grid)  # before the plan, the STFTs and the noise
     plan = stored_plan(family, rcfg)
-    powers = measure_family(f, family)
     noise = cfg["noise"]
     if noise["model"] == "none":
-        return powers, None
-    model, level = noise["model"], float(noise["level"])
-    seed = int(noise.get("seed", cfg["seed"]))
-    keep = command != "verify-bounds"
-    if keep and not (command == "retrieve" and cfg["emit"].get("json", True)):
-        def draw(j):  # nothing reads a bound report but result.json
-            for _ in draw_noise(powers[j], model, level, seed + j):
-                pass
-
-        _two_at_a_time(draw, len(powers))
-        return powers, None
-
-    def lines(i):
-        group = plan.groups[i]
-        out = first_pass(_noise_rows(powers, group, model, level, seed), plan.grid,
-                         plan.spans[i], l1=True)
-        if not keep:
-            for j in group:
-                powers[j] = None
-        return out
-
-    def pairs():
-        for first in range(0, len(plan.groups), 2):
-            pair = _two_at_a_time(lambda k: lines(first + k), min(len(plan.groups) - first, 2))
-            while pair:
-                yield pair.pop(0)
-
-    return powers, verify_noise_bounds(pairs(), plan, f_true=None if keep else f)
+        return measure_lines(f, family, plan)[0], None
+    draws = (noise["model"], float(noise["level"]), int(noise.get("seed", cfg["seed"])))
+    bounds = command == "verify-bounds"
+    # nothing reads a bound report but result.json
+    check = bounds or (command == "retrieve" and cfg["emit"].get("json", True))
+    lines, noise_lines = measure_lines(f, family, plan, draws, sums=not bounds, noise_sums=check)
+    if not check:
+        return lines, None
+    return lines, verify_noise_bounds(noise_lines, plan, f_true=f if bounds else None)
 
 
 def estimate_bytes(command: str, cfg: dict) -> int:
     """Upper estimate of the peak bytes a command needs, from L, the number
-    of windows and the noise model alone: every measurement is an L x L
-    float64 array, which the noise is drawn into in place, and a noisy run
-    holds beside them the first-pass lines of at most two window groups
-    (`_measure`), at most L/2 + 1 complex lines of L cells each.  A fan's
-    `coverage` adds its polar scan (`coverage_radii`), a few float arrays
-    of COVERAGE_DIRECTIONS cells whatever L is, and a Hermite `coverage`
-    its members' quadrant mask bits."""
+    of windows and the noise model alone.  It counts one float64 L x L
+    power a window, which the stream (`_measure`) no longer holds: each
+    group's lines take its place, at most L/2 + 1 complex lines of L
+    cells, twice with the noise-bound check, which the count covers up to
+    18 groups of full-width lines.  A fan's `coverage` adds its polar scan
+    (`coverage_radii`), a few float arrays of COVERAGE_DIRECTIONS cells
+    whatever L is, and a Hermite `coverage` its members' quadrant mask
+    bits."""
     L = int(cfg["grid"]["L"])
     if cfg["signal"]["kind"] == "wav":
         L = min(L, AUDIO_MAX_SAMPLES)
@@ -341,9 +260,9 @@ def cmd_retrieve(cfg: dict, out_dir: Path) -> int:
     rcfg = _retrieval_config(cfg)
     family = _build_family(cfg, f.grid)
     # the bound report goes only into result.json, and J is never alive beside the noise
-    powers, report = _measure("retrieve", cfg, f, family, rcfg)
+    lines, report = _measure("retrieve", cfg, f, family, rcfg)
     runner = run_alg1 if rcfg.algorithm == "alg1" else run_alg2
-    recon = runner(powers, family, rcfg)
+    recon = runner(lines, family, rcfg)
     writer = ArtifactWriter(out_dir, "retrieve", cfg)
     _emit_reconstruction(writer, cfg, recon, f, rate,
                          None if report is None else {"noise_bounds": report._asdict()})
@@ -357,8 +276,8 @@ def cmd_baseline(cfg: dict, out_dir: Path) -> int:
     f, rate = _build_signal(cfg)
     rcfg = replace(_retrieval_config(cfg), algorithm="alg2")
     family = WindowFamily(members=(gauss_window_member(1.0, f.grid),), grid=f.grid)
-    powers, _ = _measure("baseline", cfg, f, family, rcfg)
-    recon = run_alg2(powers, family, rcfg)
+    lines, _ = _measure("baseline", cfg, f, family, rcfg)
+    recon = run_alg2(lines, family, rcfg)
     writer = ArtifactWriter(out_dir, "baseline", cfg)
     _emit_reconstruction(writer, cfg, recon, f, rate)
     writer.finish()
@@ -438,10 +357,10 @@ def cmd_random_study(cfg: dict, out_dir: Path) -> int:
     for trial in range(trials):
         degrees = np.sort(rng.choice(np.arange(lo, hi + 1), size=count, replace=False))
         family = build_hermite_family(degrees.tolist(), f.grid)
-        powers, _ = _measure("random-study", cfg, f, family, rcfg)
-        recon = run_alg2(powers, family, rcfg)
+        lines, _ = _measure("random-study", cfg, f, family, rcfg)
+        recon = run_alg2(lines, family, rcfg)
         d, theta = misfit(f, recon.signal)
-        del family, powers, recon  # the next trial measures beside none of them
+        del family, lines, recon  # the next trial measures beside none of them
         rows.append((trial, degrees.tolist(), d, theta))
         print(f"trial {trial}: degrees {degrees.tolist()} misfit {d:.6g}")
     writer = ArtifactWriter(out_dir, "random-study", cfg)

@@ -13,12 +13,11 @@ noisy minus clean powers added in member order, and transforms each once
 (the spectrogram -> product map is linear) instead of assembling the
 clean and the noisy ambiguities, in the loop J is divided in
 (`retrieval.group_blocks`).  A sum may come whole, as an (L, L) array,
-or as its transform's first pass (`ambiguity.first_pass`), which the CLI
-streams a row block at a time as the noise is drawn, so that no (L, L)
-noise is ever made; the first pass also takes the sum's L1 norm, each
-row's sum of |.| added in row order, with the same bits either way.  The
-check reads the sums lazily, one group at a time, and keeps none, nor any
-block of a group once the next sum is asked for.
+or as its first-pass lines with its L1 (`ambiguity.FirstPass`), as the
+measurement stream (`retrieval.measure_lines`) makes them from the
+STFT's row blocks, so that no run makes an (L, L) noise or power.  The
+check reads the sums lazily, one group at a time, and keeps no block of
+a group once the next sum is asked for.
 """
 from __future__ import annotations
 
@@ -90,20 +89,18 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     `stored_plan` or `Reconstruction.plan`); epsilon, C_p and C_R_Omega
     come from it.  noise_sums yields, for each group of plan.groups in
     order, the summed noise eta = sum of (noisy - clean) over the group's
-    powers in member order: a finite (L, L) array, or its `first_pass`
-    Lines on the group's rows (plan.spans) with the L1 taken.  It may be
-    any iterable: it is read lazily, one sum at a time, and no sum is
-    kept, so a generator that makes each sum as it is asked for holds one
-    at a time.  A sized iterable of the wrong length is refused before any
-    transform, an iterator that runs short or long once that shows; both
-    with a ValueError.  On a group's cells A - A^eta = -F(eta) / den, the
-    division J is made of, so the sums are read out as `_divide` reads
-    them (`group_blocks`); the L1 norm of each sum is taken in its first
-    pass, and the mixed L^{2,1} norm of A - A^eta and the L1 norm of its
-    x = 0 slice from the blocks.  The sums are only read.  With the true
-    signal supplied, on the plan's grid, also reports the
-    approximation-error terms (the ambiguity mass left outside omega),
-    from its ambiguity's |.|, once the sums are done.
+    powers in member order: a finite (L, L) array, which is only read, or
+    its `FirstPass` Lines on the group's rows (plan.spans) with the L1,
+    which are transformed in place.  It is read lazily, one sum at a time,
+    and no sum is kept.  A sized iterable of the wrong length is refused
+    before any transform, an iterator that runs short or long once that
+    shows; both with a ValueError.  On a group's cells A - A^eta =
+    -F(eta) / den, the division J is made of, so the sums are read out as
+    `_divide` reads them (`group_blocks`), and the mixed L^{2,1} norm of
+    A - A^eta and the L1 norm of its x = 0 slice are taken from the
+    blocks.  With the true signal supplied, on the plan's grid, also
+    reports the approximation-error terms (the ambiguity mass left
+    outside omega), from its ambiguity's |.|, once the sums are done.
     """
     grid, eps, owner = plan.grid, plan.epsilon, plan.owner
     p = 2.0  # the mixed norm's inner exponent

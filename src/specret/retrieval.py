@@ -19,25 +19,20 @@ once, and the family keeps the last plan it was run with
 signals builds it once per tolerance and algorithm.  The plan's
 arrays are read-only, since every run after the first shares them.
 
-A measurement is its float64 (L, L) power on the family's grid.  Since
-the spectrogram -> product map is linear, a group's spectrograms are
-summed and the sum is transformed once and freed
-(`ambiguity.product_blocks`, whose finiteness check on each group sum
-covers every member).  The transform makes only the lines that the rows
-of the group's span read, and reads those rows out a block at a time
-(`group_blocks`, which the noise-bound check reads too); `_divide`
-divides each block straight into J on the group's cells.  J, complex,
-holds den's rows, from lattice row `first` on, and is +0.0 off omega,
-so the inversion reads J and `first` alone (`_invert`).  J is freed
-when the runner returns: a `Reconstruction` keeps the signal and the
-plan, whose omega is the mask.
-`run_alg1` and `run_alg2` take the family's stored plan, or build it in
-the calling thread and store it (`stored_plan`); then the powers of each
-group of two or more members are added in two contiguous halves, one on
-each core (`_two_at_a_time`), so the sums, den and J have the serial bits.
-A caller that needs the plan before it measures, as the CLI does to
-stream each group's noise into the noise-bound check, calls
-`stored_plan` first, and the retrieval then finds that plan stored.
+The spectrogram -> product map is linear, so a group's spectrograms are
+summed and the sum transformed once, its first pass keeping only the
+lines that the group's span reads (`ambiguity.FirstPass`, whose
+finiteness check covers every member).  `measure_lines`, the one
+measurement stream, makes these lines from the STFT's row blocks, and no
+power is held.  Callers with measured data keep the list API:
+`measure_family` returns one float64 (L, L) power per member, which the
+runners add by group in two halves, one on each core (`_group_sum`).
+`run_alg1` and `run_alg2` take either, with the family's `stored_plan`;
+`_divide` divides each block of a group's product (`group_blocks`, the
+noise-bound check's loop too) straight into J on the group's cells.  J,
+complex, holds den's rows, from row `first` on, +0.0 off omega, and the
+inversion reads J and `first` alone (`_invert`).  A `Reconstruction`
+keeps the signal and the plan, whose omega is the mask.
 
 The plan evaluates each window's ambiguity only where it exceeds a floor
 far below eps, so a fan window costs its ellipse, a few percent of the
@@ -69,10 +64,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import product_blocks, unit_roots
+from .ambiguity import PRODUCT_ROWS, FirstPass, Lines, product_blocks, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
-from .stft import stft_power
+from .stft import (block_height, check_noise, draw_noise, signal_rows, stft_block, stft_power,
+                   window_factor)
 from .windows import WindowFamily, _check_unit_epsilon, peel, row_span
 
 
@@ -158,6 +154,82 @@ def measure_family(f: Signal, family: WindowFamily) -> list[np.ndarray]:
         raise GridMismatchError(f"signal grid {f.grid} differs from the family's {family.grid}")
     members = family.members
     return _two_at_a_time(lambda j: stft_power(f, members[j].samples), len(members))
+
+
+def measure_lines(f: Signal, family: WindowFamily, plan: RetrievalPlan, noise=None,
+                  sums: bool = True, noise_sums: bool = True):
+    """Measure f through the family straight into each plan group's first
+    pass: (lines, noise_lines), one `Lines` per group in plan order, None
+    when not asked for: those of the group's summed (noisy) powers on its
+    span, for the runners, and with noise = (model, level, seed) those of
+    its summed noise with the L1, for the noise-bound check.  Each
+    member's STFT row block (`stft.stft_block`) is squared, contaminated
+    by window j's own generator, seeded seed + j, in row order
+    (`stft.draw_noise`), and added into the group's sum blocks in member
+    order: the list path's bits, and no power held.  Two groups stream at
+    a time, one on each core; one group is split by its members.
+    """
+    if f.grid != family.grid or plan.grid != family.grid:
+        raise GridMismatchError(f"signal grid {f.grid} differs from the family's or the plan's")
+    if noise is not None:
+        check_noise(*noise[:2])
+    rows, one = signal_rows(f), len(plan.groups) == 1
+    factors = [window_factor(m.samples, family.grid) for m in family.members]
+    noise_sums = noise is not None and noise_sums
+    lines, noise_lines = zip(*_two_at_a_time(
+        lambda i: _group_lines(rows, factors, plan, i, noise, sums, noise_sums, one),
+        len(plan.groups)))
+    return (list(lines) if sums else None), (list(noise_lines) if noise_sums else None)
+
+
+def _group_lines(rows, factors, plan, i, noise, sums, noise_sums, split):
+    """Group i's (lines, noise_lines) for `measure_lines`, a block of at
+    most PRODUCT_ROWS rows at a time.  Side 0 adds the first half of the
+    members into row block c and side 1 the rest into block c - 1, then
+    feeds its sums to the first passes, so every cell is added in member
+    order; with split the sides run on the two cores, two blocks of sums
+    in turn.  The first member is measured straight into the sums."""
+    group, L = plan.groups[i], plan.grid.L
+    n, half = min(block_height(L), PRODUCT_ROWS), (len(group) + 1) // 2
+    rngs = {j: np.random.default_rng(noise[2] + j) for j in group} if noise else None
+    passes = (FirstPass(plan.grid, plan.spans[i] if sums else None),
+              FirstPass(plan.grid, plan.spans[i], l1=True) if noise_sums else None)
+    totals = np.empty((1 + split, 1 + noise_sums, n, L))  # block c's sums in totals[c % len]
+    work = ({}, {})  # each side's blocks, made as first needed
+
+    def buf(side, name, h, dtype=np.float64):
+        if name not in work[side]:
+            work[side][name] = np.empty((n, L), dtype=dtype)
+        return work[side][name][:h]
+
+    def step(side, c):
+        m0 = c * n
+        if not 0 <= m0 < L:
+            return
+        h = min(n, L - m0)
+        total = totals[c % len(totals), :, :h]
+        for k in range(half, len(group)) if side else range(half):
+            coeffs = stft_block(rows, factors[group[k]], m0, buf(side, "coeffs", h, np.complex128))
+            clean = buf(side, "clean", h) if k or rngs else total[0]
+            np.square(np.abs(coeffs, out=clean), out=clean)
+            if rngs is not None:
+                noisy = draw_noise(rngs[group[k]], clean, noise[0], noise[1],
+                                   buf(side, "noisy", h) if k else total[0])
+                if noise_sums:  # the noise, noisy - clean
+                    eta = np.subtract(noisy, clean, out=clean if k else total[1])
+                    if k:
+                        total[1] += eta
+            if k:
+                total[0] += clean if rngs is None else noisy
+        for p, t in zip(passes, total) if side else ():  # without noise sums, one of each
+            p.add(t)
+
+    for c in range(-(-L // n) + split):  # split: side 1 takes block c - 1
+        if split:
+            _two_at_a_time(lambda side: step(side, c - side), 2)
+        else:
+            step(0, c), step(1, c)
+    return tuple(None if p is None else p.lines() for p in passes)
 
 
 def check_powers(powers, n: int, grid: Grid) -> list:
@@ -384,16 +456,21 @@ def stored_plan(family: WindowFamily, cfg: RetrievalConfig) -> RetrievalPlan:
 
 def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
     """Retrieve with the family's `stored_plan` for this tolerance and
-    algorithm.  Each group sum of two or more powers is then added on
-    both cores, one half each (`_group_sum`), checked, divided out and
-    inverted.
+    algorithm, from one power per member, each group sum of two or more
+    added on both cores (`_group_sum`), or from one `Lines` per group
+    (`measure_lines`), which the division transforms in place.
     """
     grid = family.grid
-    powers = check_powers(measurements, len(family), grid)
+    lined = len(measurements) > 0 and all(isinstance(m, Lines) for m in measurements)
+    if not lined:
+        powers = check_powers(measurements, len(family), grid)
+    elif len(measurements) != (groups := 1 if cfg.algorithm == "alg1" else len(family)):
+        raise ValueError(f"{len(measurements)} line sets for {groups} window groups")
     check_anchor(cfg, grid)
     plan = stored_plan(family, cfg)
     # each group sum is made as _divide reaches it and dies once transformed
-    J = _divide((_group_sum(powers, g) for g in plan.groups), plan)
+    J = _divide(iter(measurements) if lined else (_group_sum(powers, g) for g in plan.groups),
+                plan)
     samples, anchor = _invert(J, plan.first, grid, cfg)
     area = float(np.count_nonzero(plan.owner >= 0) / plan.owner.size)  # omega.mean()'s bits
     return Reconstruction(Signal(grid=grid, values=samples), area, anchor, plan)

@@ -9,38 +9,64 @@ The coefficient convention is
 so c[m, k] approximates V_g f(x_k, y_m) with a periodized window.  The
 modular window index realizes periodization by cyclic indexing.
 
-`stft_blocks(f, g)` is the one coefficient path: it yields a block of
-frequency rows m at a time, each row the inverse FFT of the window's
-conjugate spectrum times the signal's shifted spectrum, the second
-operand so that a global phase i of the signal keeps the powers' bits.
-`stft_power` squares each block's |.| into its rows of a C-ordered
-power, so no L x L complex array is made.
-
-The noise kernel `draw_noise` writes a power's noisy rows over its clean
-ones in place, a block of ambiguity.PRODUCT_ROWS rows at a time, the
-blocks the product transform's first pass takes, and hands each block's
-noise on; `add_noise` is a copy, then the kernel.
-
-A measurement is its float64 (L, L) power only: its grid is its window
-family's, which window it came from is its position in the family, and
-the noise model, level and seed are part of the run's config.
+`stft_block` is the one coefficient kernel: a block of frequency rows,
+each the inverse FFT of the window's conjugate spectrum times the
+signal's shifted spectrum, the second operand so that a global phase i
+of the signal keeps the powers' bits.  `stft_blocks` runs it through one
+buffer, and `stft_power` squares each block's |.| into its rows of a
+C-ordered power; the measurement stream (`retrieval.measure_lines`) runs
+it itself and holds no power.  The noise kernel `draw_noise`
+contaminates a block of clean rows with a window's next draws, and
+`add_noise` is a copy, then the kernel a block at a time.  A measurement
+is its float64 (L, L) power only: the grid, the window and the noise
+model, level and seed are its family's and its run's.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import ambiguity  # a cycle: the noise kernel reads PRODUCT_ROWS when it runs
 from .exceptions import GridMismatchError
 from .grid import Signal
 
 POWER_BLOCK_BYTES = 2 ** 19  # bytes a `stft_blocks` block holds: 32 rows at L = 1024
 
 
+def block_height(L: int) -> int:
+    """Frequency rows in a block of `stft_blocks`: as many as
+    POWER_BLOCK_BYTES of complex rows hold, at least 1, at most L."""
+    return min(max(POWER_BLOCK_BYTES // (16 * L), 1), L)
+
+
+def signal_rows(f: Signal) -> np.ndarray:
+    """Row m's spectrum factor of f, for every m: a read-only (L, L) view."""
+    L, h = f.grid.L, f.grid.L // 2
+    spectrum = np.tile(np.roll(np.fft.fft(f.values), -h), 2) * (-1.0) ** np.arange(2 * L)
+    return np.lib.stride_tricks.sliding_window_view(spectrum, L)  # row m is rows[m]
+
+
+def window_factor(g: np.ndarray, grid) -> np.ndarray:
+    """The window's factor: conj(G) with the folds of `stft_blocks`."""
+    g = np.asarray(g, dtype=np.complex128)
+    if g.shape != (grid.L,):
+        raise GridMismatchError(f"window has {g.shape} samples, grid needs {grid.L}")
+    L = grid.L
+    return np.conj(np.fft.fft(g)) * (grid.dt * (-1.0) ** (L // 2) / (L if L & (L - 1) == 0 else 1))
+
+
+def stft_block(rows: np.ndarray, gq: np.ndarray, m0: int, out: np.ndarray) -> np.ndarray:
+    """The kernel: out[r, k] = c[m0 + r, k] from f's `signal_rows` and g's
+    `window_factor`, transformed in place."""
+    exact = len(gq) & (len(gq) - 1) == 0  # 1/L rides on gq
+    # the signal's spectrum goes second: numpy's (2.4) complex multiply
+    # keeps b * (1j*a) == 1j * (b*a) exactly, not (1j*a) * b == 1j * (a*b)
+    block = np.multiply(gq, rows[m0:m0 + len(out)], out=out)
+    return np.fft.ifft(block, axis=1, out=block, norm="forward" if exact else None)
+
+
 def stft_blocks(f: Signal, g: np.ndarray):
     """Yield (m0, block), block[r, k] being c[m0 + r, k] on the signal's
-    grid, for consecutive blocks of as many frequency rows as
-    POWER_BLOCK_BYTES holds, each a view of one buffer that the next block
-    overwrites.
+    grid, for consecutive blocks of `block_height` frequency rows
+    (`stft_block`), each a view of one buffer that the next overwrites.
 
     With F and G the DFTs of f and g, the correlation identity makes row m
     one inverse FFT along the spectrum index q:
@@ -48,33 +74,17 @@ def stft_blocks(f: Signal, g: np.ndarray):
         c[m, k] = dt (-1)^(m - L/2) IDFT_q(F[(q + m - L/2) mod L]
                                            * conj(G[q]) * (-1)^q)[k].
 
-    F rolled by -L/2, doubled and multiplied by (-1)^j holds, in the
-    slice of its sliding-window view that starts at m, row m's spectrum
-    factor with both signs (-1)^m and (-1)^q, so a block of rows is a view
-    with no index array and no gathered copy.  The unit (-1)^(L/2) and the
-    step dt ride on conj(G), and so does 1/L when L is a power of two,
-    which saves the inverse FFT's own scaling pass; other L leave 1/L to
-    the inverse FFT.  When dt is a power of two, as on the T = 8 grids,
-    every scale is exact, so the powers have the bits of scaling the
-    inverse FFT's output instead.
+    F rolled by -L/2, doubled and multiplied by (-1)^j holds row m's
+    factor, with both signs, in the slice that starts at m, so a block of
+    rows is a view (`signal_rows`).  (-1)^(L/2), dt and, when L is a power
+    of two, 1/L ride on conj(G) (`window_factor`), which saves the inverse
+    FFT's scaling pass; on a dyadic dt, as on the T = 8 grids, every scale
+    is exact, so the powers have the bits of scaling its output instead.
     """
-    grid = f.grid
-    g = np.asarray(g, dtype=np.complex128)
-    if g.shape != (grid.L,):
-        raise GridMismatchError(f"window has {g.shape} samples, grid needs {grid.L}")
-    L, h = grid.L, grid.L // 2
-    n = min(max(POWER_BLOCK_BYTES // (16 * L), 1), L)
-    spectrum = np.tile(np.roll(np.fft.fft(f.values), -h), 2) * (-1.0) ** np.arange(2 * L)
-    rows = np.lib.stride_tricks.sliding_window_view(spectrum, L)  # row m is rows[m]
-    exact = L & (L - 1) == 0  # 1/L is a power of two
-    gq = np.conj(np.fft.fft(g)) * (grid.dt * (-1.0) ** h / (L if exact else 1))
-    buf = np.empty((n, L), dtype=np.complex128)
-    for m0 in range(0, L, n):
-        m1 = min(m0 + n, L)
-        # the signal's spectrum goes second: numpy's (2.4) complex multiply
-        # keeps b * (1j*a) == 1j * (b*a) exactly, not (1j*a) * b == 1j * (a*b)
-        block = np.multiply(gq, rows[m0:m1], out=buf[:m1 - m0])
-        yield m0, np.fft.ifft(block, axis=1, out=block, norm="forward" if exact else None)
+    gq, rows, L = window_factor(g, f.grid), signal_rows(f), f.grid.L
+    buf = np.empty((block_height(L), L), dtype=np.complex128)
+    for m0 in range(0, L, len(buf)):
+        yield m0, stft_block(rows, gq, m0, buf[:L - m0])
 
 
 def stft_power(f: Signal, g: np.ndarray) -> np.ndarray:
@@ -88,52 +98,44 @@ def stft_power(f: Signal, g: np.ndarray) -> np.ndarray:
     return power
 
 
-def draw_noise(power: np.ndarray, model: str, level: float, seed: int,
-               noise: np.ndarray | None = None, work: np.ndarray | None = None):
-    """The noise kernel: contaminate `power` in place, a block of
-    ambiguity.PRODUCT_ROWS rows at a time, yielding after each block its
-    noise, noisy - clean, in the leading rows of the buffer `noise`, or
-    None when no buffer is given.
-
-    additive:        power' = power + eta, eta ~ N(0, level^2) i.i.d.
-    multiplicative:  |V| is scaled by i.i.d. N(1, level^2) factors and
-                     then squared, i.e. power' = power * (1 + g)^2.
-    Cell [m, k] takes draw m*L + k of a PCG64 generator seeded `seed`, in
-    any layout: a block is drawn and contaminated in the C-ordered buffer
-    `work` (`block_buffer`), which streams advanced by one thread may
-    share, and copied into the power's rows.
-    """
+def check_noise(model: str, level: float):
     if level < 0:
         raise ValueError(f"noise level must be nonnegative, got {level}")
     if model not in ("additive", "multiplicative"):
         raise ValueError(f"unknown noise model {model!r}")
-    rng = np.random.default_rng(seed)
-    work = block_buffer(power) if work is None else work
-    for m0 in range(0, len(power), len(work)):
-        rows = power[m0:m0 + len(work)]
-        block = rng.standard_normal(out=work[:len(rows)])
-        block *= level
-        if model == "additive":
-            block += rows
-        else:
-            block += 1.0
-            np.square(block, out=block)
-            block *= rows
-        if noise is not None:
-            np.subtract(block, rows, out=noise[:len(rows)])
-        np.copyto(rows, block)
-        yield None if noise is None else noise[:len(rows)]
 
 
-def block_buffer(power: np.ndarray) -> np.ndarray:
-    """An empty C-ordered block of ambiguity.PRODUCT_ROWS rows of `power`."""
-    return np.empty(power[:ambiguity.PRODUCT_ROWS].shape)
+def draw_noise(rng: np.random.Generator, clean: np.ndarray, model: str, level: float,
+               out: np.ndarray) -> np.ndarray:
+    """The noise kernel: the noisy rows of the clean rows `clean`, made in
+    the C-ordered buffer `out` from rng's next out.size draws, cell [m, k]
+    of the block taking draw m*L + k.
+
+    additive:        power' = power + eta, eta ~ N(0, level^2) i.i.d.
+    multiplicative:  |V| is scaled by i.i.d. N(1, level^2) factors and
+                     then squared, i.e. power' = power * (1 + g)^2.
+    """
+    block = rng.standard_normal(out=out)
+    block *= level
+    if model == "additive":
+        block += clean
+    else:
+        block += 1.0
+        np.square(block, out=block)
+        block *= clean
+    return block
 
 
 def add_noise(power: np.ndarray, model: str, level: float, seed: int) -> np.ndarray:
-    """A noisy copy of a measured power, in its memory layout: the copy,
-    then the kernel (`draw_noise`).  The input is not modified."""
+    """A noisy copy of a measured power, in its memory layout: cell [m, k]
+    takes draw m*L + k of a PCG64 generator seeded `seed`, in any layout,
+    through the kernel (`draw_noise`), a `block_height` of rows at a time.
+    The input is not modified."""
+    check_noise(model, level)
     noisy = np.array(power, dtype=np.float64, order="K")
-    for _ in draw_noise(noisy, model, level, seed):
-        pass
+    rng = np.random.default_rng(seed)
+    work = np.empty(noisy[:block_height(noisy.shape[-1])].shape)
+    for m0 in range(0, len(noisy), len(work)):
+        rows = noisy[m0:m0 + len(work)]
+        np.copyto(rows, draw_noise(rng, rows, model, level, work[:len(rows)]))
     return noisy

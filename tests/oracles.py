@@ -4,11 +4,12 @@ the whole STFT coefficient matrix and its measurement, the L x L phase
 table and the whole-table numeric ambiguity, the STFT energy, the mixed
 norm of a lattice and the noise bound's L1, the assembly of J from a
 list of measurements, a plan's den on the whole lattice, the inversion
-that read omega's mask, the CLI's noisy powers drawn window by window,
-the noise-bound check in its two-list form and the one that assembles
-both J and J^eta, the whole-band product read-out, the one-window
-family of the single-window baseline, and the whole retrieval evaluated
-densely from the paper's formulas."""
+that read omega's mask, each group's first-pass lines from a list of
+powers, the CLI's noisy powers drawn window by window, the noise-bound
+check in its two-list form and the one that assembles both J and J^eta,
+the whole-band product read-out, the one-window family of the
+single-window baseline, and the whole retrieval and the noise bounds
+evaluated densely from the paper's formulas."""
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from specret import (
     verify_noise_bounds,
 )
 from specret import stft
-from specret.ambiguity import product_blocks, unit_roots
+from specret.ambiguity import lines_of, product_blocks, unit_roots
 from specret.metrics import _outer_l1
 from specret.retrieval import INVERT_ROWS, _divide, _group_sum, check_powers
 from specret.special import _laguerre_run
@@ -205,6 +206,13 @@ def noise_sums(clean, noisy, plan):
     return sums
 
 
+def group_lines(powers, plan, l1=False):
+    """Oracle for `measure_lines`: each plan group's first pass on its span
+    of its powers summed from a whole list (`_group_sum`)."""
+    return [lines_of(_group_sum(powers, g), plan.grid, span, l1)
+            for g, span in zip(plan.groups, plan.spans, strict=True)]
+
+
 def noisy_powers(clean, noise, seed):
     """The CLI's noisy powers, drawn window by window from whole clean
     ones: window j's from its own generator, seeded seed + j."""
@@ -296,18 +304,88 @@ def _roots(L, sign):
     return np.exp(sign * 2j * np.pi / L * (np.multiply.outer(k, k) % L))
 
 
-def dense_retrieve(f, family, cfg):
+def dense_groups(f, family, cfg, noise=None):
+    """Each plan group's (P, eta, values) as dense sums, with no FFT: P its
+    summed powers, each the direct sum over l of the `stft` convention,
+    made noisy with noise = (model, level, seed) (window j's cell [m, k]
+    takes draw m*L + k of a generator seeded seed + j); eta its summed
+    noise, noisy - clean; values its ambiguity sum, the closed forms at
+    (x_k, y_m).  The groups are alg1's one group of all members or alg2's
+    one per member."""
+    grid = family.grid
+    L, h, dt = grid.L, grid.L // 2, grid.dt
+    k = np.arange(L)
+    # c[m, k] = dt sum_l f_l conj(g[(l - k + L/2) mod L]) exp(-2i pi t_l y_m)
+    shifts = np.exp(-2j * np.pi * np.multiply.outer(grid.y, grid.t))
+    lags = (k[:, None] - k[None, :] + h) % L
+    X, Y = np.meshgrid(grid.x, grid.y)
+    n = len(family)
+    for group in [list(range(n))] if cfg.algorithm == "alg1" else [[j] for j in range(n)]:
+        P, eta, values = np.zeros((L, L)), np.zeros((L, L)), np.zeros((L, L))
+        for j in group:
+            g = family.members[j].samples
+            clean = np.abs(dt * (shifts @ (f.values[:, None] * np.conj(g[lags])))) ** 2
+            noisy = clean
+            if noise is not None:
+                model, level, seed = noise
+                z = level * np.random.default_rng(seed + j).standard_normal((L, L))
+                noisy = clean + z if model == "additive" else clean * (1 + z) ** 2
+            P += noisy
+            eta += noisy - clean
+            values += family.members[j].evaluator(X, Y)
+        yield P, eta, values
+
+
+def dense_product(P, grid):
+    """The direct double sum of the `product_blocks` docstring:
+    G[i, j] = dt dy s(i + j) sum_{m, k} P[m, k] s(m + k) exp(2i pi (m j - k i) / L)."""
+    s = (-1.0) ** np.arange(grid.L)
+    return grid.dt * grid.dy * np.outer(s, s) * (_roots(grid.L, -1) @ (P * np.outer(s, s)).T
+                                                 @ _roots(grid.L, 1))
+
+
+def dense_noise_bounds(f, family, cfg, noise):
+    """Reference for `verify_noise_bounds` on the noise of `dense_groups`:
+    (lhs, rhs, lhs_slice, rhs_slice) as dense sums.  On group i's cells,
+    the ones where |values| > epsilon * dt that no earlier group claimed,
+    A - A^eta = -G(eta) / values (`dense_product`); with p = 2,
+
+        lhs = dy sum_m (dx sum_k |A - A^eta|^2)^(1/2),
+        lhs_slice = dy sum_m |A - A^eta|[m, L/2],
+        rhs = C_p / eps * max_i dx dy sum |eta_i|,  C_p = dy sum_m (dx #omega_m)^(1/2),
+        rhs_slice = C_R / eps * max_i dx dy sum |eta_i|,  C_R = dx #omega[L/2, :].
+    """
+    grid = family.grid
+    L, h, dx, dy = grid.L, grid.L // 2, grid.dt, grid.dy
+    eps = cfg.epsilon * dx
+    owner = np.full((L, L), -1)
+    diff = np.zeros((L, L), dtype=np.complex128)
+    norms = []
+    for i, (_, eta, values) in enumerate(dense_groups(f, family, cfg, noise)):
+        bits = (np.abs(values) > eps) & (owner < 0)
+        owner[bits] = i
+        diff[bits] = -dense_product(eta, grid)[bits] / values[bits]
+        norms.append(dx * dy * np.sum(np.abs(eta)))
+    omega = owner >= 0
+    noise_norm = max(norms)
+    C_p = dy * np.sum(np.sqrt(dx * omega.sum(axis=1)))
+    C_R = dx * np.sum(omega[h])
+    lhs = dy * np.sum(np.sqrt(dx * np.sum(np.abs(diff) ** 2, axis=1)))
+    lhs_slice = dy * np.sum(np.abs(diff[:, h]))
+    return lhs, C_p / eps * noise_norm, lhs_slice, C_R / eps * noise_norm
+
+
+def dense_retrieve(f, family, cfg, noise=None):
     """Reference for `run_alg1` and `run_alg2`: the whole retrieval as dense
     sums of the paper's formulas on the grid of `grid.py`, with no FFT and
     no library numerics beyond the window samples and the closed-form
     evaluators (each member's `evaluator(x, y)`).
 
-    - The STFT is the direct sum over l of the `stft` convention.
-    - The product is the direct double sum of the `product_blocks`
-      docstring.
-    - Each group's ambiguity sum is the closed form at (x_k, y_m), and the
-      groups (alg1: all members; alg2: one per member) claim the cells
-      where |sum| > epsilon * dt in order.
+    - The powers, their group sums and each group's ambiguity sum are
+      `dense_groups`', noisy with `noise`.
+    - The product is the direct double sum of `dense_product`.
+    - The groups (alg1: all members; alg2: one per member) claim the
+      cells where |sum| > epsilon * dt in order.
     - The inversion takes V = exp(-i pi x y) J, its inverse DFT along y,
       U[j, k] = sum_m V[m, k] (-1)^m exp(2i pi m j / L), the anchor from
       the x = 0 column and the diagonal k -> (k + c - L/2, k).
@@ -319,27 +397,13 @@ def dense_retrieve(f, family, cfg):
     L, h, dt, dy = grid.L, grid.L // 2, grid.dt, grid.dy
     k = np.arange(L)
     s = (-1.0) ** k
-    forward, inverse = _roots(L, -1), _roots(L, 1)
-    # c[m, k] = dt sum_l f_l conj(g[(l - k + L/2) mod L]) exp(-2i pi t_l y_m)
-    shifts = np.exp(-2j * np.pi * np.multiply.outer(grid.y, grid.t))
-    lags = (k[:, None] - k[None, :] + h) % L
-    X, Y = np.meshgrid(grid.x, grid.y)
-    n = len(family)
-    groups = [list(range(n))] if cfg.algorithm == "alg1" else [[j] for j in range(n)]
+    inverse = _roots(L, 1)
     eps = cfg.epsilon * dt
     owner = np.full((L, L), -1)
     den = np.zeros((L, L))
     J = np.zeros((L, L), dtype=np.complex128)
-    for i, group in enumerate(groups):
-        P = np.zeros((L, L))
-        values = np.zeros((L, L))
-        for j in group:
-            g = family.members[j].samples
-            c = dt * (shifts @ (f.values[:, None] * np.conj(g[lags])))
-            P += np.abs(c) ** 2
-            values += family.members[j].evaluator(X, Y)
-        # G[i, j] = dt dy s(i + j) sum_{m, k} P[m, k] s(m + k) exp(2i pi (m j - k i) / L)
-        G = dt * dy * np.outer(s, s) * (forward @ (P * np.outer(s, s)).T @ inverse)
+    for i, (P, _, values) in enumerate(dense_groups(f, family, cfg, noise)):
+        G = dense_product(P, grid)
         bits = (np.abs(values) > eps) & (owner < 0)
         owner[bits] = i
         den[bits] = values[bits]

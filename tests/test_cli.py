@@ -33,7 +33,15 @@ from specret.ambiguity import PRODUCT_ROWS
 from specret.cli import COMMANDS, check_size, estimate_bytes, main
 from specret.config import load_config
 from specret.retrieval import row_span
-from oracles import noisy_powers, two_list_bounds
+from oracles import group_lines, noisy_powers, two_list_bounds
+
+
+def assert_lines_equal(got, want):
+    """Each group's first-pass lines, bit for bit: X and the L1."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.X is None) == (b.X is None) and a.l1 == b.l1
+        assert a.X is None or np.array_equal(a.X, b.X)
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -92,7 +100,7 @@ class TestRetrieve:
         cfg = load_config(str(path))
         f, _ = cli._build_signal(cfg)
         family = cli._build_family(cfg, f.grid)
-        clean = cli.measure_family(f, family)
+        clean = specret.measure_family(f, family)
         noisy = [add_noise(p, "additive", 0.01, 1 + j) for j, p in enumerate(clean)]
         fresh = two_list_bounds(clean, noisy, make_plan(family, cli._retrieval_config(cfg)))
         runs = []  # (degrees, rows) of each block of the plan's one Laguerre run
@@ -185,6 +193,29 @@ class TestRetrieve:
         J, H = 16 * (stop - first) * L, 16 * (L // 2 + 1) * L
         assert peak < powers + plan.den.nbytes + plan.owner.nbytes + J + H + 8 * L * L
 
+    @pytest.mark.parametrize("noise", [{"model": "none"},
+                                       {"model": "multiplicative", "level": 0.05}])
+    def test_default_fan_holds_no_power(self, tmp_path, noise):
+        # the default 40-window fan at L = 512 measures straight into its
+        # group's first pass: the plan, J, the lines of the noisy sum and of
+        # the noise sum (a power's bytes each at most) and the stream's
+        # blocks; a list of the 40 powers peaked at 43 powers
+        L = 512
+        path = write_config(tmp_path, signal={"kind": "chirp"}, scheme={
+            "kind": "frft_gauss", "a": 15.0, "n_windows": 40}, grid={"T": 8.0, "L": L},
+            noise=noise)
+        argv = ["retrieve", "--config", str(path), "--out", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # the lazy imports, which stay loaded
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak < 5 * 8 * L * L
+
     def test_w2_peak_holds_four_and_a_half_powers(self, tmp_path):
         # W2 through the CLI: the two noisy powers, one noise sum, the
         # plan's den on omega's 371 rows, J there and the pruned transform
@@ -263,12 +294,12 @@ class TestRetrieve:
 class TestNoiseSums:
     """The noise of `_measure`, which sums each group's noise as the noise
     is drawn when the bounds are checked, against the two-list oracle:
-    `retrieve` keeps the noisy powers, `verify-bounds` drops them and
-    checks against the true signal (truth)."""
+    `retrieve` keeps the lines of the noisy group sums, `verify-bounds`
+    makes none and checks against the true signal (truth)."""
 
     @pytest.mark.parametrize("scheme", [
         {"kind": "frft_gauss", "a": 2.0, "n_windows": 4},  # alg1
-        {"kind": "frft_gauss", "a": 2.0, "n_windows": 5},  # alg1, a last pair of one
+        {"kind": "frft_gauss", "a": 2.0, "n_windows": 5},  # alg1, an odd member count
         {"kind": "hermite", "degrees": [0, 5, 10]},  # alg2, a last pair of one
     ], ids=["fan4", "fan5", "hermite3"])
     @pytest.mark.parametrize("model", ["additive", "multiplicative"])
@@ -283,23 +314,25 @@ class TestNoiseSums:
         f, _ = cli._build_signal(cfg)
         family = cli._build_family(cfg, f.grid)
         rcfg = cli._retrieval_config(cfg)
-        clean = cli.measure_family(f, family)
+        clean = specret.measure_family(f, family)
         noisy = noisy_powers(clean, cfg["noise"], 9)
-        want = two_list_bounds(clean, noisy, make_plan(family, rcfg), f if truth else None)
-        powers, got = cli._measure("verify-bounds" if truth else "retrieve", cfg, f, family, rcfg)
+        plan = make_plan(family, rcfg)
+        want = two_list_bounds(clean, noisy, plan, f if truth else None)
+        lines, got = cli._measure("verify-bounds" if truth else "retrieve", cfg, f, family, rcfg)
         if not truth:
-            assert all(np.array_equal(p, q) for p, q in zip(powers, noisy, strict=True))
+            assert_lines_equal(lines, group_lines(noisy, plan))
         else:
-            assert powers == [None] * len(family)
+            assert lines is None
         for name in want._fields:
             assert getattr(got, name) == getattr(want, name), name
 
 
 class TestNoiseStream:
-    """`_measure`'s noise, drawn into the powers in place a row block at a
-    time and, with the check, streamed into each group's first pass, two
-    groups at a time or a group's members split between the cores, against
-    the list path: each window's `add_noise` and the two-list check."""
+    """`_measure`'s lines, each group's noisy powers and, with the check,
+    its noise summed a row block at a time straight into its first pass,
+    two groups at a time or a group's members split between the cores,
+    against the list path: each window's `add_noise`, the group sums'
+    first passes and the two-list check."""
 
     @pytest.mark.parametrize("scheme, algorithm", [
         ({"kind": "frft_gauss", "a": 2.0, "n_windows": 7}, "alg1"),  # 4 + 3 members a block
@@ -323,10 +356,10 @@ class TestNoiseStream:
         f, _ = cli._build_signal(cfg)
         family = cli._build_family(cfg, f.grid)
         rcfg = cli._retrieval_config(cfg)
-        clean = cli.measure_family(f, family)
+        clean = specret.measure_family(f, family)
         noisy = noisy_powers(clean, cfg["noise"], 9)
-        powers, got = cli._measure("retrieve", cfg, f, family, rcfg)
-        assert all(np.array_equal(p, q) for p, q in zip(powers, noisy, strict=True))
+        lines, got = cli._measure("retrieve", cfg, f, family, rcfg)
+        assert_lines_equal(lines, group_lines(noisy, make_plan(family, rcfg)))
         if check:
             assert got == two_list_bounds(clean, noisy, make_plan(family, rcfg))
         else:
@@ -436,11 +469,14 @@ class TestRandomStudy:
                                             "trials": 1})
         assert main(["random-study", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
-    def test_no_trial_measures_beside_the_last_trials_powers(self, tmp_path, monkeypatch):
-        # each trial drops its family, powers and reconstruction before the
+    def test_no_trial_measures_beside_the_last_trials_powers(self, tmp_path, monkeypatch,
+                                                             l1024_blocks):
+        # each trial drops its family, lines and reconstruction before the
         # next one measures: beside the new trial's own plan only small
-        # arrays are alive; the last trial's count noisy powers and its plan
-        # put every later measurement 3.7 powers higher at L = 256
+        # arrays are alive, and while it measures no power, only the
+        # blocks of two groups' streams (8-row blocks, L = 1024's share);
+        # the last trial's count noisy powers and its plan put every later
+        # measurement 3.7 powers higher at L = 256
         from specret import cli
         L, count = 256, 3
         path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=0.5,
@@ -448,14 +484,18 @@ class TestRandomStudy:
                             study={"count": count, "degree_min": 0, "degree_max": 12,
                                    "trials": 3})
         held = []
-        measure = cli.measure_family
+        measure = cli.measure_lines
 
-        def traced_measure(f, family):
+        def traced_measure(f, family, plan, *args, **kwargs):
             plan_bytes = sum(p.den.nbytes + p.owner.nbytes for p in family.plans.values())
-            held.append(tracemalloc.get_traced_memory()[0] - plan_bytes)
-            return measure(f, family)
+            now = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = measure(f, family, plan, *args, **kwargs)
+            made = sum(x.X.nbytes for x in out[0] if x.X is not None)  # the lines returned
+            held.append((now - plan_bytes, tracemalloc.get_traced_memory()[1] - made - plan_bytes))
+            return out
 
-        monkeypatch.setattr(cli, "measure_family", traced_measure)
+        monkeypatch.setattr(cli, "measure_lines", traced_measure)
         argv = ["random-study", "--config", str(path), "--out", str(tmp_path / "out")]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0  # the lazy imports, which stay loaded
@@ -467,8 +507,10 @@ class TestRandomStudy:
             finally:
                 tracemalloc.stop()
         assert len(held) == 3
-        for now in held:
-            assert now - start < 0.25 * 8 * L * L
+        for now, peak in held:
+            assert now - start < 0.1 * 8 * L * L
+            # the blocks of two groups' streams at a time, and no power
+            assert peak - start < 8 * L * L
 
 
 class TestVerifyBounds:
@@ -486,31 +528,33 @@ class TestVerifyBounds:
         assert main(["verify-bounds", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
     def test_each_draw_holds_no_block_of_the_last_group(self, tmp_path, monkeypatch):
-        # on one core the two groups of a pair stream one after the other:
-        # each group's noise is drawn beside the powers still held, the plan,
-        # the lines its pair has made so far and one first pass's blocks; the
-        # lines, product blocks and |.| of the pair before are dropped
-        from specret import cli
+        # on one core the groups stream one after another: each group's
+        # noise is drawn beside the plan and the noise lines made so far,
+        # and no power, no block of the group before and none of its
+        # product blocks are held; a group streams with its own lines and
+        # its blocks: a coefficient block, the FFT's copy of it, the clean
+        # block, the noisy and noise sums and the first pass's buffer
+        from specret import cli, retrieval
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         L, degrees = 512, [0, 5, 10]
         path = write_config(tmp_path, grid={"T": 8.0, "L": L}, epsilon=0.5,
                             scheme={"kind": "hermite", "degrees": degrees},
                             noise={"model": "multiplicative", "level": 0.05})
         draws, plans = [], []
-        rows, plan_for = cli._noise_rows, cli.stored_plan
+        stream, plan_for = retrieval._group_lines, cli.stored_plan
 
-        def traced_rows(powers, group, *args):
-            held = sum(p is not None for p in powers)
+        def traced_stream(rows, factors, plan, i, *args):
             now = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            yield from rows(powers, group, *args)
-            draws.append((group, held, now, tracemalloc.get_traced_memory()[1]))
+            out = stream(rows, factors, plan, i, *args)
+            draws.append((plan.groups[i], out[0], now, tracemalloc.get_traced_memory()[1]))
+            return out
 
         def kept_plan(*args):
             plans.append(plan_for(*args))
             return plans[-1]
 
-        monkeypatch.setattr(cli, "_noise_rows", traced_rows)
+        monkeypatch.setattr(retrieval, "_group_lines", traced_stream)
         monkeypatch.setattr(cli, "stored_plan", kept_plan)
         argv = ["verify-bounds", "--config", str(path), "--out", str(tmp_path / "out")]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -523,24 +567,25 @@ class TestVerifyBounds:
             finally:
                 tracemalloc.stop()
         plan = plans[-1]
-        power, plan_bytes = 8 * L * L, plan.den.nbytes + plan.owner.nbytes
+        plan_bytes = plan.den.nbytes + plan.owner.nbytes
         h, R = L // 2, min(PRODUCT_ROWS, L)
         lines = [16 * L * (max(h - r0, r1 - 1 - h) + 1) for r0, r1 in plan.spans]
-        first_pass = 16 * R * (h + 1) + 8 * R * L  # its spectra and |.| blocks
-        kernel = 4 * 8 * R * L  # a draw block, a noisy block, a noise block and slack
-        assert [(group, held) for group, held, *_ in draws] == [((0,), 3), ((1,), 2), ((2,), 1)]
-        for i, (_, held, now, peak) in enumerate(draws):
-            made = sum(lines[i - i % 2:i + 1])  # the lines of its pair, its own included
+        blocks = (16 + 16 + 8 + 8 + 8) * R * L + 8 * R * (L + 2)
+        # verify-bounds makes no lines of the noisy sums, only checks them
+        assert [(group, sums) for group, sums, *_ in draws] == [((j,), (None, None))
+                                                                 for j in range(3)]
+        for i, (_, _, now, peak) in enumerate(draws):
             # the fixed overheads (config, signal, windows) take about 60 KB
-            assert now - start <= held * power + plan_bytes + made + first_pass + 2**17
-            assert peak - start <= held * power + plan_bytes + made + first_pass + kernel + 2**17
+            assert now - start <= plan_bytes + sum(lines[:i]) + 2**17
+            assert peak - start <= plan_bytes + sum(lines[:i + 1]) + blocks + 2**17
 
 
 class TestOneRunPath:
     """Each measuring command, clean and noisy, against the library pipeline
     assembled by hand: `measure_family`, each window's `add_noise`, the
     runner and `verify_noise_bounds`.  Every command builds the plan before
-    it measures, once, where its runner finds it stored."""
+    it takes its first STFT, once, where its runner finds it stored, and
+    measures through the one stream (`measure_lines`)."""
 
     L = 128
     FAN = {"kind": "frft_gauss", "a": 2.0, "n_windows": 4}
@@ -550,12 +595,18 @@ class TestOneRunPath:
     def run(self, tmp_path, monkeypatch, command, noisy, **fields):
         """(exit code, out dir, loaded config, the calls in order) of one run."""
         from specret import cli, retrieval
-        calls = []
+        calls, lock = [], threading.Lock()
         for module, name in ((cli, "stored_plan"), (retrieval, "make_plan"),
-                             (cli, "measure_family")):
+                             (cli, "measure_lines"), (retrieval, "stft_block")):
             fn = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+
+            def traced(*args, fn=fn, name=name, **kwargs):
+                with lock:  # the STFT's first block of each measurement, from either thread
+                    if name != "stft_block" or calls[-1] != name:
+                        calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, traced)
         path = write_config(tmp_path, grid={"T": 8.0, "L": self.L}, epsilon=1e-2,
                             noise=self.NOISE if noisy else {"model": "none"}, **fields)
         out = tmp_path / "out"
@@ -578,7 +629,7 @@ class TestOneRunPath:
         from specret import cli
         rc, out, cfg, calls = self.run(tmp_path, monkeypatch, "retrieve", noisy, scheme=scheme)
         assert rc == 0
-        assert calls == ["stored_plan", "make_plan", "measure_family"]
+        assert calls == ["stored_plan", "make_plan", "measure_lines", "stft_block"]
         f, _ = cli._build_signal(cfg)
         family = cli._build_family(cfg, f.grid)
         rcfg = cli._retrieval_config(cfg)
@@ -600,7 +651,7 @@ class TestOneRunPath:
         from oracles import gauss_baseline_family
         rc, out, cfg, calls = self.run(tmp_path, monkeypatch, "baseline", noisy, scheme=self.FAN)
         assert rc == 0
-        assert calls == ["stored_plan", "make_plan", "measure_family"]
+        assert calls == ["stored_plan", "make_plan", "measure_lines", "stft_block"]
         f, _ = cli._build_signal(cfg)
         family = gauss_baseline_family(f.grid)
         clean, noisy_list = self.powers(f, family, cfg)
@@ -613,7 +664,7 @@ class TestOneRunPath:
         study = {"count": 3, "degree_min": 0, "degree_max": 12, "trials": 2}
         rc, out, cfg, calls = self.run(tmp_path, monkeypatch, "random-study", noisy, study=study)
         assert rc == 0
-        assert calls == ["stored_plan", "make_plan", "measure_family"] * 2
+        assert calls == ["stored_plan", "make_plan", "measure_lines", "stft_block"] * 2
         f, _ = cli._build_signal(cfg)
         rng = np.random.default_rng(int(cfg["seed"]))
         rows = (out / "trials.csv").read_text().splitlines()[1:]
@@ -635,7 +686,7 @@ class TestOneRunPath:
             assert (rc, calls) == (2, [])
             return
         assert rc == 0
-        assert calls == ["stored_plan", "make_plan", "measure_family"]
+        assert calls == ["stored_plan", "make_plan", "measure_lines", "stft_block"]
         f, _ = cli._build_signal(cfg)
         family = cli._build_family(cfg, f.grid)
         clean, noisy_list = self.powers(f, family, cfg)
@@ -885,18 +936,18 @@ class TestNumericErrors:
         # time, under the CLI's errstate; scaled by 1e306, the sum of its
         # first block's |.| overflows there.  numpy's generators release the
         # GIL while they fill a block, so the two windows' draws overlap
-        from specret import cli
+        from specret import retrieval
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        draw = cli.draw_noise
+        draw = retrieval.draw_noise
         drawn = []
 
-        def huge_second_draw(power, model, level, seed, *args):
-            if seed == 3 + 1:
+        def huge_second_draw(rng, clean, model, level, out):
+            if rng.bit_generator.seed_seq.entropy == 3 + 1:  # window 1's generator
                 drawn.append(threading.get_ident())
                 level = 1e306
-            return draw(power, model, level, seed, *args)
+            return draw(rng, clean, model, level, out)
 
-        monkeypatch.setattr(cli, "draw_noise", huge_second_draw)
+        monkeypatch.setattr(retrieval, "draw_noise", huge_second_draw)
         path = write_config(tmp_path, noise={"model": "additive", "level": 0.01, "seed": 3})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -914,21 +965,18 @@ class TestNumericErrors:
                                                                 monkeypatch, window):
         # alg1's one group draws windows 0 and 1 on the calling thread and
         # 2 and 3 on the second, a row block at a time
-        from specret import cli
+        from specret import retrieval
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        draw = cli.draw_noise
+        draw = retrieval.draw_noise
         drawn = []
 
-        def huge_draw(power, model, level, seed, *args):
-            if seed != 3 + window:
-                return draw(power, model, level, seed, *args)
+        def huge_draw(rng, clean, model, level, out):
+            if rng.bit_generator.seed_seq.entropy != 3 + window:
+                return draw(rng, clean, model, level, out)
+            drawn.append(threading.get_ident())  # the thread that draws the window
+            return draw(rng, clean, model, 1e306, out)
 
-            def stream():  # runs on the thread that advances it
-                drawn.append(threading.get_ident())
-                yield from draw(power, model, 1e306, seed, *args)
-            return stream()
-
-        monkeypatch.setattr(cli, "draw_noise", huge_draw)
+        monkeypatch.setattr(retrieval, "draw_noise", huge_draw)
         path = write_config(tmp_path, noise={"model": "additive", "level": 0.01, "seed": 3},
                             scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": 4},
                             epsilon=1e-2)
@@ -937,7 +985,45 @@ class TestNumericErrors:
             rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
         assert rc == 3
         assert not caught
-        assert len(drawn) == 1 and (drawn[0] == threading.get_ident()) == (window == 0)
+        # one thread drew the window, at most one block past the one that overflowed:
+        # side 0 draws block b while side 1 takes the first passes of block b - 1
+        assert 1 <= len(drawn) <= 2 and len(set(drawn)) == 1
+        assert (drawn[0] == threading.get_ident()) == (window == 0)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "overflow" in err
+
+    def test_overflow_in_the_second_half_of_a_clean_group_exits_3(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # a clean alg1 run measures windows 2 and 3 of its one group on the
+        # second thread; window 3, scaled by 1e200, overflows |V|^2 there
+        from specret import cli, retrieval
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        build, kernel = cli._build_family, retrieval.stft_block
+        measured = []
+
+        def huge_last_window(cfg, grid):
+            family = build(cfg, grid)
+            members = list(family.members)
+            members[3] = members[3]._replace(samples=members[3].samples * 1e200)
+            return dataclasses.replace(family, members=tuple(members))
+
+        def traced_kernel(rows, factor, m0, out):
+            if np.max(np.abs(factor)) > 1e100:  # window 3's spectrum
+                measured.append(threading.get_ident())
+            return kernel(rows, factor, m0, out)
+
+        monkeypatch.setattr(cli, "_build_family", huge_last_window)
+        monkeypatch.setattr(retrieval, "stft_block", traced_kernel)
+        path = write_config(tmp_path, scheme={"kind": "frft_gauss", "a": 2.0, "n_windows": 4},
+                            epsilon=1e-2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert not caught
+        assert len(measured) == 1 and measured[0] != threading.get_ident()
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1

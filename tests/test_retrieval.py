@@ -43,13 +43,17 @@ from specret import (
 )
 from specret import ambiguity, retrieval
 from specret.windows import LATTICE_FLOOR
-from specret.retrieval import _two_at_a_time, row_span
+from specret.retrieval import _divide, _two_at_a_time, measure_lines, row_span, stored_plan
 from oracles import (
     assemble,
     den_lattice,
+    dense_noise_bounds,
     dense_retrieve,
     gauss_baseline_family,
+    group_lines,
     masked_inversion,
+    noise_sums,
+    noisy_powers,
     padded,
     peel_masks,
     power_of,
@@ -104,7 +108,11 @@ def dense_family(spec, grid):
 
 class TestDenseReference:
     """The whole retrieval, from the powers to the samples, against the
-    dense sums of the paper's formulas (`oracles.dense_retrieve`)."""
+    dense sums of the paper's formulas (`oracles.dense_retrieve`), clean
+    or noisy, through two runners: the runner on the list of powers and
+    the measurement stream (`measure_lines`) into the runner, whose noise
+    lines are also checked against the dense noise bounds
+    (`oracles.dense_noise_bounds`)."""
 
     # no shrink phase: a failing example reports in seconds, not minutes
     @settings(max_examples=60, deadline=None,
@@ -112,25 +120,45 @@ class TestDenseReference:
     @given(T=st.sampled_from([1.5, 2.0, 2.5]), L=st.sampled_from([16, 24, 32]),
            spec=DENSE_FAMILIES, algorithm=st.sampled_from(["alg1", "alg2"]),
            epsilon=st.floats(-3.0, np.log10(0.5)).map(lambda e: 10.0 ** e),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_runners_match_the_dense_sums(self, T, L, spec, algorithm, epsilon, seed):
+           seed=st.integers(0, 2 ** 32 - 1),
+           model=st.sampled_from([None, "additive", "multiplicative"]))
+    def test_runners_match_the_dense_sums(self, T, L, spec, algorithm, epsilon, seed, model):
         grid = make_grid(T, L)
         family = dense_family(spec, grid)
         f = random_signal(grid, np.random.default_rng(seed))
         cfg = RetrievalConfig(epsilon=epsilon, algorithm=algorithm)
         runner = run_alg1 if algorithm == "alg1" else run_alg2
+        noise = None if model is None else (model, 0.05, seed % 1000)
         powers = measure_family(f, family)
+        if noise is not None:
+            powers = noisy_powers(powers, {"model": model, "level": 0.05}, noise[2])
+
+        def streamed():  # the third runner
+            lines, noise_lines = measure_lines(f, family, stored_plan(family, cfg), noise)
+            return runner(lines, family, cfg), noise_lines
+
         try:
-            samples, anchor, owner, den = dense_retrieve(f, family, cfg)
+            samples, anchor, owner, den = dense_retrieve(f, family, cfg, noise)
         except (EmptyMaskError, DegenerateAnchorError) as exc:
-            with pytest.raises(type(exc)):
-                runner(powers, family, cfg)
+            for run in (lambda: runner(powers, family, cfg), streamed):
+                with pytest.raises(type(exc)):
+                    run()
             return
         got = runner(powers, family, cfg)
         assert np.array_equal(got.plan.owner, owner)
         assert got.anchor_c == anchor
         assert np.max(np.abs(den_lattice(got.plan) - den)) <= 1e-12 * np.max(np.abs(den))
         assert np.max(np.abs(got.signal.values - samples)) <= 1e-10 * np.max(np.abs(samples))
+        recon, noise_lines = streamed()
+        assert recon.anchor_c == anchor
+        assert np.max(np.abs(recon.signal.values - samples)) <= 1e-10 * np.max(np.abs(samples))
+        if noise is None:
+            assert noise_lines is None
+            return
+        report = verify_noise_bounds(noise_lines, recon.plan)
+        want = dense_noise_bounds(f, family, cfg, noise)
+        got = (report.lhs_A_norm, report.rhs_bound, report.lhs_slice, report.rhs_slice_bound)
+        assert_allclose(got, want, rtol=1e-10, atol=1e-12 * max(want))
 
 
 class TestReconstructFromAmbiguity:
@@ -1448,3 +1476,88 @@ class TestTwoWindowsInFlight:
         with pytest.raises(KeyError):
             _two_at_a_time(fn, 200)
         assert len(calls) < 20
+
+
+class TestMeasureLines:
+    """`measure_lines`, the one measurement stream, against the list path:
+    `measure_family`, each window's `add_noise`, the group sums
+    (`_group_sum`) and their first passes, the runner on the powers and the
+    two-list noise-bound check.  Every output is bit for bit the list
+    path's."""
+
+    @pytest.mark.parametrize("L", [250, 200])  # short last blocks, no power of two
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}])
+    @pytest.mark.parametrize("model", [None, "additive", "multiplicative"])
+    @pytest.mark.parametrize("kind, n, algorithm", [
+        ("fan", 7, "alg1"),  # 4 + 3 members a block
+        ("fan", 5, "alg2"),  # pairs of groups, then one
+        ("hermite", 3, "alg1"),  # 2 + 1 members a block
+        ("hermite", 3, "alg2"),
+        ("hermite", 1, "alg1"),  # one member, its first passes on the second core
+    ], ids=["fan7-alg1", "fan5-alg2", "hermite3-alg1", "hermite3-alg2", "hermite1-alg1"])
+    def test_matches_the_list_path(self, monkeypatch, kind, n, algorithm, model, cores, L):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        grid = make_grid(8.0, L)
+        f = gen_mixture(mixture_preset(), grid)
+        family = (build_frft_family(2.0, n, grid) if kind == "fan"
+                  else build_hermite_family([0, 5, 10][:n], grid))
+        cfg = RetrievalConfig(epsilon=1e-2, algorithm=algorithm)
+        runner = run_alg1 if algorithm == "alg1" else run_alg2
+        plan = stored_plan(family, cfg)
+        clean = measure_family(f, family)
+        noise = None if model is None else (model, 0.05, 9)
+        noisy = clean if model is None else noisy_powers(clean, {"model": model, "level": 0.05}, 9)
+
+        lines, noise_lines = measure_lines(f, family, plan, noise)
+        etas = [] if model is None else noise_sums(clean, noisy, plan)
+        want_eta = [ambiguity.lines_of(eta, grid, span, l1=True)
+                    for eta, span in zip(etas, plan.spans)]
+        for got, want in [*zip(lines, group_lines(noisy, plan), strict=True),
+                          *zip(noise_lines or [], want_eta, strict=True)]:
+            assert (got.X is None) == (want.X is None)
+            assert got.X is None or np.array_equal(got.X, want.X)
+            assert got.l1 == want.l1
+        assert len(want_eta) == (0 if model is None else len(plan.groups))
+        assert noise_lines is None if model is None else len(noise_lines) == len(plan.groups)
+        # J, from the lines that the runner transforms in place
+        assert np.array_equal(padded(_divide(iter(lines), plan), plan), assemble(noisy, plan))
+        lines, noise_lines = measure_lines(f, family, plan, noise)
+        got, want = runner(lines, family, cfg), runner(noisy, family, cfg)
+        assert np.array_equal(got.signal.values, want.signal.values)
+        assert got.anchor_c == want.anchor_c and got.plan is want.plan is plan
+        if model is not None:
+            assert verify_noise_bounds(noise_lines, plan) == two_list_bounds(clean, noisy, plan)
+
+    @pytest.mark.parametrize("sums, noise_sums", [(True, False), (False, True)])
+    def test_makes_only_the_lines_asked_for(self, sums, noise_sums):
+        grid = make_grid(8.0, 128)
+        f = gen_mixture(mixture_preset(), grid)
+        family = build_hermite_family([0, 5], grid)
+        plan = stored_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        both = measure_lines(f, family, plan, ("additive", 0.01, 3))
+        got = measure_lines(f, family, plan, ("additive", 0.01, 3), sums, noise_sums)
+        for asked, lines, want in zip((sums, noise_sums), got, both):
+            assert lines is None if not asked else all(
+                np.array_equal(a.X, b.X) and a.l1 == b.l1 for a, b in zip(lines, want, strict=True))
+
+    def test_refuses_bad_input_before_measuring(self, monkeypatch):
+        grid = make_grid(8.0, 64)
+        family = build_hermite_family([0, 5], grid)
+        plan = stored_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        monkeypatch.setattr(retrieval, "stft_block", None)  # any STFT would fail
+        with pytest.raises(GridMismatchError):
+            measure_lines(gen_mixture(mixture_preset(), make_grid(8.0, 128)), family, plan)
+        f = gen_mixture(mixture_preset(), grid)
+        with pytest.raises(ValueError, match="nonnegative"):
+            measure_lines(f, family, plan, ("additive", -0.1, 0))
+        with pytest.raises(ValueError, match="unknown noise model"):
+            measure_lines(f, family, plan, ("uniform", 0.1, 0))
+
+    def test_runner_refuses_lines_for_other_groups(self):
+        grid = make_grid(8.0, 64)
+        f = gen_mixture(mixture_preset(), grid)
+        family = build_hermite_family([0, 5], grid)
+        lines, _ = measure_lines(f, family, stored_plan(family, RetrievalConfig(
+            epsilon=1e-2, algorithm="alg1")))
+        with pytest.raises(ValueError, match="1 line sets for 2 window groups"):
+            run_alg2(lines, family, RetrievalConfig(epsilon=1e-2))

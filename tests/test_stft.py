@@ -13,7 +13,7 @@ from specret import (
     make_grid,
 )
 from specret import ambiguity, stft
-from specret.stft import block_buffer, draw_noise, stft_power
+from specret.stft import draw_noise, stft_power
 from oracles import power_of, stft_coeffs, stft_energy
 from conftest import random_signal
 
@@ -289,29 +289,37 @@ class TestNoise:
     @pytest.mark.parametrize("model", ["additive", "multiplicative"])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("rows", [7, 64])
-    def test_kernel_writes_add_noises_bits_in_place(self, monkeypatch, rng, model, order, rows):
-        # a block of PRODUCT_ROWS rows at a time, the last one short at L = 250;
-        # each yielded block is that block's noisy - clean
-        monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", rows)
+    def test_kernel_writes_add_noises_bits_in_place(self, rng, model, order, rows):
+        # the kernel a block of `rows` rows at a time from one generator, the
+        # last block short at L = 250, into one C-ordered buffer: the noisy
+        # blocks are add_noise's rows, and noisy - clean its noise; the clean
+        # rows, in either layout, are only read
         mea = np.asarray(self._measurement(make_grid(8.0, 250), rng), order=order)
         want = add_noise(mea, model, 0.1, seed=3)
-        power = mea.copy(order="K")
-        noise = [eta.copy() for eta in draw_noise(power, model, 0.1, 3, block_buffer(power))]
+        clean = mea.copy(order="K")
+        gen, out = np.random.default_rng(3), np.empty((rows, 250))
+        noisy, noise = [], []
+        for m0 in range(0, 250, rows):
+            block = draw_noise(gen, clean[m0:m0 + rows], model, 0.1, out[:len(clean[m0:m0 + rows])])
+            assert np.shares_memory(block, out)
+            noisy.append(block.copy())
+            noise.append(block - clean[m0:m0 + rows])
         assert [len(eta) for eta in noise] == [rows] * (250 // rows) + [250 % rows]
-        assert np.array_equal(power, want)
+        assert np.array_equal(np.concatenate(noisy), want)
         assert np.array_equal(np.concatenate(noise), want - mea)
-        assert power.flags.f_contiguous == (order == "F")
+        assert np.array_equal(clean, mea) and clean.flags.f_contiguous == (order == "F")
 
     def test_streams_sharing_work_buffers_keep_their_bits(self, grid256, rng):
-        # two windows advanced in turn through one work buffer, as one
-        # thread advances a group's members
+        # two windows advanced in turn through one work buffer, each from its
+        # own generator, as one side of a group's stream advances its members
         mea = [self._measurement(grid256, rng) for _ in range(2)]
         want = [add_noise(p, "multiplicative", 0.05, seed=j) for j, p in enumerate(mea)]
-        work = block_buffer(mea[0])
-        streams = [draw_noise(p, "multiplicative", 0.05, j, None, work) for j, p in enumerate(mea)]
-        for _ in zip(*streams):
-            pass
-        assert all(np.array_equal(p, q) for p, q in zip(mea, want))
+        gens, work = [np.random.default_rng(j) for j in range(2)], np.empty((32, 256))
+        got = [np.empty_like(p) for p in mea]
+        for m0 in range(0, 256, 32):
+            for gen, p, q in zip(gens, mea, got):
+                q[m0:m0 + 32] = draw_noise(gen, p[m0:m0 + 32], "multiplicative", 0.05, work)
+        assert all(np.array_equal(p, q) for p, q in zip(got, want))
 
     def test_rejects_bad_arguments(self, grid256, rng):
         mea = self._measurement(grid256, rng)
