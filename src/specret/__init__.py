@@ -32,6 +32,7 @@ from .retrieval import (
     RetrievalPlan,
     make_plan,
     measure_family,
+    measure_lines,
     raw_threshold,
     reconstruct_from_ambiguity,
     run_alg1,

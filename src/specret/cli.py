@@ -134,9 +134,8 @@ def _measure(command: str, cfg: dict, f: Signal, family: WindowFamily, rcfg: Ret
     # nothing reads a bound report but result.json
     check = bounds or (command == "retrieve" and cfg["emit"].get("json", True))
     lines, noise_lines = measure_lines(f, family, plan, draws, sums=not bounds, noise_sums=check)
-    if not check:
-        return lines, None
-    return lines, verify_noise_bounds(noise_lines, plan, f_true=f if bounds else None)
+    return lines, (verify_noise_bounds(noise_lines, plan, f_true=f if bounds else None)
+                   if check else None)
 
 
 def estimate_bytes(command: str, cfg: dict) -> int:

@@ -171,6 +171,8 @@ def measure_lines(f: Signal, family: WindowFamily, plan: RetrievalPlan, noise=No
     """
     if f.grid != family.grid or plan.grid != family.grid:
         raise GridMismatchError(f"signal grid {f.grid} differs from the family's or the plan's")
+    if sorted(j for g in plan.groups for j in g) != list(range(len(family))):
+        raise ValueError(f"the plan's groups {plan.groups} do not cover {len(family)} windows")
     if noise is not None:
         check_noise(*noise[:2])
     rows, one = signal_rows(f), len(plan.groups) == 1
@@ -203,8 +205,7 @@ def _group_lines(rows, factors, plan, i, noise, sums, noise_sums, split):
         return work[side][name][:h]
 
     def step(side, c):
-        m0 = c * n
-        if not 0 <= m0 < L:
+        if not 0 <= (m0 := c * n) < L:  # the pipeline's first and last step
             return
         h = min(n, L - m0)
         total = totals[c % len(totals), :, :h]
@@ -221,7 +222,7 @@ def _group_lines(rows, factors, plan, i, noise, sums, noise_sums, split):
                         total[1] += eta
             if k:
                 total[0] += clean if rngs is None else noisy
-        for p, t in zip(passes, total) if side else ():  # without noise sums, one of each
+        for p, t in zip(passes, total) if side else ():  # no noise sums: one layer, one pass
             p.add(t)
 
     for c in range(-(-L // n) + split):  # split: side 1 takes block c - 1

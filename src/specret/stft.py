@@ -108,8 +108,7 @@ def check_noise(model: str, level: float):
 def draw_noise(rng: np.random.Generator, clean: np.ndarray, model: str, level: float,
                out: np.ndarray) -> np.ndarray:
     """The noise kernel: the noisy rows of the clean rows `clean`, made in
-    the C-ordered buffer `out` from rng's next out.size draws, cell [m, k]
-    of the block taking draw m*L + k.
+    the C-ordered buffer `out` from rng's next draws, in row order.
 
     additive:        power' = power + eta, eta ~ N(0, level^2) i.i.d.
     multiplicative:  |V| is scaled by i.i.d. N(1, level^2) factors and

@@ -1553,6 +1553,37 @@ class TestMeasureLines:
         with pytest.raises(ValueError, match="unknown noise model"):
             measure_lines(f, family, plan, ("uniform", 0.1, 0))
 
+    def test_refuses_a_plan_of_another_family(self):
+        grid = make_grid(8.0, 64)
+        f = gen_mixture(mixture_preset(), grid)
+        plan = stored_plan(build_hermite_family([0, 5, 10], grid),
+                           RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        with pytest.raises(ValueError, match="do not cover 2 windows"):
+            measure_lines(f, build_hermite_family([0, 5], grid), plan)
+
+    def test_bits_hold_under_fast_switching(self, monkeypatch):
+        # the two sides of one group share its sum blocks, one block apart;
+        # switching threads every microsecond must not move a bit
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = make_grid(8.0, 64)
+        f = gen_mixture(mixture_preset(), grid)
+        family = build_frft_family(2.0, 7, grid)
+        plan = stored_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg1"))
+        noise = ("multiplicative", 0.05, 4)
+        clean = measure_family(f, family)
+        noisy = noisy_powers(clean, {"model": noise[0], "level": noise[1]}, noise[2])
+        want = group_lines(noisy, plan) + [ambiguity.lines_of(noise_sums(clean, noisy, plan)[0],
+                                                               grid, plan.spans[0], l1=True)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                lines, noise_lines = measure_lines(f, family, plan, noise)
+                for got, w in zip(lines + noise_lines, want, strict=True):
+                    assert np.array_equal(got.X, w.X) and got.l1 == w.l1
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_runner_refuses_lines_for_other_groups(self):
         grid = make_grid(8.0, 64)
         f = gen_mixture(mixture_preset(), grid)
