@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import PRODUCT_ROWS, FirstPass, Lines, product_blocks, unit_roots
+from .ambiguity import FirstPass, Lines, product_blocks, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
 from .stft import (block_height, check_noise, draw_noise, signal_rows, stft_block, stft_power,
@@ -175,24 +175,24 @@ def measure_lines(f: Signal, family: WindowFamily, plan: RetrievalPlan, noise=No
         raise ValueError(f"the plan's groups {plan.groups} do not cover {len(family)} windows")
     if noise is not None:
         check_noise(*noise[:2])
-    rows, one = signal_rows(f), len(plan.groups) == 1
-    factors = [window_factor(m.samples, family.grid) for m in family.members]
+    rows, factors = signal_rows(f), [window_factor(m.samples, family.grid) for m in family.members]
     noise_sums = noise is not None and noise_sums
     lines, noise_lines = zip(*_two_at_a_time(
-        lambda i: _group_lines(rows, factors, plan, i, noise, sums, noise_sums, one),
+        lambda i: _group_lines(rows, factors, plan, i, noise, sums, noise_sums),
         len(plan.groups)))
     return (list(lines) if sums else None), (list(noise_lines) if noise_sums else None)
 
 
-def _group_lines(rows, factors, plan, i, noise, sums, noise_sums, split):
-    """Group i's (lines, noise_lines) for `measure_lines`, a block of at
-    most PRODUCT_ROWS rows at a time.  Side 0 adds the first half of the
+def _group_lines(rows, factors, plan, i, noise, sums, noise_sums):
+    """Group i's (lines, noise_lines) for `measure_lines`, a block of rows
+    at a time.  Side 0 adds the first half of the
     members into row block c and side 1 the rest into block c - 1, then
     feeds its sums to the first passes, so every cell is added in member
-    order; with split the sides run on the two cores, two blocks of sums
-    in turn.  The first member is measured straight into the sums."""
-    group, L = plan.groups[i], plan.grid.L
-    n, half = min(block_height(L), PRODUCT_ROWS), (len(group) + 1) // 2
+    order.  A plan of one group splits: its sides run on the two cores, two
+    blocks of sums in turn.  The first member is measured into the sums."""
+    group, L, split = plan.groups[i], plan.grid.L, len(plan.groups) == 1
+    # a block is a 32nd of the rows, as the STFT's are at L = 1024, or fewer
+    n, half = max(min(block_height(L), L // 32), 1), (len(group) + 1) // 2
     rngs = {j: np.random.default_rng(noise[2] + j) for j in group} if noise else None
     passes = (FirstPass(plan.grid, plan.spans[i] if sums else None),
               FirstPass(plan.grid, plan.spans[i], l1=True) if noise_sums else None)

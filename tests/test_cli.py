@@ -29,7 +29,6 @@ from specret import (
     save_wav,
 )
 from specret import container
-from specret.ambiguity import PRODUCT_ROWS
 from specret.cli import COMMANDS, check_size, estimate_bytes, main
 from specret.config import load_config
 from specret.retrieval import row_span
@@ -532,8 +531,8 @@ class TestVerifyBounds:
         # noise is drawn beside the plan and the noise lines made so far,
         # and no power, no block of the group before and none of its
         # product blocks are held; a group streams with its own lines and
-        # its blocks: a coefficient block, the FFT's copy of it, the clean
-        # block, the noisy and noise sums and the first pass's buffer
+        # its blocks: a coefficient block, the clean block, the noisy and
+        # noise sums and the first pass's buffer
         from specret import cli, retrieval
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         L, degrees = 512, [0, 5, 10]
@@ -568,9 +567,10 @@ class TestVerifyBounds:
                 tracemalloc.stop()
         plan = plans[-1]
         plan_bytes = plan.den.nbytes + plan.owner.nbytes
-        h, R = L // 2, min(PRODUCT_ROWS, L)
+        h, R = L // 2, L // 32  # the stream's block rows
         lines = [16 * L * (max(h - r0, r1 - 1 - h) + 1) for r0, r1 in plan.spans]
-        blocks = (16 + 16 + 8 + 8 + 8) * R * L + 8 * R * (L + 2)
+        # numpy reads the overlapping spectrum rows through 2**18 bytes of ufunc buffers
+        blocks = (16 + 8 + 8 + 8) * R * L + 8 * R * (L + 2) + 2**18
         # verify-bounds makes no lines of the noisy sums, only checks them
         assert [(group, sums) for group, sums, *_ in draws] == [((j,), (None, None))
                                                                  for j in range(3)]
