@@ -191,8 +191,8 @@ def _group_lines(rows, factors, plan, i, noise, sums, noise_sums):
     order.  A plan of one group splits: its sides run on the two cores, two
     blocks of sums in turn.  The first member is measured into the sums."""
     group, L, split = plan.groups[i], plan.grid.L, len(plan.groups) == 1
-    # a block is a 32nd of the rows, as the STFT's are at L = 1024, or fewer
-    n, half = max(min(block_height(L), L // 32), 1), (len(group) + 1) // 2
+    # the STFT's blocks, at most an eighth of the rows, so that small grids stream too
+    n, half = max(min(block_height(L), L // 8), 1), (len(group) + 1) // 2
     rngs = {j: np.random.default_rng(noise[2] + j) for j in group} if noise else None
     passes = (FirstPass(plan.grid, plan.spans[i] if sums else None),
               FirstPass(plan.grid, plan.spans[i], l1=True) if noise_sums else None)

@@ -567,7 +567,7 @@ class TestVerifyBounds:
                 tracemalloc.stop()
         plan = plans[-1]
         plan_bytes = plan.den.nbytes + plan.owner.nbytes
-        h, R = L // 2, L // 32  # the stream's block rows
+        h, R = L // 2, L // 8  # the stream's block rows
         lines = [16 * L * (max(h - r0, r1 - 1 - h) + 1) for r0, r1 in plan.spans]
         # numpy reads the overlapping spectrum rows through 2**18 bytes of ufunc buffers
         blocks = (16 + 8 + 8 + 8) * R * L + 8 * R * (L + 2) + 2**18
