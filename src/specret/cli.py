@@ -144,7 +144,7 @@ def estimate_bytes(command: str, cfg: dict) -> int:
     power a window, which the stream (`_measure`) no longer holds: each
     group's lines take its place, at most L/2 + 1 complex lines of L
     cells, twice with the noise-bound check, which the count covers up to
-    18 groups of full-width lines.  A fan's `coverage` adds its polar scan
+    14 groups of full-width lines beside the plan and J.  A fan's `coverage` adds its polar scan
     (`coverage_radii`), a few float arrays of COVERAGE_DIRECTIONS cells
     whatever L is, and a Hermite `coverage` its members' quadrant mask
     bits."""

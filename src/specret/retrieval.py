@@ -185,11 +185,11 @@ def measure_lines(f: Signal, family: WindowFamily, plan: RetrievalPlan, noise=No
 
 def _group_lines(rows, factors, plan, i, noise, sums, noise_sums):
     """Group i's (lines, noise_lines) for `measure_lines`, a block of rows
-    at a time.  Side 0 adds the first half of the
-    members into row block c and side 1 the rest into block c - 1, then
-    feeds its sums to the first passes, so every cell is added in member
-    order.  A plan of one group splits: its sides run on the two cores, two
-    blocks of sums in turn.  The first member is measured into the sums."""
+    at a time.  Side 0 adds the first half of the members into row block
+    c and side 1 the rest into block c - 1, then feeds its sums to the
+    first passes, so every cell is added in member order.  A plan of one
+    group splits: its sides run on the two cores, two blocks of sums in
+    turn.  The first member is measured straight into the sums."""
     group, L, split = plan.groups[i], plan.grid.L, len(plan.groups) == 1
     # the STFT's blocks, at most an eighth of the rows, so that small grids stream too
     n, half = max(min(block_height(L), L // 8), 1), (len(group) + 1) // 2
@@ -211,7 +211,7 @@ def _group_lines(rows, factors, plan, i, noise, sums, noise_sums):
         total = totals[c % len(totals), :, :h]
         for k in range(half, len(group)) if side else range(half):
             coeffs = stft_block(rows, factors[group[k]], m0, buf(side, "coeffs", h, np.complex128))
-            clean = buf(side, "clean", h) if k or rngs else total[0]
+            clean = buf(side, "clean", h) if k or rngs is not None else total[0]
             np.square(np.abs(coeffs, out=clean), out=clean)
             if rngs is not None:
                 noisy = draw_noise(rngs[group[k]], clean, noise[0], noise[1],
