@@ -39,15 +39,16 @@ phase or coefficient table beside the output.
 
 `product_blocks` takes the 2D DFT of a real power on a band of rows
 only.  Row i of the product reads one shift frequency, |i - L/2| by the
-exact symmetry of a real input's transform, so it transforms the shift
-axis first: a real-input FFT along k, PRODUCT_ROWS rows at a time, keeps
-only the q + 1 frequencies the band reads (q = the band's largest
-|i - L/2|), and one complex FFT along the frequency bins runs over those
-lines in place.  It reads out the rows PRODUCT_ROWS at a time through
-one buffer.  The first pass (`FirstPass`) takes a power's row blocks one
-at a time and keeps the lines (`Lines`): the measurement stream
-(`retrieval.measure_lines`) feeds it each block of a group's sums as it
-is made, and a whole power goes through it by its own row blocks.
+exact symmetry of a real input's transform, so the shift axis goes
+first: the first pass (`FirstPass`) takes a power's row blocks one at a
+time, a real-input FFT along k each, and keeps only the q + 1
+frequencies the band reads (q = the band's largest |i - L/2|), its
+`Lines`.  The measurement stream (`retrieval.measure_lines`) feeds it
+each block of a group's sums as it is made, and `lines_of` a whole
+power's own row blocks.  `product_blocks` takes the Lines alone: one
+complex FFT along the frequency bins runs over them in place, and the
+rows are read out through one buffer.  Every row block here is
+`stft.block_height` rows high.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ import numpy as np
 
 from .grid import Grid, Signal
 from .special import laguerre_function, laguerre_ladder
-from .stft import stft_blocks
+from .stft import block_height, stft_blocks
 
 
 def eval_gauss_ambiguity(a: float, x, y):
@@ -87,13 +88,13 @@ def eval_hermite_ambiguity(n: int, x, y):
     return laguerre_function(n, np.pi * (x * x + y * y))
 
 
-# lattice rows evaluated together by `FrftGaussAmbiguity.on_lattice`
+# lattice rows evaluated together by `FrftGaussAmbiguity.on_lattice`; a
+# band's box of columns is the union of its rows' ellipse spans, so the
+# height sets which cells the plan evaluates
 BAND_ROWS = 16
-# lattice rows the product transform takes and reads out at a time, and
-# the noise kernel draws at a time: 1 MB of complex rows at L = 1024
-PRODUCT_ROWS = 64
 # quadrant rows `hermite_blocks` evaluates together: 256 KB a degree at
-# L = 1024
+# L = 1024.  The Laguerre recurrence loops in Python once per block and
+# degree step, so the stream's 32-row blocks would double W2's loop count
 PLAN_ROWS = 64
 
 
@@ -267,7 +268,8 @@ def numeric_ambiguity(g: np.ndarray, grid: Grid) -> np.ndarray:
 class Lines(NamedTuple):
     """A power's `FirstPass` on a band: X, the shift lines 0, ..., q it
     reads, complex (L, q + 1) and Fortran-ordered (None for no rows), and
-    l1, if asked for, the sum of the power's |.|."""
+    l1, if asked for, the sum of the power's |.|.  `product_blocks`
+    transforms X in place once and then marks it read-only."""
 
     X: np.ndarray | None
     l1: float | None
@@ -281,20 +283,21 @@ class FirstPass:
     sum of |.| is taken in a C-ordered buffer and added in row order, the
     same bits in any layout and block height, and a non-finite L1 refuses
     the power in place of the cell check.  The |.| rows and the spectra
-    take turns in one buffer, as high as the highest block so far.
+    take turns in one buffer of `block_height` rows, the most a block may
+    hold.
     """
 
     def __init__(self, grid: Grid, rows: tuple[int, int] | None, l1: bool = False):
         L, h = grid.L, grid.L // 2
-        self.L, self.m0, self.norm, self.buf = L, 0, 0.0 if l1 else None, np.empty(0)
+        self.L, self.m0, self.norm = L, 0, 0.0 if l1 else None
         self.q = None if rows is None else max(h - rows[0], rows[1] - 1 - h)
         # lines contiguous along m
         self.X = None if rows is None else np.empty((self.q + 1, L), dtype=np.complex128).T
+        # |.| rows, then spectra
+        self.buf = None if rows is None and not l1 else np.empty(block_height(L) * (L + 2))
 
     def add(self, block: np.ndarray):
         n, m0, L = len(block), self.m0, self.L
-        if len(self.buf) < n * (L + 2) and (self.X is not None or self.norm is not None):
-            self.buf = np.empty(n * (L + 2))  # |.| rows, then spectra
         if self.norm is not None:
             for row in np.sum(np.abs(block, out=self.buf[:n * L].reshape(n, L)), axis=1).tolist():
                 self.norm += row
@@ -311,28 +314,23 @@ class FirstPass:
         return Lines(self.X, self.norm)
 
 
-def lines_of(power, grid: Grid, rows: tuple[int, int] | None, l1: bool = False) -> Lines:
-    """power's `FirstPass` on rows: Lines pass through, and a real (L, L)
-    array is transformed as float64 over its own row blocks."""
-    if isinstance(power, Lines):
-        return power
-    power = np.asarray(power, dtype=np.float64)
-    L = grid.L
-    if power.shape != (L, L):
-        raise ValueError(f"expected shape {(L, L)}, got {power.shape}")
-    p = FirstPass(grid, rows, l1)
-    for m in range(0, L, PRODUCT_ROWS):
-        p.add(power[m:m + PRODUCT_ROWS])
+def lines_of(power: np.ndarray, grid: Grid, rows: tuple[int, int] | None,
+             l1: bool = False) -> Lines:
+    """The `FirstPass` on rows of a float64 (L, L) power (`retrieval.check_powers`),
+    over its own row blocks."""
+    p, n = FirstPass(grid, rows, l1), block_height(grid.L)
+    for m in range(0, grid.L, n):
+        p.add(power[m:m + n])
     return p.lines()
 
 
-def product_blocks(power, grid: Grid, rows: tuple[int, int] | None):
+def product_blocks(lines: Lines, grid: Grid, rows: tuple[int, int] | None):
     """Yield (m0, G), G[r] being lattice row m0 + r, for consecutive blocks
-    of rows = (first, stop), or nothing for rows = None.  power is a real
-    (L, L) array, or its `FirstPass` Lines on these rows.  Each G is a
-    view of one PRODUCT_ROWS-row buffer, overwritten by the next block, and
-    the power is dropped once transformed: a sum made for the call dies
-    first.  A non-finite power is refused, also for rows = None.
+    of rows = (first, stop), or nothing for rows = None, from a power's
+    `FirstPass` Lines on these rows.  Each G is a view of one
+    `block_height`-row buffer, overwritten by the next block.  The lines
+    are transformed in place and then read-only: lines transformed before
+    are refused with a ValueError.
 
     On the centred lattice the map is
 
@@ -361,11 +359,12 @@ def product_blocks(power, grid: Grid, rows: tuple[int, int] | None):
     exactly; every line is transformed alone, so no row's bits depend on
     the band asked for.
     """
-    X = lines_of(power, grid, rows).X
-    del power
     if rows is None:
         return
-    L = grid.L
+    X = lines.X
+    if not X.flags.writeable:
+        raise ValueError("these lines were transformed already: measure again")
+    L, height = grid.L, block_height(grid.L)
     r0, r1 = rows
     h = L // 2
     q = X.shape[1] - 1  # max(h - r0, r1 - 1 - h)
@@ -373,9 +372,10 @@ def product_blocks(power, grid: Grid, rows: tuple[int, int] | None):
     for line in (X[:, n] for n in (0, h) if n <= q):  # make them exactly Hermitian
         line[h + 1:] = line[h - 1:0:-1].conj()
         line.imag[[0, h]] = 0.0
+    X.flags.writeable = False
     sgn = (-1.0) ** np.arange(L)
-    buf = np.empty((min(PRODUCT_ROWS, r1 - r0), L), dtype=np.complex128)
-    cuts = sorted({*range(r0, r1, PRODUCT_ROWS), *([h] if r0 < h < r1 else []), r1})
+    buf = np.empty((min(height, r1 - r0), L), dtype=np.complex128)
+    cuts = sorted({*range(r0, r1, height), *([h] if r0 < h < r1 else []), r1})
     for m0, m1 in zip(cuts, cuts[1:]):  # no block straddles row h
         G = buf[:m1 - m0]
         if m0 >= h:  # G[i, j] = c s(i + j) X[(h - j) mod L, i - h]

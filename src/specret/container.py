@@ -146,11 +146,11 @@ def write_pgm_heatmap(values: np.ndarray, path):
 
 
 def write_pgm_mask(bits: np.ndarray, path):
-    _write_pgm(np.where(np.asarray(bits, dtype=bool), 255, 0).astype(np.uint8), path)
+    _write_pgm(np.asarray(bits, dtype=bool) * np.uint8(255), path)  # one uint8 image
 
 
 def _write_pgm(img: np.ndarray, path):
     h, w = img.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(np.ascontiguousarray(img))  # its buffer, copied only out of C order

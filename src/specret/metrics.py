@@ -9,15 +9,14 @@ with the minimizer theta* = arg <f1, f2> available in closed form; it
 is also the missing global phase angle.
 
 The noise-bound check takes one noise sum per window group, the group's
-noisy minus clean powers added in member order, and transforms each once
-(the spectrogram -> product map is linear) instead of assembling the
-clean and the noisy ambiguities, in the loop J is divided in
-(`retrieval.group_blocks`).  A sum may come whole, as an (L, L) array,
-or as its first-pass lines with its L1 (`ambiguity.FirstPass`), as the
-measurement stream (`retrieval.measure_lines`) makes them from the
-STFT's row blocks, so that no run makes an (L, L) noise or power.  The
-check reads the sums lazily, one group at a time, and keeps no block of
-a group once the next sum is asked for.
+noisy minus clean powers added in member order, as its first-pass lines
+with its L1 (`ambiguity.Lines`), which the measurement stream
+(`retrieval.measure_lines`) makes from the STFT's row blocks, so that no
+run makes an (L, L) noise or power.  It transforms each group's lines
+once (the spectrogram -> product map is linear) instead of assembling
+the clean and the noisy ambiguities, in the loop J is divided in
+(`retrieval.group_blocks`), and keeps no block of a group once the next
+group's lines are transformed.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import lines_of, numeric_ambiguity
+from .ambiguity import numeric_ambiguity
 from .exceptions import GridMismatchError
 from .grid import Signal
 from .retrieval import RetrievalPlan, group_blocks
@@ -80,21 +79,20 @@ class BoundReport(NamedTuple):
     approx_slice_term: float | None = None
 
 
-def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
+def verify_noise_bounds(noise_lines, plan: RetrievalPlan,
                         f_true: Signal | None = None) -> BoundReport:
     """Evaluate the noise-propagation inequalities from one noise sum per
     window group of `plan`.
 
     `plan` is the retrieval plan of the noisy measurements (`make_plan`,
     `stored_plan` or `Reconstruction.plan`); epsilon, C_p and C_R_Omega
-    come from it.  noise_sums yields, for each group of plan.groups in
-    order, the summed noise eta = sum of (noisy - clean) over the group's
-    powers in member order: a finite (L, L) array, which is only read, or
-    its `FirstPass` Lines on the group's rows (plan.spans) with the L1,
-    which are transformed in place.  It is read lazily, one sum at a time,
-    and no sum is kept.  A sized iterable of the wrong length is refused
-    before any transform, an iterator that runs short or long once that
-    shows; both with a ValueError.  On a group's cells A - A^eta =
+    come from it.  noise_lines holds, for each group of plan.groups in
+    order, the `Lines` of its summed noise eta = sum of (noisy - clean)
+    over the group's powers in member order, on the group's rows
+    (plan.spans) with the L1: the noise lines of `measure_lines`.  They
+    are transformed in place, so they serve one check.  A sequence of the
+    wrong length, or lines without their L1, are refused with a
+    ValueError before any transform.  On a group's cells A - A^eta =
     -F(eta) / den, the division J is made of, so the sums are read out as
     `_divide` reads them (`group_blocks`), and the mixed L^{2,1} norm of
     A - A^eta and the L1 norm of its x = 0 slice are taken from the
@@ -104,28 +102,18 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
     """
     grid, eps, owner = plan.grid, plan.epsilon, plan.owner
     p = 2.0  # the mixed norm's inner exponent
-    n = len(plan.groups)
-    if hasattr(noise_sums, "__len__") and len(noise_sums) != n:
-        raise ValueError(f"{len(noise_sums)} noise sums for {n} window groups")
+    if len(noise_lines) != len(plan.groups):
+        raise ValueError(f"{len(noise_lines)} noise sums for {len(plan.groups)} window groups")
+    for i, lines in enumerate(noise_lines):
+        if lines.l1 is None:  # the runner's lines, say
+            raise ValueError(f"group {i}'s noise lines have no L1: pass measure_lines' noise lines")
     if f_true is not None and f_true.grid != grid:
         raise GridMismatchError("true signal and plan live on different grids")
     dx, dy = grid.dt, grid.dy
     k0 = grid.L // 2  # x = 0 column
-    sums = iter(noise_sums)
-    norms = []  # each sum's L1 norm
-
-    def next_lines(i):
-        try:
-            eta = next(sums)
-        except StopIteration:
-            raise ValueError(f"{i} noise sums for {n} window groups") from None
-        lines = lines_of(eta, grid, plan.spans[i], l1=True)
-        norms.append(dx * dy * lines.l1)
-        return lines  # held by no name here once `group_blocks` takes it
-
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
-    for i, m0, diff in group_blocks(map(next_lines, range(n)), plan):
+    for i, m0, diff in group_blocks(noise_lines, plan):
         m1 = m0 + len(diff)
         bits = owner[m0:m1] == i
         np.divide(diff, plan.den[m0 - plan.first:m1 - plan.first], out=diff, where=bits)
@@ -133,11 +121,8 @@ def verify_noise_bounds(noise_sums, plan: RetrievalPlan,
         a *= bits  # zero off the group's cells
         slice_abs[m0:m1] += a[:, k0]
         row_sums[m0:m1] += np.sum(np.power(a, p, out=a), axis=1)
-        del diff, a, bits  # nothing of the block is held while the next sum is made
-    extra = sum(1 for _ in sums)
-    if extra:
-        raise ValueError(f"{n + extra} noise sums for {n} window groups")
-    noise_norm = max(norms)  # every sum was finite
+        del diff, a, bits  # nothing of the block is held while the next group is transformed
+    noise_norm = dx * dy * max(lines.l1 for lines in noise_lines)  # every L1 is finite
     approx = approx_slice = None
     if f_true is not None:
         outside = numeric_ambiguity(f_true.values, grid)

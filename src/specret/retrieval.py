@@ -26,8 +26,10 @@ finiteness check covers every member).  `measure_lines`, the one
 measurement stream, makes these lines from the STFT's row blocks, and no
 power is held.  Callers with measured data keep the list API:
 `measure_family` returns one float64 (L, L) power per member, which the
-runners add by group in two halves, one on each core (`_group_sum`).
-`run_alg1` and `run_alg2` take either, with the family's `stored_plan`;
+runners add by group in two halves, one on each core (`_group_sum`), and
+turn into each group's lines as the division reaches it: only `Lines`
+reach the map.  `run_alg1` and `run_alg2` take either form, with the
+family's `stored_plan`;
 `_divide` divides each block of a group's product (`group_blocks`, the
 noise-bound check's loop too) straight into J on the group's cells.  J,
 complex, holds den's rows, from row `first` on, +0.0 off omega, and the
@@ -64,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import FirstPass, Lines, product_blocks, unit_roots
+from .ambiguity import FirstPass, Lines, lines_of, product_blocks, unit_roots
 from .exceptions import DegenerateAnchorError, EmptyMaskError, GridMismatchError
 from .grid import Grid, Signal
 from .stft import (block_height, check_noise, draw_noise, signal_rows, stft_block, stft_power,
@@ -191,8 +193,7 @@ def _group_lines(rows, factors, plan, i, noise, sums, noise_sums):
     group splits: its sides run on the two cores, two blocks of sums in
     turn.  The first member is measured straight into the sums."""
     group, L, split = plan.groups[i], plan.grid.L, len(plan.groups) == 1
-    # the STFT's blocks, at most an eighth of the rows, so that small grids stream too
-    n, half = max(min(block_height(L), L // 8), 1), (len(group) + 1) // 2
+    n, half = block_height(L), (len(group) + 1) // 2
     rngs = {j: np.random.default_rng(noise[2] + j) for j in group} if noise else None
     passes = (FirstPass(plan.grid, plan.spans[i] if sums else None),
               FirstPass(plan.grid, plan.spans[i], l1=True) if noise_sums else None)
@@ -321,24 +322,25 @@ def _group_sum(powers, group) -> np.ndarray:
     return power
 
 
-def group_blocks(sums, plan: RetrievalPlan):
-    """Yield (i, m0, G) for each group i in order, the `product_blocks` of the
-    next sum on the group's rows (plan.spans); no sum is kept once
-    transformed, and no block once the group's last one is taken."""
-    sums = iter(sums)  # no loop variable or zip tuple keeps a sum alive
+def group_blocks(lines, plan: RetrievalPlan):
+    """Yield (i, m0, G) for each group i in order, the `product_blocks` of
+    the group's next `Lines` on its rows (plan.spans); lines read from an
+    iterator are not kept once transformed, and no block is kept once the
+    group's last one is taken."""
+    lines = iter(lines)  # no loop variable or zip tuple keeps lines alive
     for i, span in enumerate(plan.spans):
         # the generator's frame, and with it the last block, ends with the group
-        yield from ((i, m0, G) for m0, G in product_blocks(next(sums), plan.grid, span))
+        yield from ((i, m0, G) for m0, G in product_blocks(next(lines), plan.grid, span))
 
 
-def _divide(sums, plan: RetrievalPlan) -> np.ndarray:
+def _divide(lines, plan: RetrievalPlan) -> np.ndarray:
     """J = F(group sum) / den on each group's cells, +0.0 off omega, on
-    den's rows: row r of J is lattice row plan.first + r.  J, complex, is
-    divided block by block (`group_blocks`) and allocated once a sum is
-    transformed."""
+    den's rows: row r of J is lattice row plan.first + r, from one `Lines`
+    per group.  J, complex, is divided block by block (`group_blocks`) and
+    allocated once the first group's lines are transformed."""
     first = plan.first
     J = None
-    for i, m0, block in group_blocks(sums, plan):
+    for i, m0, block in group_blocks(lines, plan):
         if J is None:
             J = np.zeros(plan.den.shape, dtype=np.complex128)
         m1 = m0 + len(block)
@@ -347,7 +349,8 @@ def _divide(sums, plan: RetrievalPlan) -> np.ndarray:
     return J
 
 
-# lattice rows `_invert` sums at a time
+# lattice rows `_invert` sums at a time: the grouping of its column sums,
+# so another height moves the reconstruction's bits
 INVERT_ROWS = 64
 
 
@@ -457,9 +460,10 @@ def stored_plan(family: WindowFamily, cfg: RetrievalConfig) -> RetrievalPlan:
 
 def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruction:
     """Retrieve with the family's `stored_plan` for this tolerance and
-    algorithm, from one power per member, each group sum of two or more
-    added on both cores (`_group_sum`), or from one `Lines` per group
-    (`measure_lines`), which the division transforms in place.
+    algorithm, from one `Lines` per group (`measure_lines`), which the
+    division transforms in place, or from one power per member: each group
+    sum, of two or more added on both cores (`_group_sum`), turns into its
+    lines here, the one place a power does.
     """
     grid = family.grid
     lined = len(measurements) > 0 and all(isinstance(m, Lines) for m in measurements)
@@ -469,9 +473,9 @@ def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruc
         raise ValueError(f"{len(measurements)} line sets for {groups} window groups")
     check_anchor(cfg, grid)
     plan = stored_plan(family, cfg)
-    # each group sum is made as _divide reaches it and dies once transformed
-    J = _divide(iter(measurements) if lined else (_group_sum(powers, g) for g in plan.groups),
-                plan)
+    # each group sum is made as _divide reaches it and dies once it is lines
+    J = _divide(measurements if lined else (lines_of(_group_sum(powers, g), grid, span)
+                                            for g, span in zip(plan.groups, plan.spans)), plan)
     samples, anchor = _invert(J, plan.first, grid, cfg)
     area = float(np.count_nonzero(plan.owner >= 0) / plan.owner.size)  # omega.mean()'s bits
     return Reconstruction(Signal(grid=grid, values=samples), area, anchor, plan)

@@ -28,13 +28,14 @@ import numpy as np
 from .exceptions import GridMismatchError
 from .grid import Signal
 
-POWER_BLOCK_BYTES = 2 ** 19  # bytes a `stft_blocks` block holds: 32 rows at L = 1024
+POWER_BLOCK_BYTES = 2 ** 19  # bytes a block of complex rows holds: 32 rows at L = 1024
 
 
 def block_height(L: int) -> int:
-    """Frequency rows in a block of `stft_blocks`: as many as
-    POWER_BLOCK_BYTES of complex rows hold, at least 1, at most L."""
-    return min(max(POWER_BLOCK_BYTES // (16 * L), 1), L)
+    """The one row-block height of the measurement, its first pass and the
+    product read-out: as many rows as POWER_BLOCK_BYTES of complex rows
+    hold, at most L/8, so that small grids stream too, and at least 1."""
+    return max(min(POWER_BLOCK_BYTES // (16 * L), L // 8), 1)
 
 
 def signal_rows(f: Signal) -> np.ndarray:

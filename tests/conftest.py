@@ -22,11 +22,10 @@ def rng():
 
 @pytest.fixture()
 def l1024_blocks(monkeypatch):
-    """Block sizes that hold the share of an L = 256 lattice that the
-    defaults hold at L = 1024: 8 STFT rows and 16 product rows."""
-    from specret import ambiguity, stft
+    """The row-block height that holds the share of an L = 256 lattice
+    that the default holds at L = 1024: 8 rows (`stft.block_height`)."""
+    from specret import stft
     monkeypatch.setattr(stft, "POWER_BLOCK_BYTES", stft.POWER_BLOCK_BYTES // 16)
-    monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", ambiguity.PRODUCT_ROWS // 4)
 
 
 def random_signal(grid, rng, localized=True):

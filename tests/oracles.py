@@ -26,12 +26,11 @@ from specret import (
     numeric_ambiguity,
     verify_noise_bounds,
 )
-from specret import stft
 from specret.ambiguity import lines_of, product_blocks, unit_roots
 from specret.metrics import _outer_l1
 from specret.retrieval import INVERT_ROWS, _divide, _group_sum, check_powers
 from specret.special import _laguerre_run
-from specret.stft import stft_blocks
+from specret.stft import signal_rows, stft_block, window_factor
 from specret.windows import _check_unit_epsilon, peel, row_span
 
 
@@ -70,15 +69,11 @@ class Coeffs(NamedTuple):
 
 
 def stft_coeffs(f, g):
-    """The whole coefficient matrix c[m, k]: all of `stft_blocks` in one
-    block of L rows."""
+    """The whole coefficient matrix c[m, k]: the kernel of `stft_blocks`
+    (`stft.stft_block`) on one block of L rows."""
     L = f.grid.L
-    saved = stft.POWER_BLOCK_BYTES
-    stft.POWER_BLOCK_BYTES = 16 * L * L
-    try:
-        (_, block), = stft_blocks(f, g)
-    finally:
-        stft.POWER_BLOCK_BYTES = saved
+    block = np.empty((L, L), dtype=np.complex128)
+    stft_block(signal_rows(f), window_factor(g, f.grid), 0, block)
     return Coeffs(grid=f.grid, values=block)
 
 
@@ -148,7 +143,7 @@ def assemble(measurements, plan):
     group's region, zero off omega, on the whole (L, L) lattice: what
     `run_alg1` and `run_alg2` invert."""
     powers = check_powers(measurements, sum(map(len, plan.groups)), plan.grid)
-    return padded(_divide((_group_sum(powers, g) for g in plan.groups), plan), plan)
+    return padded(_divide(group_lines(powers, plan), plan), plan)
 
 
 def masked_inversion(values, first, grid, cfg, mask):
@@ -220,11 +215,18 @@ def noisy_powers(clean, noise, seed):
             for j, p in enumerate(clean)]
 
 
+def noise_lines(clean, noisy, plan):
+    """Oracle for `measure_lines`' noise lines: each group's first pass on
+    its span, with the L1, of its `noise_sums` from whole lists."""
+    return [lines_of(eta, plan.grid, span, l1=True)
+            for eta, span in zip(noise_sums(clean, noisy, plan), plan.spans, strict=True)]
+
+
 def two_list_bounds(clean, noisy, plan, f_true=None):
     """Oracle for the CLI's noise sums: `verify_noise_bounds` in its
-    two-list form, the noise sums made from whole clean and noisy lists
-    (`noise_sums`) rather than as the noise is drawn."""
-    return verify_noise_bounds(noise_sums(clean, noisy, plan), plan, f_true)
+    two-list form, the noise lines made from whole clean and noisy lists
+    (`noise_lines`) rather than as the noise is drawn."""
+    return verify_noise_bounds(noise_lines(clean, noisy, plan), plan, f_true)
 
 
 def row_l1(x):
@@ -271,7 +273,7 @@ def product_band(power, grid, rows):
     A f(x, y) * conj(A g(x, y)) on the finite lattice."""
     r0, r1 = rows
     G = np.empty((r1 - r0, grid.L), dtype=np.complex128)
-    for m0, block in product_blocks(power, grid, rows):
+    for m0, block in product_blocks(lines_of(power, grid, rows), grid, rows):
         G[m0 - r0:m0 - r0 + len(block)] = block
     return G
 

@@ -25,8 +25,8 @@ from specret import (
     numeric_ambiguity,
 )
 from specret import ambiguity
-from specret.ambiguity import PRODUCT_ROWS, product_blocks
-from specret.stft import stft_power
+from specret.ambiguity import lines_of, product_blocks
+from specret.stft import block_height, stft_power
 from oracles import (
     gathered_product,
     product_band,
@@ -291,8 +291,8 @@ class TestProductBlocks:
         want = gathered_product(mea, grid, (r0, r1))
         got = np.empty_like(want)
         nxt = r0
-        for m0, block in product_blocks(mea, grid, (r0, r1)):
-            assert m0 == nxt and 0 < len(block) <= PRODUCT_ROWS
+        for m0, block in product_blocks(lines_of(mea, grid, (r0, r1)), grid, (r0, r1)):
+            assert m0 == nxt and 0 < len(block) <= block_height(L)
             got[m0 - r0:m0 - r0 + len(block)] = block
             nxt = m0 + len(block)
         assert nxt == r1
@@ -302,7 +302,23 @@ class TestProductBlocks:
 
     def test_no_rows_transform_nothing(self, mea, monkeypatch):
         monkeypatch.setattr(np.fft, "rfft", None)  # a transform would fail
-        assert list(product_blocks(*mea, None)) == []
+        monkeypatch.setattr(np.fft, "fft", None)
+        assert list(product_blocks(lines_of(*mea, None), mea[1], None)) == []
+
+    @pytest.mark.parametrize("rows", [(0, 256), (100, 140)])
+    def test_transformed_lines_are_refused(self, rng, rows):
+        # the transform runs in place, so a second read would transform twice
+        grid = make_grid(8.0, 256)
+        mea = stft_power(Signal(grid=grid, values=rng.standard_normal(256) + 0j),
+                         dilated_gauss_samples(1.0, grid))
+        lines = lines_of(mea, grid, rows)
+        want = product_band(mea, grid, rows)
+        got = np.concatenate([G.copy() for _, G in product_blocks(lines, grid, rows)])
+        assert np.array_equal(got, want) and not lines.X.flags.writeable
+        kept = lines.X.copy()
+        with pytest.raises(ValueError, match="transformed already: measure again"):
+            next(product_blocks(lines, grid, rows))
+        assert np.array_equal(lines.X, kept)
 
     @pytest.mark.parametrize("L", [250, 256, 1024])
     @pytest.mark.parametrize("T", [8.0, 5.0])
@@ -363,32 +379,35 @@ class TestPrunedProduct:
 
     @pytest.mark.parametrize("rows", [(378, 647), (327, 698), (600, 700), (0, 1024)])
     def test_holds_the_kept_lines_and_three_blocks(self, rng, rows):
-        # beyond its input, one (L, q + 1) complex array of the shift
-        # frequencies rows reads and a few PRODUCT_ROWS blocks; the half
-        # plane of the old path held 16 (L/2 + 1) L bytes
+        # from a power to its product, beyond the power: one (L, q + 1)
+        # complex array of the shift frequencies rows reads and a few
+        # `block_height` blocks; the half plane of the old path held
+        # 16 (L/2 + 1) L bytes
         mea, grid = self.power(rng, 8.0, 1024)
         L, h = grid.L, grid.L // 2
         r0, r1 = rows
         q = max(h - r0, r1 - 1 - h)
-        list(product_blocks(mea, grid, (0, 8)))  # lazy imports and FFT plans
+        list(product_blocks(lines_of(mea, grid, (0, 8)), grid, (0, 8)))  # imports, FFT plans
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for _ in product_blocks(mea, grid, rows):
+            for _ in product_blocks(lines_of(mea, grid, rows), grid, rows):
                 pass
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * (q + 1) * L + 3 * 16 * PRODUCT_ROWS * L
+        assert peak <= 16 * (q + 1) * L + 3 * 16 * block_height(L) * L
 
     @pytest.mark.parametrize("rows", [None, (0, 10), (200, 230)])
     def test_non_finite_cell_in_any_block_is_refused(self, rng, rows):
+        # the first pass refuses, also for no rows, before any product block
         mea, grid = self.power(rng, 8.0, 256)
-        for cell, value in [((0, 0), np.nan), ((255, 255), np.inf), ((PRODUCT_ROWS, 7), -np.inf)]:
+        for cell, value in [((0, 0), np.nan), ((255, 255), np.inf),
+                            ((block_height(256), 7), -np.inf)]:
             bad = mea.copy(order="K")
             bad[cell] = value
             with pytest.raises(ValueError, match="non-finite"):
-                list(product_blocks(bad, grid, rows))
+                lines_of(bad, grid, rows)
 
 
 class TestEvaluatorObjects:

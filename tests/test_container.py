@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,33 @@ class TestPgm:
         img = np.frombuffer(raw.split(b"255\n", 1)[1], dtype=np.uint8).reshape(4, 6)
         assert img[1, 2] == 255
         assert img.sum() == 255
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_mask_bytes_are_the_int_images(self, rng, tmp_path, layout):
+        # the bytes of the int64 image and its uint8 copy it once made
+        bits = rng.random((300, 200)) < 0.3
+        bits = {"C": bits, "F": np.asfortranarray(bits), "sliced": bits[::3, 1::2]}[layout]
+        p = tmp_path / "m.pgm"
+        write_pgm_mask(bits, p)
+        h, w = bits.shape
+        want = b"P5\n%d %d\n255\n" % (w, h) + np.where(bits, 255, 0).astype(np.uint8).tobytes()
+        assert p.read_bytes() == want
+        values = rng.random((h, w))  # a heatmap out of C order writes C order too
+        write_pgm_heatmap(values, p)
+        write_pgm_heatmap(np.asfortranarray(values), tmp_path / "f.pgm")
+        assert (tmp_path / "f.pgm").read_bytes() == p.read_bytes()
+
+    def test_mask_writes_one_uint8_image(self, rng, tmp_path):
+        # the int64 image, its uint8 copy and that copy's bytes took 10 L^2
+        L = 1024
+        bits = rng.random((L, L)) < 0.5
+        p = tmp_path / "m.pgm"
+        write_pgm_mask(bits, p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_pgm_mask(bits, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * L * L

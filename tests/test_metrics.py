@@ -1,5 +1,4 @@
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -25,11 +24,13 @@ from specret import (
     run_alg2,
     verify_noise_bounds,
 )
-from specret import ambiguity
-from specret.ambiguity import PRODUCT_ROWS, lines_of
+from specret import stft
+from specret.ambiguity import Lines, lines_of
+from specret.stft import block_height
 from oracles import (
     lattice_norm,
     mixed_norm,
+    noise_lines,
     noise_sums,
     row_l1,
     two_assembly_bounds,
@@ -148,10 +149,10 @@ class TestMixedNorm:
 
 
 class TestBlockwiseL1:
-    """The noise sums' L1 norm (`ambiguity.first_pass`): each row's sum of
+    """The noise sums' L1 norm (`ambiguity.FirstPass`): each row's sum of
     |.| added in row order, with the bits of `oracles.row_l1` in either
     layout, within rounding of the whole-array np.sum(np.abs(.)), and
-    never the |.| of more than one PRODUCT_ROWS-row block."""
+    never the |.| of more than one `block_height` block."""
 
     @pytest.mark.parametrize("shape", [(16, 16), (256, 256), (250, 250), (1024, 1024)])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -174,7 +175,8 @@ class TestBlockwiseL1:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * PRODUCT_ROWS * 1024 + 4096  # the |.| of the whole array is 8 MB
+        # the |.| of the whole array is 8 MB
+        assert peak <= 8 * block_height(1024) * 1024 + 4096
 
 
 class TestNoiseBounds:
@@ -249,69 +251,67 @@ class TestNoiseBounds:
     def test_wrong_count_of_noise_sums_names_sums_and_groups(self):
         grid = make_grid(8.0, 64)
         plan = make_plan(build_frft_family(2.0, 4, grid), RetrievalConfig(epsilon=1e-2))
-        sums = [np.zeros((64, 64)) for _ in range(4)]  # one per window, not per group
+        zero = np.zeros((64, 64))  # one per window, not per group
+        lines = [lines_of(zero, grid, plan.spans[0], l1=True) for _ in range(4)]
         with pytest.raises(ValueError, match="4 noise sums for 1 window groups"):
-            verify_noise_bounds(sums, plan)
+            verify_noise_bounds(lines, plan)
 
-    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
-    @pytest.mark.parametrize("truth", [False, True])
-    def test_generator_sums_are_freed_one_at_a_time(self, algorithm, truth):
-        # each sum is dead before the next is asked for, and the report is
-        # the list's, bit for bit
-        grid, f, family, clean = self._setup(algorithm)
-        noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
-        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
-        f_true = f if truth else None
-        want = two_list_bounds(clean, noisy, plan, f_true)
-        made = []
-
-        def sums():  # `noise_sums`, one group at a time
-            for group in plan.groups:
-                assert all(ref() is None for ref in made)
-                eta = noisy[group[0]] - clean[group[0]]
-                for j in group[1:]:
-                    eta += noisy[j] - clean[j]
-                made.append(weakref.ref(eta))
-                yield eta
-                del eta
-
-        assert verify_noise_bounds(sums(), plan, f_true) == want
-        assert len(made) == len(plan.groups) and made[-1]() is None
-
-    @pytest.mark.parametrize("count", [1, 2, 4])
-    def test_iterator_of_the_wrong_length_names_sums_and_groups(self, count):
-        # alg2 on three windows: three groups; a lazy iterator is counted as
-        # it is read
-        grid, f, family, clean = self._setup("alg2")
-        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
-        sums = (np.zeros((grid.L, grid.L)) for _ in range(count))
-        with pytest.raises(ValueError, match=f"^{count} noise sums for 3 window groups$"):
-            verify_noise_bounds(sums, plan)
-
-    def test_list_of_the_wrong_length_is_refused_before_any_transform(self, monkeypatch):
+    @staticmethod
+    def refuse_transforms(monkeypatch):
         from specret import retrieval
 
         def refuse(*args):
             raise AssertionError("a noise sum was transformed")
 
         monkeypatch.setattr(retrieval, "product_blocks", refuse)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_list_of_the_wrong_length_is_refused_before_any_transform(self, monkeypatch, count):
+        # alg2 on three windows: three groups
         grid, f, family, clean = self._setup("alg2")
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
-        for sums in (clean[:2], clean + clean[:1]):
-            with pytest.raises(ValueError, match=f"^{len(sums)} noise sums for 3 window groups$"):
-                verify_noise_bounds(sums, plan)
+        lines = noise_lines(clean, clean, plan)
+        self.refuse_transforms(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{count} noise sums for 3 window groups$"):
+            verify_noise_bounds((lines * 2)[:count], plan)
+
+    @pytest.mark.parametrize("group", [0, 2])
+    def test_lines_without_their_l1_are_refused_before_any_transform(self, monkeypatch, group):
+        # the runners' lines, passed by mistake, carry no L1
+        grid, f, family, clean = self._setup("alg2")
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        lines = noise_lines(clean, clean, plan)
+        lines[group] = lines_of(clean[group], grid, plan.spans[group])
+        self.refuse_transforms(monkeypatch)
+        with pytest.raises(ValueError, match=f"^group {group}'s noise lines have no L1"):
+            verify_noise_bounds(lines, plan)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_noise_lines_serve_one_check(self, algorithm):
+        # the check transforms its lines in place: a second check of the same
+        # lines would read them transformed twice and report a tiny lhs
+        grid, f, family, clean = self._setup(algorithm)
+        noisy = [add_noise(m, "multiplicative", 0.05, seed=7 + j) for j, m in enumerate(clean)]
+        plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
+        lines = noise_lines(clean, noisy, plan)
+        first = verify_noise_bounds(lines, plan)
+        assert first == two_list_bounds(clean, noisy, plan)
+        with pytest.raises(ValueError, match="measure again"):
+            verify_noise_bounds(lines, plan)
 
     def test_non_finite_sum_of_a_group_with_no_cells_rejected(self):
-        # window 1 repeats window 0, so under alg2 its group claims no cell
+        # window 1 repeats window 0, so under alg2 its group claims no cell;
+        # its first pass keeps no line, yet its L1 refuses a non-finite sum
         grid = make_grid(8.0, 256)
         family = build_frft_family(2.0, 2, grid, angles=[0.0, 0.0])
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
-        assert not (plan.owner == 1).any()
+        assert not (plan.owner == 1).any() and plan.spans[1] is None
         sums = [np.zeros((256, 256)) for _ in range(2)]
-        assert verify_noise_bounds(sums, plan).noise_norm == 0
+        lines = [lines_of(eta, grid, span, l1=True) for eta, span in zip(sums, plan.spans)]
+        assert verify_noise_bounds(lines, plan).noise_norm == 0
         sums[1][3, 7] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            verify_noise_bounds(sums, plan)
+            lines_of(sums[1], grid, plan.spans[1], l1=True)
 
     def test_true_signal_on_another_grid_rejected(self):
         # same L, other T: the approximation terms would take the plan's dt
@@ -341,57 +341,58 @@ class TestNoiseBounds:
         assert_allclose(got.lhs_A_norm, want.lhs_A_norm, rtol=1e-12, atol=0)
         assert_allclose(got.lhs_slice, want.lhs_slice, rtol=1e-12, atol=0)
 
+    @staticmethod
+    def check_peak(lines, plan, f_true=None):
+        """The peak of `verify_noise_bounds` beyond its input lines."""
+        fresh = [Lines(x.X.copy(order="K"), x.l1) for x in lines]
+        verify_noise_bounds(fresh, plan, f_true)  # FFT plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verify_noise_bounds(lines, plan, f_true)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_peak_memory(self, algorithm):
-        # no clean or noisy J: one noise sum's half-plane transform and
-        # its region's row band at a time (two assemblies peaked at 37.3 and
-        # 32.0 L^2 bytes on these families)
+        # no clean or noisy J, and no noise sum: a block of the read-out, its
+        # quotient's |.| and numpy's 2^18 bytes of ufunc buffers for the
+        # division where the group's cells are (two assemblies peaked at
+        # 37.3 and 32.0 L^2 bytes on these families)
         L = 512
         grid, f, family, clean = self._setup(algorithm, L)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
-        sums = noise_sums(clean, noisy, plan)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            verify_noise_bounds(sums, plan)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 30 * L * L
+        peak = self.check_peak(noise_lines(clean, noisy, plan), plan)
+        assert peak < 2 * 16 * block_height(L) * L + 2 ** 18
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_block_size_keeps_the_bits(self, monkeypatch, algorithm):
-        # each row's |.|^p sum covers the whole row in every block size, so
-        # the report is the same to the bit; row spans exceed 64 rows here
+        # each row's |.|^p sum covers the whole row in every block height,
+        # up to the cap of L/8 rows, so the report is the same to the bit
         grid, f, family, clean = self._setup(algorithm)
         noisy = [add_noise(m, "multiplicative", 0.05, seed=j) for j, m in enumerate(clean)]
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
         reports = []
-        for rows in (1, 7, 64, 1000):
-            monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", rows)
+        for rows in (1, 7, grid.L // 8):
+            monkeypatch.setattr(stft, "POWER_BLOCK_BYTES", rows * 16 * grid.L)
+            assert block_height(grid.L) == rows
             reports.append(two_list_bounds(clean, noisy, plan, f_true=f))
         assert all(r == reports[0] for r in reports[1:])
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_peak_memory_in_blocks(self, l1024_blocks, algorithm):
-        # a noise sum's |.| and its half-plane transform, 8 L^2 bytes each,
-        # and blocks of the read-out; the whole-band check also held the band,
-        # its two gathers and its |.| (40 L^2 on the Hermite family)
+        # beyond its lines, 8-row blocks of the read-out as in
+        # `test_peak_memory`; the whole-band check also held the band, its two
+        # gathers and its |.| (40 L^2 on the Hermite family), and the check
+        # from whole noise sums a sum's |.| and half-plane transform
         L = 256
         grid, f, family, clean = self._setup(algorithm, L)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
-        sums = noise_sums(clean, noisy, plan)
-        verify_noise_bounds(sums, plan)  # FFT plans
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            verify_noise_bounds(sums, plan)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8 * L * L + 4 * L * L
+        peak = self.check_peak(noise_lines(clean, noisy, plan), plan)
+        assert peak < 2 * 16 * block_height(L) * L + 2 ** 18
 
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_peak_memory_with_truth(self, l1024_blocks, algorithm):
@@ -401,16 +402,7 @@ class TestNoiseBounds:
         grid, f, family, clean = self._setup(algorithm, L)
         noisy = [add_noise(m, "additive", 0.01, seed=j) for j, m in enumerate(clean)]
         plan = make_plan(family, RetrievalConfig(epsilon=1e-2, algorithm=algorithm))
-        sums = noise_sums(clean, noisy, plan)
-        verify_noise_bounds(sums, plan, f_true=f)  # FFT plans
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            verify_noise_bounds(sums, plan, f_true=f)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < (16 + 8 + 4) * L * L
+        assert self.check_peak(noise_lines(clean, noisy, plan), plan, f) < (16 + 8 + 4) * L * L
 
     def test_json_round_trip(self):
         import json

@@ -41,7 +41,9 @@ from specret import (
     reconstruct_from_ambiguity,
     verify_noise_bounds,
 )
-from specret import ambiguity, retrieval
+from specret import ambiguity, retrieval, stft
+from specret.ambiguity import lines_of
+from specret.stft import block_height, stft_blocks, stft_power
 from specret.windows import LATTICE_FLOOR
 from specret.retrieval import _divide, _two_at_a_time, measure_lines, row_span, stored_plan
 from oracles import (
@@ -487,7 +489,7 @@ class TestRetrievalPlan:
 
     @pytest.mark.parametrize("reuse", [False, True])
     def test_noisy_measurements_must_share_the_grid(self, reuse):
-        # one (L, L) noise sum per window group of the plan
+        # one noise sum's lines per window group of the plan, on its grid
         grid = make_grid(8.0, 256)
         fam = build_hermite_family([0, 3], grid)
         cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
@@ -495,9 +497,15 @@ class TestRetrievalPlan:
         plan = run_alg2(clean, fam, cfg).plan if reuse else make_plan(fam, cfg)
         other = make_grid(8.0, 128)
         smaller = measure_family(gauss_signal(other), build_hermite_family([0, 3], other))
-        for wrong in (clean[:1], clean + clean[:1], smaller, [m[::2] for m in clean]):
+
+        def lines(powers, g=grid, spans=plan.spans):
+            return [lines_of(p, g, span, l1=True) for p, span in zip(powers, spans)]
+
+        for wrong in (lambda: lines(clean[:1]), lambda: lines(clean) + lines(clean[:1]),
+                      lambda: lines(smaller, other, [(0, 128)] * 2),
+                      lambda: lines([m[::2] for m in clean])):
             with pytest.raises(ValueError):
-                verify_noise_bounds(wrong, plan)  # one noise sum per window here
+                verify_noise_bounds(wrong(), plan)
 
     @pytest.mark.parametrize("scheme, algorithm", [
         ("fan", "alg1"), ("hermite", "alg1"), ("hermite", "alg2")])
@@ -515,8 +523,8 @@ class TestRetrievalPlan:
         assert plan.den.flags.c_contiguous and plan.den.base is None  # no (L, L) buffer kept
         assert plan.spans == tuple(row_span(plan.owner == i) for i in range(len(plan.groups)))
         # the group loop reads the spans, not the labels
-        sums = [np.ones((grid.L, grid.L)) for _ in plan.groups]
-        blocks = list(retrieval.group_blocks(sums, plan._replace(owner=None)))
+        lines = [lines_of(np.ones((grid.L, grid.L)), grid, span) for span in plan.spans]
+        blocks = list(retrieval.group_blocks(lines, plan._replace(owner=None)))
         spans = [(i, m0, m0 + len(G)) for i, m0, G in blocks]
         for i, span in enumerate(plan.spans):
             rows = [(m0, m1) for j, m0, m1 in spans if j == i]
@@ -936,8 +944,8 @@ class TestInversionReadsJ:
             cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
         meas = measure_family(gen_mixture(mixture_preset(), grid), fam)
         plan = make_plan(fam, cfg)
-        J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
-        assert len(J) % ambiguity.PRODUCT_ROWS
+        J = retrieval._divide(group_lines(meas, plan), plan)
+        assert len(J) % block_height(L)
         assert (algorithm == "alg1") == (plan.den >= 0).all()
         off = plan.owner[plan.first:plan.first + len(J)] < 0
         assert off.any()
@@ -1276,10 +1284,11 @@ class TestBlockedDivision:
                       den[band], out=J[band], where=bits[band])
         return J
 
-    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("rows", [1, 7, 32])  # 32 rows: the cap at L = 256
     @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
     def test_matches_whole_band_division(self, monkeypatch, divided, algorithm, rows):
-        monkeypatch.setattr(ambiguity, "PRODUCT_ROWS", rows)
+        monkeypatch.setattr(stft, "POWER_BLOCK_BYTES", rows * 16 * 256)
+        assert block_height(256) == rows
         grid = make_grid(8.0, 256)
         f = gen_mixture(mixture_preset(), grid)
         build = ((lambda: build_frft_family(2.0, 8, grid)) if algorithm == "alg1"
@@ -1296,18 +1305,24 @@ class TestBlockedDivision:
         assert np.array_equal(divided[-1], want)
 
     def test_group_sum_is_freed_once_transformed(self, l1024_blocks):
-        # the fan's summed power dies once transformed, and J is allocated
-        # after that: the peak holds H and J, not the sum beside them
+        # the fan's summed power dies once it is lines, as `_run` makes
+        # them, and J is allocated after that: the peak holds H and J, not
+        # the sum beside them
         grid = make_grid(8.0, 256)
         L = grid.L
         family = build_frft_family(2.0, 8, grid)
         meas = measure_family(gen_mixture(mixture_preset(), grid), family)
         plan = make_plan(family, RetrievalConfig(epsilon=1e-3))
-        retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
+
+        def lines():
+            return (lines_of(retrieval._group_sum(meas, g), grid, span)
+                    for g, span in zip(plan.groups, plan.spans))
+
+        retrieval._divide(lines(), plan)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
+            J = retrieval._divide(lines(), plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1329,7 +1344,7 @@ class TestBlockedDivision:
             cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
         meas = measure_family(f, family)
         plan = make_plan(family, cfg)
-        J = retrieval._divide((retrieval._group_sum(meas, g) for g in plan.groups), plan)
+        J = retrieval._divide(group_lines(meas, plan), plan)
         first, stop = row_span(plan.omega)
         assert (plan.first, len(J)) == (first, stop - first)
         assert len(J) < grid.L
@@ -1510,7 +1525,7 @@ class TestMeasureLines:
 
         lines, noise_lines = measure_lines(f, family, plan, noise)
         etas = [] if model is None else noise_sums(clean, noisy, plan)
-        want_eta = [ambiguity.lines_of(eta, grid, span, l1=True)
+        want_eta = [lines_of(eta, grid, span, l1=True)
                     for eta, span in zip(etas, plan.spans)]
         for got, want in [*zip(lines, group_lines(noisy, plan), strict=True),
                           *zip(noise_lines or [], want_eta, strict=True)]:
@@ -1527,6 +1542,25 @@ class TestMeasureLines:
         assert got.anchor_c == want.anchor_c and got.plan is want.plan is plan
         if model is not None:
             assert verify_noise_bounds(noise_lines, plan) == two_list_bounds(clean, noisy, plan)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    def test_lines_serve_one_run(self, algorithm):
+        # the runner transforms its lines in place: a second run on them
+        # would read them transformed twice (misfit 2068 against 0.0617 for
+        # alg2 here), so it is refused, and lines measured again run alike
+        grid = make_grid(8.0, 256)
+        f = gen_mixture(mixture_preset(), grid)
+        family = build_hermite_family([5, 10], grid)
+        cfg = RetrievalConfig(epsilon=0.5, algorithm=algorithm)
+        runner = run_alg1 if algorithm == "alg1" else run_alg2
+        noise = ("multiplicative", 0.05, 7)
+        lines, _ = measure_lines(f, family, stored_plan(family, cfg), noise)
+        first = runner(lines, family, cfg)
+        assert misfit(f, first.signal)[0] < 0.2  # alg1 0.172
+        with pytest.raises(ValueError, match="transformed already: measure again"):
+            runner(lines, family, cfg)
+        again, _ = measure_lines(f, family, first.plan, noise)
+        assert np.array_equal(runner(again, family, cfg).signal.values, first.signal.values)
 
     @pytest.mark.parametrize("sums, noise_sums", [(True, False), (False, True)])
     def test_makes_only_the_lines_asked_for(self, sums, noise_sums):
@@ -1572,7 +1606,7 @@ class TestMeasureLines:
         noise = ("multiplicative", 0.05, 4)
         clean = measure_family(f, family)
         noisy = noisy_powers(clean, {"model": noise[0], "level": noise[1]}, noise[2])
-        want = group_lines(noisy, plan) + [ambiguity.lines_of(noise_sums(clean, noisy, plan)[0],
+        want = group_lines(noisy, plan) + [lines_of(noise_sums(clean, noisy, plan)[0],
                                                                grid, plan.spans[0], l1=True)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1592,3 +1626,53 @@ class TestMeasureLines:
             epsilon=1e-2, algorithm="alg1")))
         with pytest.raises(ValueError, match="1 line sets for 2 window groups"):
             run_alg2(lines, family, RetrievalConfig(epsilon=1e-2))
+
+
+class TestOneBlockHeight:
+    """`stft.block_height` is the one row-block height: every block of
+    `stft_blocks`, of the stream's first passes, of `lines_of` and of the
+    product read-out holds it, but for each pass's last block and the
+    read-out's blocks at its cut at row L/2."""
+
+    @pytest.mark.parametrize("T, L, height, patched", [
+        (0.7, 2, 1, False), (1.2, 6, 1, False), (6.5, 250, 31, False), (8.0, 256, 32, False),
+        (8.0, 1024, 32, False), (8.0, 256, 8, True)],
+        ids=["L2", "L6", "L250", "L256", "L1024", "L256-l1024_blocks"])
+    def test_every_block_holds_block_height_rows(self, request, monkeypatch, T, L, height,
+                                                 patched):
+        if patched:
+            request.getfixturevalue("l1024_blocks")
+        assert block_height(L) == height
+        grid = make_grid(T, L)
+        f = random_signal(grid, np.random.default_rng(3))
+        family = build_frft_family(1.0, 3, grid)
+        plan = stored_plan(family, RetrievalConfig(epsilon=1e-2))
+        passes = {}  # each first pass's block heights
+        add = ambiguity.FirstPass.add
+
+        def recorded(self, block):
+            passes.setdefault(id(self), []).append(len(block))
+            return add(self, block)
+
+        def held(heights):  # whole blocks, then one of at most `height` rows
+            return (sum(heights) == L and set(heights[:-1]) <= {height}
+                    and 0 < heights[-1] <= height)
+
+        monkeypatch.setattr(ambiguity.FirstPass, "add", recorded)
+        g = family.members[0].samples
+        assert held([len(block) for _, block in stft_blocks(f, g)])
+        measure_lines(f, family, plan, ("additive", 0.01, 5))
+        assert len(passes) == 2 and all(map(held, passes.values()))  # sums and noise
+        passes.clear()
+        power = stft_power(f, g)
+        lines_of(power, grid, (0, L), l1=True)
+        (heights,) = passes.values()
+        assert held(heights)
+        h = L // 2
+        for r0, r1 in [(0, L), plan.spans[0]]:
+            nxt = r0
+            for m0, G in ambiguity.product_blocks(lines_of(power, grid, (r0, r1)), grid, (r0, r1)):
+                assert m0 == nxt and 0 < len(G) <= height
+                nxt = m0 + len(G)
+                assert len(G) == height or nxt in (h, r1) or m0 == h
+            assert nxt == r1
