@@ -9,6 +9,38 @@ provided: fractionally Fourier-transformed dilated Gaussians summed
 over a fan of angles, and Hermite functions of increasing degree pieced
 together on disjoint annular regions.
 """
+import ctypes
+import logging
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed memory for the next run instead of handing it
+    back to the OS, which would fault it in and zero it again.
+
+    Arrays under 32 MiB, glibc's 64-bit ceiling, come from the heap, and
+    up to 512 MiB of free heap top is kept, more than the default 40-window
+    fan's 351 MB working set at L = 1024.  Both thresholds are set, since
+    setting either turns off glibc's dynamic ones: the trim threshold alone
+    would map every array above 128 KiB, the mmap threshold alone would
+    still trim the heap top at 128 KiB.  Without glibc, or if it refuses a
+    value, this logs at debug level and changes nothing more.
+    """
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+    log = logging.getLogger("specret")
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError) as exc:
+        log.debug("no glibc mallopt, freed memory goes back to the OS: %s", exc)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 512 << 20)):
+        if mallopt(param, value) == 0:
+            log.debug("mallopt(%d, %d) refused, freed memory goes back to the OS", param, value)
+            return
+
+
+_keep_freed_memory()
+
 from .ambiguity import (
     FrftGaussAmbiguity,
     HermiteAmbiguity,

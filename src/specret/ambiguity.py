@@ -329,8 +329,9 @@ def product_blocks(lines: Lines, grid: Grid, rows: tuple[int, int] | None):
     of rows = (first, stop), or nothing for rows = None, from a power's
     `FirstPass` Lines on these rows.  Each G is a view of one
     `block_height`-row buffer, overwritten by the next block.  The lines
-    are transformed in place and then read-only: lines transformed before
-    are refused with a ValueError.
+    are transformed in place and then read-only: lines transformed before,
+    and lines whose X is not (L, q + 1) for the grid and rows (q below),
+    are refused with a ValueError before any transform.
 
     On the centred lattice the map is
 
@@ -361,13 +362,17 @@ def product_blocks(lines: Lines, grid: Grid, rows: tuple[int, int] | None):
     """
     if rows is None:
         return
-    X = lines.X
-    if not X.flags.writeable:
-        raise ValueError("these lines were transformed already: measure again")
     L, height = grid.L, block_height(grid.L)
     r0, r1 = rows
     h = L // 2
-    q = X.shape[1] - 1  # max(h - r0, r1 - 1 - h)
+    q = max(h - r0, r1 - 1 - h)
+    X = lines.X
+    shape = None if X is None else X.shape
+    if shape != (L, q + 1):
+        raise ValueError(f"lines of shape {shape} for rows {rows} of an L = {L} grid,"
+                         f" which read shape {(L, q + 1)}")
+    if not X.flags.writeable:
+        raise ValueError("these lines were transformed already: measure again")
     np.fft.fft(X, axis=0, out=X)
     for line in (X[:, n] for n in (0, h) if n <= q):  # make them exactly Hermitian
         line[h + 1:] = line[h - 1:0:-1].conj()

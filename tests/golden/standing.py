@@ -6,19 +6,22 @@ must keep byte for byte, compared between this tree and another checkout
 
 Each run goes through `python -m specret COMMAND --seed 7` in a fresh
 process, once with this tree's `src` and once with DIR's.  For every run
-the script prints each manifest file as identical or changed (a file only
+the script prints each side's minor page faults (the kernel filling in
+fresh pages) and each manifest file as identical or changed (a file only
 one side wrote counts as changed), and it exits 1 on any change or any
-nonzero exit.  Under a changed `result.json`, `bounds.json` or
-`summary.json` it prints each numeric field, this tree's value and its
-move relative to DIR's; under a changed `reconstruction.bin`, the largest
-sample move relative to DIR's largest sample.  The small-grid versions
-of these runs are pinned in tier-1 by `tests/test_golden.py`.
+nonzero exit; the faults never decide it.  Under a changed
+`result.json`, `bounds.json` or `summary.json` it prints each numeric
+field, this tree's value and its move relative to DIR's; under a changed
+`reconstruction.bin`, the largest sample move relative to DIR's largest
+sample.  The small-grid versions of these runs are pinned in tier-1 by
+`tests/test_golden.py`.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -64,17 +67,24 @@ RUNS = {
 }
 
 
-def run(tree: Path, command: str, config: Path, out: Path) -> list | None:
+def minor_faults() -> int:
+    """Minor page faults of every child process waited for so far."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
+def run(tree: Path, command: str, config: Path, out: Path) -> tuple[list | None, int]:
     """The manifest `files` list of one run with tree's `src`, or None if
-    the run exited nonzero."""
+    the run exited nonzero, and the run's minor page faults."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "specret", command, "--config", str(config),
             "--out", str(out), "--seed", str(SEED)]
+    before = minor_faults()
     done = subprocess.run(argv, env=env, cwd=out.parent, capture_output=True, text=True)
+    faults = minor_faults() - before
     if done.returncode != 0:
         print(f"  {tree}: exit {done.returncode}: {done.stderr.strip()}")
-        return None
-    return json.loads((out / "manifest.json").read_text())["files"]
+        return None, faults
+    return json.loads((out / "manifest.json").read_text())["files"], faults
 
 
 def leaves(doc, key=""):
@@ -127,8 +137,9 @@ def compare(name: str, command: str, doc: dict, against: Path) -> bool:
         work = Path(work)
         config = work / "config.json"
         config.write_text(json.dumps(doc))
-        sides = [run(tree, command, config, work / label)
-                 for tree, label in ((ROOT, "this"), (against, "base"))]
+        sides, faults = zip(*(run(tree, command, config, work / label)
+                              for tree, label in ((ROOT, "this"), (against, "base"))))
+        print(f"  minor page faults: this {faults[0]}, base {faults[1]}")
         if None in sides:
             return False
         this, base = ({f["path"]: f for f in files} for files in sides)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -319,6 +320,24 @@ class TestProductBlocks:
         with pytest.raises(ValueError, match="transformed already: measure again"):
             next(product_blocks(lines, grid, rows))
         assert np.array_equal(lines.X, kept)
+
+    def test_lines_that_do_not_fit_are_refused_untransformed(self, rng):
+        # lines of another grid or band, or no lines for a band, are refused by
+        # name before the transform, and still serve a read that fits them
+        grid, small = make_grid(8.0, 256), make_grid(8.0, 128)
+        mea = stft_power(Signal(grid=grid, values=rng.standard_normal(256) + 0j),
+                         dilated_gauss_samples(1.0, grid))
+        band, other = (120, 136), (60, 200)
+        for lines, g, rows, shape in ((lines_of(mea, grid, band), grid, other, (256, 9)),
+                                      (lines_of(mea, grid, band), small, band, (256, 9)),
+                                      (lines_of(mea, grid, None), grid, band, None)):
+            kept = None if lines.X is None else lines.X.copy()
+            with pytest.raises(ValueError, match=re.escape(f"lines of shape {shape} for rows {rows}")):
+                next(product_blocks(lines, g, rows))
+            if lines.X is not None:
+                assert lines.X.flags.writeable and np.array_equal(lines.X, kept)
+                got = np.concatenate([G.copy() for _, G in product_blocks(lines, grid, band)])
+                assert np.array_equal(got, product_band(mea, grid, band))
 
     @pytest.mark.parametrize("L", [250, 256, 1024])
     @pytest.mark.parametrize("T", [8.0, 5.0])

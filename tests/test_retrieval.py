@@ -501,11 +501,32 @@ class TestRetrievalPlan:
         def lines(powers, g=grid, spans=plan.spans):
             return [lines_of(p, g, span, l1=True) for p, span in zip(powers, spans)]
 
-        for wrong in (lambda: lines(clean[:1]), lambda: lines(clean) + lines(clean[:1]),
-                      lambda: lines(smaller, other, [(0, 128)] * 2),
-                      lambda: lines([m[::2] for m in clean])):
-            with pytest.raises(ValueError):
+        for wrong, match in (
+                (lambda: lines(clean[:1]), "1 noise sums for 2 window groups"),
+                (lambda: lines(clean) + lines(clean[:1]), "3 noise sums for 2 window groups"),
+                (lambda: lines(smaller, other, [(0, 128)] * 2),
+                 r"lines of shape \(128, 65\) .* L = 256 .* read shape \(256, "),
+                (lambda: lines(clean, spans=plan.spans[::-1]), r"lines of shape \(256, \d+\)"),
+                (lambda: lines([m[::2] for m in clean]), r"the blocks hold 128 rows of an \(256, 256\)")):
+            with pytest.raises(ValueError, match=match):
                 verify_noise_bounds(wrong(), plan)
+
+    def test_refused_noise_lines_serve_a_plan_they_fit(self):
+        # a refusal leaves the lines untransformed, so they still serve their own plan
+        grid, other = make_grid(8.0, 256), make_grid(8.0, 128)
+        cfg = RetrievalConfig(epsilon=1e-3, algorithm="alg2")
+        plan = make_plan(build_hermite_family([0, 3], grid), cfg)
+        small = build_hermite_family([0, 3], other)
+        small_plan = make_plan(small, cfg)
+        powers = measure_family(gauss_signal(other), small)
+
+        def lines():
+            return [lines_of(p, other, span, l1=True) for p, span in zip(powers, small_plan.spans)]
+
+        refused = lines()
+        with pytest.raises(ValueError, match="lines of shape"):
+            verify_noise_bounds(refused, plan)
+        assert verify_noise_bounds(refused, small_plan) == verify_noise_bounds(lines(), small_plan)
 
     @pytest.mark.parametrize("scheme, algorithm", [
         ("fan", "alg1"), ("hermite", "alg1"), ("hermite", "alg2")])
