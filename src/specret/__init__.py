@@ -25,7 +25,6 @@ def _keep_freed_memory() -> None:
     still trim the heap top at 128 KiB.  Without glibc, or if it refuses a
     value, this logs at debug level and changes nothing more.
     """
-    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
     log = logging.getLogger("specret")
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -33,10 +32,9 @@ def _keep_freed_memory() -> None:
         log.debug("no glibc mallopt, freed memory goes back to the OS: %s", exc)
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for param, value in ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 512 << 20)):
-        if mallopt(param, value) == 0:
-            log.debug("mallopt(%d, %d) refused, freed memory goes back to the OS", param, value)
-            return
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+    if not (mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20)):
+        log.debug("glibc refused a mallopt threshold, freed memory goes back to the OS")
 
 
 _keep_freed_memory()
