@@ -10,7 +10,6 @@ over a fan of angles, and Hermite functions of increasing degree pieced
 together on disjoint annular regions.
 """
 import ctypes
-import logging
 
 
 def _keep_freed_memory() -> None:
@@ -25,16 +24,19 @@ def _keep_freed_memory() -> None:
     still trim the heap top at 128 KiB.  Without glibc, or if it refuses a
     value, this logs at debug level and changes nothing more.
     """
-    log = logging.getLogger("specret")
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError) as exc:
-        log.debug("no glibc mallopt, freed memory goes back to the OS: %s", exc)
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
-    if not (mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20)):
-        log.debug("glibc refused a mallopt threshold, freed memory goes back to the OS")
+        why = f"no glibc mallopt ({exc})"
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+        if mallopt(-3, 32 << 20) and mallopt(-1, 512 << 20):
+            return
+        why = "glibc refused a mallopt threshold"
+    import logging  # only here: a fresh process pays about 7 ms to import it
+
+    logging.getLogger("specret").debug("%s, freed memory goes back to the OS", why)
 
 
 _keep_freed_memory()
