@@ -19,7 +19,7 @@ def test_a_second_run_reuses_the_first_runs_memory():
     grid = make_grid(8.0, 512)
     fam = build_hermite_family([0, 10, 20, 30, 40, 50], grid)
     sig = Signal(grid=grid, values=np.random.default_rng(5).standard_normal(512) + 0j)
-    del measure_family(sig, fam)[:]  # warm-up, freed before the second run
+    measure_family(sig, fam)  # warm-up, freed at once
     # the second thread's glibc arena returns to the free list only as its OS
     # thread exits, just after the join; a thread started before that gets a
     # fresh arena, and its first powers are faulted in whatever the policy
