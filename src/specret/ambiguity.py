@@ -22,13 +22,15 @@ no floor every row spans the whole lattice.  A window family adds its
 members into one buffer this way; `windows.peel` bounds what the floor
 of a retrieval plan leaves out.
 
-`hermite_blocks` is the one driver of Hermite lattices: it runs the
-Laguerre recurrence over a family's degrees on the quadrant x, y <= 0, a
-block of PLAN_ROWS rows at a time, skipping the outer rows whose cells
-are all at most a floor.  Its readers mirror what they keep from the
-quadrant by slices (`mirror_quadrant`): `HermiteAmbiguity.on_lattice`
-the one degree's values, a retrieval plan (`windows.peel`) its labels,
-and the CLI's `coverage` each member's stability mask, so neither of the
+Hermite lattices are run on the quadrant x, y <= 0, in the blocks of
+PLAN_ROWS rows that `hermite_rows` cuts, skipping the outer rows whose
+cells are all at most a floor; `hermite_ladder` runs the Laguerre
+recurrence over a family's degrees on one block, and `hermite_blocks`
+pairs the two.  Their readers mirror what they keep from the quadrant by
+slices (`mirror_quadrant`): `HermiteAmbiguity.on_lattice` the one
+degree's values and the CLI's `coverage` each member's stability mask
+from the full ladder, and a retrieval plan (`windows.peel`) its labels
+from ladders that drop each group's claimed cells, so neither of the
 last two makes a lattice per degree.
 
 `numeric_ambiguity` is exp(i*pi*x*y) V_g g.  On the square lattice
@@ -208,33 +210,43 @@ class HermiteAmbiguity:
 
 
 def hermite_blocks(degrees, grid: Grid, floor: float):
-    """Yield (rows, ladder) for each block of PLAN_ROWS quadrant rows: rows
-    is a slice of the quadrant x, y <= 0 (lattice rows and columns 0, ...,
-    L/2), and ladder is `laguerre_ladder(degrees, pi (y^2 + x^2))` on the
-    block's rows, A h_n for each n in degrees in order.
+    """Yield (rows, ladder) for each block of `hermite_rows`: rows is a
+    slice of the quadrant x, y <= 0 (lattice rows and columns 0, ...,
+    L/2), and ladder is its `hermite_ladder`, A h_n for each n in degrees
+    in order."""
+    for rows in hermite_rows(degrees, grid, floor):
+        yield rows, hermite_ladder(degrees, grid, rows)
 
-    The blocks start at the first live row.  With floor > 0 the leading
-    rows (the largest |y|) whose x = 0 cell is dead are skipped: a cell is
-    dead where z = pi y^2 >= 6 n_max + 2 and its value is at most floor
-    for every degree.  All zeros of L_n lie below 4n + 2, so past
-    z = 6n + 2 each term of d/dz ln|L_n| = sum 1/(z - z_i) is below 1/(2n)
-    and |exp(-z/2) L_n(z)| decreases; every cell of a dead row, and of
-    every row beyond it, is then at most floor.  With floor <= 0 every row
-    is evaluated.
+
+def hermite_rows(degrees, grid: Grid, floor: float) -> list:
+    """The blocks of PLAN_ROWS quadrant rows, as slices, from the first
+    live row to row L/2.
+
+    With floor > 0 the leading rows (the largest |y|) whose x = 0 cell is
+    dead are skipped: a cell is dead where z = pi y^2 >= 6 n_max + 2 and
+    its value is at most floor for every degree.  All zeros of L_n lie
+    below 4n + 2, so past z = 6n + 2 each term of d/dz ln|L_n| =
+    sum 1/(z - z_i) is below 1/(2n) and |exp(-z/2) L_n(z)| decreases;
+    every cell of a dead row, and of every row beyond it, is then at most
+    floor.  With floor <= 0 every row is evaluated.
     """
     degrees = list(degrees)
     h = grid.L // 2
-    x2, y2 = grid.x[:h + 1] ** 2, grid.y[:h + 1] ** 2
     r0 = 0
     if floor > 0:
-        z0 = np.pi * (y2 + x2[-1])  # the x = 0 column, as the blocks compute it
+        # the x = 0 column, as the blocks compute it
+        z0 = np.pi * (grid.y[:h + 1] ** 2 + grid.x[h] ** 2)
         dead = z0 >= 6 * max(degrees) + 2
         for v in laguerre_ladder(degrees, z0):
             dead &= np.abs(v) <= floor
         r0 = int(np.argmin(dead))  # the x = 0 cell of row L/2 is never dead
-    for b0 in range(r0, h + 1, PLAN_ROWS):
-        rows = slice(b0, min(b0 + PLAN_ROWS, h + 1))
-        yield rows, laguerre_ladder(degrees, np.pi * (y2[rows, None] + x2[None, :]))
+    return [slice(b0, min(b0 + PLAN_ROWS, h + 1)) for b0 in range(r0, h + 1, PLAN_ROWS)]
+
+
+def hermite_ladder(degrees, grid: Grid, rows: slice):
+    """`laguerre_ladder(degrees, pi (y^2 + x^2))` on the quadrant's rows."""
+    x2, y2 = grid.x[:grid.L // 2 + 1] ** 2, grid.y[rows] ** 2
+    return laguerre_ladder(degrees, np.pi * (y2[:, None] + x2[None, :]))
 
 
 def mirror_quadrant(out: np.ndarray):
@@ -324,14 +336,17 @@ def lines_of(power: np.ndarray, grid: Grid, rows: tuple[int, int] | None,
     return p.lines()
 
 
-def product_blocks(lines: Lines, grid: Grid, rows: tuple[int, int] | None):
+def product_blocks(lines: Lines, grid: Grid, rows: tuple[int, int] | None,
+                   name: str = "the lines"):
     """Yield (m0, G), G[r] being lattice row m0 + r, for consecutive blocks
     of rows = (first, stop), or nothing for rows = None, from a power's
     `FirstPass` Lines on these rows.  Each G is a view of one
     `block_height`-row buffer, overwritten by the next block.  The lines
     are transformed in place and then read-only: lines transformed before,
     and lines whose X is not (L, q + 1) for the grid and rows (q below),
-    are refused with a ValueError before any transform.
+    are refused with a ValueError before any transform, and lines holding
+    a non-finite value with a ValueError naming them (name) once
+    transformed, before any block.
 
     On the centred lattice the map is
 
@@ -374,6 +389,9 @@ def product_blocks(lines: Lines, grid: Grid, rows: tuple[int, int] | None):
     if not X.flags.writeable:
         raise ValueError("these lines were transformed already: measure again")
     np.fft.fft(X, axis=0, out=X)
+    if not np.isfinite(X[0]).all():  # bin 0 of a line sums its cells: non-finite if one is
+        X.flags.writeable = False
+        raise ValueError(f"{name} hold a non-finite value")
     for line in (X[:, n] for n in (0, h) if n <= q):  # make them exactly Hermitian
         line[h + 1:] = line[h - 1:0:-1].conj()
         line.imag[[0, h]] = 0.0

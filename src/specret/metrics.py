@@ -14,9 +14,11 @@ with its L1 (`ambiguity.Lines`), which the measurement stream
 (`retrieval.measure_lines`) makes from the STFT's row blocks, so that no
 run makes an (L, L) noise or power.  It transforms each group's lines
 once (the spectrogram -> product map is linear) instead of assembling
-the clean and the noisy ambiguities, in the loop J is divided in
-(`retrieval.group_blocks`), and keeps no block of a group once the next
-group's lines are transformed.
+the clean and the noisy ambiguities, read out as J's division reads
+them (`retrieval.group_blocks`).  Two groups are checked at a time, one
+on each core (`_two_at_a_time`), each holding one read-out block and its
+own sums of its rows; the sums are added in group order once both
+cores are done, so every figure has the serial loop's bits.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .ambiguity import numeric_ambiguity
 from .exceptions import GridMismatchError
 from .grid import Signal
 from .retrieval import RetrievalPlan, group_blocks
+from .workers import _two_at_a_time
 
 
 def misfit(f1: Signal, f2: Signal) -> tuple[float, float]:
@@ -79,6 +82,23 @@ class BoundReport(NamedTuple):
     approx_slice_term: float | None = None
 
 
+def _group_sums(lines, plan: RetrievalPlan, i: int, p: float):
+    """(row sums, x = 0 column) of |A - A^eta| = |F(eta) / den| on group
+    i's cells, from its noise lines: each lattice row's sum of |.|^p and
+    the x = 0 cell's |.|, 0 off the group's cells."""
+    L, k0 = plan.grid.L, plan.grid.L // 2
+    sums, column = np.zeros(L), np.zeros(L)
+    for m0, diff in group_blocks(lines, plan, i):
+        m1 = m0 + len(diff)
+        bits = plan.owner[m0:m1] == i
+        np.divide(diff, plan.den[m0 - plan.first:m1 - plan.first], out=diff, where=bits)
+        a = np.abs(diff)
+        a *= bits  # zero off the group's cells
+        column[m0:m1] = a[:, k0]
+        sums[m0:m1] = np.sum(np.power(a, p, out=a), axis=1)
+    return sums, column
+
+
 def verify_noise_bounds(noise_lines, plan: RetrievalPlan,
                         f_true: Signal | None = None) -> BoundReport:
     """Evaluate the noise-propagation inequalities from one noise sum per
@@ -113,15 +133,10 @@ def verify_noise_bounds(noise_lines, plan: RetrievalPlan,
     k0 = grid.L // 2  # x = 0 column
     row_sums = np.zeros(grid.L)  # each row's sum of |A - A^eta|^p
     slice_abs = np.zeros(grid.L)  # |A - A^eta| on the x = 0 column
-    for i, m0, diff in group_blocks(noise_lines, plan):
-        m1 = m0 + len(diff)
-        bits = owner[m0:m1] == i
-        np.divide(diff, plan.den[m0 - plan.first:m1 - plan.first], out=diff, where=bits)
-        a = np.abs(diff)
-        a *= bits  # zero off the group's cells
-        slice_abs[m0:m1] += a[:, k0]
-        row_sums[m0:m1] += np.sum(np.power(a, p, out=a), axis=1)
-        del diff, a, bits  # nothing of the block is held while the next group is transformed
+    for sums, column in _two_at_a_time(lambda i: _group_sums(noise_lines[i], plan, i, p),
+                                       len(plan.groups)):  # added in group order
+        row_sums += sums
+        slice_abs += column
     noise_norm = dx * dy * max(lines.l1 for lines in noise_lines)  # every L1 is finite
     approx = approx_slice = None
     if f_true is not None:

@@ -31,7 +31,8 @@ turn into each group's lines as the division reaches it: only `Lines`
 reach the map.  `run_alg1` and `run_alg2` take either form, with the
 family's `stored_plan`;
 `_divide` divides each block of a group's product (`group_blocks`, the
-noise-bound check's loop too) straight into J on the group's cells.  J,
+noise-bound check's reader too) straight into J on the group's cells,
+two groups at a time when it is handed their lines in a list.  J,
 complex, holds den's rows, from row `first` on, +0.0 off omega, and the
 inversion reads J and `first` alone (`_invert`).  A `Reconstruction`
 keeps the signal and the plan, whose omega is the mask.
@@ -42,7 +43,7 @@ lattice, and omega is the full lattices' omega (the bound is in
 `windows.peel`).  A Hermite family's ambiguities are radial: `peel`
 claims its cells on the quadrant x, y <= 0 only and skips the outer rows
 that lie in every degree's decreasing tail at or below the floor (the
-tail argument is in `ambiguity.hermite_blocks`).
+tail argument is in `ambiguity.hermite_rows`).
 
 Tolerance convention
 --------------------
@@ -58,9 +59,6 @@ always thresholds raw analytic values.
 """
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -72,6 +70,7 @@ from .grid import Grid, Signal
 from .stft import (block_height, check_noise, draw_noise, signal_rows, stft_block, stft_power,
                    window_factor)
 from .windows import WindowFamily, _check_unit_epsilon, peel, row_span
+from .workers import _two_at_a_time
 
 
 @dataclass(frozen=True)
@@ -97,52 +96,6 @@ class Reconstruction(NamedTuple):
 def raw_threshold(cfg: RetrievalConfig, grid: Grid) -> float:
     """Analytic ambiguity threshold corresponding to the config tolerance."""
     return cfg.epsilon * grid.dt
-
-
-def _two_at_a_time(fn, n: int) -> list:
-    """[fn(j) for j in range(n)], with the odd j on a second thread when the
-    process may run on two cores.
-
-    numpy's FFTs and random draws release the GIL, so two independent calls
-    overlap.  Each result is stored at its own index, so the list has the
-    serial loop's bits.  The worker runs in a copy of the caller's context,
-    which carries np.errstate (a bare thread starts from numpy's defaults);
-    an exception it raises is raised here after the join, and a failure on
-    either side stops the other at its next index.
-    """
-    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    if n < 2 or cores < 2:
-        return [fn(j) for j in range(n)]
-    out = [None] * n
-    failed = []
-
-    def run(first):
-        for j in range(first, n, 2):
-            if failed:
-                return
-            out[j] = fn(j)
-
-    def odd():
-        try:
-            run(1)
-        except BaseException as exc:  # handed to the caller, which raises it
-            failed.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(odd,))
-    worker.start()
-    try:
-        run(0)
-    except BaseException:
-        failed.append(None)  # stops the worker at its next index
-        raise
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-    return out
 
 
 def measure_family(f: Signal, family: WindowFamily) -> list[np.ndarray]:
@@ -322,30 +275,47 @@ def _group_sum(powers, group) -> np.ndarray:
     return power
 
 
-def group_blocks(lines, plan: RetrievalPlan):
-    """Yield (i, m0, G) for each group i in order, the `product_blocks` of
-    the group's next `Lines` on its rows (plan.spans); lines read from an
-    iterator are not kept once transformed, and no block is kept once the
-    group's last one is taken."""
-    lines = iter(lines)  # no loop variable or zip tuple keeps lines alive
-    for i, span in enumerate(plan.spans):
-        # the generator's frame, and with it the last block, ends with the group
-        yield from ((i, m0, G) for m0, G in product_blocks(next(lines), plan.grid, span))
+def group_blocks(lines: Lines, plan: RetrievalPlan, i: int):
+    """Yield (m0, G), the `product_blocks` of group i's lines on its rows
+    (plan.spans[i]); lines holding a non-finite value are refused with a
+    ValueError naming the group."""
+    return product_blocks(lines, plan.grid, plan.spans[i], f"group {i}'s lines")
 
 
-def _divide(lines, plan: RetrievalPlan) -> np.ndarray:
-    """J = F(group sum) / den on each group's cells, +0.0 off omega, on
-    den's rows: row r of J is lattice row plan.first + r, from one `Lines`
-    per group.  J, complex, is divided block by block (`group_blocks`) and
-    allocated once the first group's lines are transformed."""
+def _divide_group(lines: Lines, plan: RetrievalPlan, i: int, J: np.ndarray | None):
+    """Divide group i's product, block by block (`group_blocks`), into J on
+    the group's cells, and return J; a J of None is made, zeros, once the
+    lines are transformed."""
     first = plan.first
-    J = None
-    for i, m0, block in group_blocks(lines, plan):
+    for m0, block in group_blocks(lines, plan, i):
         if J is None:
             J = np.zeros(plan.den.shape, dtype=np.complex128)
         m1 = m0 + len(block)
         band = slice(m0 - first, m1 - first)
         np.divide(block, plan.den[band], out=J[band], where=plan.owner[m0:m1] == i)
+    return J
+
+
+def _divide(lines, plan: RetrievalPlan) -> np.ndarray:
+    """J = F(group sum) / den on each group's cells, +0.0 off omega, on
+    den's rows: row r of J is lattice row plan.first + r, from one `Lines`
+    per group, each divided by the one kernel `_divide_group`.
+
+    From a list of lines, as `measure_lines` makes them, J is made first
+    and two groups are divided into it at a time (`_two_at_a_time`): each
+    writes its own cells, and no cell is written twice, so J has the
+    serial loop's bits.  Lines from an iterator, as `_run` makes them from
+    powers, are taken one group at a time as the division reaches them,
+    and J is made once the first group's are transformed: no two groups'
+    lines are alive at once.
+    """
+    if isinstance(lines, list):
+        J = np.zeros(plan.den.shape, dtype=np.complex128)
+        _two_at_a_time(lambda i: _divide_group(lines[i], plan, i, J), len(plan.groups))
+        return J
+    lines, J = iter(lines), None
+    for i in range(len(plan.groups)):
+        J = _divide_group(next(lines), plan, i, J)  # no name keeps the lines alive
     return J
 
 

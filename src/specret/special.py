@@ -35,15 +35,30 @@ def laguerre_ladder(degrees, z):
     would overflow the bare polynomial.  A degree below the previous one
     restarts the run.  Each yielded array is fresh, and a degree gets the
     same bits whichever degrees come before it.
+
+    A reader that needs only some cells for the later degrees sends a
+    boolean mask of the cells to keep, of the last yielded array's shape,
+    in place of `next`: from then on the run steps and yields those cells
+    alone, flattened in order, each with the bits it has in the full run.
     """
     z = np.asarray(z, dtype=float)
     return _laguerre_run(degrees, z, np.exp(-z / 2.0))
 
 
+def _laguerre_step(k: int, z, cur, prev, out):
+    """Degree k + 1 into out from cur (degree k) and prev (k - 1):
+    ((2k+1 - z) * cur - k * prev) / (k+1), with the operations in that
+    order; prev is scaled in place."""
+    np.subtract(2 * k + 1, z, out=out)
+    out *= cur
+    prev *= k
+    out -= prev
+    out /= k + 1
+
+
 def _laguerre_run(degrees, z, start):
-    # ((2k+1 - z) * cur - k * prev) / (k+1) in three rotating buffers, with
-    # the operations in that order; from degree 0 (start) to 1 the prev
-    # term is 0 * zeros, so this one body also gives (1 - z) * start
+    # three rotating buffers; from degree 0 (start) to 1 the prev term is
+    # 0 * zeros, so the one step also gives (1 - z) * start
     k = None
     for n in degrees:
         if n < 0:
@@ -51,14 +66,13 @@ def _laguerre_run(degrees, z, start):
         if k is None or n < k:
             cur, prev, t, k = np.array(start), np.zeros_like(start), np.empty_like(start), 0
         while k < n:
-            np.subtract(2 * k + 1, z, out=t)
-            t *= cur
-            prev *= k
-            t -= prev
-            t /= k + 1
+            _laguerre_step(k, z, cur, prev, t)
             prev, cur, t = cur, t, prev
             k += 1
-        yield cur.copy()
+        keep = yield cur.copy()
+        if keep is not None:  # the reader's cells, for the later degrees
+            z, start, cur, prev = z[keep], start[keep], cur[keep], prev[keep]
+            t = np.empty_like(cur)
 
 
 def hermite_values(n: int, t) -> np.ndarray:

@@ -12,14 +12,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import FrftGaussAmbiguity, HermiteAmbiguity, hermite_blocks, mirror_quadrant
+from .ambiguity import (FrftGaussAmbiguity, HermiteAmbiguity, hermite_ladder, hermite_rows,
+                        mirror_quadrant)
 from .grid import Grid
 from .special import dilated_gauss_samples, frft_gauss_samples, hermite_samples
+from .workers import _two_at_a_time
 
 
 # window-ambiguity cells at or below this fraction of the threshold are
 # not evaluated when `peel` sums a group (see `peel` for the bound)
 LATTICE_FLOOR = 1e-20
+# a group's cells leave a Hermite block's Laguerre ladder (`_peel_block`)
+# once their count times the steps left reaches this many steps of the
+# whole block: dropping them gathers the ladder's arrays and the cells'
+# indices, about as much work as that, and W3-like plans ran fastest at 4-8
+DROP_STEPS = 8
+# row blocks from which a Hermite plan claims its blocks on two cores; with
+# fewer, the second thread costs more than it saves
+TWO_CORE_BLOCKS = 4
 # largest relative deviation of a fan window's grid energy dt * sum |g|^2
 # from its closed-form norm^2; resolved windows deviate by under 1e-3
 ENERGY_TOLERANCE = 0.5
@@ -174,15 +184,20 @@ def peel(family: WindowFamily, groups, epsilon: float):
     last (`row_span`; no rows, first 0, for an empty omega).  Each
     ambiguity is evaluated once, with the floor LATTICE_FLOOR * epsilon.
     A family of Hermite windows alone is evaluated on the quadrant
-    x, y <= 0 only, a block of rows at a time (`hermite_blocks`, over the
-    degrees in the order the groups take them, which skips the outer rows
-    whose cells all lie at or below the floor); each group claims its
-    cells of the block into the quadrant's den, the labels are mirrored
-    once at the end, and den's band is read from the quadrant by the same
-    mirror.  Any other family adds each member's `on_lattice`
-    into its group's buffer, the first group's sum being den's buffer, so
-    one more group's sum is alive at a time, and den's band is copied out
-    at the end; a Gauss member leaves out its cells at or below the floor.
+    x, y <= 0 only, in the row blocks of `hermite_rows`, which skips the
+    outer rows whose cells all lie at or below the floor.  Each block runs
+    one Laguerre ladder over the degrees in the order the groups take them
+    (`_peel_block`): each group claims its cells of the block into the
+    quadrant's den, and those cells leave the ladder, so the later degrees
+    step only on the cells still unclaimed (W2's [50, 100] takes 77% of
+    the full ladder's cell steps).  A plan of TWO_CORE_BLOCKS blocks or
+    more claims them two at a time (`_two_at_a_time`); each block writes
+    its own rows only.  The labels are mirrored once at the end, and den's
+    band is read from the quadrant by the same mirror.  Any other family
+    adds each member's `on_lattice` into its group's buffer, the first
+    group's sum being den's buffer, so one more group's sum is alive at a
+    time, and den's band is copied out at the end; a Gauss member leaves
+    out its cells at or below the floor.
     The cells left out hold values of magnitude at most floor, so a group
     of N windows loses at most N * floor, 4e-19 of epsilon for a
     40-window fan: a cell's sum can cross epsilon only if it lies that
@@ -201,12 +216,18 @@ def peel(family: WindowFamily, groups, epsilon: float):
         degrees = [ev.n for group in evaluators for ev in group]
         h1 = h + 1  # the quadrant is rows and columns 0, ..., L/2
         quadrant = np.zeros((h1, h1))
-        for rows, ladder in hermite_blocks(degrees, grid, floor):
-            for i, group in enumerate(groups):
-                values = next(ladder)
-                for _ in group[1:]:
-                    values += next(ladder)
-                _claim(values, i, epsilon, quadrant[rows], owner[rows, :h1])
+        blocks = hermite_rows(degrees, grid, floor)
+
+        def claim(b):
+            rows = blocks[b]
+            _peel_block(hermite_ladder(degrees, grid, rows), groups, degrees, epsilon,
+                        quadrant[rows], owner[rows, :h1])
+
+        if len(blocks) >= TWO_CORE_BLOCKS:
+            _two_at_a_time(claim, len(blocks))
+        else:
+            for b in range(len(blocks)):
+                claim(b)
         mirror_quadrant(owner)
         first, stop = row_span(owner >= 0) or (0, 0)
         band = np.arange(first, stop)
@@ -225,12 +246,53 @@ def peel(family: WindowFamily, groups, epsilon: float):
     return den[first:stop].copy(), first, owner
 
 
+def _peel_block(ladder, groups, degrees, epsilon: float, den: np.ndarray, owner: np.ndarray):
+    """Claim one block's cells for each group in turn into den and owner,
+    views of the block's quadrant rows, from its `laguerre_ladder` over
+    degrees (A h_n for the groups' members in order).  The claimed cells
+    leave the ladder once that saves DROP_STEPS whole-block steps or more
+    (the steps left count as for ascending degrees): it is sent the mask
+    of the unclaimed cells, and the later degrees step on those alone,
+    flattened, with the bits the full block gives them.  Each group claims
+    only unclaimed cells, so the labels and den are those of `_claim` on
+    full blocks."""
+    cells = keep = free = None  # the ladder's cells as (rows, columns), once it has dropped some
+    taken = 0  # degrees taken from the ladder
+    for i, group in enumerate(groups):
+        values = ladder.send(keep)  # send(None) is next()
+        for _ in group[1:]:
+            values += next(ladder)
+        taken += len(group)
+        bits = _above(values, epsilon)
+        if free is not None:  # the ladder's cells no group has claimed
+            bits &= free
+        claimed = bits if cells is None else tuple(c[bits] for c in cells)
+        owner[claimed] = i
+        den[claimed] = values[bits]
+        keep = None
+        if bits.any():
+            if free is None:
+                free = ~bits
+            else:
+                free[bits] = False
+            steps = degrees[-1] - degrees[taken - 1]
+            if (free.size - np.count_nonzero(free)) * steps >= DROP_STEPS * free.size:
+                keep, free = free, None
+                cells = np.nonzero(keep) if cells is None else tuple(c[keep] for c in cells)
+
+
+def _above(values, epsilon: float) -> np.ndarray:
+    """|values| > epsilon, without a float temporary."""
+    bits = values > epsilon
+    bits |= values < -epsilon
+    return bits
+
+
 def _claim(values, i: int, epsilon: float, den: np.ndarray, owner: np.ndarray):
     """Give the cells of owner still unclaimed where |values| > epsilon the
     label i and den's value there; den may be values' own buffer, which is
     then cleared everywhere else."""
-    bits = values > epsilon  # |values| > epsilon without a float temporary
-    bits |= values < -epsilon
+    bits = _above(values, epsilon)
     bits &= owner < 0
     owner[bits] = i
     if den is values:

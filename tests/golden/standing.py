@@ -6,10 +6,12 @@ must keep byte for byte, compared between this tree and another checkout
 
 Each run goes through `python -m specret COMMAND --seed 7` in a fresh
 process, once with this tree's `src` and once with DIR's.  For every run
-the script prints each side's minor page faults (the kernel filling in
-fresh pages) and each manifest file as identical or changed (a file only
-one side wrote counts as changed), and it exits 1 on any change or any
-nonzero exit; the faults never decide it.  Under a changed
+the script prints each side's wall time and minor page faults (the
+kernel filling in fresh pages) and each manifest file as identical or
+changed (a file only one side wrote counts as changed), and it exits 1
+on any change or any nonzero exit; the times and faults never decide it.
+A run's wall time covers the whole process, the interpreter and the
+imports included, and one run of each side is a rough reading only.  Under a changed
 `result.json`, `bounds.json` or `summary.json` it prints each numeric
 field, this tree's value and its move relative to DIR's; under a changed
 `reconstruction.bin`, the largest sample move relative to DIR's largest
@@ -25,6 +27,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -72,19 +75,20 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
 
 
-def run(tree: Path, command: str, config: Path, out: Path) -> tuple[list | None, int]:
+def run(tree: Path, command: str, config: Path, out: Path) -> tuple[list | None, float, int]:
     """The manifest `files` list of one run with tree's `src`, or None if
-    the run exited nonzero, and the run's minor page faults."""
+    the run exited nonzero, the run's wall time in seconds and its minor
+    page faults."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "specret", command, "--config", str(config),
             "--out", str(out), "--seed", str(SEED)]
-    before = minor_faults()
+    before, start = minor_faults(), time.perf_counter()
     done = subprocess.run(argv, env=env, cwd=out.parent, capture_output=True, text=True)
-    faults = minor_faults() - before
+    wall, faults = time.perf_counter() - start, minor_faults() - before
     if done.returncode != 0:
         print(f"  {tree}: exit {done.returncode}: {done.stderr.strip()}")
-        return None, faults
-    return json.loads((out / "manifest.json").read_text())["files"], faults
+        return None, wall, faults
+    return json.loads((out / "manifest.json").read_text())["files"], wall, faults
 
 
 def leaves(doc, key=""):
@@ -137,8 +141,9 @@ def compare(name: str, command: str, doc: dict, against: Path) -> bool:
         work = Path(work)
         config = work / "config.json"
         config.write_text(json.dumps(doc))
-        sides, faults = zip(*(run(tree, command, config, work / label)
-                              for tree, label in ((ROOT, "this"), (against, "base"))))
+        sides, walls, faults = zip(*(run(tree, command, config, work / label)
+                                     for tree, label in ((ROOT, "this"), (against, "base"))))
+        print(f"  wall time: this {walls[0]:.3f} s, base {walls[1]:.3f} s")
         print(f"  minor page faults: this {faults[0]}, base {faults[1]}")
         if None in sides:
             return False

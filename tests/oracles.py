@@ -8,8 +8,11 @@ that read omega's mask, each group's first-pass lines from a list of
 powers, the CLI's noisy powers drawn window by window, the noise-bound
 check in its two-list form and the one that assembles both J and J^eta,
 the whole-band product read-out, the one-window family of the
-single-window baseline, and the whole retrieval and the noise bounds
-evaluated densely from the paper's formulas."""
+single-window baseline, the whole retrieval and the noise bounds
+evaluated densely from the paper's formulas, and the serial loops that
+the two-core schedules replace: the Hermite plan on the full Laguerre
+ladder, the division and the noise-bound check one group after
+another."""
 from typing import NamedTuple
 
 import numpy as np
@@ -26,12 +29,13 @@ from specret import (
     numeric_ambiguity,
     verify_noise_bounds,
 )
-from specret.ambiguity import lines_of, product_blocks, unit_roots
+from specret.ambiguity import (hermite_blocks, lines_of, mirror_quadrant, product_blocks,
+                               unit_roots)
 from specret.metrics import _outer_l1
 from specret.retrieval import INVERT_ROWS, _divide, _group_sum, check_powers
 from specret.special import _laguerre_run
 from specret.stft import signal_rows, stft_block, window_factor
-from specret.windows import _check_unit_epsilon, peel, row_span
+from specret.windows import LATTICE_FLOOR, _check_unit_epsilon, _claim, peel, row_span
 
 
 def peel_masks(family, epsilon):
@@ -40,6 +44,32 @@ def peel_masks(family, epsilon):
     _check_unit_epsilon(epsilon)
     *_, owner = peel(family, [(j,) for j in range(len(family))], epsilon)
     return [owner == j for j in range(len(family))]
+
+
+def full_ladder_peel(family, groups, epsilon):
+    """Oracle for `peel` on a Hermite family: one serial pass over its row
+    blocks (`hermite_blocks`), each running the full Laguerre ladder on
+    every cell of the block, and each group claiming its cells against
+    the labels of the groups before (`_claim`).  Returns (den, first,
+    owner) as `peel` does."""
+    grid = family.grid
+    L, h1 = grid.L, grid.L // 2 + 1
+    degrees = [family.members[j].evaluator.n for group in groups for j in group]
+    owner = np.full((L, L), -1, dtype=np.min_scalar_type(-len(groups)))
+    quadrant = np.zeros((h1, h1))
+    for rows, ladder in hermite_blocks(degrees, grid, LATTICE_FLOOR * epsilon):
+        for i, group in enumerate(groups):
+            values = next(ladder)
+            for _ in group[1:]:
+                values += next(ladder)
+            _claim(values, i, epsilon, quadrant[rows], owner[rows, :h1])
+    mirror_quadrant(owner)
+    first, stop = row_span(owner >= 0) or (0, 0)
+    band = np.arange(first, stop)
+    den = np.empty((stop - first, L))
+    den[:, :h1] = quadrant[np.minimum(band, L - band)]
+    den[:, h1:] = den[:, h1 - 2:0:-1]
+    return den, first, owner
 
 
 def stability_mask(evaluator, epsilon, grid):
@@ -425,3 +455,44 @@ def dense_retrieve(f, family, cfg, noise=None):
     samples = np.zeros(L, dtype=np.complex128)
     samples[rows] = scale * (-1.0) ** (k + anchor - h) * U[rows, k] / np.sqrt(abs(u0))
     return samples, anchor, owner, den
+
+
+def serial_divide(lines, plan):
+    """Oracle for `retrieval._divide`: J made once the first group's lines
+    are transformed, and each group's product divided into it block by
+    block, one group after another."""
+    J = None
+    for i, group_lines_i in enumerate(lines):
+        for m0, block in product_blocks(group_lines_i, plan.grid, plan.spans[i]):
+            if J is None:
+                J = np.zeros(plan.den.shape, dtype=np.complex128)
+            m1 = m0 + len(block)
+            band = slice(m0 - plan.first, m1 - plan.first)
+            np.divide(block, plan.den[band], out=J[band], where=plan.owner[m0:m1] == i)
+    return J
+
+
+def serial_noise_bounds(noise_lines, plan):
+    """Oracle for `verify_noise_bounds` without a true signal: one loop over
+    the groups in order, each block's row sums of |A - A^eta|^2 and x = 0
+    cells added straight into the lattice's, and the report's figures
+    from these by the paper's formulas."""
+    grid, eps, owner, p = plan.grid, plan.epsilon, plan.owner, 2.0
+    dx, dy, k0 = grid.dt, grid.dy, grid.L // 2
+    row_sums, slice_abs = np.zeros(grid.L), np.zeros(grid.L)
+    for i, lines in enumerate(noise_lines):
+        for m0, diff in product_blocks(lines, grid, plan.spans[i]):
+            m1 = m0 + len(diff)
+            bits = owner[m0:m1] == i
+            np.divide(diff, plan.den[m0 - plan.first:m1 - plan.first], out=diff, where=bits)
+            a = np.abs(diff) * bits
+            slice_abs[m0:m1] += a[:, k0]
+            row_sums[m0:m1] += np.sum(np.power(a, p), axis=1)
+    noise_norm = dx * dy * max(lines.l1 for lines in noise_lines)
+    C_p = _outer_l1(plan.omega.sum(axis=1), dx, dy, p)
+    C_R = dx * float(np.sum(owner[k0] >= 0))
+    lhs, lhs_slice = _outer_l1(row_sums, dx, dy, p), dy * float(np.sum(slice_abs))
+    rhs, rhs_slice = C_p / eps * noise_norm, C_R / eps * noise_norm
+    return BoundReport(epsilon=eps, p=p, C_p=C_p, C_R_Omega=C_R, lhs_A_norm=lhs, rhs_bound=rhs,
+                       lhs_slice=lhs_slice, rhs_slice_bound=rhs_slice, noise_norm=noise_norm,
+                       satisfied=(bool(lhs <= rhs), bool(lhs_slice <= rhs_slice)))

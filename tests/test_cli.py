@@ -931,6 +931,41 @@ class TestNumericErrors:
         assert len(err.strip().splitlines()) == 1
         assert "overflow" in err
 
+    @pytest.mark.parametrize("group", [0, 1], ids=["caller", "worker"])
+    @pytest.mark.parametrize("stage", [0, 1], ids=["division", "bound-check"])
+    @pytest.mark.parametrize("bad, code", [("non-finite", 2), ("overflow", 3)])
+    def test_a_bad_group_in_either_thread_exits_without_traceback(
+            self, tmp_path, capsys, monkeypatch, group, stage, bad, code):
+        # the division and the noise-bound check take two groups at a time:
+        # group 1 on the worker, under the CLI's errstate.  A NaN in its
+        # lines is refused by name; lines of 1e307 overflow in the product's
+        # transform, in the group's own thread
+        from specret import cli
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        measure = cli.measure_lines
+
+        def spoil(*args, **kwargs):
+            made = measure(*args, **kwargs)
+            X = made[stage][group].X
+            if bad == "non-finite":
+                X[7, 2] = np.nan
+            else:
+                X[:] = 1e307
+            return made
+
+        monkeypatch.setattr(cli, "measure_lines", spoil)
+        path = write_config(tmp_path, noise={"model": "multiplicative", "level": 0.05})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["retrieve", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == code
+        assert not caught
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert (f"invalid input: group {group}'s lines hold a non-finite value" if code == 2
+                else "numeric failure: overflow encountered in fft") in err
+
     def test_overflow_in_a_worker_noise_draw_exits_3(self, tmp_path, capsys, monkeypatch):
         # window 1's noise is drawn on the second thread, two groups at a
         # time, under the CLI's errstate; scaled by 1e306, the sum of its

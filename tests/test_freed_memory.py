@@ -5,7 +5,6 @@ import ctypes
 import logging
 import platform
 import resource
-import time
 
 import numpy as np
 import pytest
@@ -20,10 +19,8 @@ def test_a_second_run_reuses_the_first_runs_memory():
     fam = build_hermite_family([0, 10, 20, 30, 40, 50], grid)
     sig = Signal(grid=grid, values=np.random.default_rng(5).standard_normal(512) + 0j)
     measure_family(sig, fam)  # warm-up, freed at once
-    # the second thread's glibc arena returns to the free list only as its OS
-    # thread exits, just after the join; a thread started before that gets a
-    # fresh arena, and its first powers are faulted in whatever the policy
-    time.sleep(0.05)
+    # the second core's one worker thread keeps its glibc arena: a thread
+    # started per call could get a fresh arena and fault its powers in again
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     powers = measure_family(sig, fam)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before

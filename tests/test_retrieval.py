@@ -1,7 +1,9 @@
 import os
+import signal
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from specret import (
     verify_noise_bounds,
 )
 from specret import ambiguity, retrieval, stft
-from specret.ambiguity import lines_of
+from specret.ambiguity import Lines, lines_of
 from specret.stft import block_height, stft_blocks, stft_power
 from specret.windows import LATTICE_FLOOR
 from specret.retrieval import _divide, _two_at_a_time, measure_lines, row_span, stored_plan
@@ -60,6 +62,8 @@ from oracles import (
     peel_masks,
     power_of,
     product_band,
+    serial_divide,
+    serial_noise_bounds,
     stft_coeffs,
     two_list_bounds,
     xy_phase,
@@ -545,8 +549,8 @@ class TestRetrievalPlan:
         assert plan.spans == tuple(row_span(plan.owner == i) for i in range(len(plan.groups)))
         # the group loop reads the spans, not the labels
         lines = [lines_of(np.ones((grid.L, grid.L)), grid, span) for span in plan.spans]
-        blocks = list(retrieval.group_blocks(lines, plan._replace(owner=None)))
-        spans = [(i, m0, m0 + len(G)) for i, m0, G in blocks]
+        spans = [(i, m0, m0 + len(G)) for i, group in enumerate(lines)
+                 for m0, G in retrieval.group_blocks(group, plan._replace(owner=None), i)]
         for i, span in enumerate(plan.spans):
             rows = [(m0, m1) for j, m0, m1 in spans if j == i]
             assert (rows[0][0], rows[-1][1]) == span
@@ -1512,6 +1516,114 @@ class TestTwoWindowsInFlight:
         with pytest.raises(KeyError):
             _two_at_a_time(fn, 200)
         assert len(calls) < 20
+
+
+class TestOneWorker:
+    """`_two_at_a_time` hands its odd indices to one worker thread kept for
+    the process's life, which holds nothing of a call once it returns."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_back_to_back_calls_use_at_most_two_threads(self):
+        # kernel thread ids: a thread started per call would get a new one
+        ids = set()
+        for _ in range(50):
+            ids.update(_two_at_a_time(lambda j: threading.get_native_id(), 4))
+        assert threading.get_native_id() in ids and len(ids) <= 2
+
+    def test_a_call_inside_a_call_runs_serially(self):
+        # from the caller's indices and from the worker's alike
+        def fn(j):
+            return threading.get_native_id(), _two_at_a_time(lambda k: threading.get_native_id(), 3)
+
+        calls = _two_at_a_time(fn, 4)
+        assert len({tid for tid, _ in calls}) == 2
+        assert all(inner == [tid] * 3 for tid, inner in calls)
+
+    def test_the_worker_keeps_nothing_of_a_call(self):
+        # it would otherwise keep the last call's fn, and what fn reads, alive
+        class Held:
+            pass
+
+        held = Held()
+        ref = weakref.ref(held)
+        assert _two_at_a_time(lambda j, held=held: held is not None, 2) == [True, True]
+        del held
+        assert ref() is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_starts_its_own_worker(self):
+        _two_at_a_time(lambda j: j, 2)  # the parent's worker exists
+        pid = os.fork()
+        if pid == 0:  # the child: no worker thread came with it
+            signal.alarm(10)
+            ok = _two_at_a_time(lambda j: threading.get_native_id(), 2)
+            os._exit(0 if len(set(ok)) == 2 else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+
+
+class TestGroupSplit:
+    """`_divide` on a list of lines and `verify_noise_bounds` take two groups
+    at a time; J and every `BoundReport` field against the serial loops
+    (`serial_divide`, `serial_noise_bounds`), bit for bit."""
+
+    @staticmethod
+    def copies(lines):
+        return [Lines(None if x.X is None else x.X.copy(order="K"), x.l1) for x in lines]
+
+    @staticmethod
+    def measured(n, algorithm, model, cores, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        grid = make_grid(8.0, 256)
+        f = gen_mixture(mixture_preset(), grid)
+        family = build_hermite_family([0, 5, 10, 15, 20, 25][:n], grid)
+        plan = stored_plan(family, RetrievalConfig(epsilon=0.5, algorithm=algorithm))
+        # seed 2 draws noise whose row sums, added in another group order,
+        # move the 6-group lhs in its last bit
+        return plan, *measure_lines(f, family, plan, (model, 0.05, 2))
+
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["one-core", "two-cores"])
+    @pytest.mark.parametrize("model", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_matches_the_serial_loops(self, monkeypatch, n, algorithm, model, cores):
+        plan, lines, noise_lines = self.measured(n, algorithm, model, cores, monkeypatch)
+        assert len(plan.groups) == (1 if algorithm == "alg1" else n)
+        want = serial_divide(self.copies(lines), plan)
+        assert _divide(lines, plan).tobytes() == want.tobytes()  # +0.0 off omega too
+        want = serial_noise_bounds(self.copies(noise_lines), plan)
+        report = verify_noise_bounds(noise_lines, plan)
+        assert report == want and report.satisfied == (True, True)
+
+    def test_a_group_with_no_cells(self, monkeypatch):
+        # window 1 repeats window 0, so under alg2 its group claims no cell
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = make_grid(8.0, 256)
+        family = build_frft_family(2.0, 2, grid, angles=[0.0, 0.0])
+        plan = stored_plan(family, RetrievalConfig(epsilon=1e-2, algorithm="alg2"))
+        assert plan.spans[1] is None
+        lines, noise_lines = measure_lines(gauss_signal(grid), family, plan,
+                                           ("additive", 0.01, 4))
+        want = serial_divide(self.copies(lines), plan)
+        assert _divide(lines, plan).tobytes() == want.tobytes()
+        want = serial_noise_bounds(self.copies(noise_lines), plan)
+        assert verify_noise_bounds(noise_lines, plan) == want
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["one-core", "two-cores"])
+    def test_non_finite_lines_of_the_workers_group_are_named(self, monkeypatch, cores, value):
+        # group 1 runs on the worker with two cores, in the caller with one
+        plan, lines, noise_lines = self.measured(3, "alg2", "additive", cores, monkeypatch)
+        for group in (lines, noise_lines):
+            group[1].X[7, 2] = value
+        check = lambda: verify_noise_bounds(noise_lines, plan)  # noqa: E731
+        for run in (lambda: _divide(lines, plan), check):
+            # an inf makes NaNs in the transform, which only warns by default
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="^group 1's lines hold a non-finite value$"):
+                run()
 
 
 class TestMeasureLines:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,8 +13,10 @@ from specret import (
     dilated_gauss_samples,
     make_grid,
 )
-from specret.windows import check_hermite_degree
-from oracles import peel_masks, stability_mask
+from specret import special, windows
+from specret.ambiguity import PLAN_ROWS, hermite_rows
+from specret.windows import LATTICE_FLOOR, TWO_CORE_BLOCKS, check_hermite_degree, peel
+from oracles import full_ladder_peel, peel_masks, stability_mask
 
 
 def member_sum(family, x, y):
@@ -212,6 +216,88 @@ class TestPeeling:
         for n in degrees:
             single = stability_mask(HermiteAmbiguity(n), 0.1, grid256)
             assert union.sum() > single.sum()
+
+
+class TestHermitePlan:
+    """`peel` on a Hermite family, whose later degrees skip the cells that
+    earlier groups claimed and whose row blocks run two at a time, against
+    the serial full-ladder oracle: den, first, owner and the spans bit for
+    bit."""
+
+    @staticmethod
+    def same_plan(family, groups, epsilon):
+        got, want = peel(family, groups, epsilon), full_ladder_peel(family, groups, epsilon)
+        assert got[1] == want[1]
+        for a, b in ((got[0], want[0]), (got[2], want[2])):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        owner = got[2]
+        spans = [windows.row_span(owner == i) for i in range(len(groups))]
+        assert spans == [windows.row_span(want[2] == i) for i in range(len(groups))]
+        return got
+
+    @staticmethod
+    def blocks(family, groups, epsilon):
+        degrees = [family.members[j].evaluator.n for group in groups for j in group]
+        return hermite_rows(degrees, family.grid, LATTICE_FLOOR * epsilon)
+
+    @pytest.fixture(params=[{0}, {0, 1}], ids=["one-core", "two-cores"])
+    def cores(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: request.param, raising=False)
+        return len(request.param)
+
+    def test_w2(self, cores):
+        grid = make_grid(8.0, 1024)
+        family = build_hermite_family([50, 100], grid)
+        eps = 0.5 * grid.dt
+        assert len(self.blocks(family, [(0,), (1,)], eps)) >= TWO_CORE_BLOCKS
+        self.same_plan(family, [(0,), (1,)], eps)
+
+    @pytest.mark.parametrize("seed", [3, 11, 77])
+    def test_w3_like(self, cores, seed):
+        grid = make_grid(8.0, 512)
+        degrees = np.sort(np.random.default_rng(seed).choice(51, 6, replace=False)).tolist()
+        self.same_plan(build_hermite_family(degrees, grid), [(j,) for j in range(6)],
+                       1e-3 * grid.dt)
+
+    def test_degrees_out_of_order_restart_the_ladder(self, cores):
+        grid = make_grid(8.0, 512)
+        family = build_hermite_family([5, 20, 40, 45], grid)
+        self.same_plan(family, [(2,), (0,), (3,), (1,)], 1e-3 * grid.dt)
+
+    def test_one_group_of_several_members(self, cores):
+        # alg1 on a Hermite family: one sum, claimed once, no cell dropped
+        grid = make_grid(8.0, 512)
+        self.same_plan(build_hermite_family([0, 5, 10, 20], grid), [(0, 1, 2, 3)], 0.5 * grid.dt)
+
+    def test_short_last_block(self, cores):
+        # degree 200 reaches the grid's edge, so all 257 quadrant rows live:
+        # four whole blocks and one of a single row, run two at a time
+        grid = make_grid(8.0, 512)
+        family = build_hermite_family([100, 150, 200], grid)
+        groups, eps = [(0,), (1,), (2,)], 1e-3 * grid.dt
+        blocks = self.blocks(family, groups, eps)
+        assert len(blocks) >= TWO_CORE_BLOCKS
+        assert blocks[-1].stop - blocks[-1].start < PLAN_ROWS
+        self.same_plan(family, groups, eps)
+
+    def test_w2_steps_77_percent_of_the_full_ladders_cells(self, monkeypatch):
+        # every cell step of the recurrence, counted by wrapping the step; a
+        # plan that stops dropping claimed cells shows here without a timing
+        grid = make_grid(8.0, 1024)
+        family = build_hermite_family([50, 100], grid)
+        groups, eps = [(0,), (1,)], 0.5 * grid.dt
+        cells = []  # list.append holds across the two threads
+        step = special._laguerre_step
+        monkeypatch.setattr(special, "_laguerre_step",
+                            lambda k, z, *args: (cells.append(z.size), step(k, z, *args))[1])
+        peel(family, groups, eps)
+        steps = sum(cells)
+        cells.clear()
+        full_ladder_peel(family, groups, eps)
+        # the live-row scan's 513 cells and 4 blocks of 225 live rows, 100 steps each
+        assert sum(cells) == 100 * 513 * (1 + 225)
+        assert steps == 8_922_950
+        assert round(steps / sum(cells), 2) == 0.77
 
 
 class TestSummedMask:
