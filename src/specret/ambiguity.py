@@ -24,14 +24,14 @@ of a retrieval plan leaves out.
 
 Hermite lattices are run on the quadrant x, y <= 0, in the blocks of
 PLAN_ROWS rows that `hermite_rows` cuts, skipping the outer rows whose
-cells are all at most a floor; `hermite_ladder` runs the Laguerre
-recurrence over a family's degrees on one block, and `hermite_blocks`
-pairs the two.  Their readers mirror what they keep from the quadrant by
-slices (`mirror_quadrant`): `HermiteAmbiguity.on_lattice` the one
-degree's values and the CLI's `coverage` each member's stability mask
-from the full ladder, and a retrieval plan (`windows.peel`) its labels
-from ladders that drop each group's claimed cells, so neither of the
-last two makes a lattice per degree.
+cells are all at most a floor, and `hermite_ladder` runs the Laguerre
+recurrence over a family's degrees on one block.  Their readers mirror
+what they keep from the quadrant by slices (`mirror_quadrant`):
+`HermiteAmbiguity.on_lattice` the one degree's values and the CLI's
+`coverage` each member's stability mask from the full ladder, and a
+retrieval plan (`windows.peel`) its labels from ladders that drop each
+group's claimed cells, so neither of the last two makes a lattice per
+degree.
 
 `numeric_ambiguity` is exp(i*pi*x*y) V_g g.  On the square lattice
 x_k * y_m = (k - L/2)(m - L/2)/L, so each phase is a 2L-th root of unity
@@ -94,9 +94,10 @@ def eval_hermite_ambiguity(n: int, x, y):
 # band's box of columns is the union of its rows' ellipse spans, so the
 # height sets which cells the plan evaluates
 BAND_ROWS = 16
-# quadrant rows `hermite_blocks` evaluates together: 256 KB a degree at
-# L = 1024.  The Laguerre recurrence loops in Python once per block and
-# degree step, so the stream's 32-row blocks would double W2's loop count
+# quadrant rows in each `hermite_rows` block, which one `hermite_ladder`
+# evaluates together: 256 KB a degree at L = 1024.  The Laguerre
+# recurrence loops in Python once per block and degree step, so the
+# stream's 32-row blocks would double W2's loop count
 PLAN_ROWS = 64
 
 
@@ -193,12 +194,12 @@ class HermiteAmbiguity:
     def on_lattice(self, grid: Grid, floor: float = 0.0,
                    out: np.ndarray | None = None) -> np.ndarray:
         """The ambiguity on the (y, x) lattice, or added into `out`: the
-        quadrant blocks of `hermite_blocks`, mirrored, so rows whose every
-        cell is at most floor stay 0; with floor <= 0 every cell is
-        evaluated."""
+        quadrant blocks of `hermite_rows`, each from its `hermite_ladder`,
+        mirrored, so rows whose every cell is at most floor stay 0; with
+        floor <= 0 every cell is evaluated."""
         values = np.zeros((grid.L, grid.L))
-        for rows, ladder in hermite_blocks([self.n], grid, floor):
-            values[rows, :grid.L // 2 + 1] = next(ladder)
+        for rows in hermite_rows([self.n], grid, floor):
+            values[rows, :grid.L // 2 + 1] = next(hermite_ladder([self.n], grid, rows))
         mirror_quadrant(values)
         if out is None:
             return values
@@ -207,15 +208,6 @@ class HermiteAmbiguity:
 
     def __repr__(self):
         return f"HermiteAmbiguity(n={self.n})"
-
-
-def hermite_blocks(degrees, grid: Grid, floor: float):
-    """Yield (rows, ladder) for each block of `hermite_rows`: rows is a
-    slice of the quadrant x, y <= 0 (lattice rows and columns 0, ...,
-    L/2), and ladder is its `hermite_ladder`, A h_n for each n in degrees
-    in order."""
-    for rows in hermite_rows(degrees, grid, floor):
-        yield rows, hermite_ladder(degrees, grid, rows)
 
 
 def hermite_rows(degrees, grid: Grid, floor: float) -> list:
@@ -388,7 +380,8 @@ def product_blocks(lines: Lines, grid: Grid, rows: tuple[int, int] | None,
                          f" which read shape {(L, q + 1)}")
     if not X.flags.writeable:
         raise ValueError("these lines were transformed already: measure again")
-    np.fft.fft(X, axis=0, out=X)
+    with np.errstate(invalid="ignore"):  # an inf cell turns bin 0 NaN, refused below
+        np.fft.fft(X, axis=0, out=X)
     if not np.isfinite(X[0]).all():  # bin 0 of a line sums its cells: non-finite if one is
         X.flags.writeable = False
         raise ValueError(f"{name} hold a non-finite value")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .ambiguity import hermite_blocks, mirror_quadrant
+from .ambiguity import hermite_ladder, hermite_rows, mirror_quadrant
 from .config import ConfigError, load_config
 from .exceptions import RetrievalError
 from .grid import Grid, Signal
@@ -315,7 +315,9 @@ def cmd_coverage(cfg: dict, out_dir: Path) -> int:
         _check_unit_epsilon(eps)
         h1 = grid.L // 2 + 1
         quadrants = np.zeros((len(family), h1, h1), dtype=bool)
-        for rows, ladder in hermite_blocks([m.evaluator.n for m in family.members], grid, eps):
+        degrees = [m.evaluator.n for m in family.members]
+        for rows in hermite_rows(degrees, grid, eps):
+            ladder = hermite_ladder(degrees, grid, rows)
             for quadrant in quadrants[:, rows]:
                 np.greater(np.abs(next(ladder)), eps, out=quadrant)
         union = np.zeros((grid.L, grid.L), dtype=bool)

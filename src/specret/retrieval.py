@@ -444,8 +444,9 @@ def _run(measurements, family: WindowFamily, cfg: RetrievalConfig) -> Reconstruc
     check_anchor(cfg, grid)
     plan = stored_plan(family, cfg)
     # each group sum is made as _divide reaches it and dies once it is lines
-    J = _divide(measurements if lined else (lines_of(_group_sum(powers, g), grid, span)
-                                            for g, span in zip(plan.groups, plan.spans)), plan)
+    J = _divide(list(measurements) if lined else (lines_of(_group_sum(powers, g), grid, span)
+                                                  for g, span in zip(plan.groups, plan.spans)),
+                plan)
     samples, anchor = _invert(J, plan.first, grid, cfg)
     area = float(np.count_nonzero(plan.owner >= 0) / plan.owner.size)  # omega.mean()'s bits
     return Reconstruction(Signal(grid=grid, values=samples), area, anchor, plan)

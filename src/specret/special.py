@@ -33,8 +33,8 @@ def laguerre_ladder(degrees, z):
     The recurrence runs on the pre-damped values, so intermediates stay
     bounded by 1 for z >= 0; safe for the large lattice arguments that
     would overflow the bare polynomial.  A degree below the previous one
-    restarts the run.  Each yielded array is fresh, and a degree gets the
-    same bits whichever degrees come before it.
+    restarts the run from exp(-z/2).  Each yielded array is fresh, and a
+    degree gets the same bits whichever degrees come before it.
 
     A reader that needs only some cells for the later degrees sends a
     boolean mask of the cells to keep, of the last yielded array's shape,
@@ -42,7 +42,23 @@ def laguerre_ladder(degrees, z):
     alone, flattened in order, each with the bits it has in the full run.
     """
     z = np.asarray(z, dtype=float)
-    return _laguerre_run(degrees, z, np.exp(-z / 2.0))
+    k = None
+    for n in degrees:
+        if n < 0:
+            raise ValueError(f"degree must be nonnegative, got {n}")
+        if k is None or n < k:
+            # three rotating buffers; from degree 0 to 1 the prev term is
+            # 0 * zeros, so the one step also gives (1 - z) * exp(-z/2)
+            cur = np.exp(-z / 2.0, out=np.empty_like(z))  # 0-d for a scalar z
+            prev, t, k = np.zeros_like(z), np.empty_like(z), 0
+        while k < n:
+            _laguerre_step(k, z, cur, prev, t)
+            prev, cur, t = cur, t, prev
+            k += 1
+        keep = yield cur.copy()
+        if keep is not None:  # the reader's cells, for the later degrees
+            z, cur, prev = z[keep], cur[keep], prev[keep]
+            t = np.empty_like(z)
 
 
 def _laguerre_step(k: int, z, cur, prev, out):
@@ -54,25 +70,6 @@ def _laguerre_step(k: int, z, cur, prev, out):
     prev *= k
     out -= prev
     out /= k + 1
-
-
-def _laguerre_run(degrees, z, start):
-    # three rotating buffers; from degree 0 (start) to 1 the prev term is
-    # 0 * zeros, so the one step also gives (1 - z) * start
-    k = None
-    for n in degrees:
-        if n < 0:
-            raise ValueError(f"degree must be nonnegative, got {n}")
-        if k is None or n < k:
-            cur, prev, t, k = np.array(start), np.zeros_like(start), np.empty_like(start), 0
-        while k < n:
-            _laguerre_step(k, z, cur, prev, t)
-            prev, cur, t = cur, t, prev
-            k += 1
-        keep = yield cur.copy()
-        if keep is not None:  # the reader's cells, for the later degrees
-            z, start, cur, prev = z[keep], start[keep], cur[keep], prev[keep]
-            t = np.empty_like(cur)
 
 
 def hermite_values(n: int, t) -> np.ndarray:

@@ -22,11 +22,6 @@ from .workers import _two_at_a_time
 # window-ambiguity cells at or below this fraction of the threshold are
 # not evaluated when `peel` sums a group (see `peel` for the bound)
 LATTICE_FLOOR = 1e-20
-# a group's cells leave a Hermite block's Laguerre ladder (`_peel_block`)
-# once their count times the steps left reaches this many steps of the
-# whole block: dropping them gathers the ladder's arrays and the cells'
-# indices, about as much work as that, and W3-like plans ran fastest at 4-8
-DROP_STEPS = 8
 # row blocks from which a Hermite plan claims its blocks on two cores; with
 # fewer, the second thread costs more than it saves
 TWO_CORE_BLOCKS = 4
@@ -188,9 +183,9 @@ def peel(family: WindowFamily, groups, epsilon: float):
     outer rows whose cells all lie at or below the floor.  Each block runs
     one Laguerre ladder over the degrees in the order the groups take them
     (`_peel_block`): each group claims its cells of the block into the
-    quadrant's den, and those cells leave the ladder, so the later degrees
-    step only on the cells still unclaimed (W2's [50, 100] takes 77% of
-    the full ladder's cell steps).  A plan of TWO_CORE_BLOCKS blocks or
+    quadrant's den, and those cells leave the ladder at once, so the later
+    degrees step only on the cells still unclaimed (W2's [50, 100] takes
+    77% of the full ladder's cell steps).  A plan of TWO_CORE_BLOCKS blocks or
     more claims them two at a time (`_two_at_a_time`); each block writes
     its own rows only.  The labels are mirrored once at the end, and den's
     band is read from the quadrant by the same mirror.  Any other family
@@ -220,7 +215,7 @@ def peel(family: WindowFamily, groups, epsilon: float):
 
         def claim(b):
             rows = blocks[b]
-            _peel_block(hermite_ladder(degrees, grid, rows), groups, degrees, epsilon,
+            _peel_block(hermite_ladder(degrees, grid, rows), groups, epsilon,
                         quadrant[rows], owner[rows, :h1])
 
         if len(blocks) >= TWO_CORE_BLOCKS:
@@ -246,39 +241,27 @@ def peel(family: WindowFamily, groups, epsilon: float):
     return den[first:stop].copy(), first, owner
 
 
-def _peel_block(ladder, groups, degrees, epsilon: float, den: np.ndarray, owner: np.ndarray):
+def _peel_block(ladder, groups, epsilon: float, den: np.ndarray, owner: np.ndarray):
     """Claim one block's cells for each group in turn into den and owner,
-    views of the block's quadrant rows, from its `laguerre_ladder` over
-    degrees (A h_n for the groups' members in order).  The claimed cells
-    leave the ladder once that saves DROP_STEPS whole-block steps or more
-    (the steps left count as for ascending degrees): it is sent the mask
-    of the unclaimed cells, and the later degrees step on those alone,
-    flattened, with the bits the full block gives them.  Each group claims
-    only unclaimed cells, so the labels and den are those of `_claim` on
-    full blocks."""
-    cells = keep = free = None  # the ladder's cells as (rows, columns), once it has dropped some
-    taken = 0  # degrees taken from the ladder
+    views of the block's quadrant rows, from its `laguerre_ladder` (A h_n
+    for the groups' members in order).  After each group but the last
+    whose claim is not empty, the ladder is sent the mask of the unclaimed
+    cells, and the later degrees step on those alone, flattened, with the
+    bits the full block gives them.  A claimed cell never reaches a later
+    group, so the labels and den are those of `_claim` on full blocks."""
+    cells = keep = None  # the ladder's cells as (rows, columns), once it has dropped some
     for i, group in enumerate(groups):
         values = ladder.send(keep)  # send(None) is next()
         for _ in group[1:]:
             values += next(ladder)
-        taken += len(group)
         bits = _above(values, epsilon)
-        if free is not None:  # the ladder's cells no group has claimed
-            bits &= free
         claimed = bits if cells is None else tuple(c[bits] for c in cells)
         owner[claimed] = i
         den[claimed] = values[bits]
         keep = None
-        if bits.any():
-            if free is None:
-                free = ~bits
-            else:
-                free[bits] = False
-            steps = degrees[-1] - degrees[taken - 1]
-            if (free.size - np.count_nonzero(free)) * steps >= DROP_STEPS * free.size:
-                keep, free = free, None
-                cells = np.nonzero(keep) if cells is None else tuple(c[keep] for c in cells)
+        if i + 1 < len(groups) and bits.any():
+            keep = ~bits
+            cells = np.nonzero(keep) if cells is None else tuple(c[keep] for c in cells)
 
 
 def _above(values, epsilon: float) -> np.ndarray:

@@ -10,6 +10,8 @@ the script prints each side's wall time and minor page faults (the
 kernel filling in fresh pages) and each manifest file as identical or
 changed (a file only one side wrote counts as changed), and it exits 1
 on any change or any nonzero exit; the times and faults never decide it.
+It also prints each tree's source size, the lines of `src/specret/*.py`
+as `wc -l` counts them and their AST nodes, which never decide it either.
 A run's wall time covers the whole process, the interpreter and the
 imports included, and one run of each side is a rough reading only.  Under a changed
 `result.json`, `bounds.json` or `summary.json` it prints each numeric
@@ -21,6 +23,7 @@ sample.  The small-grid versions of these runs are pinned in tier-1 by
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import resource
@@ -89,6 +92,14 @@ def run(tree: Path, command: str, config: Path, out: Path) -> tuple[list | None,
         print(f"  {tree}: exit {done.returncode}: {done.stderr.strip()}")
         return None, wall, faults
     return json.loads((out / "manifest.json").read_text())["files"], wall, faults
+
+
+def source_size(tree: Path) -> tuple[int, int]:
+    """Lines (newlines, as `wc -l` counts) and AST nodes of tree's
+    src/specret/*.py."""
+    texts = [path.read_text() for path in (tree / "src" / "specret").glob("*.py")]
+    return (sum(text.count("\n") for text in texts),
+            sum(sum(1 for _ in ast.walk(ast.parse(text))) for text in texts))
 
 
 def leaves(doc, key=""):
@@ -167,6 +178,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     names = args.only or list(RUNS)
     results = [compare(name, *RUNS[name], args.against.resolve()) for name in names]
+    (lines, nodes), (base_lines, base_nodes) = map(source_size, (ROOT, args.against.resolve()))
+    print(f"source: this {lines} lines, {nodes} AST nodes; base {base_lines} lines, "
+          f"{base_nodes} AST nodes")
     print(f"{sum(results)} of {len(results)} runs identical")
     return 0 if all(results) else 1
 

@@ -29,11 +29,11 @@ from specret import (
     numeric_ambiguity,
     verify_noise_bounds,
 )
-from specret.ambiguity import (hermite_blocks, lines_of, mirror_quadrant, product_blocks,
-                               unit_roots)
+from specret.ambiguity import (hermite_ladder, hermite_rows, lines_of, mirror_quadrant,
+                               product_blocks, unit_roots)
 from specret.metrics import _outer_l1
 from specret.retrieval import INVERT_ROWS, _divide, _group_sum, check_powers
-from specret.special import _laguerre_run
+from specret.special import _laguerre_step
 from specret.stft import signal_rows, stft_block, window_factor
 from specret.windows import LATTICE_FLOOR, _check_unit_epsilon, _claim, peel, row_span
 
@@ -48,7 +48,7 @@ def peel_masks(family, epsilon):
 
 def full_ladder_peel(family, groups, epsilon):
     """Oracle for `peel` on a Hermite family: one serial pass over its row
-    blocks (`hermite_blocks`), each running the full Laguerre ladder on
+    blocks (`hermite_rows`), each running the full Laguerre ladder on
     every cell of the block, and each group claiming its cells against
     the labels of the groups before (`_claim`).  Returns (den, first,
     owner) as `peel` does."""
@@ -57,7 +57,8 @@ def full_ladder_peel(family, groups, epsilon):
     degrees = [family.members[j].evaluator.n for group in groups for j in group]
     owner = np.full((L, L), -1, dtype=np.min_scalar_type(-len(groups)))
     quadrant = np.zeros((h1, h1))
-    for rows, ladder in hermite_blocks(degrees, grid, LATTICE_FLOOR * epsilon):
+    for rows in hermite_rows(degrees, grid, LATTICE_FLOOR * epsilon):
+        ladder = hermite_ladder(degrees, grid, rows)
         for i, group in enumerate(groups):
             values = next(ladder)
             for _ in group[1:]:
@@ -88,9 +89,14 @@ def laguerre_eval(n, z):
 
     Stable for n <= 200, |z| <= 1e3.  Accepts scalars or arrays.
     """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     z = np.asarray(z, dtype=float)
-    out = next(_laguerre_run([n], z, np.ones_like(z)))
-    return out if out.ndim else float(out)
+    cur, prev, t = np.ones_like(z), np.zeros_like(z), np.empty_like(z)
+    for k in range(n):
+        _laguerre_step(k, z, cur, prev, t)
+        prev, cur, t = cur, t, prev
+    return cur if cur.ndim else float(cur)
 
 
 class Coeffs(NamedTuple):

@@ -570,7 +570,7 @@ class TestHermiteQuadrant:
 
 
 class TestCroppedHermiteLattices:
-    """`HermiteAmbiguity.on_lattice` with a floor, whose `hermite_blocks`
+    """`HermiteAmbiguity.on_lattice` with a floor, whose `hermite_rows`
     skip the dead outer rows, against the full lattice (no floor)."""
 
     @settings(max_examples=60, deadline=None)

@@ -423,13 +423,13 @@ class TestCoverage:
         assert len(masks) == 3
 
     def test_hermite_masks_from_one_laguerre_run(self, tmp_path, monkeypatch):
-        # one `hermite_blocks` run over the degrees gives each member's
+        # one `hermite_rows` run over the degrees gives each member's
         # stability mask, bit for bit
         from specret import HermiteAmbiguity, cli
         from oracles import stability_mask
         runs = []
-        blocks = cli.hermite_blocks
-        monkeypatch.setattr(cli, "hermite_blocks",
+        blocks = cli.hermite_rows
+        monkeypatch.setattr(cli, "hermite_rows",
                             lambda *args: runs.append(args[0]) or blocks(*args))
         degrees, eps = [1, 5, 10], 0.1
         cfg = write_config(tmp_path, scheme={"kind": "hermite", "degrees": degrees},
@@ -933,13 +933,13 @@ class TestNumericErrors:
 
     @pytest.mark.parametrize("group", [0, 1], ids=["caller", "worker"])
     @pytest.mark.parametrize("stage", [0, 1], ids=["division", "bound-check"])
-    @pytest.mark.parametrize("bad, code", [("non-finite", 2), ("overflow", 3)])
+    @pytest.mark.parametrize("bad, code", [("non-finite", 2), ("inf", 2), ("overflow", 3)])
     def test_a_bad_group_in_either_thread_exits_without_traceback(
             self, tmp_path, capsys, monkeypatch, group, stage, bad, code):
         # the division and the noise-bound check take two groups at a time:
-        # group 1 on the worker, under the CLI's errstate.  A NaN in its
-        # lines is refused by name; lines of 1e307 overflow in the product's
-        # transform, in the group's own thread
+        # group 1 on the worker, under the CLI's errstate.  A NaN or an inf
+        # in its lines is refused by name; lines of 1e307 overflow in the
+        # product's transform, in the group's own thread
         from specret import cli
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         measure = cli.measure_lines
@@ -947,10 +947,10 @@ class TestNumericErrors:
         def spoil(*args, **kwargs):
             made = measure(*args, **kwargs)
             X = made[stage][group].X
-            if bad == "non-finite":
-                X[7, 2] = np.nan
-            else:
+            if bad == "overflow":
                 X[:] = 1e307
+            else:
+                X[7, 2] = np.inf if bad == "inf" else np.nan
             return made
 
         monkeypatch.setattr(cli, "measure_lines", spoil)

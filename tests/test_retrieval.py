@@ -1620,10 +1620,29 @@ class TestGroupSplit:
             group[1].X[7, 2] = value
         check = lambda: verify_noise_bounds(noise_lines, plan)  # noqa: E731
         for run in (lambda: _divide(lines, plan), check):
-            # an inf makes NaNs in the transform, which only warns by default
-            with np.errstate(invalid="ignore"), \
-                    pytest.raises(ValueError, match="^group 1's lines hold a non-finite value$"):
+            # an inf makes NaNs in the transform, with no warning
+            with pytest.raises(ValueError, match="^group 1's lines hold a non-finite value$"):
                 run()
+
+    def test_a_tuple_of_lines_divides_as_a_list(self, monkeypatch):
+        # the runner hands `_divide` a list, so a tuple of lines takes the
+        # two-group schedule too, with the same bits
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = make_grid(8.0, 256)
+        f = gen_mixture(mixture_preset(), grid)
+        family = build_hermite_family([0, 5, 10], grid)
+        cfg = RetrievalConfig(epsilon=0.5, algorithm="alg2")
+        plan = stored_plan(family, cfg)
+        callers, two = [], retrieval._two_at_a_time
+        monkeypatch.setattr(retrieval, "_two_at_a_time", lambda fn, n: (
+            callers.append(sys._getframe(1).f_code.co_name) or two(fn, n)))
+        got = []
+        for kind in (list, tuple):
+            lines, _ = measure_lines(f, family, plan, None)
+            callers.clear()
+            got.append(run_alg2(kind(lines), family, cfg).signal.values)
+            assert "_divide" in callers
+        assert np.array_equal(*got)
 
 
 class TestMeasureLines:

@@ -299,6 +299,23 @@ class TestHermitePlan:
         assert steps == 8_922_950
         assert round(steps / sum(cells), 2) == 0.77
 
+    def test_w3_like_steps_below_the_full_ladders_cells(self, monkeypatch):
+        # six degrees from [0, 50], one group each: every group's claim in a
+        # block leaves the ladder at once, however few cells it holds
+        grid = make_grid(8.0, 512)
+        family = build_hermite_family([3, 11, 20, 28, 37, 49], grid)
+        groups, eps = [(j,) for j in range(6)], 1e-3 * grid.dt
+        cells = []
+        step = special._laguerre_step
+        monkeypatch.setattr(special, "_laguerre_step",
+                            lambda k, z, *args: (cells.append(z.size), step(k, z, *args))[1])
+        peel(family, groups, eps)
+        steps = sum(cells)
+        cells.clear()
+        full_ladder_peel(family, groups, eps)
+        assert steps == 1_546_789
+        assert steps < sum(cells)
+
 
 class TestSummedMask:
     def test_contains_R1_disc(self):
